@@ -36,6 +36,7 @@ classes accept are a thin shim that builds the same object.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from collections.abc import Callable
@@ -61,6 +62,7 @@ from repro.mpc.threadworld import run_spmd_threads
 from repro.obs.record import CommEventRecord, RunRecord
 from repro.obs.recorder import Recorder, check_instrument, recording
 from repro.obs.runtime import build_run_record, recorded_pautoclass
+from repro.parallel.psearch import check_try_groups
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +77,37 @@ def restart_backoff_seconds(attempt: int) -> float:
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
     return min(RESTART_BACKOFF_BASE * (2 ** (attempt - 1)), RESTART_BACKOFF_CAP)
+
+
+def _with_restarts(attempt_fit, ckpt_spec, max_restarts: int, what: str):
+    """Run ``attempt_fit(attempt, ckpt_spec)`` until it succeeds.
+
+    A ``RuntimeError`` (a failed world, an injected fault) is retried
+    from the checkpoint up to ``max_restarts`` times, with exponential
+    backoff; every retry resumes, whatever the caller's ``resume``
+    said.  Returns ``(outcome, retry_log)`` with one ``(attempt,
+    backoff_seconds, reason)`` entry per restart.
+    """
+    attempt = 0
+    retry_log: list[tuple[int, float, str]] = []
+    while True:
+        spec = ckpt_spec
+        if spec is not None and attempt > 0:
+            spec = dc_replace(spec, resume=True)  # retries must resume
+        try:
+            return attempt_fit(attempt, spec), retry_log
+        except RuntimeError as exc:
+            attempt += 1
+            if attempt > max_restarts:
+                raise
+            backoff = restart_backoff_seconds(attempt)
+            reason = str(exc).splitlines()[0]
+            retry_log.append((attempt, backoff, reason))
+            logger.warning(
+                "%s attempt %d failed (%s); restarting from "
+                "checkpoint in %.3gs", what, attempt, exc, backoff,
+            )
+            time.sleep(backoff)
 
 
 def _resolve_checkpoint(
@@ -172,27 +205,6 @@ def check_streamed_verify(db, verify: str) -> None:
         )
 
 
-def _check_try_groups(
-    try_groups: int | str | None, n_processors: int | None = None
-) -> None:
-    """Validate a ``try_groups`` option (range-checked when the world
-    size is known)."""
-    if try_groups is None or try_groups == "auto":
-        return
-    if not isinstance(try_groups, int) or isinstance(try_groups, bool):
-        raise ValueError(
-            "try_groups must be None, 'auto', or an int, "
-            f"got {try_groups!r}"
-        )
-    if try_groups < 1:
-        raise ValueError(f"try_groups must be >= 1, got {try_groups}")
-    if n_processors is not None and try_groups > n_processors:
-        raise ValueError(
-            f"try_groups={try_groups} must be in [1, n_processors="
-            f"{n_processors}]"
-        )
-
-
 #: Sentinel distinguishing "keyword not passed" from an explicit value
 #: (so bare fit keywords can shim onto :class:`FitConfig` defaults).
 _UNSET = object()
@@ -249,7 +261,7 @@ class FitConfig:
             raise ValueError(
                 f"max_restarts must be >= 0: {self.max_restarts}"
             )
-        _check_try_groups(self.try_groups)
+        check_try_groups(self.try_groups)
         if self.transport is not None and self.transport not in TRANSPORTS:
             raise ValueError(
                 f"transport {self.transport!r} not in {TRANSPORTS}"
@@ -261,42 +273,27 @@ class FitConfig:
         return dc_replace(self, **given) if given else self
 
 
-def _build_options(options: FitConfig | None, **bare) -> FitConfig:
-    """Resolve an ``options=`` object vs. bare keywords (exactly one)."""
-    given = {k: v for k, v in bare.items() if v is not _UNSET}
-    if options is not None:
-        if not isinstance(options, FitConfig):
-            raise TypeError(
-                f"options must be a FitConfig, got {type(options).__name__}"
-            )
-        if given:
-            raise ValueError(
-                "pass either options= or bare fit keywords, not both "
-                f"(got options= and {sorted(given)})"
-            )
-        return options
-    return FitConfig(**given)
-
-
 def _fit_options(base: FitConfig, options: FitConfig | None, **bare) -> FitConfig:
-    """Resolve fit-time options against the constructor-time ``base``.
+    """Resolve an ``options=`` object vs. bare keywords against ``base``.
 
     ``options=`` replaces the base wholesale; bare keywords override
-    just the fields they name; both together is an error.
+    just the fields they name; both together is an error.  The
+    constructors resolve against the defaults (``FitConfig()``), ``fit``
+    against the constructor-time options.
     """
-    given = {k: v for k, v in bare.items() if v is not _UNSET}
-    if options is not None:
-        if not isinstance(options, FitConfig):
-            raise TypeError(
-                f"options must be a FitConfig, got {type(options).__name__}"
-            )
-        if given:
-            raise ValueError(
-                "pass either options= or bare fit keywords, not both "
-                f"(got options= and {sorted(given)})"
-            )
-        return options
-    return base.merged(**bare)
+    if options is None:
+        return base.merged(**bare)
+    if not isinstance(options, FitConfig):
+        raise TypeError(
+            f"options must be a FitConfig, got {type(options).__name__}"
+        )
+    given = sorted(k for k, v in bare.items() if v is not _UNSET)
+    if given:
+        raise ValueError(
+            "pass either options= or bare fit keywords, not both "
+            f"(got options= and {given})"
+        )
+    return options
 
 
 def _check_transport(transport: str | None, backend: str) -> None:
@@ -668,8 +665,8 @@ class AutoClass:
         kernels: str | None = _UNSET,
         **config,
     ) -> None:
-        self.options = _build_options(
-            options, instrument=instrument, kernels=kernels
+        self.options = _fit_options(
+            FitConfig(), options, instrument=instrument, kernels=kernels
         )
         _check_sequential(self.options)
         self.spec = spec
@@ -736,47 +733,27 @@ class AutoClass:
         )
         if opts.max_restarts and ckpt_spec is None:
             raise ValueError("max_restarts needs checkpointing enabled")
-        attempt = 0
-        retry_log: list[tuple[int, float, str]] = []
+
+        def attempt_fit(_attempt, ckpt):
+            search = functools.partial(
+                run_search, db, config, self.spec,
+                checkpointer=None if ckpt is None else ckpt.build(0),
+                kernels=opts.kernels,
+            )
+            if opts.instrument == "off":
+                return search(), None
+            rec = Recorder(level=opts.instrument)
+            with recording(rec):
+                result = search()
+            return result, build_run_record(
+                "sequential", 1, opts.instrument, [rec.to_rank_record()]
+            )
+
         self._active_options = opts
         try:
-            while True:
-                spec = ckpt_spec
-                if spec is not None and attempt > 0:
-                    spec = dc_replace(spec, resume=True)  # retries must resume
-                checkpointer = None if spec is None else spec.build(0)
-                try:
-                    record = None
-                    if opts.instrument == "off":
-                        result = run_search(
-                            db, config, self.spec,
-                            checkpointer=checkpointer, kernels=opts.kernels,
-                        )
-                    else:
-                        rec = Recorder(level=opts.instrument)
-                        with recording(rec):
-                            result = run_search(
-                                db, config, self.spec,
-                                checkpointer=checkpointer,
-                                kernels=opts.kernels,
-                            )
-                        record = build_run_record(
-                            "sequential", 1, opts.instrument,
-                            [rec.to_rank_record()],
-                        )
-                    break
-                except RuntimeError as exc:
-                    attempt += 1
-                    if attempt > opts.max_restarts:
-                        raise
-                    backoff = restart_backoff_seconds(attempt)
-                    reason = str(exc).splitlines()[0]
-                    retry_log.append((attempt, backoff, reason))
-                    logger.warning(
-                        "fit attempt %d failed (%s); restarting from "
-                        "checkpoint in %.3gs", attempt, exc, backoff,
-                    )
-                    time.sleep(backoff)
+            (result, record), retry_log = _with_restarts(
+                attempt_fit, ckpt_spec, opts.max_restarts, "fit"
+            )
         finally:
             self._active_options = None
         run = Run(
@@ -906,7 +883,8 @@ class PAutoClass:
             raise ValueError(f"n_processors must be >= 1, got {n_processors}")
         # collectives keeps its historical positional slot; None means
         # unset so it composes with options= like the other keywords.
-        self.options = _build_options(
+        self.options = _fit_options(
+            FitConfig(),
             options,
             instrument=instrument,
             kernels=kernels,
@@ -914,7 +892,7 @@ class PAutoClass:
             transport=transport,
             collectives=collectives if collectives is not None else _UNSET,
         )
-        _check_try_groups(self.options.try_groups, n_processors)
+        check_try_groups(self.options.try_groups, n_processors)
         _check_transport(self.options.transport, backend)
         self.n_processors = n_processors
         self.backend = backend
@@ -995,7 +973,7 @@ class PAutoClass:
             resume=resume, max_restarts=max_restarts, faults=faults,
             verify=verify,
         )
-        _check_try_groups(opts.try_groups, self.n_processors)
+        check_try_groups(opts.try_groups, self.n_processors)
         _check_transport(opts.transport, self.backend)
         config = _streamed_fallback_config(
             self.config, db, self._init_method_defaulted
@@ -1010,36 +988,23 @@ class PAutoClass:
         spec = self.spec or ModelSpec.default_for(
             db.schema, DataSummary.from_database(db)
         )
-        attempt = 0
-        retry_log: list[tuple[int, float, str]] = []
+        def attempt_fit(attempt, ckpt):
+            self._ckpt_spec = ckpt
+            self._faults = opts.faults if attempt == 0 else None
+            try:
+                return BACKENDS[self.backend](self, db, spec)
+            finally:
+                self._ckpt_spec = None
+                self._faults = None
+
         self._active_options = opts
         # Backend runners read the search config off the model; surface
         # the streamed fallback to them for the duration of the fit.
         saved_config, self.config = self.config, config
         try:
-            while True:
-                self._ckpt_spec = ckpt_spec
-                if ckpt_spec is not None and attempt > 0:
-                    self._ckpt_spec = dc_replace(ckpt_spec, resume=True)
-                self._faults = opts.faults if attempt == 0 else None
-                try:
-                    run = BACKENDS[self.backend](self, db, spec)
-                    break
-                except RuntimeError as exc:
-                    attempt += 1
-                    if attempt > opts.max_restarts:
-                        raise
-                    backoff = restart_backoff_seconds(attempt)
-                    reason = str(exc).splitlines()[0]
-                    retry_log.append((attempt, backoff, reason))
-                    logger.warning(
-                        "SPMD fit attempt %d failed (%s); restarting from "
-                        "checkpoint in %.3gs", attempt, exc, backoff,
-                    )
-                    time.sleep(backoff)
-                finally:
-                    self._ckpt_spec = None
-                    self._faults = None
+            run, retry_log = _with_restarts(
+                attempt_fit, ckpt_spec, opts.max_restarts, "SPMD fit"
+            )
         finally:
             self.config = saved_config
             self._active_options = None

@@ -11,10 +11,12 @@ Structure mirrors the paper's Figure 1–3 decomposition of AutoClass C:
 
 Every step is split into a *local* part (a pure function of a database
 block) and a *finalize* part (a pure function of globally reduced
-quantities).  The sequential engine composes them with an identity
-reduction; :mod:`repro.parallel` composes the very same functions with
-``Allreduce`` — which is how the reproduction guarantees the paper's
-"same semantics as the sequential algorithm".
+quantities), and the cycle, initializer and BIG_LOOP compose them
+around a *reducer* argument.  The sequential engine passes the identity
+:class:`~repro.engine.cycle.LocalReducer`; :mod:`repro.parallel` passes
+one that Allreduces — the very same code either way, which is how the
+reproduction guarantees the paper's "same semantics as the sequential
+algorithm".
 """
 
 from repro.engine.classification import Classification, Scores
@@ -23,7 +25,7 @@ from repro.engine.convergence import (
     RelativeDeltaChecker,
     SlidingWindowChecker,
 )
-from repro.engine.cycle import CycleStats, base_cycle
+from repro.engine.cycle import CycleStats, LocalReducer, base_cycle
 from repro.engine.init import initial_classification, random_weights
 from repro.engine.modelsearch import (
     ModelSearchResult,
@@ -45,6 +47,7 @@ __all__ = [
     "Classification",
     "ConvergenceChecker",
     "CycleStats",
+    "LocalReducer",
     "ModelSearchResult",
     "RelativeDeltaChecker",
     "Scores",

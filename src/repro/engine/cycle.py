@@ -2,8 +2,20 @@
 
 The paper's Figure 3: ``base_cycle`` calls ``update_wts``,
 ``update_parameters`` and ``update_approximations``, and the paper
-measures it at ~99.5 % of total runtime.  The sequential composition
-here is the reference semantics the parallel version must preserve.
+measures it at ~99.5 % of total runtime.  P-AutoClass parallelizes
+exactly this function (Figures 4/5: local halves plus two Allreduce cut
+points), so it is written **once**, as ``chunks x reducer``:
+
+* *chunks* — an in-memory :class:`~repro.data.database.Database` is its
+  own single chunk; a :class:`~repro.data.shards.ShardedDatabase` view
+  streams ``iter_chunks()`` with O(chunk) peak heap.  Both cut-point
+  payloads are additive over items, and a chunk's M half needs only
+  that chunk's *local* weights, so E and M halves fuse per chunk;
+* *reducer* — how the two payloads become global.  The sequential
+  program is the identity :class:`LocalReducer` defined here; the
+  communicating reducers live in :mod:`repro.parallel.reducers`.  The
+  reducer is the engine's only view of the world it runs on — this
+  package imports neither :mod:`repro.mpc` nor :mod:`repro.parallel`.
 
 Scoring convention: the :class:`~repro.engine.classification.Scores`
 attached to the returned classification evaluate the parameters the
@@ -20,95 +32,180 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.database import Database
-from repro.data.shards import is_streamable
+from repro.data.shards import as_chunk_iterable, is_streamable
 from repro.engine.approx import update_approximations
 from repro.engine.classification import Classification
-from repro.engine.params import finalize_parameters, update_parameters
-from repro.engine.wts import finalize_wts, update_wts
+from repro.engine.params import finalize_parameters, local_update_parameters
+from repro.engine.wts import N_EXTRA_SLOTS, finalize_wts, local_update_wts
 from repro.obs import recorder as obs
 
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Timing breakdown of one cycle (drives the EXP-T1 profile bench)."""
+    """Per-rank timing/traffic of one cycle (drives the EXP-T1 profile).
+
+    Seconds are on the reducer's clock: wall seconds sequentially and on
+    real worlds, *virtual machine seconds* on the simulated CS-2.  The
+    wts share covers the E halves plus whatever the wts reduction blocks
+    for; the params share the M halves, the rest of the reductions and
+    the replicated finalize.
+    """
 
     seconds_wts: float
     seconds_params: float
     seconds_approx: float
+    bytes_sent: int = 0
 
     @property
     def seconds_total(self) -> float:
         return self.seconds_wts + self.seconds_params + self.seconds_approx
 
 
+class LocalReducer:
+    """Identity reduction: sequential AutoClass, the P = 1 program.
+
+    Also the protocol the communicating reducers implement.  A cycle
+    calls ``launch_wts`` once (after the final chunk's E half),
+    ``progress`` after every chunk, ``launch_stats`` once, then
+    ``finish`` for the two global arrays; ``allreduce`` is the one-shot
+    sum the initializer needs.  ``rank``/``size`` place this block in
+    the global item range, ``fault_site`` offers an injection point
+    (:mod:`repro.mpc.faults`) and ``local_stats`` is the M half — a
+    method so the Miller & Guo ablation can centralize it.
+    """
+
+    rank = 0
+    size = 1
+    bytes_sent = 0
+    clock = staticmethod(time.perf_counter)
+    local_stats = staticmethod(local_update_parameters)
+
+    def fault_site(self, site: str, *, try_index: int, cycle: int = 0) -> None:
+        """No world, no injected faults."""
+
+    def allreduce(self, payload: np.ndarray) -> np.ndarray:
+        return payload
+
+    def launch_wts(self, payload: np.ndarray) -> None:
+        self._payload = payload
+
+    def progress(self) -> None:
+        """Nothing in flight."""
+
+    def launch_stats(self, stats: np.ndarray) -> None:
+        self._stats = stats
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._payload, self._stats
+
+
+def local_pass(
+    data, clf: Classification, reducer: LocalReducer, *, kernels: str | None = None
+) -> tuple[np.ndarray | None, float, float]:
+    """The local halves of one cycle: chunk pass + both reduction launches.
+
+    For each chunk: E half (accumulate the ``J + 2`` payload), M half
+    (accumulate the ``(J, n_stats)`` statistics), ``reducer.progress()``.
+    The wts reduction launches right after the *final* chunk's E half —
+    the earliest its payload is complete, leaving that chunk's M half
+    as compute an overlapping reducer can hide rounds behind — and the
+    statistics reduction after the last M half.  The accumulation order,
+    and therefore every payload bit, does not depend on the reducer.
+
+    Returns ``(wts, seconds_wts, seconds_params)``: the last chunk's
+    weights (a plain Database's whole block) and the two halves' time on
+    the reducer's clock.
+    """
+    rec = obs.current()
+    clock = reducer.clock
+    payload = stats = wts = None
+    seconds_wts = seconds_params = 0.0
+    n_chunks = n_items = 0
+    t0 = clock()
+    chunks = as_chunk_iterable(data)
+    chunk = next(chunks, None)
+    while chunk is not None:
+        # One chunk of lookahead finds the final chunk.
+        following = next(chunks, None)
+        with rec.phase("wts"):
+            wts, part = local_update_wts(chunk, clf, kernels=kernels)
+            if payload is None:
+                payload = part
+            else:
+                payload += part
+        if following is None:
+            reducer.launch_wts(payload)
+        t1 = clock()
+        with rec.phase("params"):
+            part = reducer.local_stats(chunk, clf.spec, wts, kernels=kernels)
+            if stats is None:
+                stats = part
+            else:
+                stats += part
+        reducer.progress()
+        n_chunks += 1
+        n_items += chunk.n_items
+        chunk = following
+        t2 = clock()
+        seconds_wts += t1 - t0
+        seconds_params += t2 - t1
+        t0 = t2
+    if payload is None:  # an empty streamed block: zero chunks
+        payload = np.zeros(clf.n_classes + N_EXTRA_SLOTS, dtype=np.float64)
+        stats = np.zeros((clf.n_classes, clf.spec.n_stats), dtype=np.float64)
+        reducer.launch_wts(payload)
+    reducer.launch_stats(stats)
+    if is_streamable(data) and rec.enabled and n_chunks:
+        rec.count("stream.chunks", n_chunks)
+        rec.count("stream.items", n_items)
+    return wts, seconds_wts, seconds_params
+
+
 def base_cycle(
-    db: Database, clf: Classification, *, kernels: str | None = None
-) -> tuple[Classification, np.ndarray, CycleStats]:
-    """One sequential EM cycle.
+    data,
+    clf: Classification,
+    *,
+    kernels: str | None = None,
+    n_total_items: int | None = None,
+    reducer: LocalReducer | None = None,
+) -> tuple[Classification, np.ndarray | None, CycleStats]:
+    """One EM cycle over this rank's block of the data.
+
+    With the defaults this is sequential AutoClass: ``data`` is the
+    whole database and the reduction is the identity.  A parallel rank
+    passes its block, the global item count and a communicating
+    ``reducer``; the cycle then is the paper's Figures 4/5.
 
     Returns ``(new_clf, wts, stats)``: the re-parameterized
     classification (scores evaluate the incoming parameters — see module
-    docstring), the membership weights of the E-step, and the phase
-    timings.  ``kernels`` selects the E/M implementation (``None`` →
-    the process default; see :mod:`repro.kernels.config`).
+    docstring; identical on every rank, being a pure function of the
+    reduced payloads), the block's membership weights of the E-step
+    (``None`` for streamed data — the full ``(N, J)`` matrix is never
+    formed), and the phase timings.  ``kernels`` selects the E/M
+    implementation (``None`` → the process default; see
+    :mod:`repro.kernels.config`).
 
-    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase` view,
-    in which case the cycle streams chunk-accumulated statistics
-    (:mod:`repro.kernels.stream`) with O(chunk) peak heap and the
-    returned weights are ``None`` (the full ``(N, J)`` matrix is never
-    formed).
+    Observability: each chunk's E half is timed under phase ``"wts"``
+    and its M half under ``"params"`` (as is the replicated finalize);
+    streamed data also bumps ``stream.chunks`` / ``stream.items``.  The
+    reducer accounts ``allreduce_wts`` / ``allreduce_params``.
     """
-    if is_streamable(db):
-        return _streamed_base_cycle(db, clf, kernels=kernels)
+    if reducer is None:
+        reducer = LocalReducer()
+    if n_total_items is None:
+        n_total_items = data.n_items
     rec = obs.current()
-    t0 = time.perf_counter()
-    with rec.phase("wts"):
-        wts, reduction = update_wts(db, clf, kernels=kernels)
-    t1 = time.perf_counter()
-    with rec.phase("params"):
-        new_clf, global_stats = update_parameters(
-            db, clf, wts, reduction.w_j, kernels=kernels
-        )
-    t2 = time.perf_counter()
-    with rec.phase("approx"):
-        scores = update_approximations(clf, global_stats, reduction, db.n_items)
-    t3 = time.perf_counter()
-    rec.cycle(
-        n_classes=clf.n_classes,
-        log_marginal=scores.log_marginal_cs,
-        w_j=reduction.w_j,
+    clock = reducer.clock
+    bytes0 = reducer.bytes_sent
+    wts, seconds_wts, seconds_params = local_pass(
+        data, clf, reducer, kernels=kernels
     )
-    new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, wts, CycleStats(
-        seconds_wts=t1 - t0,
-        seconds_params=t2 - t1,
-        seconds_approx=t3 - t2,
-    )
-
-
-def _streamed_base_cycle(
-    data, clf: Classification, *, kernels: str | None = None
-) -> tuple[Classification, None, CycleStats]:
-    """Streamed EM cycle: one chunk pass, then the unchanged finalizers.
-
-    The fused chunk pass accumulates both cut-point payloads
-    (:func:`repro.kernels.stream.streamed_local_pass`); ``finalize_wts``
-    / ``finalize_parameters`` / ``update_approximations`` then run on
-    exactly the vectors the in-memory cycle hands them.  The whole pass
-    is billed to ``seconds_wts`` (its E and M halves interleave per
-    chunk; the obs phases carry the true split).
-    """
-    from repro.kernels.stream import streamed_local_pass
-
-    rec = obs.current()
-    t0 = time.perf_counter()
-    payload, global_stats = streamed_local_pass(data, clf, kernels=kernels)
+    t0 = clock()
+    payload, stats = reducer.finish()
     reduction = finalize_wts(payload, clf.n_classes)
-    t1 = time.perf_counter()
     with rec.phase("params"):
         log_pi, term_params = finalize_parameters(
-            clf.spec, global_stats, reduction.w_j, data.n_items
+            clf.spec, stats, reduction.w_j, n_total_items
         )
     new_clf = Classification(
         spec=clf.spec,
@@ -117,20 +214,19 @@ def _streamed_base_cycle(
         term_params=term_params,
         n_cycles=clf.n_cycles,
     )
-    t2 = time.perf_counter()
+    t1 = clock()
     with rec.phase("approx"):
-        scores = update_approximations(
-            clf, global_stats, reduction, data.n_items
-        )
-    t3 = time.perf_counter()
+        scores = update_approximations(clf, stats, reduction, n_total_items)
+    t2 = clock()
     rec.cycle(
         n_classes=clf.n_classes,
         log_marginal=scores.log_marginal_cs,
         w_j=reduction.w_j,
     )
     new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, None, CycleStats(
-        seconds_wts=t1 - t0,
-        seconds_params=t2 - t1,
-        seconds_approx=t3 - t2,
+    return new_clf, None if is_streamable(data) else wts, CycleStats(
+        seconds_wts=seconds_wts,
+        seconds_params=seconds_params + (t1 - t0),
+        seconds_approx=t2 - t1,
+        bytes_sent=reducer.bytes_sent - bytes0,
     )

@@ -8,8 +8,8 @@ first M-step turn them into parameters.  Two weight initializers:
 * ``"sharp"`` — each item assigned wholly to one uniformly random class
   (AutoClass's random-assignment start).
 
-For parallel runs the weights are drawn for the **full** item range with
-the try's deterministic stream and each rank keeps its slice —
+For parallel runs every rank consumes the try's deterministic stream
+exactly as one full-range draw would and keeps its block's rows —
 guaranteeing the parallel run starts from exactly the state the
 sequential run starts from (the basis of the equivalence tests).
 """
@@ -19,8 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.shards import is_streamable
+from repro.data.partition import partition_bounds
+from repro.data.shards import as_chunk_iterable, is_streamable
 from repro.engine.classification import Classification
+from repro.engine.cycle import LocalReducer
 from repro.engine.params import finalize_parameters, local_update_parameters
 from repro.models.registry import ModelSpec
 
@@ -120,27 +122,97 @@ def classification_from_weights(
 
 
 def initial_classification(
-    db: Database,
+    db,
     spec: ModelSpec,
     n_classes: int,
     rng: np.random.Generator,
     method: str = "dirichlet",
     kernels: str | None = None,
+    *,
+    n_total_items: int | None = None,
+    reducer: LocalReducer | None = None,
+    full_db: Database | None = None,
 ) -> Classification:
     """Random weights + first M-step, in one call.
 
-    A :class:`~repro.data.shards.ShardedDatabase` view streams the
-    init: weights are drawn chunk-by-chunk (bitwise identical to one
-    full draw — see :data:`STREAMABLE_INIT_METHODS`) and consumed into
-    the packed statistics immediately, so the ``(N, J)`` weight matrix
-    is never materialized.
+    Same ``chunks x reducer`` shape as the EM cycle
+    (:mod:`repro.engine.cycle`).  With the defaults ``db`` is the whole
+    database and this is the sequential initializer; a parallel rank
+    passes its block, the global item count and its reducer, and starts
+    from exactly the sequential state: the streamable initializers
+    consume the RNG bitstream strictly item-by-item (see
+    :data:`STREAMABLE_INIT_METHODS`), so the rank draws-and-discards the
+    rows before its block, then draws its own rows chunk by chunk —
+    bitwise the rows of one full-range draw — straight into the packed
+    statistics; one ``[w_j, stats]`` reduction yields the identical
+    starting parameters on every rank.  Peak heap is O(chunk x J): the
+    ``(N, J)`` weight matrix is never materialized.
+
+    ``"seeded"`` needs global pairwise distances: the weights are drawn
+    against the full in-memory database (``full_db``, or ``db`` itself
+    when it is the whole range) and sliced to the block.
     """
-    if is_streamable(db):
-        return _streamed_initial_classification(
-            db, spec, n_classes, rng, method=method, kernels=kernels
+    if reducer is None:
+        reducer = LocalReducer()
+    if n_total_items is None:
+        n_total_items = db.n_items
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    streamed = is_streamable(db)
+    lo, hi = partition_bounds(n_total_items, reducer.size, reducer.rank)
+    # A view knows its global offset; an in-memory block only its length.
+    held = db.bounds if streamed and reducer.size > 1 else (lo, lo + db.n_items)
+    if held != (lo, hi):
+        raise ValueError(
+            f"rank {reducer.rank}: block has {db.n_items} items but "
+            f"partition bounds give {(lo, hi)}"
         )
-    wts = random_weights(db.n_items, n_classes, rng, method=method, db=db)
-    return classification_from_weights(db, spec, wts, kernels=kernels)
+    if method in STREAMABLE_INIT_METHODS:
+        step = max(int(db.chunk_items) if streamed else db.n_items, 1)
+        for skip in range(0, lo, step):
+            random_weights(min(step, lo - skip), n_classes, rng, method=method)
+        draws = (
+            (chunk, random_weights(chunk.n_items, n_classes, rng, method=method))
+            for chunk in as_chunk_iterable(db)
+        )
+    else:
+        if streamed:
+            check_streamable_init(method)
+        if full_db is None:
+            if hi - lo != n_total_items:
+                raise ValueError(
+                    f"{method} initialization needs the full database on "
+                    "every rank"
+                )
+            full_db = db
+        wts = random_weights(
+            n_total_items, n_classes, rng, method=method, db=full_db
+        )
+        draws = ((db, wts[lo:hi]),)
+    w_j = stats = None
+    for chunk, wts in draws:
+        part = local_update_parameters(chunk, spec, wts, kernels=kernels)
+        if stats is None:
+            w_j, stats = wts.sum(axis=0), part
+        else:
+            w_j += wts.sum(axis=0)
+            stats += part
+    if stats is None:  # an empty streamed block: zero chunks
+        w_j = np.zeros(n_classes, dtype=np.float64)
+        stats = np.zeros((n_classes, spec.n_stats), dtype=np.float64)
+    payload = reducer.allreduce(np.concatenate([w_j, stats.reshape(-1)]))
+    log_pi, term_params = finalize_parameters(
+        spec,
+        payload[n_classes:].reshape(stats.shape),
+        payload[:n_classes],
+        n_total_items,
+    )
+    return Classification(
+        spec=spec,
+        n_classes=n_classes,
+        log_pi=log_pi,
+        term_params=term_params,
+    )
 
 
 def check_streamable_init(method: str) -> None:
@@ -151,29 +223,3 @@ def check_streamable_init(method: str) -> None:
             f"and cannot stream a ShardedDatabase; use one of "
             f"{STREAMABLE_INIT_METHODS} (or materialize() the data)"
         )
-
-
-def _streamed_initial_classification(
-    data,
-    spec: ModelSpec,
-    n_classes: int,
-    rng: np.random.Generator,
-    method: str,
-    kernels: str | None = None,
-) -> Classification:
-    check_streamable_init(method)
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-    stats = np.zeros((n_classes, spec.n_stats), dtype=np.float64)
-    w_j = np.zeros(n_classes, dtype=np.float64)
-    for chunk in data.iter_chunks():
-        wts = random_weights(chunk.n_items, n_classes, rng, method=method)
-        stats += local_update_parameters(chunk, spec, wts, kernels=kernels)
-        w_j += wts.sum(axis=0)
-    log_pi, term_params = finalize_parameters(spec, stats, w_j, data.n_items)
-    return Classification(
-        spec=spec,
-        n_classes=n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-    )

@@ -22,6 +22,7 @@ the control flow on all ranks without communicating decisions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from repro.data.database import Database
 from repro.data.shards import is_streamable
 from repro.engine.classification import Classification
 from repro.engine.convergence import ConvergenceChecker, RelativeDeltaChecker
-from repro.engine.cycle import base_cycle
+from repro.engine.cycle import LocalReducer, base_cycle
 from repro.engine.init import (
     INIT_METHODS,
     check_streamable_init,
@@ -154,30 +155,93 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def converge_try(
-    db: Database,
-    clf: Classification,
-    checker: ConvergenceChecker,
-    on_cycle=None,
+def run_try(
+    data,
+    spec: ModelSpec,
+    config: SearchConfig,
+    stream: SeedSequenceStream,
+    try_index: int,
+    make_reducer,
     *,
+    n_total_items: int,
+    full_db: Database | None = None,
     kernels: str | None = None,
-) -> tuple[Classification, bool]:
-    """Run ``base_cycle`` until the checker stops it.
+    resume=None,
+    save_cycle=None,
+) -> TryResult:
+    """Steps 1-2 of the BIG_LOOP: select J, initialize, converge one try.
 
-    Returns the last classification (scores evaluate its E-step point)
-    and whether the stop was a genuine convergence (vs the cycle cap).
-    ``on_cycle(clf, checker)`` — if given — runs after every completed,
-    non-final cycle: the per-cycle checkpoint cut point (the state is
-    self-contained there, so a run resumed from it is bit-identical).
+    The one try body of every search — sequential, replicated and
+    try-grouped differ only in ``make_reducer(n_classes)`` (which world
+    the reductions cross) and in who drives the loop.  ``resume`` — an
+    in-progress try restored from a checkpoint — replaces selection and
+    init with their recorded outputs: both were consumed before the
+    checkpoint was cut, and the restored classification is the
+    post-cycle state, so re-entering the cycle loop continues exactly
+    where the run stopped.
+
+    ``base_cycle`` runs until the checker stops it; every rank of a
+    parallel run feeds the checker the same globally reduced score, so
+    all stop on the same cycle without voting.  Injected faults
+    (``reducer.fault_site``) fire at the init and cycle boundaries,
+    before the work starts.  ``save_cycle(try_index=,
+    n_classes_requested=, clf=, checker=)`` — the per-cycle checkpoint
+    hook — runs after every completed, non-final cycle: downstream of
+    both reductions the state is global and self-contained, so a run
+    resumed from it is bit-identical.
+
+    The returned try says whether the stop was a genuine convergence
+    (vs the cycle cap); its duplicate link is the driver's to assign.
     """
+    rec = obs.current()
+    rec.try_boundary()
+    checker = config.checker()
+    if resume is not None:
+        j = resume.n_classes_requested
+        clf = resume.classification
+        checker.history = list(resume.checker_history)
+        reducer = make_reducer(j)
+        logger.info("try %d: resuming at cycle %d", try_index, clf.n_cycles)
+    else:
+        j = config.select_n_classes(try_index, stream)
+        logger.info("try %d: J=%d (seed %d)", try_index, j, config.seed)
+        reducer = make_reducer(j)
+        reducer.fault_site("init", try_index=try_index)
+        with rec.phase("init"):
+            clf = initial_classification(
+                data, spec, j, stream.child("try", try_index),
+                method=config.init_method, kernels=kernels,
+                n_total_items=n_total_items, reducer=reducer, full_db=full_db,
+            )
     stopped = False
     while not stopped:
-        clf, _wts, _stats = base_cycle(db, clf, kernels=kernels)
+        reducer.fault_site("cycle", try_index=try_index, cycle=clf.n_cycles + 1)
+        clf, _wts, _stats = base_cycle(
+            data, clf, kernels=kernels, n_total_items=n_total_items,
+            reducer=reducer,
+        )
         assert clf.scores is not None
         stopped = checker.update(clf.scores.log_marginal_cs)
-        if not stopped and on_cycle is not None:
-            on_cycle(clf, checker)
-    return clf, not checker.hit_cycle_limit
+        if not stopped and save_cycle is not None:
+            save_cycle(
+                try_index=try_index, n_classes_requested=j, clf=clf,
+                checker=checker,
+            )
+    converged = not checker.hit_cycle_limit
+    logger.info(
+        "try %d done: %d cycles, logP(X|T)~=%.2f%s",
+        try_index,
+        clf.n_cycles,
+        clf.scores.log_marginal_cs,
+        "" if converged else " (cycle limit)",
+    )
+    return TryResult(
+        try_index=try_index,
+        n_classes_requested=j,
+        classification=clf,
+        converged=converged,
+        n_cycles=clf.n_cycles,
+    )
 
 
 def is_duplicate(
@@ -245,52 +309,72 @@ def assign_duplicates(tries: list[TryResult], eps: float) -> list[TryResult]:
 
 
 def run_search(
-    db: Database,
+    db,
     config: SearchConfig | None = None,
     spec: ModelSpec | None = None,
     checkpointer=None,
     *,
     kernels: str | None = None,
+    make_reducer=None,
+    n_total_items: int | None = None,
+    full_db: Database | None = None,
 ) -> SearchResult:
-    """Sequential AutoClass: the full BIG_LOOP over one database.
+    """The BIG_LOOP over one block of the data.
+
+    With the defaults this is sequential AutoClass: ``db`` is the whole
+    database and every reduction the identity.  P-AutoClass runs the
+    same loop *replicated* on every rank over that rank's block
+    (``make_reducer(n_classes)`` supplies each try's communicating
+    reducer, ``n_total_items`` the global count, ``full_db`` the
+    replicated input ``"seeded"`` init needs) — every decision below is
+    a deterministic function of the seed and of globally reduced scores,
+    so all ranks take identical branches with no extra communication.
 
     ``checkpointer`` — a bound :class:`repro.ckpt.Checkpointer` — makes
     the search durable: state is persisted at try boundaries (and, at
     ``policy="per_cycle"``, after EM cycles) and restored on entry, so
     an interrupted search resumed from its checkpoint produces the
-    bit-identical result an uninterrupted run would have.
+    bit-identical result an uninterrupted run would have.  The state at
+    a cut point is global, so on a parallel world rank 0 persists one
+    copy and every rank restores from the same file.
 
-    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase`: every
-    EM cycle then streams chunk-accumulated statistics with O(chunk)
-    peak heap (see :mod:`repro.kernels.stream`).  Streamed searches
-    need a streamable ``init_method`` (``"dirichlet"``/``"sharp"``;
-    with no explicit config the partitioned-data default ``"sharp"``
-    is used), and a bound checkpointer keys the checkpoint on the
-    shard manifest digest so a resume against different data is
-    refused.
+    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase` (view):
+    every EM cycle then streams chunk-accumulated statistics with
+    O(chunk) peak heap (see :mod:`repro.engine.cycle`).  Streamed
+    searches need a streamable ``init_method``
+    (``"dirichlet"``/``"sharp"``; with no explicit config the
+    partitioned-data default ``"sharp"`` is used), and a bound
+    checkpointer keys the checkpoint on the shard manifest digest so a
+    resume against different data is refused.
     """
     streamed = is_streamable(db)
     if config is None:
         # Streamed data cannot use the seeded default (it needs global
         # distances) — same fallback run_pautoclass_partitioned uses.
         config = SearchConfig(init_method="sharp") if streamed else SearchConfig()
-    if streamed:
-        check_streamable_init(config.init_method)
-        rec0 = obs.current()
-        if rec0.enabled:
-            rec0.count(
-                "stream.manifest_digest_u48", int(db.manifest_digest[:12], 16)
-            )
-            rec0.count("stream.chunk_items", db.chunk_items)
     if spec is None:
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
+    if make_reducer is None:
+        def make_reducer(n_classes):
+            return LocalReducer()
+    if n_total_items is None:
+        n_total_items = db.n_items
+    if streamed:
+        check_streamable_init(config.init_method)
+        rec = obs.current()
+        if rec.enabled:
+            rec.count(
+                "stream.manifest_digest_u48", int(db.manifest_digest[:12], 16)
+            )
+            rec.count("stream.chunk_items", db.chunk_items)
     spec.validate(db.probe() if streamed else db)
     stream = SeedSequenceStream(config.seed)
     result = SearchResult(config=config)
     resume = None
+    save_cycle = None
     if checkpointer is not None:
         checkpointer.bind(
-            config, spec, db.n_items,
+            config, spec, n_total_items,
             data_digest=db.manifest_digest if streamed else None,
         )
         state = checkpointer.load(spec)
@@ -306,6 +390,10 @@ def run_search(
                 f", try {resume.try_index} at cycle "
                 f"{resume.classification.n_cycles}",
             )
+        if checkpointer.policy == "per_cycle":
+            save_cycle = functools.partial(
+                checkpointer.save_cycle, result, stream
+            )
     started = time.perf_counter()
     for k in range(len(result.tries), config.max_n_tries):
         if (
@@ -315,58 +403,21 @@ def run_search(
             and time.perf_counter() - started >= config.max_seconds
         ):
             break  # budget spent; at least one try is always completed
-        rec = obs.current()
-        rec.try_boundary()
-        checker = config.checker()
+        in_progress = None
         if resume is not None and resume.try_index == k:
-            # Mid-try resume: J was selected and init consumed before the
-            # checkpoint was cut — do not re-draw either.  The restored
-            # classification is the post-cycle state; re-entering the
-            # cycle loop continues exactly where the run stopped.
-            j = resume.n_classes_requested
-            clf0 = resume.classification
-            checker.history = list(resume.checker_history)
-            resume = None
-            logger.info("try %d: resuming at cycle %d", k, clf0.n_cycles)
-        else:
-            j = config.select_n_classes(k, stream)
-            logger.info("try %d: J=%d (seed %d)", k, j, config.seed)
-            with rec.phase("init"):
-                clf0 = initial_classification(
-                    db, spec, j, stream.child("try", k),
-                    method=config.init_method, kernels=kernels,
-                )
-        on_cycle = None
-        if checkpointer is not None and checkpointer.policy == "per_cycle":
-            def on_cycle(c, ck, _k=k, _j=j):
-                checkpointer.save_cycle(
-                    result, stream,
-                    try_index=_k, n_classes_requested=_j, clf=c, checker=ck,
-                )
-        clf, converged = converge_try(
-            db, clf0, checker, on_cycle=on_cycle, kernels=kernels
+            in_progress, resume = resume, None
+        t = run_try(
+            db, spec, config, stream, k, make_reducer,
+            n_total_items=n_total_items, full_db=full_db, kernels=kernels,
+            resume=in_progress, save_cycle=save_cycle,
         )
         duplicate_of = duplicate_of_index(
-            clf, result.tries, config.duplicate_eps
+            t.classification, result.tries, config.duplicate_eps
         )
-        logger.info(
-            "try %d done: %d cycles, logP(X|T)~=%.2f%s%s",
-            k,
-            clf.n_cycles,
-            clf.scores.log_marginal_cs if clf.scores else float("nan"),
-            "" if converged else " (cycle limit)",
-            f" duplicate of try {duplicate_of}" if duplicate_of is not None else "",
-        )
-        result.tries.append(
-            TryResult(
-                try_index=k,
-                n_classes_requested=j,
-                classification=clf,
-                converged=converged,
-                n_cycles=clf.n_cycles,
-                duplicate_of=duplicate_of,
-            )
-        )
+        if duplicate_of is not None:
+            logger.info("try %d duplicates try %d", k, duplicate_of)
+            t = dataclasses.replace(t, duplicate_of=duplicate_of)
+        result.tries.append(t)
         if checkpointer is not None:
             checkpointer.save_boundary(result, stream)
     return result

@@ -20,17 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.database import Database
 from repro.data.partition import block_partition
-from repro.engine.approx import update_approximations
-from repro.engine.classification import Classification
-from repro.engine.params import finalize_parameters, local_update_parameters
+from repro.engine.cycle import base_cycle
+from repro.engine.init import initial_classification
+from repro.engine.params import local_update_parameters
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.api import Communicator
-from repro.parallel.pparams import parallel_update_parameters
-from repro.parallel.psearch import parallel_initial_classification
-from repro.parallel.pwts import parallel_update_wts
+from repro.parallel.packed import ReductionPlan
+from repro.parallel.reducers import BlockingReducer
 from repro.util.rng import SeedSequenceStream
 
 #: Reduction granularity of the figure experiments: the paper's Figure 5
@@ -38,128 +35,113 @@ from repro.util.rng import SeedSequenceStream
 PAPER_GRANULARITY = "per_term_class"
 
 
-def paper_base_cycle(
-    local_db: Database,
-    clf: Classification,
-    n_total: int,
-    comm: Communicator,
-    granularity: str = PAPER_GRANULARITY,
-) -> Classification:
-    """P-AutoClass ``base_cycle`` with the paper's reduce granularity."""
-    wts, reduction = parallel_update_wts(local_db, clf, comm)
-    new_clf, global_stats = parallel_update_parameters(
-        local_db, clf, wts, reduction.w_j, n_total, comm, granularity
-    )
-    scores = update_approximations(clf, global_stats, reduction, n_total)
-    return new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
+class CentralMStepReducer(BlockingReducer):
+    """Miller & Guo (PCW'97): only ``update_wts`` is parallel.
 
+    The only prior MIMD AutoClass the paper knew; P-AutoClass "exploits
+    parallelism also in the parameters computing phase, with a further
+    improvement of performance", which the EXP-A1 ablation measures
+    against this reducer.  The E-step is P-AutoClass's (local weights +
+    Allreduce of ``w_j``); the M half is **centralized**: every rank
+    ships its ``(n_local, J)`` weight block to rank 0, which computes
+    the statistics over the full dataset alone — its work report prices
+    ``n_total`` items on rank 0's clock — and broadcasts them back.
+    The gather of the full weight matrix (``8 N J`` bytes per cycle) and
+    the unparallelized M-step are exactly the two costs the paper's
+    design eliminates; results are numerically equivalent.
 
-def wts_only_paper_cycle(
-    local_db: Database,
-    full_db: Database,
-    clf: Classification,
-    comm: Communicator,
-) -> Classification:
-    """Miller & Guo-style cycle: wts parallel, M-step central on rank 0.
-
-    The full weight matrix is gathered to rank 0 (priced by the network
-    model) and the whole-dataset M-step runs there alone — its work
-    report prices ``n_total`` items on rank 0's clock automatically.
+    Needs the full database on rank 0 (other ranks may pass the same
+    replicated object — only rank 0 reads it) and in-memory blocks (the
+    single-chunk cycle hands ``local_stats`` the rank's whole weights).
     """
-    spec = clf.spec
-    n_total = full_db.n_items
-    wts, reduction = parallel_update_wts(local_db, clf, comm)
-    gathered = comm.gather(wts, root=0)
-    if comm.rank == 0:
-        assert gathered is not None
-        full_wts = np.vstack(gathered)
-        global_stats = local_update_parameters(full_db, spec, full_wts)
-        log_pi, term_params = finalize_parameters(
-            spec, global_stats, reduction.w_j, n_total
-        )
-        package = (log_pi, term_params, global_stats)
-    else:
-        package = None
-    log_pi, term_params, global_stats = comm.bcast(package, root=0)
-    new_clf = Classification(
-        spec=spec,
-        n_classes=clf.n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-        n_cycles=clf.n_cycles,
-    )
-    scores = update_approximations(clf, global_stats, reduction, n_total)
-    return new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
+
+    def __init__(self, comm, plan, spec, full_db) -> None:
+        super().__init__(comm, plan, spec)
+        self.full_db = full_db
+
+    def local_stats(self, chunk, spec, wts, *, kernels=None):
+        gathered = self.comm.gather(wts, root=0)
+        stats = None
+        if self.comm.rank == 0:
+            stats = local_update_parameters(
+                self.full_db, spec, np.vstack(gathered), kernels=kernels
+            )
+        return self.comm.bcast(stats, root=0)
+
+    def launch_stats(self, stats) -> None:
+        self._stats = stats  # already global
 
 
-def classification_program(comm, db, j_list, n_cycles, seed):
-    """Fixed-cycle classification pass over ``j_list`` (Figs. 6/7 workload)."""
+def fixed_cycles_program(
+    comm, db, j_list, n_cycles, seed, *,
+    granularity=PAPER_GRANULARITY, variant="pautoclass", marks=None,
+):
+    """One try per ``j_list`` entry, each a fixed number of cycles.
+
+    The workload of every figure experiment: the library's own
+    initializer and EM cycle over this rank's block, with the reducer
+    the experiment asks for — the paper's ``granularity`` by default, or
+    the ``"wts_only"`` :class:`CentralMStepReducer`.  ``marks``, if
+    given, collects this rank's virtual time after every cycle.
+    Returns the last try's score.
+    """
     spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
     local = block_partition(db, comm.size, comm.rank)
     stream = SeedSequenceStream(seed)
     score = 0.0
     for k, j in enumerate(j_list):
-        clf = parallel_initial_classification(
-            local, spec, j, db.n_items, stream.child("try", k), comm
+        plan = ReductionPlan(comm, j, spec.n_stats)
+        if variant == "pautoclass":
+            reducer = BlockingReducer(comm, plan, spec, granularity)
+        elif variant == "wts_only":
+            reducer = CentralMStepReducer(comm, plan, spec, db)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        clf = initial_classification(
+            local, spec, j, stream.child("try", k),
+            n_total_items=db.n_items, reducer=reducer,
         )
         for _ in range(n_cycles):
-            clf = paper_base_cycle(local, clf, db.n_items, comm)
+            clf, _wts, _stats = base_cycle(
+                local, clf, n_total_items=db.n_items, reducer=reducer
+            )
+            if marks is not None:
+                marks.append(comm.wtime())
         assert clf.scores is not None
         score = clf.scores.log_marginal_cs
     return score
 
 
+def classification_program(comm, db, j_list, n_cycles, seed):
+    """Fixed-cycle classification pass over ``j_list`` (Figs. 6/7 workload)."""
+    return fixed_cycles_program(comm, db, j_list, n_cycles, seed)
+
+
 def scaleup_program(comm, db, n_classes, n_measure, seed):
     """One warm-up + ``n_measure`` timed cycles (Fig. 8 workload).
 
-    Returns this rank's virtual time after init and after each measured
-    cycle; the harness derives per-cycle global durations.
+    Returns this rank's virtual time after the warm-up and after each
+    measured cycle; the harness derives per-cycle global durations.
     """
-    spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    local = block_partition(db, comm.size, comm.rank)
-    stream = SeedSequenceStream(seed)
-    clf = parallel_initial_classification(
-        local, spec, n_classes, db.n_items, stream.child("try", 0), comm
+    marks: list[float] = []
+    fixed_cycles_program(
+        comm, db, (n_classes,), 1 + n_measure, seed, marks=marks
     )
-    clf = paper_base_cycle(local, clf, db.n_items, comm)  # warm-up
-    marks = [comm.wtime()]
-    for _ in range(n_measure):
-        clf = paper_base_cycle(local, clf, db.n_items, comm)
-        marks.append(comm.wtime())
     return marks
 
 
 def variant_program(comm, db, n_classes, n_cycles, seed, variant):
     """EXP-A1 workload: run one variant for a fixed number of cycles."""
-    spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    local = block_partition(db, comm.size, comm.rank)
-    stream = SeedSequenceStream(seed)
-    clf = parallel_initial_classification(
-        local, spec, n_classes, db.n_items, stream.child("try", 0), comm
+    return fixed_cycles_program(
+        comm, db, (n_classes,), n_cycles, seed, variant=variant
     )
-    for _ in range(n_cycles):
-        if variant == "pautoclass":
-            clf = paper_base_cycle(local, clf, db.n_items, comm)
-        elif variant == "wts_only":
-            clf = wts_only_paper_cycle(local, db, clf, comm)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    assert clf.scores is not None
-    return clf.scores.log_marginal_cs
 
 
 def granularity_program(comm, db, n_classes, n_cycles, seed, granularity):
     """EXP-A4 workload: packed vs per-term-class parameter reduction."""
-    spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    local = block_partition(db, comm.size, comm.rank)
-    stream = SeedSequenceStream(seed)
-    clf = parallel_initial_classification(
-        local, spec, n_classes, db.n_items, stream.child("try", 0), comm
+    return fixed_cycles_program(
+        comm, db, (n_classes,), n_cycles, seed, granularity=granularity
     )
-    for _ in range(n_cycles):
-        clf = paper_base_cycle(local, clf, db.n_items, comm, granularity)
-    assert clf.scores is not None
-    return clf.scores.log_marginal_cs
 
 
 def allreduce_program(comm, nbytes, n_rounds):
@@ -191,8 +173,3 @@ def kmeans_program(comm, db, k, n_measure, seed):
     )
     t1 = comm.wtime()
     return (t1 - t0) / (n_measure + 1)
-
-
-def topology_program(comm, db, n_classes, n_cycles, seed):
-    """EXP-A5 workload: the standard fixed-cycle run (machine varies)."""
-    return variant_program(comm, db, n_classes, n_cycles, seed, "pautoclass")

@@ -1,19 +1,13 @@
-"""Chunk-accumulating E/M kernels for streamed (out-of-core) data.
+"""Chunk-accumulated E/M payloads for streamed (out-of-core) data.
 
 The two Allreduce cut points of P-AutoClass reduce *fixed-size*
 statistics — the ``J + 2`` wts payload and the ``(J, n_stats)`` packed
 parameter statistics — and both are additive over items.  That makes
-the E/M hot path streamable without touching either cut point: run the
-per-chunk local kernels over a :class:`repro.data.shards.
-ShardedDatabase` view, accumulate the very same payload vectors the
-in-memory path would reduce, and hand them to the unchanged
-``finalize_*`` / Allreduce machinery.
-
-One pass per EM cycle: the M-step statistics of a chunk depend only on
-that chunk's *local* weights (never on the globally reduced ``w_j``),
-so the E payload and the M statistics are accumulated together while
-the chunk is hot — halving both I/O and the dominant E-step compute
-versus two separate passes.
+the E/M hot path streamable without touching either cut point: the one
+EM cycle (:mod:`repro.engine.cycle`) runs its per-chunk local kernels
+over a :class:`repro.data.shards.ShardedDatabase` view and accumulates
+the very same payload vectors an in-memory block — simply a single
+chunk — would reduce.
 
 Workspace reuse: the per-chunk kernels draw their scratch from the
 thread-local pool (:mod:`repro.kernels.workspace`) keyed by chunk
@@ -34,116 +28,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.params import local_update_parameters
-from repro.engine.wts import N_EXTRA_SLOTS, local_update_wts
-from repro.obs import recorder as obs
-
 
 def streamed_local_pass(
-    data,
-    clf,
-    *,
-    kernels: str | None = None,
-    on_payload=None,
-    progress=None,
+    data, clf, *, kernels: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One streaming pass: accumulate the E payload and the M statistics.
+    """One pass over ``data``'s chunks: this rank's two local payloads.
 
-    ``data`` is any chunk source with ``iter_chunks()`` (normally a
-    :class:`~repro.data.shards.ShardedDatabase` view of this rank's
-    block).  Returns ``(payload, stats)`` with the exact layouts the
-    two Allreduce cut points reduce: ``payload`` is the additive
-    ``[w_j (J), sum_log_z, sum_w_log_w]`` vector of length ``J + 2``
-    and ``stats`` the additive ``(J, n_stats)`` packed statistics.
-
-    Overlap hooks (see :mod:`repro.parallel.pcycle`): ``on_payload`` is
-    called exactly once, with the *complete* payload vector, right after
-    the final chunk's E half and before its M half — the earliest point
-    the wts reduction can be launched without changing its association,
-    leaving the M half as compute to hide the first rounds behind.
-    (Detecting the final chunk costs one chunk of iterator lookahead,
-    taken only when the hook is set.)  ``progress``, if given, is called
-    after every chunk — the cooperative pump for in-flight rounds.  The
-    accumulation order, and therefore every payload bit, is identical
-    with or without the hooks.
-
-    Observability: each chunk's E half is timed under phase ``"wts"``
-    and its M half under ``"params"`` (``phase_calls`` therefore counts
-    chunks — the per-chunk phase timings), and the ``stream.chunks`` /
-    ``stream.items`` counters accumulate coverage.
+    Returns ``(payload, stats)`` exactly as the two Allreduce cut points
+    receive them: the additive ``[w_j (J), sum_log_z, sum_w_log_w]``
+    vector of length ``J + 2`` and the additive ``(J, n_stats)`` packed
+    statistics — the chunk pass of the one EM cycle
+    (:func:`repro.engine.cycle.local_pass`), stopped before any
+    reduction.
     """
-    j = clf.n_classes
-    payload = np.zeros(j + N_EXTRA_SLOTS, dtype=np.float64)
-    stats = np.zeros((j, clf.spec.n_stats), dtype=np.float64)
-    rec = obs.current()
-    n_chunks = 0
-    n_items = 0
-    peek = on_payload is not None
-    it = iter(data.iter_chunks())
-    chunk = next(it, None)
-    while chunk is not None:
-        nxt = next(it, None) if peek else None
-        with rec.phase("wts"):
-            wts, chunk_payload = local_update_wts(chunk, clf, kernels=kernels)
-            payload += chunk_payload
-        if peek and nxt is None:
-            on_payload(payload)
-        with rec.phase("params"):
-            chunk_stats = local_update_parameters(
-                chunk, clf.spec, wts, kernels=kernels
-            )
-            stats += chunk_stats
-        if progress is not None:
-            progress()
-        n_chunks += 1
-        n_items += chunk.n_items
-        chunk = nxt if peek else next(it, None)
-    if rec.enabled and n_chunks:
-        rec.count("stream.chunks", n_chunks)
-        rec.count("stream.items", n_items)
-    return payload, stats
+    # Imported here: repro.engine's kernels import this package.
+    from repro.engine.cycle import LocalReducer, local_pass
 
-
-def streamed_update_wts(
-    data, clf, *, kernels: str | None = None
-) -> np.ndarray:
-    """Chunk-accumulating ``update_wts`` half: the E payload only.
-
-    The payload layout equals :func:`repro.engine.wts.local_update_wts`
-    on the materialized view; the ``(n_items, J)`` weight matrix itself
-    is never formed.
-    """
-    j = clf.n_classes
-    payload = np.zeros(j + N_EXTRA_SLOTS, dtype=np.float64)
-    rec = obs.current()
-    n_chunks = 0
-    for chunk in data.iter_chunks():
-        with rec.phase("wts"):
-            _wts, chunk_payload = local_update_wts(chunk, clf, kernels=kernels)
-        payload += chunk_payload
-        n_chunks += 1
-    if rec.enabled and n_chunks:
-        rec.count("stream.chunks", n_chunks)
-    return payload
-
-
-def streamed_update_parameters(
-    data, clf, *, kernels: str | None = None
-) -> np.ndarray:
-    """Chunk-accumulating ``update_parameters`` half: the M statistics.
-
-    Recomputes each chunk's weights (statistics need them) — prefer
-    :func:`streamed_local_pass` inside a cycle, which shares the single
-    E pass between both halves.
-    """
-    j = clf.n_classes
-    stats = np.zeros((j, clf.spec.n_stats), dtype=np.float64)
-    rec = obs.current()
-    for chunk in data.iter_chunks():
-        with rec.phase("wts"):
-            wts, _payload = local_update_wts(chunk, clf, kernels=kernels)
-        with rec.phase("params"):
-            stats += local_update_parameters(
-                chunk, clf.spec, wts, kernels=kernels
-            )
-    return stats
+    reducer = LocalReducer()
+    local_pass(data, clf, reducer, kernels=kernels)
+    return reducer.finish()

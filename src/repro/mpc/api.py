@@ -104,10 +104,10 @@ class CollectiveConfig:
     ``segments`` splits ``"segmented"`` allreduce payloads into that
     many contiguous pieces whose recursive-doubling rounds are
     pipelined (bitwise-equal to the unsegmented schedule; see
-    :mod:`repro.mpc.icollectives`).  ``overlap`` switches the streamed
-    E/M hot path in :mod:`repro.parallel.pcycle` to nonblocking
-    reductions drained at the original cut points — numerically
-    identical, but communication rounds hide behind compute.
+    :mod:`repro.mpc.icollectives`).  ``overlap`` switches the EM
+    cycle's two reductions to nonblocking ones drained at the original
+    cut points (:class:`repro.parallel.reducers.OverlappedReducer`) —
+    numerically identical, but communication rounds hide behind compute.
     """
 
     allreduce: str = "recursive_doubling"

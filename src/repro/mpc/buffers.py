@@ -34,6 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mpc.collectives import (
+    HI,
+    LO,
+    TAKE,
+    recursive_doubling_schedule,
+    run_allreduce,
+)
 from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import _PAIRWISE, ReduceOp
 
@@ -85,11 +92,11 @@ class BufferPool:
 def allreduce_into_impl(comm, buf: np.ndarray, op: ReduceOp, tag: int) -> None:
     """In-place Allreduce: ``buf`` = global reduction of every rank's ``buf``.
 
-    Mirrors :func:`repro.mpc.collectives.allreduce_recursive_doubling`
-    message-for-message (fold of non-power-of-two ranks, XOR-partner
-    doubling on the power-of-two core, surplus return on ``tag + 63``,
-    combine orientation by core rank) so the result is bitwise identical
-    to the generic path for every elementwise operator.  When the
+    Executes :func:`repro.mpc.collectives.recursive_doubling_schedule`
+    — the same steps, tags and combine orientation as the allocating
+    :func:`~repro.mpc.collectives.allreduce_recursive_doubling` — so
+    the result is bitwise identical to the generic path for every
+    elementwise operator.  When the
     communicator is configured with a different allreduce algorithm the
     call falls back to that algorithm on a copy — still correct, still
     the same association as ``comm.allreduce``, just not allocation-free.
@@ -102,69 +109,36 @@ def allreduce_into_impl(comm, buf: np.ndarray, op: ReduceOp, tag: int) -> None:
         return
     algo = comm.collective_config.allreduce
     if algo != "recursive_doubling":
-        from repro.mpc import collectives
-
-        out = collectives.run_allreduce(comm, buf.copy(), op, tag, algo)
+        out = run_allreduce(comm, buf.copy(), op, tag, algo)
         np.copyto(buf.reshape(-1), np.asarray(out).reshape(-1))
         return
 
     ufunc = _PAIRWISE[op]
-    size, rank = comm.size, comm.rank
+    steps = recursive_doubling_schedule(comm.rank, comm.size)
     flat = buf.reshape(-1)
-    n = flat.size
-    pow2 = 1 << (size.bit_length() - 1)
-    rounds = pow2.bit_length() - 1
-    chain, scratch = comm.buffer_pool().acquire(n, rounds + 2, rounds + 1)
-    ci = si = 0
-
+    n_combines = sum(step.recv in (LO, HI) for step in steps)
+    chain, scratch = comm.buffer_pool().acquire(
+        flat.size, n_combines + 1, n_combines
+    )
     # The running partial lives in pool buffers, never in the caller's
     # array — `flat` is only read at the start and written at the end,
     # so no peer ever holds a reference into it.
-    acc = chain[ci]
-    ci += 1
+    acc = chain[0]
     np.copyto(acc, flat)
-
-    rem = size - pow2
-    if rem == 0:
-        in_core, core_rank = True, rank
-    elif rank < 2 * rem:
-        if rank % 2:
-            comm.send(acc, rank - 1, tag)
-            in_core, core_rank = False, -1
-        else:
-            inc = scratch[si]
-            si += 1
-            comm.recv_into(inc, rank + 1, tag)
-            out = chain[ci]
-            ci += 1
-            ufunc(acc, inc, out=out)  # lower world rank on the left
-            acc = out
-            in_core, core_rank = True, rank // 2
-    else:
-        in_core, core_rank = True, rank - rem
-
-    def core_to_world(cr: int) -> int:
-        return 2 * cr if cr < rem else cr + rem
-
-    if in_core:
-        k = 0
-        while (1 << k) < pow2:
-            partner = core_rank ^ (1 << k)
-            pw = core_to_world(partner)
-            comm.send(acc, pw, tag + 1 + k)
-            inc = scratch[si]
-            si += 1
-            comm.recv_into(inc, pw, tag + 1 + k)
-            out = chain[ci]
-            ci += 1
-            if core_rank < partner:
+    used = 0
+    for step in steps:
+        if step.send:
+            comm.send(acc, step.peer, tag + step.slot)
+        if step.recv == TAKE:
+            comm.recv_into(flat, step.peer, tag + step.slot)
+            return
+        if step.recv is not None:
+            inc = comm.recv_into(scratch[used], step.peer, tag + step.slot)
+            used += 1
+            out = chain[used]
+            if step.recv == LO:
                 ufunc(acc, inc, out=out)
             else:
                 ufunc(inc, acc, out=out)
             acc = out
-            k += 1
-        if rem and core_rank < rem:
-            comm.send(acc, 2 * core_rank + 1, tag + 63)
-        np.copyto(flat, acc)
-    else:
-        comm.recv_into(flat, rank - 1, tag + 63)
+    np.copyto(flat, acc)

@@ -44,6 +44,8 @@ Summation order (matters for float payloads — ``+`` is not associative):
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.mpc.errors import MessageError
@@ -198,59 +200,89 @@ def allreduce_reduce_bcast(comm, payload, op: ReduceOp, tag: int):
     return bcast_binomial(comm, acc, 0, tag + 64)
 
 
-def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
-    """Recursive-doubling Allreduce.
+class Step(NamedTuple):
+    """One step of a rank's recursive-doubling schedule.
+
+    The rank first posts its running partial to ``peer`` (if ``send``),
+    then — unless ``recv`` is None — receives from ``peer`` on the same
+    tag ``slot`` and folds the message into the partial as ``recv``
+    says: :data:`LO` → ``partial ∘ message``, :data:`HI` →
+    ``message ∘ partial``, :data:`TAKE` → the message *is* the result.
+    """
+
+    peer: int
+    slot: int
+    send: bool
+    recv: str | None
+
+
+LO, HI, TAKE = "lo", "hi", "take"
+
+
+def recursive_doubling_schedule(rank: int, size: int) -> tuple[Step, ...]:
+    """The recursive-doubling Allreduce of ``rank`` in a ``size``-rank world.
 
     For P a power of two: log2 P rounds of pairwise full-payload
     exchange at distance 2^k.  For other P, the ``P - 2^m`` surplus
     ranks first fold into a power-of-two core, which runs the doubling,
     then the surplus ranks get the result back — the standard MPICH
-    scheme.
+    scheme.  Slot 0 is the fold, slot ``1 + k`` round ``k`` and slot
+    ``1 + log2(core)`` the surplus return, so a call needs at most
+    ``2 + log2 P`` tags.
+
+    This is the *only* place the schedule is derived: the allocating
+    (:func:`allreduce_recursive_doubling`), pooled in-place
+    (:func:`repro.mpc.buffers.allreduce_into_impl`) and nonblocking
+    (:class:`repro.mpc.icollectives.IAllreduce`) paths all execute the
+    returned steps, which is what makes them bitwise-equal.  The
+    combine orientation is fixed by core rank (lower on the left), so
+    every rank computes the identical association tree whatever the
+    message arrival order.
     """
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return payload
     pow2 = 1 << (size.bit_length() - 1)
-    if pow2 == size:
-        core_rank, in_core = rank, True
-        rem = 0
+    rem = size - pow2
+    n_rounds = pow2.bit_length() - 1
+    slot_return = 1 + n_rounds
+    if rank < 2 * rem and rank % 2:
+        # Surplus rank: hand the partial to the left neighbour, then
+        # wait for the finished result.
+        return (
+            Step(rank - 1, 0, True, None),
+            Step(rank - 1, slot_return, False, TAKE),
+        )
+    steps = []
+    if rank < 2 * rem:
+        steps.append(Step(rank + 1, 0, False, LO))
+        core_rank = rank // 2
     else:
-        rem = size - pow2
-        # Ranks [0, 2*rem) pair up: odd ones fold into even ones.
-        if rank < 2 * rem:
-            if rank % 2:  # odd: hand partial to the left neighbour, wait
-                comm.send(payload, rank - 1, tag)
-                in_core, core_rank = False, -1
+        core_rank = rank - rem
+    for k in range(n_rounds):
+        partner = core_rank ^ (1 << k)
+        partner_world = 2 * partner if partner < rem else partner + rem
+        steps.append(
+            Step(partner_world, 1 + k, True, LO if core_rank < partner else HI)
+        )
+    if rank < 2 * rem:
+        steps.append(Step(rank + 1, slot_return, True, None))
+    return tuple(steps)
+
+
+def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
+    """Recursive-doubling Allreduce (allocating executor of
+    :func:`recursive_doubling_schedule`)."""
+    acc = payload
+    for step in recursive_doubling_schedule(comm.rank, comm.size):
+        if step.send:
+            comm.send(acc, step.peer, tag + step.slot)
+        if step.recv is not None:
+            other = comm.recv(step.peer, tag + step.slot)
+            if step.recv == LO:
+                acc = combine(acc, other, op)
+            elif step.recv == HI:
+                acc = combine(other, acc, op)
             else:
-                other = comm.recv(rank + 1, tag)
-                payload = combine(payload, other, op)
-                in_core, core_rank = True, rank // 2
-        else:
-            in_core, core_rank = True, rank - rem
-
-    def core_to_world(cr: int) -> int:
-        return 2 * cr if cr < rem else cr + rem
-
-    if in_core:
-        acc = payload
-        k = 0
-        while (1 << k) < pow2:
-            partner = core_rank ^ (1 << k)
-            partner_world = core_to_world(partner)
-            # Symmetric exchange; deterministic order (lower sends first)
-            # is unnecessary because sends are buffered, but keeps the
-            # message pattern identical on every backend.
-            comm.send(acc, partner_world, tag + 1 + k)
-            other = comm.recv(partner_world, tag + 1 + k)
-            # Combine in a fixed orientation so every rank computes the
-            # bitwise-identical result regardless of arrival order.
-            lo, hi = (acc, other) if core_rank < partner else (other, acc)
-            acc = combine(lo, hi, op)
-            k += 1
-        if rem and core_rank < rem:
-            comm.send(acc, 2 * core_rank + 1, tag + 63)
-        return acc
-    return comm.recv(rank - 1, tag + 63)
+                acc = other
+    return acc
 
 
 def allreduce_ring(comm, payload, op: ReduceOp, tag: int):

@@ -10,10 +10,12 @@ with ordinary blocking receives, so completion never depends on polling
 luck (and the virtual-time world prices the drain exactly like the
 blocking collective it replaces).
 
-**Bitwise contract.**  The machine replays the blocking schedule
-exactly — the same non-power-of-two fold, the same partner sequence, the
-same fixed lo/hi combine orientation — so ``wait()`` returns a payload
-bitwise-identical to ``comm.allreduce``.  Overlap changes *when* rounds
+**Bitwise contract.**  The machine executes the very step list the
+blocking paths execute
+(:func:`repro.mpc.collectives.recursive_doubling_schedule` — the same
+non-power-of-two fold, partner sequence and fixed lo/hi combine
+orientation), so ``wait()`` returns a payload bitwise-identical to
+``comm.allreduce``.  Overlap changes *when* rounds
 run, never *what* they compute; this is what lets
 :mod:`repro.verify` hold overlapped runs to the strict (digest-equal)
 gate against blocking ones.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpc.api import Request
+from repro.mpc.collectives import LO, TAKE, recursive_doubling_schedule
 from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import ReduceOp, combine
 
@@ -97,23 +100,27 @@ def drain(requests: list[Request]) -> list:
 # ---------------------------------------------------------------------------
 # IAllreduce: segmented recursive doubling
 
-# Slot layout inside the collective tag block (x segments, see module doc).
-_SLOT_FOLD = 0
-_SLOT_ROUND0 = 1  # round k lives at slot 1 + k
 _TAG_BLOCK = 256  # width of one _next_coll_tag() allocation
 
 
 class _SegmentReduce:
-    """One segment's recursive-doubling machine (exact blocking replay)."""
+    """One segment's nonblocking executor of the recursive-doubling
+    schedule (:func:`repro.mpc.collectives.recursive_doubling_schedule`).
+
+    Sends are posted the moment their partial exists — at launch, and
+    right after each combine — so the machine only ever *waits* on a
+    receive: ``steps[i]`` is the step whose message is outstanding.
+    """
 
     __slots__ = (
-        "comm", "op", "acc", "state", "k", "pow2", "rem", "core_rank",
-        "tag", "stride", "seg", "n_rounds", "done", "charge_combines",
+        "comm", "op", "acc", "steps", "i", "tag", "stride", "seg", "done",
+        "charge_combines",
     )
 
     def __init__(
         self,
         comm,
+        steps,
         part,
         op: ReduceOp,
         tag: int,
@@ -122,113 +129,55 @@ class _SegmentReduce:
         charge_combines: bool = True,
     ):
         self.comm = comm
+        self.steps = steps  # this rank's schedule, shared by all segments
         self.op = op
         self.acc = part
         self.tag = tag
         self.stride = stride  # = total number of segments
         self.seg = seg
         self.charge_combines = charge_combines
+        self.i = 0
         self.done = False
-        size, rank = comm.size, comm.rank
-        self.pow2 = 1 << (size.bit_length() - 1)
-        self.rem = size - self.pow2
-        self.n_rounds = self.pow2.bit_length() - 1
-        if size == 1:
-            self.done = True
-            return
-        # Launch: post this rank's first send, exactly as the blocking
-        # schedule would.
-        if self.rem and rank < 2 * self.rem:
-            if rank % 2:  # surplus: hand partial left, await the result
-                comm.send(part, rank - 1, self._tag_of(_SLOT_FOLD))
-                self.core_rank = -1
-                self.state = "final"
-            else:  # fold target: wait for the neighbour's partial
-                self.core_rank = rank // 2
-                self.state = "fold"
-        else:
-            self.core_rank = rank if not self.rem else rank - self.rem
-            self.k = 0
-            self._send_round(0)
-            self.state = "round"
+        self._post_sends()
 
     def _tag_of(self, slot: int) -> int:
         return self.tag + slot * self.stride + self.seg
 
-    def _surplus_slot(self) -> int:
-        return _SLOT_ROUND0 + self.n_rounds
-
-    def _core_to_world(self, cr: int) -> int:
-        return 2 * cr if cr < self.rem else cr + self.rem
-
-    def _send_round(self, k: int) -> None:
-        partner = self.core_rank ^ (1 << k)
-        self.comm.send(
-            self.acc, self._core_to_world(partner), self._tag_of(_SLOT_ROUND0 + k)
-        )
-
-    def _recv(self, source: int, tag: int, blocking: bool):
-        if blocking:
-            return self.comm.recv(source, tag)
-        return self.comm._try_recv(source, tag)
-
-    def _charge(self) -> None:
-        # Price one pairwise combine of this segment (virtual worlds
-        # only) *before* the next send, so downstream availability
-        # stamps include the arithmetic.
-        if self.charge_combines:
-            self.comm._charge_reduction_rounds(1, self.acc)
+    def _post_sends(self) -> None:
+        """Run steps up to (and including the send of) the next receive."""
+        while self.i < len(self.steps):
+            step = self.steps[self.i]
+            if step.send:
+                self.comm.send(self.acc, step.peer, self._tag_of(step.slot))
+            if step.recv is not None:
+                return
+            self.i += 1
+        self.done = True
 
     def advance(self, blocking: bool) -> bool:
         """One state transition; False if its message has not arrived."""
         if self.done:
             return False
-        if self.state == "fold":
-            other = self._recv(
-                self.comm.rank + 1, self._tag_of(_SLOT_FOLD), blocking
-            )
+        step = self.steps[self.i]
+        tag = self._tag_of(step.slot)
+        if blocking:
+            other = self.comm.recv(step.peer, tag)
+        else:
+            other = self.comm._try_recv(step.peer, tag)
             if other is None:
                 return False
-            self.acc = combine(self.acc, other, self.op)
-            self._charge()
-            self.k = 0
-            self._send_round(0)
-            self.state = "round"
-            return True
-        if self.state == "round":
-            k = self.k
-            partner = self.core_rank ^ (1 << k)
-            other = self._recv(
-                self._core_to_world(partner), self._tag_of(_SLOT_ROUND0 + k),
-                blocking,
-            )
-            if other is None:
-                return False
-            lo, hi = (
-                (self.acc, other) if self.core_rank < partner else (other, self.acc)
-            )
+        if step.recv == TAKE:
+            self.acc = other
+        else:
+            lo, hi = (self.acc, other) if step.recv == LO else (other, self.acc)
             self.acc = combine(lo, hi, self.op)
-            self._charge()
-            if k + 1 < self.n_rounds:
-                self.k = k + 1
-                self._send_round(k + 1)
-            else:
-                if self.rem and self.core_rank < self.rem:
-                    self.comm.send(
-                        self.acc,
-                        2 * self.core_rank + 1,
-                        self._tag_of(self._surplus_slot()),
-                    )
-                self.done = True
-            return True
-        # state == "final": surplus rank awaiting the folded result
-        val = self._recv(
-            self.comm.rank - 1, self._tag_of(self._surplus_slot()), blocking
-        )
-        if val is None:
-            return False
-        self.acc = val
-        self.done = True
+            if self.charge_combines:
+                # Price one pairwise combine of this segment (virtual
+                # worlds only) *before* the next send, so downstream
+                # availability stamps include the arithmetic.
+                self.comm._charge_reduction_rounds(1, self.acc)
+        self.i += 1
+        self._post_sends()
         return True
 
 
@@ -273,15 +222,18 @@ class IAllreduce(ICollective):
                 ]
         if segments == 1:
             parts = [payload]
-        n_rounds = (1 << (comm.size.bit_length() - 1)).bit_length() - 1
-        if (2 + n_rounds) * segments > _TAG_BLOCK:
+        n_slots = 1 + comm.size.bit_length()  # fold + log2 P rounds + return
+        if n_slots * segments > _TAG_BLOCK:
             raise MessageError(
-                f"{segments} segments x {2 + n_rounds} tag slots exceed the "
+                f"{segments} segments x {n_slots} tag slots exceed the "
                 f"{_TAG_BLOCK}-tag collective block; reduce segments"
             )
+        steps = recursive_doubling_schedule(comm.rank, comm.size)
         with comm._collective_scope():
             self._segments = [
-                _SegmentReduce(comm, part, op, tag, segments, g, charge_combines)
+                _SegmentReduce(
+                    comm, steps, part, op, tag, segments, g, charge_combines
+                )
                 for g, part in enumerate(parts)
             ]
         self._sweep(blocking=False)  # a size-1 machine may already be done

@@ -5,10 +5,11 @@ block-partitioned over the ranks, the BIG_LOOP control flow is
 replicated, and each ``base_cycle`` performs exactly two Allreduces —
 one for the class weight totals in ``update_wts`` (paper Figure 4), one
 for the packed parameter statistics in ``update_parameters`` (paper
-Figure 5).  Because the engine's steps are already split into
-local/finalize halves, the parallel versions here are *compositions*,
-not re-implementations — the reproduction's guarantee that the parallel
-semantics equal the sequential ones is structural.
+Figure 5).  The cycle, the initializer and the BIG_LOOP exist once, in
+:mod:`repro.engine`, written against a *reducer*; this package hands
+them a communicating one — so the reproduction's guarantee that the
+parallel semantics equal the sequential ones is structural: sequential
+AutoClass is the same program at P = 1.
 
 Entry points:
 
@@ -16,8 +17,9 @@ Entry points:
   holds the full database and slices its own block;
 * :func:`run_pautoclass_partitioned` — true distributed form: each rank
   holds only its block; global summaries are Allreduced at startup;
-* :mod:`repro.parallel.variants` — the wts-only parallelization of
-  Miller & Guo (the paper's §5 comparison), as an ablation baseline.
+* :mod:`repro.parallel.reducers` — the communicating reducers the one
+  EM cycle (:func:`repro.engine.cycle.base_cycle`) crosses its two cut
+  points with: blocking (the paper's figures) or overlapped.
 """
 
 from repro.parallel.driver import (
@@ -25,26 +27,31 @@ from repro.parallel.driver import (
     run_pautoclass_partitioned,
 )
 from repro.parallel.packed import ReductionPlan
-from repro.parallel.pcycle import ParallelCycleStats, parallel_base_cycle
-from repro.parallel.pparams import parallel_update_parameters
+from repro.parallel.pcycle import parallel_base_cycle
 from repro.parallel.psearch import (
+    check_try_groups,
     resolve_try_groups,
     run_grouped_search,
     run_parallel_search,
 )
-from repro.parallel.pwts import parallel_update_wts
-from repro.parallel.variants import wts_only_base_cycle
+from repro.parallel.reducers import (
+    BlockingReducer,
+    OverlappedReducer,
+    WorldReducer,
+    reducer_for,
+)
 
 __all__ = [
-    "ParallelCycleStats",
+    "BlockingReducer",
+    "OverlappedReducer",
     "ReductionPlan",
+    "WorldReducer",
+    "check_try_groups",
     "parallel_base_cycle",
-    "parallel_update_parameters",
-    "parallel_update_wts",
+    "reducer_for",
     "resolve_try_groups",
     "run_grouped_search",
     "run_parallel_search",
     "run_pautoclass",
     "run_pautoclass_partitioned",
-    "wts_only_base_cycle",
 ]

@@ -20,6 +20,15 @@ Buffer lifetime: the reduced values are only *read* downstream
 (``finalize_wts`` copies ``w_j``; ``finalize_parameters`` and
 ``update_approximations`` are pure functions that retain nothing), so
 overwriting the buffers next cycle is safe.
+
+Nonblocking reductions (:class:`~repro.parallel.reducers.
+OverlappedReducer`) cannot run out of these buffers: the pool's two-call
+parity that makes in-place reuse race-free assumes the next
+collective's blocking receives fence every peer's reads, and a
+nonblocking handle deliberately breaks that fence (peers may hold round
+envelopes across the whole overlapped compute window).  ``iallreduce``
+therefore sends a private copy of the payload — one allocation per
+cycle, bought back many times over by the hidden communication.
 """
 
 from __future__ import annotations
@@ -34,9 +43,9 @@ from repro.mpc.reduceops import ReduceOp
 class ReductionPlan:
     """Preallocated reduction buffers for one try on one communicator.
 
-    Create after the try's class count ``J`` is known; pass down through
-    :func:`repro.parallel.pcycle.parallel_base_cycle` so both cut points
-    reduce in place.  Counts its reductions so tests can assert the plan
+    Create after the try's class count ``J`` is known; the try's
+    :class:`~repro.parallel.reducers.BlockingReducer` reduces both cut
+    points in place through it.  Counts its reductions so tests can assert the plan
     was actually exercised.
     """
 
@@ -62,24 +71,3 @@ class ReductionPlan:
         self.comm.allreduce_into(self.stats_buf, ReduceOp.SUM)
         self.n_stats_reductions += 1
         return self.stats_buf
-
-    # -- nonblocking variants (compute/comm overlap) -----------------------
-    #
-    # These cannot run out of the plan buffers: the pool's two-call
-    # parity that makes in-place reuse race-free assumes the next
-    # collective's blocking receives fence every peer's reads, and a
-    # nonblocking handle deliberately breaks that fence (peers may hold
-    # round envelopes across the whole overlapped compute window).
-    # IAllreduce therefore sends a private copy of the payload — one
-    # allocation per cycle, bought back many times over by the hidden
-    # communication.
-
-    def iallreduce_wts(self, payload: np.ndarray):
-        """Launch the E-payload reduction; returns the request handle."""
-        self.n_wts_reductions += 1
-        return self.comm.iallreduce(payload, ReduceOp.SUM)
-
-    def iallreduce_stats(self, local_stats: np.ndarray):
-        """Launch the packed-statistics reduction; returns the handle."""
-        self.n_stats_reductions += 1
-        return self.comm.iallreduce(local_stats, ReduceOp.SUM)

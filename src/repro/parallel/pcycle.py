@@ -1,58 +1,33 @@
 """Parallel ``base_cycle`` — one EM iteration of P-AutoClass.
 
-Composition of the paper's two parallelized functions plus the
-replicated ``update_approximations`` (whose inputs are all global after
-the two Allreduces, so it needs no communication — matching the paper's
-observation that its cost is negligible).
-
-Phase timings are taken with ``comm.wtime()``: real seconds on ordinary
-worlds, *virtual machine seconds* on :class:`repro.simnet.SimComm` —
-which is how the scaleup figure (time per base_cycle iteration) is
-measured on the modelled CS-2.
+There is one EM cycle (:func:`repro.engine.cycle.base_cycle`, written
+as ``chunks x reducer``); the parallel cycle is that function handed
+this rank's block and a communicating reducer
+(:mod:`repro.parallel.reducers`).  ``update_approximations`` runs
+replicated: its inputs are all global after the two Allreduces, so it
+needs no communication — matching the paper's observation that its cost
+is negligible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.data.database import Database
-from repro.data.shards import is_streamable
-from repro.engine.approx import update_approximations
 from repro.engine.classification import Classification
-from repro.engine.params import finalize_parameters
-from repro.engine.wts import finalize_wts
+from repro.engine.cycle import CycleStats, base_cycle
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
-from repro.obs import recorder as obs
-from repro.parallel.pparams import parallel_update_parameters, reduce_stats
-from repro.parallel.pwts import parallel_update_wts
-
-
-@dataclass(frozen=True)
-class ParallelCycleStats:
-    """Per-rank timing/traffic of one parallel cycle."""
-
-    seconds_wts: float
-    seconds_params: float
-    seconds_approx: float
-    bytes_sent: int
-
-    @property
-    def seconds_total(self) -> float:
-        return self.seconds_wts + self.seconds_params + self.seconds_approx
+from repro.parallel.reducers import reducer_for
 
 
 def parallel_base_cycle(
-    local_db: Database,
+    local_db,
     clf: Classification,
     n_total_items: int,
     comm: Communicator,
     *,
     kernels: str | None = None,
     plan=None,
-) -> tuple[Classification, np.ndarray, ParallelCycleStats]:
+) -> tuple[Classification, np.ndarray | None, CycleStats]:
     """One P-AutoClass EM cycle over this rank's block.
 
     Returns ``(new_clf, local_wts, stats)``.  The returned
@@ -60,264 +35,17 @@ def parallel_base_cycle(
     rank (same reduced inputs, same pure finalization).  ``kernels``
     selects the local E/M implementation; the two Allreduce cut points
     are unaffected.  ``plan`` — a
-    :class:`repro.parallel.packed.ReductionPlan` for this try — makes
-    both reductions run in place through preallocated buffers.
+    :class:`repro.parallel.packed.ReductionPlan` for this try — supplies
+    the buffers both blocking reductions run in place through (one is
+    made per call otherwise); ``comm.collective_config.overlap`` selects
+    the nonblocking reducer instead.
 
     A :class:`~repro.data.shards.ShardedDatabase` block view streams
     the local halves chunk-by-chunk with O(chunk) peak heap; the two
     Allreduce cut points (payload layouts, order, granularity) are
     identical, and the returned local weights are ``None``.
     """
-    if is_streamable(local_db):
-        return _streamed_parallel_cycle(
-            local_db, clf, n_total_items, comm, kernels=kernels, plan=plan
-        )
-    bytes0 = comm.stats.bytes_sent
-    t0 = comm.wtime()
-    wts, reduction = parallel_update_wts(
-        local_db, clf, comm, kernels=kernels, plan=plan
-    )
-    t1 = comm.wtime()
-    new_clf, global_stats = parallel_update_parameters(
-        local_db, clf, wts, reduction.w_j, n_total_items, comm,
-        kernels=kernels, plan=plan,
-    )
-    t2 = comm.wtime()
-    rec = obs.current()
-    with rec.phase("approx"):
-        scores = update_approximations(
-            clf, global_stats, reduction, n_total_items
-        )
-    t3 = comm.wtime()
-    rec.cycle(
-        n_classes=clf.n_classes,
-        log_marginal=scores.log_marginal_cs,
-        w_j=reduction.w_j,
-    )
-    new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, wts, ParallelCycleStats(
-        seconds_wts=t1 - t0,
-        seconds_params=t2 - t1,
-        seconds_approx=t3 - t2,
-        bytes_sent=comm.stats.bytes_sent - bytes0,
-    )
-
-
-def _streamed_parallel_cycle(
-    local_db,
-    clf: Classification,
-    n_total_items: int,
-    comm: Communicator,
-    *,
-    kernels: str | None = None,
-    plan=None,
-) -> tuple[Classification, None, ParallelCycleStats]:
-    """Streamed P-AutoClass cycle: chunked local halves, unchanged cut points.
-
-    One fused chunk pass accumulates this rank's ``J + 2`` wts payload
-    and ``(J, n_stats)`` packed statistics (the M half of a chunk uses
-    that chunk's *local* weights, which never depend on the reduction —
-    so fusing is exact); then the two Allreduces run with the same
-    payloads, order, and instrumentation as
-    :func:`~repro.parallel.pwts.parallel_update_wts` /
-    :func:`~repro.parallel.pparams.parallel_update_parameters`.
-    """
-    from repro.kernels.stream import streamed_local_pass
-
-    if comm.collective_config.overlap and comm.size > 1:
-        return _overlapped_streamed_cycle(
-            local_db, clf, n_total_items, comm, kernels=kernels, plan=plan
-        )
-    rec = obs.current()
-    bytes0 = comm.stats.bytes_sent
-    t0 = comm.wtime()
-    payload, local_stats = streamed_local_pass(local_db, clf, kernels=kernels)
-
-    def reduce_payload(p):
-        if plan is not None:
-            return plan.allreduce_wts(p)
-        return comm.allreduce(p, ReduceOp.SUM)
-
-    if rec.enabled:
-        nbytes = payload.nbytes
-        tt = rec.clock()
-        payload = reduce_payload(payload)
-        dt = rec.clock() - tt
-        rec.add_phase("allreduce_wts", dt)
-        rec.comm_event("allreduce_wts", nbytes, dt)
-    else:
-        payload = reduce_payload(payload)
-    reduction = finalize_wts(payload, clf.n_classes)
-    t1 = comm.wtime()
-    if rec.enabled:
-        nbytes = local_stats.nbytes
-        nc0 = comm.stats.n_collectives
-        tt = rec.clock()
-        global_stats = reduce_stats(
-            comm, clf.spec, local_stats, "packed", plan=plan
-        )
-        dt = rec.clock() - tt
-        rec.add_phase("allreduce_params", dt)
-        rec.comm_event(
-            "allreduce_params", nbytes, dt,
-            n_calls=max(comm.stats.n_collectives - nc0, 1),
-        )
-    else:
-        global_stats = reduce_stats(
-            comm, clf.spec, local_stats, "packed", plan=plan
-        )
-    with rec.phase("params"):
-        log_pi, term_params = finalize_parameters(
-            clf.spec, global_stats, reduction.w_j, n_total_items
-        )
-    new_clf = Classification(
-        spec=clf.spec,
-        n_classes=clf.n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-        n_cycles=clf.n_cycles,
-    )
-    t2 = comm.wtime()
-    with rec.phase("approx"):
-        scores = update_approximations(
-            clf, global_stats, reduction, n_total_items
-        )
-    t3 = comm.wtime()
-    rec.cycle(
-        n_classes=clf.n_classes,
-        log_marginal=scores.log_marginal_cs,
-        w_j=reduction.w_j,
-    )
-    new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, None, ParallelCycleStats(
-        seconds_wts=t1 - t0,
-        seconds_params=t2 - t1,
-        seconds_approx=t3 - t2,
-        bytes_sent=comm.stats.bytes_sent - bytes0,
-    )
-
-
-def _overlapped_streamed_cycle(
-    local_db,
-    clf: Classification,
-    n_total_items: int,
-    comm: Communicator,
-    *,
-    kernels: str | None = None,
-    plan=None,
-) -> tuple[Classification, None, ParallelCycleStats]:
-    """Streamed cycle with nonblocking reductions hidden behind compute.
-
-    Same chunk pass, same payloads, same cut points as
-    :func:`_streamed_parallel_cycle` — only the *when* of the rounds
-    changes, so results are bitwise-identical to the blocking path:
-
-    1. the wts reduction launches right after the final chunk's E half
-       (the earliest its payload is complete) and its first rounds ride
-       under that chunk's M half;
-    2. the stats reduction launches as soon as the pass ends, and the
-       two in-flight reductions drain **round-robin** at the original
-       cut points, so each one's wire time hides behind the other's
-       rounds instead of serializing.
-
-    Instrumentation: the ``allreduce_wts`` / ``allreduce_params`` phases
-    time only the *residual* drain (what overlap failed to hide); their
-    comm events carry ``overlapped=True``, and the ``overlap.windows`` /
-    ``overlap.hidden_us`` / ``overlap.idle_us`` counters quantify the
-    windows (see docs/comms.md).
-    """
-    from repro.kernels.stream import streamed_local_pass
-    from repro.mpc.icollectives import ICollective
-
-    rec = obs.current()
-    bytes0 = comm.stats.bytes_sent
-    t0 = comm.wtime()
-    inflight: dict = {}
-
-    def launch_wts(payload):
-        inflight["t_wts_launch"] = comm.wtime()
-        if plan is not None:
-            inflight["wts"] = plan.iallreduce_wts(payload)
-        else:
-            inflight["wts"] = comm.iallreduce(payload, ReduceOp.SUM)
-
-    def pump():
-        req = inflight.get("wts")
-        if req is not None:
-            req.progress()
-
-    payload, local_stats = streamed_local_pass(
-        local_db, clf, kernels=kernels, on_payload=launch_wts, progress=pump
-    )
-    if "wts" not in inflight:  # empty local block: zero chunks streamed
-        launch_wts(payload)
-    wts_req = inflight["wts"]
-    t_stats_launch = comm.wtime()
-    if plan is not None:
-        stats_req = plan.iallreduce_stats(local_stats)
-    else:
-        stats_req = comm.iallreduce(local_stats, ReduceOp.SUM)
-
-    def live(req):
-        return isinstance(req, ICollective) and not req.done
-
-    t_drain0 = comm.wtime()
-    t_wts_done = None if live(wts_req) else t_drain0
-    while live(wts_req) or live(stats_req):
-        if live(wts_req):
-            wts_req.step()
-            if not live(wts_req):
-                t_wts_done = comm.wtime()
-        if live(stats_req):
-            stats_req.step()
-    t_drain_end = comm.wtime()
-    reduced_payload = wts_req.wait()
-    global_stats = np.asarray(stats_req.wait())
-    if rec.enabled:
-        rec.add_phase("allreduce_wts", t_wts_done - t_drain0)
-        rec.comm_event(
-            "allreduce_wts", payload.nbytes, t_wts_done - t_drain0,
-            overlapped=True,
-        )
-        rec.add_phase("allreduce_params", t_drain_end - t_wts_done)
-        rec.comm_event(
-            "allreduce_params", local_stats.nbytes, t_drain_end - t_wts_done,
-            overlapped=True,
-        )
-        rec.count("overlap.windows", 2)
-        hidden = (t_drain0 - inflight["t_wts_launch"]) + (
-            t_drain0 - t_stats_launch
-        )
-        rec.count("overlap.hidden_us", int(hidden * 1e6))
-        rec.count("overlap.idle_us", int((t_drain_end - t_drain0) * 1e6))
-    reduction = finalize_wts(reduced_payload, clf.n_classes)
-    t1 = comm.wtime()
-    with rec.phase("params"):
-        log_pi, term_params = finalize_parameters(
-            clf.spec, global_stats, reduction.w_j, n_total_items
-        )
-    new_clf = Classification(
-        spec=clf.spec,
-        n_classes=clf.n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-        n_cycles=clf.n_cycles,
-    )
-    t2 = comm.wtime()
-    with rec.phase("approx"):
-        scores = update_approximations(
-            clf, global_stats, reduction, n_total_items
-        )
-    t3 = comm.wtime()
-    rec.cycle(
-        n_classes=clf.n_classes,
-        log_marginal=scores.log_marginal_cs,
-        w_j=reduction.w_j,
-    )
-    new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, None, ParallelCycleStats(
-        seconds_wts=t1 - t0,
-        seconds_params=t2 - t1,
-        seconds_approx=t3 - t2,
-        bytes_sent=comm.stats.bytes_sent - bytes0,
+    return base_cycle(
+        local_db, clf, kernels=kernels, n_total_items=n_total_items,
+        reducer=reducer_for(comm, clf.n_classes, clf.spec, plan=plan),
     )

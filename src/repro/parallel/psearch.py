@@ -10,198 +10,53 @@ decision the loop takes is a deterministic function of
   ranking),
 
 so all ranks take identical branches with zero extra communication.
-This module is the parallel mirror of :mod:`repro.engine.search`,
-re-using its config, duplicate rule, and result types.
-
-Initialization detail: initial weights are drawn for the **full** item
-range from the try's deterministic stream and each rank keeps its
-block's rows.  This costs a transient ``O(N x J)`` array per rank but
-makes the parallel run start from byte-identical state to the
-sequential run — the paper's "same semantics" property, which the
-equivalence tests assert.
+Replicated means *the same code*: the loop and the try body are
+:func:`repro.engine.search.run_search` / :func:`~repro.engine.search.
+run_try` — sequential AutoClass is their P = 1 case — and this module
+only supplies the communicating reducer
+(:mod:`repro.parallel.reducers`) and the try-grouped variant's
+split / ownership / merge logic.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.database import Database
-from repro.data.partition import (
-    block_partition,
-    block_partition_array,
-    partition_bounds,
-)
+from repro.data.partition import block_partition, partition_bounds
 from repro.data.shards import is_streamable
-from repro.engine.classification import Classification
-from repro.engine.convergence import ConvergenceChecker
-from repro.engine.init import check_streamable_init, random_weights
-from repro.engine.params import finalize_parameters, local_update_parameters
 from repro.engine.search import (
     SearchConfig,
     SearchResult,
     TryResult,
     assign_duplicates,
-    duplicate_of_index,
+    run_search,
+    run_try,
 )
 from repro.models.registry import ModelSpec
-from repro.mpc import faults
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
 from repro.obs import recorder as obs
-from repro.parallel.packed import ReductionPlan
+from repro.parallel.reducers import reducer_for
 from repro.util.rng import SeedSequenceStream
 
 
-def parallel_initial_classification(
-    local_db: Database,
-    spec: ModelSpec,
-    n_classes: int,
-    n_total_items: int,
-    rng: np.random.Generator,
-    comm: Communicator,
-    method: str = "dirichlet",
-    full_db: Database | None = None,
-    kernels: str | None = None,
-) -> Classification:
-    """Random init replicating the sequential starting state.
-
-    The full-range weight matrix is drawn from ``rng`` (identical on
-    every rank), sliced to this rank's block, and a parallel M-step
-    (one Allreduce) produces the starting parameters.  ``"seeded"``
-    init computes distances against the full database and therefore
-    requires ``full_db`` (available in replicated-input mode).
-
-    A :class:`~repro.data.shards.ShardedDatabase` block view streams
-    the same draw: the rank still consumes the full-range bitstream
-    (so every rank starts from the identical sequential state) but in
-    chunk-sized steps, keeping only its block's rows — O(chunk) peak
-    heap instead of the transient ``O(N x J)`` array.
-    """
-    if is_streamable(local_db):
-        return _streamed_parallel_init(
-            local_db, spec, n_classes, n_total_items, rng, comm,
-            method=method, kernels=kernels,
-        )
-    wts_full = random_weights(
-        n_total_items, n_classes, rng, method=method, db=full_db
-    )
-    lo, hi = partition_bounds(n_total_items, comm.size, comm.rank)
-    if hi - lo != local_db.n_items:
+def check_try_groups(
+    try_groups: int | str | None, world_size: int | None = None
+) -> None:
+    """Validate a ``try_groups`` option: ``None``, ``"auto"`` or an int
+    (never a bool) ``>= 1`` — and, when the world size is known, at most
+    that (every group needs at least one rank)."""
+    if try_groups is None or try_groups == "auto":
+        return
+    if not isinstance(try_groups, int) or isinstance(try_groups, bool):
         raise ValueError(
-            f"rank {comm.rank}: block has {local_db.n_items} items but "
-            f"partition bounds give {hi - lo}"
+            f"try_groups must be None, 'auto', or an int, got {try_groups!r}"
         )
-    wts = block_partition_array(wts_full, comm.size, comm.rank).copy()
-    del wts_full
-    local_stats = local_update_parameters(local_db, spec, wts, kernels=kernels)
-    payload = np.concatenate([wts.sum(axis=0), local_stats.reshape(-1)])
-    payload = np.asarray(comm.allreduce(payload, ReduceOp.SUM))
-    w_j = payload[:n_classes]
-    global_stats = payload[n_classes:].reshape(local_stats.shape)
-    log_pi, term_params = finalize_parameters(
-        spec, global_stats, w_j, n_total_items
-    )
-    return Classification(
-        spec=spec,
-        n_classes=n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-    )
-
-
-def _streamed_parallel_init(
-    local_db,
-    spec: ModelSpec,
-    n_classes: int,
-    n_total_items: int,
-    rng: np.random.Generator,
-    comm: Communicator,
-    *,
-    method: str,
-    kernels: str | None = None,
-) -> Classification:
-    """Streamed full-range random init over this rank's block view.
-
-    The streamable initializers consume the RNG bitstream strictly
-    item-by-item, so drawing (and discarding) in chunk steps replicates
-    the one-shot ``random_weights(n_total_items, ...)`` draw bitwise.
-    Rows before the block advance the stream without being kept; the
-    block's rows are consumed chunk-by-chunk straight into the packed
-    statistics; then the same concatenated ``[w_j, stats]`` Allreduce
-    as the in-memory init yields the identical starting parameters.
-    """
-    check_streamable_init(method)
-    lo, hi = local_db.bounds
-    expect = partition_bounds(n_total_items, comm.size, comm.rank)
-    if (lo, hi) != expect:
+    if try_groups < 1:
+        raise ValueError(f"try_groups must be >= 1, got {try_groups}")
+    if world_size is not None and try_groups > world_size:
         raise ValueError(
-            f"rank {comm.rank}: block view spans {(lo, hi)} but "
-            f"partition bounds give {expect}"
+            f"try_groups={try_groups} exceeds the world size "
+            f"(n_processors={world_size})"
         )
-    step = max(int(local_db.chunk_items), 1)
-    skip = lo
-    while skip > 0:
-        random_weights(min(skip, step), n_classes, rng, method=method)
-        skip -= min(skip, step)
-    stats = np.zeros((n_classes, spec.n_stats), dtype=np.float64)
-    w_j = np.zeros(n_classes, dtype=np.float64)
-    for chunk in local_db.iter_chunks():
-        wts = random_weights(chunk.n_items, n_classes, rng, method=method)
-        stats += local_update_parameters(chunk, spec, wts, kernels=kernels)
-        w_j += wts.sum(axis=0)
-    payload = np.concatenate([w_j, stats.reshape(-1)])
-    payload = np.asarray(comm.allreduce(payload, ReduceOp.SUM))
-    w_j = payload[:n_classes]
-    global_stats = payload[n_classes:].reshape(stats.shape)
-    log_pi, term_params = finalize_parameters(
-        spec, global_stats, w_j, n_total_items
-    )
-    return Classification(
-        spec=spec,
-        n_classes=n_classes,
-        log_pi=log_pi,
-        term_params=term_params,
-    )
-
-
-def parallel_converge_try(
-    local_db: Database,
-    clf: Classification,
-    n_total_items: int,
-    comm: Communicator,
-    checker: ConvergenceChecker,
-    *,
-    kernels: str | None = None,
-    try_index: int = 0,
-    on_cycle=None,
-    plan=None,
-) -> tuple[Classification, bool]:
-    """Run parallel ``base_cycle`` until the (replicated) checker stops.
-
-    All ranks feed the checker the same globally reduced score, so they
-    stop on the same cycle without voting.  ``on_cycle(clf, checker)``
-    runs after every completed, non-final cycle — the per-cycle
-    checkpoint cut point, downstream of both Allreduces where the
-    classification is global.  Injected faults (:mod:`repro.mpc.faults`)
-    fire at the cycle boundary before the cycle's work starts.  ``plan``
-    is the try's :class:`~repro.parallel.packed.ReductionPlan` (both
-    Allreduce cut points reduce in place through its buffers).
-    """
-    from repro.parallel.pcycle import parallel_base_cycle
-
-    stopped = False
-    while not stopped:
-        faults.maybe_fire(
-            comm, site="cycle", try_index=try_index, cycle=clf.n_cycles + 1
-        )
-        clf, _wts, _stats = parallel_base_cycle(
-            local_db, clf, n_total_items, comm, kernels=kernels, plan=plan
-        )
-        assert clf.scores is not None
-        stopped = checker.update(clf.scores.log_marginal_cs)
-        if not stopped and on_cycle is not None:
-            on_cycle(clf, checker)
-    return clf, not checker.hit_cycle_limit
 
 
 def resolve_try_groups(
@@ -211,23 +66,14 @@ def resolve_try_groups(
 
     ``None``/``1`` — single-level search (the paper's structure);
     ``"auto"`` — as many groups as can be kept busy,
-    ``min(world_size, max_n_tries)``; an explicit int must lie in
-    ``[1, world_size]`` (every group needs at least one rank).
+    ``min(world_size, max_n_tries)``; an explicit int must pass
+    :func:`check_try_groups`.
     """
-    if try_groups is None or try_groups == 1:
+    check_try_groups(try_groups, world_size)
+    if try_groups is None:
         return 1
     if try_groups == "auto":
         return max(1, min(world_size, max_n_tries))
-    if not isinstance(try_groups, int):
-        raise ValueError(
-            f"try_groups must be an int, 'auto', or None, got {try_groups!r}"
-        )
-    if try_groups < 1:
-        raise ValueError(f"try_groups must be >= 1, got {try_groups}")
-    if try_groups > world_size:
-        raise ValueError(
-            f"try_groups={try_groups} exceeds the world size {world_size}"
-        )
     return try_groups
 
 
@@ -294,88 +140,16 @@ def run_parallel_search(
             comm, spec, n_total_items, config, full_db, n_groups,
             kernels=kernels, checkpointer=checkpointer,
         )
-    if streamed:
-        check_streamable_init(config.init_method)
-        rec0 = obs.current()
-        if rec0.enabled:
-            rec0.count(
-                "stream.manifest_digest_u48",
-                int(local_db.manifest_digest[:12], 16),
-            )
-            rec0.count("stream.chunk_items", local_db.chunk_items)
-    if config.init_method == "seeded" and full_db is None:
+    if config.init_method == "seeded" and full_db is None and not streamed:
         raise ValueError(
             "seeded initialization needs the full database on every rank; "
             "use run_pautoclass (replicated input) or another init_method"
         )
-    spec.validate(local_db.probe() if streamed else local_db)
-    stream = SeedSequenceStream(config.seed)
-    result = SearchResult(config=config)
-    resume = None
-    if checkpointer is not None:
-        checkpointer.bind(
-            config, spec, n_total_items,
-            data_digest=local_db.manifest_digest if streamed else None,
-        )
-        state = checkpointer.load(spec)
-        if state is not None:
-            result.tries.extend(state.completed_tries)
-            stream.restore_state(state.rng_streams)
-            resume = state.in_progress
-    rec = obs.current()
-    for k in range(len(result.tries), config.max_n_tries):
-        rec.try_boundary()
-        checker = config.checker()
-        if resume is not None and resume.try_index == k:
-            # Mid-try resume: selection and init were consumed before
-            # the checkpoint; restore their outputs instead of redrawing.
-            j = resume.n_classes_requested
-            clf0 = resume.classification
-            checker.history = list(resume.checker_history)
-            resume = None
-        else:
-            j = config.select_n_classes(k, stream)
-            faults.maybe_fire(comm, site="init", try_index=k)
-            with rec.phase("init"):
-                clf0 = parallel_initial_classification(
-                    local_db,
-                    spec,
-                    j,
-                    n_total_items,
-                    stream.child("try", k),
-                    comm,
-                    method=config.init_method,
-                    full_db=full_db,
-                    kernels=kernels,
-                )
-        on_cycle = None
-        if checkpointer is not None and checkpointer.policy == "per_cycle":
-            def on_cycle(c, ck, _k=k, _j=j):
-                checkpointer.save_cycle(
-                    result, stream,
-                    try_index=_k, n_classes_requested=_j, clf=c, checker=ck,
-                )
-        plan = ReductionPlan(comm, j, spec.n_stats)
-        clf, converged = parallel_converge_try(
-            local_db, clf0, n_total_items, comm, checker,
-            kernels=kernels, try_index=k, on_cycle=on_cycle, plan=plan,
-        )
-        duplicate_of = duplicate_of_index(
-            clf, result.tries, config.duplicate_eps
-        )
-        result.tries.append(
-            TryResult(
-                try_index=k,
-                n_classes_requested=j,
-                classification=clf,
-                converged=converged,
-                n_cycles=clf.n_cycles,
-                duplicate_of=duplicate_of,
-            )
-        )
-        if checkpointer is not None:
-            checkpointer.save_boundary(result, stream)
-    return result
+    return run_search(
+        local_db, config, spec, checkpointer, kernels=kernels,
+        make_reducer=lambda n_classes: reducer_for(comm, n_classes, spec),
+        n_total_items=n_total_items, full_db=full_db,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +221,13 @@ def run_grouped_search(
     if checkpointer is not None:
         checkpointer.bind(config, spec, n_total_items)
         completed, partial = checkpointer.load_tries(spec)
+    save_cycle = None
+    if (
+        checkpointer is not None
+        and checkpointer.policy == "per_cycle"
+        and sub.rank == 0
+    ):
+        save_cycle = checkpointer.save_try_cycle
     mine: list[TryResult] = []
     for k in range(config.max_n_tries):
         if k % n_groups != color:
@@ -455,51 +236,12 @@ def run_grouped_search(
         if prior is not None:
             mine.append(prior)
             continue
-        rec.try_boundary()
-        checker = config.checker()
-        resume = partial.get(k)
-        if resume is not None:
-            j = resume.n_classes_requested
-            clf0 = resume.classification
-            checker.history = list(resume.checker_history)
-        else:
-            j = config.select_n_classes(k, stream)
-            faults.maybe_fire(sub, site="init", try_index=k)
-            with rec.phase("init"):
-                clf0 = parallel_initial_classification(
-                    local_db,
-                    spec,
-                    j,
-                    n_total_items,
-                    stream.child("try", k),
-                    sub,
-                    method=config.init_method,
-                    full_db=full_db,
-                    kernels=kernels,
-                )
-        on_cycle = None
-        if (
-            checkpointer is not None
-            and checkpointer.policy == "per_cycle"
-            and sub.rank == 0
-        ):
-            def on_cycle(c, ck, _k=k, _j=j):
-                checkpointer.save_try_cycle(
-                    try_index=_k, n_classes_requested=_j, clf=c, checker=ck,
-                )
-        plan = ReductionPlan(sub, j, spec.n_stats)
-        clf, converged = parallel_converge_try(
-            local_db, clf0, n_total_items, sub, checker,
-            kernels=kernels, try_index=k, on_cycle=on_cycle, plan=plan,
-        )
-        try_result = TryResult(
-            try_index=k,
-            n_classes_requested=j,
-            classification=clf,
-            converged=converged,
-            n_cycles=clf.n_cycles,
-            duplicate_of=None,  # assigned canonically at the merge
-        )
+        try_result = run_try(
+            local_db, spec, config, stream, k,
+            lambda n_classes: reducer_for(sub, n_classes, spec),
+            n_total_items=n_total_items, full_db=full_db, kernels=kernels,
+            resume=partial.get(k), save_cycle=save_cycle,
+        )  # its duplicate link is assigned canonically at the merge
         mine.append(try_result)
         if checkpointer is not None and sub.rank == 0:
             checkpointer.save_try(try_result)

@@ -1,0 +1,219 @@
+"""The communicating reducers of the one EM cycle.
+
+:func:`repro.engine.cycle.base_cycle` is written once as ``chunks x
+reducer``; this module is the *reducer* axis on a real world — how the
+paper's two Allreduce cut points (Figures 4/5) are crossed:
+
+* :class:`WorldReducer` — a size-1 world: the identity of
+  :class:`~repro.engine.cycle.LocalReducer` (no collective is ever
+  called) on the world's clock and fault sites;
+* :class:`BlockingReducer` — each reduction completes inside its
+  ``launch_*`` call, in place through the try's
+  :class:`~repro.parallel.packed.ReductionPlan`: E → Allreduce → M →
+  Allreduce, exactly the figures' order.  Two statistics granularities:
+
+  - ``"packed"`` (library default) — all terms' statistics in one dense
+    ``(J, n_stats)`` array, one Allreduce per cycle;
+  - ``"per_term_class"`` — one small Allreduce per (class, term) pair,
+    i.e. ``J x n_terms`` collectives per cycle.  This is the structure
+    the paper's Figure 5 actually draws (the Allreduce box sits *inside*
+    the ``#cl < Classes`` / ``#n < Attributes`` loops), and it is what
+    the figure-reproduction experiments use — the paper's observed
+    communication costs are only explicable with per-loop collectives
+    (see EXPERIMENTS.md);
+
+* :class:`OverlappedReducer` — ``CollectiveConfig(overlap=True)``:
+  both reductions launch nonblocking and drain round-robin at
+  ``finish``, so the wts rounds ride under the final chunk's M half and
+  the two reductions' wire times hide behind each other.  Same
+  payloads, same schedule, same combine association — bitwise-equal
+  results, only the *when* of the rounds changes.
+
+Observability: the reduction time is accounted as phases
+``"allreduce_wts"`` / ``"allreduce_params"`` with one comm event each —
+the two instrumented cut points.  Under overlap the phases time only
+the *residual* drain (what overlap failed to hide), the events carry
+``overlapped=True`` and the ``overlap.windows`` / ``overlap.hidden_us``
+/ ``overlap.idle_us`` counters quantify the windows (docs/comms.md).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.engine.cycle import LocalReducer
+from repro.models.registry import ModelSpec
+from repro.mpc import faults
+from repro.mpc.api import Communicator
+from repro.mpc.icollectives import ICollective
+from repro.mpc.reduceops import ReduceOp
+from repro.obs import recorder as obs
+from repro.parallel.packed import ReductionPlan
+
+#: Valid statistics-reduction granularities (see module docstring).
+GRANULARITIES = ("packed", "per_term_class")
+
+
+class WorldReducer(LocalReducer):
+    """A world's clock, traffic counter, fault sites and one-shot sum.
+
+    The two cut points stay the inherited identity — right for a size-1
+    world, which is what :func:`reducer_for` hands this class to; the
+    subclasses cross them on larger worlds.
+    """
+
+    def __init__(self, comm: Communicator) -> None:
+        self.comm = comm
+        self.rank = comm.rank
+        self.size = comm.size
+        self.clock = comm.wtime
+
+    @property
+    def bytes_sent(self) -> int:
+        return self.comm.stats.bytes_sent
+
+    def fault_site(self, site: str, *, try_index: int, cycle: int = 0) -> None:
+        faults.maybe_fire(self.comm, site=site, try_index=try_index, cycle=cycle)
+
+    def allreduce(self, payload: np.ndarray) -> np.ndarray:
+        if self.size == 1:
+            return payload
+        return np.asarray(self.comm.allreduce(payload, ReduceOp.SUM))
+
+
+class BlockingReducer(WorldReducer):
+    """Reductions that complete inside ``launch_*`` (paper Figures 4/5)."""
+
+    def __init__(
+        self,
+        comm: Communicator,
+        plan: ReductionPlan,
+        spec: ModelSpec,
+        granularity: str = "packed",
+    ) -> None:
+        super().__init__(comm)
+        if granularity not in GRANULARITIES:
+            raise ValueError(
+                f"granularity {granularity!r} not in {GRANULARITIES}"
+            )
+        self.plan = plan
+        self.granularity = granularity
+        self._stat_slices = spec.stat_slices()
+
+    def _timed(self, phase: str, local: np.ndarray, reduce):
+        """Run one cut point's reduction, accounted on the recorder."""
+        rec = obs.current()
+        if not rec.enabled:
+            return reduce(local)
+        n0 = self.comm.stats.n_collectives
+        t0 = rec.clock()
+        out = reduce(local)
+        dt = rec.clock() - t0
+        rec.add_phase(phase, dt)
+        rec.comm_event(
+            phase, local.nbytes, dt,
+            n_calls=max(self.comm.stats.n_collectives - n0, 1),
+        )
+        return out
+
+    def launch_wts(self, payload: np.ndarray) -> None:
+        self._payload = self._timed(
+            "allreduce_wts", payload, self.plan.allreduce_wts
+        )
+
+    def launch_stats(self, stats: np.ndarray) -> None:
+        reduce = (
+            self.plan.allreduce_stats if self.granularity == "packed"
+            else self._per_term_class
+        )
+        self._stats = self._timed("allreduce_params", stats, reduce)
+
+    def _per_term_class(self, stats: np.ndarray) -> np.ndarray:
+        out = np.empty_like(stats)
+        for sl in self._stat_slices:
+            for j in range(stats.shape[0]):
+                out[j, sl] = self.comm.allreduce(
+                    np.ascontiguousarray(stats[j, sl]), ReduceOp.SUM
+                )
+        return out
+
+
+class OverlappedReducer(WorldReducer):
+    """Nonblocking reductions hidden behind compute, drained at ``finish``."""
+
+    _wts_req = None  # in flight only from the final chunk's E half on
+
+    def launch_wts(self, payload: np.ndarray) -> None:
+        self._wts_nbytes = payload.nbytes
+        self._t_wts = self.comm.wtime()
+        self._wts_req = self.comm.iallreduce(payload, ReduceOp.SUM)
+
+    def progress(self) -> None:
+        if self._wts_req is not None:
+            self._wts_req.progress()
+
+    def launch_stats(self, stats: np.ndarray) -> None:
+        self._stats_nbytes = stats.nbytes
+        self._t_stats = self.comm.wtime()
+        self._stats_req = self.comm.iallreduce(stats, ReduceOp.SUM)
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        wts_req, stats_req = self._wts_req, self._stats_req
+        self._wts_req = None
+        wtime = self.comm.wtime
+
+        def live(req) -> bool:
+            return isinstance(req, ICollective) and not req.done
+
+        # Round-robin: each reduction's wire time hides behind the
+        # other's rounds instead of serializing.
+        t_drain = wtime()
+        t_wts_done = None if live(wts_req) else t_drain
+        while live(wts_req) or live(stats_req):
+            if live(wts_req):
+                wts_req.step()
+                if not live(wts_req):
+                    t_wts_done = wtime()
+            if live(stats_req):
+                stats_req.step()
+        t_end = wtime()
+        rec = obs.current()
+        if rec.enabled:
+            rec.add_phase("allreduce_wts", t_wts_done - t_drain)
+            rec.comm_event(
+                "allreduce_wts", self._wts_nbytes, t_wts_done - t_drain,
+                overlapped=True,
+            )
+            rec.add_phase("allreduce_params", t_end - t_wts_done)
+            rec.comm_event(
+                "allreduce_params", self._stats_nbytes, t_end - t_wts_done,
+                overlapped=True,
+            )
+            rec.count("overlap.windows", 2)
+            hidden = (t_drain - self._t_wts) + (t_drain - self._t_stats)
+            rec.count("overlap.hidden_us", int(hidden * 1e6))
+            rec.count("overlap.idle_us", int((t_end - t_drain) * 1e6))
+        return wts_req.wait(), np.asarray(stats_req.wait())
+
+
+def reducer_for(
+    comm: Communicator,
+    n_classes: int,
+    spec: ModelSpec,
+    *,
+    plan: ReductionPlan | None = None,
+    granularity: str = "packed",
+) -> WorldReducer:
+    """The reducer a try with ``n_classes`` classes runs on ``comm``.
+
+    Size-1 worlds reduce by identity; ``collective_config.overlap``
+    selects the nonblocking reducer; otherwise reductions block, in
+    place through ``plan`` (created here unless the caller owns one).
+    """
+    if comm.size == 1:
+        return WorldReducer(comm)
+    if comm.collective_config.overlap:
+        return OverlappedReducer(comm)
+    if plan is None:
+        plan = ReductionPlan(comm, n_classes, spec.n_stats)
+    return BlockingReducer(comm, plan, spec, granularity)

@@ -1,22 +1,51 @@
-"""Component-level tests of the parallel pieces: pwts, pparams, pcycle,
-psearch init, and the wts-only variant."""
+"""Component-level tests of the parallel pieces: the wts cut point, the
+parallel cycle and init, and the wts-only (Miller & Guo) reducer."""
 
 import numpy as np
 import pytest
 
 from repro.data.partition import block_partition
 from repro.data.synth import make_paper_database
+from repro.engine.cycle import base_cycle
 from repro.engine.init import initial_classification, random_weights
-from repro.engine.wts import update_wts
+from repro.engine.wts import finalize_wts, local_update_wts, update_wts
+from repro.harness.programs import CentralMStepReducer
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.serial import SerialComm
 from repro.mpc.threadworld import run_spmd_threads
+from repro.parallel.packed import ReductionPlan
 from repro.parallel.pcycle import parallel_base_cycle
-from repro.parallel.psearch import parallel_initial_classification
-from repro.parallel.pwts import parallel_update_wts
-from repro.parallel.variants import wts_only_base_cycle
+from repro.parallel.reducers import reducer_for
 from repro.util.rng import spawn_rng
+
+
+def parallel_update_wts(local, clf, comm):
+    """The wts cut point alone (paper Fig. 4): this rank's E half, then
+    the reducer the cycle would use carries the payload across."""
+    reducer = reducer_for(comm, clf.n_classes, clf.spec)
+    wts, payload = local_update_wts(local, clf)
+    reducer.launch_wts(payload)
+    reducer.launch_stats(np.zeros((clf.n_classes, clf.spec.n_stats)))
+    payload, _stats = reducer.finish()
+    return wts, finalize_wts(payload, clf.n_classes)
+
+
+def parallel_initial_classification(
+    local, spec, n_classes, n_total, rng, comm, method="dirichlet"
+):
+    return initial_classification(
+        local, spec, n_classes, rng, method=method, n_total_items=n_total,
+        reducer=reducer_for(comm, n_classes, spec),
+    )
+
+
+def wts_only_base_cycle(local, full_db, clf, comm):
+    plan = ReductionPlan(comm, clf.n_classes, clf.spec.n_stats)
+    return base_cycle(
+        local, clf, n_total_items=full_db.n_items,
+        reducer=CentralMStepReducer(comm, plan, clf.spec, full_db),
+    )
 
 
 @pytest.fixture(scope="module")

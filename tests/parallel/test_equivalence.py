@@ -130,8 +130,10 @@ class TestGranularityEquivalence:
     def test_per_term_class_equals_packed(self, db):
         """Both reduce granularities yield the same global statistics."""
         from repro.engine.init import initial_classification
+        from repro.engine.params import local_update_parameters
         from repro.engine.wts import update_wts
-        from repro.parallel.pparams import parallel_update_parameters
+        from repro.parallel.packed import ReductionPlan
+        from repro.parallel.reducers import BlockingReducer
         from repro.util.rng import spawn_rng
         from repro.models.registry import ModelSpec
         from repro.models.summary import DataSummary
@@ -147,30 +149,30 @@ class TestGranularityEquivalence:
                 for r in range(comm.rank)
             )
             local_wts = wts[lo : lo + local.n_items]
-            new_clf, stats = parallel_update_parameters(
-                local, clf, local_wts, red.w_j, db.n_items, comm, granularity
+            reducer = BlockingReducer(
+                comm, ReductionPlan(comm, 4, spec.n_stats), spec, granularity
             )
-            return stats
+            reducer.launch_wts(np.zeros(4 + 2))
+            reducer.launch_stats(local_update_parameters(local, spec, local_wts))
+            _payload, stats = reducer.finish()
+            return stats.copy()
 
         packed = run_spmd_threads(prog, 3, "packed")[0]
         per_tc = run_spmd_threads(prog, 3, "per_term_class")[0]
         np.testing.assert_allclose(packed, per_tc, rtol=1e-12)
 
     def test_unknown_granularity_rejected(self, db):
-        from repro.engine.init import initial_classification
-        from repro.engine.wts import update_wts
         from repro.mpc.serial import SerialComm
-        from repro.parallel.pparams import parallel_update_parameters
-        from repro.util.rng import spawn_rng
+        from repro.parallel.packed import ReductionPlan
+        from repro.parallel.reducers import BlockingReducer
         from repro.models.registry import ModelSpec
         from repro.models.summary import DataSummary
 
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-        clf = initial_classification(db, spec, 2, spawn_rng(0))
-        wts, red = update_wts(db, clf)
+        comm = SerialComm()
         with pytest.raises(ValueError, match="granularity"):
-            parallel_update_parameters(
-                db, clf, wts, red.w_j, db.n_items, SerialComm(), "chunky"
+            BlockingReducer(
+                comm, ReductionPlan(comm, 2, spec.n_stats), spec, "chunky"
             )
 
 

@@ -60,6 +60,21 @@ class TestResolve:
         with pytest.raises(ValueError, match="exceeds"):
             resolve_try_groups(9, 8, 4)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected_on_both_entry_points(self, flag):
+        """One validator: ``True == 1`` must not slip through the driver
+        as "one group" while the API rejects it."""
+        from repro.api import FitConfig
+        from repro.mpc.serial import SerialComm
+
+        with pytest.raises(ValueError, match="try_groups"):
+            FitConfig(try_groups=flag)
+        with pytest.raises(ValueError, match="try_groups"):
+            run_pautoclass(
+                SerialComm(), repro.make_paper_database(20, seed=1),
+                try_groups=flag,
+            )
+
     def test_group_color_partitions_world(self):
         colors = [group_color(8, 3, r) for r in range(8)]
         assert colors == sorted(colors)

@@ -131,13 +131,16 @@ class TestCountedMode:
     def test_real_engine_cycle_priced(self, paper_db, paper_spec):
         from repro.data.partition import block_partition
         from repro.parallel.pcycle import parallel_base_cycle
-        from repro.parallel.psearch import parallel_initial_classification
+        from repro.engine.init import initial_classification
+        from repro.parallel.reducers import reducer_for
         from repro.util.rng import spawn_rng
 
         def prog(comm):
             local = block_partition(paper_db, comm.size, comm.rank)
-            clf = parallel_initial_classification(
-                local, paper_spec, 4, paper_db.n_items, spawn_rng(0), comm
+            clf = initial_classification(
+                local, paper_spec, 4, spawn_rng(0),
+                n_total_items=paper_db.n_items,
+                reducer=reducer_for(comm, 4, paper_spec),
             )
             clf, _, _ = parallel_base_cycle(local, clf, paper_db.n_items, comm)
             return comm.wtime()
@@ -154,7 +157,8 @@ class TestCountedMode:
         from repro.models.registry import ModelSpec
         from repro.models.summary import DataSummary
         from repro.parallel.pcycle import parallel_base_cycle
-        from repro.parallel.psearch import parallel_initial_classification
+        from repro.engine.init import initial_classification
+        from repro.parallel.reducers import reducer_for
         from repro.util.rng import spawn_rng
 
         def prog(comm):
@@ -162,8 +166,10 @@ class TestCountedMode:
                 paper_db.schema, DataSummary.from_database(paper_db)
             )
             local = block_partition(paper_db, comm.size, comm.rank)
-            clf = parallel_initial_classification(
-                local, spec, 4, paper_db.n_items, spawn_rng(0), comm
+            clf = initial_classification(
+                local, spec, 4, spawn_rng(0),
+                n_total_items=paper_db.n_items,
+                reducer=reducer_for(comm, 4, spec),
             )
             for _ in range(3):
                 clf, _, _ = parallel_base_cycle(local, clf, paper_db.n_items, comm)
@@ -254,7 +260,8 @@ class TestMeasuredModeCrossValidation:
         from repro.models.registry import ModelSpec
         from repro.models.summary import DataSummary
         from repro.parallel.pcycle import parallel_base_cycle
-        from repro.parallel.psearch import parallel_initial_classification
+        from repro.engine.init import initial_classification
+        from repro.parallel.reducers import reducer_for
         from repro.util.rng import spawn_rng
 
         db = make_paper_database(60_000, seed=3)
@@ -264,9 +271,9 @@ class TestMeasuredModeCrossValidation:
 
         def prog(comm):
             local = block_partition(db, comm.size, comm.rank)
-            clf = parallel_initial_classification(
-                local, spec, 8, db.n_items, spawn_rng(0), comm,
-                method="sharp",
+            clf = initial_classification(
+                local, spec, 8, spawn_rng(0), method="sharp",
+                n_total_items=db.n_items, reducer=reducer_for(comm, 8, spec),
             )
             # Time only the cycles: initialization is replicated work
             # (the full-range weight draw) and would dilute the signal.

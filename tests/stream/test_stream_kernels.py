@@ -8,11 +8,7 @@ from repro.data.synth import make_mixed_database
 from repro.engine.init import initial_classification
 from repro.engine.params import local_update_parameters
 from repro.engine.wts import local_update_wts
-from repro.kernels.stream import (
-    streamed_local_pass,
-    streamed_update_parameters,
-    streamed_update_wts,
-)
+from repro.kernels.stream import streamed_local_pass
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 
@@ -71,20 +67,3 @@ class TestLocalPassParity:
         payload_r, stats_r = streamed_local_pass(sdb, clf, kernels="reference")
         np.testing.assert_allclose(payload_f, payload_r, rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(stats_f, stats_r, rtol=1e-7, atol=1e-9)
-
-
-class TestHalfPasses:
-    def test_streamed_update_wts_matches(self, fixture_fit, tmp_path):
-        db, _spec, clf = fixture_fit
-        sdb = shard(db, tmp_path, shard_items=64, chunk_items=32)
-        _wts, payload_mem = local_update_wts(db, clf)
-        payload = streamed_update_wts(sdb, clf)
-        np.testing.assert_allclose(payload, payload_mem, rtol=1e-9, atol=1e-12)
-
-    def test_streamed_update_parameters_matches(self, fixture_fit, tmp_path):
-        db, spec, clf = fixture_fit
-        sdb = shard(db, tmp_path, shard_items=64, chunk_items=32)
-        wts, _payload = local_update_wts(db, clf)
-        stats_mem = local_update_parameters(db, spec, wts)
-        stats = streamed_update_parameters(sdb, clf)
-        np.testing.assert_allclose(stats, stats_mem, rtol=1e-9, atol=1e-12)

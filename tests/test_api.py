@@ -269,6 +269,7 @@ class TestFitConfig:
             {"max_restarts": -1},
             {"try_groups": 0},
             {"try_groups": True},
+            {"try_groups": False},
             {"try_groups": "many"},
         ],
     )

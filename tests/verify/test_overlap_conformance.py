@@ -96,3 +96,29 @@ class TestOverlapStrictGate:
             sdb, db, CONFIG, world="serial", size=1, verify="trace",
         )
         assert not report.ok and len(report.divergences) > 0
+
+
+class TestOverlapOnInMemoryData:
+    def test_in_memory_fit_overlaps_and_stays_bitwise(self, db):
+        """Regression: ``overlap=True`` used to be read only on the
+        streamed branch of the cycle, so an in-memory fit silently ran
+        blocking and recorded no ``overlap.*`` counters.  With one cycle
+        the wts reduction rides under the block's M half."""
+        from repro.api import PAutoClass
+        from repro.mpc.api import CollectiveConfig
+
+        run = PAutoClass(
+            n_processors=3, backend="threads", instrument="phases",
+            collectives=CollectiveConfig(overlap=True), **CONFIG,
+        ).fit(db)
+        for rank in run.record.ranks:
+            assert rank.counters.get("overlap.windows", 0) > 0, rank.rank
+        # The capture helper fits whatever it is handed; here that is
+        # the in-memory database on both arms.
+        blocking = capture_streamed_trace(
+            db, db, CONFIG, world="threads", size=3, overlap=False,
+        )
+        overlapped = capture_streamed_trace(
+            db, db, CONFIG, world="threads", size=3, overlap=True,
+        )
+        assert content_digest(blocking) == content_digest(overlapped)
