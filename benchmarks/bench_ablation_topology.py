@@ -9,7 +9,7 @@ is decisive."""
 import pytest
 
 from repro.data.synth import make_paper_database
-from repro.harness.programs import variant_program
+from repro.harness.programs import fixed_cycles_program
 from repro.harness.runner import ablation_topology, calibrated_machine
 from repro.simnet.simworld import run_spmd_sim
 from repro.simnet.topology import Ring
@@ -36,7 +36,7 @@ def test_a5_topology_insensitive_under_mpi_latency(a5, benchmark):
     machine = calibrated_machine(10).with_topology(Ring(10))
     run = benchmark.pedantic(
         run_spmd_sim,
-        args=(variant_program, 10, machine, db, 8, 3, 0, "pautoclass"),
+        args=(fixed_cycles_program, 10, machine, db, (8,), 3, 0),
         kwargs={"compute_mode": "counted"},
         rounds=1,
         iterations=1,

@@ -9,7 +9,7 @@ variants on the simulated CS-2.
 import pytest
 
 from repro.data.synth import make_paper_database
-from repro.harness.programs import variant_program
+from repro.harness.programs import fixed_cycles_program
 from repro.harness.runner import ablation_variants, calibrated_machine
 from repro.simnet.simworld import run_spmd_sim
 
@@ -34,9 +34,9 @@ def test_a1_pautoclass_beats_wts_only(a1, benchmark):
     db = make_paper_database(a1.n_items, seed=0)
     run = benchmark.pedantic(
         run_spmd_sim,
-        args=(variant_program, 8, calibrated_machine(8), db,
-              a1.n_classes, 3, 0, "wts_only"),
-        kwargs={"compute_mode": "counted"},
+        args=(fixed_cycles_program, 8, calibrated_machine(8), db,
+              (a1.n_classes,), 3, 0),
+        kwargs={"variant": "wts_only", "compute_mode": "counted"},
         rounds=1,
         iterations=1,
     )

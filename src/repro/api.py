@@ -1,19 +1,23 @@
 """High-level user-facing API.
 
-Wraps the engine and the parallel driver behind two small classes:
+One estimator shell (fit / predict / report) over a registry of
+backends, with two constructors:
 
+* :class:`PAutoClass` — the classification executed on a registered
+  backend: ``"sequential"`` (no world at all), or SPMD on ``"serial"``,
+  ``"threads"``, ``"processes"`` or ``"sim"`` (the virtual-time CS-2 —
+  also returns the simulated timing).  Backends live in the
+  :data:`BACKENDS` registry and new ones can be added with
+  :func:`register_backend`;
 * :class:`AutoClass` — sequential Bayesian classification of a
-  :class:`~repro.data.Database` (fit / predict / report);
-* :class:`PAutoClass` — the same interface, executed SPMD on a
-  registered backend: ``"serial"``, ``"threads"``, ``"processes"``, or
-  ``"sim"`` (the virtual-time CS-2 — also returns the simulated
-  timing).  Backends live in the :data:`BACKENDS` registry and new ones
-  can be added with :func:`register_backend`.
+  :class:`~repro.data.Database`: the same shell pinned to the
+  ``"sequential"`` backend.
 
-Both produce identical classifications (a tested invariant); the choice
-is about *how* the work runs, which is the paper's whole point.
+Every backend produces the identical classification (a tested
+invariant) through the one ``fit`` pipeline; the choice is about *how*
+the work runs, which is the paper's whole point.
 
-``fit`` on either class returns a unified :class:`Run` carrying the
+``fit`` returns a unified :class:`Run` carrying the
 search ``result``, the observability ``record`` (when fitted with
 ``instrument="phases"`` or ``"full"``; see :mod:`repro.obs`), and a
 paper-style ``report()`` of per-rank phase timings.  The ``"sim"``
@@ -22,7 +26,7 @@ backend additionally reports the virtual elapsed seconds and — at
 
 Inference is sklearn-shaped and uniform: ``predict`` /
 ``predict_proba`` / ``predict_logproba`` / ``score`` exist identically
-on :class:`AutoClass`, :class:`PAutoClass` (raising
+on the estimators (raising
 :class:`NotFittedError` before ``fit``), on the returned :class:`Run`,
 and on the servable :class:`repro.serve.FittedModel` a run exports via
 :meth:`Run.fitted` — all delegating to the same allocation-free batch
@@ -30,8 +34,9 @@ kernels in :mod:`repro.serve.scoring`.
 
 Fit-time options (``kernels=``, ``instrument=``, ``verify=``,
 ``checkpoint*=``, ``try_groups=``, ``faults=``, ``collectives=``) are
-one validated :class:`FitConfig`; the bare keyword arguments both
-classes accept are a thin shim that builds the same object.
+one validated :class:`FitConfig`; the bare keyword arguments the
+constructors and ``fit`` accept are a thin shim that builds the same
+object.
 """
 
 from __future__ import annotations
@@ -40,29 +45,34 @@ import functools
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.ckpt.format import CheckpointError
 from repro.ckpt.manager import CheckpointSpec, check_policy
 from repro.data.database import Database
 from repro.data.shards import is_streamable
 from repro.engine.classification import Classification
 from repro.engine.report import classification_report
-from repro.engine.search import SearchConfig, SearchResult, run_search
+from repro.engine.search import (
+    SearchConfig,
+    SearchResult,
+    run_search,
+    search_config_for,
+)
 from repro.kernels import config as kernel_config
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import CollectiveConfig
 from repro.mpc.faults import FaultInjector
-from repro.mpc.procworld import TRANSPORTS, run_spmd_processes
-from repro.mpc.serial import SerialComm
-from repro.mpc.threadworld import run_spmd_threads
+from repro.mpc.procworld import TRANSPORTS
 from repro.obs.record import CommEventRecord, RunRecord
 from repro.obs.recorder import Recorder, check_instrument, recording
 from repro.obs.runtime import build_run_record, recorded_pautoclass
 from repro.parallel.psearch import check_try_groups
+from repro.worlds import WORLDS, run_world
 
 logger = logging.getLogger(__name__)
 
@@ -82,10 +92,14 @@ def restart_backoff_seconds(attempt: int) -> float:
 def _with_restarts(attempt_fit, ckpt_spec, max_restarts: int, what: str):
     """Run ``attempt_fit(attempt, ckpt_spec)`` until it succeeds.
 
-    A ``RuntimeError`` (a failed world, an injected fault) is retried
-    from the checkpoint up to ``max_restarts`` times, with exponential
-    backoff; every retry resumes, whatever the caller's ``resume``
-    said.  Returns ``(outcome, retry_log)`` with one ``(attempt,
+    A ``RuntimeError`` (a failed world, an injected fault, a timeout)
+    is retried from the checkpoint up to ``max_restarts`` times, with
+    exponential backoff; every retry resumes, whatever the caller's
+    ``resume`` said.  A refused checkpoint — a
+    :class:`~repro.ckpt.CheckpointError`, raised directly or as the
+    ``__cause__`` an in-process world wraps a rank failure in — is
+    deterministic, so it propagates at once: the retry would read the
+    same file.  Returns ``(outcome, retry_log)`` with one ``(attempt,
     backoff_seconds, reason)`` entry per restart.
     """
     attempt = 0
@@ -98,7 +112,10 @@ def _with_restarts(attempt_fit, ckpt_spec, max_restarts: int, what: str):
             return attempt_fit(attempt, spec), retry_log
         except RuntimeError as exc:
             attempt += 1
-            if attempt > max_restarts:
+            refused = isinstance(exc, CheckpointError) or isinstance(
+                exc.__cause__, CheckpointError
+            )
+            if refused or attempt > max_restarts:
                 raise
             backoff = restart_backoff_seconds(attempt)
             reason = str(exc).splitlines()[0]
@@ -138,10 +155,9 @@ def _surface_restarts(run: Run) -> None:
     Rank 0's record gains a ``restarts`` counter and one comm event per
     retry (phase ``"restart"``, ``seconds`` = the backoff slept), so an
     instrumented fault-tolerant run carries its recovery history in the
-    same schema as everything else.  No-op when uninstrumented or when
-    the run was clean.
+    same schema as everything else.  No-op when uninstrumented.
     """
-    if run.record is None or not run.retry_log:
+    if run.record is None:
         return
     rank0 = run.record.ranks[0]
     rank0.counters["restarts"] = run.restarts
@@ -155,47 +171,23 @@ def _surface_restarts(run: Run) -> None:
 VERIFY_LEVELS = ("off", "trace", "strict")
 
 
-def check_verify(verify: str, config: SearchConfig) -> None:
-    """Validate a fit-level ``verify=`` option."""
-    if verify not in VERIFY_LEVELS:
-        raise ValueError(f"verify {verify!r} not in {VERIFY_LEVELS}")
-    if verify != "off" and config.max_seconds is not None:
+def check_verify(verify: str, config: SearchConfig, db) -> None:
+    """Refuse a ``verify=`` shadow run that could not be expected to conform.
+
+    ``max_seconds`` makes the try count wall-clock-dependent; and the
+    trace harness replays per-cycle weight matrices in memory, which a
+    streamed fit never materializes (streamed-vs-in-memory agreement
+    has its own differential tests, ``tests/stream``).
+    """
+    if verify == "off":
+        return
+    if config.max_seconds is not None:
         raise ValueError(
             "verify='trace'/'strict' needs a deterministic search; "
             "max_seconds makes the try count wall-clock-dependent and "
             "no shadow run could be expected to conform"
         )
-
-
-def _streamed_fallback_config(
-    config: SearchConfig, db, init_method_defaulted: bool
-) -> SearchConfig:
-    """Effective search config for a fit over ``db``.
-
-    A bare streamed fit cannot run the (default) ``"seeded"``
-    initializer — it needs the full database in memory — so when the
-    caller never chose an ``init_method``, fall back to AutoClass's
-    random-assignment start, exactly as
-    :func:`repro.parallel.driver.run_pautoclass_partitioned` does.  An
-    *explicit* ``init_method="seeded"`` still fails loudly downstream.
-    """
-    if (
-        init_method_defaulted
-        and config.init_method == "seeded"
-        and is_streamable(db)
-    ):
-        return dc_replace(config, init_method="sharp")
-    return config
-
-
-def check_streamed_verify(db, verify: str) -> None:
-    """Refuse the conformance shadow run over streamed (sharded) data.
-
-    The trace harness replays per-cycle weight matrices in memory; a
-    streamed fit never materializes them.  Streamed-vs-in-memory
-    agreement has its own differential tests instead (``tests/stream``).
-    """
-    if verify != "off" and is_streamable(db):
+    if is_streamable(db):
         raise ValueError(
             "verify='trace'/'strict' replays the search through the "
             "in-memory trace harness and cannot stream a "
@@ -223,8 +215,9 @@ class FitConfig:
     :meth:`merged`-overrides) this object; passing ``options=``
     *and* a bare keyword is an error, never a silent merge.
 
-    ``try_groups`` / ``collectives`` / ``faults`` are parallel-only:
-    :class:`AutoClass` rejects configs that set them.
+    ``try_groups`` / ``collectives`` / ``faults`` / ``transport`` are
+    parallel-only: the ``"sequential"`` backend (hence
+    :class:`AutoClass`) rejects configs that set them.
     """
 
     #: Observability level: ``"off"`` | ``"phases"`` | ``"full"``.
@@ -296,29 +289,6 @@ def _fit_options(base: FitConfig, options: FitConfig | None, **bare) -> FitConfi
     return options
 
 
-def _check_transport(transport: str | None, backend: str) -> None:
-    """``transport`` picks the processes world's wire; other worlds
-    have no wire to pick, so setting it there is a config error."""
-    if transport is not None and backend != "processes":
-        raise ValueError(
-            f"transport={transport!r} only applies to the 'processes' "
-            f"backend (got backend={backend!r})"
-        )
-
-
-def _check_sequential(opts: FitConfig) -> None:
-    """Reject parallel-only options on the sequential class."""
-    bad = [
-        k for k in ("try_groups", "collectives", "faults", "transport")
-        if getattr(opts, k) is not None
-    ]
-    if bad:
-        raise ValueError(
-            f"option(s) {', '.join(bad)} are parallel-only "
-            "(use PAutoClass)"
-        )
-
-
 def _verified(
     run: Run,
     db: Database,
@@ -339,8 +309,6 @@ def _verified(
     :class:`repro.verify.ConformanceError` with a first-divergence
     report; trace mode only attaches ``run.conformance``.
     """
-    import dataclasses as _dc
-
     from repro.verify.conformance import ConformanceError, compare_traces
     from repro.verify.trace import RunTrace, TraceMeta, capture_trace
 
@@ -356,7 +324,7 @@ def _verified(
         shadow_kernels = resolved
     shadow = capture_trace(
         db,
-        _dc.asdict(config),
+        asdict(config),
         world="sequential",
         size=1,
         kernels=shadow_kernels,
@@ -496,22 +464,43 @@ class Run:
 #: the unified :class:`Run`.
 PAutoClassRun = Run
 
-#: A backend runner executes one fit:
-#: ``runner(model: PAutoClass, db: Database, spec: ModelSpec) -> Run``.
-BackendRunner = Callable[["PAutoClass", Database, ModelSpec], Run]
 
-#: Registry of SPMD backends, name -> runner.  Iteration order is
+@dataclass(frozen=True)
+class FitJob:
+    """One attempt of one ``fit``, as a backend runner receives it.
+
+    Everything per-fit travels here — the estimator itself is never
+    mutated for the duration of a fit, so a runner sees exactly the
+    state it is handed and nothing else.
+    """
+
+    n_processors: int
+    #: The effective search config (streamed init default applied).
+    config: SearchConfig
+    #: The resolved fit options (constructor + ``fit`` overrides).
+    options: FitConfig
+    #: This attempt's checkpoint setup (retries always resume).
+    ckpt: CheckpointSpec | None = None
+    #: This attempt's fault plan (disarmed on retries).
+    faults: FaultInjector | None = None
+
+
+#: A backend runner executes one fit attempt:
+#: ``runner(job: FitJob, db: Database, spec: ModelSpec) -> Run``.
+BackendRunner = Callable[[FitJob, Database, ModelSpec], Run]
+
+#: Registry of backends, name -> runner.  Iteration order is
 #: registration order; membership (``name in BACKENDS``) checks names.
 BACKENDS: dict[str, BackendRunner] = {}
 
 
 def register_backend(name: str) -> Callable[[BackendRunner], BackendRunner]:
-    """Register a :class:`PAutoClass` backend runner under ``name``.
+    """Register a backend runner under ``name``.
 
     Used as a decorator::
 
         @register_backend("mpi")
-        def _mpi_backend(model, db, spec) -> Run: ...
+        def _mpi_backend(job, db, spec) -> Run: ...
 
     Registering an existing name replaces it (lets tests substitute
     instrumented doubles).
@@ -525,7 +514,7 @@ def register_backend(name: str) -> Callable[[BackendRunner], BackendRunner]:
 
 
 def _assemble_run(
-    model: PAutoClass,
+    job: FitJob,
     backend: str,
     pairs: list,
     *,
@@ -533,158 +522,130 @@ def _assemble_run(
     timeline: str | None = None,
 ) -> Run:
     """Merge per-rank ``(result, rank_record)`` pairs into one Run."""
-    records = [rec for _result, rec in pairs]
+    instrument = job.options.instrument
     return Run(
         result=pairs[0][0],
         backend=backend,
-        n_processors=model.n_processors,
-        instrument=model.instrument,
+        n_processors=job.n_processors,
+        instrument=instrument,
         record=build_run_record(
-            backend, model.n_processors, model.instrument, records
+            backend, job.n_processors, instrument,
+            [rec for _result, rec in pairs],
         ),
         sim_elapsed=sim_elapsed,
         timeline=timeline,
-        kernels=model.kernels,
+        kernels=job.options.kernels,
     )
 
 
-@register_backend("serial")
-def _serial_backend(model: PAutoClass, db: Database, spec: ModelSpec) -> Run:
-    if model.n_processors != 1:
-        raise ValueError("serial backend supports exactly 1 processor")
-    comm = SerialComm(model.collectives)
-    pair = recorded_pautoclass(
-        comm, db, model.config, spec, instrument=model.instrument,
-        kernels=model.kernels, ckpt=model._ckpt_spec, faults=model._faults,
-        try_groups=model.try_groups,
+@register_backend("sequential")
+def _sequential_backend(job: FitJob, db: Database, spec: ModelSpec) -> Run:
+    """Sequential AutoClass: the BIG_LOOP with no world at all."""
+    if job.n_processors != 1:
+        raise ValueError("sequential backend supports exactly 1 processor")
+    opts = job.options
+    search = functools.partial(
+        run_search, db, job.config, spec,
+        checkpointer=None if job.ckpt is None else job.ckpt.build(0),
+        kernels=opts.kernels,
     )
-    return _assemble_run(model, "serial", [pair])
+    if opts.instrument == "off":
+        pair = search(), None
+    else:
+        rec = Recorder(level=opts.instrument)
+        with recording(rec):
+            result = search()
+        pair = result, rec.to_rank_record()
+    return _assemble_run(job, "sequential", [pair])
 
 
-@register_backend("threads")
-def _threads_backend(model: PAutoClass, db: Database, spec: ModelSpec) -> Run:
-    pairs = run_spmd_threads(
-        recorded_pautoclass,
-        model.n_processors,
-        db,
-        model.config,
-        spec,
-        collectives=model.collectives,
-        instrument=model.instrument,
-        kernels=model.kernels,
-        ckpt=model._ckpt_spec,
-        faults=model._faults,
-        try_groups=model.try_groups,
-    )
-    return _assemble_run(model, "threads", pairs)
-
-
-@register_backend("processes")
-def _processes_backend(
-    model: PAutoClass, db: Database, spec: ModelSpec
+def _spmd_backend(
+    world: str, job: FitJob, db: Database, spec: ModelSpec
 ) -> Run:
-    # Each forked rank sends its (result, RankRecord) pair back over its
-    # result pipe; the parent merges the records — cross-process record
-    # collection with no shared memory.
-    pairs = run_spmd_processes(
-        recorded_pautoclass,
-        model.n_processors,
-        db,
-        model.config,
-        spec,
-        collectives=model.collectives,
-        instrument=model.instrument,
-        kernels=model.kernels,
-        ckpt=model._ckpt_spec,
-        faults=model._faults,
-        try_groups=model.try_groups,
-        transport=model.transport or "shm",
-    )
-    return _assemble_run(model, "processes", pairs)
+    """P-AutoClass on one SPMD world, launched by :func:`run_world`.
 
+    On ``"processes"`` each forked rank sends its ``(result,
+    RankRecord)`` pair back over its result pipe and the parent merges
+    the records — cross-process record collection with no shared
+    memory.  On ``"sim"`` an ``instrument="full"`` fit also traces the
+    virtual-time schedule.
+    """
+    opts = job.options
+    tracer = None
+    if world == "sim" and opts.instrument == "full":
+        from repro.simnet.trace import Tracer
 
-@register_backend("sim")
-def _sim_backend(model: PAutoClass, db: Database, spec: ModelSpec) -> Run:
-    from repro.harness.runner import calibrated_machine
-    from repro.simnet.simworld import run_spmd_sim
-    from repro.simnet.trace import Tracer, render_timeline
-
-    tracer = Tracer() if model.instrument == "full" else None
-    sim = run_spmd_sim(
-        recorded_pautoclass,
-        model.n_processors,
-        calibrated_machine(model.n_processors),
-        db,
-        model.config,
-        spec,
-        collectives=model.collectives,
-        compute_mode="counted",
+        tracer = Tracer()
+    pairs, sim_elapsed = run_world(
+        world, job.n_processors, recorded_pautoclass,
+        db, job.config, spec, opts.instrument, opts.kernels,
+        job.ckpt, job.faults, opts.try_groups,
+        collectives=opts.collectives, transport=opts.transport,
         tracer=tracer,
-        instrument=model.instrument,
-        kernels=model.kernels,
-        ckpt=model._ckpt_spec,
-        faults=model._faults,
-        try_groups=model.try_groups,
     )
     timeline = None
     if tracer is not None:
+        from repro.simnet.trace import render_timeline
+
         timeline = tracer.summary() + "\n" + render_timeline(tracer)
     return _assemble_run(
-        model, "sim", sim.results, sim_elapsed=sim.elapsed, timeline=timeline
+        job, world, pairs, sim_elapsed=sim_elapsed, timeline=timeline
     )
 
 
-class AutoClass:
-    """Sequential AutoClass: Bayesian unsupervised classification.
+BACKENDS.update(
+    (world, functools.partial(_spmd_backend, world)) for world in WORLDS
+)
 
-    Example::
 
-        from repro import AutoClass, make_paper_database
-        db = make_paper_database(5000, seed=0)
-        ac = AutoClass(start_j_list=(2, 4, 8), max_n_tries=3, seed=7)
-        run = ac.fit(db)
-        print(run.summary())
-        print(ac.report())
-        labels = ac.predict(db)
+#: ``FitConfig`` fields that need a world to act on.
+_PARALLEL_ONLY = ("try_groups", "collectives", "faults", "transport")
 
-    Pass ``instrument="phases"`` (timers only) or ``"full"`` (timers +
-    per-cycle telemetry) to collect an observability record; it is
-    available as ``run.record`` and rendered by ``run.report()``.
 
-    All fit-time options may also be passed as one validated
-    :class:`FitConfig` via ``options=`` (to the constructor or to
-    ``fit``); the bare keywords build the same object.
-    """
+class _Estimator:
+    """The one fit / predict shell behind :class:`AutoClass` and
+    :class:`PAutoClass`; they differ only in their constructors."""
 
     def __init__(
         self,
-        spec: ModelSpec | None = None,
-        *,
-        options: FitConfig | None = None,
-        instrument: str = _UNSET,
-        kernels: str | None = _UNSET,
-        **config,
+        n_processors: int,
+        backend: str,
+        spec: ModelSpec | None,
+        options: FitConfig,
+        config: dict,
     ) -> None:
-        self.options = _fit_options(
-            FitConfig(), options, instrument=instrument, kernels=kernels
-        )
-        _check_sequential(self.options)
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"backend {backend!r} not in {tuple(BACKENDS)}"
+            )
+        if n_processors < 1:
+            raise ValueError(f"n_processors must be >= 1, got {n_processors}")
+        self.n_processors = n_processors
+        self.backend = backend
         self.spec = spec
+        self._check_options(options)
+        self.options = options
         self._init_method_defaulted = "init_method" not in config
         self.config = SearchConfig(**config)
-        self.result_: SearchResult | None = None
         self.run_: Run | None = None
         self._db: Database | None = None
-        #: Effective options of the fit in flight (fit-time overrides).
-        self._active_options: FitConfig | None = None
 
-    @property
-    def instrument(self) -> str:
-        return (self._active_options or self.options).instrument
-
-    @property
-    def kernels(self) -> str | None:
-        return (self._active_options or self.options).kernels
+    def _check_options(self, opts: FitConfig) -> None:
+        """Options the configured backend cannot honour are an error."""
+        if self.backend == "sequential":
+            bad = [k for k in _PARALLEL_ONLY if getattr(opts, k) is not None]
+            if bad:
+                raise ValueError(
+                    f"option(s) {', '.join(bad)} are parallel-only "
+                    "(use PAutoClass with a parallel backend)"
+                )
+        check_try_groups(opts.try_groups, self.n_processors)
+        if opts.transport is not None and self.backend != "processes":
+            # Only the processes world has a wire to pick.
+            raise ValueError(
+                f"transport={opts.transport!r} only applies to the "
+                f"'processes' backend (got backend={self.backend!r})"
+            )
 
     # -- fitting ---------------------------------------------------------
 
@@ -697,22 +658,39 @@ class AutoClass:
         checkpoint_dir: str | Path | None = _UNSET,
         resume: bool = _UNSET,
         max_restarts: int = _UNSET,
+        faults=_UNSET,
         verify: str = _UNSET,
     ) -> Run:
-        """Run the BIG_LOOP search; returns (and stores) the :class:`Run`.
+        """Run the BIG_LOOP search on the configured backend; returns
+        (and stores) the :class:`Run`.
 
         ``checkpoint``/``checkpoint_dir`` make the search durable (see
         :mod:`repro.ckpt`): state is persisted at try boundaries
-        (``"per_try"``) or after every EM cycle (``"per_cycle"``), and a
-        rerun with ``resume=True`` picks up where the file left off —
-        bit-identically.  ``max_restarts`` retries a failed search from
-        its checkpoint with exponential backoff.
+        (``"per_try"``) or after every EM cycle (``"per_cycle"``) —
+        rank 0 writes, all ranks restore — and a rerun with
+        ``resume=True`` picks up where the file left off,
+        bit-identically.  ``max_restarts`` retries a failed attempt (a
+        lost rank, a timeout, an injected fault) from its checkpoint
+        with exponential backoff; a refused checkpoint
+        (:class:`repro.ckpt.CheckpointError`) is deterministic and
+        propagates at once.  Restarts are surfaced as ``run.restarts``
+        / ``run.retry_log`` and, when instrumented, as a ``restarts``
+        counter plus ``"restart"`` comm events on rank 0's record.
 
-        ``verify`` runs a shadow fit on the *opposite* kernel path and
-        compares the two searches under the kernel tolerance
-        (:mod:`repro.verify`): ``"trace"`` attaches the report as
-        ``run.conformance``, ``"strict"`` additionally raises
-        :class:`repro.verify.ConformanceError` on any divergence.
+        ``faults`` — a :class:`repro.mpc.faults.FaultInjector`,
+        parallel backends only — injects rank failures for testing;
+        injected faults are disarmed on restart (they model transient
+        node losses; a persistent fault would defeat any retry budget).
+
+        ``verify`` runs a *sequential* shadow fit over the same seeded
+        config and compares the two searches under the tolerance the
+        run pair resolves to (:mod:`repro.verify`): a parallel fit is
+        shadowed on the same kernel path (bitwise for a 1-rank world,
+        the reduction-order bound otherwise), a sequential fit on the
+        *opposite* kernel path.  ``"trace"`` attaches the report as
+        ``run.conformance``; ``"strict"`` additionally raises
+        :class:`repro.verify.ConformanceError` on any divergence, with
+        a first-divergence report (cycle, term, max abs/rel error).
 
         Any constructor-time option may be overridden per fit — by the
         bare keywords above, or wholesale with ``options=``.
@@ -720,79 +698,69 @@ class AutoClass:
         opts = _fit_options(
             self.options, options,
             checkpoint=checkpoint, checkpoint_dir=checkpoint_dir,
-            resume=resume, max_restarts=max_restarts, verify=verify,
+            resume=resume, max_restarts=max_restarts, faults=faults,
+            verify=verify,
         )
-        _check_sequential(opts)
-        config = _streamed_fallback_config(
-            self.config, db, self._init_method_defaulted
+        self._check_options(opts)
+        config = search_config_for(
+            self.config, seedable=not is_streamable(db),
+            init_defaulted=self._init_method_defaulted,
         )
-        check_verify(opts.verify, config)
-        check_streamed_verify(db, opts.verify)
+        check_verify(opts.verify, config, db)
         ckpt_spec = _resolve_checkpoint(
             opts.checkpoint, opts.checkpoint_dir, opts.resume
         )
         if opts.max_restarts and ckpt_spec is None:
             raise ValueError("max_restarts needs checkpointing enabled")
-
-        def attempt_fit(_attempt, ckpt):
-            search = functools.partial(
-                run_search, db, config, self.spec,
-                checkpointer=None if ckpt is None else ckpt.build(0),
-                kernels=opts.kernels,
-            )
-            if opts.instrument == "off":
-                return search(), None
-            rec = Recorder(level=opts.instrument)
-            with recording(rec):
-                result = search()
-            return result, build_run_record(
-                "sequential", 1, opts.instrument, [rec.to_rank_record()]
-            )
-
-        self._active_options = opts
-        try:
-            (result, record), retry_log = _with_restarts(
-                attempt_fit, ckpt_spec, opts.max_restarts, "fit"
-            )
-        finally:
-            self._active_options = None
-        run = Run(
-            result=result,
-            backend="sequential",
-            n_processors=1,
-            instrument=opts.instrument,
-            record=record,
-            restarts=len(retry_log),
-            retry_log=tuple(retry_log),
-            kernels=opts.kernels,
+        spec = self.spec or ModelSpec.default_for(
+            db.schema, DataSummary.from_database(db)
         )
-        _surface_restarts(run)
+        runner = BACKENDS[self.backend]
+
+        def attempt_fit(attempt, ckpt):
+            job = FitJob(
+                n_processors=self.n_processors, config=config, options=opts,
+                ckpt=ckpt, faults=opts.faults if attempt == 0 else None,
+            )
+            return runner(job, db, spec)
+
+        run, retry_log = _with_restarts(
+            attempt_fit, ckpt_spec, opts.max_restarts, f"{self.backend} fit"
+        )
+        if retry_log:
+            run = dc_replace(
+                run, restarts=len(retry_log), retry_log=tuple(retry_log)
+            )
+            _surface_restarts(run)
         if opts.verify != "off":
             # After the retry loop on purpose: a ConformanceError is a
             # *finding*, not a transient failure to restart through.
             run = _verified(
                 run, db, config=config, spec=self.spec,
-                kernels=opts.kernels, allreduce="recursive_doubling",
+                kernels=opts.kernels,
+                allreduce=(opts.collectives or CollectiveConfig()).allreduce,
                 verify=opts.verify,
             )
-        self.result_ = result
         self.run_ = run
         self._db = db
-        return self.run_
+        return run
 
-    @property
-    def best_(self) -> Classification:
-        """The best classification found by :meth:`fit`."""
-        if self.result_ is None:
-            raise NotFittedError("call fit() first")
-        return self.result_.best.classification
-
-    # -- inference (delegates to the Run's unified methods) ---------------
+    # -- results (everything delegates to the stored Run) -----------------
 
     def _fitted_run(self) -> Run:
         if self.run_ is None:
             raise NotFittedError("call fit() first")
         return self.run_
+
+    @property
+    def result_(self) -> SearchResult | None:
+        """The last fit's search result (``None`` before ``fit``)."""
+        return None if self.run_ is None else self.run_.result
+
+    @property
+    def best_(self) -> Classification:
+        """The best classification found by :meth:`fit`."""
+        return self._fitted_run().best.classification
 
     def predict(self, db: Database) -> np.ndarray:
         """Hard class assignment per item, ``(n_items,)`` int64."""
@@ -822,8 +790,7 @@ class AutoClass:
 
     def report(self) -> str:
         """AutoClass-style report of the best classification."""
-        if self._db is None:
-            raise NotFittedError("call fit() first")
+        best = self.best_
         if is_streamable(self._db):
             raise ValueError(
                 "the classification report recomputes full-database "
@@ -831,10 +798,53 @@ class AutoClass:
                 "ShardedDatabase; pass materialize()d data to fit() if "
                 "the report is needed"
             )
-        return classification_report(self._db, self.best_)
+        return classification_report(self._db, best)
 
 
-class PAutoClass:
+class AutoClass(_Estimator):
+    """Sequential AutoClass: Bayesian unsupervised classification.
+
+    Example::
+
+        from repro import AutoClass, make_paper_database
+        db = make_paper_database(5000, seed=0)
+        ac = AutoClass(start_j_list=(2, 4, 8), max_n_tries=3, seed=7)
+        run = ac.fit(db)
+        print(run.summary())
+        print(ac.report())
+        labels = ac.predict(db)
+
+    Pass ``instrument="phases"`` (timers only) or ``"full"`` (timers +
+    per-cycle telemetry) to collect an observability record; it is
+    available as ``run.record`` and rendered by ``run.report()``.
+
+    All fit-time options may also be passed as one validated
+    :class:`FitConfig` via ``options=`` (to the constructor or to
+    ``fit``); the bare keywords build the same object.  This is
+    :class:`PAutoClass` on the ``"sequential"`` backend — the parallel-
+    only options (``try_groups``, ``collectives``, ``faults``,
+    ``transport``) are rejected.
+    """
+
+    def __init__(
+        self,
+        spec: ModelSpec | None = None,
+        *,
+        options: FitConfig | None = None,
+        instrument: str = _UNSET,
+        kernels: str | None = _UNSET,
+        **config,
+    ) -> None:
+        super().__init__(
+            1, "sequential", spec,
+            _fit_options(
+                FitConfig(), options, instrument=instrument, kernels=kernels
+            ),
+            config,
+        )
+
+
+class PAutoClass(_Estimator):
     """P-AutoClass: the same classification, executed SPMD.
 
     Example::
@@ -875,201 +885,18 @@ class PAutoClass:
                 "instrument='full' (works on every backend and also "
                 "produces the sim timeline)"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend {backend!r} not in {tuple(BACKENDS)}"
-            )
-        if n_processors < 1:
-            raise ValueError(f"n_processors must be >= 1, got {n_processors}")
         # collectives keeps its historical positional slot; None means
         # unset so it composes with options= like the other keywords.
-        self.options = _fit_options(
-            FitConfig(),
-            options,
-            instrument=instrument,
-            kernels=kernels,
-            try_groups=try_groups,
-            transport=transport,
-            collectives=collectives if collectives is not None else _UNSET,
+        super().__init__(
+            n_processors, backend, spec,
+            _fit_options(
+                FitConfig(),
+                options,
+                instrument=instrument,
+                kernels=kernels,
+                try_groups=try_groups,
+                transport=transport,
+                collectives=collectives if collectives is not None else _UNSET,
+            ),
+            config,
         )
-        check_try_groups(self.options.try_groups, n_processors)
-        _check_transport(self.options.transport, backend)
-        self.n_processors = n_processors
-        self.backend = backend
-        self.spec = spec
-        self._init_method_defaulted = "init_method" not in config
-        self.config = SearchConfig(**config)
-        self.run_: Run | None = None
-        self._db: Database | None = None
-        #: Effective options of the fit in flight; backend runners read
-        #: instrument/kernels/try_groups/collectives off the model
-        #: because the runner signature is fixed, and the properties
-        #: below surface fit-time overrides to them.
-        self._active_options: FitConfig | None = None
-        #: Fit-time checkpoint/fault state for the current attempt.
-        self._ckpt_spec: CheckpointSpec | None = None
-        self._faults = None
-
-    @property
-    def instrument(self) -> str:
-        return (self._active_options or self.options).instrument
-
-    @property
-    def kernels(self) -> str | None:
-        return (self._active_options or self.options).kernels
-
-    @property
-    def try_groups(self) -> int | str | None:
-        return (self._active_options or self.options).try_groups
-
-    @property
-    def collectives(self) -> CollectiveConfig | None:
-        return (self._active_options or self.options).collectives
-
-    @property
-    def transport(self) -> str | None:
-        return (self._active_options or self.options).transport
-
-    def fit(
-        self,
-        db: Database,
-        *,
-        options: FitConfig | None = None,
-        checkpoint: str = _UNSET,
-        checkpoint_dir: str | Path | None = _UNSET,
-        resume: bool = _UNSET,
-        max_restarts: int = _UNSET,
-        faults=_UNSET,
-        verify: str = _UNSET,
-    ) -> Run:
-        """Run the SPMD search on the configured backend.
-
-        ``verify`` runs a *sequential* shadow fit over the same seeded
-        config and kernel path and compares the two searches under the
-        tolerance the run pair resolves to (:mod:`repro.verify`) —
-        bitwise for a 1-rank world, the reduction-order bound
-        otherwise.  ``"trace"`` attaches the report as
-        ``run.conformance``; ``"strict"`` additionally raises
-        :class:`repro.verify.ConformanceError` on any divergence, with
-        a first-divergence report (cycle, term, max abs/rel error).
-
-        ``checkpoint``/``checkpoint_dir`` enable the rank-0-writes /
-        all-ranks-restore checkpoint protocol (:mod:`repro.ckpt`);
-        ``max_restarts`` retries a failed world from the checkpoint with
-        exponential backoff.  ``faults`` — a
-        :class:`repro.mpc.faults.FaultInjector` — injects rank failures
-        for testing; injected faults are disarmed on restart (they model
-        transient node losses; a persistent fault would defeat any retry
-        budget).  Restart bookkeeping is surfaced as ``run.restarts`` /
-        ``run.retry_log`` and, when instrumented, as a ``restarts``
-        counter plus ``"restart"`` comm events on rank 0's record.
-
-        Any constructor-time option may be overridden per fit — by the
-        bare keywords above, or wholesale with ``options=``.
-        """
-        opts = _fit_options(
-            self.options, options,
-            checkpoint=checkpoint, checkpoint_dir=checkpoint_dir,
-            resume=resume, max_restarts=max_restarts, faults=faults,
-            verify=verify,
-        )
-        check_try_groups(opts.try_groups, self.n_processors)
-        _check_transport(opts.transport, self.backend)
-        config = _streamed_fallback_config(
-            self.config, db, self._init_method_defaulted
-        )
-        check_verify(opts.verify, config)
-        check_streamed_verify(db, opts.verify)
-        ckpt_spec = _resolve_checkpoint(
-            opts.checkpoint, opts.checkpoint_dir, opts.resume
-        )
-        if opts.max_restarts and ckpt_spec is None:
-            raise ValueError("max_restarts needs checkpointing enabled")
-        spec = self.spec or ModelSpec.default_for(
-            db.schema, DataSummary.from_database(db)
-        )
-        def attempt_fit(attempt, ckpt):
-            self._ckpt_spec = ckpt
-            self._faults = opts.faults if attempt == 0 else None
-            try:
-                return BACKENDS[self.backend](self, db, spec)
-            finally:
-                self._ckpt_spec = None
-                self._faults = None
-
-        self._active_options = opts
-        # Backend runners read the search config off the model; surface
-        # the streamed fallback to them for the duration of the fit.
-        saved_config, self.config = self.config, config
-        try:
-            run, retry_log = _with_restarts(
-                attempt_fit, ckpt_spec, opts.max_restarts, "SPMD fit"
-            )
-        finally:
-            self.config = saved_config
-            self._active_options = None
-        if retry_log:
-            run = dc_replace(
-                run, restarts=len(retry_log), retry_log=tuple(retry_log)
-            )
-            _surface_restarts(run)
-        if opts.verify != "off":
-            # After the retry loop on purpose: a ConformanceError is a
-            # *finding*, not a transient failure to restart through.
-            allreduce = (
-                opts.collectives.allreduce
-                if opts.collectives is not None
-                else CollectiveConfig().allreduce
-            )
-            run = _verified(
-                run, db, config=config, spec=self.spec,
-                kernels=opts.kernels, allreduce=allreduce,
-                verify=opts.verify,
-            )
-        self.run_ = run
-        self._db = db
-        return self.run_
-
-    @property
-    def best_(self) -> Classification:
-        if self.run_ is None:
-            raise NotFittedError("call fit() first")
-        return self.run_.result.best.classification
-
-    # -- inference (delegates to the Run's unified methods) ---------------
-
-    def _fitted_run(self) -> Run:
-        if self.run_ is None:
-            raise NotFittedError("call fit() first")
-        return self.run_
-
-    def predict(self, db: Database) -> np.ndarray:
-        """Hard class assignment per item, ``(n_items,)`` int64."""
-        return self._fitted_run().predict(db)
-
-    def predict_proba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` class membership probabilities."""
-        return self._fitted_run().predict_proba(db)
-
-    def predict_logproba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` log posterior membership."""
-        return self._fitted_run().predict_logproba(db)
-
-    def score(self, db: Database) -> float:
-        """Mean per-item log evidence (sklearn's mixture ``score``)."""
-        return self._fitted_run().score(db)
-
-    def fitted(self, db: Database | None = None, *, summary=None):
-        """Servable :class:`repro.serve.FittedModel` of the last fit.
-
-        Defaults to the training database the model was fitted on.
-        """
-        run = self._fitted_run()
-        if db is None and summary is None:
-            db = self._db
-        return run.fitted(db, summary=summary)
-
-    def report(self) -> str:
-        if self._db is None:
-            raise NotFittedError("call fit() first")
-        return classification_report(self._db, self.best_)

@@ -42,10 +42,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.engine.classification import Classification, Scores
-from repro.engine.results_io import _decode_params, _encode_params
+from repro.engine.classification import Classification
+from repro.engine.results_io import decode_classification, encode_classification
 from repro.engine.search import SearchConfig, SearchResult, TryResult
 from repro.models.registry import ModelSpec
 
@@ -103,65 +101,6 @@ def checkpoint_key(
 
 
 # ---------------------------------------------------------------------------
-# classification state (lean: validated against the live spec on load)
-
-def _clf_to_dict(clf: Classification) -> dict:
-    payload: dict = {
-        "n_classes": clf.n_classes,
-        "log_pi": clf.log_pi.tolist(),
-        "term_params": [
-            {"model": term.spec_name, "params": _encode_params(params)}
-            for term, params in zip(clf.spec.terms, clf.term_params)
-        ],
-        "n_cycles": clf.n_cycles,
-    }
-    if clf.scores is not None:
-        payload["scores"] = {
-            "log_marginal_cs": clf.scores.log_marginal_cs,
-            "log_lik_obs": clf.scores.log_lik_obs,
-            "log_map_objective": clf.scores.log_map_objective,
-            "w_j": clf.scores.w_j.tolist(),
-            "n_items": clf.scores.n_items,
-        }
-    return payload
-
-
-def _clf_from_dict(data: dict, spec: ModelSpec) -> Classification:
-    entries = data["term_params"]
-    if len(entries) != spec.n_terms:
-        raise CheckpointError(
-            f"checkpoint has {len(entries)} term-parameter blocks for a "
-            f"{spec.n_terms}-term model"
-        )
-    term_params = []
-    for term, entry in zip(spec.terms, entries):
-        if entry["model"] != term.spec_name:
-            raise CheckpointError(
-                f"term model mismatch: live spec says {term.spec_name!r}, "
-                f"checkpoint says {entry['model']!r}"
-            )
-        term_params.append(_decode_params(entry["model"], entry["params"]))
-    scores = None
-    if "scores" in data:
-        s = data["scores"]
-        scores = Scores(
-            log_marginal_cs=s["log_marginal_cs"],
-            log_lik_obs=s["log_lik_obs"],
-            log_map_objective=s["log_map_objective"],
-            w_j=np.asarray(s["w_j"], dtype=np.float64),
-            n_items=s["n_items"],
-        )
-    return Classification(
-        spec=spec,
-        n_classes=data["n_classes"],
-        log_pi=np.asarray(data["log_pi"], dtype=np.float64),
-        term_params=tuple(term_params),
-        scores=scores,
-        n_cycles=data["n_cycles"],
-    )
-
-
-# ---------------------------------------------------------------------------
 # search state
 
 @dataclass
@@ -201,7 +140,7 @@ def _try_to_dict(t: TryResult) -> dict:
         "converged": t.converged,
         "n_cycles": t.n_cycles,
         "duplicate_of": t.duplicate_of,
-        "classification": _clf_to_dict(t.classification),
+        "classification": encode_classification(t.classification),
     }
 
 
@@ -209,7 +148,9 @@ def _try_from_dict(entry: dict, spec: ModelSpec) -> TryResult:
     return TryResult(
         try_index=entry["try_index"],
         n_classes_requested=entry["n_classes_requested"],
-        classification=_clf_from_dict(entry["classification"], spec),
+        classification=decode_classification(
+            entry["classification"], spec, CheckpointError
+        ),
         converged=entry["converged"],
         n_cycles=entry["n_cycles"],
         duplicate_of=entry["duplicate_of"],
@@ -220,7 +161,7 @@ def _in_progress_to_dict(ip: InProgressTry) -> dict:
     return {
         "try_index": ip.try_index,
         "n_classes_requested": ip.n_classes_requested,
-        "classification": _clf_to_dict(ip.classification),
+        "classification": encode_classification(ip.classification),
         "checker_history": list(ip.checker_history),
     }
 
@@ -229,7 +170,9 @@ def _in_progress_from_dict(entry: dict, spec: ModelSpec) -> InProgressTry:
     return InProgressTry(
         try_index=entry["try_index"],
         n_classes_requested=entry["n_classes_requested"],
-        classification=_clf_from_dict(entry["classification"], spec),
+        classification=decode_classification(
+            entry["classification"], spec, CheckpointError
+        ),
         checker_history=[float(x) for x in entry["checker_history"]],
     )
 

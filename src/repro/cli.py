@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run`` — classify a ``.hd2``/``.db2`` database (or a synthetic one)
-  sequentially or on a parallel backend, and print the report;
+  on any registered backend (``sequential`` by default), and print the
+  report;
 * ``predict`` — classify a database with a previously stored fitted
   model artifact or results file (no refitting);
 * ``experiments`` — regenerate the paper's figures/claims;
@@ -24,11 +25,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import BACKENDS, AutoClass, PAutoClass
+from repro.api import BACKENDS, PAutoClass
 from repro.ckpt.manager import CHECKPOINT_POLICIES
 from repro.obs.recorder import INSTRUMENT_LEVELS
 from repro.data.io import load_database, save_database
 from repro.data.synth import make_paper_database
+from repro.harness import EXPERIMENTS, ExperimentScale, run_experiment
 
 
 def _parse_j_list(text: str) -> tuple[int, ...]:
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-cycles", type=int, default=200)
     p_run.add_argument(
-        "--backend", choices=("sequential", *BACKENDS), default="sequential"
+        "--backend", choices=tuple(BACKENDS), default="sequential"
     )
     p_run.add_argument("--procs", type=int, default=4,
                        help="processors for parallel backends (default 4)")
@@ -149,13 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments", help="regenerate paper results")
     p_exp.add_argument(
-        "--which",
-        choices=(
-            "fig6", "fig7", "fig8", "t1", "t2",
-            "a1", "a2", "a3", "a4", "a5", "b1", "obs", "fault", "split",
-            "serve", "all",
-        ),
-        default="all",
+        "--which", choices=(*EXPERIMENTS, "all"), default="all",
+        help="; ".join(f"{k}: {e.title}" for k, e in EXPERIMENTS.items()),
     )
     p_exp.add_argument("--scale", type=float, default=None,
                        help="workload scale factor (default from env or 0.04)")
@@ -219,71 +216,55 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"--checkpoint {args.checkpoint} needs --checkpoint-dir")
     if args.transport is not None and args.backend != "processes":
         raise SystemExit("--transport needs --backend processes")
-    if args.backend == "sequential":
-        if args.try_groups is not None:
-            raise SystemExit("--try-groups needs a parallel --backend")
-        if args.model_search:
-            if args.checkpoint_dir or args.checkpoint != "off":
-                raise SystemExit(
-                    "--model-search does not support checkpointing yet"
-                )
-            from repro.engine.modelsearch import run_model_search
-            from repro.engine.search import SearchConfig
-
-            ms = run_model_search(db, SearchConfig(**config))
-            print(ms.summary())
-            print()
-            result = ms.best.search
-            print(result.summary())
-            if args.save_results:
-                _save(result, db, args.save_results)
-            return 0
-        ac = AutoClass(instrument=instrument, **config)
-        run = ac.fit(db, **fit_options)
-        print(run.summary())
-        if run.conformance is not None:
-            print()
-            print(run.conformance.render())
-        print()
-        print(ac.report())
-        _emit_obs(run, args.obs_out)
-        if args.report_out:
-            _write_rlog(db, run.result, args.report_out)
-        if args.save_results:
-            _save(run.result, db, args.save_results)
-        if args.save_model:
-            _save_model(run, db, args.save_model)
-    else:
-        procs = 1 if args.backend == "serial" else args.procs
-        pac = PAutoClass(
-            n_processors=procs, backend=args.backend, instrument=instrument,
-            try_groups=args.try_groups, transport=args.transport,
-            **config,
-        )
-        run = pac.fit(db, **fit_options)
-        print(run.summary())
-        if run.conformance is not None:
-            print()
-            print(run.conformance.render())
-        print()
-        print(pac.report())
-        if run.restarts:
-            print(f"\ncompleted after {run.restarts} checkpointed restart(s)")
-        if run.sim_elapsed is not None:
-            print(
-                f"\nsimulated elapsed on {run.n_processors}-processor CS-2: "
-                f"{run.sim_elapsed:.3f} s"
+    sequential = args.backend == "sequential"
+    if args.try_groups is not None and sequential:
+        raise SystemExit("--try-groups needs a parallel --backend")
+    if args.model_search and sequential:
+        if args.checkpoint_dir or args.checkpoint != "off":
+            raise SystemExit(
+                "--model-search does not support checkpointing yet"
             )
-        if run.timeline is not None:
-            print()
-            print(run.timeline)
-        _emit_obs(run, args.obs_out)
-        if args.report_out:
-            _write_rlog(db, run.result, args.report_out)
+        from repro.engine.modelsearch import run_model_search
+        from repro.engine.search import SearchConfig
+
+        ms = run_model_search(db, SearchConfig(**config))
+        print(ms.summary())
+        print()
+        result = ms.best.search
+        print(result.summary())
         if args.save_results:
-            _save(run.result, db, args.save_results)
-        if args.save_model:
-            _save_model(run, db, args.save_model)
+            _save(result, db, args.save_results)
+        return 0
+    est = PAutoClass(
+        n_processors=1 if args.backend in ("sequential", "serial") else args.procs,
+        backend=args.backend, instrument=instrument,
+        try_groups=args.try_groups, transport=args.transport,
+        **config,
+    )
+    run = est.fit(db, **fit_options)
+    print(run.summary())
+    if run.conformance is not None:
+        print()
+        print(run.conformance.render())
+    print()
+    print(est.report())
+    if run.restarts:
+        print(f"\ncompleted after {run.restarts} checkpointed restart(s)")
+    if run.sim_elapsed is not None:
+        print(
+            f"\nsimulated elapsed on {run.n_processors}-processor CS-2: "
+            f"{run.sim_elapsed:.3f} s"
+        )
+    if run.timeline is not None:
+        print()
+        print(run.timeline)
+    _emit_obs(run, args.obs_out)
+    if args.report_out:
+        _write_rlog(db, run.result, args.report_out)
+    if args.save_results:
+        _save(run.result, db, args.save_results)
+    if args.save_model:
+        _save_model(run, db, args.save_model)
     return 0
 
 
@@ -321,62 +302,11 @@ def _save(result, db, path: str) -> None:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness import (
-        ExperimentScale,
-        ablation_collectives,
-        ablation_comm_share,
-        ablation_granularity,
-        ablation_topology,
-        ablation_variants,
-        baseline_kmeans_comparison,
-        fault_recovery_demo,
-        fig6_elapsed,
-        split_group_scaling,
-        fig7_speedup,
-        fig8_scaleup,
-        obs_phase_breakdown,
-        serve_throughput_demo,
-        t1_profile,
-        t2_linear_sequential,
-    )
-
     scale = (
         ExperimentScale(args.scale) if args.scale else ExperimentScale.from_env()
     )
-    which = args.which
-    fig6 = None
-    if which in ("fig6", "fig7", "t2", "all"):
-        fig6 = fig6_elapsed(scale)
-    if which in ("fig6", "all"):
-        print(fig6.render(), end="\n\n")
-    if which in ("fig7", "all"):
-        print(fig7_speedup(fig6=fig6).render(), end="\n\n")
-    if which in ("fig8", "all"):
-        print(fig8_scaleup(scale).render(), end="\n\n")
-    if which in ("t1", "all"):
-        print(t1_profile().render(), end="\n\n")
-    if which in ("t2", "all"):
-        print(t2_linear_sequential(scale, fig6=fig6).render(), end="\n\n")
-    if which in ("a1", "all"):
-        print(ablation_variants().render(), end="\n\n")
-    if which in ("a2", "all"):
-        print(ablation_collectives().render(), end="\n\n")
-    if which in ("a3", "all"):
-        print(ablation_comm_share().render(), end="\n\n")
-    if which in ("a4", "all"):
-        print(ablation_granularity().render(), end="\n\n")
-    if which in ("a5", "all"):
-        print(ablation_topology().render(), end="\n\n")
-    if which in ("b1", "all"):
-        print(baseline_kmeans_comparison().render(), end="\n\n")
-    if which in ("obs", "all"):
-        print(obs_phase_breakdown(scale).render(), end="\n\n")
-    if which in ("fault", "all"):
-        print(fault_recovery_demo(scale).render(), end="\n\n")
-    if which in ("split", "all"):
-        print(split_group_scaling(scale).render(), end="\n\n")
-    if which in ("serve", "all"):
-        print(serve_throughput_demo(scale).render(), end="\n\n")
+    for key in EXPERIMENTS if args.which == "all" else (args.which,):
+        print(run_experiment(key, scale).render(), end="\n\n")
     return 0
 
 

@@ -122,15 +122,15 @@ def _decode_params(spec_name: str, data: dict) -> TermParams:
 # ---------------------------------------------------------------------------
 # classification
 
-def classification_to_dict(
-    clf: Classification, summary: DataSummary
-) -> dict:
-    """Encode a classification (with its prior anchors) as plain data."""
+def encode_classification(clf: Classification) -> dict:
+    """The spec-relative body of a classification: parameters + scores.
+
+    Shared by the results file (which prefixes schema, prior anchors
+    and model form, so it loads with no database) and the checkpoint
+    (which stores the body alone and validates it against the live
+    spec) — one codec, so the two formats cannot drift.
+    """
     payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "schema": _encode_schema(clf.spec.schema),
-        "summary_moments": _summary_moments(summary).tolist(),
-        "spec": _encode_spec(clf.spec),
         "n_classes": clf.n_classes,
         "log_pi": clf.log_pi.tolist(),
         "term_params": [
@@ -148,6 +148,61 @@ def classification_to_dict(
             "n_items": clf.scores.n_items,
         }
     return payload
+
+
+def decode_classification(
+    data: dict, spec: ModelSpec, error: type[Exception] = ResultsFormatError
+) -> Classification:
+    """Rebuild a classification body against ``spec``.
+
+    A body whose term blocks do not match the spec's terms raises
+    ``error`` — each file format keeps its own exception type.
+    """
+    entries = data["term_params"]
+    if len(entries) != spec.n_terms:
+        raise error(
+            f"{len(entries)} term-parameter blocks for a "
+            f"{spec.n_terms}-term model"
+        )
+    term_params = []
+    for term, entry in zip(spec.terms, entries):
+        if entry["model"] != term.spec_name:
+            raise error(
+                f"term model mismatch: spec says {term.spec_name!r}, "
+                f"file says {entry['model']!r}"
+            )
+        term_params.append(_decode_params(entry["model"], entry["params"]))
+    scores = None
+    if "scores" in data:
+        s = data["scores"]
+        scores = Scores(
+            log_marginal_cs=s["log_marginal_cs"],
+            log_lik_obs=s["log_lik_obs"],
+            log_map_objective=s["log_map_objective"],
+            w_j=np.asarray(s["w_j"], dtype=np.float64),
+            n_items=s["n_items"],
+        )
+    return Classification(
+        spec=spec,
+        n_classes=data["n_classes"],
+        log_pi=np.asarray(data["log_pi"], dtype=np.float64),
+        term_params=tuple(term_params),
+        scores=scores,
+        n_cycles=data["n_cycles"],
+    )
+
+
+def classification_to_dict(
+    clf: Classification, summary: DataSummary
+) -> dict:
+    """Encode a classification (with its prior anchors) as plain data."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "schema": _encode_schema(clf.spec.schema),
+        "summary_moments": _summary_moments(summary).tolist(),
+        "spec": _encode_spec(clf.spec),
+        **encode_classification(clf),
+    }
 
 
 def _summary_moments(summary: DataSummary) -> np.ndarray:
@@ -179,33 +234,7 @@ def classification_from_dict(payload: dict) -> tuple[Classification, DataSummary
         schema, np.asarray(payload["summary_moments"], dtype=np.float64)
     )
     spec = parse_model_spec("\n".join(payload["spec"]), schema, summary)
-    term_params = []
-    for term, entry in zip(spec.terms, payload["term_params"]):
-        if entry["model"] != term.spec_name:
-            raise ResultsFormatError(
-                f"term model mismatch: spec says {term.spec_name!r}, "
-                f"params say {entry['model']!r}"
-            )
-        term_params.append(_decode_params(entry["model"], entry["params"]))
-    scores = None
-    if "scores" in payload:
-        s = payload["scores"]
-        scores = Scores(
-            log_marginal_cs=s["log_marginal_cs"],
-            log_lik_obs=s["log_lik_obs"],
-            log_map_objective=s["log_map_objective"],
-            w_j=np.asarray(s["w_j"], dtype=np.float64),
-            n_items=s["n_items"],
-        )
-    clf = Classification(
-        spec=spec,
-        n_classes=payload["n_classes"],
-        log_pi=np.asarray(payload["log_pi"], dtype=np.float64),
-        term_params=tuple(term_params),
-        scores=scores,
-        n_cycles=payload["n_cycles"],
-    )
-    return clf, summary
+    return decode_classification(payload, spec), summary
 
 
 def save_classification(

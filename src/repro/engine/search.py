@@ -103,6 +103,28 @@ class SearchConfig:
         return int(rng.choice(np.asarray(self.start_j_list)))
 
 
+def search_config_for(
+    config: SearchConfig | None,
+    *,
+    seedable: bool,
+    init_defaulted: bool = False,
+) -> SearchConfig:
+    """``config`` with the initializer default resolved against the data.
+
+    ``"seeded"`` — the default — needs the whole database in memory on
+    every rank.  Where it is not (``seedable=False``: streamed shards,
+    rank-partitioned input) and the caller never chose an initializer
+    (no config at all, or ``init_defaulted``), fall back to AutoClass's
+    random-assignment start, ``"sharp"``.  An *explicit*
+    ``init_method="seeded"`` is kept and fails loudly downstream.
+    """
+    if config is None:
+        config, init_defaulted = SearchConfig(), True
+    if seedable or not init_defaulted or config.init_method != "seeded":
+        return config
+    return dataclasses.replace(config, init_method="sharp")
+
+
 @dataclass(frozen=True)
 class TryResult:
     """Outcome of one classification try."""
@@ -348,10 +370,7 @@ def run_search(
     resume against different data is refused.
     """
     streamed = is_streamable(db)
-    if config is None:
-        # Streamed data cannot use the seeded default (it needs global
-        # distances) — same fallback run_pautoclass_partitioned uses.
-        config = SearchConfig(init_method="sharp") if streamed else SearchConfig()
+    config = search_config_for(config, seedable=not streamed)
     if spec is None:
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
     if make_reducer is None:

@@ -6,6 +6,11 @@ is also reproducible interactively::
 
     from repro.harness import fig7_speedup, ExperimentScale
     print(fig7_speedup(ExperimentScale(0.1)).render())
+
+The experiment functions exported here are exactly the runners of the
+:data:`EXPERIMENTS` registry (``fig6_elapsed``, ``fig7_speedup``, ... —
+see :mod:`repro.harness.runner`), which is also what
+``pautoclass experiments --which`` chooses from.
 """
 
 from repro.harness.experiments import (
@@ -14,42 +19,16 @@ from repro.harness.experiments import (
     PAPER_START_J_LIST,
     ExperimentScale,
 )
-from repro.harness.runner import (
-    ablation_collectives,
-    ablation_comm_share,
-    ablation_granularity,
-    ablation_topology,
-    ablation_variants,
-    baseline_kmeans_comparison,
-    fault_recovery_demo,
-    fig6_elapsed,
-    fig7_speedup,
-    fig8_scaleup,
-    obs_phase_breakdown,
-    serve_throughput_demo,
-    split_group_scaling,
-    t1_profile,
-    t2_linear_sequential,
-)
+from repro.harness.runner import EXPERIMENTS, run_experiment
+
+globals().update({exp.fn.__name__: exp.fn for exp in EXPERIMENTS.values()})
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentScale",
     "PAPER_PROCS",
     "PAPER_SIZES",
     "PAPER_START_J_LIST",
-    "ablation_collectives",
-    "ablation_comm_share",
-    "ablation_granularity",
-    "ablation_topology",
-    "ablation_variants",
-    "baseline_kmeans_comparison",
-    "fault_recovery_demo",
-    "fig6_elapsed",
-    "fig7_speedup",
-    "fig8_scaleup",
-    "obs_phase_breakdown",
-    "serve_throughput_demo",
-    "split_group_scaling",
-    "t1_profile",
-    "t2_linear_sequential",
+    "run_experiment",
+    *sorted(exp.fn.__name__ for exp in EXPERIMENTS.values()),
 ]

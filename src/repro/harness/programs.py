@@ -78,7 +78,9 @@ def fixed_cycles_program(
 ):
     """One try per ``j_list`` entry, each a fixed number of cycles.
 
-    The workload of every figure experiment: the library's own
+    The workload of every figure experiment (Figs. 6/7 run it over the
+    whole J list; EXP-A1/A3/A5 pick the ``variant``, EXP-A4 the
+    ``granularity``, of a single J): the library's own
     initializer and EM cycle over this rank's block, with the reducer
     the experiment asks for — the paper's ``granularity`` by default, or
     the ``"wts_only"`` :class:`CentralMStepReducer`.  ``marks``, if
@@ -112,11 +114,6 @@ def fixed_cycles_program(
     return score
 
 
-def classification_program(comm, db, j_list, n_cycles, seed):
-    """Fixed-cycle classification pass over ``j_list`` (Figs. 6/7 workload)."""
-    return fixed_cycles_program(comm, db, j_list, n_cycles, seed)
-
-
 def scaleup_program(comm, db, n_classes, n_measure, seed):
     """One warm-up + ``n_measure`` timed cycles (Fig. 8 workload).
 
@@ -128,20 +125,6 @@ def scaleup_program(comm, db, n_classes, n_measure, seed):
         comm, db, (n_classes,), 1 + n_measure, seed, marks=marks
     )
     return marks
-
-
-def variant_program(comm, db, n_classes, n_cycles, seed, variant):
-    """EXP-A1 workload: run one variant for a fixed number of cycles."""
-    return fixed_cycles_program(
-        comm, db, (n_classes,), n_cycles, seed, variant=variant
-    )
-
-
-def granularity_program(comm, db, n_classes, n_cycles, seed, granularity):
-    """EXP-A4 workload: packed vs per-term-class parameter reduction."""
-    return fixed_cycles_program(
-        comm, db, (n_classes,), n_cycles, seed, granularity=granularity
-    )
 
 
 def allreduce_program(comm, nbytes, n_rounds):

@@ -16,11 +16,17 @@ All figure experiments accept ``mode``:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.api import AutoClass, PAutoClass
 from repro.data.synth import make_paper_database
 from repro.engine.classification import Classification
 from repro.engine.cycle import base_cycle
@@ -29,18 +35,20 @@ from repro.engine.search import PAPER_START_J_LIST
 from repro.harness.experiments import ExperimentScale
 from repro.harness.programs import (
     allreduce_program,
-    classification_program,
-    granularity_program,
+    fixed_cycles_program,
+    kmeans_program,
     scaleup_program,
-    variant_program,
 )
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import CollectiveConfig
-from repro.simnet.calibration import calibrate_cpu_scale
+from repro.mpc.faults import FaultInjector, FaultSpec
+from repro.serve import Scorer, ScorerConfig
+from repro.simnet.calibration import calibrated_machine
 from repro.simnet.costmodel import CostModel
-from repro.simnet.machine import MachineSpec, meiko_cs2
+from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import SimRunResult, run_spmd_sim
+from repro.simnet.topology import Crossbar, FatTree, Hypercube, Mesh2D, Ring
 from repro.util.rng import SeedSequenceStream
 from repro.util.tables import format_series, format_table
 from repro.util.timefmt import format_hms
@@ -48,36 +56,41 @@ from repro.util.timefmt import format_hms
 MODES = ("counted", "measured")
 
 
-def calibrated_machine(n_procs: int, comm_scale: float = 1.0) -> MachineSpec:
-    """The simulated CS-2 with the host-calibrated CPU scale.
+def _check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"mode {mode!r} not in {MODES}")
+    return mode
 
-    ``comm_scale`` shrinks the latency constants in lock-step with a
-    scaled-down workload (see :func:`repro.simnet.machine.meiko_cs2`).
-    """
-    return meiko_cs2(
-        n_procs, cpu_scale=calibrate_cpu_scale(), comm_scale=comm_scale
+
+def _run_fixed_cycles(
+    db, machine, j_list, n_cycles: int, seed: int, mode: str, **program_kw
+) -> SimRunResult:
+    """``fixed_cycles_program`` on every processor of ``machine``."""
+    return run_spmd_sim(
+        fixed_cycles_program, machine.n_processors, machine, db, j_list,
+        n_cycles, seed, compute_mode=_check_mode(mode), **program_kw,
     )
 
 
-def _compute_mode(mode: str) -> str:
-    """Map an experiment mode onto a simworld compute mode."""
-    if mode not in MODES:
-        raise ValueError(f"mode {mode!r} not in {MODES}")
-    return "counted" if mode == "counted" else "measured"
+def _seconds_per_cycle(
+    db, machine, n_classes: int, n_measure: int, seed: int, mode: str
+) -> float:
+    """Mean virtual seconds per measured cycle of ``scaleup_program``."""
+    run = run_spmd_sim(
+        scaleup_program, machine.n_processors, machine, db, n_classes,
+        n_measure, seed, compute_mode=_check_mode(mode),
+    )
+    # Global cycle boundary = slowest rank at each mark.
+    marks = np.max(np.array(run.results), axis=0)
+    return float(np.diff(marks).mean())
 
 
 def _run_classification_sim(
     db, n_procs: int, scale: ExperimentScale, rep: int, mode: str
 ) -> SimRunResult:
-    return run_spmd_sim(
-        classification_program,
-        n_procs,
-        calibrated_machine(n_procs, comm_scale=scale.factor),
-        db,
-        scale.start_j_list,
-        scale.cycles_per_try,
-        scale.seed + rep,
-        compute_mode=_compute_mode(mode),
+    return _run_fixed_cycles(
+        db, calibrated_machine(n_procs, comm_scale=scale.factor),
+        scale.start_j_list, scale.cycles_per_try, scale.seed + rep, mode,
     )
 
 
@@ -240,21 +253,12 @@ def fig8_scaleup(
         for p in scale.procs:
             db = make_paper_database(per_proc * p, seed=scale.seed)
             machine = calibrated_machine(p, comm_scale=scale.factor)
-            reps = []
-            for rep in range(scale.n_reps):
-                run = run_spmd_sim(
-                    scaleup_program,
-                    p,
-                    machine,
-                    db,
-                    j,
-                    n_measure,
-                    scale.seed + rep,
-                    compute_mode=_compute_mode(mode),
+            reps = [
+                _seconds_per_cycle(
+                    db, machine, j, n_measure, scale.seed + rep, mode
                 )
-                # Global cycle boundary = slowest rank at each mark.
-                marks = np.max(np.array(run.results), axis=0)
-                reps.append(float(np.diff(marks).mean()))
+                for rep in range(scale.n_reps)
+            ]
             result.seconds_per_cycle[(j, p)] = float(np.mean(reps))
     return result
 
@@ -453,16 +457,9 @@ def ablation_variants(
     for p in procs:
         machine = calibrated_machine(p, comm_scale=comm_scale)
         for variant, acc in out.items():
-            run = run_spmd_sim(
-                variant_program,
-                p,
-                machine,
-                db,
-                n_classes,
-                n_cycles,
-                seed,
-                variant,
-                compute_mode=_compute_mode(mode),
+            run = _run_fixed_cycles(
+                db, machine, (n_classes,), n_cycles, seed, mode,
+                variant=variant,
             )
             acc.append(run.elapsed)
     return A1Result(
@@ -581,16 +578,9 @@ def ablation_comm_share(
     db = make_paper_database(n_items, seed=seed)
     fractions, bytes_per = [], []
     for p in procs:
-        run = run_spmd_sim(
-            variant_program,
-            p,
-            calibrated_machine(p, comm_scale=comm_scale),
-            db,
-            n_classes,
-            n_cycles,
-            seed,
-            "pautoclass",
-            compute_mode=_compute_mode(mode),
+        run = _run_fixed_cycles(
+            db, calibrated_machine(p, comm_scale=comm_scale), (n_classes,),
+            n_cycles, seed, mode,
         )
         fractions.append(run.comm_fraction)
         # +1 cycle: the init's combined Allreduce.
@@ -657,16 +647,9 @@ def ablation_granularity(
     for p in procs:
         machine = calibrated_machine(p, comm_scale=comm_scale)
         for granularity, acc in out.items():
-            run = run_spmd_sim(
-                granularity_program,
-                p,
-                machine,
-                db,
-                n_classes,
-                n_cycles,
-                seed,
-                granularity,
-                compute_mode=_compute_mode(mode),
+            run = _run_fixed_cycles(
+                db, machine, (n_classes,), n_cycles, seed, mode,
+                granularity=granularity,
             )
             acc.append(run.elapsed)
     return A4Result(
@@ -742,11 +725,6 @@ def ablation_topology(
     'portable to various MIMD machines' claim; with raw hardware
     latencies the spread is the classic topology story.
     """
-    from repro.harness.programs import variant_program as _prog
-    from repro.simnet.topology import Crossbar, FatTree, Hypercube, Mesh2D, Ring
-
-    import dataclasses
-
     db = make_paper_database(n_items, seed=seed)
     topologies = {
         "fat_tree": FatTree(n_procs, arity=4),
@@ -770,16 +748,8 @@ def ablation_topology(
     for regime_name, machine0 in regimes.items():
         for name, topo in topologies.items():
             machine = machine0.with_topology(topo)
-            run = run_spmd_sim(
-                _prog,
-                n_procs,
-                machine,
-                db,
-                n_classes,
-                n_cycles,
-                seed,
-                "pautoclass",
-                compute_mode=_compute_mode(mode),
+            run = _run_fixed_cycles(
+                db, machine, (n_classes,), n_cycles, seed, mode
             )
             elapsed[(regime_name, name)] = run.elapsed
     return A5Result(
@@ -852,8 +822,6 @@ def baseline_kmeans_comparison(
     P-AutoClass's heavier compute is exactly why the paper's approach
     scales: there is more work to amortize each Allreduce over.
     """
-    from repro.harness.programs import kmeans_program, scaleup_program
-
     db = make_paper_database(n_items, seed=seed)
     km_times, pa_times = [], []
     for p in procs:
@@ -866,21 +834,12 @@ def baseline_kmeans_comparison(
             n_clusters,
             n_measure,
             seed,
-            compute_mode=_compute_mode(mode),
+            compute_mode=_check_mode(mode),
         )
         km_times.append(float(np.max(km.results)))
-        pa = run_spmd_sim(
-            scaleup_program,
-            p,
-            machine,
-            db,
-            n_clusters,
-            n_measure,
-            seed,
-            compute_mode=_compute_mode(mode),
+        pa_times.append(
+            _seconds_per_cycle(db, machine, n_clusters, n_measure, seed, mode)
         )
-        marks = np.max(np.array(pa.results), axis=0)
-        pa_times.append(float(np.diff(marks).mean()))
     return B1Result(
         n_items=n_items,
         n_clusters=n_clusters,
@@ -926,8 +885,6 @@ def obs_phase_breakdown(
     breakdown from the merged :class:`~repro.obs.record.RunRecord` —
     the same report the ``sim`` backend produces in virtual seconds.
     """
-    from repro.api import PAutoClass
-
     scale = scale or ExperimentScale.from_env()
     n_items = max(400, scale.sizes[0])
     db = make_paper_database(n_items, seed=scale.seed)
@@ -1000,11 +957,6 @@ def fault_recovery_demo(
     classification — the paper's deterministic replicated control flow
     is what makes that possible.
     """
-    import tempfile
-
-    from repro.api import PAutoClass
-    from repro.mpc.faults import FaultInjector, FaultSpec
-
     scale = scale or ExperimentScale.from_env()
     n_items = max(300, scale.sizes[0] // 2)
     db = make_paper_database(n_items, seed=scale.seed)
@@ -1101,8 +1053,6 @@ def split_group_scaling(
     the tries' cycle times overlap instead of serializing — the
     elapsed-time win the two-level scheme exists for.
     """
-    from repro.api import PAutoClass
-
     scale = scale or ExperimentScale.from_env()
     n_items = max(240, scale.sizes[0] // 4)
     db = make_paper_database(n_items, seed=scale.seed)
@@ -1202,9 +1152,6 @@ def serve_throughput_demo(
     start so the measurement is the steady-state backlog case — the
     regime micro-batching exists for.
     """
-    from repro.api import AutoClass
-    from repro.serve import Scorer, ScorerConfig
-
     scale = scale or ExperimentScale.from_env()
     n_train = max(400, scale.sizes[0])
     db = make_paper_database(n_train, seed=scale.seed)
@@ -1247,3 +1194,61 @@ def serve_throughput_demo(
         batched_elapsed_s=batched_elapsed,
         mean_batch_items=mean_batch,
     )
+
+
+# ---------------------------------------------------------------------------
+# The experiment registry: what ``pautoclass experiments --which KEY`` runs,
+# and the names :mod:`repro.harness` exports.
+
+class Experiment(NamedTuple):
+    """One registered experiment."""
+
+    title: str
+    #: The public runner; its result has a ``render()``.
+    fn: Callable
+    #: Which shared inputs ``fn`` is handed: ``"scale"``, ``"fig6"``.
+    takes: tuple[str, ...] = ()
+
+
+#: key -> experiment, in the order ``--which all`` prints them.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig6": Experiment("elapsed time vs processors", fig6_elapsed, ("scale",)),
+    "fig7": Experiment("speedup vs processors", fig7_speedup, ("fig6",)),
+    "fig8": Experiment("scaleup at fixed load", fig8_scaleup, ("scale",)),
+    "t1": Experiment("sequential time profile", t1_profile),
+    "t2": Experiment(
+        "sequential time vs size", t2_linear_sequential, ("scale", "fig6")),
+    "a1": Experiment("P-AutoClass vs wts-only parallelism", ablation_variants),
+    "a2": Experiment("Allreduce algorithms", ablation_collectives),
+    "a3": Experiment("communication share", ablation_comm_share),
+    "a4": Experiment("reduction granularity", ablation_granularity),
+    "a5": Experiment("interconnect topologies", ablation_topology),
+    "b1": Experiment("parallel k-means baseline", baseline_kmeans_comparison),
+    "obs": Experiment("phase breakdown", obs_phase_breakdown, ("scale",)),
+    "fault": Experiment("recovery of a lost rank", fault_recovery_demo, ("scale",)),
+    "split": Experiment("try-parallel search", split_group_scaling, ("scale",)),
+    "serve": Experiment("micro-batched scoring", serve_throughput_demo, ("scale",)),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _fig6_sweep(scale: ExperimentScale) -> Fig6Result:
+    return fig6_elapsed(scale)
+
+
+def run_experiment(key: str, scale: ExperimentScale):
+    """Run one registered experiment at ``scale``.
+
+    The Fig. 6 sweep is memoised on the (frozen) scale: ``fig7`` and
+    ``t2`` are derived from the same measurements ``fig6`` prints, so
+    one invocation that shows several of them sweeps once.
+    """
+    if key == "fig6":
+        return _fig6_sweep(scale)
+    exp = EXPERIMENTS[key]
+    kwargs = {}
+    if "scale" in exp.takes:
+        kwargs["scale"] = scale
+    if "fig6" in exp.takes:
+        kwargs["fig6"] = _fig6_sweep(scale)
+    return exp.fn(**kwargs)

@@ -7,11 +7,11 @@ One entry point serves all four backends:
   clock (``comm.wtime`` — wall seconds on real worlds, *virtual machine
   seconds* on the simulated CS-2, so the same schema covers both);
 * :func:`recorded_pautoclass` is the module-level (hence picklable)
-  SPMD entry the redesigned :class:`repro.api.PAutoClass` hands to
-  every world runner.  On the ``processes`` backend each worker returns
-  its ``(result, RankRecord)`` pair over the result pipe and the parent
-  merges the records — cross-process record merging with no shared
-  memory;
+  SPMD entry :mod:`repro.api`'s one world runner hands to
+  :func:`repro.worlds.run_world`.  On the ``processes`` backend each
+  worker returns its ``(result, RankRecord)`` pair over the result pipe
+  and the parent merges the records — cross-process record merging
+  with no shared memory;
 * :func:`build_run_record` assembles per-rank records into the unified
   :class:`~repro.obs.record.RunRecord`.
 """

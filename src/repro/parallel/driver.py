@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.data.database import Database
 from repro.data.partition import block_partition
 from repro.data.shards import is_streamable
-from repro.engine.search import SearchConfig, SearchResult
+from repro.engine.search import SearchConfig, SearchResult, search_config_for
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import Communicator
@@ -96,10 +96,7 @@ def run_pautoclass_partitioned(
     moment vectors; if ``spec`` is not given, every rank derives the
     identical default model from that shared summary.
     """
-    if config is None:
-        # Without the full database on every rank the seeded default is
-        # unavailable; AutoClass's classic random assignment is.
-        config = SearchConfig(init_method="sharp")
+    config = search_config_for(config, seedable=False)
     moments = DataSummary.local_moments(local_db)
     moments = comm.allreduce(moments, ReduceOp.SUM)
     summary = DataSummary.from_moments(local_db.schema, moments)

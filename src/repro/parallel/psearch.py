@@ -30,6 +30,7 @@ from repro.engine.search import (
     assign_duplicates,
     run_search,
     run_try,
+    search_config_for,
 )
 from repro.models.registry import ModelSpec
 from repro.mpc.api import Communicator
@@ -111,10 +112,7 @@ def run_parallel_search(
     re-partitions the input over its own size).
     """
     streamed = is_streamable(local_db)
-    if config is None:
-        # Streamed blocks cannot use the seeded default (it needs the
-        # full database) — same fallback run_pautoclass_partitioned uses.
-        config = SearchConfig(init_method="sharp") if streamed else SearchConfig()
+    config = search_config_for(config, seedable=not streamed)
     if config.max_seconds is not None:
         raise ValueError(
             "max_seconds is a wall-clock budget and would desynchronize "

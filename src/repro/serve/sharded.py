@@ -26,14 +26,12 @@ from repro.data.database import Database
 from repro.data.partition import block_partition
 from repro.data.shards import is_streamable
 from repro.mpc.api import CollectiveConfig
-from repro.mpc.procworld import run_spmd_processes
-from repro.mpc.serial import SerialComm
-from repro.mpc.threadworld import run_spmd_threads
 from repro.serve.artifact import FittedModel
 from repro.serve.scoring import BatchScores, score_batch
+from repro.worlds import WORLDS, run_world
 
 #: Worlds :func:`sharded_predict` accepts.
-SHARD_BACKENDS = ("serial", "threads", "processes", "sim")
+SHARD_BACKENDS = WORLDS
 
 
 def sharded_score_rank(
@@ -80,35 +78,11 @@ def sharded_score_batch(
     :class:`BatchScores`; all ranks hold the same arrays by
     construction.
     """
-    if backend not in SHARD_BACKENDS:
-        raise ValueError(f"backend {backend!r} not in {SHARD_BACKENDS}")
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if backend == "serial":
-        if n_processors != 1:
-            raise ValueError("serial backend supports exactly 1 processor")
-        return sharded_score_rank(SerialComm(collectives), model, db)
-    if backend == "threads":
-        results = run_spmd_threads(
-            sharded_score_rank, n_processors, model, db,
-            collectives=collectives,
-        )
-        return results[0]
-    if backend == "processes":
-        results = run_spmd_processes(
-            sharded_score_rank, n_processors, model, db,
-            collectives=collectives, transport=transport,
-        )
-        return results[0]
-    # "sim": score on the virtual CS-2 (lazy import — simnet is heavy).
-    from repro.harness.runner import calibrated_machine
-    from repro.simnet.simworld import run_spmd_sim
-
-    sim = run_spmd_sim(
-        sharded_score_rank, n_processors, calibrated_machine(n_processors),
-        model, db, collectives=collectives, compute_mode="counted",
+    results, _sim_elapsed = run_world(
+        backend, n_processors, sharded_score_rank, model, db,
+        collectives=collectives, transport=transport,
     )
-    return sim.results[0]
+    return results[0]
 
 
 def sharded_predict(

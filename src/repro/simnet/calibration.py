@@ -24,7 +24,11 @@ from repro.engine.cycle import base_cycle
 from repro.engine.init import initial_classification
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.simnet.machine import SPARC_SECONDS_PER_ITEM_CLASS
+from repro.simnet.machine import (
+    SPARC_SECONDS_PER_ITEM_CLASS,
+    MachineSpec,
+    meiko_cs2,
+)
 from repro.util.rng import spawn_rng
 
 
@@ -64,3 +68,14 @@ def calibrate_cpu_scale(
     if host <= 0:
         raise RuntimeError("calibration measured non-positive host time")
     return target_seconds_per_item_class / host
+
+
+def calibrated_machine(n_procs: int, comm_scale: float = 1.0) -> MachineSpec:
+    """The simulated CS-2 with the host-calibrated CPU scale.
+
+    ``comm_scale`` shrinks the latency constants in lock-step with a
+    scaled-down workload (see :func:`repro.simnet.machine.meiko_cs2`).
+    """
+    return meiko_cs2(
+        n_procs, cpu_scale=calibrate_cpu_scale(), comm_scale=comm_scale
+    )

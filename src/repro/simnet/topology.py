@@ -20,9 +20,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+# networkx (~90 ms to import) is imported where a graph is built, so
+# importing the simulator — which the CLI's parser does, for the
+# experiment registry — does not pay for it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology(ABC):
@@ -62,6 +68,8 @@ class Topology(ABC):
     def _hop_matrix_from_graph(
         self, graph: nx.Graph, endpoints: list
     ) -> np.ndarray:
+        import networkx as nx
+
         out = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
         lengths = dict(nx.all_pairs_shortest_path_length(graph))
         for i, a in enumerate(endpoints):
@@ -89,6 +97,8 @@ class FatTree(Topology):
     def _build_hop_matrix(self) -> np.ndarray:
         if self.n_nodes == 1:
             return np.zeros((1, 1), dtype=np.int64)
+        import networkx as nx
+
         height = max(1, math.ceil(math.log(self.n_nodes, self.arity)))
         tree = nx.balanced_tree(self.arity, height)
         # Leaves of a balanced tree are the last arity**height nodes.
@@ -102,6 +112,8 @@ class Mesh2D(Topology):
     """Near-square 2-D mesh (no wraparound)."""
 
     def _build_hop_matrix(self) -> np.ndarray:
+        import networkx as nx
+
         cols = math.ceil(math.sqrt(self.n_nodes))
         rows = math.ceil(self.n_nodes / cols)
         grid = nx.grid_2d_graph(rows, cols)

@@ -10,7 +10,7 @@ RunTrace` footprints, and hold them to the **bitwise** tolerance.
 
 This is deliberately separate from ``fit(verify=...)``: the in-fit
 shadow run replays the search through the in-memory harness and is
-refused for streamed data (see ``repro.api.check_streamed_verify``).
+refused for streamed data (see ``repro.api.check_verify``).
 The overlap gate needs no in-memory replay — both arms stream — so it
 lives here and is exercised by ``tests/verify/test_overlap_conformance``
 across all four worlds.

@@ -220,28 +220,23 @@ def capture_trace(
     of the seeded search; every cell of a conformance matrix must use
     the identical ``config`` or the comparison is meaningless.
     """
-    from repro.api import AutoClass, PAutoClass
+    from repro.api import PAutoClass
     from repro.mpc.api import CollectiveConfig
 
     meta = TraceMeta(
         case=case, world=world, size=size, kernels=kernels, allreduce=allreduce
     )
-    if world == "sequential":
-        if size != 1:
-            raise ValueError("sequential world has exactly 1 processor")
-        model = AutoClass(
-            spec, instrument=instrument, kernels=kernels, **config
-        )
-        run = model.fit(db)
-    else:
-        model = PAutoClass(
-            n_processors=size,
-            backend=world,
-            spec=spec,
-            collectives=CollectiveConfig(allreduce=allreduce),
-            instrument=instrument,
-            kernels=kernels,
-            **config,
-        )
-        run = model.fit(db)
+    run = PAutoClass(
+        n_processors=size,
+        backend=world,
+        spec=spec,
+        # "sequential" has no world, hence no collectives to configure.
+        collectives=(
+            None if world == "sequential"
+            else CollectiveConfig(allreduce=allreduce)
+        ),
+        instrument=instrument,
+        kernels=kernels,
+        **config,
+    ).fit(db)
     return RunTrace.from_run(run, db, meta)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import AutoClass, PAutoClass
+from repro.api import BACKENDS, AutoClass, PAutoClass
+from repro.ckpt import CheckpointError
 from repro.data.synth import make_paper_database
 from repro.mpc.faults import FaultInjected, FaultInjector, FaultSpec
 
@@ -171,6 +172,42 @@ class TestWorldSizeChange:
             assert ta.n_cycles == tb.n_cycles
             assert ta.duplicate_of == tb.duplicate_of
             assert ta.score == pytest.approx(tb.score, rel=1e-9)
+
+
+class TestRefusedCheckpoint:
+    @pytest.mark.parametrize(
+        "backend, procs", [("sequential", 1), ("threads", 2)]
+    )
+    def test_foreign_checkpoint_is_not_retried(
+        self, db, tmp_path, monkeypatch, caplog, backend, procs
+    ):
+        # the directory holds another search's checkpoint: resuming it is
+        # refused deterministically, so the restart budget must not be
+        # spent (three backoffs, three re-launched worlds) on it
+        PAutoClass(n_processors=procs, backend=backend, **CONFIG).fit(
+            db, checkpoint_dir=tmp_path
+        )
+        real = BACKENDS[backend]
+        attempts = []
+
+        def counting(job, database, spec):
+            attempts.append(job)
+            return real(job, database, spec)
+
+        monkeypatch.setitem(BACKENDS, backend, counting)
+        other = PAutoClass(
+            n_processors=procs, backend=backend, **dict(CONFIG, seed=8)
+        )
+        with caplog.at_level("WARNING", logger="repro.api"):
+            with pytest.raises(RuntimeError) as exc_info:
+                other.fit(db, checkpoint_dir=tmp_path, max_restarts=3)
+        exc = exc_info.value
+        # raised directly, or as the cause of the world's rank failure
+        refusal = exc if isinstance(exc, CheckpointError) else exc.__cause__
+        assert isinstance(refusal, CheckpointError)
+        assert "different search" in str(refusal)
+        assert len(attempts) == 1
+        assert not caplog.records  # no "restarting from checkpoint"
 
 
 class TestFitValidation:

@@ -56,6 +56,35 @@ class TestFig6:
         assert f"{SCALE.sizes[0]} tuples" in text
 
 
+class TestRegistry:
+    def test_fig6_sweep_is_shared_by_its_derived_experiments(
+        self, fig6, monkeypatch
+    ):
+        from repro.harness import runner
+
+        sweeps = []
+        monkeypatch.setattr(
+            runner, "fig6_elapsed", lambda scale: sweeps.append(scale) or fig6
+        )
+        runner._fig6_sweep.cache_clear()
+        try:
+            shown = runner.run_experiment("fig6", SCALE)
+            f7 = runner.run_experiment("fig7", SCALE)
+            t2 = runner.run_experiment("t2", SCALE)
+        finally:
+            runner._fig6_sweep.cache_clear()
+        assert sweeps == [SCALE]  # one sweep for all three
+        assert shown is fig6 and f7.fig6 is fig6
+        assert t2.sizes == list(SCALE.sizes)
+
+    def test_harness_exports_are_the_registered_runners(self):
+        import repro.harness as harness
+
+        for exp in harness.EXPERIMENTS.values():
+            assert getattr(harness, exp.fn.__name__) is exp.fn
+            assert exp.fn.__name__ in harness.__all__
+
+
 @pytest.mark.slow
 class TestFig7:
     def test_speedup_normalized_at_one(self, fig6):

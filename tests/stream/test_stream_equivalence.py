@@ -134,13 +134,6 @@ class TestStreamedGuards:
         with pytest.raises((ValueError, RuntimeError), match="try-parallel"):
             pac.fit(sdb)
 
-    def test_report_refused_after_streamed_fit(self, paper_pair):
-        _db, sdb = paper_pair
-        ac = AutoClass(**PINNED)
-        ac.fit(sdb)
-        with pytest.raises(ValueError, match="materialize"):
-            ac.report()
-
     def test_default_config_uses_sharp(self, paper_pair):
         """A bare streamed fit must not fall into the seeded default."""
         _db, sdb = paper_pair

@@ -1,5 +1,7 @@
 """Tests for the public facade (repro.api) and the package surface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,29 @@ from repro import (
     make_paper_database,
     register_backend,
 )
+from repro.data.shards import ShardedDatabase
 from repro.engine.search import SearchConfig
+
+ALL_BACKENDS = ("sequential", "serial", "threads", "processes", "sim")
 
 
 @pytest.fixture(scope="module")
 def db():
     return make_paper_database(400, seed=31)
+
+
+@pytest.fixture(scope="module")
+def sdb(db, tmp_path_factory):
+    return ShardedDatabase.from_database(
+        db, tmp_path_factory.mktemp("api") / "s",
+        shard_items=100, chunk_items=50,
+    )
+
+
+def estimator(backend, **kwargs):
+    """The shell on ``backend`` (2 ranks where the backend has a world)."""
+    n = 1 if backend in ("sequential", "serial") else 2
+    return PAutoClass(n_processors=n, backend=backend, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -169,16 +188,17 @@ class TestPAutoClass:
 class TestBackendRegistry:
     def test_backends_is_a_registry_of_runners(self):
         assert isinstance(BACKENDS, dict)
-        assert set(BACKENDS) >= {"serial", "threads", "processes", "sim"}
+        assert tuple(BACKENDS) == ALL_BACKENDS
         assert all(callable(runner) for runner in BACKENDS.values())
 
-    def test_register_backend_adds_runner(self, db):
+    def test_register_backend_adds_runner(self, db, sdb):
         calls = []
 
         @register_backend("echo")
-        def _echo_backend(model, database, spec):
-            calls.append((model.n_processors, database.n_items))
-            return BACKENDS["serial"](model, database, spec)
+        def _echo_backend(job, database, spec):
+            # what the runner is handed, and the estimator at that moment
+            calls.append((job, database.n_items, pac.config.init_method))
+            return BACKENDS["serial"](job, database, spec)
 
         try:
             pac = PAutoClass(
@@ -186,8 +206,19 @@ class TestBackendRegistry:
                 start_j_list=(2,), max_n_tries=1, seed=3, max_cycles=5,
             )
             run = pac.fit(db)
-            assert calls == [(1, db.n_items)]
+            [(job, n_items, _init)] = calls
+            assert (job.n_processors, n_items) == (1, db.n_items)
             assert run.backend == "serial"  # delegated runner labeled it
+            # A streamed fit falls back to "sharp" — in the frozen job
+            # the runner receives, never by mutating the estimator.
+            pac.fit(sdb)
+            job, _n, estimator_init_during_fit = calls[-1]
+            assert dataclasses.is_dataclass(job)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                job.config = None
+            assert job.config.init_method == "sharp"
+            assert estimator_init_during_fit == "seeded"
+            assert pac.config.init_method == "seeded"
         finally:
             del BACKENDS["echo"]
         with pytest.raises(ValueError, match="backend"):
@@ -299,11 +330,6 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="not both"):
             PAutoClass(options=FitConfig(), kernels="fused")
 
-    def test_fit_options_and_bare_kwargs_conflict(self, db):
-        ac = AutoClass(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
-        with pytest.raises(ValueError, match="not both"):
-            ac.fit(db, options=FitConfig(), verify="trace")
-
     def test_options_must_be_fitconfig(self):
         with pytest.raises(TypeError, match="FitConfig"):
             AutoClass(options={"instrument": "phases"})
@@ -318,10 +344,10 @@ class TestFitConfig:
 
     def test_fit_time_override_is_scoped_to_the_fit(self, db):
         ac = AutoClass(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
-        assert ac.instrument == "off"
+        assert ac.options.instrument == "off"
         run = ac.fit(db, options=FitConfig(instrument="phases"))
         assert run.record is not None
-        assert ac.instrument == "off"  # override did not stick
+        assert ac.options.instrument == "off"  # override did not stick
 
     def test_try_groups_range_checked_against_world(self):
         with pytest.raises(ValueError, match="n_processors"):
@@ -347,14 +373,6 @@ class TestUnifiedInference:
             assert np.isfinite(obj.score(db))
         assert np.array_equal(fitted.predict(db), model.predict(db))
 
-    def test_not_fitted_semantics(self, db):
-        for cls in (AutoClass, PAutoClass):
-            fresh = cls(start_j_list=(2,), max_n_tries=1, seed=5)
-            for method in ("predict", "predict_proba", "predict_logproba",
-                           "score", "fitted"):
-                with pytest.raises(NotFittedError):
-                    getattr(fresh, method)(db)
-
     def test_pautoclass_fitted_defaults_to_training_db(self, db):
         pac = PAutoClass(
             n_processors=2, backend="threads",
@@ -363,3 +381,77 @@ class TestUnifiedInference:
         run = pac.fit(db)
         model = pac.fitted()
         assert np.array_equal(model.predict(db), run.predict(db))
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestShellContract:
+    """The one fit/predict shell behaves identically on every backend."""
+
+    CONFIG = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
+
+    def test_fit_options_and_bare_kwargs_conflict(self, db, backend):
+        with pytest.raises(ValueError, match="not both"):
+            estimator(backend, **self.CONFIG).fit(
+                db, options=FitConfig(), verify="trace"
+            )
+
+    def test_checkpoint_policy_needs_directory(self, db, backend):
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            estimator(backend, **self.CONFIG).fit(db, checkpoint="per_try")
+
+    def test_max_restarts_needs_checkpointing(self, db, backend):
+        with pytest.raises(ValueError, match="checkpoint"):
+            estimator(backend, **self.CONFIG).fit(db, max_restarts=2)
+
+    def test_verify_rejects_max_seconds(self, db, backend):
+        est = estimator(backend, max_seconds=30.0, **self.CONFIG)
+        with pytest.raises(ValueError, match="verify.*max_seconds"):
+            est.fit(db, verify="trace")
+
+    def test_verify_rejects_streamed_data(self, sdb, backend):
+        with pytest.raises(ValueError, match="verify.*materialize"):
+            estimator(backend, **self.CONFIG).fit(sdb, verify="strict")
+
+    def test_report_refuses_streamed_fit(self, sdb, backend):
+        # was AttributeError on every backend but "sequential"
+        est = estimator(backend, **self.CONFIG)
+        est.fit(sdb)
+        with pytest.raises(ValueError, match="materialize"):
+            est.report()
+
+    def test_not_fitted_semantics(self, db, backend):
+        fresh = estimator(backend, **self.CONFIG)
+        for method in ("predict", "predict_proba", "predict_logproba",
+                       "score", "fitted"):
+            with pytest.raises(NotFittedError):
+                getattr(fresh, method)(db)
+        with pytest.raises(NotFittedError):
+            fresh.report()
+        with pytest.raises(NotFittedError):
+            _ = fresh.best_
+
+    def test_restarts_surface_in_run_and_record(
+        self, db, backend, tmp_path, monkeypatch
+    ):
+        real = BACKENDS[backend]
+        jobs = []
+
+        def fails_once(job, database, spec):
+            jobs.append(job)
+            if len(jobs) == 1:
+                raise RuntimeError("transient failure")
+            return real(job, database, spec)
+
+        monkeypatch.setitem(BACKENDS, backend, fails_once)
+        run = estimator(backend, instrument="phases", **self.CONFIG).fit(
+            db, checkpoint_dir=tmp_path, resume=False, max_restarts=1
+        )
+        first, retry = jobs
+        assert not first.ckpt.resume and retry.ckpt.resume  # retries resume
+        assert run.restarts == 1
+        [(attempt, backoff, reason)] = run.retry_log
+        assert (attempt, reason) == (1, "transient failure")
+        rank0 = run.record.ranks[0]
+        assert rank0.counters["restarts"] == 1
+        restarts = [e for e in rank0.comm_events if e.phase == "restart"]
+        assert [e.seconds for e in restarts] == [backoff]

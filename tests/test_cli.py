@@ -36,6 +36,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiments", "--which", "fig99"])
 
+    def test_experiments_choices_are_the_registry(self):
+        from repro.harness import EXPERIMENTS
+
+        # the keys the hand-written ladder had, in the order it printed
+        assert tuple(EXPERIMENTS) == (
+            "fig6", "fig7", "fig8", "t1", "t2", "a1", "a2", "a3", "a4",
+            "a5", "b1", "obs", "fault", "split", "serve",
+        )
+        for key in (*EXPERIMENTS, "all"):
+            assert build_parser().parse_args(
+                ["experiments", "--which", key]
+            ).which == key
+
 
 class TestCommands:
     def test_synth_writes_files(self, tmp_path, capsys):
@@ -79,6 +92,52 @@ class TestCommands:
              "--max-cycles", "6", "--backend", "threads", "--procs", "2"]
         )
         assert code == 0
+
+
+class TestRestartLine:
+    """Every backend prints the restart count through the same code."""
+
+    ARGS = ["run", "--synthetic", "80", "--j-list", "2", "--seed", "2",
+            "--max-cycles", "6", "--max-restarts", "2"]
+    LINE = "completed after 1 checkpointed restart(s)"
+
+    def test_injected_fault_on_serial(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.api import BACKENDS
+        from repro.mpc.faults import FaultInjector, FaultSpec
+
+        # the CLI has no fault flag: arm the first attempt's job instead
+        # (the shell disarms retries by handing them faults=None)
+        inj = FaultInjector(FaultSpec(rank=0, action="kill", at_cycle=2))
+        real = BACKENDS["serial"]
+        monkeypatch.setitem(
+            BACKENDS, "serial",
+            lambda job, db, spec: real(
+                dataclasses.replace(job, faults=inj), db, spec
+            ),
+        )
+        code = main([*self.ARGS, "--backend", "serial",
+                     "--checkpoint-dir", str(tmp_path)])
+        assert code == 0
+        assert self.LINE in capsys.readouterr().out
+
+    def test_same_line_on_sequential(self, tmp_path, capsys, monkeypatch):
+        from repro.api import BACKENDS
+
+        real = BACKENDS["sequential"]
+        calls = []
+
+        def fails_once(job, db, spec):
+            calls.append(job)
+            if len(calls) == 1:
+                raise RuntimeError("transient failure")
+            return real(job, db, spec)
+
+        monkeypatch.setitem(BACKENDS, "sequential", fails_once)
+        code = main([*self.ARGS, "--checkpoint-dir", str(tmp_path)])
+        assert code == 0
+        assert self.LINE in capsys.readouterr().out
 
 
 class TestNewFlags:
