@@ -25,12 +25,13 @@ backend additionally reports the virtual elapsed seconds and — at
 ``instrument="full"`` — the rendered virtual-time timeline.
 
 Inference is sklearn-shaped and uniform: ``predict`` /
-``predict_proba`` / ``predict_logproba`` / ``score`` exist identically
-on the estimators (raising
-:class:`NotFittedError` before ``fit``), on the returned :class:`Run`,
-and on the servable :class:`repro.serve.FittedModel` a run exports via
-:meth:`Run.fitted` — all delegating to the same allocation-free batch
-kernels in :mod:`repro.serve.scoring`.
+``predict_proba`` / ``predict_logproba`` / ``score_samples`` /
+``score`` are one mixin (:class:`repro.serve.scoring.Inference`) on the
+estimators (raising :class:`NotFittedError` before ``fit``), on the
+returned :class:`Run`, and on the servable
+:class:`repro.serve.FittedModel` a run exports via :meth:`Run.fitted`
+— all over the same allocation-free batch kernels in
+:mod:`repro.serve.scoring`.
 
 Fit-time options (``kernels=``, ``instrument=``, ``verify=``,
 ``checkpoint*=``, ``try_groups=``, ``faults=``, ``collectives=``) are
@@ -47,8 +48,6 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
-
-import numpy as np
 
 from repro.ckpt.format import CheckpointError
 from repro.ckpt.manager import CheckpointSpec, check_policy
@@ -72,6 +71,7 @@ from repro.obs.record import CommEventRecord, RunRecord
 from repro.obs.recorder import Recorder, check_instrument, recording
 from repro.obs.runtime import build_run_record, recorded_pautoclass
 from repro.parallel.psearch import check_try_groups
+from repro.serve.scoring import Inference
 from repro.worlds import WORLDS, run_world
 
 logger = logging.getLogger(__name__)
@@ -348,7 +348,7 @@ class NotFittedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Run:
+class Run(Inference):
     """Outcome of one ``fit`` on any backend (including sequential).
 
     Carries the classification search :attr:`result`, the run's
@@ -406,47 +406,9 @@ class Run:
 
         return render_run(self.record)
 
-    # -- inference (delegates to repro.serve.scoring) ---------------------
-
-    def predict(self, db: Database) -> np.ndarray:
-        """Hard class assignment per item, ``(n_items,)`` int64."""
-        from repro.serve import scoring
-
-        return scoring.predict(
-            db, self.best.classification, kernels=self.kernels
-        )
-
-    def predict_proba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` posterior membership probabilities."""
-        from repro.serve import scoring
-
-        return scoring.predict_proba(
-            db, self.best.classification, kernels=self.kernels
-        )
-
-    def predict_logproba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` log posterior membership."""
-        from repro.serve import scoring
-
-        return scoring.predict_logproba(
-            db, self.best.classification, kernels=self.kernels
-        )
-
-    def score_samples(self, db: Database) -> np.ndarray:
-        """Per-item log evidence ``log p(x_i)``, ``(n_items,)``."""
-        from repro.serve import scoring
-
-        return scoring.score_samples(
-            db, self.best.classification, kernels=self.kernels
-        )
-
-    def score(self, db: Database) -> float:
-        """Mean per-item log evidence (sklearn's mixture ``score``)."""
-        from repro.serve import scoring
-
-        return scoring.score(
-            db, self.best.classification, kernels=self.kernels
-        )
+    def _scored(self):
+        # Inference scores with the kernel path the fit ran under.
+        return self.best.classification, self.kernels
 
     def fitted(self, db: Database | None = None, *, summary=None):
         """Export the servable :class:`repro.serve.FittedModel`.
@@ -602,7 +564,7 @@ BACKENDS.update(
 _PARALLEL_ONLY = ("try_groups", "collectives", "faults", "transport")
 
 
-class _Estimator:
+class _Estimator(Inference):
     """The one fit / predict shell behind :class:`AutoClass` and
     :class:`PAutoClass`; they differ only in their constructors."""
 
@@ -762,21 +724,8 @@ class _Estimator:
         """The best classification found by :meth:`fit`."""
         return self._fitted_run().best.classification
 
-    def predict(self, db: Database) -> np.ndarray:
-        """Hard class assignment per item, ``(n_items,)`` int64."""
-        return self._fitted_run().predict(db)
-
-    def predict_proba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` class membership probabilities."""
-        return self._fitted_run().predict_proba(db)
-
-    def predict_logproba(self, db: Database) -> np.ndarray:
-        """``(n_items, n_classes)`` log posterior membership."""
-        return self._fitted_run().predict_logproba(db)
-
-    def score(self, db: Database) -> float:
-        """Mean per-item log evidence (sklearn's mixture ``score``)."""
-        return self._fitted_run().score(db)
+    def _scored(self):
+        return self._fitted_run()._scored()
 
     def fitted(self, db: Database | None = None, *, summary=None):
         """Servable :class:`repro.serve.FittedModel` of the last fit.

@@ -18,7 +18,6 @@ from repro.ckpt.format import (
     CheckpointError,
     CheckpointState,
     InProgressTry,
-    atomic_write_json,
     checkpoint_key,
     decode_checkpoint,
     encode_checkpoint,
@@ -41,7 +40,6 @@ __all__ = [
     "CheckpointState",
     "Checkpointer",
     "InProgressTry",
-    "atomic_write_json",
     "check_policy",
     "checkpoint_key",
     "decode_checkpoint",

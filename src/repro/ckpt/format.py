@@ -27,25 +27,32 @@ File-level guarantees:
   never silently resume a *different* search.  The world size is
   deliberately *not* part of the key: the state is global, so a search
   checkpointed on P ranks may resume on Q ranks.
-* **Atomic** — writes go to a same-directory temp file which is fsynced
-  and then ``os.replace``d over the target, so a reader (or a rank that
-  died mid-write) only ever sees a complete previous checkpoint.
+* **Atomic** — files are written by :func:`repro.util.docfile.write_json`
+  (temp file, fsync, rename), so a reader (or a rank that died
+  mid-write) only ever sees a complete previous checkpoint.
 * **Clean failures** — a truncated, corrupt, or mismatched file raises
   :class:`CheckpointError`, never a bare pickle/JSON/IO error.
+* **Not digested** — a per-cycle policy rewrites the file after every
+  EM cycle, so a save costs one ``json.dumps`` and one ``fsync`` and
+  nothing else; a damaged file fails the parse or the structural decode.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.engine.classification import Classification
-from repro.engine.results_io import decode_classification, encode_classification
+from repro.engine.results_io import (
+    decode_classification,
+    decode_try,
+    encode_classification,
+    encode_config,
+    encode_try,
+)
 from repro.engine.search import SearchConfig, SearchResult, TryResult
 from repro.models.registry import ModelSpec
+from repro.util import docfile
 
 #: Version stamped into (and required of) every checkpoint file.
 CKPT_FORMAT_VERSION = 1
@@ -82,22 +89,14 @@ def checkpoint_key(
         f"{term.spec_name}:{','.join(map(str, term.attribute_indices))}"
         for term in spec.terms
     ]
-    key_fields = {
-        "start_j_list": list(config.start_j_list),
-        "max_n_tries": config.max_n_tries,
-        "rel_delta": config.rel_delta,
-        "n_consecutive": config.n_consecutive,
-        "max_cycles": config.max_cycles,
-        "init_method": config.init_method,
-        "seed": config.seed,
-        "duplicate_eps": config.duplicate_eps,
-        "spec": spec_lines,
-        "n_total_items": n_total_items,
-    }
+    key_fields = encode_config(config)
+    del key_fields["max_seconds"]  # a wall-clock budget, not a trajectory input
+    key_fields["spec"] = spec_lines
+    key_fields["n_total_items"] = n_total_items
     if data_digest is not None:
         key_fields["data_digest"] = data_digest
     blob = json.dumps(key_fields, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return docfile.sha256_hex(blob.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -133,30 +132,6 @@ class CheckpointState:
         return len(self.completed_tries)
 
 
-def _try_to_dict(t: TryResult) -> dict:
-    return {
-        "try_index": t.try_index,
-        "n_classes_requested": t.n_classes_requested,
-        "converged": t.converged,
-        "n_cycles": t.n_cycles,
-        "duplicate_of": t.duplicate_of,
-        "classification": encode_classification(t.classification),
-    }
-
-
-def _try_from_dict(entry: dict, spec: ModelSpec) -> TryResult:
-    return TryResult(
-        try_index=entry["try_index"],
-        n_classes_requested=entry["n_classes_requested"],
-        classification=decode_classification(
-            entry["classification"], spec, CheckpointError
-        ),
-        converged=entry["converged"],
-        n_cycles=entry["n_cycles"],
-        duplicate_of=entry["duplicate_of"],
-    )
-
-
 def _in_progress_to_dict(ip: InProgressTry) -> dict:
     return {
         "try_index": ip.try_index,
@@ -183,12 +158,13 @@ def encode_checkpoint(
     in_progress: InProgressTry | None,
     rng_streams: dict[str, dict],
 ) -> dict:
-    """Build the (JSON-serializable) checkpoint payload."""
+    """Build the checkpoint payload (plain data; its ndarray leaves are
+    inlined as lists by :func:`repro.util.docfile.write_json`)."""
     payload: dict = {
         "format_version": CKPT_FORMAT_VERSION,
         "kind": CKPT_KIND,
         "key": key,
-        "completed_tries": [_try_to_dict(t) for t in result.tries],
+        "completed_tries": [encode_try(t) for t in result.tries],
         "in_progress": None,
         "rng_streams": rng_streams,
     }
@@ -205,24 +181,10 @@ def decode_checkpoint(
     Raises :class:`CheckpointError` on any structural problem, version
     drift, or key mismatch (resuming a different search).
     """
-    try:
-        if payload.get("kind") != CKPT_KIND:
-            raise CheckpointError(
-                f"not a checkpoint file (kind={payload.get('kind')!r})"
-            )
-        version = payload.get("format_version")
-        if version != CKPT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version!r} not supported "
-                f"(expected {CKPT_FORMAT_VERSION})"
-            )
-        if payload.get("key") != key:
-            raise CheckpointError(
-                "checkpoint belongs to a different search (config, model "
-                "spec, or dataset changed since it was written)"
-            )
+    with docfile.decoding("checkpoint", CheckpointError):
+        _check_envelope(payload, CKPT_KIND, key, "checkpoint")
         completed = [
-            _try_from_dict(entry, spec)
+            decode_try(entry, spec, CheckpointError)
             for entry in payload["completed_tries"]
         ]
         in_progress = None
@@ -234,10 +196,6 @@ def decode_checkpoint(
             in_progress=in_progress,
             rng_streams=dict(payload.get("rng_streams", {})),
         )
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +225,7 @@ def encode_try_checkpoint(
         "format_version": CKPT_FORMAT_VERSION,
         "kind": TRY_CKPT_KIND,
         "key": key,
-        "try": None if try_result is None else _try_to_dict(try_result),
+        "try": None if try_result is None else encode_try(try_result),
         "in_progress": (
             None if in_progress is None else _in_progress_to_dict(in_progress)
         ),
@@ -278,70 +236,35 @@ def decode_try_checkpoint(
     payload: dict, key: str, spec: ModelSpec
 ) -> tuple[TryResult | None, InProgressTry | None]:
     """Validate and decode a per-try checkpoint payload."""
-    try:
-        if payload.get("kind") != TRY_CKPT_KIND:
-            raise CheckpointError(
-                f"not a per-try checkpoint file (kind={payload.get('kind')!r})"
-            )
-        version = payload.get("format_version")
-        if version != CKPT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version!r} not supported "
-                f"(expected {CKPT_FORMAT_VERSION})"
-            )
-        if payload.get("key") != key:
-            raise CheckpointError(
-                "try checkpoint belongs to a different search (config, "
-                "model spec, or dataset changed since it was written)"
-            )
+    with docfile.decoding("try checkpoint", CheckpointError):
+        _check_envelope(payload, TRY_CKPT_KIND, key, "per-try checkpoint")
         try_result = None
         if payload.get("try") is not None:
-            try_result = _try_from_dict(payload["try"], spec)
+            try_result = decode_try(payload["try"], spec, CheckpointError)
         in_progress = None
         if payload.get("in_progress") is not None:
             in_progress = _in_progress_from_dict(payload["in_progress"], spec)
         return try_result, in_progress
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CheckpointError(f"malformed try checkpoint: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
-# atomic file IO
+# envelope
 
-def atomic_write_json(payload: dict, path: str | Path) -> Path:
-    """Write ``payload`` as JSON with write-temp → fsync → rename.
-
-    The temp file lives in the target's directory so the final
-    ``os.replace`` is a same-filesystem atomic rename; a crash at any
-    point leaves either the previous complete file or none at all.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    text = json.dumps(payload, indent=1)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
-
-
-def read_checkpoint_file(path: str | Path) -> dict:
-    """Read a checkpoint payload; any IO/parse problem is a CheckpointError."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+def _check_envelope(payload: dict, kind: str, key: str, what: str) -> None:
+    """Kind, version and resume key of either checkpoint layout."""
+    docfile.check(
+        payload, what=what, error=CheckpointError,
+        kind=("kind", kind), version=("format_version", CKPT_FORMAT_VERSION),
+    )
+    if payload.get("key") != key:
         raise CheckpointError(
-            f"corrupt checkpoint {path} (truncated or not JSON): {exc}"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"corrupt checkpoint {path}: not an object")
-    return payload
+            f"{what} belongs to a different search (config, model "
+            "spec, or dataset changed since it was written)"
+        )
+
+
+def read_checkpoint_file(path) -> dict:
+    """Parse a checkpoint file of either layout; any IO/parse problem is
+    a :class:`CheckpointError`.  The envelope is checked by the decoders,
+    which know the live key."""
+    return docfile.read_json(path, what="checkpoint", error=CheckpointError)

@@ -28,7 +28,6 @@ from pathlib import Path
 from repro.ckpt.format import (
     CheckpointState,
     InProgressTry,
-    atomic_write_json,
     checkpoint_key,
     decode_checkpoint,
     decode_try_checkpoint,
@@ -39,6 +38,7 @@ from repro.ckpt.format import (
 from repro.engine.search import SearchConfig, SearchResult
 from repro.models.registry import ModelSpec
 from repro.obs import recorder as obs
+from repro.util.docfile import write_json
 from repro.util.rng import SeedSequenceStream
 
 #: Valid ``checkpoint=`` policies of the fit APIs.
@@ -161,10 +161,14 @@ class Checkpointer:
         key = self._require_key()
         if not self.resume or not self.path.exists():
             return None
-        payload = read_checkpoint_file(self.path)
-        return decode_checkpoint(payload, key, spec)
+        return decode_checkpoint(read_checkpoint_file(self.path), key, spec)
 
     # -- save (rank 0 only) ------------------------------------------------
+
+    def _write(self, path: Path, payload: dict) -> None:
+        write_json(path, payload)
+        self.n_saves += 1
+        obs.current().count("ckpt_saves")
 
     def save(
         self,
@@ -178,9 +182,7 @@ class Checkpointer:
         payload = encode_checkpoint(
             self._require_key(), result, in_progress, stream.state_dict()
         )
-        atomic_write_json(payload, self.path)
-        self.n_saves += 1
-        obs.current().count("ckpt_saves")
+        self._write(self.path, payload)
 
     def save_boundary(self, result: SearchResult, stream: SeedSequenceStream) -> None:
         """Per-try cut point: all recorded tries are complete."""
@@ -234,9 +236,7 @@ class Checkpointer:
         payload = encode_try_checkpoint(
             self._require_key(), try_result=try_result
         )
-        atomic_write_json(payload, self.try_path(try_result.try_index))
-        self.n_saves += 1
-        obs.current().count("ckpt_saves")
+        self._write(self.try_path(try_result.try_index), payload)
 
     def save_try_cycle(
         self, *, try_index: int, n_classes_requested: int, clf, checker
@@ -258,9 +258,7 @@ class Checkpointer:
                 checker_history=list(checker.history),
             ),
         )
-        atomic_write_json(payload, self.try_path(try_index))
-        self.n_saves += 1
-        obs.current().count("ckpt_saves")
+        self._write(self.try_path(try_index), payload)
 
     def load_tries(
         self, spec: ModelSpec
@@ -279,8 +277,9 @@ class Checkpointer:
             return completed, partial
         key = self._require_key()
         for path in sorted(self.directory.glob("try_*.json")):
-            payload = read_checkpoint_file(path)
-            try_result, in_progress = decode_try_checkpoint(payload, key, spec)
+            try_result, in_progress = decode_try_checkpoint(
+                read_checkpoint_file(path), key, spec
+            )
             if try_result is not None:
                 completed[try_result.try_index] = try_result
             elif in_progress is not None:

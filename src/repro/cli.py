@@ -337,9 +337,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         clf = model.classification
         kernels = model.kernels
     else:
-        from repro.engine.results_io import load_search_result
+        from repro.engine.results_io import (
+            ResultsFormatError,
+            load_search_result,
+        )
 
-        search = load_search_result(args.results)
+        try:
+            search = load_search_result(args.results)
+        except ResultsFormatError as exc:
+            raise SystemExit(f"bad results file: {exc}") from None
         clf = search.best.classification
     if clf.spec.schema != db.schema:
         raise SystemExit(

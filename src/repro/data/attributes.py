@@ -135,6 +135,39 @@ class AttributeSet:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
+    def to_dicts(self) -> list[dict]:
+        """The schema as plain data — the one codec every on-disk
+        document that carries a schema (results, artifact, shard
+        manifest) embeds."""
+        out: list[dict] = []
+        for a in self.attributes:
+            if isinstance(a, RealAttribute):
+                out.append({"kind": "real", "name": a.name, "error": a.error})
+            else:
+                out.append({
+                    "kind": "discrete", "name": a.name, "arity": a.arity,
+                    "symbols": list(a.symbols),
+                })
+        return out
+
+    @classmethod
+    def from_dicts(cls, items: list[dict]) -> "AttributeSet":
+        """Inverse of :meth:`to_dicts`; malformed input raises
+        ``KeyError`` / ``TypeError`` / ``ValueError`` for the calling
+        loader to retype."""
+        attrs: list[Attribute] = []
+        for d in items:
+            if d["kind"] == "real":
+                attrs.append(RealAttribute(d["name"], error=d["error"]))
+            elif d["kind"] == "discrete":
+                attrs.append(DiscreteAttribute(
+                    d["name"], arity=d["arity"],
+                    symbols=tuple(d.get("symbols", ())),
+                ))
+            else:
+                raise ValueError(f"unknown attribute kind {d['kind']!r}")
+        return cls(tuple(attrs))
+
     @property
     def real_indices(self) -> tuple[int, ...]:
         return tuple(

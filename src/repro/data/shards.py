@@ -4,17 +4,15 @@ Every in-memory :class:`~repro.data.database.Database` caps the
 reachable problem size at RAM; the paper's 100K-tuple workload fits,
 the ROADMAP's "millions of users" does not.  A
 :class:`ShardedDatabase` keeps the items on disk as fixed-size
-**shards** (``.npy`` pairs or one ``.npz`` per shard, column-major so a
-chunk's columns are contiguous views) described by a ``manifest.json``
+**shards** (a ``.npy`` pair per shard, column-major so a chunk's
+columns are contiguous views) described by a ``manifest.json``
 carrying the schema, per-shard row counts and sha256 digests, and
 streams them through the E/M hot path in **chunks**:
 
 * at most :data:`MAX_RESIDENT_SHARDS` (2) shards are resident at a
-  time — the one being consumed and the next one, which a single
-  prefetch thread loads (and digest-verifies) in the background while
-  the current shard's chunks compute (double buffering);
-* ``.npy`` shards are memory-mapped, so a "resident" shard costs page
-  cache, not heap — the heap footprint of a streamed pass is O(chunk);
+  time, least recently used evicted first;
+* shards are memory-mapped, so a "resident" shard costs page cache,
+  not heap — the heap footprint of a streamed pass is O(chunk);
 * every shard file is verified against its manifest sha256 the first
   time it is loaded; a mismatch raises :class:`ShardCorruptionError`
   naming the shard file.
@@ -28,23 +26,17 @@ layouts (see :mod:`repro.kernels.stream`).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from repro.data.attributes import (
-    AttributeSet,
-    DiscreteAttribute,
-    RealAttribute,
-)
+from repro.data.attributes import AttributeSet, RealAttribute
 from repro.data.database import Database
 from repro.data.partition import partition_bounds
+from repro.util import docfile
 
 #: Name of the manifest file inside a shard directory.
 MANIFEST_NAME = "manifest.json"
@@ -52,14 +44,13 @@ MANIFEST_NAME = "manifest.json"
 #: On-disk layout version (bumped on incompatible changes).
 SHARD_FORMAT_VERSION = 1
 
-#: Supported shard storage formats.
-SHARD_FORMATS = ("npy", "npz")
+#: The manifest's ``format`` value: memory-mappable ``.npy`` pairs.
+SHARD_FORMAT = "npy"
 
 #: Default rows per shard.
 DEFAULT_SHARD_ITEMS = 8192
 
-#: Hard cap on simultaneously resident shards per view (the one being
-#: consumed plus the prefetched next one).
+#: Hard cap on simultaneously resident shards per view.
 MAX_RESIDENT_SHARDS = 2
 
 
@@ -81,51 +72,6 @@ def as_chunk_iterable(data):
     if is_streamable(data):
         return data.iter_chunks()
     return iter((data,))
-
-
-# ---------------------------------------------------------------------------
-# schema <-> manifest codec
-
-
-def _attr_to_dict(attr) -> dict:
-    if isinstance(attr, RealAttribute):
-        return {"kind": "real", "name": attr.name, "error": attr.error}
-    assert isinstance(attr, DiscreteAttribute)
-    return {
-        "kind": "discrete",
-        "name": attr.name,
-        "arity": attr.arity,
-        "symbols": list(attr.symbols),
-    }
-
-
-def _attr_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "real":
-        return RealAttribute(d["name"], error=float(d["error"]))
-    if kind == "discrete":
-        return DiscreteAttribute(
-            d["name"], arity=int(d["arity"]), symbols=tuple(d["symbols"])
-        )
-    raise ShardFormatError(f"unknown attribute kind {kind!r} in manifest")
-
-
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def manifest_digest_of(manifest: dict) -> str:
-    """sha256 over the canonical manifest body (``digest`` key excluded)."""
-    body = {k: v for k, v in manifest.items() if k != "digest"}
-    return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 class _DigestLedger:
@@ -206,8 +152,6 @@ class ShardedDatabase:
         self._npy_meta = npy_meta if npy_meta is not None else {}
         self._lock = threading.Lock()
         self._resident: OrderedDict[int, _Resident] = OrderedDict()
-        self._pending: dict[int, Future] = {}
-        self._executor: ThreadPoolExecutor | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -218,20 +162,16 @@ class ShardedDatabase:
         *,
         shard_items: int = DEFAULT_SHARD_ITEMS,
         chunk_items: int | None = None,
-        fmt: str = "npy",
     ) -> "ShardedDatabase":
         """Shard an in-memory database into ``directory``.
 
-        ``shard_items`` is the on-disk unit (rows per shard file);
+        ``shard_items`` is the on-disk unit (rows per shard: two
+        memory-mappable ``.npy`` files, reals and discretes);
         ``chunk_items`` the default compute unit for
-        :meth:`iter_chunks` (defaults to ``shard_items``).  ``fmt``
-        selects ``"npy"`` (two memory-mappable files per shard, the
-        default) or ``"npz"`` (one compressed archive per shard).
+        :meth:`iter_chunks` (defaults to ``shard_items``).
         """
         if shard_items < 1:
             raise ValueError(f"shard_items must be >= 1, got {shard_items}")
-        if fmt not in SHARD_FORMATS:
-            raise ValueError(f"fmt {fmt!r} not in {SHARD_FORMATS}")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest_path = directory / MANIFEST_NAME
@@ -255,39 +195,28 @@ class ShardedDatabase:
                 np.stack([db.columns[i][lo:hi] for i in disc_idx])
                 if disc_idx else np.empty((0, hi - lo), dtype=np.int64)
             )
-            if fmt == "npy":
-                files = {}
-                for part, arr in (("real", real), ("disc", disc)):
-                    name = f"shard_{k:05d}.{part}.npy"
-                    np.save(directory / name, arr)
-                    files[part] = {
-                        "name": name,
-                        "sha256": _sha256_file(directory / name),
-                    }
-            else:
-                name = f"shard_{k:05d}.npz"
-                np.savez_compressed(directory / name, real=real, disc=disc)
-                digest = _sha256_file(directory / name)
-                files = {
-                    "real": {"name": name, "sha256": digest},
-                    "disc": {"name": name, "sha256": digest},
+            files = {}
+            for part, arr in (("real", real), ("disc", disc)):
+                name = f"shard_{k:05d}.{part}.npy"
+                np.save(directory / name, arr)
+                files[part] = {
+                    "name": name,
+                    "sha256": docfile.sha256_file(directory / name),
                 }
             shards.append({"index": k, "n_items": hi - lo, "files": files})
         manifest = {
             "format_version": SHARD_FORMAT_VERSION,
-            "format": fmt,
+            "format": SHARD_FORMAT,
             "n_items": db.n_items,
             "shard_items": int(shard_items),
             "chunk_items": int(chunk_items or shard_items),
-            "schema": [_attr_to_dict(a) for a in db.schema],
+            "schema": db.schema.to_dicts(),
             "missing_any": [bool(m.any()) for m in db.missing],
             "shards": shards,
         }
-        manifest["digest"] = manifest_digest_of(manifest)
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        manifest["digest"] = docfile.digest(manifest)
+        # Written last: a directory without a manifest is not a dataset.
+        docfile.write_json(manifest_path, manifest, indent=2)
         return ShardedDatabase.open(directory, chunk_items=chunk_items)
 
     @staticmethod
@@ -297,30 +226,19 @@ class ShardedDatabase:
         """Attach to a shard directory (verifies the manifest digest)."""
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise ShardFormatError(f"no {MANIFEST_NAME} in {directory}")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ShardFormatError(f"unreadable {manifest_path}: {exc}") from exc
-        version = manifest.get("format_version")
-        if version != SHARD_FORMAT_VERSION:
-            raise ShardFormatError(
-                f"{manifest_path}: format_version {version!r} != "
-                f"{SHARD_FORMAT_VERSION}"
-            )
-        if manifest.get("digest") != manifest_digest_of(manifest):
-            raise ShardCorruptionError(
-                f"{manifest_path}: manifest digest mismatch (edited or "
-                "corrupted manifest)"
-            )
-        schema = AttributeSet(
-            tuple(_attr_from_dict(d) for d in manifest["schema"])
+        manifest = docfile.read_json(
+            manifest_path, what="shard manifest", error=ShardFormatError,
+            version=("format_version", SHARD_FORMAT_VERSION),
+            kind=("format", SHARD_FORMAT),
+        )
+        docfile.check(
+            manifest, what="shard manifest", error=ShardCorruptionError,
+            digested=True, source=str(manifest_path),
         )
         return ShardedDatabase(
             directory,
             manifest,
-            schema,
+            AttributeSet.from_dicts(manifest["schema"]),
             lo=0,
             hi=int(manifest["n_items"]),
             chunk_items=chunk_items or int(manifest["chunk_items"]),
@@ -438,21 +356,16 @@ class ShardedDatabase:
 
     def _load_shard(self, k: int) -> _Resident:
         info = self._manifest["shards"][k]
-        fmt = self._manifest["format"]
+        files = [info["files"][part] for part in ("real", "disc")]
         if not self._ledger.covers(k):
-            seen: set[str] = set()
-            for part in ("real", "disc"):
-                f = info["files"][part]
-                if f["name"] in seen:
-                    continue
-                seen.add(f["name"])
+            for f in files:
                 path = self._path / f["name"]
                 if not path.exists():
                     raise ShardCorruptionError(
                         f"shard {k}: file {f['name']} is missing from "
                         f"{self._path}"
                     )
-                digest = _sha256_file(path)
+                digest = docfile.sha256_file(path)
                 if digest != f["sha256"]:
                     raise ShardCorruptionError(
                         f"shard {k}: file {f['name']} sha256 {digest[:12]}… "
@@ -461,15 +374,7 @@ class ShardedDatabase:
                         "sharding"
                     )
             self._ledger.add(k)
-        if fmt == "npy":
-            real = self._mmap_npy(self._path / info["files"]["real"]["name"])
-            disc = self._mmap_npy(self._path / info["files"]["disc"]["name"])
-        else:
-            with np.load(self._path / info["files"]["real"]["name"]) as z:
-                real = z["real"]
-                disc = z["disc"]
-            real.setflags(write=False)
-            disc.setflags(write=False)
+        real, disc = (self._mmap_npy(self._path / f["name"]) for f in files)
         n = int(info["n_items"])
         if real.shape != (len(self._real_idx), n) or disc.shape != (
             len(self._disc_idx), n,
@@ -487,19 +392,7 @@ class ShardedDatabase:
             if entry is not None:
                 self._resident.move_to_end(k)
                 return entry
-            fut = self._pending.pop(k, None)
-        if fut is not None and fut.done():
-            entry = fut.result()
-        else:
-            # A pending prefetch that has not finished is never worth
-            # blocking on: the worker thread is starved for the GIL
-            # while the E/M kernels run, so ``fut.result()`` can stall
-            # for a whole switch interval.  Cancel it if it has not
-            # started (else let it finish and discard the duplicate)
-            # and load inline — a memory-mapped load is microseconds.
-            if fut is not None:
-                fut.cancel()
-            entry = self._load_shard(k)
+        entry = self._load_shard(k)
         with self._lock:
             self._resident[k] = entry
             self._resident.move_to_end(k)
@@ -507,37 +400,15 @@ class ShardedDatabase:
                 self._resident.popitem(last=False)
         return entry
 
-    def _prefetch(self, k: int) -> None:
-        with self._lock:
-            if k in self._resident or k in self._pending:
-                return
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="shard-prefetch"
-                )
-            self._pending[k] = self._executor.submit(self._load_shard, k)
-
     def resident_shards(self) -> tuple[int, ...]:
         """Currently resident shard indices (oldest first; for tests)."""
         with self._lock:
             return tuple(self._resident)
 
-    def _stop_prefetch(self) -> None:
-        """Stop the prefetch worker, joining it so no ``shard-prefetch``
-        thread outlives the call.  Pending loads are cancelled (an
-        already-running one finishes into the void — a memory-mapped
-        load is microseconds)."""
-        with self._lock:
-            self._pending.clear()
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
     def close(self) -> None:
-        """Drop resident shards and stop the prefetch thread."""
+        """Drop resident shards."""
         with self._lock:
             self._resident.clear()
-        self._stop_prefetch()
 
     def __enter__(self) -> "ShardedDatabase":
         return self
@@ -576,49 +447,23 @@ class ShardedDatabase:
 
         Chunks are clipped at shard boundaries (a chunk never spans two
         shards), so every yielded Database is a zero-copy view into a
-        single resident shard.  While shard ``k`` streams, shard
-        ``k+1`` is prefetched in the background whenever loading it is
-        expensive (first-touch digest verification, npz decompression);
-        already-verified ``.npy`` shards re-map inline.
+        single resident shard.  Shards load inline: a first touch pays
+        the digest verification, a verified shard re-maps in
+        microseconds.
         """
         step = int(chunk_items or self.chunk_items)
         if step < 1:
             raise ValueError(f"chunk_items must be >= 1, got {step}")
         offsets = self._offsets
         pos = self._lo
-        try:
-            while pos < self._hi:
-                k = int(np.searchsorted(offsets, pos, side="right")) - 1
-                shard_end = int(offsets[k + 1])
-                if (
-                    k + 1 < self.n_shards
-                    and shard_end < self._hi
-                    and (
-                        self._manifest["format"] == "npz"
-                        or not self._ledger.covers(k + 1)
-                    )
-                ):
-                    # Prefetch only when loading is genuinely expensive
-                    # — first-touch digest verification, or npz
-                    # decompression.  A verified .npy shard re-maps in
-                    # microseconds inline; routing it through the
-                    # worker thread would just add handoff latency.
-                    self._prefetch(k + 1)
-                entry = self._get_shard(k)
-                limit = min(shard_end, self._hi)
-                while pos < limit:
-                    end = min(pos + step, limit)
-                    yield self._chunk_db(entry, k, pos, end)
-                    pos = end
-        except BaseException:
-            # An abandoned pass — a corrupt shard, a failing kernel, or
-            # the consumer dropping the generator (GeneratorExit lands
-            # here too) — must not leak the prefetch worker: join it
-            # now, while there is still someone responsible for it.
-            # A pass that runs to completion keeps the warm thread for
-            # the next E/M pass.
-            self._stop_prefetch()
-            raise
+        while pos < self._hi:
+            k = int(np.searchsorted(offsets, pos, side="right")) - 1
+            entry = self._get_shard(k)
+            limit = min(int(offsets[k + 1]), self._hi)
+            while pos < limit:
+                end = min(pos + step, limit)
+                yield self._chunk_db(entry, k, pos, end)
+                pos = end
 
     # -- whole-view helpers ------------------------------------------------
 

@@ -11,17 +11,23 @@ new items is in the file.
 
 Floats survive the round trip bit-exactly (JSON serialization uses
 ``repr``-faithful doubles), which the tests assert.
+
+This module also holds the only codecs of the objects every on-disk
+format shares — the classification body, the schema / prior-anchor /
+model-form header, a try, the search config — which the checkpoint
+(:mod:`repro.ckpt.format`) and the served artifact
+(:mod:`repro.serve.artifact`) reuse; how a document reaches the disk
+and is verified on the way back is :mod:`repro.util.docfile`'s.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from repro.data.attributes import AttributeSet, DiscreteAttribute, RealAttribute
+from repro.data.attributes import AttributeSet, RealAttribute
 from repro.engine.classification import Classification, Scores
 from repro.engine.search import SearchConfig, SearchResult, TryResult
 from repro.models.base import TermParams
@@ -31,8 +37,15 @@ from repro.models.multinormal import MultiNormalParams
 from repro.models.normal import NormalMissingParams, NormalParams
 from repro.models.registry import ModelSpec, parse_model_spec
 from repro.models.summary import DataSummary
+from repro.util.docfile import decoding, read_json, write_json
 
-FORMAT_VERSION = 1
+#: Version 2 writes the schema / prior anchors / model form of a search
+#: once per file instead of once per try; version 1 files are refused.
+FORMAT_VERSION = 2
+
+#: ``kind`` of a one-classification file / of a whole-search file.
+CLASSIFICATION_KIND = "pautoclass-classification"
+SEARCH_KIND = "pautoclass-search"
 
 #: TermParams class per term spec name (single registry for loading).
 _PARAMS_CLASSES: dict[str, type[TermParams]] = {
@@ -49,103 +62,55 @@ class ResultsFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema / spec / summary encoding
+# classification body (spec-relative: parameters + scores)
+#
+# Encoders leave ndarray leaves as they are: ``docfile.write_json``
+# inlines them as lists, the artifact hoists them into its npz.  The
+# decoder accepts either form.
 
-def _encode_schema(schema: AttributeSet) -> list[dict]:
-    out = []
-    for attr in schema:
-        if isinstance(attr, RealAttribute):
-            out.append({"kind": "real", "name": attr.name, "error": attr.error})
-        else:
-            assert isinstance(attr, DiscreteAttribute)
-            out.append(
-                {
-                    "kind": "discrete",
-                    "name": attr.name,
-                    "arity": attr.arity,
-                    "symbols": list(attr.symbols),
-                }
-            )
-    return out
-
-
-def _decode_schema(items: list[dict]) -> AttributeSet:
-    attrs = []
-    for item in items:
-        if item["kind"] == "real":
-            attrs.append(RealAttribute(item["name"], error=item["error"]))
-        elif item["kind"] == "discrete":
-            attrs.append(
-                DiscreteAttribute(
-                    item["name"],
-                    arity=item["arity"],
-                    symbols=tuple(item.get("symbols", ())),
-                )
-            )
-        else:
-            raise ResultsFormatError(f"unknown attribute kind {item['kind']!r}")
-    return AttributeSet(tuple(attrs))
-
-
-def _encode_spec(spec: ModelSpec) -> list[str]:
-    lines = []
-    for term in spec.terms:
-        names = " ".join(spec.schema[i].name for i in term.attribute_indices)
-        lines.append(f"{term.spec_name} {names}")
-    return lines
-
-
-def _encode_params(params: TermParams) -> dict:
-    out: dict = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def _decode_params(spec_name: str, data: dict) -> TermParams:
     try:
         cls = _PARAMS_CLASSES[spec_name]
     except KeyError:
-        raise ResultsFormatError(f"unknown term model {spec_name!r}") from None
+        raise ValueError(f"unknown term model {spec_name!r}") from None
     kwargs = {}
     for f in fields(cls):
         value = data[f.name]
         kwargs[f.name] = (
-            np.asarray(value, dtype=np.float64)
-            if isinstance(value, list)
-            else value
+            _array(value) if isinstance(value, (list, np.ndarray)) else value
         )
     return cls(**kwargs)
 
 
-# ---------------------------------------------------------------------------
-# classification
-
 def encode_classification(clf: Classification) -> dict:
     """The spec-relative body of a classification: parameters + scores.
 
-    Shared by the results file (which prefixes schema, prior anchors
-    and model form, so it loads with no database) and the checkpoint
-    (which stores the body alone and validates it against the live
-    spec) — one codec, so the two formats cannot drift.
+    The one classification codec: the results file and the artifact
+    prefix it with schema, prior anchors and model form (so they load
+    with no database), the checkpoint stores the body alone and
+    validates it against the live spec.
     """
     payload: dict = {
         "n_classes": clf.n_classes,
-        "log_pi": clf.log_pi.tolist(),
+        "log_pi": clf.log_pi,
         "term_params": [
-            {"model": term.spec_name, "params": _encode_params(params)}
+            {
+                "model": term.spec_name,
+                "params": {
+                    f.name: getattr(params, f.name) for f in fields(params)
+                },
+            }
             for term, params in zip(clf.spec.terms, clf.term_params)
         ],
         "n_cycles": clf.n_cycles,
     }
     if clf.scores is not None:
         payload["scores"] = {
-            "log_marginal_cs": clf.scores.log_marginal_cs,
-            "log_lik_obs": clf.scores.log_lik_obs,
-            "log_map_objective": clf.scores.log_map_objective,
-            "w_j": clf.scores.w_j.tolist(),
-            "n_items": clf.scores.n_items,
+            f.name: getattr(clf.scores, f.name) for f in fields(Scores)
         }
     return payload
 
@@ -175,35 +140,19 @@ def decode_classification(
     scores = None
     if "scores" in data:
         s = data["scores"]
-        scores = Scores(
-            log_marginal_cs=s["log_marginal_cs"],
-            log_lik_obs=s["log_lik_obs"],
-            log_map_objective=s["log_map_objective"],
-            w_j=np.asarray(s["w_j"], dtype=np.float64),
-            n_items=s["n_items"],
-        )
+        scores = Scores(**{**s, "w_j": _array(s["w_j"])})
     return Classification(
         spec=spec,
         n_classes=data["n_classes"],
-        log_pi=np.asarray(data["log_pi"], dtype=np.float64),
+        log_pi=_array(data["log_pi"]),
         term_params=tuple(term_params),
         scores=scores,
         n_cycles=data["n_cycles"],
     )
 
 
-def classification_to_dict(
-    clf: Classification, summary: DataSummary
-) -> dict:
-    """Encode a classification (with its prior anchors) as plain data."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "schema": _encode_schema(clf.spec.schema),
-        "summary_moments": _summary_moments(summary).tolist(),
-        "spec": _encode_spec(clf.spec),
-        **encode_classification(clf),
-    }
-
+# ---------------------------------------------------------------------------
+# model header: schema + prior anchors + model form
 
 def _summary_moments(summary: DataSummary) -> np.ndarray:
     """Reconstruct the additive moment vector a summary came from."""
@@ -221,110 +170,125 @@ def _summary_moments(summary: DataSummary) -> np.ndarray:
     return out
 
 
-def classification_from_dict(payload: dict) -> tuple[Classification, DataSummary]:
-    """Rebuild a classification (and its summary) from plain data."""
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ResultsFormatError(
-            f"results format version {version!r} not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
-    schema = _decode_schema(payload["schema"])
-    summary = DataSummary.from_moments(
-        schema, np.asarray(payload["summary_moments"], dtype=np.float64)
+def encode_header(spec: ModelSpec, summary: DataSummary) -> dict:
+    """Everything needed to rebuild ``spec`` with no database."""
+    return {
+        "schema": spec.schema.to_dicts(),
+        "summary_moments": _summary_moments(summary),
+        "spec": [
+            f"{term.spec_name} "
+            + " ".join(spec.schema[i].name for i in term.attribute_indices)
+            for term in spec.terms
+        ],
+    }
+
+
+def decode_header(doc: dict) -> tuple[ModelSpec, DataSummary]:
+    schema = AttributeSet.from_dicts(doc["schema"])
+    summary = DataSummary.from_moments(schema, _array(doc["summary_moments"]))
+    return parse_model_spec("\n".join(doc["spec"]), schema, summary), summary
+
+
+def classification_to_dict(
+    clf: Classification, summary: DataSummary
+) -> dict:
+    """A self-contained classification: header + body, as plain data."""
+    return {**encode_header(clf.spec, summary), **encode_classification(clf)}
+
+
+def classification_from_dict(
+    doc: dict, error: type[Exception] = ResultsFormatError
+) -> tuple[Classification, DataSummary]:
+    """Inverse of :func:`classification_to_dict`; malformed → ``error``."""
+    with decoding("classification", error):
+        spec, summary = decode_header(doc)
+        return decode_classification(doc, spec, error), summary
+
+
+# ---------------------------------------------------------------------------
+# tries and search config (shared with the checkpoint format)
+
+def encode_try(t: TryResult) -> dict:
+    return {
+        "try_index": t.try_index,
+        "n_classes_requested": t.n_classes_requested,
+        "converged": t.converged,
+        "n_cycles": t.n_cycles,
+        "duplicate_of": t.duplicate_of,
+        "classification": encode_classification(t.classification),
+    }
+
+
+def decode_try(
+    entry: dict, spec: ModelSpec, error: type[Exception] = ResultsFormatError
+) -> TryResult:
+    return TryResult(
+        try_index=entry["try_index"],
+        n_classes_requested=entry["n_classes_requested"],
+        classification=decode_classification(
+            entry["classification"], spec, error
+        ),
+        converged=entry["converged"],
+        n_cycles=entry["n_cycles"],
+        duplicate_of=entry["duplicate_of"],
     )
-    spec = parse_model_spec("\n".join(payload["spec"]), schema, summary)
-    return decode_classification(payload, spec), summary
+
+
+def encode_config(config: SearchConfig) -> dict:
+    return asdict(config)
+
+
+def decode_config(data: dict) -> SearchConfig:
+    return SearchConfig(
+        **{**data, "start_j_list": tuple(data["start_j_list"])}
+    )
+
+
+# ---------------------------------------------------------------------------
+# files
+
+def _read(path: str | Path, kind: str) -> dict:
+    return read_json(
+        path, what="results", error=ResultsFormatError,
+        kind=("kind", kind), version=("format_version", FORMAT_VERSION),
+    )
 
 
 def save_classification(
     clf: Classification, summary: DataSummary, path: str | Path
 ) -> None:
     """Write one classification as a ``.results.json`` file."""
-    Path(path).write_text(
-        json.dumps(classification_to_dict(clf, summary), indent=1),
-        encoding="utf-8",
-    )
+    write_json(path, {
+        "format_version": FORMAT_VERSION,
+        "kind": CLASSIFICATION_KIND,
+        **classification_to_dict(clf, summary),
+    })
 
 
 def load_classification(path: str | Path) -> tuple[Classification, DataSummary]:
     """Read a classification back; needs no database."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResultsFormatError(f"not a results file: {exc}") from exc
-    return classification_from_dict(payload)
+    return classification_from_dict(_read(path, CLASSIFICATION_KIND))
 
-
-# ---------------------------------------------------------------------------
-# whole search results
 
 def save_search_result(
     result: SearchResult, summary: DataSummary, path: str | Path
 ) -> None:
     """Persist a whole BIG_LOOP outcome (all tries + config)."""
-    cfg = result.config
-    payload = {
+    write_json(path, {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "start_j_list": list(cfg.start_j_list),
-            "max_n_tries": cfg.max_n_tries,
-            "rel_delta": cfg.rel_delta,
-            "n_consecutive": cfg.n_consecutive,
-            "max_cycles": cfg.max_cycles,
-            "init_method": cfg.init_method,
-            "seed": cfg.seed,
-            "duplicate_eps": cfg.duplicate_eps,
-            "max_seconds": cfg.max_seconds,
-        },
-        "tries": [
-            {
-                "try_index": t.try_index,
-                "n_classes_requested": t.n_classes_requested,
-                "converged": t.converged,
-                "n_cycles": t.n_cycles,
-                "duplicate_of": t.duplicate_of,
-                "classification": classification_to_dict(
-                    t.classification, summary
-                ),
-            }
-            for t in result.tries
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        "kind": SEARCH_KIND,
+        "config": encode_config(result.config),
+        **encode_header(result.best.classification.spec, summary),
+        "tries": [encode_try(t) for t in result.tries],
+    })
 
 
 def load_search_result(path: str | Path) -> SearchResult:
     """Read a persisted search back into a :class:`SearchResult`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResultsFormatError(f"not a results file: {exc}") from exc
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ResultsFormatError("unsupported results format version")
-    cfg_data = payload["config"]
-    config = SearchConfig(
-        start_j_list=tuple(cfg_data["start_j_list"]),
-        max_n_tries=cfg_data["max_n_tries"],
-        rel_delta=cfg_data["rel_delta"],
-        n_consecutive=cfg_data["n_consecutive"],
-        max_cycles=cfg_data["max_cycles"],
-        init_method=cfg_data["init_method"],
-        seed=cfg_data["seed"],
-        duplicate_eps=cfg_data["duplicate_eps"],
-        max_seconds=cfg_data.get("max_seconds"),
-    )
-    result = SearchResult(config=config)
-    for entry in payload["tries"]:
-        clf, _summary = classification_from_dict(entry["classification"])
-        result.tries.append(
-            TryResult(
-                try_index=entry["try_index"],
-                n_classes_requested=entry["n_classes_requested"],
-                classification=clf,
-                converged=entry["converged"],
-                n_cycles=entry["n_cycles"],
-                duplicate_of=entry["duplicate_of"],
-            )
+    doc = _read(path, SEARCH_KIND)
+    with decoding("results file", ResultsFormatError):
+        spec, _summary = decode_header(doc)
+        return SearchResult(
+            config=decode_config(doc["config"]),
+            tries=[decode_try(entry, spec) for entry in doc["tries"]],
         )
-    return result

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.util.docfile import write_bytes
+
 #: Schema version stamped into every exported record.
 SCHEMA_VERSION = 1
 
@@ -270,13 +272,11 @@ _REQUIRED_RANK_KEYS = (
 
 def write_jsonl(record: RunRecord, path: str | Path) -> Path:
     """Export ``record`` as JSONL: a ``run`` header + one rank per line."""
-    path = Path(path)
     lines = [json.dumps(record.header_dict(), sort_keys=True)]
     for rank in record.ranks:
         d = {"kind": "rank", **rank.to_dict()}
         lines.append(json.dumps(d, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_jsonl(path: str | Path) -> RunRecord:

@@ -11,52 +11,50 @@ is:
   with (so scoring replays the training-time E-step arithmetic);
 * **versioned** — ``FORMAT`` / ``ARTIFACT_VERSION`` are checked on
   load, with a clear :class:`ArtifactError` on mismatch;
-* **digested** — ``save`` writes a ``<base>.json`` metadata document
-  plus a ``<base>.npz`` array payload; the JSON records the sha256 of
-  the npz bytes and a sha256 over its own canonical form, and ``load``
-  refuses anything that does not verify (bit rot, hand edits,
-  truncation) with :class:`ArtifactError`.
+* **digested** — ``save`` writes a ``<base>.npz`` array payload, then
+  a ``<base>.json`` metadata document recording the sha256 of the npz
+  bytes and a sha256 over its own canonical form; ``load`` refuses
+  anything that does not verify (bit rot, hand edits, truncation, a
+  crash between the two writes) with :class:`ArtifactError`.
 
-Floats round-trip bit-exactly: scalars ride JSON's repr-faithful
-doubles (the same guarantee :mod:`repro.engine.results_io` tests), and
-arrays ride the npz payload verbatim — so a loaded model scores
-byte-identically to the fitted one, which the tests assert.
+The JSON document *is* the results-file body of
+:func:`repro.engine.results_io.classification_to_dict` with its ndarray
+leaves hoisted into the npz (:func:`repro.util.docfile.hoist_arrays`) —
+one classification codec, two containers.  Floats round-trip
+bit-exactly: scalars ride JSON's repr-faithful doubles, arrays ride the
+npz payload verbatim — so a loaded model scores byte-identically to the
+fitted one, which the tests assert.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields
+import io
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.classification import Classification, Scores
+from repro.engine.classification import Classification
 from repro.engine.results_io import (
-    _decode_schema,
-    _encode_schema,
-    _encode_spec,
-    _PARAMS_CLASSES,
-    _summary_moments,
+    classification_from_dict,
+    classification_to_dict,
 )
-from repro.models.registry import parse_model_spec
 from repro.models.summary import DataSummary
+from repro.serve.scoring import Inference
+from repro.util import docfile
 
 if TYPE_CHECKING:  # avoid a runtime api -> serve -> api cycle
     from repro.api import Run
 
 FORMAT = "pautoclass-fitted-model"
-ARTIFACT_VERSION = 1
+#: Version 2: the metadata is the results-file classification body with
+#: npz references for leaves; version 1 artifacts are refused.
+ARTIFACT_VERSION = 2
 
 
 class ArtifactError(ValueError):
     """Raised for unreadable, corrupted, or version-mismatched artifacts."""
-
-
-def _canonical_json(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _base_path(path: str | Path) -> Path:
@@ -68,7 +66,7 @@ def _base_path(path: str | Path) -> Path:
 
 
 @dataclass(frozen=True, eq=False)
-class FittedModel:
+class FittedModel(Inference):
     """A frozen, versioned, servable snapshot of one fitted mixture.
 
     Construct with :meth:`from_run` (or load one with :meth:`load`);
@@ -142,121 +140,53 @@ class FittedModel:
             f"trained on {self.backend}/{self.n_processors})"
         )
 
-    # -- scoring (sklearn-style) ------------------------------------------
-
-    def predict(self, db) -> np.ndarray:
-        """Hard class assignment per item, ``(n_items,)`` int64."""
-        from repro.serve.scoring import predict
-
-        return predict(db, self.classification, kernels=self.kernels)
-
-    def predict_proba(self, db) -> np.ndarray:
-        """``(n_items, n_classes)`` posterior membership probabilities."""
-        from repro.serve.scoring import predict_proba
-
-        return predict_proba(db, self.classification, kernels=self.kernels)
-
-    def predict_logproba(self, db) -> np.ndarray:
-        """``(n_items, n_classes)`` log posterior membership."""
-        from repro.serve.scoring import predict_logproba
-
-        return predict_logproba(db, self.classification, kernels=self.kernels)
-
-    def score_samples(self, db) -> np.ndarray:
-        """Per-item log evidence ``log p(x_i)``, ``(n_items,)``."""
-        from repro.serve.scoring import score_samples
-
-        return score_samples(db, self.classification, kernels=self.kernels)
-
-    def score(self, db) -> float:
-        """Mean per-item log evidence (sklearn's mixture ``score``)."""
-        from repro.serve.scoring import score
-
-        return score(db, self.classification, kernels=self.kernels)
+    def _scored(self):
+        return self.classification, self.kernels
 
     # -- serialization ----------------------------------------------------
 
-    def _split_payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Partition the model into (JSON metadata, npz array payload)."""
-        clf = self.classification
-        arrays: dict[str, np.ndarray] = {
-            "log_pi": np.ascontiguousarray(clf.log_pi, dtype=np.float64),
-            "summary_moments": _summary_moments(self.summary),
-        }
-        terms_meta = []
-        for i, (term, params) in enumerate(zip(clf.spec.terms, clf.term_params)):
-            entry: dict = {
-                "model": term.spec_name,
-                "array_fields": [],
-                "scalars": {},
-            }
-            for f in fields(params):
-                value = getattr(params, f.name)
-                if isinstance(value, np.ndarray):
-                    arrays[f"term{i}.{f.name}"] = np.ascontiguousarray(
-                        value, dtype=np.float64
-                    )
-                    entry["array_fields"].append(f.name)
-                else:
-                    entry["scalars"][f.name] = value
-            terms_meta.append(entry)
-        meta: dict = {
+    def _encode(self) -> tuple[dict, bytes]:
+        """The (digested JSON metadata, npz bytes) pair of this model."""
+        arrays: dict[str, np.ndarray] = {}
+        meta = {
             "format": FORMAT,
             "artifact_version": ARTIFACT_VERSION,
             "kernels": self.kernels,
             "backend": self.backend,
             "n_processors": self.n_processors,
-            "schema": _encode_schema(clf.spec.schema),
-            "spec": _encode_spec(clf.spec),
-            "n_classes": clf.n_classes,
-            "n_cycles": clf.n_cycles,
-            "terms": terms_meta,
+            **docfile.hoist_arrays(
+                classification_to_dict(self.classification, self.summary),
+                arrays,
+            ),
         }
-        if clf.scores is not None:
-            arrays["scores.w_j"] = np.ascontiguousarray(
-                clf.scores.w_j, dtype=np.float64
-            )
-            meta["scores"] = {
-                "log_marginal_cs": clf.scores.log_marginal_cs,
-                "log_lik_obs": clf.scores.log_lik_obs,
-                "log_map_objective": clf.scores.log_map_objective,
-                "n_items": clf.scores.n_items,
-            }
-        return meta, arrays
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        npz_bytes = buf.getvalue()
+        meta["arrays_sha256"] = docfile.sha256_hex(npz_bytes)
+        meta["digest"] = docfile.digest(meta)
+        return meta, npz_bytes
 
     def save(self, path: str | Path) -> tuple[Path, Path]:
         """Write ``<base>.json`` + ``<base>.npz``; returns both paths.
 
         The JSON document carries the sha256 of the npz bytes
         (``arrays_sha256``) and a digest over its own canonical form
-        (``digest``); :meth:`load` verifies both.
+        (``digest``); :meth:`load` verifies both.  Each file is replaced
+        atomically, the npz first: two fixed names cannot be swapped as
+        a pair, so a crash between the two renames leaves a new npz
+        under the old JSON — which ``load`` reports as a payload digest
+        mismatch, never as a silently mixed model.
         """
-        import io
-
         base = _base_path(path)
-        json_path = base.with_suffix(".json")
-        npz_path = base.with_suffix(".npz")
-        meta, arrays = self._split_payload()
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        npz_bytes = buf.getvalue()
-        meta["arrays_sha256"] = hashlib.sha256(npz_bytes).hexdigest()
-        meta["digest"] = hashlib.sha256(_canonical_json(meta)).hexdigest()
-        base.parent.mkdir(parents=True, exist_ok=True)
-        npz_path.write_bytes(npz_bytes)
-        json_path.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+        meta, npz_bytes = self._encode()
+        npz_path = docfile.write_bytes(base.with_suffix(".npz"), npz_bytes)
+        json_path = docfile.write_json(base.with_suffix(".json"), meta)
         return json_path, npz_path
 
     @property
     def digest(self) -> str:
         """sha256 identity of this model's serialized form."""
-        import io
-
-        meta, arrays = self._split_payload()
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        meta["arrays_sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
-        return hashlib.sha256(_canonical_json(meta)).hexdigest()
+        return self._encode()[0]["digest"]
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
@@ -268,107 +198,32 @@ class FittedModel:
         swapped array payloads (arrays_sha256 mismatch).
         """
         base = _base_path(path)
-        json_path = base.with_suffix(".json")
         npz_path = base.with_suffix(".npz")
-        try:
-            text = json_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ArtifactError(f"cannot read {json_path}: {exc}") from exc
-        try:
-            meta = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{json_path} is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("format") != FORMAT:
-            raise ArtifactError(
-                f"{json_path} is not a {FORMAT} artifact "
-                f"(format={meta.get('format')!r})"
-            )
-        if meta.get("artifact_version") != ARTIFACT_VERSION:
-            raise ArtifactError(
-                f"artifact version {meta.get('artifact_version')!r} not "
-                f"supported (expected {ARTIFACT_VERSION})"
-            )
-        recorded_digest = meta.get("digest")
-        check = dict(meta)
-        check.pop("digest", None)
-        if (
-            recorded_digest is None
-            or hashlib.sha256(_canonical_json(check)).hexdigest()
-            != recorded_digest
-        ):
-            raise ArtifactError(
-                f"metadata digest mismatch in {json_path}: the artifact "
-                "was modified after it was written"
-            )
-        try:
-            npz_bytes = npz_path.read_bytes()
-        except OSError as exc:
-            raise ArtifactError(f"cannot read {npz_path}: {exc}") from exc
-        if hashlib.sha256(npz_bytes).hexdigest() != meta["arrays_sha256"]:
+        meta = docfile.read_json(
+            base.with_suffix(".json"), what="fitted-model artifact",
+            error=ArtifactError, kind=("format", FORMAT),
+            version=("artifact_version", ARTIFACT_VERSION), digested=True,
+        )
+        npz_bytes = docfile.read_bytes(npz_path, error=ArtifactError)
+        if docfile.sha256_hex(npz_bytes) != meta.get("arrays_sha256"):
             raise ArtifactError(
                 f"array payload digest mismatch for {npz_path}: the "
                 "npz bytes do not match the sha256 recorded in the "
                 "metadata (corrupted or swapped payload)"
             )
-        import io
-
         try:
             with np.load(io.BytesIO(npz_bytes)) as npz:
                 arrays = {name: np.ascontiguousarray(npz[name]) for name in npz.files}
         except Exception as exc:  # zipfile/format errors vary by version
             raise ArtifactError(f"cannot decode {npz_path}: {exc}") from exc
-        return cls._assemble(meta, arrays)
-
-    @classmethod
-    def _assemble(
-        cls, meta: dict, arrays: dict[str, np.ndarray]
-    ) -> "FittedModel":
-        try:
-            schema = _decode_schema(meta["schema"])
-            summary = DataSummary.from_moments(
-                schema, np.asarray(arrays["summary_moments"], dtype=np.float64)
+        with docfile.decoding("artifact payload", ArtifactError):
+            clf, summary = classification_from_dict(
+                docfile.restore_arrays(meta, arrays), ArtifactError
             )
-            spec = parse_model_spec("\n".join(meta["spec"]), schema, summary)
-            term_params = []
-            for i, (term, entry) in enumerate(zip(spec.terms, meta["terms"])):
-                if entry["model"] != term.spec_name:
-                    raise ArtifactError(
-                        f"term model mismatch: spec says {term.spec_name!r}, "
-                        f"params say {entry['model']!r}"
-                    )
-                params_cls = _PARAMS_CLASSES.get(entry["model"])
-                if params_cls is None:
-                    raise ArtifactError(f"unknown term model {entry['model']!r}")
-                kwargs = dict(entry["scalars"])
-                for name in entry["array_fields"]:
-                    kwargs[name] = arrays[f"term{i}.{name}"]
-                term_params.append(params_cls(**kwargs))
-            scores = None
-            if "scores" in meta:
-                s = meta["scores"]
-                scores = Scores(
-                    log_marginal_cs=s["log_marginal_cs"],
-                    log_lik_obs=s["log_lik_obs"],
-                    log_map_objective=s["log_map_objective"],
-                    w_j=arrays["scores.w_j"],
-                    n_items=s["n_items"],
-                )
-            clf = Classification(
-                spec=spec,
-                n_classes=meta["n_classes"],
-                log_pi=np.asarray(arrays["log_pi"], dtype=np.float64),
-                term_params=tuple(term_params),
-                scores=scores,
-                n_cycles=meta["n_cycles"],
+            return cls(
+                classification=clf,
+                summary=summary,
+                kernels=meta["kernels"],
+                backend=meta["backend"],
+                n_processors=meta["n_processors"],
             )
-        except ArtifactError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"malformed artifact payload: {exc}") from exc
-        return cls(
-            classification=clf,
-            summary=summary,
-            kernels=meta["kernels"],
-            backend=meta["backend"],
-            n_processors=meta["n_processors"],
-        )

@@ -11,8 +11,9 @@ scoring the training database under the training run's kernel mode
 reproduces the run's final class map.
 
 All entry points are stateless functions over ``(db, clf)``; the
-object-shaped API lives on :class:`repro.serve.artifact.FittedModel`
-and :class:`repro.api.Run`, which delegate here.
+object-shaped API is the :class:`Inference` mixin, shared by
+:class:`repro.serve.artifact.FittedModel`, :class:`repro.api.Run` and
+the estimators.
 """
 
 from __future__ import annotations
@@ -207,6 +208,44 @@ def score(
             total += float(le.sum())
         return total / db.n_items
     return float(score_batch(db, clf, kernels=kernels).log_evidence.mean())
+
+
+class Inference:
+    """The sklearn-shaped inference surface, written once.
+
+    :class:`repro.api.Run`, :class:`repro.serve.artifact.FittedModel`
+    and the estimators all score through the functions above; they
+    differ only in where the ``(classification, kernels)`` pair comes
+    from, which is the one hook they implement.
+    """
+
+    def _scored(self) -> tuple["Classification", str | None]:
+        """The classification to score with and its kernel mode."""
+        raise NotImplementedError
+
+    def _score_with(self, fn, db: Database):
+        clf, kernels = self._scored()
+        return fn(db, clf, kernels=kernels)
+
+    def predict(self, db: Database) -> np.ndarray:
+        """Hard class assignment per item, ``(n_items,)`` int64."""
+        return self._score_with(predict, db)
+
+    def predict_proba(self, db: Database) -> np.ndarray:
+        """``(n_items, n_classes)`` posterior membership probabilities."""
+        return self._score_with(predict_proba, db)
+
+    def predict_logproba(self, db: Database) -> np.ndarray:
+        """``(n_items, n_classes)`` log posterior membership."""
+        return self._score_with(predict_logproba, db)
+
+    def score_samples(self, db: Database) -> np.ndarray:
+        """Per-item log evidence ``log p(x_i)``, ``(n_items,)``."""
+        return self._score_with(score_samples, db)
+
+    def score(self, db: Database) -> float:
+        """Mean per-item log evidence (sklearn's mixture ``score``)."""
+        return self._score_with(score, db)
 
 
 def concat_databases(blocks: list[Database] | tuple[Database, ...]) -> Database:

@@ -47,7 +47,6 @@ from repro.verify.harness import (
     write_golden,
 )
 from repro.verify.overlap import (
-    capture_streamed_trace,
     check_overlap_conformance,
     content_digest,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "RunTrace",
     "Tolerance",
     "TraceMeta",
-    "capture_streamed_trace",
     "capture_trace",
     "check_overlap_conformance",
     "compare_traces",

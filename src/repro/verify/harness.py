@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.util import docfile
 from repro.verify.conformance import ConformanceReport, compare_traces
-from repro.verify.trace import RunTrace, TraceMeta, capture_trace
+from repro.verify.trace import RunTrace, capture_trace
 
 #: Directory holding the committed golden traces.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -212,11 +213,11 @@ def write_golden(
 ) -> Path:
     """(Re)generate one golden file from a fresh sequential run."""
     trace = sequential_reference(case, kernels)
-    path = golden_path(case.name, kernels, golden_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"digest": trace.digest(), "trace": trace.to_dict()}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    return path
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return docfile.write_bytes(
+        golden_path(case.name, kernels, golden_dir), text.encode("utf-8")
+    )
 
 
 def load_golden(
@@ -229,9 +230,10 @@ def load_golden(
             f"no golden trace at {path}; generate with "
             "`python -m repro.verify --regen`"
         )
-    payload = json.loads(path.read_text())
-    trace = RunTrace.from_dict(payload["trace"])
-    stored = str(payload["digest"])
+    payload = docfile.read_json(path, what="golden trace", error=ValueError)
+    with docfile.decoding(f"golden file {path}", ValueError):
+        trace = RunTrace.from_dict(payload["trace"])
+        stored = str(payload["digest"])
     actual = trace.digest()
     if stored != actual:
         raise ValueError(
@@ -255,9 +257,7 @@ def _check_one_golden(
         stored_digest, stored_trace = load_golden(
             case.name, kernels, golden_dir
         )
-    except FileNotFoundError as exc:
-        return str(exc)
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return str(exc)
     if fresh.digest() == stored_digest:
         return None

@@ -18,17 +18,16 @@ across all four worlds.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any
 
+from repro.util import docfile
 from repro.verify.conformance import (
     ConformanceError,
     ConformanceReport,
     compare_traces,
 )
 from repro.verify.tolerance import BITWISE
-from repro.verify.trace import RunTrace, TraceMeta
+from repro.verify.trace import RunTrace, capture_trace
 
 
 def content_digest(trace: RunTrace) -> str:
@@ -41,49 +40,7 @@ def content_digest(trace: RunTrace) -> str:
     """
     d = trace.to_dict()
     del d["meta"]
-    payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def capture_streamed_trace(
-    sdb,
-    db,
-    config: dict[str, Any],
-    *,
-    world: str,
-    size: int,
-    overlap: bool,
-    kernels: str = "fused",
-    allreduce: str = "recursive_doubling",
-    segments: int = 1,
-    case: str = "",
-    instrument: str = "full",
-) -> RunTrace:
-    """Fit ``sdb`` once on ``(world, size)`` and extract its trace.
-
-    ``db`` is the in-memory database ``sdb`` shards — the class map
-    (trace layer 4) scores every item's membership, which needs the
-    materialized data; the fit itself streams.
-    """
-    from repro.api import PAutoClass
-    from repro.mpc.api import CollectiveConfig
-
-    meta = TraceMeta(
-        case=case, world=world, size=size, kernels=kernels,
-        allreduce=f"{allreduce}+overlap" if overlap else allreduce,
-    )
-    model = PAutoClass(
-        n_processors=size,
-        backend=world,
-        collectives=CollectiveConfig(
-            allreduce=allreduce, overlap=overlap, segments=segments
-        ),
-        instrument=instrument,
-        kernels=kernels,
-        **config,
-    )
-    run = model.fit(sdb)
-    return RunTrace.from_run(run, db, meta)
+    return docfile.digest(d)
 
 
 def check_overlap_conformance(
@@ -108,12 +65,12 @@ def check_overlap_conformance(
     must be digest-equal — overlap reorders rounds in time but replays
     the blocking schedule's exact combine association.
     """
-    blocking = capture_streamed_trace(
-        sdb, db, config, world=world, size=size, overlap=False,
+    blocking = capture_trace(
+        db, config, fit_on=sdb, world=world, size=size, overlap=False,
         kernels=kernels, allreduce=allreduce, instrument=instrument,
     )
-    overlapped = capture_streamed_trace(
-        sdb, db, config, world=world, size=size, overlap=True,
+    overlapped = capture_trace(
+        db, config, fit_on=sdb, world=world, size=size, overlap=True,
         kernels=kernels, allreduce=allreduce, segments=segments,
         instrument=instrument,
     )

@@ -24,12 +24,12 @@ corpus stores and CI re-checks these digests.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro.util import docfile
 
 #: Trace schema version (bump on incompatible change; golden files
 #: with a different version are rejected, not silently compared).
@@ -179,10 +179,7 @@ class RunTrace:
         share a digest iff every number in them is bitwise identical —
         the digest *is* the bitwise-conformance check, in one string.
         """
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return docfile.digest(self.to_dict())
 
 
 def pack_term_params(clf) -> list[float]:
@@ -213,18 +210,29 @@ def capture_trace(
     case: str = "",
     instrument: str = "full",
     spec=None,
+    fit_on=None,
+    overlap: bool = False,
+    segments: int = 1,
 ) -> RunTrace:
     """Fit once on the requested (world, size, kernels, allreduce) cell.
 
     ``config`` is the :class:`~repro.engine.search.SearchConfig` kwargs
     of the seeded search; every cell of a conformance matrix must use
     the identical ``config`` or the comparison is meaningless.
+
+    ``fit_on`` — a :class:`~repro.data.shards.ShardedDatabase` of the
+    same rows — makes the fit stream while the class map (trace layer
+    4, which scores every item's membership) is still taken against
+    the in-memory ``db``.  ``overlap`` / ``segments`` select the
+    nonblocking reductions; an overlapped arm is labelled
+    ``"<allreduce>+overlap"``.
     """
     from repro.api import PAutoClass
     from repro.mpc.api import CollectiveConfig
 
     meta = TraceMeta(
-        case=case, world=world, size=size, kernels=kernels, allreduce=allreduce
+        case=case, world=world, size=size, kernels=kernels,
+        allreduce=f"{allreduce}+overlap" if overlap else allreduce,
     )
     run = PAutoClass(
         n_processors=size,
@@ -233,10 +241,12 @@ def capture_trace(
         # "sequential" has no world, hence no collectives to configure.
         collectives=(
             None if world == "sequential"
-            else CollectiveConfig(allreduce=allreduce)
+            else CollectiveConfig(
+                allreduce=allreduce, overlap=overlap, segments=segments
+            )
         ),
         instrument=instrument,
         kernels=kernels,
         **config,
-    ).fit(db)
+    ).fit(db if fit_on is None else fit_on)
     return RunTrace.from_run(run, db, meta)

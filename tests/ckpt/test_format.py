@@ -13,7 +13,6 @@ from repro.ckpt.format import (
     CKPT_FORMAT_VERSION,
     CheckpointError,
     InProgressTry,
-    atomic_write_json,
     checkpoint_key,
     decode_checkpoint,
     encode_checkpoint,
@@ -23,6 +22,7 @@ from repro.ckpt.manager import Checkpointer, CheckpointSpec
 from repro.engine.search import SearchConfig, run_search
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
+from repro.util.docfile import write_json
 from repro.util.rng import SeedSequenceStream
 
 CONFIG = SearchConfig(start_j_list=(2, 3), max_n_tries=2, seed=11,
@@ -53,7 +53,7 @@ def _roundtrip_bytes(db, tmp_path, *, in_progress: bool):
         )
     payload = encode_checkpoint(key, result, ip, stream.state_dict())
     first = tmp_path / "a.json"
-    atomic_write_json(payload, first)
+    write_json(first, payload)
     state = decode_checkpoint(read_checkpoint_file(first), key, spec)
     # re-encode the decoded state
     from repro.engine.search import SearchResult
@@ -65,7 +65,7 @@ def _roundtrip_bytes(db, tmp_path, *, in_progress: bool):
         key, result2, state.in_progress, stream2.state_dict()
     )
     second = tmp_path / "b.json"
-    atomic_write_json(payload2, second)
+    write_json(second, payload2)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -188,7 +188,7 @@ class TestValidation:
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         target = tmp_path / "x.json"
-        atomic_write_json({"ok": 1}, target)
+        write_json(target, {"ok": 1})
         assert target.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 

@@ -1,5 +1,6 @@
 """Tests for repro.data.shards (out-of-core sharded databases)."""
 
+import json
 import pickle
 import threading
 
@@ -18,6 +19,7 @@ from repro.data.shards import (
     is_streamable,
 )
 from repro.data.synth import make_mixed_database, make_paper_database
+from repro.util import docfile
 
 
 def assert_same_rows(db, sdb_or_chunkdb, lo=0, hi=None):
@@ -37,17 +39,10 @@ def assert_same_rows(db, sdb_or_chunkdb, lo=0, hi=None):
         )
 
 
-@pytest.fixture(params=["npy", "npz"])
-def fmt(request):
-    return request.param
-
-
 class TestRoundtrip:
-    def test_materialize_reproduces_database(self, tmp_path, fmt):
+    def test_materialize_reproduces_database(self, tmp_path):
         db, _ = make_mixed_database(157, missing_rate=0.1, seed=5)
-        sdb = ShardedDatabase.from_database(
-            db, tmp_path / "s", shard_items=40, fmt=fmt
-        )
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s", shard_items=40)
         assert sdb.schema == db.schema
         assert sdb.n_items == db.n_items
         assert sdb.n_shards == 4
@@ -61,9 +56,9 @@ class TestRoundtrip:
         assert opened.n_items == db.n_items
         assert_same_rows(db, opened)
 
-    def test_empty_database_roundtrip(self, tmp_path, fmt):
+    def test_empty_database_roundtrip(self, tmp_path):
         db = make_paper_database(7, seed=0).take(slice(0, 0))
-        sdb = ShardedDatabase.from_database(db, tmp_path / "s", fmt=fmt)
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s")
         assert sdb.n_items == 0
         assert sdb.n_shards == 0
         assert list(sdb.iter_chunks()) == []
@@ -76,9 +71,17 @@ class TestRoundtrip:
             ShardedDatabase.from_database(db, tmp_path / "s")
 
     def test_bad_format_rejected(self, tmp_path):
+        # a directory of compressed-archive shards written before ".npy
+        # only": intact and correctly digested, but not loadable
         db = make_paper_database(10, seed=0)
-        with pytest.raises(ValueError, match="fmt"):
-            ShardedDatabase.from_database(db, tmp_path / "s", fmt="hdf5")
+        ShardedDatabase.from_database(db, tmp_path / "s")
+        path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["format"] = "npz"
+        manifest["digest"] = docfile.digest(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ShardFormatError, match="npz"):
+            ShardedDatabase.open(tmp_path / "s")
 
     def test_pickle_reopens_view(self, tmp_path):
         db = make_paper_database(60, seed=3)
@@ -212,18 +215,14 @@ class TestCorruption:
             ShardedDatabase.open(tmp_path / "s")
 
 
-def _prefetch_threads():
-    return [
-        t for t in threading.enumerate()
-        if t.name.startswith("shard-prefetch")
-    ]
-
-
 class TestPrefetchLifecycle:
+    """Shards load inline, on the consumer's thread: no pass — failed,
+    abandoned or completed — may start a thread of any name, and
+    ``close()`` (or ``with``) empties the view's residency."""
+
     def test_failing_fit_leaves_no_prefetch_threads(self, tmp_path):
-        """Regression: a fit that dies mid-stream (here: a corrupt
-        second shard discovered during first-touch verification) used
-        to leave the ``shard-prefetch`` worker alive forever."""
+        """A fit that dies mid-stream (here: a corrupt second shard
+        discovered during first-touch verification)."""
         db = make_paper_database(120, seed=3)
         ShardedDatabase.from_database(
             db, tmp_path / "s", shard_items=24, chunk_items=12
@@ -233,42 +232,40 @@ class TestPrefetchLifecycle:
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         sdb = ShardedDatabase.open(tmp_path / "s")
+        before = set(threading.enumerate())
         with pytest.raises(ShardCorruptionError):
             AutoClass(
                 start_j_list=(2,), max_n_tries=1, seed=0, max_cycles=2
             ).fit(sdb)
-        assert _prefetch_threads() == []
+        assert set(threading.enumerate()) == before
+        assert len(sdb.resident_shards()) <= MAX_RESIDENT_SHARDS
+        sdb.close()
+        assert sdb.resident_shards() == ()
 
     def test_abandoned_iteration_stops_prefetch_thread(self, tmp_path):
         db = make_paper_database(120, seed=3)
         sdb = ShardedDatabase.from_database(
-            db, tmp_path / "s", shard_items=24, chunk_items=12, fmt="npz"
+            db, tmp_path / "s", shard_items=24, chunk_items=12
         )
+        before = set(threading.enumerate())
         it = sdb.iter_chunks()
-        next(it)  # shard 0 resident, shard 1 prefetching
+        next(it)  # shard 0 resident
         it.close()  # consumer walks away mid-pass
-        assert _prefetch_threads() == []
-
-    def test_completed_pass_keeps_worker_until_close(self, tmp_path):
-        # npz shards route every load through the worker, so a full
-        # pass leaves a warm (idle) thread for the next pass; close()
-        # must join it.
-        db = make_paper_database(120, seed=3)
-        sdb = ShardedDatabase.from_database(
-            db, tmp_path / "s", shard_items=24, chunk_items=12, fmt="npz"
-        )
-        list(sdb.iter_chunks())
+        assert set(threading.enumerate()) == before
+        assert sdb.resident_shards() == (0,)
         sdb.close()
-        assert _prefetch_threads() == []
+        assert sdb.resident_shards() == ()
 
     def test_context_manager_closes(self, tmp_path):
         db = make_paper_database(60, seed=3)
+        before = set(threading.enumerate())
         with ShardedDatabase.from_database(
-            db, tmp_path / "s", shard_items=12, fmt="npz"
+            db, tmp_path / "s", shard_items=12
         ) as sdb:
             list(sdb.iter_chunks())
+            assert sdb.resident_shards() == (3, 4)
         assert sdb.resident_shards() == ()
-        assert _prefetch_threads() == []
+        assert set(threading.enumerate()) == before
 
 
 class TestProbe:

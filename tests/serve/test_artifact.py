@@ -118,3 +118,54 @@ class TestTamperDetection:
         json_path, _ = model.save(tmp_path / "m")
         meta = json.loads(json_path.read_text(encoding="utf-8"))
         assert model.digest == meta["digest"]
+
+
+class TestTornWrites:
+    """``save`` replaces each file atomically, the npz first.  Two fixed
+    names cannot be swapped as a pair, so the only torn state a crash
+    can leave is new-npz-under-old-JSON — which must be *detected*."""
+
+    @pytest.fixture()
+    def other(self, train_db):
+        from repro.api import AutoClass
+
+        run = AutoClass(
+            start_j_list=(2,), max_n_tries=1, seed=1, max_cycles=5
+        ).fit(train_db)
+        return FittedModel.from_run(run, train_db)
+
+    def _save_failing_on_replace(self, model, base, monkeypatch, nth):
+        import os
+
+        real, calls = os.replace, []
+
+        def flaky(src, dst):
+            calls.append(dst)
+            if len(calls) == nth:
+                raise OSError("crash before rename")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky)
+        with pytest.raises(OSError, match="crash before rename"):
+            model.save(base)
+        monkeypatch.setattr(os, "replace", real)
+
+    def test_crash_before_first_rename_keeps_the_old_pair(
+        self, model, other, tmp_path, monkeypatch
+    ):
+        model.save(tmp_path / "m")
+        self._save_failing_on_replace(other, tmp_path / "m", monkeypatch, 1)
+        assert FittedModel.load(tmp_path / "m").digest == model.digest
+
+    def test_crash_between_renames_is_detected(
+        self, model, other, tmp_path, monkeypatch
+    ):
+        model.save(tmp_path / "m")
+        self._save_failing_on_replace(other, tmp_path / "m", monkeypatch, 2)
+        with pytest.raises(ArtifactError, match="payload digest"):
+            FittedModel.load(tmp_path / "m")
+
+    def test_success_leaves_exactly_the_pair(self, model, tmp_path):
+        model.save(tmp_path / "m")
+        model.save(tmp_path / "m")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "m.npz"]

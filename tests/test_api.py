@@ -370,7 +370,7 @@ class TestUnifiedInference:
             assert labels.shape == (db.n_items,)
             assert np.allclose(obj.predict_proba(db).sum(axis=1), 1.0)
             assert obj.predict_logproba(db).shape[0] == db.n_items
-            assert np.isfinite(obj.score(db))
+            assert obj.score_samples(db).mean() == obj.score(db)
         assert np.array_equal(fitted.predict(db), model.predict(db))
 
     def test_pautoclass_fitted_defaults_to_training_db(self, db):
@@ -419,10 +419,22 @@ class TestShellContract:
         with pytest.raises(ValueError, match="materialize"):
             est.report()
 
+    def test_saved_model_predicts_like_the_run(self, db, backend, tmp_path):
+        from repro.serve import FittedModel
+
+        est = estimator(backend, **self.CONFIG)
+        run = est.fit(db)
+        est.fitted().save(tmp_path / "m")
+        back = FittedModel.load(tmp_path / "m")
+        assert np.array_equal(back.predict(db), run.predict(db))
+        assert np.array_equal(
+            back.predict_logproba(db), run.predict_logproba(db)
+        )
+
     def test_not_fitted_semantics(self, db, backend):
         fresh = estimator(backend, **self.CONFIG)
         for method in ("predict", "predict_proba", "predict_logproba",
-                       "score", "fitted"):
+                       "score_samples", "score", "fitted"):
             with pytest.raises(NotFittedError):
                 getattr(fresh, method)(db)
         with pytest.raises(NotFittedError):

@@ -69,3 +69,36 @@ def test_spmd_worlds_are_launched_from_one_place():
         )
     ]
     assert callers == ["repro/worlds.py"]
+
+
+def test_one_module_owns_durability_and_digests():
+    """``os.replace`` / ``os.fsync`` / ``hashlib`` — how a document
+    becomes durable and identified — are referenced only in
+    ``util/docfile.py``, and only it (plus the JSONL *line* reader,
+    which reports the line number) catches ``JSONDecodeError``.  A
+    seventh hand-rolled on-disk stack fails here."""
+    owner = "repro/util/docfile.py"
+    primitives = ("os.replace", "os.fsync", "hashlib")
+
+    def referenced(tree: ast.AST) -> set[str]:
+        dotted = imported(tree) | {
+            f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        }
+        return {
+            p for p in primitives
+            if any(n == p or n.startswith(p + ".") for n in dotted)
+        }
+
+    users = {path for path, tree in MODULES.items() if referenced(tree)}
+    assert users == {owner}
+    assert referenced(MODULES[owner]) == set(primitives)
+    catchers = [
+        path for path, tree in MODULES.items()
+        if any(
+            isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "JSONDecodeError" in ast.dump(node.type)
+            for node in ast.walk(tree)
+        )
+    ]
+    assert catchers == ["repro/obs/record.py", owner]

@@ -17,7 +17,7 @@ from repro.data.synth import make_paper_database
 from repro.verify import (
     BITWISE,
     ConformanceError,
-    capture_streamed_trace,
+    capture_trace,
     check_overlap_conformance,
     content_digest,
 )
@@ -59,11 +59,11 @@ class TestOverlapStrictGate:
         assert report.ok
 
     def test_content_digests_agree_but_full_digests_differ(self, db, sdb):
-        blocking = capture_streamed_trace(
-            sdb, db, CONFIG, world="threads", size=3, overlap=False,
+        blocking = capture_trace(
+            db, CONFIG, fit_on=sdb, world="threads", size=3, overlap=False,
         )
-        overlapped = capture_streamed_trace(
-            sdb, db, CONFIG, world="threads", size=3, overlap=True,
+        overlapped = capture_trace(
+            db, CONFIG, fit_on=sdb, world="threads", size=3, overlap=True,
         )
         # The arms intentionally carry different allreduce labels, so
         # the meta-inclusive digest differs while every computed number
@@ -77,16 +77,14 @@ class TestOverlapStrictGate:
         # strict check must refuse it.
         from repro.verify import overlap as overlap_mod
 
-        real_capture = overlap_mod.capture_streamed_trace
+        real_capture = overlap_mod.capture_trace
 
-        def skewed_capture(sdb_, db_, config, **kwargs):
+        def skewed_capture(db_, config, **kwargs):
             if kwargs.get("overlap"):
                 config = dict(config, seed=config["seed"] + 1)
-            return real_capture(sdb_, db_, config, **kwargs)
+            return real_capture(db_, config, **kwargs)
 
-        monkeypatch.setattr(
-            overlap_mod, "capture_streamed_trace", skewed_capture
-        )
+        monkeypatch.setattr(overlap_mod, "capture_trace", skewed_capture)
         with pytest.raises(ConformanceError):
             overlap_mod.check_overlap_conformance(
                 sdb, db, CONFIG, world="serial", size=1, verify="strict",
@@ -115,10 +113,10 @@ class TestOverlapOnInMemoryData:
             assert rank.counters.get("overlap.windows", 0) > 0, rank.rank
         # The capture helper fits whatever it is handed; here that is
         # the in-memory database on both arms.
-        blocking = capture_streamed_trace(
-            db, db, CONFIG, world="threads", size=3, overlap=False,
+        blocking = capture_trace(
+            db, CONFIG, world="threads", size=3, overlap=False,
         )
-        overlapped = capture_streamed_trace(
-            db, db, CONFIG, world="threads", size=3, overlap=True,
+        overlapped = capture_trace(
+            db, CONFIG, world="threads", size=3, overlap=True,
         )
         assert content_digest(blocking) == content_digest(overlapped)
