@@ -33,7 +33,7 @@ def test_a4_packed_reduction_wins(a4, benchmark):
         run_spmd_sim,
         args=(fixed_cycles_program, 10, calibrated_machine(10), db,
               (a4.n_classes,), 3, 0),
-        kwargs={"granularity": "packed", "compute_mode": "counted"},
+        kwargs={"variant": "packed", "compute_mode": "counted"},
         rounds=1,
         iterations=1,
     )

@@ -26,7 +26,6 @@ from repro.engine.params import local_update_parameters
 from repro.engine.wts import local_update_wts, update_wts
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.api import CollectiveConfig
 from repro.mpc.threadworld import run_spmd_threads
 from repro.util.rng import spawn_rng
 
@@ -137,17 +136,14 @@ def test_approximations_kernel(state, benchmark):
     benchmark(update_approximations, clf, stats, red, db.n_items)
 
 
-@pytest.mark.parametrize("algo", ["recursive_doubling", "ring", "reduce_bcast"])
-def test_allreduce_threadworld(algo, benchmark):
+def test_allreduce_threadworld(benchmark):
     payload_len = N_CLASSES * 6  # the paper workload's packed stats
 
     def world():
         def prog(comm):
             return comm.allreduce(np.ones(payload_len))
 
-        return run_spmd_threads(
-            prog, 4, collectives=CollectiveConfig(allreduce=algo)
-        )
+        return run_spmd_threads(prog, 4)
 
     results = benchmark(world)
     np.testing.assert_allclose(results[0], 4.0)

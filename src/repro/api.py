@@ -222,7 +222,7 @@ class FitConfig:
 
     #: Observability level: ``"off"`` | ``"phases"`` | ``"full"``.
     instrument: str = "off"
-    #: Kernel path: None (ambient default) | ``"fused"`` | ``"reference"``.
+    #: Kernel path: None (= ``"fused"``) | ``"fused"`` | ``"reference"``.
     kernels: str | None = None
     #: Conformance shadow run: ``"off"`` | ``"trace"`` | ``"strict"``.
     verify: str = "off"
@@ -296,7 +296,6 @@ def _verified(
     config: SearchConfig,
     spec: ModelSpec | None,
     kernels: str | None,
-    allreduce: str,
     verify: str,
 ) -> Run:
     """Run the conformance shadow fit and attach/enforce its report.
@@ -315,7 +314,7 @@ def _verified(
     resolved = kernel_config.resolve(kernels)
     primary_meta = TraceMeta(
         case="", world=run.backend, size=run.n_processors,
-        kernels=resolved, allreduce=allreduce,
+        kernels=resolved,
     )
     primary = RunTrace.from_run(run, db, primary_meta)
     if run.backend == "sequential":
@@ -328,7 +327,6 @@ def _verified(
         world="sequential",
         size=1,
         kernels=shadow_kernels,
-        allreduce=allreduce,
         instrument="full" if run.instrument == "full" else "off",
         spec=spec,
     )
@@ -378,7 +376,7 @@ class Run(Inference):
     #: unless fitted with ``verify="trace"`` or ``"strict"``); a
     #: :class:`repro.verify.ConformanceReport`.
     conformance: object | None = None
-    #: Kernel path the fit ran under (None = ambient default) —
+    #: Kernel path the fit ran under (None = ``"fused"``) —
     #: inference below scores with the same path, so ``predict`` on the
     #: training database reproduces the run's final class map.
     kernels: str | None = None
@@ -699,9 +697,7 @@ class _Estimator(Inference):
             # *finding*, not a transient failure to restart through.
             run = _verified(
                 run, db, config=config, spec=self.spec,
-                kernels=opts.kernels,
-                allreduce=(opts.collectives or CollectiveConfig()).allreduce,
-                verify=opts.verify,
+                kernels=opts.kernels, verify=opts.verify,
             )
         self.run_ = run
         self._db = db

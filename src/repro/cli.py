@@ -214,12 +214,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--save-model does not apply to --model-search")
     if args.checkpoint != "off" and args.checkpoint_dir is None:
         raise SystemExit(f"--checkpoint {args.checkpoint} needs --checkpoint-dir")
+    if args.max_restarts > 0 and args.checkpoint_dir is None:
+        raise SystemExit("--max-restarts needs --checkpoint-dir")
     if args.transport is not None and args.backend != "processes":
         raise SystemExit("--transport needs --backend processes")
     sequential = args.backend == "sequential"
     if args.try_groups is not None and sequential:
         raise SystemExit("--try-groups needs a parallel --backend")
-    if args.model_search and sequential:
+    if args.model_search:
+        if not sequential:
+            raise SystemExit("--model-search needs --backend sequential")
         if args.checkpoint_dir or args.checkpoint != "off":
             raise SystemExit(
                 "--model-search does not support checkpointing yet"

@@ -182,7 +182,7 @@ def base_cycle(
     reduced payloads), the block's membership weights of the E-step
     (``None`` for streamed data — the full ``(N, J)`` matrix is never
     formed), and the phase timings.  ``kernels`` selects the E/M
-    implementation (``None`` → the process default; see
+    implementation (``None`` → ``"fused"``; see
     :mod:`repro.kernels.config`).
 
     Observability: each chunk's E half is timed under phase ``"wts"``

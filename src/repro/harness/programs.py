@@ -12,7 +12,7 @@ Compute pricing is chosen by the world's ``compute_mode``:
 
 The programs themselves are mode-agnostic; they differ from the library
 driver only in using the **paper's** communication structure by default
-(``granularity="per_term_class"``: the Allreduce inside the per-class /
+(:class:`PerTermClassReducer`: the Allreduce inside the per-class /
 per-attribute loops, as the paper's Figure 5 draws it).
 """
 
@@ -26,13 +26,35 @@ from repro.engine.init import initial_classification
 from repro.engine.params import local_update_parameters
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
+from repro.mpc.reduceops import ReduceOp
 from repro.parallel.packed import ReductionPlan
 from repro.parallel.reducers import BlockingReducer
 from repro.util.rng import SeedSequenceStream
 
-#: Reduction granularity of the figure experiments: the paper's Figure 5
-#: places the Allreduce inside the per-class / per-attribute loops.
-PAPER_GRANULARITY = "per_term_class"
+
+class PerTermClassReducer(BlockingReducer):
+    """The paper's Figure 5: one small Allreduce per (class, term) pair.
+
+    The figure's Allreduce box sits *inside* the ``#cl < Classes`` /
+    ``#n < Attributes`` loops — ``J x n_terms`` collectives per cycle
+    where the library packs all statistics into one.  The figure
+    experiments run this structure because the paper's observed
+    communication costs are only explicable with per-loop collectives
+    (see EXPERIMENTS.md); EXP-A4 prices it against the packed default.
+    """
+
+    def __init__(self, comm, plan, spec) -> None:
+        super().__init__(comm, plan)
+        self._stat_slices = spec.stat_slices()
+
+    def reduce_stats(self, stats):
+        out = np.empty_like(stats)
+        for sl in self._stat_slices:
+            for j in range(stats.shape[0]):
+                out[j, sl] = self.comm.allreduce(
+                    np.ascontiguousarray(stats[j, sl]), ReduceOp.SUM
+                )
+        return out
 
 
 class CentralMStepReducer(BlockingReducer):
@@ -55,8 +77,8 @@ class CentralMStepReducer(BlockingReducer):
     single-chunk cycle hands ``local_stats`` the rank's whole weights).
     """
 
-    def __init__(self, comm, plan, spec, full_db) -> None:
-        super().__init__(comm, plan, spec)
+    def __init__(self, comm, plan, full_db) -> None:
+        super().__init__(comm, plan)
         self.full_db = full_db
 
     def local_stats(self, chunk, spec, wts, *, kernels=None):
@@ -73,19 +95,19 @@ class CentralMStepReducer(BlockingReducer):
 
 
 def fixed_cycles_program(
-    comm, db, j_list, n_cycles, seed, *,
-    granularity=PAPER_GRANULARITY, variant="pautoclass", marks=None,
+    comm, db, j_list, n_cycles, seed, *, variant="pautoclass", marks=None,
 ):
     """One try per ``j_list`` entry, each a fixed number of cycles.
 
     The workload of every figure experiment (Figs. 6/7 run it over the
-    whole J list; EXP-A1/A3/A5 pick the ``variant``, EXP-A4 the
-    ``granularity``, of a single J): the library's own
-    initializer and EM cycle over this rank's block, with the reducer
-    the experiment asks for — the paper's ``granularity`` by default, or
-    the ``"wts_only"`` :class:`CentralMStepReducer`.  ``marks``, if
-    given, collects this rank's virtual time after every cycle.
-    Returns the last try's score.
+    whole J list; EXP-A1/A3/A4/A5 pick the ``variant`` of a single J):
+    the library's own initializer and EM cycle over this rank's block,
+    with the reducer the experiment asks for — ``"pautoclass"`` is the
+    paper's :class:`PerTermClassReducer`, ``"packed"`` the library's
+    :class:`~repro.parallel.reducers.BlockingReducer`, ``"wts_only"``
+    the :class:`CentralMStepReducer`.  ``marks``, if given, collects
+    this rank's virtual time after every cycle.  Returns the last try's
+    score.
     """
     spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
     local = block_partition(db, comm.size, comm.rank)
@@ -94,9 +116,11 @@ def fixed_cycles_program(
     for k, j in enumerate(j_list):
         plan = ReductionPlan(comm, j, spec.n_stats)
         if variant == "pautoclass":
-            reducer = BlockingReducer(comm, plan, spec, granularity)
+            reducer = PerTermClassReducer(comm, plan, spec)
+        elif variant == "packed":
+            reducer = BlockingReducer(comm, plan)
         elif variant == "wts_only":
-            reducer = CentralMStepReducer(comm, plan, spec, db)
+            reducer = CentralMStepReducer(comm, plan, db)
         else:
             raise ValueError(f"unknown variant {variant!r}")
         clf = initial_classification(

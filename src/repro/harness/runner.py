@@ -41,7 +41,7 @@ from repro.harness.programs import (
 )
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.api import CollectiveConfig
+from repro.mpc.collectives import ALLREDUCE
 from repro.mpc.faults import FaultInjector, FaultSpec
 from repro.serve import Scorer, ScorerConfig
 from repro.simnet.calibration import calibrated_machine
@@ -472,35 +472,34 @@ def ablation_variants(
 
 
 # ---------------------------------------------------------------------------
-# EXP-A2 — collective algorithm choice for the Allreduce.
+# EXP-A2 — why the Allreduce is recursive doubling.
+
+#: Textbook alternatives EXP-A2 prices beside the executed algorithm.
+A2_TEXTBOOK = (ALLREDUCE, "reduce_bcast", "ring")
+
 
 @dataclass
 class A2Result:
     nbytes: int
     procs: list[int]
-    #: measured[(algorithm, p)] and expected[(algorithm, p)] seconds
+    #: measured[(ALLREDUCE, p)]: simulated seconds of the executed
+    #: algorithm; expected[(algorithm, p)]: closed-form seconds of each
     measured: dict[tuple[str, int], float]
     expected: dict[tuple[str, int], float]
 
     def render(self) -> str:
-        algos = sorted({a for (a, _p) in self.measured})
-        rows = []
-        for p in self.procs:
-            for a in algos:
-                rows.append(
-                    (
-                        p,
-                        a,
-                        f"{self.measured[(a, p)] * 1e6:.1f}",
-                        f"{self.expected[(a, p)] * 1e6:.1f}",
-                    )
-                )
+        rows = [
+            (p, f"{self.measured[(ALLREDUCE, p)] * 1e6:.1f}")
+            + tuple(f"{self.expected[(a, p)] * 1e6:.1f}" for a in A2_TEXTBOOK)
+            for p in self.procs
+        ]
         return format_table(
-            ["procs", "algorithm", "simulated (us)", "textbook (us)"],
+            ["procs", "simulated (us)"]
+            + [f"textbook {a} (us)" for a in A2_TEXTBOOK],
             rows,
             title=(
-                f"A2 — Allreduce algorithms on the CS-2 model "
-                f"({self.nbytes} B payload)"
+                f"A2 — the {ALLREDUCE} Allreduce, simulated, vs textbook "
+                f"algorithm costs on the CS-2 model ({self.nbytes} B payload)"
             ),
         )
 
@@ -510,23 +509,19 @@ def ablation_collectives(
     procs: tuple[int, ...] = (2, 4, 8, 10),
     n_rounds: int = 50,
 ) -> A2Result:
-    """EXP-A2: simulated vs textbook Allreduce costs per algorithm."""
+    """EXP-A2: the simulated Allreduce vs the textbook cost of each
+    algorithm it could have been."""
     measured: dict[tuple[str, int], float] = {}
     expected: dict[tuple[str, int], float] = {}
     for p in procs:
         machine = meiko_cs2(p)
         cost = CostModel(machine)
-        for algo in ("recursive_doubling", "ring", "reduce_bcast"):
-            run = run_spmd_sim(
-                allreduce_program,
-                p,
-                machine,
-                nbytes,
-                n_rounds,
-                collectives=CollectiveConfig(allreduce=algo),
-                compute_mode="modeled",
-            )
-            measured[(algo, p)] = float(np.mean(run.results))
+        run = run_spmd_sim(
+            allreduce_program, p, machine, nbytes, n_rounds,
+            compute_mode="modeled",
+        )
+        measured[(ALLREDUCE, p)] = float(np.mean(run.results))
+        for algo in A2_TEXTBOOK:
             expected[(algo, p)] = cost.expected_allreduce(algo, p, nbytes)
     return A2Result(
         nbytes=nbytes, procs=list(procs), measured=measured, expected=expected
@@ -643,13 +638,13 @@ def ablation_granularity(
 ) -> A4Result:
     """EXP-A4: what the paper's loop-level Allreduce structure costs."""
     db = make_paper_database(n_items, seed=seed)
-    out: dict[str, list[float]] = {"packed": [], "per_term_class": []}
+    out: dict[str, list[float]] = {"packed": [], "pautoclass": []}
     for p in procs:
         machine = calibrated_machine(p, comm_scale=comm_scale)
-        for granularity, acc in out.items():
+        for variant, acc in out.items():
             run = _run_fixed_cycles(
                 db, machine, (n_classes,), n_cycles, seed, mode,
-                granularity=granularity,
+                variant=variant,
             )
             acc.append(run.elapsed)
     return A4Result(
@@ -657,7 +652,7 @@ def ablation_granularity(
         n_classes=n_classes,
         procs=list(procs),
         elapsed_packed=out["packed"],
-        elapsed_per_term_class=out["per_term_class"],
+        elapsed_per_term_class=out["pautoclass"],
     )
 
 

@@ -19,13 +19,7 @@ paper's two Allreduce cut points:
 See ``docs/kernels.md`` for the lifecycle and layout details.
 """
 
-from repro.kernels.config import (
-    KERNEL_MODES,
-    default_mode,
-    resolve,
-    set_default_mode,
-    use_kernels,
-)
+from repro.kernels.config import KERNEL_MODES, resolve
 from repro.kernels.estep import (
     fused_compute_log_joint,
     fused_local_update_wts,
@@ -51,7 +45,6 @@ __all__ = [
     "Workspace",
     "clear_plan_cache",
     "clear_workspaces",
-    "default_mode",
     "fused_compute_log_joint",
     "fused_local_update_parameters",
     "fused_local_update_wts",
@@ -60,7 +53,5 @@ __all__ = [
     "get_workspace",
     "plan_cache_stats",
     "resolve",
-    "set_default_mode",
-    "use_kernels",
     "workspace_stats",
 ]

@@ -5,63 +5,26 @@ The engine's E/M hot path exists in two interchangeable implementations:
 * ``"fused"`` — the allocation-free :mod:`repro.kernels` layer (plan +
   workspace cached, single-GEMM statistics, in-place normalization);
 * ``"reference"`` — the straightforward per-term numpy path the repo
-  was seeded with, retained verbatim for differential testing.
+  was seeded with, retained verbatim as the :mod:`repro.verify` oracle.
 
-Resolution order for every kernel call:
-
-1. an explicit ``kernels=`` argument threaded through the call site;
-2. the process-wide default, settable with :func:`set_default_mode` or
-   temporarily with the :func:`use_kernels` context manager;
-3. the ``REPRO_KERNELS`` environment variable at import time;
-4. ``"fused"``.
-
-The default is global (not thread-local) on purpose: P-AutoClass runs
-SPMD ranks as threads, and all ranks of one run must execute the same
-kernel implementation to keep the replicated control flow bit-identical.
+The one selector is the explicit ``kernels=`` argument threaded through
+every call site; ``None`` means ``"fused"``.  There is deliberately no
+process-wide switch: all ranks of one run must execute the same kernel
+implementation to keep the replicated control flow bit-identical, and an
+argument carried by the fit is the only thing every rank of every world
+(threads, forked or spawned processes) is guaranteed to see alike.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 #: The two selectable kernel implementations.
 KERNEL_MODES = ("fused", "reference")
 
-_default_mode = os.environ.get("REPRO_KERNELS", "fused")
-if _default_mode not in KERNEL_MODES:  # pragma: no cover - env misuse
-    raise ValueError(
-        f"REPRO_KERNELS={_default_mode!r} not in {KERNEL_MODES}"
-    )
-
-
-def default_mode() -> str:
-    """The process-wide kernel mode used when no explicit one is given."""
-    return _default_mode
-
-
-def set_default_mode(mode: str) -> None:
-    """Set the process-wide kernel mode (``"fused"`` or ``"reference"``)."""
-    global _default_mode
-    _default_mode = resolve(mode)
-
 
 def resolve(kernels: str | None) -> str:
-    """Validate an explicit mode, or fall back to the default."""
+    """Validate an explicit mode; ``None`` is ``"fused"``."""
     if kernels is None:
-        return _default_mode
+        return "fused"
     if kernels not in KERNEL_MODES:
         raise ValueError(f"kernels {kernels!r} not in {KERNEL_MODES}")
     return kernels
-
-
-@contextmanager
-def use_kernels(mode: str):
-    """Temporarily switch the process-wide default (tests, benchmarks)."""
-    global _default_mode
-    previous = _default_mode
-    _default_mode = resolve(mode)
-    try:
-        yield
-    finally:
-        _default_mode = previous

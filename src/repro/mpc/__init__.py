@@ -6,9 +6,9 @@ this environment, and the algorithms are interesting to own anyway):
 
 * :mod:`repro.mpc.api` — the :class:`Communicator` contract
   (send/recv with tags + the collectives the paper uses);
-* :mod:`repro.mpc.collectives` — collective algorithms (binomial-tree
-  broadcast, recursive-doubling and ring Allreduce, dissemination
-  barrier, ...) built purely on point-to-point messages, so any backend
+* :mod:`repro.mpc.collectives` — the collectives (binomial-tree
+  broadcast, recursive-doubling Allreduce, dissemination barrier, ...)
+  built purely on point-to-point messages, so any backend
   that can send and recv gets every collective for free — and so a
   simulated network prices collectives by their actual message rounds;
 * :mod:`repro.mpc.serial` / :mod:`repro.mpc.threadworld` /

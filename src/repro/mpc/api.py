@@ -5,10 +5,10 @@ paper's algorithm needs exactly the operations MPI programs of its era
 used: tagged point-to-point ``send``/``recv`` and the collectives
 ``Allreduce`` (its workhorse), ``Bcast``, ``Barrier``, plus
 gather/scatter for tooling.  Backends implement only the point-to-point
-primitives; every collective has a default implementation in
-:mod:`repro.mpc.collectives` built on them, selected per-world by a
-:class:`CollectiveConfig` — which is what makes the collective-algorithm
-ablation (EXP-A2) a configuration change rather than a code change.
+primitives; every collective has one implementation in
+:mod:`repro.mpc.collectives` built on them.  A world's
+:class:`CollectiveConfig` sets how reductions are *scheduled in time*
+(timeout, pipelining, overlap), never which algorithm runs.
 
 Statistics: every rank counts its messages and payload bytes
 (:class:`CommStats`), which the benchmark harness reads to report
@@ -83,15 +83,7 @@ class CommStats:
 
 @dataclass(frozen=True)
 class CollectiveConfig:
-    """Which algorithm implements each collective.
-
-    Values name functions in :mod:`repro.mpc.collectives`:
-
-    * ``allreduce``: ``"recursive_doubling"`` (default, log2 P rounds),
-      ``"ring"`` (bandwidth-optimal reduce-scatter + allgather), or
-      ``"reduce_bcast"`` (binomial reduce to root then broadcast);
-    * ``bcast``: ``"binomial"`` or ``"linear"``;
-    * ``barrier``: ``"dissemination"`` or ``"linear"``.
+    """How a world runs its collectives.
 
     ``timeout_seconds`` bounds how long any blocking receive may wait
     without progress before raising
@@ -101,18 +93,17 @@ class CollectiveConfig:
     paper-world equivalent of a collective timeout: a hung peer turns
     into a clean, restartable failure instead of a wedged job.
 
-    ``segments`` splits ``"segmented"`` allreduce payloads into that
-    many contiguous pieces whose recursive-doubling rounds are
-    pipelined (bitwise-equal to the unsegmented schedule; see
+    ``segments`` splits the payload of a nonblocking Allreduce
+    (:meth:`Communicator.iallreduce`, hence every ``overlap``
+    reduction) into that many contiguous pieces whose
+    recursive-doubling rounds are pipelined (bitwise-equal to the
+    unsegmented schedule blocking reductions run; see
     :mod:`repro.mpc.icollectives`).  ``overlap`` switches the EM
     cycle's two reductions to nonblocking ones drained at the original
     cut points (:class:`repro.parallel.reducers.OverlappedReducer`) —
     numerically identical, but communication rounds hide behind compute.
     """
 
-    allreduce: str = "recursive_doubling"
-    bcast: str = "binomial"
-    barrier: str = "dissemination"
     timeout_seconds: float | None = None
     segments: int = 1
     overlap: bool = False
@@ -308,7 +299,7 @@ class Communicator(ABC):
 
         tag = self._next_coll_tag()
         with self._collective_scope():
-            collectives.run_barrier(self, tag, self._collectives.barrier)
+            collectives.barrier_dissemination(self, tag)
 
     def bcast(self, obj: object, root: int = 0) -> object:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
@@ -317,9 +308,7 @@ class Communicator(ABC):
         self._check_peer(root)
         tag = self._next_coll_tag()
         with self._collective_scope():
-            return collectives.run_bcast(
-                self, obj, root, tag, self._collectives.bcast
-            )
+            return collectives.bcast_binomial(self, obj, root, tag)
 
     def reduce(
         self, payload, op: ReduceOp = ReduceOp.SUM, root: int = 0
@@ -343,8 +332,8 @@ class Communicator(ABC):
 
         tag = self._next_coll_tag()
         with self._collective_scope():
-            result = collectives.run_allreduce(
-                self, payload, op, tag, self._collectives.allreduce
+            result = collectives.allreduce_recursive_doubling(
+                self, payload, op, tag
             )
         self._charge_reduction(payload)
         return result
@@ -355,13 +344,11 @@ class Communicator(ABC):
         ``buf`` holds this rank's contribution on entry and the global
         reduction on return (same value as :meth:`allreduce`, bitwise,
         because the message schedule and combine orientation are
-        identical).  Under the default ``recursive_doubling`` algorithm
-        the exchange runs entirely out of this communicator's
-        :class:`~repro.mpc.buffers.BufferPool` — zero array allocations
-        in steady state, which is what makes the per-cycle reduction
-        path of :mod:`repro.parallel` allocation-free.  Other algorithms
-        fall back to :meth:`allreduce` plus a copy (correct, but
-        allocating).
+        identical).  The exchange runs entirely out of this
+        communicator's :class:`~repro.mpc.buffers.BufferPool` — zero
+        array allocations in steady state, which is what makes the
+        per-cycle reduction path of :mod:`repro.parallel`
+        allocation-free.
         """
         from repro.mpc import buffers
 
@@ -388,15 +375,9 @@ class Communicator(ABC):
         ``test()`` advance in-flight rounds cooperatively without
         blocking.  ``segments`` (default: the config's) pipelines the
         rounds of that many contiguous payload pieces.
-
-        Configured algorithms other than ``recursive_doubling`` /
-        ``"segmented"`` have no nonblocking schedule; they complete
-        eagerly (correct, but without overlap).
         """
         from repro.mpc import icollectives
 
-        if self._collectives.allreduce not in ("recursive_doubling", "segmented"):
-            return CompletedRequest(self.allreduce(payload, op))
         segs = self._collectives.segments if segments is None else segments
         if segs < 1:
             raise MessageError(f"segments must be >= 1, got {segs}")
@@ -404,16 +385,10 @@ class Communicator(ABC):
         return icollectives.IAllreduce(self, payload, op, tag, segments=segs)
 
     def ibcast(self, obj: object, root: int = 0) -> "Request":
-        """Nonblocking broadcast; ``wait()`` returns the value on every rank.
-
-        Only the ``binomial`` tree has a nonblocking schedule; other
-        configured algorithms complete eagerly.
-        """
+        """Nonblocking broadcast; ``wait()`` returns the value on every rank."""
         from repro.mpc import icollectives
 
         self._check_peer(root)
-        if self._collectives.bcast != "binomial":
-            return CompletedRequest(self.bcast(obj, root))
         tag = self._next_coll_tag()
         return icollectives.IBcast(self, obj, root, tag)
 

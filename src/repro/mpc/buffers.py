@@ -34,13 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mpc.collectives import (
-    HI,
-    LO,
-    TAKE,
-    recursive_doubling_schedule,
-    run_allreduce,
-)
+from repro.mpc.collectives import HI, LO, TAKE, recursive_doubling_schedule
 from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import _PAIRWISE, ReduceOp
 
@@ -96,21 +90,13 @@ def allreduce_into_impl(comm, buf: np.ndarray, op: ReduceOp, tag: int) -> None:
     — the same steps, tags and combine orientation as the allocating
     :func:`~repro.mpc.collectives.allreduce_recursive_doubling` — so
     the result is bitwise identical to the generic path for every
-    elementwise operator.  When the
-    communicator is configured with a different allreduce algorithm the
-    call falls back to that algorithm on a copy — still correct, still
-    the same association as ``comm.allreduce``, just not allocation-free.
+    elementwise operator.
     """
     if not isinstance(buf, np.ndarray) or buf.dtype != np.float64:
         raise MessageError("allreduce_into requires a float64 ndarray")
     if not buf.flags.c_contiguous:
         raise MessageError("allreduce_into requires a C-contiguous buffer")
     if comm.size == 1:
-        return
-    algo = comm.collective_config.allreduce
-    if algo != "recursive_doubling":
-        out = run_allreduce(comm, buf.copy(), op, tag, algo)
-        np.copyto(buf.reshape(-1), np.asarray(out).reshape(-1))
         return
 
     ufunc = _PAIRWISE[op]

@@ -1,45 +1,27 @@
-"""Collective algorithms over point-to-point messages.
+"""The collectives, over point-to-point messages.
 
-Each algorithm here is a classic from the MPI implementation literature,
-expressed purely in ``comm.send`` / ``comm.recv`` so that
+One algorithm per collective — the classic from the MPI implementation
+literature that wins on the paper's payloads (<= 3 KB per reduction;
+EXP-A2 and docs/comms.md hold the measurement) — expressed purely in
+``comm.send`` / ``comm.recv`` so that
 
 * every backend (threads, processes, the virtual-time simulator) gets
   identical collective semantics, and
 * a simulated network prices a collective by the *messages it actually
-  exchanges* — recursive doubling costs its log2(P) rounds, a ring costs
-  its 2(P-1) steps — rather than by a bolted-on closed formula.  The
-  EXP-A2 ablation compares algorithms on exactly this basis.
+  exchanges* — recursive doubling costs its log2(P) rounds — rather than
+  by a bolted-on closed formula.
 
 Tag discipline: the caller passes a fresh ``tag`` block per collective
 call (see ``Communicator._next_coll_tag``); rounds within one call use
 ``tag + round`` so nothing can cross-match, even between back-to-back
 collectives.
 
-Summation order (matters for float payloads — ``+`` is not associative):
-
-* Every algorithm here is *internally deterministic*: all ranks of one
-  run compute the bitwise-identical result, whatever the message
-  arrival order (fixed lo/hi combine orientation, rank-ordered trees).
-* **Across algorithms** the association differs, so two variants need
-  not agree bitwise:
-
-  - ``reduce_bcast`` and ``recursive_doubling`` both associate along a
-    binomial/butterfly pattern and coincide bitwise at power-of-two
-    sizes (and at many non-power-of-two sizes, where the rank-pair
-    fold happens to reassociate identically).  They are **not**
-    guaranteed to coincide for every non-power-of-two P — e.g. P=5
-    places the surplus-rank fold differently from the binomial tree.
-  - ``allreduce_ring`` reduce-scatters each chunk around the ring, an
-    association that matches the trees only at P<=2.
-
-  The conformance subsystem (:mod:`repro.verify`) does not guess at
-  this table: :func:`repro.verify.tolerance.probe_allreduce_compatible`
-  *measures* whether two variants reassociate identically at a given
-  world size by running both on wide-dynamic-range probe payloads, and
-  the tolerance model switches between bitwise and reduction-order
-  bounds accordingly.  Treating the variants as silently
-  interchangeable is exactly the bug class this machinery exists to
-  catch.
+Summation order (matters for float payloads — ``+`` is not
+associative): the Allreduce is *internally deterministic* — all ranks of
+one run compute the bitwise-identical result, whatever the message
+arrival order (fixed lo/hi combine orientation) — and its association
+depends on the world size alone, which is the one reduction-order axis
+of :mod:`repro.verify.tolerance`.
 """
 
 from __future__ import annotations
@@ -50,6 +32,10 @@ import numpy as np
 
 from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import ReduceOp, combine
+
+#: Textbook name of the one Allreduce algorithm — what conformance
+#: traces serialise and EXP-A2 prints next to the alternatives' costs.
+ALLREDUCE = "recursive_doubling"
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +53,6 @@ def barrier_dissemination(comm, tag: int) -> None:
         comm.send(None, (rank + dist) % size, tag + k)
         comm.recv((rank - dist) % size, tag + k)
         k += 1
-
-
-def barrier_linear(comm, tag: int) -> None:
-    """Central-coordinator barrier: everyone checks in with rank 0, then
-    rank 0 releases everyone.  2(P-1) messages, 2 rounds of latency."""
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return
-    if rank == 0:
-        for _ in range(size - 1):
-            comm.recv(tag=tag)
-        for peer in range(1, size):
-            comm.send(None, peer, tag + 1)
-    else:
-        comm.send(None, 0, tag)
-        comm.recv(0, tag + 1)
-
-
-_BARRIERS = {
-    "dissemination": barrier_dissemination,
-    "linear": barrier_linear,
-}
-
-
-def run_barrier(comm, tag: int, algorithm: str) -> None:
-    try:
-        impl = _BARRIERS[algorithm]
-    except KeyError:
-        raise MessageError(
-            f"unknown barrier algorithm {algorithm!r}; "
-            f"choose from {sorted(_BARRIERS)}"
-        ) from None
-    impl(comm, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -137,33 +90,6 @@ def bcast_binomial(comm, obj, root: int, tag: int):
     return obj
 
 
-def bcast_linear(comm, obj, root: int, tag: int):
-    """Root sends to every other rank directly: P-1 messages, 1 round of
-    latency at the leaves but serialized at the root."""
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return obj
-    if rank == root:
-        for peer in range(size):
-            if peer != root:
-                comm.send(obj, peer, tag)
-        return obj
-    return comm.recv(root, tag)
-
-
-_BCASTS = {"binomial": bcast_binomial, "linear": bcast_linear}
-
-
-def run_bcast(comm, obj, root: int, tag: int, algorithm: str):
-    try:
-        impl = _BCASTS[algorithm]
-    except KeyError:
-        raise MessageError(
-            f"unknown bcast algorithm {algorithm!r}; choose from {sorted(_BCASTS)}"
-        ) from None
-    return impl(comm, obj, root, tag)
-
-
 # ---------------------------------------------------------------------------
 # reduce / allreduce
 
@@ -192,12 +118,6 @@ def reduce_binomial(comm, payload, op: ReduceOp, root: int, tag: int):
                 acc = combine(acc, other, op)
         k += 1
     return acc if rank == root else None
-
-
-def allreduce_reduce_bcast(comm, payload, op: ReduceOp, tag: int):
-    """Reduce to rank 0 then broadcast: 2 log2 P rounds of full payloads."""
-    acc = reduce_binomial(comm, payload, op, 0, tag)
-    return bcast_binomial(comm, acc, 0, tag + 64)
 
 
 class Step(NamedTuple):
@@ -282,91 +202,11 @@ def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
                 acc = combine(other, acc, op)
             else:
                 acc = other
+    if isinstance(payload, np.ndarray) and not isinstance(acc, np.ndarray):
+        # ufuncs collapse 0-d arrays to numpy scalars; hand back the
+        # caller's container.
+        acc = np.asarray(acc).reshape(payload.shape)
     return acc
-
-
-def allreduce_ring(comm, payload, op: ReduceOp, tag: int):
-    """Ring Allreduce (reduce-scatter + allgather), bandwidth-optimal.
-
-    Requires an ndarray payload; it is flattened into P chunks that
-    travel around the ring twice: P-1 steps combining, P-1 steps
-    distributing.  Total bytes per rank ~ 2 * nbytes, independent of P.
-    """
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return payload
-    arr = np.asarray(payload)
-    flat = arr.reshape(-1).copy()
-    bounds = np.linspace(0, flat.size, size + 1).astype(int)
-    chunks = [flat[bounds[i] : bounds[i + 1]].copy() for i in range(size)]
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    # Reduce-scatter: after P-1 steps, rank r holds the fully reduced
-    # chunk (r + 1) mod P.
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - step - 1) % size
-        comm.send(chunks[send_idx], right, tag + step)
-        incoming = comm.recv(left, tag + step)
-        chunks[recv_idx] = np.asarray(combine(chunks[recv_idx], incoming, op))
-    # Allgather: circulate the reduced chunks P-1 more steps.
-    for step in range(size - 1):
-        send_idx = (rank - step + 1) % size
-        recv_idx = (rank - step) % size
-        comm.send(chunks[send_idx], right, tag + 128 + step)
-        chunks[recv_idx] = np.asarray(comm.recv(left, tag + 128 + step))
-    out = np.concatenate(chunks) if size > 1 else flat
-    out = out.reshape(arr.shape)
-    if isinstance(payload, np.ndarray):
-        return out
-    return out.item() if out.ndim == 0 else out
-
-
-def allreduce_segmented(comm, payload, op: ReduceOp, tag: int):
-    """Segmented/pipelined recursive doubling.
-
-    Splits the payload into ``comm.collective_config.segments``
-    contiguous pieces and pipelines their recursive-doubling rounds (see
-    :mod:`repro.mpc.icollectives`).  Reductions are elementwise, so the
-    per-segment association equals the whole-payload association
-    restricted to each element: results are **bitwise-equal** to
-    ``recursive_doubling`` — this variant changes the message schedule,
-    never the arithmetic.
-    """
-    from repro.mpc.icollectives import IAllreduce
-
-    # The caller (Communicator.allreduce) prices the reduction once at
-    # the end, like every blocking variant — no per-combine charges.
-    return IAllreduce(
-        comm, payload, op, tag,
-        segments=comm.collective_config.segments, charge_combines=False,
-    ).wait()
-
-
-_ALLREDUCES = {
-    "recursive_doubling": allreduce_recursive_doubling,
-    "ring": allreduce_ring,
-    "reduce_bcast": allreduce_reduce_bcast,
-    "segmented": allreduce_segmented,
-}
-
-
-def run_allreduce(comm, payload, op: ReduceOp, tag: int, algorithm: str):
-    try:
-        impl = _ALLREDUCES[algorithm]
-    except KeyError:
-        raise MessageError(
-            f"unknown allreduce algorithm {algorithm!r}; "
-            f"choose from {sorted(_ALLREDUCES)}"
-        ) from None
-    out = impl(comm, payload, op, tag)
-    if isinstance(payload, np.ndarray) and not isinstance(out, np.ndarray):
-        # ufuncs collapse 0-d arrays to numpy scalars, so the tree
-        # variants would hand back np.float64 where ring/segmented hand
-        # back a 0-d ndarray; mirror the input container so the return
-        # type is algorithm-independent.
-        out = np.asarray(out).reshape(payload.shape)
-    return out
 
 
 # ---------------------------------------------------------------------------

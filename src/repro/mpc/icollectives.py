@@ -114,19 +114,10 @@ class _SegmentReduce:
 
     __slots__ = (
         "comm", "op", "acc", "steps", "i", "tag", "stride", "seg", "done",
-        "charge_combines",
     )
 
     def __init__(
-        self,
-        comm,
-        steps,
-        part,
-        op: ReduceOp,
-        tag: int,
-        stride: int,
-        seg: int,
-        charge_combines: bool = True,
+        self, comm, steps, part, op: ReduceOp, tag: int, stride: int, seg: int
     ):
         self.comm = comm
         self.steps = steps  # this rank's schedule, shared by all segments
@@ -135,7 +126,6 @@ class _SegmentReduce:
         self.tag = tag
         self.stride = stride  # = total number of segments
         self.seg = seg
-        self.charge_combines = charge_combines
         self.i = 0
         self.done = False
         self._post_sends()
@@ -171,11 +161,10 @@ class _SegmentReduce:
         else:
             lo, hi = (self.acc, other) if step.recv == LO else (other, self.acc)
             self.acc = combine(lo, hi, self.op)
-            if self.charge_combines:
-                # Price one pairwise combine of this segment (virtual
-                # worlds only) *before* the next send, so downstream
-                # availability stamps include the arithmetic.
-                self.comm._charge_reduction_rounds(1, self.acc)
+            # Price one pairwise combine of this segment (virtual
+            # worlds only) *before* the next send, so downstream
+            # availability stamps include the arithmetic.
+            self.comm._charge_reduction_rounds(1, self.acc)
         self.i += 1
         self._post_sends()
         return True
@@ -184,15 +173,7 @@ class _SegmentReduce:
 class IAllreduce(ICollective):
     """In-flight Allreduce; ``wait()`` is bitwise-equal to ``allreduce``."""
 
-    def __init__(
-        self,
-        comm,
-        payload,
-        op: ReduceOp,
-        tag: int,
-        segments: int = 1,
-        charge_combines: bool = True,
-    ):
+    def __init__(self, comm, payload, op: ReduceOp, tag: int, segments: int = 1):
         self._comm = comm
         self._payload = payload
         self._arr_shape = None
@@ -231,9 +212,7 @@ class IAllreduce(ICollective):
         steps = recursive_doubling_schedule(comm.rank, comm.size)
         with comm._collective_scope():
             self._segments = [
-                _SegmentReduce(
-                    comm, steps, part, op, tag, segments, g, charge_combines
-                )
+                _SegmentReduce(comm, steps, part, op, tag, segments, g)
                 for g, part in enumerate(parts)
             ]
         self._sweep(blocking=False)  # a size-1 machine may already be done

@@ -90,7 +90,7 @@ class CommEventRecord:
     nbytes: int  # reduction payload size
     seconds: float  # time spent in the collective (rank's clock)
     n_calls: int = 1  # >1 when a cut point issues several collectives
-    # (the per_term_class reduction granularity)
+    # (the figure harness's per-(class, term) reducer)
     overlapped: bool = False  # nonblocking launch; `seconds` is the
     # residual drain only (rounds hidden behind compute are not in it)
 

@@ -47,7 +47,7 @@ def run_pautoclass(
     """P-AutoClass over a database replicated on every rank.
 
     ``kernels`` selects the local E/M implementation on every rank
-    (``None`` → the process default, normally the fused kernels).
+    (``None`` → the fused kernels).
     ``ckpt`` — a picklable :class:`repro.ckpt.CheckpointSpec` — enables
     checkpoint/restart; each rank materializes its own
     :class:`~repro.ckpt.Checkpointer` (rank 0 writes, all restore).

@@ -10,18 +10,10 @@ paper's two Allreduce cut points (Figures 4/5) are crossed:
 * :class:`BlockingReducer` — each reduction completes inside its
   ``launch_*`` call, in place through the try's
   :class:`~repro.parallel.packed.ReductionPlan`: E → Allreduce → M →
-  Allreduce, exactly the figures' order.  Two statistics granularities:
-
-  - ``"packed"`` (library default) — all terms' statistics in one dense
-    ``(J, n_stats)`` array, one Allreduce per cycle;
-  - ``"per_term_class"`` — one small Allreduce per (class, term) pair,
-    i.e. ``J x n_terms`` collectives per cycle.  This is the structure
-    the paper's Figure 5 actually draws (the Allreduce box sits *inside*
-    the ``#cl < Classes`` / ``#n < Attributes`` loops), and it is what
-    the figure-reproduction experiments use — the paper's observed
-    communication costs are only explicable with per-loop collectives
-    (see EXPERIMENTS.md);
-
+  Allreduce, exactly the figures' order, with all terms' statistics
+  packed in one dense ``(J, n_stats)`` array — one Allreduce per cut
+  point.  (The figure experiments subclass it to reduce per (class,
+  term) as Figure 5 draws it: see :mod:`repro.harness.programs`.)
 * :class:`OverlappedReducer` — ``CollectiveConfig(overlap=True)``:
   both reductions launch nonblocking and drain round-robin at
   ``finish``, so the wts rounds ride under the final chunk's M half and
@@ -45,13 +37,9 @@ from repro.engine.cycle import LocalReducer
 from repro.models.registry import ModelSpec
 from repro.mpc import faults
 from repro.mpc.api import Communicator
-from repro.mpc.icollectives import ICollective
 from repro.mpc.reduceops import ReduceOp
 from repro.obs import recorder as obs
 from repro.parallel.packed import ReductionPlan
-
-#: Valid statistics-reduction granularities (see module docstring).
-GRANULARITIES = ("packed", "per_term_class")
 
 
 class WorldReducer(LocalReducer):
@@ -84,21 +72,9 @@ class WorldReducer(LocalReducer):
 class BlockingReducer(WorldReducer):
     """Reductions that complete inside ``launch_*`` (paper Figures 4/5)."""
 
-    def __init__(
-        self,
-        comm: Communicator,
-        plan: ReductionPlan,
-        spec: ModelSpec,
-        granularity: str = "packed",
-    ) -> None:
+    def __init__(self, comm: Communicator, plan: ReductionPlan) -> None:
         super().__init__(comm)
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"granularity {granularity!r} not in {GRANULARITIES}"
-            )
         self.plan = plan
-        self.granularity = granularity
-        self._stat_slices = spec.stat_slices()
 
     def _timed(self, phase: str, local: np.ndarray, reduce):
         """Run one cut point's reduction, accounted on the recorder."""
@@ -122,20 +98,11 @@ class BlockingReducer(WorldReducer):
         )
 
     def launch_stats(self, stats: np.ndarray) -> None:
-        reduce = (
-            self.plan.allreduce_stats if self.granularity == "packed"
-            else self._per_term_class
-        )
-        self._stats = self._timed("allreduce_params", stats, reduce)
+        self._stats = self._timed("allreduce_params", stats, self.reduce_stats)
 
-    def _per_term_class(self, stats: np.ndarray) -> np.ndarray:
-        out = np.empty_like(stats)
-        for sl in self._stat_slices:
-            for j in range(stats.shape[0]):
-                out[j, sl] = self.comm.allreduce(
-                    np.ascontiguousarray(stats[j, sl]), ReduceOp.SUM
-                )
-        return out
+    def reduce_stats(self, stats: np.ndarray) -> np.ndarray:
+        """The second cut point: one packed in-place Allreduce."""
+        return self.plan.allreduce_stats(stats)
 
 
 class OverlappedReducer(WorldReducer):
@@ -162,19 +129,14 @@ class OverlappedReducer(WorldReducer):
         self._wts_req = None
         wtime = self.comm.wtime
 
-        def live(req) -> bool:
-            return isinstance(req, ICollective) and not req.done
-
         # Round-robin: each reduction's wire time hides behind the
         # other's rounds instead of serializing.
         t_drain = wtime()
-        t_wts_done = None if live(wts_req) else t_drain
-        while live(wts_req) or live(stats_req):
-            if live(wts_req):
-                wts_req.step()
-                if not live(wts_req):
-                    t_wts_done = wtime()
-            if live(stats_req):
+        t_wts_done = t_drain if wts_req.done else None
+        while not (wts_req.done and stats_req.done):
+            if not wts_req.done and wts_req.step():
+                t_wts_done = wtime()
+            if not stats_req.done:
                 stats_req.step()
         t_end = wtime()
         rec = obs.current()
@@ -202,7 +164,6 @@ def reducer_for(
     spec: ModelSpec,
     *,
     plan: ReductionPlan | None = None,
-    granularity: str = "packed",
 ) -> WorldReducer:
     """The reducer a try with ``n_classes`` classes runs on ``comm``.
 
@@ -216,4 +177,4 @@ def reducer_for(
         return OverlappedReducer(comm)
     if plan is None:
         plan = ReductionPlan(comm, n_classes, spec.n_stats)
-    return BlockingReducer(comm, plan, spec, granularity)
+    return BlockingReducer(comm, plan)

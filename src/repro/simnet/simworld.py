@@ -250,10 +250,8 @@ class SimComm(ThreadComm):
         return _SimCollectiveScope(self)
 
     def _charge_reduction_rounds(self, rounds: int, payload) -> None:
-        # Price the arithmetic of the reduction tree this rank performed:
-        # ~log2(P) combines of the full payload (recursive doubling) or
-        # an equivalent amount chunked (ring); one full-payload combine
-        # per round is a faithful charge for both.
+        # Price the arithmetic of the reduction this rank performed:
+        # one full-payload combine per recursive-doubling round.
         from repro.mpc.api import payload_nbytes
 
         self.charge(rounds * self.cost.reduce_time(payload_nbytes(payload)))

@@ -3,15 +3,13 @@
 The subsystem that makes the paper's central claim machine-checkable:
 P-AutoClass on P ranks computes *the same classification* sequential
 AutoClass does, across every world (serial / threads / processes /
-sim), kernel path (fused / reference), and allreduce variant
-(reduce_bcast / recursive_doubling / ring).
+sim) and kernel path (fused / reference).
 
 Three layers:
 
 * :mod:`repro.verify.tolerance` — the explicit tolerance model
   (bitwise where the operation sequence is fixed, bounded
-  reduction-order / kernel tolerances where it provably is not, with
-  allreduce-order compatibility *measured*, not assumed);
+  reduction-order / kernel tolerances where it provably is not);
 * :mod:`repro.verify.trace` / :mod:`repro.verify.conformance` — run
   traces and their lockstep comparison, producing first-divergence
   reports (:class:`ConformanceReport`) or raising
@@ -35,7 +33,6 @@ from repro.verify.conformance import (
     compare_traces,
 )
 from repro.verify.harness import (
-    ALLREDUCE_VARIANTS,
     CORPUS,
     CorpusCase,
     MatrixResult,
@@ -56,13 +53,11 @@ from repro.verify.tolerance import (
     MARGIN_EPS,
     REDUCTION_ORDER,
     Tolerance,
-    probe_allreduce_compatible,
     resolve_tolerance,
 )
 from repro.verify.trace import RunTrace, TraceMeta, capture_trace
 
 __all__ = [
-    "ALLREDUCE_VARIANTS",
     "BITWISE",
     "CORPUS",
     "ConformanceError",
@@ -82,7 +77,6 @@ __all__ = [
     "content_digest",
     "corpus_case",
     "load_golden",
-    "probe_allreduce_compatible",
     "regen_golden",
     "resolve_tolerance",
     "run_case_matrix",

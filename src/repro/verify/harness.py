@@ -1,7 +1,7 @@
 """The differential conformance harness and the golden corpus.
 
 ``run_case_matrix`` fits one corpus case across the full
-{worlds} x {world sizes} x {kernels} x {allreduce variants} matrix and
+{worlds} x {world sizes} x {kernels} matrix and
 compares every cell against the sequential reference under the
 tolerance the metadata resolves — bitwise wherever the operation
 sequence is fixed, reduction-order / kernel bounds where it provably
@@ -33,9 +33,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 #: Kernel paths exercised by the matrix.
 KERNEL_MODES = ("fused", "reference")
-
-#: Allreduce variants exercised by the matrix.
-ALLREDUCE_VARIANTS = ("reduce_bcast", "recursive_doubling", "ring")
 
 
 def _paper_tiny():
@@ -145,7 +142,7 @@ def sequential_reference(
         db = case.make_db()
     return capture_trace(
         db, case.config, world="sequential", size=1, kernels=kernels,
-        allreduce="recursive_doubling", case=case.name,
+        case=case.name,
     )
 
 
@@ -183,20 +180,15 @@ def run_case_matrix(
     out.reports.append(compare_traces(refs["reference"], refs["fused"]))
 
     worlds = case.quick_worlds if quick else case.worlds
-    variants = ALLREDUCE_VARIANTS[:2] if quick else ALLREDUCE_VARIANTS
     for world, sizes in worlds:
         for size in sizes:
             for kernels in KERNEL_MODES:
-                for allreduce in variants:
-                    say(
-                        f"[{case.name}] {world} P={size} kernels={kernels} "
-                        f"allreduce={allreduce}"
-                    )
-                    trace = capture_trace(
-                        db, case.config, world=world, size=size,
-                        kernels=kernels, allreduce=allreduce, case=case.name,
-                    )
-                    out.reports.append(compare_traces(refs[kernels], trace))
+                say(f"[{case.name}] {world} P={size} kernels={kernels}")
+                trace = capture_trace(
+                    db, case.config, world=world, size=size,
+                    kernels=kernels, case=case.name,
+                )
+                out.reports.append(compare_traces(refs[kernels], trace))
     return out
 
 

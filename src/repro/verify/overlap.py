@@ -52,7 +52,6 @@ def check_overlap_conformance(
     size: int,
     verify: str = "strict",
     kernels: str = "fused",
-    allreduce: str = "recursive_doubling",
     segments: int = 1,
     instrument: str = "full",
 ) -> ConformanceReport:
@@ -67,12 +66,11 @@ def check_overlap_conformance(
     """
     blocking = capture_trace(
         db, config, fit_on=sdb, world=world, size=size, overlap=False,
-        kernels=kernels, allreduce=allreduce, instrument=instrument,
+        kernels=kernels, instrument=instrument,
     )
     overlapped = capture_trace(
         db, config, fit_on=sdb, world=world, size=size, overlap=True,
-        kernels=kernels, allreduce=allreduce, segments=segments,
-        instrument=instrument,
+        kernels=kernels, segments=segments, instrument=instrument,
     )
     report = compare_traces(blocking, overlapped, tolerance=BITWISE)
     if verify == "strict":

@@ -9,12 +9,11 @@ which of three regimes applies to a pair of runs:
   operations, so every compared number must match to the last bit.
   This holds across *worlds* (serial / threads / processes / sim are
   the same SPMD program over the same collectives) whenever the world
-  size, the allreduce variant's summation order, and the kernel path
-  all agree.  Cross-world bitwise equality is the strong claim this
-  subsystem exists to enforce.
+  size and the kernel path agree.  Cross-world bitwise equality is the
+  strong claim this subsystem exists to enforce.
 * **reduction-order** — the runs reassociate the two Allreduce sums
-  differently (different world size, or allreduce variants whose
-  association provably differs).  IEEE addition is not associative, so
+  differently: the one recursive-doubling schedule's association is a
+  function of the world size alone.  IEEE addition is not associative, so
   per-cycle scores agree only to accumulated rounding; the bound below
   is the one the repo's sequential/parallel equivalence tests have
   used since PR 1 (relative 1e-9 over paper-scale payloads).
@@ -22,21 +21,11 @@ which of three regimes applies to a pair of runs:
   the expanded quadratic ``a·x² + b·x + c`` which loses ``~eps·x²/σ²``
   absolute precision; the measured cross-kernel agreement is ~1e-13
   relative on paper-scale data, bounded here at 1e-8.
-
-Whether two *allreduce variants* share a summation order depends on
-the world size in a way that is cheap to measure and error-prone to
-hand-maintain (``recursive_doubling`` matches ``reduce_bcast`` at
-every power of two and at many — not all — other sizes; ``ring``
-matches only at P <= 2).  :func:`probe_allreduce_compatible` therefore
-*measures* it: both variants reduce the same wide-dynamic-range probe
-payloads on a real threads world, and bitwise-equal results mean the
-association coincides.  The probe is deterministic and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,78 +85,18 @@ class Tolerance:
 #: Identical operation sequence: equality to the last bit.
 BITWISE = Tolerance(rel=0.0, abs=0.0, label="bitwise")
 
-#: Different Allreduce summation order (world size or variant).
+#: Different Allreduce summation order (world size).
 REDUCTION_ORDER = Tolerance(rel=1e-9, abs=1e-9, label="reduction-order")
 
 #: Fused vs reference kernel path (expanded-quadratic Gaussian).
 KERNEL = Tolerance(rel=1e-8, abs=1e-8, label="kernel")
 
 
-def _probe_rank(comm, n_slots: int, seed: int):
-    """One probe rank: allreduce-SUM a wide-dynamic-range payload."""
-    from repro.mpc.reduceops import ReduceOp
-
-    rng = np.random.default_rng(seed + 7919 * comm.rank)
-    mantissa = rng.uniform(-1.0, 1.0, size=n_slots)
-    exponent = rng.integers(-120, 120, size=n_slots)
-    payload = mantissa * np.power(10.0, exponent.astype(np.float64))
-    return np.asarray(comm.allreduce(payload, ReduceOp.SUM))
-
-
-@lru_cache(maxsize=None)
-def _probe_digest(algorithm: str, size: int, n_slots: int, seed: int) -> bytes:
-    from repro.mpc.api import CollectiveConfig
-    from repro.mpc.threadworld import run_spmd_threads
-
-    results = run_spmd_threads(
-        _probe_rank,
-        size,
-        n_slots,
-        seed,
-        collectives=CollectiveConfig(allreduce=algorithm),
-    )
-    # Internal determinism is part of the contract: all ranks of one
-    # run must agree bitwise, whatever the arrival order.
-    first = results[0].tobytes()
-    for r, res in enumerate(results[1:], start=1):
-        if res.tobytes() != first:
-            raise AssertionError(
-                f"allreduce {algorithm!r} is rank-divergent at size "
-                f"{size} (rank {r} != rank 0) — internal determinism "
-                "violated"
-            )
-    return first
-
-
-def probe_allreduce_compatible(
-    alg_a: str,
-    alg_b: str,
-    size: int,
-    *,
-    n_slots: int = 96,
-    seed: int = 20240,
-) -> bool:
-    """Measure whether two allreduce variants share a summation order.
-
-    Runs both variants on a ``size``-rank threads world over the same
-    deterministic wide-dynamic-range payloads; bitwise-identical
-    results mean the variants reassociate identically at this size
-    (and conformance between them is held to :data:`BITWISE`),
-    anything else drops them to :data:`REDUCTION_ORDER`.
-    """
-    if size == 1 or alg_a == alg_b:
-        return True
-    a, b = sorted((alg_a, alg_b))
-    return _probe_digest(a, size, n_slots, seed) == _probe_digest(
-        b, size, n_slots, seed
-    )
-
-
 def resolve_tolerance(meta_a, meta_b) -> Tolerance:
     """Tolerance for comparing two runs, from their trace metadata.
 
-    ``meta_a`` / ``meta_b`` carry ``size`` (world size), ``allreduce``
-    (variant name) and ``kernels`` (``"fused"``/``"reference"``); see
+    ``meta_a`` / ``meta_b`` carry ``size`` (world size) and ``kernels``
+    (``"fused"``/``"reference"``); see
     :class:`repro.verify.trace.TraceMeta`.  The *world* never loosens
     the bound — cross-world runs of the same shape are bitwise.
     """
@@ -176,9 +105,4 @@ def resolve_tolerance(meta_a, meta_b) -> Tolerance:
         tol = tol.combined(KERNEL)
     if meta_a.size != meta_b.size:
         tol = tol.combined(REDUCTION_ORDER)
-    elif meta_a.allreduce != meta_b.allreduce:
-        if not probe_allreduce_compatible(
-            meta_a.allreduce, meta_b.allreduce, meta_a.size
-        ):
-            tol = tol.combined(REDUCTION_ORDER)
     return tol

@@ -29,6 +29,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.mpc.collectives import ALLREDUCE
 from repro.util import docfile
 
 #: Trace schema version (bump on incompatible change; golden files
@@ -44,7 +45,9 @@ class TraceMeta:
     world: str  # "sequential" | "serial" | "threads" | "processes" | "sim"
     size: int  # world size (1 for sequential)
     kernels: str  # "fused" | "reference"
-    allreduce: str  # collective variant name
+    #: the Allreduce algorithm's name (one constant; "+overlap" marks a
+    #: nonblocking arm) — kept serialised so golden files stay stable
+    allreduce: str = ALLREDUCE
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -206,7 +209,6 @@ def capture_trace(
     world: str = "sequential",
     size: int = 1,
     kernels: str = "fused",
-    allreduce: str = "recursive_doubling",
     case: str = "",
     instrument: str = "full",
     spec=None,
@@ -214,7 +216,7 @@ def capture_trace(
     overlap: bool = False,
     segments: int = 1,
 ) -> RunTrace:
-    """Fit once on the requested (world, size, kernels, allreduce) cell.
+    """Fit once on the requested (world, size, kernels) cell.
 
     ``config`` is the :class:`~repro.engine.search.SearchConfig` kwargs
     of the seeded search; every cell of a conformance matrix must use
@@ -232,7 +234,7 @@ def capture_trace(
 
     meta = TraceMeta(
         case=case, world=world, size=size, kernels=kernels,
-        allreduce=f"{allreduce}+overlap" if overlap else allreduce,
+        allreduce=f"{ALLREDUCE}+overlap" if overlap else ALLREDUCE,
     )
     run = PAutoClass(
         n_processors=size,
@@ -241,9 +243,7 @@ def capture_trace(
         # "sequential" has no world, hence no collectives to configure.
         collectives=(
             None if world == "sequential"
-            else CollectiveConfig(
-                allreduce=allreduce, overlap=overlap, segments=segments
-            )
+            else CollectiveConfig(overlap=overlap, segments=segments)
         ),
         instrument=instrument,
         kernels=kernels,

@@ -11,7 +11,6 @@ import numpy as np
 from repro.data.partition import block_partition
 from repro.data.synth import make_mixed_database, make_paper_database
 from repro.engine.search import SearchConfig, run_search
-from repro.kernels.config import use_kernels
 from repro.mpc.threadworld import run_spmd_threads
 from repro.parallel.driver import run_pautoclass, run_pautoclass_partitioned
 
@@ -43,8 +42,7 @@ class TestFusedParallelDriver:
 
     def test_parallel_fused_matches_sequential_fused(self):
         db = make_paper_database(400, seed=21)
-        with use_kernels("fused"):
-            seq = run_search(db, CFG)
+        seq = run_search(db, CFG, kernels="fused")
         results = run_spmd_threads(
             run_pautoclass, 3, db, CFG, kernels="fused"
         )
@@ -59,10 +57,8 @@ class TestFusedParallelDriver:
         """Whole-search differential: same data, same seed, both kernel
         modes — scores and convergence decisions coincide."""
         db = make_paper_database(300, seed=23)
-        with use_kernels("reference"):
-            ref = run_search(db, CFG)
-        with use_kernels("fused"):
-            fused = run_search(db, CFG)
+        ref = run_search(db, CFG, kernels="reference")
+        fused = run_search(db, CFG, kernels="fused")
         np.testing.assert_allclose(_scores(fused), _scores(ref), rtol=1e-8)
         assert [t.n_cycles for t in fused.tries] == [
             t.n_cycles for t in ref.tries
@@ -75,8 +71,7 @@ class TestFusedParallelDriver:
             start_j_list=(3,), max_n_tries=1, seed=2, max_cycles=25,
             init_method="sharp",
         )
-        with use_kernels("fused"):
-            seq = run_search(db, cfg)
+        seq = run_search(db, cfg, kernels="fused")
 
         def prog(comm):
             local = block_partition(db, comm.size, comm.rank)

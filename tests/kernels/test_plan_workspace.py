@@ -18,12 +18,7 @@ from repro.kernels import (
     plan_cache_stats,
     workspace_stats,
 )
-from repro.kernels.config import (
-    default_mode,
-    resolve,
-    set_default_mode,
-    use_kernels,
-)
+from repro.kernels.config import resolve
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 
@@ -142,29 +137,18 @@ class TestWorkspacePool:
 
 class TestModeSelection:
     def test_resolve_explicit_beats_default(self):
-        with use_kernels("reference"):
-            assert resolve(None) == "reference"
-            assert resolve("fused") == "fused"
-
-    def test_use_kernels_restores(self):
-        before = default_mode()
-        with use_kernels("reference"):
-            assert default_mode() == "reference"
-        assert default_mode() == before
+        assert resolve(None) == "fused"
+        assert resolve("reference") == "reference"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="kernels"):
             resolve("vectorized")
-        with pytest.raises(ValueError, match="kernels"):
-            set_default_mode("turbo")
 
     def test_default_mode_steers_dispatch(self, db_spec):
         db, spec = db_spec
         clf = _clf(db, spec)
-        with use_kernels("fused"):
-            wts_f, _ = local_update_wts(db, clf)
-        with use_kernels("reference"):
-            wts_r, _ = local_update_wts(db, clf)
+        wts_f, _ = local_update_wts(db, clf)  # the default is fused
+        wts_r, _ = local_update_wts(db, clf, kernels="reference")
         # Fused path returns the pooled buffer; reference allocates fresh.
         assert wts_f is get_workspace(db.n_items, clf.n_classes).log_joint
         assert wts_r is not wts_f

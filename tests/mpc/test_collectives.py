@@ -1,8 +1,8 @@
 """Collective algorithm correctness over the thread world.
 
 Every collective is checked against its numpy one-liner for every world
-size 1..9 (covering power-of-two and odd cases) and, for allreduce,
-every algorithm.
+size 1..9 (covering power-of-two and odd cases).  Test ids name the one
+algorithm behind each collective.
 """
 
 import numpy as np
@@ -17,19 +17,21 @@ from repro.mpc.threadworld import run_spmd_threads
 SIZES = [1, 2, 3, 4, 5, 7, 8, 9]
 
 
-class TestAllreduce:
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize(
-        "algo", ["recursive_doubling", "ring", "reduce_bcast"]
+def sizes(algorithm):
+    """Every world size, with ids naming the collective's algorithm."""
+    return pytest.mark.parametrize(
+        "size", SIZES, ids=[f"{algorithm}-{s}" for s in SIZES]
     )
-    def test_sum_matches_numpy(self, size, algo):
+
+
+class TestAllreduce:
+    @sizes("recursive_doubling")
+    def test_sum_matches_numpy(self, size):
         def prog(comm):
             x = np.arange(17, dtype=np.float64) * (comm.rank + 1)
             return comm.allreduce(x)
 
-        results = run_spmd_threads(
-            prog, size, collectives=CollectiveConfig(allreduce=algo)
-        )
+        results = run_spmd_threads(prog, size)
         expected = np.arange(17, dtype=np.float64) * sum(range(1, size + 1))
         for r in results:
             np.testing.assert_allclose(r, expected, rtol=1e-12)
@@ -65,45 +67,34 @@ class TestAllreduce:
             np.testing.assert_array_equal(r, results[0])
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        size=st.integers(1, 6),
-        n=st.integers(1, 40),
-        algo=st.sampled_from(["recursive_doubling", "ring", "reduce_bcast"]),
-    )
-    def test_property_random_payloads(self, size, n, algo):
+    @given(size=st.integers(1, 6), n=st.integers(1, 40))
+    def test_property_random_payloads(self, size, n):
         def prog(comm):
             rng = np.random.default_rng(1000 + comm.rank)
             local = rng.normal(size=n)
             return local, comm.allreduce(local)
 
-        results = run_spmd_threads(
-            prog, size, collectives=CollectiveConfig(allreduce=algo)
-        )
+        results = run_spmd_threads(prog, size)
         expected = np.sum([loc for loc, _tot in results], axis=0)
         for _loc, total in results:
             np.testing.assert_allclose(total, expected, rtol=1e-9, atol=1e-12)
 
     def test_unknown_algorithm_raises(self):
-        def prog(comm):
-            return comm.allreduce(np.ones(2))
-
-        with pytest.raises(RuntimeError, match="unknown allreduce"):
-            run_spmd_threads(
-                prog, 2, collectives=CollectiveConfig(allreduce="magic")
-            )
+        """The algorithm is not configurable: naming one fails as any
+        unknown keyword does."""
+        for field in ("allreduce", "bcast", "barrier"):
+            with pytest.raises(TypeError, match=field):
+                CollectiveConfig(**{field: "magic"})
 
 
 class TestBcast:
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("algo", ["binomial", "linear"])
-    def test_every_rank_receives(self, size, algo):
+    @sizes("binomial")
+    def test_every_rank_receives(self, size):
         def prog(comm):
             payload = {"data": [1, 2, 3]} if comm.rank == comm.size - 1 else None
             return comm.bcast(payload, root=comm.size - 1)
 
-        results = run_spmd_threads(
-            prog, size, collectives=CollectiveConfig(bcast=algo)
-        )
+        results = run_spmd_threads(prog, size)
         assert all(r == {"data": [1, 2, 3]} for r in results)
 
     @pytest.mark.parametrize("root", [0, 1, 2])
@@ -169,19 +160,14 @@ class TestGatherScatter:
 
 
 class TestBarrier:
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("algo", ["dissemination", "linear"])
-    def test_barrier_completes(self, size, algo):
+    @sizes("dissemination")
+    def test_barrier_completes(self, size):
         def prog(comm):
             for _ in range(3):
                 comm.barrier()
             return True
 
-        assert all(
-            run_spmd_threads(
-                prog, size, collectives=CollectiveConfig(barrier=algo)
-            )
-        )
+        assert all(run_spmd_threads(prog, size))
 
     def test_barrier_synchronizes(self):
         """No rank may pass the barrier before every rank has arrived."""

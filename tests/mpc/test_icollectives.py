@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc import run_spmd_processes, run_spmd_threads
-from repro.mpc.api import CollectiveConfig, Communicator
+from repro.mpc.api import Communicator
 from repro.mpc.errors import MessageError, NotSupportedError
 from repro.mpc.icollectives import drain
 from repro.mpc.reduceops import ReduceOp
@@ -86,20 +86,6 @@ class TestBitwiseContract:
         for expect, got in run_spmd_threads(prog, 5):
             np.testing.assert_array_equal(expect, got)
             assert got.shape == (2,)
-
-    def test_non_rd_algorithm_completes_eagerly(self):
-        def prog(comm):
-            mine = np.arange(3.0) + comm.rank
-            req = comm.iallreduce(mine, ReduceOp.SUM)
-            done, val = req.test()
-            return done, val, comm.allreduce(mine, ReduceOp.SUM)
-
-        results = run_spmd_threads(
-            prog, 3, collectives=CollectiveConfig(allreduce="ring")
-        )
-        for done, val, expect in results:
-            assert done  # no nonblocking ring schedule: eager completion
-            np.testing.assert_array_equal(val, expect)
 
     def test_too_many_segments_rejected(self):
         def prog(comm):

@@ -1,4 +1,4 @@
-"""Hypothesis property suites for reduceops and the allreduce variants.
+"""Hypothesis property suites for reduceops and the allreduce executors.
 
 The conformance subsystem (:mod:`repro.verify`) leans on three
 invariants of the collective layer, checked here as properties rather
@@ -7,7 +7,7 @@ than examples:
 * **internal determinism** — every rank of one allreduce gets the same
   *bits*, whatever the arrival order of the messages;
 * **exact-arithmetic association-freedom** — when the payload values
-  make IEEE addition exact (small integers), every variant at every
+  make IEEE addition exact (small integers), every executor at every
   size must agree bitwise with the numpy sum: reassociation is only
   ever a *rounding* difference, never a value difference;
 * **order-free ops** — MIN/MAX are associative *and* exact, so they
@@ -15,10 +15,15 @@ than examples:
 
 Plus the edge cases the engine actually hits: empty payloads (a rank
 with zero stats slots), single-rank worlds, and scalar payloads — and
-the shapes the chunked variants are most likely to get wrong: payloads
-with fewer elements than ranks (ring/segmented circulate *empty*
-chunks) and 0-d ndarrays (which hit the ``reshape``/``item()`` tail and
-which ufuncs silently collapse to numpy scalars).
+the shapes the pipelined executor is most likely to get wrong: payloads
+with fewer elements than ranks or segments (*empty* pieces circulate)
+and 0-d ndarrays (which hit the ``reshape``/``item()`` tail and which
+ufuncs silently collapse to numpy scalars).
+
+Every property runs over the three executors of the one
+recursive-doubling schedule: the blocking ``allreduce``, the pooled
+in-place ``allreduce_into`` and the nonblocking ``iallreduce`` with
+``segments=3`` (so it actually pipelines).
 """
 
 from __future__ import annotations
@@ -28,11 +33,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mpc.api import CollectiveConfig
 from repro.mpc.reduceops import ReduceOp, combine, identity_like
 from repro.mpc.threadworld import run_spmd_threads
 
-ALGOS = ("recursive_doubling", "ring", "reduce_bcast", "segmented")
+EXECUTORS = {
+    "blocking": lambda comm, x, op: comm.allreduce(x, op),
+    # allreduce_into reduces a float64 buffer in place: give it a copy
+    "in_place": lambda comm, x, op: comm.allreduce_into(
+        np.array(x, dtype=np.float64), op
+    ),
+    "pipelined": lambda comm, x, op: comm.iallreduce(
+        x, op, segments=3
+    ).wait(),
+}
+NAMES = tuple(EXECUTORS)
+#: executors that take any payload (allreduce_into needs an ndarray)
+ANY_PAYLOAD = ("blocking", "pipelined")
 
 finite_payload = hnp.arrays(
     dtype=np.float64,
@@ -41,21 +57,13 @@ finite_payload = hnp.arrays(
 )
 
 
-def _collectives(algo) -> CollectiveConfig:
-    # segments=3 so "segmented" actually pipelines (segments=1 would
-    # collapse it to plain recursive doubling), including on payloads
-    # with fewer elements than segments.
-    segments = 3 if algo == "segmented" else 1
-    return CollectiveConfig(allreduce=algo, segments=segments)
-
-
-def _allreduce_all(algo, size, payloads, op=ReduceOp.SUM):
+def _allreduce_all(name, size, payloads, op=ReduceOp.SUM):
     """Run one allreduce over fixed per-rank payloads; return all ranks."""
 
     def prog(comm):
-        return np.asarray(comm.allreduce(payloads[comm.rank], op))
+        return np.asarray(EXECUTORS[name](comm, payloads[comm.rank], op))
 
-    return run_spmd_threads(prog, size, collectives=_collectives(algo))
+    return run_spmd_threads(prog, size)
 
 
 class TestCombineProperties:
@@ -87,16 +95,16 @@ class TestAllreduceProperties:
     @given(
         size=st.integers(1, 6),
         n=st.integers(1, 32),
-        algo=st.sampled_from(ALGOS),
+        name=st.sampled_from(NAMES),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_internal_determinism(self, size, n, algo, seed):
+    def test_internal_determinism(self, size, n, name, seed):
         """All ranks of one reduction agree to the last bit."""
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(-100, 100, size=(size, n))
         payloads = rng.normal(size=(size, n)) * scale
-        results = _allreduce_all(algo, size, payloads)
+        results = _allreduce_all(name, size, payloads)
         for r in results[1:]:
             np.testing.assert_array_equal(r, results[0])
 
@@ -107,7 +115,7 @@ class TestAllreduceProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_exact_payloads_are_association_free(self, size, n, seed):
-        """Small-integer payloads add exactly: every variant must agree
+        """Small-integer payloads add exactly: every executor must agree
         bitwise with the numpy sum — reassociation only moves rounding,
         and here there is none to move."""
         rng = np.random.default_rng(seed)
@@ -115,8 +123,8 @@ class TestAllreduceProperties:
             np.float64
         )
         expected = payloads.sum(axis=0)
-        for algo in ALGOS:
-            for r in _allreduce_all(algo, size, payloads):
+        for name in NAMES:
+            for r in _allreduce_all(name, size, payloads):
                 np.testing.assert_array_equal(r, expected)
 
     @given(
@@ -135,111 +143,109 @@ class TestAllreduceProperties:
             payloads.min(axis=0) if op is ReduceOp.MIN
             else payloads.max(axis=0)
         )
-        for algo in ALGOS:
-            for r in _allreduce_all(algo, size, payloads, op):
+        for name in NAMES:
+            for r in _allreduce_all(name, size, payloads, op):
                 np.testing.assert_array_equal(r, expected)
 
 
 class TestEdgeCases:
     def test_empty_payload_every_variant_every_size(self):
-        for algo in ALGOS:
+        for name in NAMES:
             for size in (1, 2, 3, 5):
                 payloads = np.empty((size, 0))
-                for r in _allreduce_all(algo, size, payloads):
+                for r in _allreduce_all(name, size, payloads):
                     assert r.shape == (0,)
 
     def test_single_rank_is_the_identity_bitwise(self):
         rng = np.random.default_rng(99)
         x = rng.normal(size=40) * 10.0 ** rng.integers(-80, 80, size=40)
-        for algo in ALGOS:
-            (r,) = _allreduce_all(algo, 1, x[None, :])
+        for name in NAMES:
+            (r,) = _allreduce_all(name, 1, x[None, :])
             np.testing.assert_array_equal(r, x)
 
     def test_scalar_payload(self):
-        for algo in ALGOS:
+        for name in ANY_PAYLOAD:
             def prog(comm):
-                return comm.allreduce(float(comm.rank + 1), ReduceOp.SUM)
+                return EXECUTORS[name](
+                    comm, float(comm.rank + 1), ReduceOp.SUM
+                )
 
-            results = run_spmd_threads(
-                prog, 4, collectives=_collectives(algo)
-            )
-            assert results == [10.0] * 4
+            assert run_spmd_threads(prog, 4) == [10.0] * 4
 
 
 class TestEdgeShapes:
-    """Shapes the chunked variants are most likely to get wrong.
+    """Shapes the pipelined executor is most likely to get wrong.
 
-    ``ring`` and ``segmented`` split the flattened payload into P (resp.
-    ``segments``) chunks with ``np.linspace`` bounds, so payloads with
-    fewer elements than chunks circulate *empty* arrays, and 0-d
-    payloads exercise the ``reshape(arr.shape)`` / ``item()`` tail.
+    It splits the flattened payload into ``segments`` pieces with
+    ``np.linspace`` bounds, so payloads with fewer elements than pieces
+    circulate *empty* arrays, and 0-d payloads exercise the
+    ``reshape(arr.shape)`` / ``item()`` tail.
     """
 
     @given(
         size=st.integers(2, 6),
         n=st.integers(0, 4),
-        algo=st.sampled_from(ALGOS),
+        name=st.sampled_from(NAMES),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_fewer_elements_than_ranks(self, size, n, algo, seed):
-        """n_elems <= P: exact integer payloads still sum bitwise and
-        keep their shape, even when every circulating chunk is empty."""
+    def test_fewer_elements_than_ranks(self, size, n, name, seed):
+        """n_elems <= P (and often < segments): exact integer payloads
+        still sum bitwise and keep their shape, even when every
+        circulating piece is empty."""
         rng = np.random.default_rng(seed)
         payloads = rng.integers(-1000, 1000, size=(size, n)).astype(
             np.float64
         )
-        results = _allreduce_all(algo, size, payloads)
+        results = _allreduce_all(name, size, payloads)
         for r in results:
             assert r.shape == (n,)
             np.testing.assert_array_equal(r, payloads.sum(axis=0))
 
     def test_multidim_fewer_elements_than_ranks(self):
-        for algo in ALGOS:
+        for name in NAMES:
             for size in (3, 5):
                 payloads = [
                     np.arange(2.0).reshape(1, 2) + r for r in range(size)
                 ]
-                for r in _allreduce_all(algo, size, payloads):
+                for r in _allreduce_all(name, size, payloads):
                     assert r.shape == (1, 2)
                     np.testing.assert_array_equal(
                         r, np.sum(payloads, axis=0)
                     )
 
     def test_zero_element_multidim_keeps_shape(self):
-        for algo in ALGOS:
+        for name in NAMES:
             for size in (2, 4):
                 payloads = [np.zeros((0, 3)) for _ in range(size)]
-                for r in _allreduce_all(algo, size, payloads):
+                for r in _allreduce_all(name, size, payloads):
                     assert r.shape == (0, 3)
 
     def test_0d_ndarray_stays_ndarray_every_algorithm(self):
         """Regression: ufuncs collapse 0-d arrays to numpy scalars, so
-        the tree variants used to return ``np.float64`` where
-        ring/segmented returned a 0-d ndarray.  An ndarray in must be an
-        ndarray out, identically across algorithms."""
-        for algo in ALGOS:
+        the blocking executor used to return ``np.float64`` where the
+        pipelined one returned a 0-d ndarray.  An ndarray in must be an
+        ndarray out, identically across executors."""
+        for name in NAMES:
             def prog(comm):
-                return comm.allreduce(
-                    np.array(comm.rank + 1.5), ReduceOp.SUM
+                return EXECUTORS[name](
+                    comm, np.array(comm.rank + 1.5), ReduceOp.SUM
                 )
 
             for size in (1, 3, 4):
-                for r in run_spmd_threads(
-                    prog, size, collectives=_collectives(algo)
-                ):
-                    assert isinstance(r, np.ndarray), (algo, size, r)
+                for r in run_spmd_threads(prog, size):
+                    assert isinstance(r, np.ndarray), (name, size, r)
                     assert r.shape == ()
                     assert r == sum(k + 1.5 for k in range(size))
 
     def test_numpy_scalar_payload(self):
         """np.float64 is *not* an ndarray: scalar in, scalar out."""
-        for algo in ALGOS:
+        for name in ANY_PAYLOAD:
             def prog(comm):
-                return comm.allreduce(np.float64(comm.rank), ReduceOp.MAX)
+                return EXECUTORS[name](
+                    comm, np.float64(comm.rank), ReduceOp.MAX
+                )
 
-            for r in run_spmd_threads(
-                prog, 3, collectives=_collectives(algo)
-            ):
+            for r in run_spmd_threads(prog, 3):
                 assert not isinstance(r, np.ndarray)
                 assert float(r) == 2.0

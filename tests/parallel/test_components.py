@@ -44,7 +44,7 @@ def wts_only_base_cycle(local, full_db, clf, comm):
     plan = ReductionPlan(comm, clf.n_classes, clf.spec.n_stats)
     return base_cycle(
         local, clf, n_total_items=full_db.n_items,
-        reducer=CentralMStepReducer(comm, plan, clf.spec, full_db),
+        reducer=CentralMStepReducer(comm, plan, full_db),
     )
 
 

@@ -78,7 +78,7 @@ def make_reducer(kind, comm, spec):
         return reducer
     if kind == "blocking":
         plan = ReductionPlan(comm, N_CLASSES, spec.n_stats)
-        return BlockingReducer(comm, plan, spec)
+        return BlockingReducer(comm, plan)
     return OverlappedReducer(comm)
 
 

@@ -128,10 +128,12 @@ class TestDegenerateWorlds:
 
 class TestGranularityEquivalence:
     def test_per_term_class_equals_packed(self, db):
-        """Both reduce granularities yield the same global statistics."""
+        """The paper's Fig. 5 per-(class, term) reducer of the figure
+        experiments yields the library's packed global statistics."""
         from repro.engine.init import initial_classification
         from repro.engine.params import local_update_parameters
         from repro.engine.wts import update_wts
+        from repro.harness.programs import PerTermClassReducer
         from repro.parallel.packed import ReductionPlan
         from repro.parallel.reducers import BlockingReducer
         from repro.util.rng import spawn_rng
@@ -142,38 +144,26 @@ class TestGranularityEquivalence:
         clf = initial_classification(db, spec, 4, spawn_rng(0))
         wts, red = update_wts(db, clf)
 
-        def prog(comm, granularity):
+        def prog(comm, per_term_class):
             local = block_partition(db, comm.size, comm.rank)
             lo = sum(
                 block_partition(db, comm.size, r).n_items
                 for r in range(comm.rank)
             )
             local_wts = wts[lo : lo + local.n_items]
-            reducer = BlockingReducer(
-                comm, ReductionPlan(comm, 4, spec.n_stats), spec, granularity
+            plan = ReductionPlan(comm, 4, spec.n_stats)
+            reducer = (
+                PerTermClassReducer(comm, plan, spec) if per_term_class
+                else BlockingReducer(comm, plan)
             )
             reducer.launch_wts(np.zeros(4 + 2))
             reducer.launch_stats(local_update_parameters(local, spec, local_wts))
             _payload, stats = reducer.finish()
             return stats.copy()
 
-        packed = run_spmd_threads(prog, 3, "packed")[0]
-        per_tc = run_spmd_threads(prog, 3, "per_term_class")[0]
+        packed = run_spmd_threads(prog, 3, False)[0]
+        per_tc = run_spmd_threads(prog, 3, True)[0]
         np.testing.assert_allclose(packed, per_tc, rtol=1e-12)
-
-    def test_unknown_granularity_rejected(self, db):
-        from repro.mpc.serial import SerialComm
-        from repro.parallel.packed import ReductionPlan
-        from repro.parallel.reducers import BlockingReducer
-        from repro.models.registry import ModelSpec
-        from repro.models.summary import DataSummary
-
-        spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-        comm = SerialComm()
-        with pytest.raises(ValueError, match="granularity"):
-            BlockingReducer(
-                comm, ReductionPlan(comm, 2, spec.n_stats), spec, "chunky"
-            )
 
 
 @pytest.mark.slow

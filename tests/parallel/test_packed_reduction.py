@@ -10,7 +10,6 @@ state allocations and no aliasing between concurrent groups.
 import numpy as np
 import pytest
 
-from repro.mpc.api import CollectiveConfig
 from repro.mpc.buffers import BufferPool
 from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import ReduceOp
@@ -66,23 +65,6 @@ class TestBitwiseParity:
 
         for via, into in run_spmd_threads(prog, 5):
             np.testing.assert_array_equal(via, into)
-
-    def test_fallback_algorithms_still_exact(self):
-        """Non-recursive-doubling configs fall back to allreduce+copy."""
-
-        def prog(comm):
-            rng = np.random.default_rng(11 + comm.rank)
-            x = rng.standard_normal(12)
-            buf = x.copy()
-            comm.allreduce_into(buf)
-            return comm.allreduce(x), buf
-
-        for algo in ("ring", "reduce_bcast"):
-            results = run_spmd_threads(
-                prog, 4, collectives=CollectiveConfig(allreduce=algo)
-            )
-            for via, into in results:
-                np.testing.assert_array_equal(via, into)
 
     def test_rejects_wrong_dtype_and_noncontiguous(self):
         comm = SerialComm()

@@ -151,6 +151,21 @@ class TestNewFlags:
         assert "Model-level search" in out
         assert "independent" in out and "correlated" in out
 
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes", "sim"])
+    def test_model_search_rejected_off_the_sequential_backend(self, backend):
+        with pytest.raises(SystemExit, match="--backend sequential"):
+            main(
+                ["run", "--synthetic", "120", "--j-list", "2",
+                 "--backend", backend, "--model-search"]
+            )
+
+    def test_max_restarts_needs_a_checkpoint_dir(self):
+        with pytest.raises(SystemExit, match="--max-restarts needs"):
+            main(
+                ["run", "--synthetic", "120", "--j-list", "2",
+                 "--max-restarts", "2"]
+            )
+
     def test_save_results_flag(self, tmp_path, capsys):
         path = tmp_path / "run.results.json"
         code = main(

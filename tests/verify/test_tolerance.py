@@ -1,4 +1,4 @@
-"""The tolerance model: bounds, combination, and the allreduce probe."""
+"""The tolerance model: bounds, combination, and axis resolution."""
 
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ from repro.verify.tolerance import (
     KERNEL,
     REDUCTION_ORDER,
     Tolerance,
-    probe_allreduce_compatible,
     resolve_tolerance,
 )
 from repro.verify.trace import TraceMeta
 
 
-def meta(world="threads", size=2, kernels="fused",
-         allreduce="recursive_doubling") -> TraceMeta:
-    return TraceMeta(case="t", world=world, size=size, kernels=kernels,
-                     allreduce=allreduce)
+def meta(world="threads", size=2, kernels="fused") -> TraceMeta:
+    return TraceMeta(case="t", world=world, size=size, kernels=kernels)
 
 
 class TestTolerance:
@@ -67,34 +64,6 @@ class TestTolerance:
         assert rel_err == pytest.approx(5e-7)
 
 
-class TestProbe:
-    def test_trivial_cases_compatible(self):
-        assert probe_allreduce_compatible("ring", "ring", 8)
-        assert probe_allreduce_compatible("ring", "reduce_bcast", 1)
-
-    def test_trees_match_at_powers_of_two(self):
-        for size in (2, 4):
-            assert probe_allreduce_compatible(
-                "recursive_doubling", "reduce_bcast", size
-            )
-
-    def test_ring_diverges_from_trees_at_three_ranks(self):
-        # The regression the conformance model encodes: the variants
-        # are NOT silently interchangeable — ring reassociates the sum
-        # at P=3 and the tolerance model must know.
-        assert not probe_allreduce_compatible("ring", "reduce_bcast", 3)
-
-    def test_surplus_fold_diverges_at_five_ranks(self):
-        assert not probe_allreduce_compatible(
-            "recursive_doubling", "reduce_bcast", 5
-        )
-
-    def test_probe_is_symmetric_and_cached(self):
-        a = probe_allreduce_compatible("ring", "reduce_bcast", 3)
-        b = probe_allreduce_compatible("reduce_bcast", "ring", 3)
-        assert a == b
-
-
 class TestResolve:
     def test_same_shape_cross_world_is_bitwise(self):
         assert resolve_tolerance(
@@ -109,18 +78,6 @@ class TestResolve:
     def test_size_axis(self):
         tol = resolve_tolerance(meta(size=1), meta(size=2))
         assert tol is REDUCTION_ORDER
-
-    def test_allreduce_axis_uses_the_probe(self):
-        tol = resolve_tolerance(
-            meta(size=3, allreduce="ring"),
-            meta(size=3, allreduce="reduce_bcast"),
-        )
-        assert tol is REDUCTION_ORDER
-        tol2 = resolve_tolerance(
-            meta(size=2, allreduce="ring"),
-            meta(size=2, allreduce="reduce_bcast"),
-        )
-        assert tol2 is BITWISE
 
     def test_both_axes_combine(self):
         tol = resolve_tolerance(
