@@ -1,11 +1,11 @@
 """EXP-A4 — ablation: the paper's Figure-5 loop-level Allreduces vs one
-packed Allreduce per M-step.
+packed Allreduce per cycle.
 
-The paper's drawn structure reduces each (class, attribute) block
-separately; packing all statistics into a single collective removes
-that latency multiplier.  This bench quantifies what the paper's
-communication structure cost — and what this reproduction's packed
-default saves."""
+The paper's drawn structure reduces the E payload at its own cut point
+and each (class, attribute) block separately; packing both payloads
+into a single collective removes that latency multiplier.  This bench
+quantifies what the paper's communication structure cost — and what
+this reproduction's packed default saves."""
 
 import pytest
 

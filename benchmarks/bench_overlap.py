@@ -2,11 +2,11 @@
 
 Runs the streamed P-AutoClass search on the simulated CS-2 at P=8 in a
 **comm-bound** configuration (modern-CPU ``cpu_scale`` against the
-machine's millisecond-class effective MPI latency, so the two Allreduce
-cut points dominate each EM cycle) and compares the blocking hot path
-against ``CollectiveConfig(overlap=True)`` — nonblocking reductions
-launched inside the chunk pass and drained round-robin at the original
-cut points.
+machine's millisecond-class effective MPI latency, so the reductions
+dominate each EM cycle) and compares the blocking hot path — one packed
+Allreduce per cycle — against ``CollectiveConfig(overlap=True)`` — the
+two cut points' reductions launched nonblocking inside the chunk pass
+and drained round-robin at the end of the cycle.
 
 Everything is virtual time under ``compute_mode="counted"`` with a
 pinned ``cpu_scale``, so the numbers are deterministic across hosts and
@@ -15,10 +15,14 @@ pinned ``cpu_scale``, so the numbers are deterministic across hosts and
 
 Bars:
 
-1. **Per-cycle speedup** — overlapped per-cycle virtual seconds must be
-   at least ``SPEEDUP_BAR`` (1.15x) below blocking.  Per-cycle cost is
-   measured as the elapsed difference between a long and a short run of
-   the identical seeded search, which cancels startup/init exactly.
+1. **Not slower** — overlapped per-cycle virtual seconds must stay
+   within 1 % of blocking (``SPEEDUP_BAR`` = 0.99x).  The blocking arm
+   packs both payloads into one Allreduce per cycle, which removes
+   exactly the second reduction overlap used to hide: the two arms now
+   cost the same to within a few virtual microseconds per cycle
+   (0.9993x), so ``overlap=True`` no longer wins here.  Per-cycle cost
+   is measured as the elapsed difference between a long and a short run
+   of the identical seeded search, which cancels startup/init exactly.
 2. **Equality** — both arms must return the identical classification
    (same score, same cycle count): overlap may move rounds in time,
    never a bit in the results.
@@ -44,11 +48,12 @@ SHARD_ITEMS = 512
 CHUNK_ITEMS = 256
 CYCLES_LONG = 6
 CYCLES_SHORT = 1
-SPEEDUP_BAR = 1.15
+SPEEDUP_BAR = 0.99
 
 #: Modern-CPU scale: local E/M shrinks to microseconds per chunk while
 #: the CS-2's effective MPI latency stays at 1.7 ms — the comm-bound
-#: regime where every blocking reduction is pure idle time.
+#: regime where every blocking reduction is pure idle time (the regime
+#: most favourable to overlap).
 CPU_SCALE = 1.0
 
 

@@ -52,14 +52,22 @@ def cheeseman_stutz(
     n_classes: int,
     global_stats: np.ndarray,
     reduction: WtsReduction,
+    term_log_marginals: list[float] | None = None,
 ) -> float:
-    """The Cheeseman–Stutz approximation of ``log P(X | T)``."""
+    """The Cheeseman–Stutz approximation of ``log P(X | T)``.
+
+    ``term_log_marginals``, when given, are the terms' ``log_marginal``
+    of ``global_stats`` already evaluated (see
+    :func:`repro.engine.params.finalize_with_evidence`).
+    """
+    if term_log_marginals is None:
+        term_log_marginals = [
+            term.log_marginal(stats)
+            for term, stats in zip(spec.terms, unpack_stats(spec, global_stats))
+        ]
     log_x_hat_given_t = class_weight_prior(n_classes).log_marginal(
         reduction.w_j
-    ) + sum(
-        term.log_marginal(stats)
-        for term, stats in zip(spec.terms, unpack_stats(spec, global_stats))
-    )
+    ) + sum(term_log_marginals)
     log_x_given_v = reduction.sum_log_z
     log_x_hat_given_v = reduction.sum_log_z + reduction.sum_w_log_w
     return log_x_hat_given_t + log_x_given_v - log_x_hat_given_v
@@ -78,16 +86,20 @@ def update_approximations(
     global_stats: np.ndarray,
     reduction: WtsReduction,
     n_items: int,
+    term_log_marginals: list[float] | None = None,
 ) -> Scores:
     """Assemble the :class:`~repro.engine.classification.Scores`.
 
     Pure function of globally reduced quantities — every rank of a
     parallel run computes the identical scores with no communication.
+    ``term_log_marginals`` as for :func:`cheeseman_stutz`.
     """
     from repro.util import workhooks
 
     workhooks.report("approx", 0, clf.n_classes, clf.spec.n_stats)
-    cs = cheeseman_stutz(clf.spec, clf.n_classes, global_stats, reduction)
+    cs = cheeseman_stutz(
+        clf.spec, clf.n_classes, global_stats, reduction, term_log_marginals
+    )
     return Scores(
         log_marginal_cs=cs,
         log_lik_obs=reduction.sum_log_z,

@@ -10,6 +10,7 @@ produces a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,10 +106,12 @@ class Classification:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
 def class_weight_prior(n_classes: int) -> DirichletPrior:
     """The Dirichlet prior on the class mixing weights.
 
     AutoClass's rule with ``alpha = 1 + 1/J`` gives the MAP estimate
-    ``pi_j = (w_j + 1/J) / (N + 1)``.
+    ``pi_j = (w_j + 1/J) / (N + 1)``.  One (immutable) instance per
+    ``J``, so its cached scalars are computed once per process.
     """
     return DirichletPrior.autoclass(n_classes)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.data.shards import as_chunk_iterable, is_streamable
 from repro.engine.approx import update_approximations
 from repro.engine.classification import Classification
-from repro.engine.params import finalize_parameters, local_update_parameters
+from repro.engine.params import finalize_with_evidence, local_update_parameters
 from repro.engine.wts import N_EXTRA_SLOTS, finalize_wts, local_update_wts
 from repro.obs import recorder as obs
 
@@ -114,7 +114,7 @@ def local_pass(
 
     Returns ``(wts, seconds_wts, seconds_params)``: the last chunk's
     weights (a plain Database's whole block) and the two halves' time on
-    the reducer's clock.
+    the reducer's clock (the statistics launch counts as M half).
     """
     rec = obs.current()
     clock = reducer.clock
@@ -155,6 +155,7 @@ def local_pass(
         stats = np.zeros((clf.n_classes, clf.spec.n_stats), dtype=np.float64)
         reducer.launch_wts(payload)
     reducer.launch_stats(stats)
+    seconds_params += clock() - t0  # a blocking reduction completes here
     if is_streamable(data) and rec.enabled and n_chunks:
         rec.count("stream.chunks", n_chunks)
         rec.count("stream.items", n_items)
@@ -188,7 +189,8 @@ def base_cycle(
     Observability: each chunk's E half is timed under phase ``"wts"``
     and its M half under ``"params"`` (as is the replicated finalize);
     streamed data also bumps ``stream.chunks`` / ``stream.items``.  The
-    reducer accounts ``allreduce_wts`` / ``allreduce_params``.
+    reducer accounts its reductions (``allreduce_params`` for the
+    library's one packed reduction per cycle).
     """
     if reducer is None:
         reducer = LocalReducer()
@@ -204,8 +206,8 @@ def base_cycle(
     payload, stats = reducer.finish()
     reduction = finalize_wts(payload, clf.n_classes)
     with rec.phase("params"):
-        log_pi, term_params = finalize_parameters(
-            clf.spec, stats, reduction.w_j, n_total_items
+        log_pi, term_params, term_log_marginals = finalize_with_evidence(
+            clf.spec, stats, reduction.w_j
         )
     new_clf = Classification(
         spec=clf.spec,
@@ -216,7 +218,9 @@ def base_cycle(
     )
     t1 = clock()
     with rec.phase("approx"):
-        scores = update_approximations(clf, stats, reduction, n_total_items)
+        scores = update_approximations(
+            clf, stats, reduction, n_total_items, term_log_marginals
+        )
     t2 = clock()
     rec.cycle(
         n_classes=clf.n_classes,

@@ -65,16 +65,29 @@ def finalize_parameters(
     del n_items  # the Dirichlet MAP normalizes by sum(w_j) internally;
     # the count stays in the signature for symmetry with the paper's
     # normalization step and future priors that need it
-    n_classes = w_j.shape[0]
-    pi = class_weight_prior(n_classes).map(w_j)
+    log_pi, term_params, _ = finalize_with_evidence(spec, global_stats, w_j)
+    return log_pi, term_params
+
+
+def finalize_with_evidence(
+    spec: ModelSpec, global_stats: np.ndarray, w_j: np.ndarray
+) -> tuple[np.ndarray, tuple[TermParams, ...], list[float]]:
+    """:func:`finalize_parameters` plus each term's ``log_marginal``.
+
+    One conjugate posterior evaluation per term serves both the cycle's
+    new parameters and the term evidence its Cheeseman–Stutz score
+    (:func:`repro.engine.approx.update_approximations`) needs.
+    """
+    pi = class_weight_prior(w_j.shape[0]).map(w_j)
     # The Dirichlet MAP over fractional counts always lands in the open
     # simplex, so the log is finite.
     log_pi = safe_log(pi)
-    term_params = tuple(
-        term.map_params(stats)
+    pairs = [
+        term.map_params_and_log_marginal(stats)
         for term, stats in zip(spec.terms, unpack_stats(spec, global_stats))
-    )
-    return log_pi, term_params
+    ]
+    term_params = tuple(params for params, _ in pairs)
+    return log_pi, term_params, [lm for _, lm in pairs]
 
 
 def update_parameters(

@@ -12,8 +12,9 @@ Compute pricing is chosen by the world's ``compute_mode``:
 
 The programs themselves are mode-agnostic; they differ from the library
 driver only in using the **paper's** communication structure by default
-(:class:`PerTermClassReducer`: the Allreduce inside the per-class /
-per-attribute loops, as the paper's Figure 5 draws it).
+(:class:`PerTermClassReducer`: two cut points per cycle, the second
+one's Allreduce inside the per-class / per-attribute loops, as the
+paper's Figure 5 draws it).
 """
 
 from __future__ import annotations
@@ -32,7 +33,34 @@ from repro.parallel.reducers import BlockingReducer
 from repro.util.rng import SeedSequenceStream
 
 
-class PerTermClassReducer(BlockingReducer):
+class TwoCutPointReducer(BlockingReducer):
+    """The paper's Figures 4/5 as drawn: E → Allreduce → M → Allreduce.
+
+    The library packs both payloads into one reduction after the M half
+    (:class:`~repro.parallel.reducers.BlockingReducer`); the figure
+    experiments keep the paper's two cut points — the ``J + 2`` wts
+    payload reduced right after the E half, the statistics after the M
+    half — because the paper's communication costs are those of two
+    collectives per cycle.  Same sums, bitwise.
+    """
+
+    def launch_wts(self, payload) -> None:
+        self._payload = self._timed(
+            "allreduce_wts", payload.nbytes,
+            lambda: self.plan.allreduce_wts(payload),
+        )
+
+    def launch_stats(self, stats) -> None:
+        self._stats = self._timed(
+            "allreduce_params", stats.nbytes, lambda: self.reduce_stats(stats)
+        )
+
+    def reduce_stats(self, stats):
+        """The second cut point: one packed in-place Allreduce."""
+        return self.plan.allreduce_stats(stats)
+
+
+class PerTermClassReducer(TwoCutPointReducer):
     """The paper's Figure 5: one small Allreduce per (class, term) pair.
 
     The figure's Allreduce box sits *inside* the ``#cl < Classes`` /
@@ -57,7 +85,7 @@ class PerTermClassReducer(BlockingReducer):
         return out
 
 
-class CentralMStepReducer(BlockingReducer):
+class CentralMStepReducer(TwoCutPointReducer):
     """Miller & Guo (PCW'97): only ``update_wts`` is parallel.
 
     The only prior MIMD AutoClass the paper knew; P-AutoClass "exploits
@@ -105,7 +133,9 @@ def fixed_cycles_program(
     with the reducer the experiment asks for — ``"pautoclass"`` is the
     paper's :class:`PerTermClassReducer`, ``"packed"`` the library's
     :class:`~repro.parallel.reducers.BlockingReducer`, ``"wts_only"``
-    the :class:`CentralMStepReducer`.  ``marks``, if given, collects
+    the :class:`CentralMStepReducer`.  Only ``"packed"`` makes one
+    reduction per cycle; the other two keep the paper's two cut points
+    (:class:`TwoCutPointReducer`).  ``marks``, if given, collects
     this rank's virtual time after every cycle.  Returns the last try's
     score.
     """

@@ -3,18 +3,24 @@
 Replaces the reference chain (``np.tile`` + one temporary per term +
 ``log_normalize_rows`` + two ``np.where`` temporaries) with:
 
-1. **one GEMM** ``design @ coefficients`` writing the log joint straight
-   into the pooled workspace buffer (all built-in terms have log
-   densities linear in the plan's design features), falling back to the
-   per-term in-place :meth:`~repro.models.base.TermModel.
+1. **one GEMM** ``coefficients.T @ design.T`` writing the log joint
+   straight into the pooled workspace buffer (all built-in terms have
+   log densities linear in the plan's design features), falling back to
+   the per-term in-place :meth:`~repro.models.base.TermModel.
    log_likelihood_into` kernels for custom terms;
 2. a **fused normalize-and-payload** pass computing the weights, the
    per-class totals ``w_j``, ``sum log Z`` and ``sum w·log w`` using
    only the pooled buffers — the weights are written in place into the
    log-joint buffer and no ``(n, J)`` temporary is ever allocated.
 
-The ``w log w`` sum uses the identity (per row, with ``s = l - max`` and
-``u = exp(s)``, ``z = Σu``)::
+Every pass works on the workspace's **class-major** storage (a C-order
+``(J, n)`` array behind the ``(n, J)`` view callers see; see
+:mod:`repro.kernels.workspace`): a per-item reduction over the classes
+is J elementwise passes over contiguous item rows, never numpy's
+per-row inner loop over J elements.
+
+The ``w log w`` sum uses the identity (per item, with ``s = l - max``
+and ``u = exp(s)``, ``z = Σu``)::
 
     Σ_j w_j log w_j = (Σ_j u_j s_j) / z - log z
 
@@ -61,15 +67,19 @@ def fused_compute_log_joint(
     plan: KernelPlan | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Write ``log pi_j + log p(x_i | theta_j)`` into ``out`` in place."""
+    """Write ``log pi_j + log p(x_i | theta_j)`` into ``out`` in place.
+
+    ``out`` is ``(n_items, n_classes)``; the GEMM writes its transpose,
+    which for a workspace buffer is the class-major C-order array.
+    """
     if plan is None:
         plan = get_plan(db, clf.spec)
     coef = None
     if plan.design is not None:
         coef = plan.coefficients(clf.term_params)
     if coef is not None:
-        np.matmul(plan.design, coef, out=out)
-        out += clf.log_pi[None, :]
+        class_major = np.matmul(coef.T, plan.design.T, out=out.T)
+        class_major += clf.log_pi[:, None]
         return out
     out[:] = clf.log_pi
     for term, params, enc in zip(
@@ -77,6 +87,32 @@ def fused_compute_log_joint(
     ):
         term.log_likelihood_into(db, params, out, scratch=scratch, encoding=enc)
     return out
+
+
+def _shift_and_exp(ws: Workspace):
+    """Per item: subtract the class max, clamp, exponentiate, sum.
+
+    Leaves ``s = max(l - max_j l, LOG_FLOOR)`` in the log-joint buffer
+    and ``u = exp(s)`` in the scratch buffer; returns the class-major
+    ``(s, u)`` views, the item sums ``z`` (in ``ws.row_b``) and the mask
+    of total-underflow items (``None`` when there is none).  Rows whose
+    every class is ``-inf`` get a zero shift, so their clamped
+    exponentials are uniform.
+    """
+    s = ws.log_joint.T  # (J, n) C-order: reductions over the outer axis
+    amax = s.max(axis=0, out=ws.row_a)
+    finite = np.isfinite(amax)
+    bad = None
+    if not finite.all():
+        bad = ~finite
+        amax[bad] = 0.0
+    s -= amax
+    # Clamp so exp() underflows cleanly to (sub)zero instead of
+    # propagating -inf into the u*s product.
+    np.maximum(s, LOG_FLOOR, out=s)
+    u = np.exp(s, out=ws.scratch.T)
+    z = u.sum(axis=0, out=ws.row_b)
+    return s, u, z, bad
 
 
 def fused_normalize_and_payload(
@@ -88,40 +124,27 @@ def fused_normalize_and_payload(
     and ``payload`` is ``[w_j (J), sum_log_z, sum_w_log_w]``.
     """
     lj = ws.log_joint
-    n = lj.shape[0]
     payload = np.empty(n_classes + N_EXTRA_SLOTS, dtype=np.float64)
-    if n == 0:
+    if lj.shape[0] == 0:
         payload[:] = 0.0
         return lj, payload
-    amax = lj.max(axis=1, out=ws.row_a)
-    finite = np.isfinite(amax)
-    all_finite = bool(finite.all())
-    if not all_finite:
-        # Rows with every class at -inf: pin the shift to 0 so the
-        # clamped exponentials normalize to uniform (the reference
-        # path's convention for zero-information rows).
-        amax[~finite] = 0.0
-    lj -= amax[:, None]
-    # Clamp the shifted values so exp() underflows cleanly to (sub)zero
-    # instead of propagating -inf into the u*s product below.
-    np.maximum(lj, LOG_FLOOR, out=lj)
-    u = np.exp(lj, out=ws.scratch)
-    z = u.sum(axis=1, out=ws.row_b)
-    dot = np.einsum("ij,ij->i", u, lj, out=ws.row_c)
-    if not all_finite:
+    s, u, z, bad = _shift_and_exp(ws)
+    amax = ws.row_a  # the per-item shift
+    # Σ_j u_j s_j per item: an in-place product, summed over classes.
+    dot = np.multiply(u, s, out=s).sum(axis=0, out=ws.row_c)
+    if bad is not None:
         # Total-underflow rows (every class likelihood 0): patch the row
         # to an *exact* uniform before normalizing.  Without this, z is
         # J * exp(LOG_FLOOR) — a subnormal — and the weights / entropy
         # depend on denormal arithmetic (and FTZ hardware zeroes them
         # outright).
-        bad = ~finite
-        u[bad] = 1.0
+        u[:, bad] = 1.0
         z[bad] = float(n_classes)
-    np.divide(u, z[:, None], out=lj)  # weights, in the log-joint buffer
-    np.sum(lj, axis=0, out=payload[:n_classes])
+    np.divide(u, z, out=s)  # weights, in the log-joint buffer
+    np.sum(s, axis=1, out=payload[:n_classes])
     np.divide(dot, z, out=dot)
     log_z = np.log(z, out=z)
-    if not all_finite:
+    if bad is not None:
         # The row's log evidence is floored, never -inf: a single
         # pathological item must not poison the global sum_log_z that
         # drives convergence and scoring.  Its entropy contribution is
@@ -157,26 +180,41 @@ def fused_log_posterior(
     E-step on this thread.
     """
     lj = ws.log_joint
-    n = lj.shape[0]
-    if n == 0:
+    if lj.shape[0] == 0:
         return lj, ws.row_b[:0]
-    amax = lj.max(axis=1, out=ws.row_a)
-    finite = np.isfinite(amax)
-    all_finite = bool(finite.all())
-    if not all_finite:
-        amax[~finite] = 0.0
-    lj -= amax[:, None]
-    np.maximum(lj, LOG_FLOOR, out=lj)
-    u = np.exp(lj, out=ws.scratch)
-    z = u.sum(axis=1, out=ws.row_b)
+    s, _u, z, bad = _shift_and_exp(ws)
     log_z = np.log(z, out=ws.row_c)
-    lj -= log_z[:, None]
-    evidence = np.add(log_z, amax, out=ws.row_b)
-    if not all_finite:
-        bad = ~finite
-        lj[bad] = -np.log(n_classes)
+    s -= log_z
+    evidence = np.add(log_z, ws.row_a, out=ws.row_b)
+    if bad is not None:
+        s[:, bad] = -np.log(n_classes)
         evidence[bad] = LOG_FLOOR
     return lj, evidence
+
+
+def fused_labels(ws: Workspace) -> np.ndarray:
+    """Hard labels from a :func:`fused_log_posterior` buffer, ``(n,)`` int64.
+
+    The first class attaining each item's maximum — what
+    ``np.argmax(log_post, axis=1)`` returns — found with one running
+    max over the class rows instead of numpy's per-item argmax, which
+    on the class-major buffer would first transpose it.  The posterior
+    is finite everywhere (non-finite rows were pinned to uniform), so a
+    strict ``>`` is the whole tie rule.
+    """
+    lp = ws.log_joint.T
+    n_classes, n = lp.shape
+    labels = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return labels
+    best = ws.row_a
+    np.copyto(best, lp[0])
+    higher = np.empty(n, dtype=bool)
+    for j in range(1, n_classes):
+        np.greater(lp[j], best, out=higher)
+        np.copyto(labels, j, where=higher)
+        np.maximum(best, lp[j], out=best)
+    return labels
 
 
 def fused_local_update_wts(

@@ -106,6 +106,17 @@ class TermModel(ABC):
         classes) — the term's contribution to the Cheeseman–Stutz
         approximation."""
 
+    def map_params_and_log_marginal(
+        self, stats: np.ndarray
+    ) -> tuple[TermParams, float]:
+        """``(map_params(stats), log_marginal(stats))`` in one call.
+
+        An EM cycle needs both from the same global statistics; terms
+        whose two results share a conjugate posterior override this to
+        evaluate it once.
+        """
+        return self.map_params(stats), self.log_marginal(stats)
+
     @abstractmethod
     def n_free_params(self) -> int:
         """Free continuous parameters per class (model-complexity report)."""

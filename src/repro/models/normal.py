@@ -171,6 +171,16 @@ class NormalTerm(TermModel):
         mu, sigma = self._prior.map(stats[:, 0], stats[:, 1], stats[:, 2])
         return NormalParams(n_classes=stats.shape[0], mu=mu, sigma=sigma)
 
+    def map_params_and_log_marginal(
+        self, stats: np.ndarray
+    ) -> tuple[NormalParams, float]:
+        post = self._prior.posterior(stats[:, 0], stats[:, 1], stats[:, 2])
+        mu, sigma = self._prior.mode(post)
+        return (
+            NormalParams(n_classes=stats.shape[0], mu=mu, sigma=sigma),
+            self._prior.evidence(stats[:, 0], post),
+        )
+
     def log_likelihood(self, db: Database, params: NormalParams) -> np.ndarray:
         return _gauss_log_pdf(db.columns[self._index], params.mu, params.sigma)
 
@@ -293,6 +303,19 @@ class NormalMissingTerm(TermModel):
         return NormalMissingParams(
             n_classes=stats.shape[0], mu=mu, sigma=sigma, p_present=p_present
         )
+
+    def map_params_and_log_marginal(
+        self, stats: np.ndarray
+    ) -> tuple[NormalMissingParams, float]:
+        post = self._prior.posterior(stats[:, 0], stats[:, 1], stats[:, 2])
+        mu, sigma = self._prior.mode(post)
+        p_present = self._presence_prior.map(stats[:, 0], stats[:, 3])
+        params = NormalMissingParams(
+            n_classes=stats.shape[0], mu=mu, sigma=sigma, p_present=p_present
+        )
+        return params, self._prior.evidence(
+            stats[:, 0], post
+        ) + self._presence_prior.log_marginal(stats[:, 0], stats[:, 3])
 
     def log_likelihood(self, db: Database, params: NormalMissingParams) -> np.ndarray:
         x = db.columns[self._index]

@@ -4,8 +4,8 @@ There is one EM cycle (:func:`repro.engine.cycle.base_cycle`, written
 as ``chunks x reducer``); the parallel cycle is that function handed
 this rank's block and a communicating reducer
 (:mod:`repro.parallel.reducers`).  ``update_approximations`` runs
-replicated: its inputs are all global after the two Allreduces, so it
-needs no communication — matching the paper's observation that its cost
+replicated: its inputs are all global after the cycle's reduction, so
+it needs no communication — matching the paper's observation that its cost
 is negligible.
 """
 

@@ -7,13 +7,15 @@ paper's two Allreduce cut points (Figures 4/5) are crossed:
 * :class:`WorldReducer` — a size-1 world: the identity of
   :class:`~repro.engine.cycle.LocalReducer` (no collective is ever
   called) on the world's clock and fault sites;
-* :class:`BlockingReducer` — each reduction completes inside its
-  ``launch_*`` call, in place through the try's
-  :class:`~repro.parallel.packed.ReductionPlan`: E → Allreduce → M →
-  Allreduce, exactly the figures' order, with all terms' statistics
-  packed in one dense ``(J, n_stats)`` array — one Allreduce per cut
-  point.  (The figure experiments subclass it to reduce per (class,
-  term) as Figure 5 draws it: see :mod:`repro.harness.programs`.)
+* :class:`BlockingReducer` — E → M → one Allreduce: the M half needs
+  only the *local* weights, so the E payload ``[w_j, sum_log_z,
+  sum_w_log_w]`` and every term's statistics travel packed in one
+  buffer of the try's :class:`~repro.parallel.packed.ReductionPlan`,
+  reduced in place inside ``launch_stats``.  Recursive doubling
+  combines elementwise, so this is bitwise the paper's two cut points
+  at half the collectives.  (The figure experiments keep the paper's
+  two cut points — and Figure 5's per-(class, term) reduction — as
+  subclasses in :mod:`repro.harness.programs`.)
 * :class:`OverlappedReducer` — ``CollectiveConfig(overlap=True)``:
   both reductions launch nonblocking and drain round-robin at
   ``finish``, so the wts rounds ride under the final chunk's M half and
@@ -22,8 +24,10 @@ paper's two Allreduce cut points (Figures 4/5) are crossed:
   results, only the *when* of the rounds changes.
 
 Observability: the reduction time is accounted as phases
-``"allreduce_wts"`` / ``"allreduce_params"`` with one comm event each —
-the two instrumented cut points.  Under overlap the phases time only
+``"allreduce_wts"`` / ``"allreduce_params"`` with one comm event each
+per cut point crossed.  The blocking reducer crosses one — its packed
+reduction is accounted as ``"allreduce_params"`` and
+``"allreduce_wts"`` reads 0.  Under overlap the phases time only
 the *residual* drain (what overlap failed to hide), the events carry
 ``overlapped=True`` and the ``overlap.windows`` / ``overlap.hidden_us``
 / ``overlap.idle_us`` counters quantify the windows (docs/comms.md).
@@ -70,39 +74,39 @@ class WorldReducer(LocalReducer):
 
 
 class BlockingReducer(WorldReducer):
-    """Reductions that complete inside ``launch_*`` (paper Figures 4/5)."""
+    """One packed reduction per cycle, completed inside ``launch_stats``."""
 
     def __init__(self, comm: Communicator, plan: ReductionPlan) -> None:
         super().__init__(comm)
         self.plan = plan
 
-    def _timed(self, phase: str, local: np.ndarray, reduce):
-        """Run one cut point's reduction, accounted on the recorder."""
+    def _timed(self, phase: str, nbytes: int, reduce):
+        """Run one reduction, accounted on the recorder."""
         rec = obs.current()
         if not rec.enabled:
-            return reduce(local)
+            return reduce()
         n0 = self.comm.stats.n_collectives
         t0 = rec.clock()
-        out = reduce(local)
+        out = reduce()
         dt = rec.clock() - t0
         rec.add_phase(phase, dt)
         rec.comm_event(
-            phase, local.nbytes, dt,
+            phase, nbytes, dt,
             n_calls=max(self.comm.stats.n_collectives - n0, 1),
         )
         return out
 
     def launch_wts(self, payload: np.ndarray) -> None:
-        self._payload = self._timed(
-            "allreduce_wts", payload, self.plan.allreduce_wts
-        )
+        # The M half needs only local weights: the payload rides with
+        # the statistics in the cycle's one reduction.
+        self._payload = payload
 
     def launch_stats(self, stats: np.ndarray) -> None:
-        self._stats = self._timed("allreduce_params", stats, self.reduce_stats)
-
-    def reduce_stats(self, stats: np.ndarray) -> np.ndarray:
-        """The second cut point: one packed in-place Allreduce."""
-        return self.plan.allreduce_stats(stats)
+        payload = self._payload
+        self._payload, self._stats = self._timed(
+            "allreduce_params", payload.nbytes + stats.nbytes,
+            lambda: self.plan.allreduce(payload, stats),
+        )
 
 
 class OverlappedReducer(WorldReducer):

@@ -26,7 +26,11 @@ import numpy as np
 from repro.data.database import Database
 from repro.data.shards import is_streamable
 from repro.kernels import config as kernel_config
-from repro.kernels.estep import fused_compute_log_joint, fused_log_posterior
+from repro.kernels.estep import (
+    fused_compute_log_joint,
+    fused_labels,
+    fused_log_posterior,
+)
 from repro.kernels.plan import get_plan
 from repro.kernels.workspace import get_workspace
 from repro.obs import recorder as obs
@@ -70,6 +74,35 @@ def check_schema(db: Database, clf: "Classification") -> None:
         )
 
 
+def _log_posterior(db: Database, clf: "Classification", kernels: str | None):
+    """Score one in-memory batch into this thread's pooled workspace.
+
+    Returns ``(ws, log_evidence)`` with the workspace's log-joint buffer
+    holding the log posterior (see :func:`fused_log_posterior`).
+    """
+    check_schema(db, clf)
+    mode = kernel_config.resolve(kernels)
+    n, j = db.n_items, clf.n_classes
+    # Price scoring like an E-step on the counted-work model (so the
+    # virtual CS-2 charges sharded bulk scoring realistically).
+    workhooks.report("wts", n, j, clf.spec.n_stats)
+    rec = obs.current()
+    rec.count("serve.batches")
+    rec.count("serve.items", n)
+    ws = get_workspace(n, j)
+    if mode == "fused":
+        plan = get_plan(db, clf.spec)
+        fused_compute_log_joint(
+            db, clf, ws.log_joint, plan=plan, scratch=ws.scratch
+        )
+    else:
+        from repro.engine.wts import compute_log_joint
+
+        compute_log_joint(db, clf, out=ws.log_joint)
+    _log_post, log_evidence = fused_log_posterior(ws, j)
+    return ws, log_evidence
+
+
 def score_batch(
     db: Database,
     clf: "Classification",
@@ -95,30 +128,10 @@ def score_batch(
             for chunk in db.iter_chunks()
         ]
         return _concat_scores(parts, clf.n_classes)
-    check_schema(db, clf)
-    mode = kernel_config.resolve(kernels)
-    n, j = db.n_items, clf.n_classes
-    # Price scoring like an E-step on the counted-work model (so the
-    # virtual CS-2 charges sharded bulk scoring realistically).
-    workhooks.report("wts", n, j, clf.spec.n_stats)
-    rec = obs.current()
-    rec.count("serve.batches")
-    rec.count("serve.items", n)
-    ws = get_workspace(n, j)
-    if mode == "fused":
-        plan = get_plan(db, clf.spec)
-        fused_compute_log_joint(
-            db, clf, ws.log_joint, plan=plan, scratch=ws.scratch
-        )
-    else:
-        from repro.engine.wts import compute_log_joint
-
-        compute_log_joint(db, clf, out=ws.log_joint)
-    log_post, log_evidence = fused_log_posterior(ws, j)
-    labels = np.argmax(log_post, axis=1) if n else np.empty(0, dtype=np.int64)
+    ws, log_evidence = _log_posterior(db, clf, kernels)
     return BatchScores(
-        labels=np.ascontiguousarray(labels, dtype=np.int64),
-        log_proba=log_post.copy(),
+        labels=fused_labels(ws),
+        log_proba=ws.log_joint.copy(),
         log_evidence=log_evidence.copy(),
     )
 
@@ -151,11 +164,10 @@ def predict(
     """
     if is_streamable(db):
         out = [
-            score_batch(chunk, clf, kernels=kernels).labels
-            for chunk in db.iter_chunks()
+            predict(chunk, clf, kernels=kernels) for chunk in db.iter_chunks()
         ]
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-    return score_batch(db, clf, kernels=kernels).labels
+    return fused_labels(_log_posterior(db, clf, kernels)[0])
 
 
 def predict_logproba(

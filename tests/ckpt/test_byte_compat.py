@@ -2,7 +2,9 @@
 
 ``fixtures/ckpt.json`` and ``fixtures/try_0000.json`` were written by
 ``write_fixtures()`` below at the commit *before* the on-disk layer
-moved into :mod:`repro.util.docfile`.  The tests rerun the same seeded
+moved into :mod:`repro.util.docfile`, and rewritten once since, when the
+class-major E-step moved numeric leaves in their last bits (keys and
+format bytes unchanged).  The tests rerun the same seeded
 search and require the files it writes today to equal the fixtures
 byte for byte, and a search resumed from the fixtures to finish
 bit-identically to one that never stopped — a checkpoint written by an

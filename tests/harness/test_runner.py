@@ -134,9 +134,12 @@ class TestFig8:
 
 class TestT1:
     def test_base_cycle_dominates(self):
-        # approx's share is item-count independent, so it shrinks as n
-        # grows; 10k items is where its "negligible" claim kicks in.
-        t1 = t1_profile(n_items=10_000, j_list=(4, 8), n_cycles=15)
+        # approx's cost is item-count independent and per-try init is
+        # paid once per try, so both shares shrink as items and cycles
+        # grow; how far depends on the E/M kernels' speed.  The profile's
+        # own defaults (20k items, 40 cycles) are where the paper's
+        # "base_cycle dominates, approx negligible" claim holds.
+        t1 = t1_profile()
         assert t1.cycle_fraction > 0.9
         assert t1.approx_fraction_of_cycle < 0.15
         assert t1.wts_seconds > t1.params_seconds

@@ -16,8 +16,10 @@ from repro.data.synth import make_mixed_database, make_paper_database
 from repro.engine.classification import Classification
 from repro.engine.params import finalize_parameters, local_update_parameters
 from repro.engine.wts import N_EXTRA_SLOTS, local_update_wts
+from repro.kernels import get_plan
 from repro.models.multinomial import MultinomialTerm
 from repro.models.multinormal import MultiNormalTerm
+from repro.models.normal import NormalMissingTerm
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 
@@ -194,3 +196,67 @@ class TestLayout:
             np.testing.assert_array_equal(payload, np.zeros(3 + N_EXTRA_SLOTS))
             stats = local_update_parameters(empty, spec, wts, kernels=mode)
             np.testing.assert_array_equal(stats, np.zeros((3, spec.n_stats)))
+
+    @pytest.mark.parametrize("n_classes", [1, 64])
+    def test_empty_block_any_class_count(self, n_classes):
+        name, db, spec = CASES[1]
+        _wts, clf = _random_clf(db, spec, n_classes, seed=8)
+        empty = db.take(slice(0, 0))
+        for mode in ("reference", "fused"):
+            wts, payload = local_update_wts(empty, clf, kernels=mode)
+            assert wts.shape == (0, n_classes)
+            np.testing.assert_array_equal(
+                payload, np.zeros(n_classes + N_EXTRA_SLOTS)
+            )
+            stats = local_update_parameters(empty, spec, wts, kernels=mode)
+            np.testing.assert_array_equal(
+                stats, np.zeros((n_classes, spec.n_stats))
+            )
+
+
+def _assert_cycle_halves_agree(db, spec, clf):
+    """Fused E and M halves against the reference, at the 1e-10 contract."""
+    wts_ref, pay_ref = local_update_wts(db, clf, kernels="reference")
+    wts_fused, pay_fused = local_update_wts(db, clf, kernels="fused")
+    assert wts_fused.shape == (db.n_items, clf.n_classes)
+    assert wts_fused.T.flags.c_contiguous  # the class-major workspace
+    np.testing.assert_allclose(wts_fused, wts_ref, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(pay_fused, pay_ref, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(
+        local_update_parameters(db, spec, wts_fused, kernels="fused"),
+        local_update_parameters(db, spec, wts_ref, kernels="reference"),
+        rtol=RTOL, atol=ATOL,
+    )
+
+
+@pytest.mark.parametrize("n_classes", [1, 64])
+@pytest.mark.parametrize("name,db,spec", CASES[:2], ids=CASE_IDS[:2])
+def test_class_count_edges(name, db, spec, n_classes):
+    """J = 1 (a single class row) and J = 64 (the paper's largest)."""
+    _wts, clf = _random_clf(db, spec, n_classes, seed=11)
+    _assert_cycle_halves_agree(db, spec, clf)
+
+
+class _NoDesignNormal(NormalMissingTerm):
+    """A custom term without design columns."""
+
+    def design_columns(self, db):
+        return None
+
+
+@pytest.mark.parametrize("n_classes", [1, 4, 64])
+def test_custom_term_fallback_through_class_major_view(n_classes):
+    """``plan.design is None``: every term accumulates in place into the
+    workspace's ``(n, J)`` views — strided writes, incl. the
+    multinomials' gather into the scratch view."""
+    name, db, spec = CASES[1]
+    summary = DataSummary.from_database(db)
+    terms = list(spec.terms)
+    i = next(k for k, t in enumerate(terms) if isinstance(t, NormalMissingTerm))
+    attr_index = terms[i].attribute_indices[0]
+    terms[i] = _NoDesignNormal(attr_index, db.schema[attr_index], summary)
+    assert any(isinstance(t, MultinomialTerm) for t in terms)
+    custom = ModelSpec(schema=db.schema, terms=tuple(terms))
+    assert get_plan(db, custom).design is None
+    _wts, clf = _random_clf(db, custom, n_classes, seed=12)
+    _assert_cycle_halves_agree(db, custom, clf)

@@ -120,6 +120,17 @@ class TestWorkspacePool:
         t.join()
         assert theirs[0] is not mine
 
+    @pytest.mark.parametrize("n_items,n_classes", [(64, 5), (64, 1), (0, 3)])
+    def test_buffers_are_class_major(self, n_items, n_classes):
+        """(n, J) views over C-order (J, n) storage: every per-item
+        reduction over the classes walks contiguous item rows."""
+        clear_workspaces()
+        ws = get_workspace(n_items, n_classes)
+        for buf in (ws.log_joint, ws.scratch):
+            assert buf.shape == (n_items, n_classes)
+            assert buf.T.flags.c_contiguous
+            assert buf.base is not None and buf.base.shape == (n_classes, n_items)
+
     def test_fused_wts_alias_workspace(self, db_spec):
         """The documented aliasing contract: returned weights live in the
         pooled log-joint buffer and are overwritten by the next same-shape
@@ -129,6 +140,8 @@ class TestWorkspacePool:
         wts1, _ = local_update_wts(db, clf, kernels="fused")
         ws = get_workspace(db.n_items, clf.n_classes)
         assert wts1 is ws.log_joint
+        assert wts1.shape == (db.n_items, clf.n_classes)
+        assert wts1.T.flags.c_contiguous
         first = wts1.copy()
         wts2, _ = local_update_wts(db, clf, kernels="fused")
         assert wts2 is wts1

@@ -103,3 +103,44 @@ class TestUnderflowRow:
         # LOG_FLOOR evidence and uniform entropy -log J
         assert red.sum_log_z <= LOG_FLOOR  # at least one floored row
         assert red.sum_w_log_w <= 0.0
+
+
+class TestUnderflowAtClassCountEdges:
+    """The convention on the class-major buffer at J = 1 and J = 64, and
+    on an empty block."""
+
+    @pytest.fixture(scope="class", params=[1, 64])
+    def corrupt(self, request, trained):
+        db, trained_clf = trained
+        clean = make_paper_database(80, seed=21)  # the data the spec saw
+        _, clf = _random_clf(
+            clean, trained_clf.spec, n_classes=request.param, seed=5
+        )
+        return db, clf
+
+    @pytest.mark.parametrize("kernels", KERNELS)
+    def test_bad_row_uniform_and_floored(self, corrupt, kernels):
+        db, clf = corrupt
+        j = clf.n_classes
+        wts, payload = local_update_wts(db, clf, kernels=kernels)
+        np.testing.assert_array_equal(wts[3], np.full(j, 1.0 / j))
+        np.testing.assert_allclose(wts.sum(axis=1), 1.0, rtol=1e-12)
+        assert np.all(np.isfinite(payload))
+        assert payload[j] <= LOG_FLOOR
+
+    def test_kernel_paths_agree(self, corrupt):
+        db, clf = corrupt
+        _, pay_f = local_update_wts(db, clf, kernels="fused")
+        wts_r, pay_r = local_update_wts(db, clf, kernels="reference")
+        np.testing.assert_allclose(pay_f, pay_r, rtol=1e-8, atol=1e-8)
+        wts_f, _ = local_update_wts(db, clf, kernels="fused")
+        np.testing.assert_allclose(wts_f, wts_r, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("kernels", KERNELS)
+    def test_empty_block(self, corrupt, kernels):
+        db, clf = corrupt
+        wts, payload = local_update_wts(
+            db.take(slice(0, 0)), clf, kernels=kernels
+        )
+        assert wts.shape == (0, clf.n_classes)
+        np.testing.assert_array_equal(payload, np.zeros(clf.n_classes + 2))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import AutoClass, PAutoClass
+from repro.data.database import Database
+from repro.engine.classification import Classification
 from repro.engine.report import membership
 from repro.serve.scoring import (
     concat_databases,
@@ -83,6 +87,70 @@ class TestScoreBatch:
         ).fit(mixed_db)
         _, hard = membership(mixed_db, run.best.classification)
         assert np.array_equal(run.predict(mixed_db), hard)
+
+
+def _select_classes(clf, idx):
+    """``clf`` restricted/expanded to the classes ``idx`` (repeats copy a
+    class, so the copies tie on every item)."""
+    idx = np.asarray(idx)
+
+    def take(tp):
+        arrays = {
+            f.name: getattr(tp, f.name)[idx]
+            for f in dataclasses.fields(tp)
+            if isinstance(getattr(tp, f.name), np.ndarray)
+        }
+        return dataclasses.replace(tp, n_classes=len(idx), **arrays)
+
+    return Classification(
+        spec=clf.spec, n_classes=len(idx), log_pi=clf.log_pi[idx],
+        term_params=tuple(take(tp) for tp in clf.term_params),
+    )
+
+
+class TestLabelPass:
+    """``predict``'s label pass is ``np.argmax`` of the log posterior."""
+
+    @staticmethod
+    def check(db, clf):
+        for kernels in ("fused", "reference"):
+            log_post = predict_logproba(db, clf, kernels=kernels)
+            expected = np.argmax(log_post, axis=1)
+            labels = predict(db, clf, kernels=kernels)
+            assert labels.dtype == np.int64
+            np.testing.assert_array_equal(labels, expected)
+            np.testing.assert_array_equal(
+                score_batch(db, clf, kernels=kernels).labels, expected
+            )
+
+    def test_fitted_model(self, train_db, clf):
+        self.check(train_db, clf)
+
+    def test_ties_take_the_first_class(self, train_db, clf):
+        tied = _select_classes(clf, [0, 1, 1])
+        log_post = predict_logproba(train_db, tied)
+        np.testing.assert_array_equal(log_post[:, 1], log_post[:, 2])
+        labels = predict(train_db, tied)
+        assert (labels == 1).any() and not (labels == 2).any()
+        self.check(train_db, tied)
+
+    @pytest.mark.parametrize("idx", [[0], [i % 3 for i in range(64)]])
+    def test_class_count_edges(self, train_db, clf, idx):
+        self.check(train_db, _select_classes(clf, idx))
+        self.check(train_db.take(slice(0, 0)), _select_classes(clf, idx))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_total_underflow_rows(self, train_db, clf):
+        cols = [c.copy() for c in train_db.columns]
+        cols[0][[3, 7]] = 1e160  # every class's likelihood underflows
+        db = Database.from_columns(train_db.schema, cols)
+        log_post = predict_logproba(db, clf)
+        np.testing.assert_array_equal(
+            log_post[3], np.full(clf.n_classes, -np.log(clf.n_classes))
+        )
+        labels = predict(db, clf)
+        assert labels[3] == labels[7] == 0
+        self.check(db, clf)
 
 
 class TestConcatDatabases:
