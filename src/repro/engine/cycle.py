@@ -46,9 +46,10 @@ class CycleStats:
 
     Seconds are on the reducer's clock: wall seconds sequentially and on
     real worlds, *virtual machine seconds* on the simulated CS-2.  The
-    wts share covers the E halves plus whatever the wts reduction blocks
-    for; the params share the M halves, the rest of the reductions and
-    the replicated finalize.
+    wts share covers the E halves (plus the wts reduction, where a
+    figure program blocks on one at ``launch_wts``); the params share
+    the M halves, the cycle's packed reduction and the replicated
+    finalize.
     """
 
     seconds_wts: float
@@ -66,8 +67,8 @@ class LocalReducer:
 
     Also the protocol the communicating reducers implement.  A cycle
     calls ``launch_wts`` once (after the final chunk's E half),
-    ``progress`` after every chunk, ``launch_stats`` once, then
-    ``finish`` for the two global arrays; ``allreduce`` is the one-shot
+    ``launch_stats`` once (after the last M half), then ``finish`` for
+    the two global arrays; ``allreduce`` is the one-shot
     sum the initializer needs.  ``rank``/``size`` place this block in
     the global item range, ``fault_site`` offers an injection point
     (:mod:`repro.mpc.faults`) and ``local_stats`` is the M half — a
@@ -89,9 +90,6 @@ class LocalReducer:
     def launch_wts(self, payload: np.ndarray) -> None:
         self._payload = payload
 
-    def progress(self) -> None:
-        """Nothing in flight."""
-
     def launch_stats(self, stats: np.ndarray) -> None:
         self._stats = stats
 
@@ -104,13 +102,13 @@ def local_pass(
 ) -> tuple[np.ndarray | None, float, float]:
     """The local halves of one cycle: chunk pass + both reduction launches.
 
-    For each chunk: E half (accumulate the ``J + 2`` payload), M half
-    (accumulate the ``(J, n_stats)`` statistics), ``reducer.progress()``.
-    The wts reduction launches right after the *final* chunk's E half —
-    the earliest its payload is complete, leaving that chunk's M half
-    as compute an overlapping reducer can hide rounds behind — and the
-    statistics reduction after the last M half.  The accumulation order,
-    and therefore every payload bit, does not depend on the reducer.
+    For each chunk: E half (accumulate the ``J + 2`` payload), then M
+    half (accumulate the ``(J, n_stats)`` statistics).  ``launch_wts``
+    is called right after the *final* chunk's E half — the earliest its
+    payload is complete, which is where the paper's first cut point
+    sits — and ``launch_stats`` after the last M half.  The accumulation
+    order, and therefore every payload bit, does not depend on the
+    reducer.
 
     Returns ``(wts, seconds_wts, seconds_params)``: the last chunk's
     weights (a plain Database's whole block) and the two halves' time on
@@ -142,7 +140,6 @@ def local_pass(
                 stats = part
             else:
                 stats += part
-        reducer.progress()
         n_chunks += 1
         n_items += chunk.n_items
         chunk = following

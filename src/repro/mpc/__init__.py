@@ -30,7 +30,6 @@ from repro.mpc.api import (
 )
 from repro.mpc.buffers import BufferPool
 from repro.mpc.errors import MessageError, NotSupportedError, WorldAborted
-from repro.mpc.icollectives import IAllreduce, IBcast, drain
 from repro.mpc.procworld import run_spmd_processes
 from repro.mpc.serial import SerialComm
 from repro.mpc.split import SubComm
@@ -42,8 +41,6 @@ __all__ = [
     "BufferPool",
     "CollectiveConfig",
     "Communicator",
-    "IAllreduce",
-    "IBcast",
     "MessageError",
     "NotSupportedError",
     "ReduceOp",
@@ -51,7 +48,6 @@ __all__ = [
     "SerialComm",
     "SubComm",
     "WorldAborted",
-    "drain",
     "run_spmd_processes",
     "run_spmd_threads",
     "waitall",

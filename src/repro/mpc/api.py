@@ -7,8 +7,8 @@ used: tagged point-to-point ``send``/``recv`` and the collectives
 gather/scatter for tooling.  Backends implement only the point-to-point
 primitives; every collective has one implementation in
 :mod:`repro.mpc.collectives` built on them.  A world's
-:class:`CollectiveConfig` sets how reductions are *scheduled in time*
-(timeout, pipelining, overlap), never which algorithm runs.
+:class:`CollectiveConfig` sets only how long a collective may wait,
+never which algorithm runs.
 
 Statistics: every rank counts its messages and payload bytes
 (:class:`CommStats`), which the benchmark harness reads to report
@@ -92,21 +92,9 @@ class CollectiveConfig:
     safety net).  Collectives are built on receives, so this is the
     paper-world equivalent of a collective timeout: a hung peer turns
     into a clean, restartable failure instead of a wedged job.
-
-    ``segments`` splits the payload of a nonblocking Allreduce
-    (:meth:`Communicator.iallreduce`, hence every ``overlap``
-    reduction) into that many contiguous pieces whose
-    recursive-doubling rounds are pipelined (bitwise-equal to the
-    unsegmented schedule blocking reductions run; see
-    :mod:`repro.mpc.icollectives`).  ``overlap`` switches the EM
-    cycle's two reductions to nonblocking ones drained at the original
-    cut points (:class:`repro.parallel.reducers.OverlappedReducer`) —
-    numerically identical, but communication rounds hide behind compute.
     """
 
     timeout_seconds: float | None = None
-    segments: int = 1
-    overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -114,8 +102,6 @@ class CollectiveConfig:
                 f"timeout_seconds must be positive or None, got "
                 f"{self.timeout_seconds}"
             )
-        if self.segments < 1:
-            raise ValueError(f"segments must be >= 1, got {self.segments}")
 
 
 class Communicator(ABC):
@@ -358,40 +344,6 @@ class Communicator(ABC):
         self._charge_reduction(buf)
         return buf
 
-    def iallreduce(
-        self,
-        payload,
-        op: ReduceOp = ReduceOp.SUM,
-        *,
-        segments: int | None = None,
-    ) -> "Request":
-        """Nonblocking Allreduce; returns a request handle.
-
-        The handle's ``wait()`` returns the reduced payload —
-        bitwise-identical to :meth:`allreduce`, because the
-        recursive-doubling message schedule and combine orientation are
-        replayed exactly (see :mod:`repro.mpc.icollectives`).  Between
-        launch and drain the caller may compute; ``progress()`` and
-        ``test()`` advance in-flight rounds cooperatively without
-        blocking.  ``segments`` (default: the config's) pipelines the
-        rounds of that many contiguous payload pieces.
-        """
-        from repro.mpc import icollectives
-
-        segs = self._collectives.segments if segments is None else segments
-        if segs < 1:
-            raise MessageError(f"segments must be >= 1, got {segs}")
-        tag = self._next_coll_tag()
-        return icollectives.IAllreduce(self, payload, op, tag, segments=segs)
-
-    def ibcast(self, obj: object, root: int = 0) -> "Request":
-        """Nonblocking broadcast; ``wait()`` returns the value on every rank."""
-        from repro.mpc import icollectives
-
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        return icollectives.IBcast(self, obj, root, tag)
-
     def buffer_pool(self):
         """This communicator's lazily created reduction buffer pool.
 
@@ -485,16 +437,6 @@ class Request:
 
     def test(self) -> tuple[bool, object]:
         raise NotImplementedError
-
-    def progress(self) -> bool:
-        """Advance the operation without blocking; True when complete.
-
-        For point-to-point requests this is ``test()`` minus the
-        payload; nonblocking collectives override it to drive their
-        in-flight rounds one step per call.
-        """
-        done, _ = self.test()
-        return done
 
 
 class CompletedRequest(Request):

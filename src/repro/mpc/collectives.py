@@ -151,10 +151,9 @@ def recursive_doubling_schedule(rank: int, size: int) -> tuple[Step, ...]:
     ``2 + log2 P`` tags.
 
     This is the *only* place the schedule is derived: the allocating
-    (:func:`allreduce_recursive_doubling`), pooled in-place
-    (:func:`repro.mpc.buffers.allreduce_into_impl`) and nonblocking
-    (:class:`repro.mpc.icollectives.IAllreduce`) paths all execute the
-    returned steps, which is what makes them bitwise-equal.  The
+    (:func:`allreduce_recursive_doubling`) and pooled in-place
+    (:func:`repro.mpc.buffers.allreduce_into_impl`) paths both execute
+    the returned steps, which is what makes them bitwise-equal.  The
     combine orientation is fixed by core rank (lower on the left), so
     every rank computes the identical association tree whatever the
     message arrival order.
@@ -213,15 +212,17 @@ def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
 # gather / allgather / scatter
 
 def gather_linear(comm, obj, root: int, tag: int) -> list | None:
-    """Everyone sends to root; root returns the rank-ordered list."""
+    """Everyone sends to root; root returns the rank-ordered list.
+
+    The root receives in rank order, never from ``ANY_SOURCE``: matching
+    in arrival order would make a virtual-time root's clock depend on
+    host thread scheduling.
+    """
     size, rank = comm.size, comm.rank
     if rank == root:
-        out: list = [None] * size
-        out[root] = obj
-        for _ in range(size - 1):
-            payload, src, _tag = comm.recv_status(tag=tag)
-            out[src] = payload
-        return out
+        return [
+            obj if src == root else comm.recv(src, tag) for src in range(size)
+        ]
     comm.send(obj, root, tag)
     return None
 

@@ -91,8 +91,6 @@ class CommEventRecord:
     seconds: float  # time spent in the collective (rank's clock)
     n_calls: int = 1  # >1 when a cut point issues several collectives
     # (the figure harness's per-(class, term) reducer)
-    overlapped: bool = False  # nonblocking launch; `seconds` is the
-    # residual drain only (rounds hidden behind compute are not in it)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -100,7 +98,6 @@ class CommEventRecord:
             "nbytes": self.nbytes,
             "seconds": self.seconds,
             "n_calls": self.n_calls,
-            "overlapped": self.overlapped,
         }
 
     @classmethod
@@ -110,7 +107,6 @@ class CommEventRecord:
             nbytes=int(d["nbytes"]),
             seconds=float(d["seconds"]),
             n_calls=int(d.get("n_calls", 1)),
-            overlapped=bool(d.get("overlapped", False)),
         )
 
 

@@ -68,8 +68,7 @@ class RunRecorder(Protocol):
         ...
 
     def comm_event(
-        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1,
-        overlapped: bool = False,
+        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1
     ) -> None:
         """Record one collective at an instrumented cut point."""
         ...
@@ -115,8 +114,7 @@ class NullRecorder:
         return None
 
     def comm_event(
-        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1,
-        overlapped: bool = False,
+        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1
     ) -> None:
         return None
 
@@ -216,8 +214,7 @@ class Recorder:
         self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
 
     def comm_event(
-        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1,
-        overlapped: bool = False,
+        self, phase: str, nbytes: int, seconds: float, n_calls: int = 1
     ) -> None:
         self.comm_totals["nbytes"] = self.comm_totals.get("nbytes", 0) + nbytes
         self.comm_totals["n_calls"] = self.comm_totals.get("n_calls", 0) + n_calls
@@ -226,8 +223,7 @@ class Recorder:
 
             self.comm_events_.append(
                 CommEventRecord(
-                    phase=phase, nbytes=nbytes, seconds=seconds,
-                    n_calls=n_calls, overlapped=overlapped,
+                    phase=phase, nbytes=nbytes, seconds=seconds, n_calls=n_calls
                 )
             )
 

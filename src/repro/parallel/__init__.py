@@ -2,11 +2,12 @@
 
 SPMD parallel AutoClass for distributed-memory machines: the dataset is
 block-partitioned over the ranks, the BIG_LOOP control flow is
-replicated, and each ``base_cycle`` performs exactly two Allreduces —
-one for the class weight totals in ``update_wts`` (paper Figure 4), one
-for the packed parameter statistics in ``update_parameters`` (paper
-Figure 5).  The cycle, the initializer and the BIG_LOOP exist once, in
-:mod:`repro.engine`, written against a *reducer*; this package hands
+replicated, and each ``base_cycle`` crosses the paper's two Allreduce
+cut points — the class weight totals of ``update_wts`` (paper Figure 4)
+and the packed parameter statistics of ``update_parameters`` (paper
+Figure 5) — in one blocking packed Allreduce.  The cycle, the
+initializer and the BIG_LOOP exist once, in :mod:`repro.engine`,
+written against a *reducer*; this package hands
 them a communicating one — so the reproduction's guarantee that the
 parallel semantics equal the sequential ones is structural: sequential
 AutoClass is the same program at P = 1.
@@ -18,8 +19,9 @@ Entry points:
 * :func:`run_pautoclass_partitioned` — true distributed form: each rank
   holds only its block; global summaries are Allreduced at startup;
 * :mod:`repro.parallel.reducers` — the communicating reducers the one
-  EM cycle (:func:`repro.engine.cycle.base_cycle`) crosses its two cut
-  points with: blocking (the paper's figures) or overlapped.
+  EM cycle (:func:`repro.engine.cycle.base_cycle`) crosses its cut
+  points with: identity on a size-1 world, one blocking packed
+  Allreduce otherwise.
 """
 
 from repro.parallel.driver import (
@@ -36,14 +38,12 @@ from repro.parallel.psearch import (
 )
 from repro.parallel.reducers import (
     BlockingReducer,
-    OverlappedReducer,
     WorldReducer,
     reducer_for,
 )
 
 __all__ = [
     "BlockingReducer",
-    "OverlappedReducer",
     "ReductionPlan",
     "WorldReducer",
     "check_try_groups",

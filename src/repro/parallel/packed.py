@@ -22,16 +22,10 @@ unchanged.
 Buffer lifetime: the reduced values are only *read* downstream
 (``finalize_wts`` copies ``w_j``; ``finalize_parameters`` and
 ``update_approximations`` are pure functions that retain nothing), so
-overwriting the buffers next cycle is safe.
-
-Nonblocking reductions (:class:`~repro.parallel.reducers.
-OverlappedReducer`) cannot run out of these buffers: the pool's two-call
-parity that makes in-place reuse race-free assumes the next
-collective's blocking receives fence every peer's reads, and a
-nonblocking handle deliberately breaks that fence (peers may hold round
-envelopes across the whole overlapped compute window).  ``iallreduce``
-therefore sends a private copy of the payload — one allocation per
-cycle, bought back many times over by the hidden communication.
+overwriting the buffers next cycle is safe.  The pool's two-call parity
+that makes in-place reuse race-free relies on every reduction being
+blocking: the next collective's receives fence every peer's reads of
+the previous one's envelopes.
 """
 
 from __future__ import annotations

@@ -36,9 +36,8 @@ def parallel_base_cycle(
     selects the local E/M implementation; the two Allreduce cut points
     are unaffected.  ``plan`` — a
     :class:`repro.parallel.packed.ReductionPlan` for this try — supplies
-    the buffers both blocking reductions run in place through (one is
-    made per call otherwise); ``comm.collective_config.overlap`` selects
-    the nonblocking reducer instead.
+    the buffer the cycle's packed reduction runs in place through (one
+    is made per call otherwise).
 
     A :class:`~repro.data.shards.ShardedDatabase` block view streams
     the local halves chunk-by-chunk with O(chunk) peak heap; the two

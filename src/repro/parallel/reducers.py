@@ -16,21 +16,12 @@ paper's two Allreduce cut points (Figures 4/5) are crossed:
   at half the collectives.  (The figure experiments keep the paper's
   two cut points — and Figure 5's per-(class, term) reduction — as
   subclasses in :mod:`repro.harness.programs`.)
-* :class:`OverlappedReducer` — ``CollectiveConfig(overlap=True)``:
-  both reductions launch nonblocking and drain round-robin at
-  ``finish``, so the wts rounds ride under the final chunk's M half and
-  the two reductions' wire times hide behind each other.  Same
-  payloads, same schedule, same combine association — bitwise-equal
-  results, only the *when* of the rounds changes.
 
 Observability: the reduction time is accounted as phases
 ``"allreduce_wts"`` / ``"allreduce_params"`` with one comm event each
 per cut point crossed.  The blocking reducer crosses one — its packed
 reduction is accounted as ``"allreduce_params"`` and
-``"allreduce_wts"`` reads 0.  Under overlap the phases time only
-the *residual* drain (what overlap failed to hide), the events carry
-``overlapped=True`` and the ``overlap.windows`` / ``overlap.hidden_us``
-/ ``overlap.idle_us`` counters quantify the windows (docs/comms.md).
+``"allreduce_wts"`` reads 0.
 """
 
 from __future__ import annotations
@@ -109,59 +100,6 @@ class BlockingReducer(WorldReducer):
         )
 
 
-class OverlappedReducer(WorldReducer):
-    """Nonblocking reductions hidden behind compute, drained at ``finish``."""
-
-    _wts_req = None  # in flight only from the final chunk's E half on
-
-    def launch_wts(self, payload: np.ndarray) -> None:
-        self._wts_nbytes = payload.nbytes
-        self._t_wts = self.comm.wtime()
-        self._wts_req = self.comm.iallreduce(payload, ReduceOp.SUM)
-
-    def progress(self) -> None:
-        if self._wts_req is not None:
-            self._wts_req.progress()
-
-    def launch_stats(self, stats: np.ndarray) -> None:
-        self._stats_nbytes = stats.nbytes
-        self._t_stats = self.comm.wtime()
-        self._stats_req = self.comm.iallreduce(stats, ReduceOp.SUM)
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        wts_req, stats_req = self._wts_req, self._stats_req
-        self._wts_req = None
-        wtime = self.comm.wtime
-
-        # Round-robin: each reduction's wire time hides behind the
-        # other's rounds instead of serializing.
-        t_drain = wtime()
-        t_wts_done = t_drain if wts_req.done else None
-        while not (wts_req.done and stats_req.done):
-            if not wts_req.done and wts_req.step():
-                t_wts_done = wtime()
-            if not stats_req.done:
-                stats_req.step()
-        t_end = wtime()
-        rec = obs.current()
-        if rec.enabled:
-            rec.add_phase("allreduce_wts", t_wts_done - t_drain)
-            rec.comm_event(
-                "allreduce_wts", self._wts_nbytes, t_wts_done - t_drain,
-                overlapped=True,
-            )
-            rec.add_phase("allreduce_params", t_end - t_wts_done)
-            rec.comm_event(
-                "allreduce_params", self._stats_nbytes, t_end - t_wts_done,
-                overlapped=True,
-            )
-            rec.count("overlap.windows", 2)
-            hidden = (t_drain - self._t_wts) + (t_drain - self._t_stats)
-            rec.count("overlap.hidden_us", int(hidden * 1e6))
-            rec.count("overlap.idle_us", int((t_end - t_drain) * 1e6))
-        return wts_req.wait(), np.asarray(stats_req.wait())
-
-
 def reducer_for(
     comm: Communicator,
     n_classes: int,
@@ -171,14 +109,12 @@ def reducer_for(
 ) -> WorldReducer:
     """The reducer a try with ``n_classes`` classes runs on ``comm``.
 
-    Size-1 worlds reduce by identity; ``collective_config.overlap``
-    selects the nonblocking reducer; otherwise reductions block, in
-    place through ``plan`` (created here unless the caller owns one).
+    Size-1 worlds reduce by identity; otherwise the cycle's one packed
+    reduction blocks, in place through ``plan`` (created here unless the
+    caller owns one).
     """
     if comm.size == 1:
         return WorldReducer(comm)
-    if comm.collective_config.overlap:
-        return OverlappedReducer(comm)
     if plan is None:
         plan = ReductionPlan(comm, n_classes, spec.n_stats)
     return BlockingReducer(comm, plan)

@@ -146,11 +146,10 @@ class SimComm(ThreadComm):
 
         "Has the message arrived?" is answered at this rank's own clock:
         an envelope matches only if its ``available_at`` is not in the
-        future (``ready_by``), so a test() right after a send correctly
-        reports "not yet" until compute has advanced the clock past the
-        wire time.  This is what lets overlapped windows cost
-        ``max(compute, comm)``: a hit after enough compute charges only
-        the receive overhead, never the already-elapsed wire time.
+        future (``ready_by``), so an ``irecv(...).test()`` right after
+        the matching send reports "not yet" until compute has advanced
+        the clock past the wire time.  A hit charges only the receive
+        overhead: the wire time has already elapsed.
         """
         self._absorb_compute()
         env = self._mailboxes[self.rank].try_collect(

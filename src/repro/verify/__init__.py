@@ -17,10 +17,6 @@ Three layers:
 * :mod:`repro.verify.harness` — the differential matrix over the
   golden corpus, regenerable via ``python -m repro.verify --regen``.
 
-:mod:`repro.verify.overlap` extends the same strict gate to the
-nonblocking hot path: an overlapped streamed fit must be bitwise
-(digest-) equal to its blocking twin on every world.
-
 ``AutoClass.fit`` / ``PAutoClass.fit`` accept ``verify="off" | "trace"
 | "strict"`` to run a shadow reference fit and attach (or enforce) a
 conformance report on every user-level run.
@@ -42,10 +38,6 @@ from repro.verify.harness import (
     run_case_matrix,
     run_full_matrix,
     write_golden,
-)
-from repro.verify.overlap import (
-    check_overlap_conformance,
-    content_digest,
 )
 from repro.verify.tolerance import (
     BITWISE,
@@ -72,9 +64,7 @@ __all__ = [
     "Tolerance",
     "TraceMeta",
     "capture_trace",
-    "check_overlap_conformance",
     "compare_traces",
-    "content_digest",
     "corpus_case",
     "load_golden",
     "regen_golden",

@@ -45,8 +45,8 @@ class TraceMeta:
     world: str  # "sequential" | "serial" | "threads" | "processes" | "sim"
     size: int  # world size (1 for sequential)
     kernels: str  # "fused" | "reference"
-    #: the Allreduce algorithm's name (one constant; "+overlap" marks a
-    #: nonblocking arm) — kept serialised so golden files stay stable
+    #: the Allreduce algorithm's name (one constant) — kept serialised
+    #: so golden files stay stable
     allreduce: str = ALLREDUCE
 
     def to_dict(self) -> dict[str, Any]:
@@ -213,8 +213,6 @@ def capture_trace(
     instrument: str = "full",
     spec=None,
     fit_on=None,
-    overlap: bool = False,
-    segments: int = 1,
 ) -> RunTrace:
     """Fit once on the requested (world, size, kernels) cell.
 
@@ -225,26 +223,15 @@ def capture_trace(
     ``fit_on`` — a :class:`~repro.data.shards.ShardedDatabase` of the
     same rows — makes the fit stream while the class map (trace layer
     4, which scores every item's membership) is still taken against
-    the in-memory ``db``.  ``overlap`` / ``segments`` select the
-    nonblocking reductions; an overlapped arm is labelled
-    ``"<allreduce>+overlap"``.
+    the in-memory ``db``.
     """
     from repro.api import PAutoClass
-    from repro.mpc.api import CollectiveConfig
 
-    meta = TraceMeta(
-        case=case, world=world, size=size, kernels=kernels,
-        allreduce=f"{ALLREDUCE}+overlap" if overlap else ALLREDUCE,
-    )
+    meta = TraceMeta(case=case, world=world, size=size, kernels=kernels)
     run = PAutoClass(
         n_processors=size,
         backend=world,
         spec=spec,
-        # "sequential" has no world, hence no collectives to configure.
-        collectives=(
-            None if world == "sequential"
-            else CollectiveConfig(overlap=overlap, segments=segments)
-        ),
         instrument=instrument,
         kernels=kernels,
         **config,

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpc.api import ANY_SOURCE, ANY_TAG
+from repro.mpc.collectives import gather_linear
 from repro.mpc.serial import SerialComm
 from repro.mpc.threadworld import run_spmd_threads
 
@@ -125,3 +127,33 @@ class TestGather:
 
     def test_one_rank_world(self):
         assert SerialComm().gather("g") == ["g"]
+
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_root_receives_in_rank_order(self, root):
+        """The root names every source, in rank order: a wildcard receive
+        matches in host arrival order, which would make a virtual-time
+        root's clock depend on thread scheduling."""
+
+        class RecordingRoot:
+            """A gather root whose peers arrive in reverse rank order."""
+
+            size = 4
+
+            def __init__(self):
+                self.rank = root
+                self.sources = []
+                self._arrivals = [r for r in (3, 2, 1, 0) if r != root]
+
+            def recv_status(self, source=ANY_SOURCE, tag=ANY_TAG):
+                self.sources.append(source)
+                if source == ANY_SOURCE:
+                    source = self._arrivals.pop(0)
+                return ("from", source), source, tag
+
+            def recv(self, source=ANY_SOURCE, tag=ANY_TAG):
+                return self.recv_status(source, tag)[0]
+
+        comm = RecordingRoot()
+        out = gather_linear(comm, ("from", root), root, tag=7)
+        assert out == [("from", r) for r in range(4)]
+        assert comm.sources == [r for r in range(4) if r != root]

@@ -15,15 +15,12 @@ than examples:
 
 Plus the edge cases the engine actually hits: empty payloads (a rank
 with zero stats slots), single-rank worlds, and scalar payloads — and
-the shapes the pipelined executor is most likely to get wrong: payloads
-with fewer elements than ranks or segments (*empty* pieces circulate)
-and 0-d ndarrays (which hit the ``reshape``/``item()`` tail and which
-ufuncs silently collapse to numpy scalars).
+awkward shapes: payloads with fewer elements than ranks and 0-d
+ndarrays (which ufuncs silently collapse to numpy scalars).
 
-Every property runs over the three executors of the one
-recursive-doubling schedule: the blocking ``allreduce``, the pooled
-in-place ``allreduce_into`` and the nonblocking ``iallreduce`` with
-``segments=3`` (so it actually pipelines).
+Every property runs over both executors of the one recursive-doubling
+schedule: the allocating ``allreduce`` and the pooled in-place
+``allreduce_into``.
 """
 
 from __future__ import annotations
@@ -42,13 +39,8 @@ EXECUTORS = {
     "in_place": lambda comm, x, op: comm.allreduce_into(
         np.array(x, dtype=np.float64), op
     ),
-    "pipelined": lambda comm, x, op: comm.iallreduce(
-        x, op, segments=3
-    ).wait(),
 }
 NAMES = tuple(EXECUTORS)
-#: executors that take any payload (allreduce_into needs an ndarray)
-ANY_PAYLOAD = ("blocking", "pipelined")
 
 finite_payload = hnp.arrays(
     dtype=np.float64,
@@ -164,23 +156,16 @@ class TestEdgeCases:
             np.testing.assert_array_equal(r, x)
 
     def test_scalar_payload(self):
-        for name in ANY_PAYLOAD:
-            def prog(comm):
-                return EXECUTORS[name](
-                    comm, float(comm.rank + 1), ReduceOp.SUM
-                )
+        # allreduce_into needs an ndarray: only the allocating executor
+        # takes a Python scalar.
+        def prog(comm):
+            return comm.allreduce(float(comm.rank + 1), ReduceOp.SUM)
 
-            assert run_spmd_threads(prog, 4) == [10.0] * 4
+        assert run_spmd_threads(prog, 4) == [10.0] * 4
 
 
 class TestEdgeShapes:
-    """Shapes the pipelined executor is most likely to get wrong.
-
-    It splits the flattened payload into ``segments`` pieces with
-    ``np.linspace`` bounds, so payloads with fewer elements than pieces
-    circulate *empty* arrays, and 0-d payloads exercise the
-    ``reshape(arr.shape)`` / ``item()`` tail.
-    """
+    """Payloads with fewer elements than ranks, and 0-d payloads."""
 
     @given(
         size=st.integers(2, 6),
@@ -190,9 +175,8 @@ class TestEdgeShapes:
     )
     @settings(max_examples=25, deadline=None)
     def test_fewer_elements_than_ranks(self, size, n, name, seed):
-        """n_elems <= P (and often < segments): exact integer payloads
-        still sum bitwise and keep their shape, even when every
-        circulating piece is empty."""
+        """n_elems <= P: exact integer payloads still sum bitwise and
+        keep their shape, even when empty."""
         rng = np.random.default_rng(seed)
         payloads = rng.integers(-1000, 1000, size=(size, n)).astype(
             np.float64
@@ -223,9 +207,9 @@ class TestEdgeShapes:
 
     def test_0d_ndarray_stays_ndarray_every_algorithm(self):
         """Regression: ufuncs collapse 0-d arrays to numpy scalars, so
-        the blocking executor used to return ``np.float64`` where the
-        pipelined one returned a 0-d ndarray.  An ndarray in must be an
-        ndarray out, identically across executors."""
+        the allocating executor used to return ``np.float64``.  An
+        ndarray in must be an ndarray out, identically across
+        executors."""
         for name in NAMES:
             def prog(comm):
                 return EXECUTORS[name](
@@ -240,12 +224,10 @@ class TestEdgeShapes:
 
     def test_numpy_scalar_payload(self):
         """np.float64 is *not* an ndarray: scalar in, scalar out."""
-        for name in ANY_PAYLOAD:
-            def prog(comm):
-                return EXECUTORS[name](
-                    comm, np.float64(comm.rank), ReduceOp.MAX
-                )
 
-            for r in run_spmd_threads(prog, 3):
-                assert not isinstance(r, np.ndarray)
-                assert float(r) == 2.0
+        def prog(comm):
+            return comm.allreduce(np.float64(comm.rank), ReduceOp.MAX)
+
+        for r in run_spmd_threads(prog, 3):
+            assert not isinstance(r, np.ndarray)
+            assert float(r) == 2.0

@@ -273,19 +273,12 @@ class TestRunRecordJsonl:
                             n_calls=16)
         assert CommEventRecord.from_dict(e.to_dict()) == e
 
-    def test_overlapped_flag_round_trips(self):
-        e = CommEventRecord(phase="allreduce_wts", nbytes=64, seconds=0.01,
-                            overlapped=True)
-        back = CommEventRecord.from_dict(e.to_dict())
-        assert back == e and back.overlapped
-        # Pre-overlap records (no key) default to blocking semantics.
-        legacy = e.to_dict()
-        del legacy["overlapped"]
-        assert CommEventRecord.from_dict(legacy).overlapped is False
-
-    def test_comm_event_overlapped_passthrough(self):
-        rec = Recorder("full")
-        rec.comm_event("allreduce_wts", 100, 0.0, overlapped=True)
-        rec.comm_event("allreduce_params", 100, 0.1)
-        flags = [e.overlapped for e in rec.comm_events_]
-        assert flags == [True, False]
+    def test_record_with_overlapped_key_still_loads(self):
+        """Comm events written before the nonblocking reducer was
+        removed carry ``"overlapped": false``; they still load."""
+        written = {"phase": "allreduce_params", "nbytes": 64,
+                   "seconds": 0.01, "n_calls": 1, "overlapped": False}
+        e = CommEventRecord.from_dict(written)
+        assert e == CommEventRecord(phase="allreduce_params", nbytes=64,
+                                    seconds=0.01)
+        assert "overlapped" not in e.to_dict()

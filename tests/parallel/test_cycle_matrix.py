@@ -4,7 +4,7 @@ There is a single cycle body (:func:`repro.engine.cycle.base_cycle`)
 and a single initializer; every way of running them is one cell here:
 
     data    in {in-memory Database, 1-chunk shards, 4-chunk shards}
-  x reducer in {local, blocking, overlapped}
+  x reducer in {local, blocking}
   x P       in {1, 2, 3} (threads)
 
 Cells that associate their sums identically — same P, same chunking —
@@ -25,22 +25,16 @@ from repro.engine.init import initial_classification
 from repro.engine.report import membership
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.api import CollectiveConfig
 from repro.mpc.threadworld import run_spmd_threads
 from repro.parallel.packed import ReductionPlan
-from repro.parallel.reducers import (
-    BlockingReducer,
-    OverlappedReducer,
-    WorldReducer,
-    reducer_for,
-)
+from repro.parallel.reducers import BlockingReducer, WorldReducer, reducer_for
 from repro.util.rng import spawn_rng
 from repro.verify import REDUCTION_ORDER
 from repro.verify.trace import pack_term_params
 
 N_ITEMS, N_CLASSES, N_CYCLES = 240, 3, 4
 DATA = ("memory", "chunks1", "chunks4")
-REDUCERS = ("local", "blocking", "overlapped")
+REDUCERS = ("local", "blocking")
 SIZES = (1, 2, 3)
 
 
@@ -76,10 +70,8 @@ def make_reducer(kind, comm, spec):
         reducer = reducer_for(comm, N_CLASSES, spec)
         assert type(reducer) is WorldReducer
         return reducer
-    if kind == "blocking":
-        plan = ReductionPlan(comm, N_CLASSES, spec.n_stats)
-        return BlockingReducer(comm, plan)
-    return OverlappedReducer(comm)
+    plan = ReductionPlan(comm, N_CLASSES, spec.n_stats)
+    return BlockingReducer(comm, plan)
 
 
 def cell(comm, source, spec, kind):
@@ -119,8 +111,7 @@ def matrix(sources, spec):
                 if kind == "local" and size > 1:
                     continue  # identity is only a reduction at P = 1
                 per_rank = run_spmd_threads(
-                    cell, size, sources[data], spec, kind,
-                    collectives=CollectiveConfig(overlap=kind == "overlapped"),
+                    cell, size, sources[data], spec, kind
                 )
                 first = numbers(per_rank[0])
                 for other in per_rank[1:]:  # replicated: ranks agree bitwise
@@ -142,7 +133,7 @@ def reference(db, spec):
 
 
 def test_matrix_is_complete(matrix):
-    assert len(matrix) == len(DATA) * (3 + 2 + 2)
+    assert len(matrix) == len(DATA) * (2 + 1 + 1)
 
 
 def test_sequential_is_the_size_one_cell(matrix, reference):
@@ -159,7 +150,7 @@ def test_same_association_cells_are_bitwise_equal(matrix, size):
         numbers(clf) for (p, data, _kind), clf in matrix.items()
         if p == size and data in ("memory", "chunks1")
     ]
-    assert len(same) >= 4
+    assert len(same) >= 2
     for other in same[1:]:
         np.testing.assert_array_equal(other, same[0])
     chunked = [

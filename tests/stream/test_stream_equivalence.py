@@ -142,47 +142,6 @@ class TestStreamedGuards:
         assert run.result.config.init_method == "sharp"
 
 
-class TestOverlappedStream:
-    def test_overlap_matches_blocking_exactly(self, paper_pair):
-        from repro.mpc.api import CollectiveConfig
-
-        db, sdb = paper_pair
-        kw = dict(PINNED, max_n_tries=1)
-        blocking = PAutoClass(
-            n_processors=3, backend="threads", **kw
-        ).fit(sdb)
-        overlapped = PAutoClass(
-            n_processors=3, backend="threads",
-            collectives=CollectiveConfig(overlap=True), **kw
-        ).fit(sdb)
-        np.testing.assert_array_equal(
-            overlapped.predict(sdb), blocking.predict(sdb)
-        )
-        assert overlapped.best.score == blocking.best.score  # bitwise
-
-    def test_overlap_counters_and_event_flags(self, paper_pair):
-        from repro.mpc.api import CollectiveConfig
-
-        _db, sdb = paper_pair
-        run = PAutoClass(
-            n_processors=2, backend="threads", instrument="full",
-            collectives=CollectiveConfig(overlap=True),
-            **dict(PINNED, max_n_tries=1),
-        ).fit(sdb)
-        for rank_rec in run.record.ranks:
-            counters = rank_rec.counters
-            # Two launches (wts + stats) per cycle.
-            assert counters["overlap.windows"] > 0
-            assert counters["overlap.hidden_us"] >= 0
-            assert counters["overlap.idle_us"] >= 0
-            reduction_events = [
-                e for e in rank_rec.comm_events
-                if e.phase.startswith("allreduce")
-            ]
-            assert reduction_events
-            assert all(e.overlapped for e in reduction_events)
-
-
 class TestStreamedObservability:
     def test_stream_counters_recorded(self, paper_pair):
         _db, sdb = paper_pair

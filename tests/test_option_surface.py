@@ -26,7 +26,7 @@ CONFIG_FIELDS = {
         "start_j_list", "max_n_tries", "rel_delta", "n_consecutive",
         "max_cycles", "init_method", "seed", "duplicate_eps", "max_seconds",
     ),
-    CollectiveConfig: ("timeout_seconds", "segments", "overlap"),
+    CollectiveConfig: ("timeout_seconds",),
     CheckpointSpec: (
         "directory", "policy", "resume", "cycle_interval", "filename",
     ),
@@ -49,7 +49,7 @@ def test_config_fields_are_exactly_the_pinned_ones():
     for cls, expected in CONFIG_FIELDS.items():
         names = tuple(f.name for f in dataclasses.fields(cls))
         assert names == expected, cls.__name__
-    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 34
+    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 32
 
 
 def test_run_flags_are_exactly_the_pinned_ones():
