@@ -42,7 +42,6 @@ TIMING_METRICS: dict[str, tuple[str, ...]] = {
         "combined.fused_s",
     ),
     "BENCH_obs.json": ("off_s", "phases_s"),
-    "BENCH_ckpt.json": ("off_s", "per_try_s"),
     # Virtual elapsed is deterministic, so both arms gate tightly.
     "BENCH_split.json": (
         "try_parallel.elapsed_g1_s",

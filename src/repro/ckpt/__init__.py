@@ -3,9 +3,10 @@
 The paper's BIG_LOOP converges many tries over many EM cycles; on a
 real multicomputer a single rank failure would throw the whole search
 away.  This package captures the search state at the two Allreduce cut
-points (where it is global and identical on every rank) in a
-versioned, atomically written file, and restores it such that a
-resumed run is **bit-identical** to an uninterrupted one.
+points (where it is global and identical on every rank) in versioned,
+atomically written files — a small head plus one file per completed
+try — and restores it such that a resumed run is **bit-identical** to
+an uninterrupted one.
 
 See :mod:`repro.ckpt.format` for the file format and guarantees,
 :mod:`repro.ckpt.manager` for policies and the rank-0-writes /
@@ -25,7 +26,6 @@ from repro.ckpt.format import (
 )
 from repro.ckpt.manager import (
     CHECKPOINT_POLICIES,
-    CKPT_FILENAME,
     Checkpointer,
     CheckpointSpec,
     check_policy,
@@ -33,7 +33,6 @@ from repro.ckpt.manager import (
 
 __all__ = [
     "CKPT_FORMAT_VERSION",
-    "CKPT_FILENAME",
     "CHECKPOINT_POLICIES",
     "CheckpointError",
     "CheckpointSpec",

@@ -18,29 +18,50 @@ continue the run **bit-identically** to an uninterrupted one.  The
 differential tests in ``tests/ckpt`` assert exactly that on all four
 SPMD worlds.
 
+Layout (version 2) — one directory, two kinds of document:
+
+* ``try_NNNN.json`` (:data:`TRY_CKPT_KIND`) — one try: its completed
+  result, or (try-grouped search only) its mid-try state.  A completed
+  try never changes, so its file is written exactly once;
+* ``ckpt.json`` (:data:`CKPT_KIND`, sequential and replicated search)
+  — a small head: the resume key, how many completed tries the
+  ``try_NNNN.json`` files hold, the in-progress try and the RNG
+  streams.  It is the only file a per-cycle save rewrites.
+
+At a try boundary the try file lands first, then the directory entry
+is fsynced, then the head is replaced, so a head on disk never names a
+try file that is not.
+
 File-level guarantees:
 
 * **Versioned** — every file carries ``format_version``; a reader
-  refuses versions it does not understand with :class:`CheckpointError`.
+  refuses versions it does not understand with :class:`CheckpointError`
+  (version 1, the single-file layout with every finished try inline, is
+  refused too).
 * **Keyed** — a digest over the search config, model spec, and global
   item count is stored and re-checked on load, so a checkpoint can
   never silently resume a *different* search.  The world size is
   deliberately *not* part of the key: the state is global, so a search
   checkpointed on P ranks may resume on Q ranks.
-* **Atomic** — files are written by :func:`repro.util.docfile.write_json`
+* **Atomic** — each file is one :func:`repro.util.docfile.write_bytes`
   (temp file, fsync, rename), so a reader (or a rank that died
-  mid-write) only ever sees a complete previous checkpoint.
+  mid-write) only ever sees a complete previous document.
+* **Compact** — a document is :func:`repro.util.docfile.canonical_json`
+  with its ndarray leaves embedded as base64 little-endian bytes
+  (:func:`repro.util.docfile.embed_arrays`): one C-encoder pass, and
+  bit-exact arrays by construction.
 * **Clean failures** — a truncated, corrupt, or mismatched file raises
-  :class:`CheckpointError`, never a bare pickle/JSON/IO error.
-* **Not digested** — a per-cycle policy rewrites the file after every
-  EM cycle, so a save costs one ``json.dumps`` and one ``fsync`` and
-  nothing else; a damaged file fails the parse or the structural decode.
+  :class:`CheckpointError`, never a bare JSON/base64/IO error.
+* **Not digested** — a per-cycle policy rewrites the head after every
+  EM cycle, so a save costs one small encode and one ``fsync``; a
+  damaged file fails the parse or the structural decode.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.engine.classification import Classification
 from repro.engine.results_io import (
@@ -50,18 +71,26 @@ from repro.engine.results_io import (
     encode_config,
     encode_try,
 )
-from repro.engine.search import SearchConfig, SearchResult, TryResult
+from repro.engine.search import SearchConfig, TryResult
 from repro.models.registry import ModelSpec
 from repro.util import docfile
 
 #: Version stamped into (and required of) every checkpoint file.
-CKPT_FORMAT_VERSION = 1
+CKPT_FORMAT_VERSION = 2
 
-#: The ``kind`` marker distinguishing checkpoints from results files.
+#: The ``kind`` marker of the head (``ckpt.json``).
 CKPT_KIND = "pautoclass-checkpoint"
 
-#: The ``kind`` marker of per-try checkpoint files (group-parallel search).
+#: The ``kind`` marker of a one-try file (``try_NNNN.json``).
 TRY_CKPT_KIND = "pautoclass-try-checkpoint"
+
+#: File name of the head inside a checkpoint directory.
+HEAD_NAME = "ckpt.json"
+
+
+def try_file_name(try_index: int) -> str:
+    """File name of try ``try_index``'s document."""
+    return f"try_{try_index:04d}.json"
 
 
 class CheckpointError(RuntimeError):
@@ -152,68 +181,86 @@ def _in_progress_from_dict(entry: dict, spec: ModelSpec) -> InProgressTry:
     )
 
 
+def checkpoint_bytes(payload: dict) -> bytes:
+    """The on-disk form of either document: compact, arrays embedded."""
+    return docfile.canonical_json(docfile.embed_arrays(payload))
+
+
+# ---------------------------------------------------------------------------
+# the head (ckpt.json)
+
 def encode_checkpoint(
     key: str,
-    result: SearchResult,
+    n_completed: int,
     in_progress: InProgressTry | None,
     rng_streams: dict[str, dict],
 ) -> dict:
-    """Build the checkpoint payload (plain data; its ndarray leaves are
-    inlined as lists by :func:`repro.util.docfile.write_json`)."""
-    payload: dict = {
+    """Build the head payload; tries ``0 .. n_completed-1`` are in their
+    own files (:func:`encode_try_checkpoint`)."""
+    return {
         "format_version": CKPT_FORMAT_VERSION,
         "kind": CKPT_KIND,
         "key": key,
-        "completed_tries": [encode_try(t) for t in result.tries],
-        "in_progress": None,
+        "n_completed": n_completed,
+        "in_progress": (
+            None if in_progress is None else _in_progress_to_dict(in_progress)
+        ),
         "rng_streams": rng_streams,
     }
-    if in_progress is not None:
-        payload["in_progress"] = _in_progress_to_dict(in_progress)
-    return payload
 
 
 def decode_checkpoint(
-    payload: dict, key: str, spec: ModelSpec
+    payload: dict, key: str, spec: ModelSpec, directory: str | Path
 ) -> CheckpointState:
-    """Validate and decode a checkpoint payload against the live search.
+    """Validate and decode a head against the live search.
 
-    Raises :class:`CheckpointError` on any structural problem, version
-    drift, or key mismatch (resuming a different search).
+    Each try it counts is read from its file in ``directory`` and must
+    hold that completed try.  Raises :class:`CheckpointError` on any
+    structural problem, version drift, or key mismatch (resuming a
+    different search).
     """
     with docfile.decoding("checkpoint", CheckpointError):
-        _check_envelope(payload, CKPT_KIND, key, "checkpoint")
-        completed = [
-            decode_try(entry, spec, CheckpointError)
-            for entry in payload["completed_tries"]
-        ]
+        body = _open(payload, CKPT_KIND, key, "checkpoint")
+        completed = []
+        for i in range(body["n_completed"]):
+            done, _ = decode_try_checkpoint(
+                read_checkpoint_file(Path(directory) / try_file_name(i)),
+                key, spec,
+            )
+            if done is None or done.try_index != i:
+                raise CheckpointError(
+                    f"checkpoint counts {body['n_completed']} completed "
+                    f"tries but {try_file_name(i)} does not hold try {i}"
+                )
+            completed.append(done)
         in_progress = None
-        if payload.get("in_progress") is not None:
-            in_progress = _in_progress_from_dict(payload["in_progress"], spec)
+        if body["in_progress"] is not None:
+            in_progress = _in_progress_from_dict(body["in_progress"], spec)
         return CheckpointState(
             key=key,
             completed_tries=completed,
             in_progress=in_progress,
-            rng_streams=dict(payload.get("rng_streams", {})),
+            rng_streams=dict(body["rng_streams"]),
         )
 
 
 # ---------------------------------------------------------------------------
-# per-try checkpoint files (group-parallel search)
+# one try (try_NNNN.json)
 
 def encode_try_checkpoint(
     key: str,
     try_result: TryResult | None = None,
     in_progress: InProgressTry | None = None,
 ) -> dict:
-    """One try's checkpoint payload — completed result or mid-try state.
+    """One try's payload — completed result or mid-try state.
 
-    The group-parallel search checkpoints each try in its *own* file,
-    written by the owning group's leader: groups complete tries in
-    independent orders, so a single monotone ``completed_tries`` list
-    has no well-defined writer.  The key is the same search digest as
-    the monolithic format — it covers neither world size nor group
-    count, which is precisely what lets a search resumed with a
+    Both searches keep each completed try in its own file: the
+    sequential one so that a per-cycle save rewrites only the head, the
+    group-parallel one because groups complete tries in independent
+    orders, so a single monotone list has no well-defined writer (its
+    group leaders also write their mid-try state here).  The key is the
+    same search digest as the head's — it covers neither world size nor
+    group count, which is precisely what lets a search resumed with a
     different ``try_groups`` pick these files up (tries are reassigned
     to groups, completed ones are skipped wherever they land).
     """
@@ -235,23 +282,24 @@ def encode_try_checkpoint(
 def decode_try_checkpoint(
     payload: dict, key: str, spec: ModelSpec
 ) -> tuple[TryResult | None, InProgressTry | None]:
-    """Validate and decode a per-try checkpoint payload."""
+    """Validate and decode a one-try payload."""
     with docfile.decoding("try checkpoint", CheckpointError):
-        _check_envelope(payload, TRY_CKPT_KIND, key, "per-try checkpoint")
+        body = _open(payload, TRY_CKPT_KIND, key, "per-try checkpoint")
         try_result = None
-        if payload.get("try") is not None:
-            try_result = decode_try(payload["try"], spec, CheckpointError)
+        if body["try"] is not None:
+            try_result = decode_try(body["try"], spec, CheckpointError)
         in_progress = None
-        if payload.get("in_progress") is not None:
-            in_progress = _in_progress_from_dict(payload["in_progress"], spec)
+        if body["in_progress"] is not None:
+            in_progress = _in_progress_from_dict(body["in_progress"], spec)
         return try_result, in_progress
 
 
 # ---------------------------------------------------------------------------
 # envelope
 
-def _check_envelope(payload: dict, kind: str, key: str, what: str) -> None:
-    """Kind, version and resume key of either checkpoint layout."""
+def _open(payload: dict, kind: str, key: str, what: str) -> dict:
+    """Check kind, version and resume key; return the body with its
+    arrays restored (call inside :func:`repro.util.docfile.decoding`)."""
     docfile.check(
         payload, what=what, error=CheckpointError,
         kind=("kind", kind), version=("format_version", CKPT_FORMAT_VERSION),
@@ -261,10 +309,11 @@ def _check_envelope(payload: dict, kind: str, key: str, what: str) -> None:
             f"{what} belongs to a different search (config, model "
             "spec, or dataset changed since it was written)"
         )
+    return docfile.unembed_arrays(payload)
 
 
 def read_checkpoint_file(path) -> dict:
-    """Parse a checkpoint file of either layout; any IO/parse problem is
-    a :class:`CheckpointError`.  The envelope is checked by the decoders,
+    """Parse a checkpoint file of either kind; any IO/parse problem is a
+    :class:`CheckpointError`.  The envelope is checked by the decoders,
     which know the live key."""
     return docfile.read_json(path, what="checkpoint", error=CheckpointError)

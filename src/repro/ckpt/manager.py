@@ -1,11 +1,12 @@
 """Checkpoint policy + IO orchestration for the search loops.
 
-A :class:`Checkpointer` owns one checkpoint file and a write policy.
-The SPMD contract is **rank 0 writes, all ranks restore**: every rank
-holds a Checkpointer for the same path, but only the writer rank
-serializes state (the state is identical on every rank at a cut point,
-so one copy is enough); at resume time every rank reads the same file
-and therefore starts from byte-identical state — no broadcast needed.
+A :class:`Checkpointer` owns one checkpoint directory and a write
+policy.  The SPMD contract is **rank 0 writes, all ranks restore**:
+every rank holds a Checkpointer for the same directory, but only the
+writer rank serializes state (the state is identical on every rank at
+a cut point, so one copy is enough); at resume time every rank reads
+the same files and therefore starts from byte-identical state — no
+broadcast needed.
 
 Policies (:data:`CHECKPOINT_POLICIES`):
 
@@ -15,37 +16,39 @@ Policies (:data:`CHECKPOINT_POLICIES`):
 * ``"per_cycle"`` — additionally write after every ``cycle_interval``
   EM cycles (a restart repeats at most ``cycle_interval`` cycles).
 
-Writes are counted through the ambient :mod:`repro.obs` recorder
-(``ckpt_saves`` counter) so instrumented runs show their checkpoint
-traffic.
+Each save — one cut point, however many files it writes — is timed as
+the ``ckpt`` phase and counted in the ``ckpt_saves`` counter of the
+ambient :mod:`repro.obs` recorder, so instrumented runs attribute their
+checkpoint traffic.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ckpt.format import (
+    HEAD_NAME,
     CheckpointState,
     InProgressTry,
+    checkpoint_bytes,
     checkpoint_key,
     decode_checkpoint,
     decode_try_checkpoint,
     encode_checkpoint,
     encode_try_checkpoint,
     read_checkpoint_file,
+    try_file_name,
 )
 from repro.engine.search import SearchConfig, SearchResult
 from repro.models.registry import ModelSpec
 from repro.obs import recorder as obs
-from repro.util.docfile import write_json
+from repro.util.docfile import fsync_dir, write_bytes
 from repro.util.rng import SeedSequenceStream
 
 #: Valid ``checkpoint=`` policies of the fit APIs.
 CHECKPOINT_POLICIES = ("off", "per_try", "per_cycle")
-
-#: Default checkpoint file name inside a checkpoint directory.
-CKPT_FILENAME = "ckpt.json"
 
 
 def check_policy(policy: str) -> str:
@@ -70,7 +73,6 @@ class CheckpointSpec:
     policy: str = "per_try"
     resume: bool = True
     cycle_interval: int = 1
-    filename: str = CKPT_FILENAME
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
@@ -89,12 +91,11 @@ class CheckpointSpec:
             resume=self.resume,
             cycle_interval=self.cycle_interval,
             rank=rank,
-            filename=self.filename,
         )
 
 
 class Checkpointer:
-    """One search's checkpoint file, with rank-0-writes semantics."""
+    """One search's checkpoint directory, with rank-0-writes semantics."""
 
     def __init__(
         self,
@@ -104,7 +105,6 @@ class Checkpointer:
         resume: bool = True,
         cycle_interval: int = 1,
         rank: int = 0,
-        filename: str = CKPT_FILENAME,
     ) -> None:
         check_policy(policy)
         if policy == "off":
@@ -120,9 +120,12 @@ class Checkpointer:
         self.resume = resume
         self.cycle_interval = cycle_interval
         self.rank = rank
-        self.path = self.directory / filename
+        self.path = self.directory / HEAD_NAME
         self._key: str | None = None
         self.n_saves = 0
+        #: Completed tries already in their own files: the sequential
+        #: writer writes each try file once (``load`` sets the count).
+        self.n_tries_written = 0
 
     # -- binding -----------------------------------------------------------
 
@@ -143,6 +146,7 @@ class Checkpointer:
         self._key = checkpoint_key(
             config, spec, n_total_items, data_digest=data_digest
         )
+        self.n_tries_written = 0
 
     def _require_key(self) -> str:
         if self._key is None:
@@ -154,21 +158,32 @@ class Checkpointer:
     def load(self, spec: ModelSpec) -> CheckpointState | None:
         """Read + validate the checkpoint; None when absent or resume=False.
 
-        A present-but-corrupt file raises
+        A present-but-corrupt head or try file raises
         :class:`~repro.ckpt.format.CheckpointError` — a half-written
         temp file can never be picked up because writes are atomic.
         """
         key = self._require_key()
         if not self.resume or not self.path.exists():
             return None
-        return decode_checkpoint(read_checkpoint_file(self.path), key, spec)
+        state = decode_checkpoint(
+            read_checkpoint_file(self.path), key, spec, self.directory
+        )
+        self.n_tries_written = state.next_try_index
+        return state
 
     # -- save (rank 0 only) ------------------------------------------------
 
-    def _write(self, path: Path, payload: dict) -> None:
-        write_json(path, payload)
+    @contextlib.contextmanager
+    def _cut_point(self):
+        """One save: timed as the ``ckpt`` phase, counted once."""
+        rec = obs.current()
+        with rec.phase("ckpt"):
+            yield
         self.n_saves += 1
-        obs.current().count("ckpt_saves")
+        rec.count("ckpt_saves")
+
+    def _write(self, path: Path, payload: dict) -> None:
+        write_bytes(path, checkpoint_bytes(payload))
 
     def save(
         self,
@@ -176,13 +191,28 @@ class Checkpointer:
         stream: SeedSequenceStream,
         in_progress: InProgressTry | None = None,
     ) -> None:
-        """Atomically persist the search state (no-op off the writer rank)."""
+        """Atomically persist the search state (no-op off the writer rank).
+
+        Tries completed since the last save get their own files first;
+        once those entries are durable the head is replaced.  A
+        per-cycle save therefore writes the head alone.
+        """
         if not self.is_writer:
             return
-        payload = encode_checkpoint(
-            self._require_key(), result, in_progress, stream.state_dict()
-        )
-        self._write(self.path, payload)
+        key = self._require_key()
+        with self._cut_point():
+            new = result.tries[self.n_tries_written:]
+            for t in new:
+                self._write(
+                    self.try_path(t.try_index),
+                    encode_try_checkpoint(key, try_result=t),
+                )
+            if new:
+                fsync_dir(self.directory)
+                self.n_tries_written = len(result.tries)
+            self._write(self.path, encode_checkpoint(
+                key, len(result.tries), in_progress, stream.state_dict()
+            ))
 
     def save_boundary(self, result: SearchResult, stream: SeedSequenceStream) -> None:
         """Per-try cut point: all recorded tries are complete."""
@@ -229,14 +259,15 @@ class Checkpointer:
 
     def try_path(self, try_index: int) -> Path:
         """Path of try ``try_index``'s own checkpoint file."""
-        return self.directory / f"try_{try_index:04d}.json"
+        return self.directory / try_file_name(try_index)
 
     def save_try(self, try_result) -> None:
         """Persist one completed try (called by its group's leader)."""
         payload = encode_try_checkpoint(
             self._require_key(), try_result=try_result
         )
-        self._write(self.try_path(try_result.try_index), payload)
+        with self._cut_point():
+            self._write(self.try_path(try_result.try_index), payload)
 
     def save_try_cycle(
         self, *, try_index: int, n_classes_requested: int, clf, checker
@@ -258,7 +289,8 @@ class Checkpointer:
                 checker_history=list(checker.history),
             ),
         )
-        self._write(self.try_path(try_index), payload)
+        with self._cut_point():
+            self._write(self.try_path(try_index), payload)
 
     def load_tries(
         self, spec: ModelSpec

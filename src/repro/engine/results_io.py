@@ -65,8 +65,8 @@ class ResultsFormatError(ValueError):
 # classification body (spec-relative: parameters + scores)
 #
 # Encoders leave ndarray leaves as they are: ``docfile.write_json``
-# inlines them as lists, the artifact hoists them into its npz.  The
-# decoder accepts either form.
+# inlines them as lists, the artifact hoists them into its npz, the
+# checkpoint embeds them as base64.  The decoder accepts either form.
 
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
@@ -80,6 +80,8 @@ def _decode_params(spec_name: str, data: dict) -> TermParams:
     kwargs = {}
     for f in fields(cls):
         value = data[f.name]
+        if isinstance(value, dict):  # e.g. an array reference left unresolved
+            raise ValueError(f"parameter {f.name!r} is not a number or array")
         kwargs[f.name] = (
             _array(value) if isinstance(value, (list, np.ndarray)) else value
         )

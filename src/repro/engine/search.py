@@ -437,6 +437,9 @@ def run_search(
             logger.info("try %d duplicates try %d", k, duplicate_of)
             t = dataclasses.replace(t, duplicate_of=duplicate_of)
         result.tries.append(t)
+        # try k's children are spent: keep them out of every later head
+        stream.forget("select_j", k)
+        stream.forget("try", k)
         if checkpointer is not None:
             checkpointer.save_boundary(result, stream)
     return result

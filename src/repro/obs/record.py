@@ -38,8 +38,13 @@ SCHEMA_VERSION = 1
 #: ``params`` / ``approx`` are local compute (the paper's Table 2
 #: columns); ``allreduce_wts`` / ``allreduce_params`` are the two
 #: Allreduce cut points of Figures 4 and 5; ``init`` is the per-try
-#: initialization (weights draw + starting M-step).
-PHASES = ("init", "wts", "allreduce_wts", "params", "allreduce_params", "approx")
+#: initialization (weights draw + starting M-step); ``ckpt`` is the
+#: checkpoint saves made at those cut points — neither compute nor
+#: communication, and only the writer rank spends it.
+PHASES = (
+    "init", "wts", "allreduce_wts", "params", "allreduce_params", "approx",
+    "ckpt",
+)
 
 #: Phases that are communication (the Allreduce cut points).
 COMM_PHASES = ("allreduce_wts", "allreduce_params")
@@ -140,7 +145,10 @@ class RankRecord:
 
     @property
     def compute_seconds(self) -> float:
-        return self.total_phase_seconds - self.allreduce_seconds
+        return (
+            self.total_phase_seconds - self.allreduce_seconds
+            - self.seconds("ckpt")
+        )
 
     @property
     def n_cycles(self) -> int:

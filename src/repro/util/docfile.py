@@ -19,18 +19,25 @@ that must not differ between them:
   pays for no others (checkpoints are written every EM cycle and carry
   no digest).
 
-A document body may hold ``ndarray`` leaves.  Written as JSON they are
-inlined as lists (``repr``-exact doubles); :func:`hoist_arrays` instead
-moves them into a side table — the artifact's npz payload — leaving
-``{"npz": name}`` references that :func:`restore_arrays` resolves.
+A document body may hold ``ndarray`` leaves.  :func:`write_json` inlines
+them as lists (``repr``-exact doubles, through the pure-Python encoder
+that ``indent`` forces); :func:`hoist_arrays` instead moves them into a
+side table, leaving ``{"npz": name}`` references that
+:func:`restore_arrays` resolves.  The artifact keeps that table in its
+npz payload; :func:`embed_arrays` keeps it in the document itself as
+base64 little-endian bytes with dtype and shape, so a document written
+every EM cycle (a checkpoint) is one compact :func:`canonical_json`
+pass with no per-element work.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any
 
@@ -38,6 +45,9 @@ import numpy as np
 
 #: The key a hoisted ndarray leaf is replaced by (value: its npz name).
 ARRAY_REF = "npz"
+
+#: The key of a document's own array table (see :func:`embed_arrays`).
+ARRAYS = "arrays"
 
 
 def _inline(obj: Any) -> Any:
@@ -98,6 +108,20 @@ def write_json(path: str | Path, doc: dict, indent: int = 1) -> Path:
     """:func:`write_bytes` of ``doc`` as JSON (ndarray leaves inlined)."""
     text = json.dumps(doc, indent=indent, default=_inline)
     return write_bytes(path, text.encode("utf-8"))
+
+
+def fsync_dir(path: str | Path) -> None:
+    """Make the renames already done inside directory ``path`` durable.
+
+    :func:`write_bytes` fsyncs a file's bytes, not the directory entry
+    its rename created; a document that refers to another file must not
+    land before that file's entry has.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +243,52 @@ def restore_arrays(node: Any, arrays: dict[str, np.ndarray]) -> Any:
     if isinstance(node, list):
         return [restore_arrays(v, arrays) for v in node]
     return node
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """One ndarray as plain data: dtype, shape, little-endian bytes in base64."""
+    le = np.asarray(a, dtype=a.dtype.newbyteorder("<"))
+    return {
+        "dtype": le.dtype.str,
+        "shape": list(le.shape),
+        "b64": base64.b64encode(le.tobytes()).decode("ascii"),
+    }
+
+
+#: What :func:`encode_array` writes for a bool/int/float array; checked
+#: before ``np.dtype`` sees it, whose string parser can raise anything.
+_NUMERIC_DTYPE = re.compile(r"[<|][biuf][1248]")
+
+
+def decode_array(entry: dict) -> np.ndarray:
+    """Inverse of :func:`encode_array`, bit-exact and writable.
+
+    Damage raises one of :data:`MALFORMED` (``binascii.Error`` from
+    invalid base64 is a ``ValueError``), which :func:`decoding` retypes.
+    """
+    if not _NUMERIC_DTYPE.fullmatch(entry["dtype"]):
+        raise ValueError(f"array dtype {entry['dtype']!r} is not numeric")
+    dtype = np.dtype(entry["dtype"])
+    shape = tuple(entry["shape"])
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValueError(f"bad array shape {entry['shape']!r}")
+    raw = base64.b64decode(entry["b64"], validate=True)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("=")
+    )
+
+
+def embed_arrays(doc: dict) -> dict:
+    """Copy of ``doc`` with its ndarray leaves hoisted into ``doc[ARRAYS]``."""
+    arrays: dict[str, np.ndarray] = {}
+    body = hoist_arrays(doc, arrays)
+    body[ARRAYS] = {name: encode_array(a) for name, a in arrays.items()}
+    return body
+
+
+def unembed_arrays(doc: dict) -> dict:
+    """Inverse of :func:`embed_arrays` (call inside :func:`decoding`)."""
+    arrays = {name: decode_array(e) for name, e in doc[ARRAYS].items()}
+    return restore_arrays(
+        {k: v for k, v in doc.items() if k != ARRAYS}, arrays
+    )

@@ -54,6 +54,10 @@ class SeedSequenceStream:
             self._cache[norm] = spawn_rng(self.seed, *norm)
         return self._cache[norm]
 
+    def forget(self, *key: int | str) -> None:
+        """Drop a child no draw will touch again (it leaves :meth:`state_dict`)."""
+        self._cache.pop(tuple(_key_to_int(k) for k in key), None)
+
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict[str, dict]:

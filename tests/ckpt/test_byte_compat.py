@@ -1,18 +1,22 @@
 """Checkpoint files are frozen: same search, same bytes, across PRs.
 
 ``fixtures/ckpt.json`` and ``fixtures/try_0000.json`` were written by
-``write_fixtures()`` below at the commit *before* the on-disk layer
-moved into :mod:`repro.util.docfile`, and rewritten once since, when the
-class-major E-step moved numeric leaves in their last bits (keys and
-format bytes unchanged).  The tests rerun the same seeded
-search and require the files it writes today to equal the fixtures
-byte for byte, and a search resumed from the fixtures to finish
-bit-identically to one that never stopped — a checkpoint written by an
-older build of the same format version must keep resuming.
+``write_fixtures()`` below when the format moved to version 2 (a small
+head plus one file per completed try, compact JSON with base64 array
+leaves).  The tests rerun the same seeded search and require the files
+it writes today to equal the fixtures byte for byte, and a search
+resumed from the fixtures to finish bit-identically to one that never
+stopped — a checkpoint written by an older build of the same format
+version must keep resuming.  The sequential search and the try-grouped
+one write the same try document, so one ``try_0000.json`` pins both.
+
+``fixtures/v1/`` keeps the bytes of the version-1 layout (every
+finished try inline in ``ckpt.json``): a reader must refuse them with a
+:class:`~repro.ckpt.CheckpointError` that names the version.
 
 ``MANIFEST_DIGEST`` / ``CHECKPOINT_KEY`` pin the two content identities
 other files refer to (the streamed resume key folds the manifest digest
-in), computed at that same commit.
+in); both are unchanged since they were first pinned.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.api import PAutoClass
-from repro.ckpt import Checkpointer, checkpoint_key
+from repro.ckpt import CheckpointError, Checkpointer, checkpoint_key
 from repro.data.shards import ShardedDatabase
 from repro.data.synth import make_mixed_database, make_paper_database
 from repro.engine.search import SearchConfig, run_search
@@ -48,11 +53,15 @@ def _db():
     return make_paper_database(120, seed=13)
 
 
-class _SnapshotCheckpointer(Checkpointer):
-    """Keeps the file's bytes as they stood mid-search: try 0 complete,
-    try 1 frozen after its third cycle."""
+def _spec(db):
+    return ModelSpec.default_for(db.schema, DataSummary.from_database(db))
 
-    snapshot: bytes | None = None
+
+class _SnapshotCheckpointer(Checkpointer):
+    """Keeps the directory's files as they stood mid-search: try 0
+    complete, try 1 frozen after its third cycle."""
+
+    snapshot: dict[str, bytes] | None = None
 
     def save(self, result, stream, in_progress=None):
         super().save(result, stream, in_progress)
@@ -61,10 +70,12 @@ class _SnapshotCheckpointer(Checkpointer):
             and in_progress.try_index == 1
             and in_progress.classification.n_cycles == 3
         ):
-            self.snapshot = self.path.read_bytes()
+            self.snapshot = {
+                p.name: p.read_bytes() for p in self.directory.iterdir()
+            }
 
 
-def _mid_search_ckpt(directory: Path) -> bytes:
+def _mid_search_ckpt(directory: Path) -> dict[str, bytes]:
     ck = _SnapshotCheckpointer(directory, policy="per_cycle")
     run_search(_db(), SearchConfig(**CONFIG), checkpointer=ck)
     assert ck.snapshot is not None
@@ -80,9 +91,19 @@ def _grouped_fit(directory: Path, **fit_kwargs):
 def write_fixtures(scratch: Path) -> None:
     """Regenerate the fixtures (run at the commit whose bytes to pin)."""
     FIXTURES.mkdir(exist_ok=True)
-    (FIXTURES / "ckpt.json").write_bytes(_mid_search_ckpt(scratch / "a"))
+    for name, data in _mid_search_ckpt(scratch / "a").items():
+        (FIXTURES / name).write_bytes(data)
     _grouped_fit(scratch / "b")
-    shutil.copy(scratch / "b" / "try_0000.json", FIXTURES / "try_0000.json")
+    assert (scratch / "b" / "try_0000.json").read_bytes() == (
+        FIXTURES / "try_0000.json"
+    ).read_bytes()
+
+
+def _fixture_files() -> dict[str, bytes]:
+    return {
+        name: (FIXTURES / name).read_bytes()
+        for name in ("ckpt.json", "try_0000.json")
+    }
 
 
 def _assert_same_search(a, b):
@@ -101,7 +122,7 @@ def _assert_same_search(a, b):
 
 class TestCheckpointBytesFrozen:
     def test_ckpt_json_equals_parent_fixture(self, tmp_path):
-        assert _mid_search_ckpt(tmp_path) == (FIXTURES / "ckpt.json").read_bytes()
+        assert _mid_search_ckpt(tmp_path) == _fixture_files()
 
     def test_try_file_equals_parent_fixture(self, tmp_path):
         _grouped_fit(tmp_path)
@@ -111,7 +132,8 @@ class TestCheckpointBytesFrozen:
 
     def test_parent_ckpt_resumes_bit_identically(self, tmp_path):
         clean = run_search(_db(), SearchConfig(**CONFIG))
-        shutil.copy(FIXTURES / "ckpt.json", tmp_path / "ckpt.json")
+        for name, data in _fixture_files().items():
+            (tmp_path / name).write_bytes(data)
         ck = Checkpointer(tmp_path, policy="per_cycle")
         resumed = run_search(_db(), SearchConfig(**CONFIG), checkpointer=ck)
         # try 0 restored, try 1 re-entered after cycle 3: fewer saves
@@ -125,6 +147,24 @@ class TestCheckpointBytesFrozen:
         shutil.copy(FIXTURES / "try_0000.json", tmp_path / "r" / "try_0000.json")
         resumed = _grouped_fit(tmp_path / "r", resume=True).result
         _assert_same_search(clean, resumed)
+
+
+class TestVersionOneRefused:
+    def _checkpointer(self, directory: Path) -> Checkpointer:
+        db = _db()
+        ck = Checkpointer(directory, policy="per_cycle")
+        ck.bind(SearchConfig(**CONFIG), _spec(db), db.n_items)
+        return ck
+
+    def test_v1_head_is_refused_by_version(self, tmp_path):
+        shutil.copy(FIXTURES / "v1" / "ckpt.json", tmp_path / "ckpt.json")
+        with pytest.raises(CheckpointError, match="format_version 1"):
+            self._checkpointer(tmp_path).load(_spec(_db()))
+
+    def test_v1_try_file_is_refused_by_version(self, tmp_path):
+        shutil.copy(FIXTURES / "v1" / "try_0000.json", tmp_path)
+        with pytest.raises(CheckpointError, match="format_version 1"):
+            self._checkpointer(tmp_path).load_tries(_spec(_db()))
 
 
 class TestContentIdentitiesFrozen:

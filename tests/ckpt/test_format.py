@@ -13,13 +13,14 @@ from repro.ckpt.format import (
     CKPT_FORMAT_VERSION,
     CheckpointError,
     InProgressTry,
+    checkpoint_bytes,
     checkpoint_key,
     decode_checkpoint,
-    encode_checkpoint,
+    encode_try_checkpoint,
     read_checkpoint_file,
 )
 from repro.ckpt.manager import Checkpointer, CheckpointSpec
-from repro.engine.search import SearchConfig, run_search
+from repro.engine.search import SearchConfig, SearchResult, run_search
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.util.docfile import write_json
@@ -33,15 +34,18 @@ def _fit(db, spec=None):
     return run_search(db, CONFIG, spec)
 
 
+def _files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def _roundtrip_bytes(db, tmp_path, *, in_progress: bool):
-    """save -> load -> save must reproduce the file byte-for-byte."""
+    """save -> load -> save must reproduce every file byte-for-byte."""
     spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
     result = _fit(db, spec)
     stream = SeedSequenceStream(CONFIG.seed)
     # consume a few children so non-trivial RNG states get captured
-    stream.child("try", 0)
+    stream.child("try", 0).random()
     stream.child("select_j", 5)
-    key = checkpoint_key(CONFIG, spec, db.n_items)
     ip = None
     if in_progress:
         clf = result.tries[-1].classification
@@ -51,22 +55,21 @@ def _roundtrip_bytes(db, tmp_path, *, in_progress: bool):
             classification=clf,
             checker_history=[-1234.5678912345, -1200.000000001],
         )
-    payload = encode_checkpoint(key, result, ip, stream.state_dict())
-    first = tmp_path / "a.json"
-    write_json(first, payload)
-    state = decode_checkpoint(read_checkpoint_file(first), key, spec)
+    first = Checkpointer(tmp_path / "a", policy="per_cycle")
+    first.bind(CONFIG, spec, db.n_items)
+    first.save(result, stream, in_progress=ip)
+    state = first.load(spec)
     # re-encode the decoded state
-    from repro.engine.search import SearchResult
-
     result2 = SearchResult(config=CONFIG, tries=list(state.completed_tries))
     stream2 = SeedSequenceStream(CONFIG.seed)
     stream2.restore_state(state.rng_streams)
-    payload2 = encode_checkpoint(
-        key, result2, state.in_progress, stream2.state_dict()
-    )
-    second = tmp_path / "b.json"
-    write_json(second, payload2)
-    assert first.read_bytes() == second.read_bytes()
+    second = Checkpointer(tmp_path / "b", policy="per_cycle")
+    second.bind(CONFIG, spec, db.n_items)
+    second.save(result2, stream2, in_progress=state.in_progress)
+    assert sorted(_files(first.directory)) == [
+        "ckpt.json", "try_0000.json", "try_0001.json",
+    ]
+    assert _files(first.directory) == _files(second.directory)
 
 
 class TestRoundTrip:
@@ -90,15 +93,13 @@ class TestRoundTrip:
         state = a.load(paper_spec)
         assert state is not None
         assert state.next_try_index == len(result.tries)
-        from repro.engine.search import SearchResult
-
         restored = SearchResult(config=CONFIG, tries=list(state.completed_tries))
         stream2 = SeedSequenceStream(CONFIG.seed)
         stream2.restore_state(state.rng_streams)
         b = Checkpointer(tmp_path / "b", policy="per_try")
         b.bind(CONFIG, paper_spec, paper_db.n_items)
         b.save_boundary(restored, stream2)
-        assert a.path.read_bytes() == b.path.read_bytes()
+        assert _files(a.directory) == _files(b.directory)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -168,10 +169,29 @@ class TestValidation:
             other.load(paper_spec)
 
     def test_missing_fields_raise_cleanly(self, saved, paper_spec):
-        payload = json.loads(saved.path.read_text())
-        del payload["completed_tries"][0]["classification"]["log_pi"]
-        saved.path.write_text(json.dumps(payload))
+        path = saved.try_path(0)
+        payload = json.loads(path.read_text())
+        del payload["try"]["classification"]["log_pi"]
+        path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="malformed"):
+            saved.load(paper_spec)
+
+    def test_missing_try_file_raises(self, saved, paper_spec):
+        saved.try_path(1).unlink()
+        with pytest.raises(CheckpointError, match="try_0001"):
+            saved.load(paper_spec)
+
+    def test_head_naming_an_in_progress_try_file_raises(
+        self, saved, paper_db, paper_spec
+    ):
+        # a try-grouped leader's mid-try file is not a completed try
+        clf = _fit(paper_db, paper_spec).tries[0].classification
+        mid_try = encode_try_checkpoint(saved._require_key(), in_progress=(
+            InProgressTry(try_index=0, n_classes_requested=clf.n_classes,
+                          classification=clf, checker_history=[-1.5])
+        ))
+        saved.try_path(0).write_bytes(checkpoint_bytes(mid_try))
+        with pytest.raises(CheckpointError, match="does not hold try 0"):
             saved.load(paper_spec)
 
     def test_spec_mismatch_raises(self, saved, mixed_spec):
@@ -179,7 +199,9 @@ class TestValidation:
         # before the key check would fire on a rebound checkpointer
         payload = read_checkpoint_file(saved.path)
         with pytest.raises(CheckpointError):
-            decode_checkpoint(payload, payload["key"], mixed_spec)
+            decode_checkpoint(
+                payload, payload["key"], mixed_spec, saved.directory
+            )
 
     def test_resume_false_ignores_existing(self, saved, paper_spec):
         ck = Checkpointer(saved.directory, policy="per_try", resume=False)

@@ -1,5 +1,6 @@
 """Unit tests for the recorder layer and the record schema."""
 
+import json
 import math
 import pickle
 
@@ -170,6 +171,33 @@ class TestRankRecord:
         assert r.compute_seconds == pytest.approx(0.5)
         assert r.n_cycles == 1  # one wts phase call
         assert r.wall_seconds > 0
+
+    def test_ckpt_phase_is_attributed_but_not_compute(self):
+        rec = Recorder("phases", clock=FakeClock(step=0.5))
+        with rec.phase("wts"):
+            pass
+        rec.add_phase("allreduce_wts", 0.75)
+        rec.add_phase("ckpt", 2.0)  # only the writer rank spends this
+        r = rec.to_rank_record()
+        assert r.total_phase_seconds == pytest.approx(0.5 + 0.75 + 2.0)
+        assert r.allreduce_seconds == pytest.approx(0.75)
+        assert r.compute_seconds == pytest.approx(0.5)
+
+    def test_record_written_before_the_ckpt_phase_loads(self, tmp_path):
+        written = {
+            "kind": "rank", "rank": 0, "size": 1, "instrument": "phases",
+            "clock": "wall", "wall_seconds": 2.0,
+            "phase_seconds": {"init": 0.25, "wts": 1.0},
+            "phase_calls": {"init": 1, "wts": 3},
+        }
+        header = {"kind": "run", "schema_version": SCHEMA_VERSION,
+                  "backend": "sequential", "n_processors": 1,
+                  "instrument": "phases", "clock": "wall", "elapsed": 2.0}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(written) + "\n")
+        (r,) = read_jsonl(path).ranks
+        assert r.seconds("ckpt") == 0.0
+        assert r.compute_seconds == pytest.approx(1.25)
 
     def _comparable_record(self):
         """A record with no NaN fields (NaN breaks == comparisons)."""

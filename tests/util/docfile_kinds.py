@@ -17,6 +17,7 @@ from repro.api import AutoClass
 from repro.ckpt import (
     CheckpointError,
     Checkpointer,
+    InProgressTry,
     checkpoint_key,
     decode_checkpoint,
     read_checkpoint_file,
@@ -36,6 +37,7 @@ from repro.engine.results_io import (
     save_classification,
     save_search_result,
 )
+from repro.engine.search import SearchResult
 from repro.models.summary import DataSummary
 from repro.serve.artifact import ArtifactError, FittedModel
 from repro.util.rng import SeedSequenceStream
@@ -97,11 +99,25 @@ def build_kinds(root: Path) -> dict[str, Kind]:
     summary = DataSummary.from_database(db)
     key = checkpoint_key(est.config, spec, db.n_items)
 
-    ck = Checkpointer(root / "ck", policy="per_try")
+    # the head mid-try 1, with try 0 in its own file
+    ck = Checkpointer(root / "ck", policy="per_cycle")
     ck.bind(est.config, spec, db.n_items)
-    ck.save_boundary(result, SeedSequenceStream(est.config.seed))
-    ck.save_try(result.tries[0])
-    try_path = ck.try_path(0)
+    stream = SeedSequenceStream(est.config.seed)
+    stream.child("try", 1).random()
+    second = result.tries[1]
+    ck.save(
+        SearchResult(config=est.config, tries=result.tries[:1]), stream,
+        in_progress=InProgressTry(
+            try_index=1, n_classes_requested=second.n_classes_requested,
+            classification=second.classification,
+            checker_history=[-812.25, -811.0625],
+        ),
+    )
+    # a try-grouped leader's completed try
+    grouped = Checkpointer(root / "ck_try", policy="per_try")
+    grouped.bind(est.config, spec, db.n_items)
+    grouped.save_try(second)
+    try_path = grouped.try_path(1)
 
     search_path, clf_path = root / "search.json", root / "best.results.json"
     save_search_result(result, summary, search_path)
@@ -115,7 +131,9 @@ def build_kinds(root: Path) -> dict[str, Kind]:
     golden = write_golden(case, "fused", root / "golden")
 
     def load_ckpt():
-        state = decode_checkpoint(read_checkpoint_file(ck.path), key, spec)
+        state = decode_checkpoint(
+            read_checkpoint_file(ck.path), key, spec, ck.directory
+        )
         in_progress = state.in_progress
         return (
             _tries_identity(state.completed_tries), state.rng_streams,
@@ -138,8 +156,8 @@ def build_kinds(root: Path) -> dict[str, Kind]:
         return digest, trace.digest()
 
     kinds = [
-        Kind("checkpoint", (ck.path,), load_ckpt, (CheckpointError,),
-             False, ("format_version",), "completed_tries"),
+        Kind("checkpoint", (ck.path, ck.try_path(0)), load_ckpt,
+             (CheckpointError,), False, ("format_version",), "n_completed"),
         Kind("try-checkpoint", (try_path,), load_try, (CheckpointError,),
              False, ("format_version",), "key"),
         Kind("results-search", (search_path,),

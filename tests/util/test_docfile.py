@@ -74,6 +74,44 @@ class TestHoist:
             docfile.restore_arrays({"w": {docfile.ARRAY_REF: "gone"}}, {})
 
 
+class TestEmbeddedArrays:
+    @pytest.mark.parametrize("a", [
+        np.array([0.1, -0.0, 1e-310, np.inf, np.nan, -2.5e17]),
+        np.arange(12, dtype=np.int32).reshape(3, 4)[:, ::2],
+        np.array([[True, False]]),
+        np.arange(3.0).astype(">f8"),
+        np.zeros((0, 3)),
+        np.array(2.5),
+    ])
+    def test_round_trip_is_bit_exact(self, a):
+        entry = json.loads(json.dumps(docfile.encode_array(a)))
+        assert entry["dtype"][0] in "<|" and entry["shape"] == list(a.shape)
+        back = docfile.decode_array(entry)
+        assert back.shape == a.shape and back.dtype == a.dtype.newbyteorder("=")
+        assert back.tobytes() == a.astype(back.dtype).tobytes()
+        back[...] = 0  # a writable copy, not a view of the decoded bytes
+
+    def test_document_round_trip(self):
+        doc = {"n": 2, "w": np.arange(3.0), "t": [{"mu": np.ones((2, 2))}]}
+        packed = json.loads(docfile.canonical_json(docfile.embed_arrays(doc)))
+        assert sorted(packed[docfile.ARRAYS]) == ["t.0.mu", "w"]
+        back = docfile.unembed_arrays(packed)
+        assert back.keys() == doc.keys() and back["n"] == 2
+        assert np.array_equal(back["w"], doc["w"])
+        assert np.array_equal(back["t"][0]["mu"], doc["t"][0]["mu"])
+
+    @pytest.mark.parametrize("damage", [
+        {"dtype": "|O"}, {"dtype": "<U3"}, {"dtype": "<f9"}, {"dtype": "<f,"},
+        {"dtype": 8},
+        {"shape": [-1]}, {"shape": [4]}, {"shape": [1.5, 2]},
+        {"b64": "AAAA!AAA"}, {"b64": "AAAAAAA"}, {"b64": 7},
+    ])
+    def test_damaged_entry_is_malformed(self, damage):
+        entry = {**docfile.encode_array(np.arange(3.0)), **damage}
+        with pytest.raises(docfile.MALFORMED):
+            docfile.decode_array(entry)
+
+
 class TestReadJson:
     def read(self, path, **checks):
         return docfile.read_json(path, what="sample", error=Refused, **checks)
@@ -164,3 +202,27 @@ def test_loader_raises_its_own_typed_error(kinds, name, fault):
     finally:
         path.write_bytes(good)
     kind.load()  # the sample is whole again
+
+
+def test_bit_flip_inside_base64_is_a_checkpoint_error(kinds):
+    """Every single-bit flip of an embedded array's base64 text loads or
+    raises the checkpoint's own error — never a bare ``binascii.Error``."""
+    kind = kinds["checkpoint"]
+    path = kind.files[0]
+    good = path.read_bytes()
+    b64 = next(iter(kind.doc()["arrays"].values()))["b64"].encode()
+    start = good.index(b64)
+    refused = 0
+    try:
+        for bit in range(8 * len(b64)):
+            flipped = bytearray(good)
+            flipped[start + bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                kind.load()
+            except kind.typed as exc:
+                assert type(exc) in kind.typed
+                refused += 1
+    finally:
+        path.write_bytes(good)
+    assert refused > 0
