@@ -10,7 +10,8 @@ import pytest
 
 from repro.data.synth import make_paper_database
 from repro.harness.programs import fixed_cycles_program
-from repro.harness.runner import ablation_comm_share, calibrated_machine
+from repro.harness.runner import ablation_comm_share
+from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import run_spmd_sim
 
 
@@ -33,9 +34,8 @@ def test_a3_little_data_much_latency(a3, benchmark):
     db = make_paper_database(a3.n_items, seed=0)
     run = benchmark.pedantic(
         run_spmd_sim,
-        args=(fixed_cycles_program, 10, calibrated_machine(10), db,
+        args=(fixed_cycles_program, 10, meiko_cs2(10), db,
               (a3.n_classes,), 3, 0),
-        kwargs={"compute_mode": "counted"},
         rounds=1,
         iterations=1,
     )

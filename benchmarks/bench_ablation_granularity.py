@@ -11,7 +11,8 @@ import pytest
 
 from repro.data.synth import make_paper_database
 from repro.harness.programs import fixed_cycles_program
-from repro.harness.runner import ablation_granularity, calibrated_machine
+from repro.harness.runner import ablation_granularity
+from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import run_spmd_sim
 
 
@@ -31,9 +32,9 @@ def test_a4_packed_reduction_wins(a4, benchmark):
     db = make_paper_database(a4.n_items, seed=0)
     run = benchmark.pedantic(
         run_spmd_sim,
-        args=(fixed_cycles_program, 10, calibrated_machine(10), db,
+        args=(fixed_cycles_program, 10, meiko_cs2(10), db,
               (a4.n_classes,), 3, 0),
-        kwargs={"variant": "packed", "compute_mode": "counted"},
+        kwargs={"variant": "packed"},
         rounds=1,
         iterations=1,
     )

@@ -10,7 +10,8 @@ import pytest
 
 from repro.data.synth import make_paper_database
 from repro.harness.programs import fixed_cycles_program
-from repro.harness.runner import ablation_topology, calibrated_machine
+from repro.harness.runner import ablation_topology
+from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import run_spmd_sim
 from repro.simnet.topology import Ring
 
@@ -33,11 +34,10 @@ def test_a5_topology_insensitive_under_mpi_latency(a5, benchmark):
     assert saf["ring"] >= saf["hypercube"]
 
     db = make_paper_database(10_000, seed=0)
-    machine = calibrated_machine(10).with_topology(Ring(10))
+    machine = meiko_cs2(10).with_topology(Ring(10))
     run = benchmark.pedantic(
         run_spmd_sim,
         args=(fixed_cycles_program, 10, machine, db, (8,), 3, 0),
-        kwargs={"compute_mode": "counted"},
         rounds=1,
         iterations=1,
     )

@@ -9,7 +9,8 @@ import pytest
 
 from repro.data.synth import make_paper_database
 from repro.harness.programs import kmeans_program
-from repro.harness.runner import baseline_kmeans_comparison, calibrated_machine
+from repro.harness.runner import baseline_kmeans_comparison
+from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import run_spmd_sim
 
 
@@ -36,8 +37,7 @@ def test_b1_same_pattern_different_wall(b1, benchmark):
     db = make_paper_database(10_000, seed=0)
     elapsed = benchmark.pedantic(
         run_spmd_sim,
-        args=(kmeans_program, 8, calibrated_machine(8), db, 8, 5, 0),
-        kwargs={"compute_mode": "counted"},
+        args=(kmeans_program, 8, meiko_cs2(8), db, 8, 5, 0),
         rounds=1,
         iterations=1,
     )

@@ -31,7 +31,7 @@ def test_fig6_regenerates_paper_series(fig6, scale, benchmark):
     db = make_paper_database(scale.sizes[-1], seed=scale.seed)
     result = benchmark.pedantic(
         _run_classification_sim,
-        args=(db, 10, scale, 0, "counted"),
+        args=(db, 10, scale, 0),
         rounds=1,
         iterations=1,
     )

@@ -41,7 +41,7 @@ def test_fig7_regenerates_paper_series(fig7, scale, benchmark):
     db = make_paper_database(smallest, seed=scale.seed)
     result = benchmark.pedantic(
         _run_classification_sim,
-        args=(db, 10, scale, 0, "counted"),
+        args=(db, 10, scale, 0),
         rounds=1,
         iterations=1,
     )

@@ -8,10 +8,10 @@ configuration (10 processors, 10 x tuples-per-proc items).
 import pytest
 
 from repro.data.synth import make_paper_database
-from repro.harness.runner import fig8_scaleup
-from repro.simnet.simworld import run_spmd_sim
 from repro.harness.programs import scaleup_program
-from repro.harness.runner import calibrated_machine
+from repro.harness.runner import fig8_scaleup
+from repro.simnet.machine import meiko_cs2
+from repro.simnet.simworld import run_spmd_sim
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,8 @@ def test_fig8_regenerates_paper_series(fig8, scale, benchmark):
     db = make_paper_database(scale.scaleup_tuples_per_proc * 10, seed=scale.seed)
     run = benchmark.pedantic(
         run_spmd_sim,
-        args=(scaleup_program, 10, calibrated_machine(10, comm_scale=scale.factor),
+        args=(scaleup_program, 10, meiko_cs2(10, comm_scale=scale.factor),
               db, 8, 3, scale.seed),
-        kwargs={"compute_mode": "counted"},
         rounds=1,
         iterations=1,
     )

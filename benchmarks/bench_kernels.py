@@ -3,7 +3,8 @@
 Times the primitives everything else is built from: the E-step, the
 M-step, the packed-statistics reduction payloads, and each Allreduce
 algorithm over the thread world.  These are host-time benchmarks (no
-simulator): they are what the CPU calibration is anchored on.
+simulator): the simulator prices compute by counted work, not by these
+timings.
 
 The E/M kernels are timed in both implementations (``"reference"``,
 the seed's per-term numpy path, and ``"fused"``, the

@@ -30,7 +30,7 @@ def test_t2_linearity(t2, scale, benchmark):
     db = make_paper_database(scale.sizes[-1], seed=scale.seed)
     run = benchmark.pedantic(
         _run_classification_sim,
-        args=(db, 1, scale, 0, "counted"),
+        args=(db, 1, scale, 0),
         rounds=1,
         iterations=1,
     )

@@ -1,20 +1,16 @@
 """SPMD programs executed on the simulated machine by the experiments.
 
-Compute pricing is chosen by the world's ``compute_mode``:
+Compute is priced by the world's ``"counted"`` mode: the engine kernels
+report their work through :mod:`repro.util.workhooks` and the simulator
+prices it with the :class:`~repro.simnet.workmodel.WorkModel`.
+Deterministic, and free of the Python call-overhead artifacts a 1996 C
+implementation would not have.
 
-* ``"counted"`` (the experiments' default) — the engine kernels report
-  their work through :mod:`repro.util.workhooks` and the simulator
-  prices it with the :class:`~repro.simnet.workmodel.WorkModel`.
-  Deterministic, and free of the Python call-overhead artifacts a 1996
-  C implementation would not have.
-* ``"measured"`` — scaled host CPU time (only meaningful when
-  partitions stay above ~10^4 items).
-
-The programs themselves are mode-agnostic; they differ from the library
-driver only in using the **paper's** communication structure by default
-(:class:`PerTermClassReducer`: two cut points per cycle, the second
-one's Allreduce inside the per-class / per-attribute loops, as the
-paper's Figure 5 draws it).
+The programs themselves know nothing of pricing; they differ from the
+library driver only in using the **paper's** communication structure
+by default (:class:`PerTermClassReducer`: two cut points per cycle, the
+second one's Allreduce inside the per-class / per-attribute loops, as
+the paper's Figure 5 draws it).
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """Experiment runners: one function per figure/claim.
 
-Each function runs its experiment on the calibrated simulated CS-2 and
-returns a result object carrying both the raw numbers (consumed by
-tests and benches) and a ``render()`` that prints the same rows/series
-the paper's figure plots.
+Each function runs its experiment on the simulated CS-2 and returns a
+result object carrying both the raw numbers (consumed by tests and
+benches) and a ``render()`` that prints the same rows/series the
+paper's figure plots.
 
-All figure experiments accept ``mode``:
-
-* ``"counted"`` (default) — compute priced by the
-  :class:`~repro.simnet.workmodel.WorkModel` (deterministic, free of
-  Python call-overhead artifacts);
-* ``"measured"`` — compute priced by scaled host CPU time (use with
-  scales large enough that partitions stay above ~10^4 items).
+Simulated compute is always ``"counted"``: priced by the
+:class:`~repro.simnet.workmodel.WorkModel` (deterministic, free of
+Python call-overhead artifacts).  EXP-A2 alone runs ``"modeled"``, since
+it prices collectives with no compute at all.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from repro.models.summary import DataSummary
 from repro.mpc.collectives import ALLREDUCE
 from repro.mpc.faults import FaultInjector, FaultSpec
 from repro.serve import Scorer, ScorerConfig
-from repro.simnet.calibration import calibrated_machine
 from repro.simnet.costmodel import CostModel
 from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import SimRunResult, run_spmd_sim
@@ -53,32 +49,28 @@ from repro.util.rng import SeedSequenceStream
 from repro.util.tables import format_series, format_table
 from repro.util.timefmt import format_hms
 
-MODES = ("counted", "measured")
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode {mode!r} not in {MODES}")
-    return mode
+#: :func:`meiko_cs2` under the name ``benchmarks/e2e/probes.py`` imports;
+#: the runners here call ``meiko_cs2`` directly.
+calibrated_machine = meiko_cs2
 
 
 def _run_fixed_cycles(
-    db, machine, j_list, n_cycles: int, seed: int, mode: str, **program_kw
+    db, machine, j_list, n_cycles: int, seed: int, **program_kw
 ) -> SimRunResult:
     """``fixed_cycles_program`` on every processor of ``machine``."""
     return run_spmd_sim(
         fixed_cycles_program, machine.n_processors, machine, db, j_list,
-        n_cycles, seed, compute_mode=_check_mode(mode), **program_kw,
+        n_cycles, seed, **program_kw,
     )
 
 
 def _seconds_per_cycle(
-    db, machine, n_classes: int, n_measure: int, seed: int, mode: str
+    db, machine, n_classes: int, n_measure: int, seed: int
 ) -> float:
     """Mean virtual seconds per measured cycle of ``scaleup_program``."""
     run = run_spmd_sim(
         scaleup_program, machine.n_processors, machine, db, n_classes,
-        n_measure, seed, compute_mode=_check_mode(mode),
+        n_measure, seed,
     )
     # Global cycle boundary = slowest rank at each mark.
     marks = np.max(np.array(run.results), axis=0)
@@ -86,11 +78,11 @@ def _seconds_per_cycle(
 
 
 def _run_classification_sim(
-    db, n_procs: int, scale: ExperimentScale, rep: int, mode: str
+    db, n_procs: int, scale: ExperimentScale, rep: int
 ) -> SimRunResult:
     return _run_fixed_cycles(
-        db, calibrated_machine(n_procs, comm_scale=scale.factor),
-        scale.start_j_list, scale.cycles_per_try, scale.seed + rep, mode,
+        db, meiko_cs2(n_procs, comm_scale=scale.factor),
+        scale.start_j_list, scale.cycles_per_try, scale.seed + rep,
     )
 
 
@@ -100,7 +92,6 @@ def _run_classification_sim(
 @dataclass
 class Fig6Result:
     scale: ExperimentScale
-    mode: str
     #: elapsed[(n_items, n_procs)] = mean virtual seconds
     elapsed: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -123,22 +114,20 @@ class Fig6Result:
             title=(
                 "Fig. 6 — average elapsed times [h.mm.ss] of P-AutoClass on "
                 f"different numbers of processors "
-                f"({self.scale.describe()}, {self.mode})"
+                f"({self.scale.describe()}, counted)"
             ),
         )
 
 
-def fig6_elapsed(
-    scale: ExperimentScale | None = None, mode: str = "counted"
-) -> Fig6Result:
+def fig6_elapsed(scale: ExperimentScale | None = None) -> Fig6Result:
     """EXP-F6: elapsed time of the classification workload vs P."""
     scale = scale or ExperimentScale()
-    result = Fig6Result(scale=scale, mode=mode)
+    result = Fig6Result(scale=scale)
     for n_items in scale.sizes:
         db = make_paper_database(n_items, seed=scale.seed)
         for p in scale.procs:
             runs = [
-                _run_classification_sim(db, p, scale, rep, mode).elapsed
+                _run_classification_sim(db, p, scale, rep).elapsed
                 for rep in range(scale.n_reps)
             ]
             result.elapsed[(n_items, p)] = float(np.mean(runs))
@@ -185,18 +174,16 @@ class Fig7Result:
         )
         head = (
             "Fig. 7 — speedup of P-AutoClass on different numbers of "
-            f"processors ({self.fig6.scale.describe()}, {self.fig6.mode})"
+            f"processors ({self.fig6.scale.describe()}, counted)"
         )
         return head + "\n" + "\n".join(blocks)
 
 
 def fig7_speedup(
-    scale: ExperimentScale | None = None,
-    fig6: Fig6Result | None = None,
-    mode: str = "counted",
+    scale: ExperimentScale | None = None, fig6: Fig6Result | None = None
 ) -> Fig7Result:
     """EXP-F7: speedup T1/Tp from the Fig. 6 measurements."""
-    return Fig7Result(fig6=fig6 or fig6_elapsed(scale, mode))
+    return Fig7Result(fig6=fig6 or fig6_elapsed(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,6 @@ def fig7_speedup(
 @dataclass
 class Fig8Result:
     scale: ExperimentScale
-    mode: str
     tuples_per_proc: int
     #: seconds_per_cycle[(n_classes, n_procs)]
     seconds_per_cycle: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -224,7 +210,7 @@ class Fig8Result:
             (
                 "Fig. 8 — scaleup: times per base_cycle iteration (sec), "
                 f"{self.tuples_per_proc} tuples per processor "
-                f"({self.scale.describe()}, {self.mode})"
+                f"({self.scale.describe()}, counted)"
             )
         ]
         for j in sorted({j for (j, _p) in self.seconds_per_cycle}):
@@ -241,22 +227,18 @@ class Fig8Result:
         return "\n".join(blocks)
 
 
-def fig8_scaleup(
-    scale: ExperimentScale | None = None, mode: str = "counted"
-) -> Fig8Result:
+def fig8_scaleup(scale: ExperimentScale | None = None) -> Fig8Result:
     """EXP-F8: per-cycle time with the per-processor load held fixed."""
     scale = scale or ExperimentScale()
     per_proc = scale.scaleup_tuples_per_proc
-    result = Fig8Result(scale=scale, mode=mode, tuples_per_proc=per_proc)
+    result = Fig8Result(scale=scale, tuples_per_proc=per_proc)
     n_measure = max(scale.cycles_per_try, 3)
     for j in scale.scaleup_j:
         for p in scale.procs:
             db = make_paper_database(per_proc * p, seed=scale.seed)
-            machine = calibrated_machine(p, comm_scale=scale.factor)
+            machine = meiko_cs2(p, comm_scale=scale.factor)
             reps = [
-                _seconds_per_cycle(
-                    db, machine, j, n_measure, scale.seed + rep, mode
-                )
+                _seconds_per_cycle(db, machine, j, n_measure, scale.seed + rep)
                 for rep in range(scale.n_reps)
             ]
             result.seconds_per_cycle[(j, p)] = float(np.mean(reps))
@@ -391,18 +373,16 @@ class T2Result:
 
 
 def t2_linear_sequential(
-    scale: ExperimentScale | None = None,
-    fig6: Fig6Result | None = None,
-    mode: str = "counted",
+    scale: ExperimentScale | None = None, fig6: Fig6Result | None = None
 ) -> T2Result:
     """EXP-T2: linearity of sequential time in the dataset size."""
     scale = scale or ExperimentScale()
     if fig6 is None:
-        fig6 = Fig6Result(scale=scale, mode=mode)
+        fig6 = Fig6Result(scale=scale)
         for n_items in scale.sizes:
             db = make_paper_database(n_items, seed=scale.seed)
             fig6.elapsed[(n_items, 1)] = _run_classification_sim(
-                db, 1, scale, 0, mode
+                db, 1, scale, 0
             ).elapsed
     sizes = sorted({s for (s, p) in fig6.elapsed if p == 1})
     return T2Result(
@@ -453,18 +433,16 @@ def ablation_variants(
     n_cycles: int = 5,
     procs: tuple[int, ...] = (1, 2, 4, 6, 8, 10),
     seed: int = 2000,
-    mode: str = "counted",
     comm_scale: float = 1.0,
 ) -> A1Result:
     """EXP-A1: quantify the paper's improvement over wts-only parallelism."""
     db = make_paper_database(n_items, seed=seed)
     out: dict[str, list[float]] = {"pautoclass": [], "wts_only": []}
     for p in procs:
-        machine = calibrated_machine(p, comm_scale=comm_scale)
+        machine = meiko_cs2(p, comm_scale=comm_scale)
         for variant, acc in out.items():
             run = _run_fixed_cycles(
-                db, machine, (n_classes,), n_cycles, seed, mode,
-                variant=variant,
+                db, machine, (n_classes,), n_cycles, seed, variant=variant
             )
             acc.append(run.elapsed)
     return A1Result(
@@ -571,17 +549,14 @@ def ablation_comm_share(
     n_cycles: int = 5,
     procs: tuple[int, ...] = (2, 4, 6, 8, 10),
     seed: int = 2000,
-    mode: str = "counted",
     comm_scale: float = 1.0,
 ) -> A3Result:
     """EXP-A3: how much of a cycle is communication, and how many bytes."""
     db = make_paper_database(n_items, seed=seed)
     fractions, bytes_per = [], []
     for p in procs:
-        run = _run_fixed_cycles(
-            db, calibrated_machine(p, comm_scale=comm_scale), (n_classes,),
-            n_cycles, seed, mode,
-        )
+        machine = meiko_cs2(p, comm_scale=comm_scale)
+        run = _run_fixed_cycles(db, machine, (n_classes,), n_cycles, seed)
         fractions.append(run.comm_fraction)
         # +1 cycle: the init's combined Allreduce.
         bytes_per.append(run.total_bytes / p / (n_cycles + 1))
@@ -638,18 +613,16 @@ def ablation_granularity(
     n_cycles: int = 5,
     procs: tuple[int, ...] = (2, 4, 8, 10),
     seed: int = 2000,
-    mode: str = "counted",
     comm_scale: float = 1.0,
 ) -> A4Result:
     """EXP-A4: what the paper's loop-level Allreduce structure costs."""
     db = make_paper_database(n_items, seed=seed)
     out: dict[str, list[float]] = {"packed": [], "pautoclass": []}
     for p in procs:
-        machine = calibrated_machine(p, comm_scale=comm_scale)
+        machine = meiko_cs2(p, comm_scale=comm_scale)
         for variant, acc in out.items():
             run = _run_fixed_cycles(
-                db, machine, (n_classes,), n_cycles, seed, mode,
-                variant=variant,
+                db, machine, (n_classes,), n_cycles, seed, variant=variant
             )
             acc.append(run.elapsed)
     return A4Result(
@@ -714,7 +687,6 @@ def ablation_topology(
     n_cycles: int = 3,
     n_procs: int = 10,
     seed: int = 2000,
-    mode: str = "counted",
     comm_scale: float = 1.0,
 ) -> A5Result:
     """EXP-A5: how much does the CS-2's fat tree matter vs alternatives?
@@ -733,7 +705,7 @@ def ablation_topology(
         "mesh_2d": Mesh2D(n_procs),
         "ring": Ring(n_procs),
     }
-    base = calibrated_machine(n_procs, comm_scale=comm_scale)
+    base = meiko_cs2(n_procs, comm_scale=comm_scale)
     regimes = {
         "effective_mpi": base,
         # Early-multicomputer store-and-forward: tiny base latency, the
@@ -748,9 +720,7 @@ def ablation_topology(
     for regime_name, machine0 in regimes.items():
         for name, topo in topologies.items():
             machine = machine0.with_topology(topo)
-            run = _run_fixed_cycles(
-                db, machine, (n_classes,), n_cycles, seed, mode
-            )
+            run = _run_fixed_cycles(db, machine, (n_classes,), n_cycles, seed)
             elapsed[(regime_name, name)] = run.elapsed
     return A5Result(
         n_items=n_items,
@@ -811,7 +781,6 @@ def baseline_kmeans_comparison(
     n_measure: int = 5,
     procs: tuple[int, ...] = (1, 2, 4, 8, 10),
     seed: int = 2000,
-    mode: str = "counted",
     comm_scale: float = 1.0,
 ) -> B1Result:
     """EXP-B1: the same SPMD pattern on a much lighter kernel.
@@ -825,20 +794,13 @@ def baseline_kmeans_comparison(
     db = make_paper_database(n_items, seed=seed)
     km_times, pa_times = [], []
     for p in procs:
-        machine = calibrated_machine(p, comm_scale=comm_scale)
+        machine = meiko_cs2(p, comm_scale=comm_scale)
         km = run_spmd_sim(
-            kmeans_program,
-            p,
-            machine,
-            db,
-            n_clusters,
-            n_measure,
-            seed,
-            compute_mode=_check_mode(mode),
+            kmeans_program, p, machine, db, n_clusters, n_measure, seed
         )
         km_times.append(float(np.max(km.results)))
         pa_times.append(
-            _seconds_per_cycle(db, machine, n_clusters, n_measure, seed, mode)
+            _seconds_per_cycle(db, machine, n_clusters, n_measure, seed)
         )
     return B1Result(
         n_items=n_items,

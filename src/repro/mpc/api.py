@@ -17,7 +17,6 @@ bytes-on-wire per cycle (EXP-A3).
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 import time
 from abc import ABC, abstractmethod
@@ -250,17 +249,6 @@ class Communicator(ABC):
         self.stats.n_collectives += 1
         return COLLECTIVE_TAG_BASE + (self._coll_seq << 8)
 
-    def _collective_scope(self):
-        """Context wrapping one collective's message exchange.
-
-        Real-time worlds need nothing here; the virtual-time
-        :class:`repro.simnet.SimComm` overrides it to absorb pending
-        compute before the exchange and reset its compute mark after,
-        instead of overriding every collective.  Sub-communicators
-        delegate to their parent so nested collectives stay balanced.
-        """
-        return contextlib.nullcontext()
-
     def _reduce_rounds(self) -> int:
         """Combining rounds a reduction performs on this world's size."""
         if self._size <= 1:
@@ -284,8 +272,7 @@ class Communicator(ABC):
         from repro.mpc import collectives
 
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            collectives.barrier_dissemination(self, tag)
+        collectives.barrier_dissemination(self, tag)
 
     def bcast(self, obj: object, root: int = 0) -> object:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
@@ -293,8 +280,7 @@ class Communicator(ABC):
 
         self._check_peer(root)
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            return collectives.bcast_binomial(self, obj, root, tag)
+        return collectives.bcast_binomial(self, obj, root, tag)
 
     def reduce(
         self, payload, op: ReduceOp = ReduceOp.SUM, root: int = 0
@@ -304,8 +290,7 @@ class Communicator(ABC):
 
         self._check_peer(root)
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            result = collectives.reduce_binomial(self, payload, op, root, tag)
+        result = collectives.reduce_binomial(self, payload, op, root, tag)
         self._charge_reduction(payload)
         return result
 
@@ -317,10 +302,7 @@ class Communicator(ABC):
         from repro.mpc import collectives
 
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            result = collectives.allreduce_recursive_doubling(
-                self, payload, op, tag
-            )
+        result = collectives.allreduce_recursive_doubling(self, payload, op, tag)
         self._charge_reduction(payload)
         return result
 
@@ -339,8 +321,7 @@ class Communicator(ABC):
         from repro.mpc import buffers
 
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            buffers.allreduce_into_impl(self, buf, op, tag)
+        buffers.allreduce_into_impl(self, buf, op, tag)
         self._charge_reduction(buf)
         return buf
 
@@ -363,16 +344,14 @@ class Communicator(ABC):
 
         self._check_peer(root)
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            return collectives.gather_linear(self, obj, root, tag)
+        return collectives.gather_linear(self, obj, root, tag)
 
     def allgather(self, obj: object) -> list:
         """Gather one value per rank onto every rank."""
         from repro.mpc import collectives
 
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            return collectives.allgather_bruck(self, obj, tag)
+        return collectives.allgather_bruck(self, obj, tag)
 
     def scatter(self, objs: list | None, root: int = 0) -> object:
         """Scatter one value per rank from ``root``."""
@@ -380,8 +359,7 @@ class Communicator(ABC):
 
         self._check_peer(root)
         tag = self._next_coll_tag()
-        with self._collective_scope():
-            return collectives.scatter_linear(self, objs, root, tag)
+        return collectives.scatter_linear(self, objs, root, tag)
 
     # -- sub-communicators -------------------------------------------------
 

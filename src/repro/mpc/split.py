@@ -138,9 +138,6 @@ class SubComm(Communicator):
     def charge(self, seconds: float) -> None:
         self._parent.charge(seconds)
 
-    def _collective_scope(self):
-        return self._parent._collective_scope()
-
     def _charge_reduction_rounds(self, rounds: int, payload) -> None:
         self._parent._charge_reduction_rounds(rounds, payload)
 

@@ -7,8 +7,9 @@ substitute: an SPMD world whose ranks run the *real* computation on
 real threads while a **virtual clock** prices what that execution would
 have cost on the modelled machine:
 
-* compute segments are measured with per-thread CPU time and scaled by
-  the machine's calibrated ``cpu_scale`` (host core → 1996 SPARC);
+* compute is priced by the work the engine kernels report, counted
+  against a model anchored to the paper's SPARC cycle cost
+  (:mod:`repro.simnet.workmodel`) — host time never enters the clock;
 * each message is priced by a Hockney-style model — software overhead +
   per-hop latency over the modelled topology + size/bandwidth;
 * collectives are *not* given closed-form costs: they execute their
@@ -20,7 +21,6 @@ the clock is synthetic.  See DESIGN.md ("Substitutions") for why this
 preserves the speedup/scaleup behaviour the paper measures.
 """
 
-from repro.simnet.calibration import calibrate_cpu_scale
 from repro.simnet.costmodel import CostModel
 from repro.simnet.machine import MEIKO_CS2, MachineSpec, meiko_cs2
 from repro.simnet.simworld import SimComm, SimRunResult, run_spmd_sim
@@ -48,7 +48,6 @@ __all__ = [
     "Topology",
     "TraceEvent",
     "Tracer",
-    "calibrate_cpu_scale",
     "meiko_cs2",
     "render_timeline",
     "run_spmd_sim",

@@ -1,18 +1,17 @@
 """Machine specifications — the parameters of the modelled multicomputer.
 
-A :class:`MachineSpec` fixes everything the virtual clock needs:
-processor speed relative to the host, per-message software overheads,
-network latency/bandwidth, and the topology.  :func:`meiko_cs2` builds
-the paper's platform.
+A :class:`MachineSpec` fixes everything the virtual clock charges for
+communication: per-message software overheads, network
+latency/bandwidth, reduction arithmetic, and the topology.
+:func:`meiko_cs2` builds the paper's platform.
 
 Numbers for the CS-2 come from the paper (10 SPARC processors, fat
 tree, 50 MB/s per direction) and from published CS-2 MPI measurements of
-the era (~10-20 us one-way small-message latency).  The CPU scale is
-*calibrated*, not guessed: :func:`repro.simnet.calibration.
-calibrate_cpu_scale` times this host's actual EM kernels and anchors
-them to the per-(item x class) cycle cost implied by the paper's
-Figure 8 (~0.33 s per base_cycle at J=8 over 10 000 two-attribute
-tuples).
+the era (~10-20 us one-way small-message latency).  Compute is priced
+separately, by the counted work model
+(:class:`repro.simnet.workmodel.WorkModel`), which is anchored to the
+per-(item x class) cycle cost implied by the paper's Figure 8
+(:data:`SPARC_SECONDS_PER_ITEM_CLASS`).
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ class MachineSpec:
     ----------
     name:
         Human-readable platform name.
-    cpu_scale:
-        Virtual compute seconds per host CPU second (> 1 means the
-        modelled machine is slower than the host).
     send_overhead / recv_overhead:
         Software cost a rank pays on its own clock per message posted /
         delivered (the "o" of LogP).
@@ -56,7 +52,6 @@ class MachineSpec:
     """
 
     name: str
-    cpu_scale: float
     send_overhead: float
     recv_overhead: float
     latency: float
@@ -66,7 +61,6 @@ class MachineSpec:
     topology: Topology
 
     def __post_init__(self) -> None:
-        check_positive("cpu_scale", self.cpu_scale)
         check_positive("send_overhead", self.send_overhead, strict=False)
         check_positive("recv_overhead", self.recv_overhead, strict=False)
         check_positive("latency", self.latency, strict=False)
@@ -91,9 +85,6 @@ class MachineSpec:
     def with_topology(self, topology: Topology) -> "MachineSpec":
         return replace(self, topology=topology)
 
-    def with_cpu_scale(self, cpu_scale: float) -> "MachineSpec":
-        return replace(self, cpu_scale=cpu_scale)
-
 
 #: Raw Elan-network small-message latency of the CS-2 hardware (~10 us,
 #: published NIC figures).  Used by microbenchmarks that study the
@@ -116,15 +107,10 @@ CS2_EFFECTIVE_MPI_LATENCY = 1.7e-3
 def meiko_cs2(
     n_processors: int = 10,
     *,
-    cpu_scale: float = 50.0,
     latency: float = CS2_EFFECTIVE_MPI_LATENCY,
     comm_scale: float = 1.0,
 ) -> MachineSpec:
     """The paper's platform: Meiko CS-2, up to 10 SPARC processors.
-
-    ``cpu_scale`` defaults to a placeholder; experiment harnesses
-    replace it with the calibrated value (see
-    :func:`repro.simnet.calibration.calibrate_cpu_scale`).
 
     ``latency`` defaults to the effective per-message MPI cost inferred
     from the paper (see :data:`CS2_EFFECTIVE_MPI_LATENCY`); pass
@@ -139,7 +125,6 @@ def meiko_cs2(
     check_positive("comm_scale", comm_scale)
     return MachineSpec(
         name=f"Meiko CS-2 ({n_processors} SPARC, fat tree, 50 MB/s)",
-        cpu_scale=cpu_scale,
         send_overhead=25e-6 * comm_scale,
         recv_overhead=25e-6 * comm_scale,
         latency=latency * comm_scale,
@@ -150,5 +135,5 @@ def meiko_cs2(
     )
 
 
-#: Default 10-processor CS-2 with the placeholder CPU scale.
+#: Default 10-processor CS-2.
 MEIKO_CS2 = meiko_cs2()

@@ -3,34 +3,30 @@
 :class:`SimComm` extends the thread world's communicator with a virtual
 clock per rank:
 
-* **Compute**: between communication calls, the rank's *actual* CPU time
-  (``time.thread_time``, which counts only the calling thread even under
-  the GIL) is accumulated and scaled by the machine's ``cpu_scale``.
-  The computation is therefore real — identical numerics to any other
-  backend — and only its *price* is translated to the modelled CPU.
+* **Compute** is priced, never timed: the computation is real —
+  identical numerics to any other backend — but the clock advances only
+  by what the compute mode charges for it, so host speed and load never
+  reach virtual time.
 * **Messages**: a send stamps the envelope with
   ``available_at = sender_clock + wire_time(src, dst, nbytes)`` and
   advances the sender by its send overhead; a receive advances the
   receiver to ``max(own_clock + recv_overhead, available_at)``.
   Virtual timestamps are pure functions of the message pattern, so the
   clock results are deterministic even though thread scheduling is not.
-* **Collectives** run their real p2p rounds.  Python interpreter
-  overhead *inside* the collective algorithms is deliberately **not**
-  charged as compute (a C MPI library doesn't pay Python prices);
-  instead each reduction combine charges the modelled
+* **Collectives** run their real p2p rounds, so their cost emerges from
+  the message pattern; each reduction combine also charges the modelled
   ``reduce_seconds_per_byte``.
 
 Two compute modes:
 
-* ``"measured"`` (default) — charge scaled thread CPU time, for real
-  workloads;
+* ``"counted"`` (default) — charge the work the engine kernels report,
+  priced by a :class:`~repro.simnet.workmodel.WorkModel`;
 * ``"modeled"`` — charge only explicit :meth:`SimComm.charge` calls,
-  for deterministic simulator tests.
+  for simulator tests and communication-only experiments.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -47,13 +43,12 @@ if TYPE_CHECKING:
     from repro.simnet.trace import Tracer
     from repro.simnet.workmodel import WorkModel
 
-#: ``"measured"`` — charge scaled host CPU time between comm calls;
-#: ``"modeled"``  — charge only explicit :meth:`SimComm.charge` calls;
-#: ``"counted"``  — charge the work the engine kernels report through
+#: ``"counted"`` — charge the work the engine kernels report through
 #: :mod:`repro.util.workhooks`, priced by a
-#: :class:`~repro.simnet.workmodel.WorkModel` (default for experiments:
-#: free of Python call-overhead artifacts, deterministic).
-COMPUTE_MODES = ("measured", "modeled", "counted")
+#: :class:`~repro.simnet.workmodel.WorkModel` (the default: free of
+#: Python call-overhead artifacts, deterministic);
+#: ``"modeled"`` — charge only explicit :meth:`SimComm.charge` calls.
+COMPUTE_MODES = ("counted", "modeled")
 
 
 class SimComm(ThreadComm):
@@ -68,7 +63,7 @@ class SimComm(ThreadComm):
         abort: AbortFlag,
         collectives: CollectiveConfig | None,
         machine: MachineSpec,
-        compute_mode: str = "measured",
+        compute_mode: str = "counted",
         work_model: "WorkModel | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
@@ -94,14 +89,11 @@ class SimComm(ThreadComm):
         self.clock = 0.0
         self.compute_seconds = 0.0  # virtual seconds spent computing
         self.comm_seconds = 0.0  # virtual seconds spent in communication
-        self._mark = time.thread_time()
-        self._collective_depth = 0
 
     # -- clock plumbing ----------------------------------------------------
 
     def wtime(self) -> float:
         """Current virtual time of this rank."""
-        self._absorb_compute()
         return self.clock
 
     def work_hook(self, kind: str, n_items: int, n_classes: int, n_stats: int) -> None:
@@ -122,25 +114,6 @@ class SimComm(ThreadComm):
         self.clock += seconds
         self.compute_seconds += seconds
 
-    def _absorb_compute(self) -> None:
-        """Convert host CPU time since the last mark into virtual time."""
-        now = time.thread_time()
-        if self.compute_mode == "measured" and self._collective_depth == 0:
-            delta = (now - self._mark) * self.machine.cpu_scale
-            if self.tracer is not None and delta > 0:
-                from repro.simnet.trace import TraceEvent
-
-                self.tracer.record(
-                    TraceEvent(self.rank, "compute", self.clock, self.clock + delta)
-                )
-            self.clock += delta
-            self.compute_seconds += delta
-        self._mark = now
-
-    def _reset_mark(self) -> None:
-        """Drop accumulated host CPU time (e.g. time spent blocked)."""
-        self._mark = time.thread_time()
-
     def _try_recv(self, source: int, tag: int):
         """Poll *at the current virtual time*: match only arrived messages.
 
@@ -151,12 +124,10 @@ class SimComm(ThreadComm):
         the clock past the wire time.  A hit charges only the receive
         overhead: the wire time has already elapsed.
         """
-        self._absorb_compute()
         env = self._mailboxes[self.rank].try_collect(
             source, tag, ready_by=self.clock
         )
         if env is None:
-            self._reset_mark()  # host-side polling has no virtual duration
             return None
         arrived = self.clock + self.machine.recv_overhead
         if self.tracer is not None:
@@ -172,13 +143,11 @@ class SimComm(ThreadComm):
         self.clock = arrived
         self.stats.n_recvs += 1
         self.stats.bytes_received += env.nbytes
-        self._reset_mark()
         return env.payload
 
     # -- priced point-to-point ----------------------------------------------
 
     def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
-        self._absorb_compute()
         self._abort.check()
         available = (
             self.clock
@@ -207,10 +176,8 @@ class SimComm(ThreadComm):
                 available_at=available,
             )
         )
-        self._reset_mark()
 
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
-        self._absorb_compute()
         env = self._mailboxes[self.rank].collect(
             source, tag, timeout=self.collective_config.timeout_seconds
         )
@@ -226,27 +193,13 @@ class SimComm(ThreadComm):
             )
         self.comm_seconds += arrived - self.clock
         self.clock = arrived
-        self._reset_mark()
         return env.payload, env.source, env.tag, env.nbytes
 
-    # -- collectives: suppress Python-overhead charging, price reductions ---
+    # -- collectives: price the reduction arithmetic -----------------------
     #
-    # The base Communicator wraps every collective's exchange in
-    # ``_collective_scope()`` and prices (all)reduce arithmetic through
-    # ``_charge_reduction_rounds``; overriding those two hooks replaces
-    # the per-collective overrides this class used to carry.  Python
-    # interpreter overhead *inside* the collective algorithms is
-    # deliberately not charged as compute (a C MPI library doesn't pay
-    # Python prices).
-
-    def _next_coll_tag(self) -> int:
-        # Called on entry to every collective wrapper; absorb the
-        # caller's compute *before* suspending measurement.
-        self._absorb_compute()
-        return super()._next_coll_tag()
-
-    def _collective_scope(self):
-        return _SimCollectiveScope(self)
+    # The base Communicator prices (all)reduce arithmetic through
+    # ``_charge_reduction_rounds``; the exchange itself is priced by the
+    # point-to-point overrides above.
 
     def _charge_reduction_rounds(self, rounds: int, payload) -> None:
         # Price the arithmetic of the reduction this rank performed:
@@ -254,26 +207,6 @@ class SimComm(ThreadComm):
         from repro.mpc.api import payload_nbytes
 
         self.charge(rounds * self.cost.reduce_time(payload_nbytes(payload)))
-
-
-class _SimCollectiveScope:
-    """Suspend measured-compute charging for one collective's exchange."""
-
-    __slots__ = ("_comm",)
-
-    def __init__(self, comm: SimComm) -> None:
-        self._comm = comm
-
-    def __enter__(self) -> "_SimCollectiveScope":
-        comm = self._comm
-        comm._absorb_compute()  # charge the kernel work preceding the collective
-        comm._collective_depth += 1
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        comm = self._comm
-        comm._collective_depth -= 1
-        comm._reset_mark()
 
 
 @dataclass(frozen=True)
@@ -311,7 +244,7 @@ def run_spmd_sim(
     machine: MachineSpec,
     *args,
     collectives: CollectiveConfig | None = None,
-    compute_mode: str = "measured",
+    compute_mode: str = "counted",
     work_model: "WorkModel | None" = None,
     tracer: "Tracer | None" = None,
     **kwargs,
@@ -332,19 +265,13 @@ def run_spmd_sim(
         return comm
 
     def wrapped(comm, *a, **kw):
-        # The final compute segment must be absorbed on the worker
-        # thread itself (thread_time is per-thread).  In counted mode,
-        # the engine kernels' work reports are routed to this rank's
-        # pricing hook (ranks are threads, hooks are thread-local).
-        comm._reset_mark()  # the construction-time mark belongs to the
-        # launching thread's CPU clock, not this rank's
-        try:
-            if comm.compute_mode == "counted":
-                with workhooks.installed(comm.work_hook):
-                    return fn(comm, *a, **kw)
-            return fn(comm, *a, **kw)
-        finally:
-            comm._absorb_compute()
+        # In counted mode the engine kernels' work reports are routed to
+        # this rank's pricing hook (ranks are threads, hooks are
+        # thread-local).
+        if comm.compute_mode == "counted":
+            with workhooks.installed(comm.work_hook):
+                return fn(comm, *a, **kw)
+        return fn(comm, *a, **kw)
 
     results = run_spmd_threads(
         wrapped, size, *args, collectives=collectives, comm_factory=factory, **kwargs

@@ -9,9 +9,12 @@ rank 0.
 
 :func:`render_timeline` draws the per-rank schedule as ASCII art::
 
-    rank 0 |##########>>~~~~~~~~~#####|
-    rank 1 |########>>....>>#########|
-            # compute   > send   . wait (idle)   ~ recv latency
+    timeline: 0.004210 virtual seconds (# compute, > send, . wait)
+    rank  0 |##########>>.........#####|
+    rank  1 |########>>....>>##########|
+
+A receive's ``wait`` spans idling for the sender, the message's wire
+time and the receive overhead alike; all of it is drawn as ``.``.
 
 Tracing is opt-in (``run_spmd_sim(..., tracer=Tracer())``): the hot
 path stays allocation-free when disabled.

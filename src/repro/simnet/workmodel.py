@@ -1,12 +1,12 @@
 """Counted-work compute model for the simulated machine.
 
-The virtual clock has two ways to price compute (see
-:mod:`repro.simnet.simworld`): *measured* host CPU time, and explicit
-charges.  Measured time is honest but carries the Python/numpy per-call
-overhead of this reproduction — an artifact a 1996 C implementation
-does not have, and one that dominates (and flattens every speedup
-curve) once partitions drop below ~10^4 items.  The **work model**
-here provides the alternative: charge each EM phase its *counted* cost,
+The virtual clock never times the host (see
+:mod:`repro.simnet.simworld`): host time would carry the Python/numpy
+per-call overhead of this reproduction — an artifact a 1996 C
+implementation does not have, and one that dominates (and flattens
+every speedup curve) once partitions drop below ~10^4 items.  The
+**work model** here prices compute instead: each EM phase is charged
+its *counted* cost,
 
 .. math::
 

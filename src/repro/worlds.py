@@ -38,10 +38,9 @@ def run_world(
     wall-clocked worlds).  ``transport`` picks the processes world's
     wire (``None`` = ``"shm"``; the other worlds have no wire);
     ``tracer`` — a :class:`repro.simnet.trace.Tracer` — records the sim
-    world's virtual-time schedule.  The sim world is the calibrated
-    CS-2 with counted compute, the setting every library-level caller
-    wants; experiments that vary the machine call ``run_spmd_sim``
-    themselves.
+    world's virtual-time schedule.  The sim world is the paper's CS-2
+    with counted compute, the setting every library-level caller wants;
+    experiments that vary the machine call ``run_spmd_sim`` themselves.
     """
     if world not in WORLDS:
         raise ValueError(f"backend {world!r} not in {WORLDS}")
@@ -58,12 +57,12 @@ def run_world(
             fn, n, *args, collectives=collectives,
             transport=transport or "shm",
         ), None
-    # simnet pulls in the engine (calibration) and networkx: import late.
-    from repro.simnet.calibration import calibrated_machine
+    # Only a sim launch needs the simulator; the wall-clock worlds (and
+    # their forked children) never load it.
+    from repro.simnet.machine import meiko_cs2
     from repro.simnet.simworld import run_spmd_sim
 
     sim = run_spmd_sim(
-        fn, n, calibrated_machine(n), *args, collectives=collectives,
-        compute_mode="counted", tracer=tracer,
+        fn, n, meiko_cs2(n), *args, collectives=collectives, tracer=tracer
     )
     return sim.results, sim.elapsed

@@ -40,12 +40,7 @@ class TestMachineSpec:
         m = meiko_cs2(4).with_topology(Ring(4))
         assert isinstance(m.topology, Ring)
 
-    def test_with_cpu_scale(self):
-        assert meiko_cs2().with_cpu_scale(7.0).cpu_scale == 7.0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            meiko_cs2(cpu_scale=-1.0)
         with pytest.raises(ValueError):
             meiko_cs2(comm_scale=0.0)
 
@@ -55,7 +50,6 @@ class TestCostModel:
         return CostModel(
             MachineSpec(
                 name="test",
-                cpu_scale=1.0,
                 send_overhead=1e-6,
                 recv_overhead=2e-6,
                 latency=10e-6,

@@ -1,11 +1,8 @@
-"""Tests for repro.simnet.workmodel and repro.simnet.calibration."""
+"""Tests for repro.simnet.workmodel, the simulator's compute calibration:
+counted work anchored to the paper's SPARC cycle cost."""
 
 import pytest
 
-from repro.simnet.calibration import (
-    calibrate_cpu_scale,
-    measure_host_item_class_seconds,
-)
 from repro.simnet.machine import SPARC_SECONDS_PER_ITEM_CLASS
 from repro.simnet.workmodel import REFERENCE_STATS_PER_CLASS, WorkModel
 
@@ -67,18 +64,3 @@ class TestWorkModel:
     def test_share_validation(self):
         with pytest.raises(ValueError, match="must be 1"):
             WorkModel(wts_share=0.5, params_share=0.4)
-
-
-@pytest.mark.slow
-class TestCalibration:
-    def test_host_measurement_positive(self):
-        per_unit = measure_host_item_class_seconds(
-            n_items=2_000, n_classes=4, n_cycles=1
-        )
-        assert 0 < per_unit < 1e-3  # sanity: between 0 and 1 ms
-
-    def test_scale_positive_and_cached(self):
-        a = calibrate_cpu_scale()
-        b = calibrate_cpu_scale()
-        assert a > 0
-        assert a == b  # lru_cache
