@@ -307,7 +307,9 @@ def _save(result, db, path: str) -> None:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     scale = (
-        ExperimentScale(args.scale) if args.scale else ExperimentScale.from_env()
+        ExperimentScale(args.scale)
+        if args.scale is not None
+        else ExperimentScale.from_env()
     )
     for key in EXPERIMENTS if args.which == "all" else (args.which,):
         print(run_experiment(key, scale).render(), end="\n\n")

@@ -1,8 +1,9 @@
 """Experiment harness: regenerates every figure and text claim.
 
-Per-experiment index in DESIGN.md; the benchmark files under
-``benchmarks/`` are thin wrappers over these functions, so every result
-is also reproducible interactively::
+Per-experiment index in DESIGN.md.  ``pautoclass experiments`` and
+``benchmarks/bench_figures.py`` both go through :func:`run_experiment`,
+so they print the same bytes; every result is also reproducible
+interactively::
 
     from repro.harness import fig7_speedup, ExperimentScale
     print(fig7_speedup(ExperimentScale(0.1)).render())

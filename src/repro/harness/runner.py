@@ -2,8 +2,11 @@
 
 Each function runs its experiment on the simulated CS-2 and returns a
 result object carrying both the raw numbers (consumed by tests and
-benches) and a ``render()`` that prints the same rows/series the
-paper's figure plots.
+``benchmarks/bench_figures.py``) and a ``render()`` that prints the
+same rows/series the paper's figure plots.  At the default
+:class:`ExperimentScale`, :func:`run_experiment` reproduces every
+committed ``benchmarks/out/`` file byte for byte, except the host-timed
+T1 profile.
 
 Simulated compute is always ``"counted"``: priced by the
 :class:`~repro.simnet.workmodel.WorkModel` (deterministic, free of
@@ -428,14 +431,22 @@ class A1Result:
 
 
 def ablation_variants(
-    n_items: int = 50_000,
+    scale: ExperimentScale | None = None,
+    n_items: int | None = None,
     n_classes: int = 8,
-    n_cycles: int = 5,
+    n_cycles: int = 3,
     procs: tuple[int, ...] = (1, 2, 4, 6, 8, 10),
     seed: int = 2000,
     comm_scale: float = 1.0,
 ) -> A1Result:
-    """EXP-A1: quantify the paper's improvement over wts-only parallelism."""
+    """EXP-A1: quantify the paper's improvement over wts-only parallelism.
+
+    ``n_items`` defaults to twelve times ``scale``'s largest Fig. 6
+    size (at least 10 000): about the paper's mid dataset sizes.
+    """
+    if n_items is None:
+        scale = scale or ExperimentScale()
+        n_items = max(scale.sizes[-1] * 12, 10_000)
     db = make_paper_database(n_items, seed=seed)
     out: dict[str, list[float]] = {"pautoclass": [], "wts_only": []}
     for p in procs:
@@ -546,7 +557,7 @@ class A3Result:
 def ablation_comm_share(
     n_items: int = 10_000,
     n_classes: int = 8,
-    n_cycles: int = 5,
+    n_cycles: int = 3,
     procs: tuple[int, ...] = (2, 4, 6, 8, 10),
     seed: int = 2000,
     comm_scale: float = 1.0,
@@ -610,7 +621,7 @@ class A4Result:
 def ablation_granularity(
     n_items: int = 10_000,
     n_classes: int = 8,
-    n_cycles: int = 5,
+    n_cycles: int = 3,
     procs: tuple[int, ...] = (2, 4, 8, 10),
     seed: int = 2000,
     comm_scale: float = 1.0,
@@ -1159,8 +1170,9 @@ def serve_throughput_demo(
 
 
 # ---------------------------------------------------------------------------
-# The experiment registry: what ``pautoclass experiments --which KEY`` runs,
-# and the names :mod:`repro.harness` exports.
+# The experiment registry: what ``pautoclass experiments --which KEY`` runs
+# and ``benchmarks/bench_figures.py`` regenerates, and the names
+# :mod:`repro.harness` exports.
 
 class Experiment(NamedTuple):
     """One registered experiment."""
@@ -1180,7 +1192,8 @@ EXPERIMENTS: dict[str, Experiment] = {
     "t1": Experiment("sequential time profile", t1_profile),
     "t2": Experiment(
         "sequential time vs size", t2_linear_sequential, ("scale", "fig6")),
-    "a1": Experiment("P-AutoClass vs wts-only parallelism", ablation_variants),
+    "a1": Experiment(
+        "P-AutoClass vs wts-only parallelism", ablation_variants, ("scale",)),
     "a2": Experiment("Allreduce algorithms", ablation_collectives),
     "a3": Experiment("communication share", ablation_comm_share),
     "a4": Experiment("reduction granularity", ablation_granularity),
@@ -1199,7 +1212,8 @@ def _fig6_sweep(scale: ExperimentScale) -> Fig6Result:
 
 
 def run_experiment(key: str, scale: ExperimentScale):
-    """Run one registered experiment at ``scale``.
+    """Run one registered experiment at ``scale``: the one path the CLI
+    and the figure bench both take.
 
     The Fig. 6 sweep is memoised on the (frozen) scale: ``fig7`` and
     ``t2`` are derived from the same measurements ``fig6`` prints, so

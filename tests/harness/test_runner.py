@@ -5,6 +5,8 @@ scale small enough for the test suite.  The full-scale numbers live in
 EXPERIMENTS.md and the benchmark suite.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.harness.runner import (
     fig6_elapsed,
     fig7_speedup,
     fig8_scaleup,
+    run_experiment,
     t1_profile,
     t2_linear_sequential,
 )
@@ -56,7 +59,28 @@ class TestFig6:
         assert f"{SCALE.sizes[0]} tuples" in text
 
 
+#: Committed default-scale outputs under ``benchmarks/out/`` that the
+#: registry must reproduce byte for byte.  Figs. 6-8 and T2 sweep for
+#: ~35 s, so CI's sim-figures job checks those; T1 is host-timed.
+COMMITTED_OUT = {
+    "a1": "ablation_variants",
+    "a2": "ablation_collectives",
+    "a3": "ablation_commshare",
+    "a4": "ablation_granularity",
+    "a5": "ablation_topology",
+    "b1": "baseline_kmeans",
+}
+OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
+
+
 class TestRegistry:
+    @pytest.mark.parametrize("key", list(COMMITTED_OUT))
+    def test_reproduces_committed_output(self, key):
+        expected = (OUT_DIR / f"{COMMITTED_OUT[key]}.txt").read_text(
+            encoding="utf-8"
+        )
+        assert run_experiment(key, ExperimentScale()).render() + "\n" == expected
+
     def test_fig6_sweep_is_shared_by_its_derived_experiments(
         self, fig6, monkeypatch
     ):

@@ -174,6 +174,7 @@ class TestTransportEdgeCases:
             np.arange(12, dtype=np.float64).reshape(3, 4)[:, 1],  # strided
             {"k": [1, 2]},                          # object fallback
             np.arange(6, dtype=np.float32),         # ineligible dtype
+            np.random.default_rng(0).standard_normal(1 << 17),  # 1 MiB
         ]
         got = _both_transports(payloads)
         assert got["shm"] == got["pipe"]

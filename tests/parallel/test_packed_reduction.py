@@ -112,6 +112,20 @@ class TestReductionPlan:
         assert plan.n_wts_reductions == 1
         assert plan.n_stats_reductions == 2
 
+    def test_stats_reduction_allocation_free_after_warmup(self):
+        def prog(comm):
+            stats = np.random.default_rng(comm.rank).standard_normal((8, 16))
+            plan = ReductionPlan(comm, 8, 16)
+            for _ in range(2):  # warm both send-chain parities
+                plan.allreduce_stats(stats)
+            pool = comm.buffer_pool()
+            before = pool.n_allocations
+            for _ in range(25):
+                plan.allreduce_stats(stats)
+            return pool.n_allocations - before
+
+        assert run_spmd_threads(prog, 4) == [0, 0, 0, 0]
+
 
 N_CYCLES = 4
 

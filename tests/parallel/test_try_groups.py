@@ -232,3 +232,20 @@ class TestFitIntegration:
         )
         run = pac.fit(db)
         assert len(run.result.tries) == 4
+
+
+class TestTryParallelElapsed:
+    def test_four_groups_beat_one_on_the_8_rank_sim(self):
+        """A comm-bound 4-try search on the virtual CS-2.  Per-rank
+        compute is the same in both arms; G=4 overlaps the tries and
+        each Allreduce spans 2 ranks (1 round) instead of 8 (3)."""
+        db = repro.make_paper_database(240, seed=0)
+
+        def elapsed(try_groups):
+            return PAutoClass(
+                n_processors=8, backend="sim", try_groups=try_groups,
+                start_j_list=(2, 3, 4, 5), max_n_tries=4, seed=0,
+                max_cycles=6,
+            ).fit(db).sim_elapsed
+
+        assert elapsed(1) / elapsed(4) >= 1.5

@@ -194,6 +194,12 @@ class TestNewFlags:
         args = build_parser().parse_args(["experiments", "--which", "a5"])
         assert args.which == "a5"
 
+    def test_experiments_scale_zero_rejected(self, monkeypatch):
+        # 0 is a scale, not "unset": it must not fall back to the env.
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.04")
+        with pytest.raises(ValueError, match="factor must be in"):
+            main(["experiments", "--which", "a2", "--scale", "0"])
+
 
 class TestTraceFlag:
     def test_trace_flag_removed(self, capsys):
