@@ -1,9 +1,10 @@
 """The paper's figures, text claims and ablations, regenerated.
 
-One case per experiment with a committed output.  Each case runs
+One case per experiment with a committed output (its
+``EXPERIMENTS[key].out``).  Each case runs
 ``run_experiment(key, ExperimentScale.from_env())`` — the call
 ``pautoclass experiments --which KEY`` makes — writes the rendered table
-to ``benchmarks/out/<name>.txt``, prints it, and checks the paper's
+to that file under ``benchmarks/out/``, prints it, and checks the paper's
 shape claim for it.  The scale is ``REPRO_BENCH_SCALE`` (default 0.04;
 ``1.0`` = the paper's parameters).  At the default scale every output
 but the host-timed ``t1_profile.txt`` is a pure function of the code,
@@ -25,62 +26,48 @@ from repro.mpc.collectives import ALLREDUCE
 
 OUT_DIR = Path(__file__).parent / "out"
 
-#: registry key -> name of its rendered output under ``benchmarks/out/``.
-OUT_FILES = {
-    "fig6": "fig6_elapsed",
-    "fig7": "fig7_speedup",
-    "fig8": "fig8_scaleup",
-    "t1": "t1_profile",
-    "t2": "t2_linear_seq",
-    "a1": "ablation_variants",
-    "a2": "ablation_collectives",
-    "a3": "ablation_commshare",
-    "a4": "ablation_granularity",
-    "a5": "ablation_topology",
-    "b1": "baseline_kmeans",
-}
-
 
 def _fig6(r, scale):
     # Paper: times decrease with processors, and the gain grows with
     # dataset size.
     for n_items in scale.sizes:
-        procs, times = r.series(n_items)
-        assert times[procs.index(10)] < times[procs.index(1)]
+        assert r.at("10", n_items) < r.at("1", n_items)
     small, large = scale.sizes[0], scale.sizes[-1]
-    gain_small = r.elapsed[(small, 1)] - r.elapsed[(small, 10)]
-    gain_large = r.elapsed[(large, 1)] - r.elapsed[(large, 10)]
+    gain_small = r.at("1", small) - r.at("10", small)
+    gain_large = r.at("1", large) - r.at("10", large)
     assert gain_large > gain_small
 
 
 def _fig7(r, scale):
     # Paper: "scales well up to 10 processors for the largest datasets".
     largest = scale.sizes[-1]
-    assert r.peak_procs(largest) >= 9
-    assert r.speedup(largest)[1][-1] > 5.0
+    procs, sp = r.get(f"speedup[{largest} tuples]")
+    assert procs[sp.index(max(sp))] >= 9
+    assert sp[-1] > 5.0
     # Larger datasets reach a higher speedup at P=10 (0.3 slack).
-    at10 = [r.speedup(s)[1][-1] for s in scale.sizes]
+    at10 = [r.get(f"speedup[{s} tuples]")[1][-1] for s in scale.sizes]
     assert all(b >= a - 0.3 for a, b in zip(at10, at10[1:]))
 
 
 def _fig8(r, scale):
     for j in scale.scaleup_j:
-        procs, times = r.series(j)
+        procs, times = r.get(f"{j} clusters")
         assert len(procs) == 10 and all(t > 0 for t in times)
 
 
 def _t1(r, scale):
     # Paper: base_cycle ~ 99.5 % of the runtime; the slack covers the
     # Python per-try init, paid once per (short) try.
-    assert r.cycle_fraction > 0.93
-    assert r.approx_fraction_of_cycle < 0.1
+    cycle = r.at("seconds", "base_cycle")
+    assert r.at("share", "base_cycle") > 0.93
+    assert r.at("seconds", "  update_approximations") / cycle < 0.1
 
 
 def _t2(r, scale):
     # Doubling the data roughly doubles the time.
-    by_size = dict(zip(r.sizes, r.seconds))
+    seconds = "seconds (P=1, simulated CS-2)"
     small, large = scale.sizes[1], scale.sizes[-1]
-    assert by_size[large] / by_size[small] == pytest.approx(
+    assert r.at(seconds, large) / r.at(seconds, small) == pytest.approx(
         large / small, rel=0.15
     )
 
@@ -88,47 +75,51 @@ def _t2(r, scale):
 def _a1(r, scale):
     # Equal at P=1 (no communication either way); the paper's design
     # wins once the M-step has to scale.
-    assert r.advantage(1) == pytest.approx(1.0, rel=0.05)
-    assert r.advantage(10) > 1.0
+    assert r.at("advantage", 1) == pytest.approx(1.0, rel=0.05)
+    assert r.at("advantage", 10) > 1.0
 
 
 def _a2(r, scale):
-    for key, measured in r.measured.items():
-        assert measured == pytest.approx(r.expected[key], rel=0.6), key
+    for p in r.col("procs"):
+        assert r.at("simulated (us)", p) == pytest.approx(
+            r.at(f"textbook {ALLREDUCE} (us)", p), rel=0.6
+        ), p
     # Small payloads are latency-bound: the ring's 2(P-1) rounds lose
     # to recursive doubling's log2(P).
-    for p in r.procs:
+    for p in r.col("procs"):
         if p >= 4:
-            assert r.measured[(ALLREDUCE, p)] < r.expected[("ring", p)]
+            assert r.at("simulated (us)", p) < r.at("textbook ring (us)", p)
 
 
 def _a3(r, scale):
     # A rank ships a few kilobytes per cycle, against the ~640 KB its
     # partition of the dataset occupies.
-    assert all(b < 50_000 for b in r.bytes_per_cycle_per_rank)
+    assert all(b < 50_000 for b in r.col("bytes/cycle/rank"))
 
 
 def _a4(r, scale):
-    assert all(r.overhead(p) >= 1.0 for p in r.procs)
+    overhead = r.col("overhead")
+    assert all(o >= 1.0 for o in overhead)
     # The gap widens with processors (more rounds per collective).
-    assert r.overhead(10) > r.overhead(2)
+    assert r.at("overhead", 10) > r.at("overhead", 2)
 
 
 def _a5(r, scale):
     # Per-hop-dominated routing: lower-diameter networks win and the
     # ring is the worst point-to-point network.
-    assert r.spread("store_and_forward") > 1.5
-    saf = r.regime("store_and_forward")
+    saf = dict(zip(r.col("topology"), r.col("store-and-fwd (s)")))
+    assert max(saf.values()) / min(saf.values()) > 1.5
     assert saf["crossbar"] <= min(saf.values()) * 1.01
     assert saf["ring"] >= saf["hypercube"]
 
 
 def _b1(r, scale):
     # Both parallelize at first; both saturate well below linear.
-    assert r.sec_per_cycle_pautoclass[1] < r.sec_per_cycle_pautoclass[0]
-    assert r.sec_per_iter_kmeans[1] < r.sec_per_iter_kmeans[0]
-    assert max(r.speedup("kmeans")) < 10
-    assert max(r.speedup("pautoclass")) < 10
+    pa, km = r.col("P-AutoClass s/cycle"), r.col("k-means s/iter")
+    assert pa[1] < pa[0]
+    assert km[1] < km[0]
+    assert max(r.col("k-means speedup")) < 10
+    assert max(r.col("P-AutoClass speedup")) < 10
 
 
 CHECKS = {
@@ -137,12 +128,12 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("key", [k for k in EXPERIMENTS if k in OUT_FILES])
+@pytest.mark.parametrize("key", [k for k, e in EXPERIMENTS.items() if e.out])
 def test_figure(key):
     scale = ExperimentScale.from_env()
     result = run_experiment(key, scale)
     rendered = result.render()
-    (OUT_DIR / f"{OUT_FILES[key]}.txt").write_text(
+    (OUT_DIR / EXPERIMENTS[key].out).write_text(
         rendered + "\n", encoding="utf-8"
     )
     print(f"\n{rendered}\n")

@@ -9,9 +9,10 @@ interactively::
     print(fig7_speedup(ExperimentScale(0.1)).render())
 
 The experiment functions exported here are exactly the runners of the
-:data:`EXPERIMENTS` registry (``fig6_elapsed``, ``fig7_speedup``, ... —
+:data:`EXPERIMENTS` table (``fig6_elapsed``, ``fig7_speedup``, ... —
 see :mod:`repro.harness.runner`), which is also what
-``pautoclass experiments --which`` chooses from.
+``pautoclass experiments --which`` chooses from.  Each is
+``run(scale)`` and returns a ``Table`` or a ``Series``.
 """
 
 from repro.harness.experiments import (
@@ -22,7 +23,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.runner import EXPERIMENTS, run_experiment
 
-globals().update({exp.fn.__name__: exp.fn for exp in EXPERIMENTS.values()})
+globals().update({exp.run.__name__: exp.run for exp in EXPERIMENTS.values()})
 
 __all__ = [
     "EXPERIMENTS",
@@ -31,5 +32,5 @@ __all__ = [
     "PAPER_SIZES",
     "PAPER_START_J_LIST",
     "run_experiment",
-    *sorted(exp.fn.__name__ for exp in EXPERIMENTS.values()),
+    *sorted(exp.run.__name__ for exp in EXPERIMENTS.values()),
 ]

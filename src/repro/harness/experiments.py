@@ -73,10 +73,18 @@ class ExperimentScale:
 
     @staticmethod
     def from_env() -> "ExperimentScale":
-        """Scale from ``REPRO_BENCH_SCALE`` (default 0.04)."""
+        """Scale from ``REPRO_BENCH_SCALE`` (default 0.04).
+
+        A value that is not a number in (0, 1] raises a ``ValueError``
+        naming the variable.
+        """
         raw = os.environ.get(SCALE_ENV_VAR, "")
-        factor = float(raw) if raw else DEFAULT_BENCH_SCALE
-        return ExperimentScale(factor=factor)
+        if not raw:
+            return ExperimentScale()
+        try:
+            return ExperimentScale(factor=float(raw))
+        except ValueError as exc:
+            raise ValueError(f"{SCALE_ENV_VAR}={raw!r}: {exc}") from None
 
     @property
     def sizes(self) -> tuple[int, ...]:

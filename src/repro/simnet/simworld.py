@@ -17,12 +17,11 @@ clock per rank:
   the message pattern; each reduction combine also charges the modelled
   ``reduce_seconds_per_byte``.
 
-Two compute modes:
-
-* ``"counted"`` (default) — charge the work the engine kernels report,
-  priced by a :class:`~repro.simnet.workmodel.WorkModel`;
-* ``"modeled"`` — charge only explicit :meth:`SimComm.charge` calls,
-  for simulator tests and communication-only experiments.
+One compute mode, ``"counted"``: the clock is charged the work the
+engine kernels report through :mod:`repro.util.workhooks`, priced by a
+:class:`~repro.simnet.workmodel.WorkModel`, plus any explicit
+:meth:`SimComm.charge` calls.  A program whose kernels report no work
+(a communication-only microbenchmark) is priced by its messages alone.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ if TYPE_CHECKING:
     from repro.simnet.trace import Tracer
     from repro.simnet.workmodel import WorkModel
 
-#: ``"counted"`` — charge the work the engine kernels report through
-#: :mod:`repro.util.workhooks`, priced by a
-#: :class:`~repro.simnet.workmodel.WorkModel` (the default: free of
-#: Python call-overhead artifacts, deterministic);
-#: ``"modeled"`` — charge only explicit :meth:`SimComm.charge` calls.
-COMPUTE_MODES = ("counted", "modeled")
+#: The accepted ``compute_mode`` values: only ``"counted"``, free of
+#: Python call-overhead artifacts and deterministic.
+COMPUTE_MODES = ("counted",)
 
 
 class SimComm(ThreadComm):
@@ -72,7 +68,7 @@ class SimComm(ThreadComm):
             raise ValueError(
                 f"compute_mode {compute_mode!r} not in {COMPUTE_MODES}"
             )
-        if compute_mode == "counted" and work_model is None:
+        if work_model is None:
             from repro.simnet.workmodel import WorkModel
 
             work_model = WorkModel()
@@ -85,7 +81,6 @@ class SimComm(ThreadComm):
             )
         self.machine = machine
         self.cost = CostModel(machine)
-        self.compute_mode = compute_mode
         self.clock = 0.0
         self.compute_seconds = 0.0  # virtual seconds spent computing
         self.comm_seconds = 0.0  # virtual seconds spent in communication
@@ -97,12 +92,11 @@ class SimComm(ThreadComm):
         return self.clock
 
     def work_hook(self, kind: str, n_items: int, n_classes: int, n_stats: int) -> None:
-        """Price a kernel's reported work (``"counted"`` mode only)."""
-        assert self.work_model is not None
+        """Price a kernel's reported work."""
         self.charge(self.work_model.seconds_for(kind, n_items, n_classes, n_stats))
 
     def charge(self, seconds: float) -> None:
-        """Explicitly add modelled compute time (any mode)."""
+        """Explicitly add modelled compute time."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         if self.tracer is not None and seconds > 0:
@@ -265,13 +259,10 @@ def run_spmd_sim(
         return comm
 
     def wrapped(comm, *a, **kw):
-        # In counted mode the engine kernels' work reports are routed to
-        # this rank's pricing hook (ranks are threads, hooks are
-        # thread-local).
-        if comm.compute_mode == "counted":
-            with workhooks.installed(comm.work_hook):
-                return fn(comm, *a, **kw)
-        return fn(comm, *a, **kw)
+        # The engine kernels' work reports are routed to this rank's
+        # pricing hook (ranks are threads, hooks are thread-local).
+        with workhooks.installed(comm.work_hook):
+            return fn(comm, *a, **kw)
 
     results = run_spmd_threads(
         wrapped, size, *args, collectives=collectives, comm_factory=factory, **kwargs

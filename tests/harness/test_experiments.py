@@ -43,6 +43,12 @@ class TestExperimentScale:
         monkeypatch.setenv(SCALE_ENV_VAR, "0.25")
         assert ExperimentScale.from_env().factor == 0.25
 
+    @pytest.mark.parametrize("raw", ["0.04x", "0", "1.5"])
+    def test_from_env_bad_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(SCALE_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=SCALE_ENV_VAR):
+            ExperimentScale.from_env()
+
     def test_from_env_default(self, monkeypatch):
         monkeypatch.delenv(SCALE_ENV_VAR, raising=False)
         assert ExperimentScale.from_env().factor == DEFAULT_BENCH_SCALE

@@ -111,5 +111,5 @@ class TestSimNonblocking:
             comm.send("sim-msg", 0, tag=3)
             return None
 
-        run = run_spmd_sim(prog, 2, meiko_cs2(2), compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, meiko_cs2(2))
         assert run.results[0] == "sim-msg"

@@ -179,9 +179,7 @@ class TestRequestTestEveryWorld:
         assert all(run_spmd_processes(_poll_prog, 2))
 
     def test_sim_world(self):
-        sim = run_spmd_sim(
-            _sim_poll_prog, 2, meiko_cs2(2), compute_mode="modeled"
-        )
+        sim = run_spmd_sim(_sim_poll_prog, 2, meiko_cs2(2))
         assert all(sim.results)
 
 

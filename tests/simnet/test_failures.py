@@ -80,7 +80,7 @@ class TestSimWorldFailures:
             comm.allreduce(np.ones(8))
 
         with pytest.raises(RuntimeError, match="sim crash"):
-            run_spmd_sim(prog, 3, meiko_cs2(3), compute_mode="modeled")
+            run_spmd_sim(prog, 3, meiko_cs2(3))
 
     def test_engine_error_propagates_from_sim(self):
         """A genuine engine validation error inside an SPMD program

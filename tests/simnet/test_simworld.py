@@ -19,8 +19,8 @@ class TestModeledMode:
             comm.allreduce(np.ones(100))
             return comm.wtime()
 
-        a = run_spmd_sim(prog, 5, MACHINE, compute_mode="modeled")
-        b = run_spmd_sim(prog, 5, MACHINE, compute_mode="modeled")
+        a = run_spmd_sim(prog, 5, MACHINE)
+        b = run_spmd_sim(prog, 5, MACHINE)
         assert a.clocks == b.clocks
         assert a.results == b.results
 
@@ -30,7 +30,7 @@ class TestModeledMode:
             comm.charge(0.5)
             return comm.wtime() - t0
 
-        run = run_spmd_sim(prog, 2, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, MACHINE)
         assert all(r == pytest.approx(0.5) for r in run.results)
 
     def test_negative_charge_rejected(self):
@@ -38,10 +38,10 @@ class TestModeledMode:
             comm.charge(-1.0)
 
         with pytest.raises(RuntimeError, match="negative"):
-            run_spmd_sim(prog, 1, MACHINE, compute_mode="modeled")
+            run_spmd_sim(prog, 1, MACHINE)
 
     def test_python_compute_costs_nothing(self):
-        """In modeled mode, real host work must not move the clock."""
+        """Host work no kernel reports must not move the clock."""
         def prog(comm):
             x = np.random.default_rng(0).random((300, 300))
             for _ in range(3):
@@ -49,7 +49,7 @@ class TestModeledMode:
             comm.barrier()
             return comm.wtime()
 
-        run = run_spmd_sim(prog, 2, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, MACHINE)
         # Only the barrier's messages should be priced (well under 1s).
         assert all(r < 0.1 for r in run.results)
 
@@ -67,7 +67,7 @@ class TestCausality:
             comm.recv(0, 0)
             return comm.wtime()
 
-        run = run_spmd_sim(prog, 2, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, MACHINE)
         expected_min = (
             1.0
             + MACHINE.send_overhead
@@ -86,7 +86,7 @@ class TestCausality:
             comm.recv(0, 0)
             return comm.wtime()
 
-        run = run_spmd_sim(prog, 2, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, MACHINE)
         assert run.results[0] < 0.01  # overhead only
         assert run.results[1] >= 2.0
 
@@ -99,7 +99,7 @@ class TestCausality:
                 marks.append(comm.wtime())
             return marks
 
-        run = run_spmd_sim(prog, 4, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 4, MACHINE)
         for marks in run.results:
             assert marks == sorted(marks)
 
@@ -109,7 +109,7 @@ class TestCausality:
             comm.barrier()
             return comm.wtime()
 
-        run = run_spmd_sim(prog, 4, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 4, MACHINE)
         assert all(r >= 1.0 for r in run.results)
 
 
@@ -216,7 +216,7 @@ class TestRunResult:
             comm.charge(float(comm.rank))
             return None
 
-        run = run_spmd_sim(prog, 4, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 4, MACHINE)
         assert run.elapsed == max(run.clocks)
         assert run.elapsed == pytest.approx(3.0)
 
@@ -225,7 +225,7 @@ class TestRunResult:
             comm.allreduce(np.zeros(128))
             return None
 
-        run = run_spmd_sim(prog, 4, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 4, MACHINE)
         assert run.total_bytes > 0
         assert len(run.stats) == 4
 
@@ -235,10 +235,10 @@ class TestRunResult:
             comm.allreduce(np.zeros(8))
             return None
 
-        run = run_spmd_sim(prog, 4, MACHINE, compute_mode="modeled")
+        run = run_spmd_sim(prog, 4, MACHINE)
         assert 0.0 <= run.comm_fraction <= 1.0
 
-    @pytest.mark.parametrize("mode", ["bogus", "measured"])
+    @pytest.mark.parametrize("mode", ["bogus", "measured", "modeled"])
     def test_invalid_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="compute_mode"):
             run_spmd_sim(lambda c: None, 1, MACHINE, compute_mode=mode)

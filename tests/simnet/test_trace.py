@@ -42,9 +42,7 @@ class TestSimIntegration:
             return comm.wtime()
 
         tr = Tracer()
-        run = run_spmd_sim(
-            prog, 3, meiko_cs2(3), compute_mode="modeled", tracer=tr
-        )
+        run = run_spmd_sim(prog, 3, meiko_cs2(3), tracer=tr)
         return tr, run
 
     def test_events_cover_all_ranks(self):
@@ -82,7 +80,7 @@ class TestSimIntegration:
             comm.charge(0.01)
             comm.barrier()
 
-        run = run_spmd_sim(prog, 2, meiko_cs2(2), compute_mode="modeled")
+        run = run_spmd_sim(prog, 2, meiko_cs2(2))
         assert run.elapsed > 0  # simply runs without a tracer
 
 
