@@ -13,8 +13,8 @@ Policies (:data:`CHECKPOINT_POLICIES`):
 * ``"off"``       — never write (the null object; loops stay branchless);
 * ``"per_try"``   — write at try boundaries only (cheapest, the
   recommended default: a restart repeats at most one try);
-* ``"per_cycle"`` — additionally write after every ``cycle_interval``
-  EM cycles (a restart repeats at most ``cycle_interval`` cycles).
+* ``"per_cycle"`` — additionally write after every non-final EM cycle
+  (a restart repeats at most one cycle).
 
 Each save — one cut point, however many files it writes — is timed as
 the ``ckpt`` phase and counted in the ``ckpt_saves`` counter of the
@@ -72,24 +72,18 @@ class CheckpointSpec:
     directory: str
     policy: str = "per_try"
     resume: bool = True
-    cycle_interval: int = 1
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
         if self.policy == "off":
             raise ValueError("CheckpointSpec with policy 'off' is pointless; "
                              "pass checkpointer=None instead")
-        if self.cycle_interval < 1:
-            raise ValueError(
-                f"cycle_interval must be >= 1, got {self.cycle_interval}"
-            )
 
     def build(self, rank: int = 0) -> "Checkpointer":
         return Checkpointer(
             self.directory,
             policy=self.policy,
             resume=self.resume,
-            cycle_interval=self.cycle_interval,
             rank=rank,
         )
 
@@ -103,7 +97,6 @@ class Checkpointer:
         *,
         policy: str = "per_try",
         resume: bool = True,
-        cycle_interval: int = 1,
         rank: int = 0,
     ) -> None:
         check_policy(policy)
@@ -111,14 +104,9 @@ class Checkpointer:
             raise ValueError(
                 "Checkpointer(policy='off') is pointless; pass None instead"
             )
-        if cycle_interval < 1:
-            raise ValueError(
-                f"cycle_interval must be >= 1, got {cycle_interval}"
-            )
         self.directory = Path(directory)
         self.policy = policy
         self.resume = resume
-        self.cycle_interval = cycle_interval
         self.rank = rank
         self.path = self.directory / HEAD_NAME
         self._key: str | None = None
@@ -230,13 +218,12 @@ class Checkpointer:
     ) -> None:
         """Per-cycle cut point: freeze the in-progress try's EM state.
 
-        No-op unless the policy asks for a save at this cycle.  ``clf``
-        is the post-cycle classification (``clf.n_cycles`` is the
-        1-based cycle count within the try) and ``checker`` the live
-        convergence checker whose history *includes* this cycle's score.
+        The search wires it in only under ``policy="per_cycle"`` and
+        calls it after every non-final cycle.  ``clf`` is the post-cycle
+        classification (``clf.n_cycles`` is the 1-based cycle count
+        within the try) and ``checker`` the live convergence checker
+        whose history *includes* this cycle's score.
         """
-        if not self.want_cycle_save(clf.n_cycles):
-            return
         self.save(
             result,
             stream,
@@ -274,12 +261,10 @@ class Checkpointer:
     ) -> None:
         """Per-cycle cut point of a group-owned try (leader only).
 
-        Same policy gate as :meth:`save_cycle`; the in-progress state
+        Wired in like :meth:`save_cycle`; the in-progress state
         overwrites the try's file and is replaced by the completed
         result when the try converges.
         """
-        if not self.want_cycle_save(clf.n_cycles):
-            return
         payload = encode_try_checkpoint(
             self._require_key(),
             in_progress=InProgressTry(
@@ -317,12 +302,3 @@ class Checkpointer:
             elif in_progress is not None:
                 partial[in_progress.try_index] = in_progress
         return completed, partial
-
-    # -- policy ------------------------------------------------------------
-
-    def want_cycle_save(self, cycle_index: int) -> bool:
-        """Should the loop checkpoint after this (1-based) cycle?"""
-        return (
-            self.policy == "per_cycle"
-            and cycle_index % self.cycle_interval == 0
-        )

@@ -4,7 +4,10 @@ A :class:`Communicator` is one rank's handle onto an SPMD world.  The
 paper's algorithm needs exactly the operations MPI programs of its era
 used: tagged point-to-point ``send``/``recv`` and the collectives
 ``Allreduce`` (its workhorse), ``Bcast``, ``Barrier``, plus
-gather/scatter for tooling.  Backends implement only the point-to-point
+gather/allgather for the try-group merge.  A receive names its exact
+source and tag and blocks: each ``(source, tag)`` pair is one FIFO
+channel, so which message a receive gets never depends on the arrival
+order between senders.  Backends implement only the point-to-point
 primitives; every collective has one implementation in
 :mod:`repro.mpc.collectives` built on them.  A world's
 :class:`CollectiveConfig` sets only how long a collective may wait,
@@ -24,13 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mpc.errors import MessageError, NotSupportedError
+from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import ReduceOp
-
-#: Wildcard source for ``recv``.
-ANY_SOURCE = -1
-#: Wildcard tag for ``recv``.
-ANY_TAG = -1
 
 #: Collectives claim tags at and above this value; user point-to-point
 #: code must stay below it.
@@ -160,13 +158,14 @@ class Communicator(ABC):
         """Deliver ``obj`` to ``dest``'s mailbox (may buffer)."""
 
     @abstractmethod
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
-        """Block for a matching message; return (obj, source, tag, nbytes)."""
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
+        """Block for the next message on channel (source, tag); return
+        (obj, nbytes)."""
 
-    def send(self, obj: object, dest: int, tag: int = 0) -> None:
+    def send(self, obj: object, dest: int, tag: int) -> None:
         """Send ``obj`` to rank ``dest`` with ``tag`` (buffered, non-rendezvous)."""
         self._check_peer(dest)
-        self._check_tag(tag, allow_wildcard=False)
+        self._check_tag(tag)
         nbytes = payload_nbytes(obj)
         t0 = time.perf_counter()
         self._send_raw(obj, dest, tag, nbytes)
@@ -174,67 +173,33 @@ class Communicator(ABC):
         self.stats.n_sends += 1
         self.stats.bytes_sent += nbytes
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> object:
-        """Receive the next message matching (source, tag); returns the payload."""
-        obj, _src, _tag = self.recv_status(source, tag)
-        return obj
+    def recv(self, source: int, tag: int) -> object:
+        """Block for the next message from ``source`` with ``tag``.
 
-    def recv_status(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[object, int, int]:
-        """Like :meth:`recv` but also returns ``(payload, source, tag)``."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        self._check_tag(tag, allow_wildcard=True)
+        Messages on one (source, tag) channel arrive in send order
+        (MPI's non-overtaking rule); there are no wildcards.
+        """
+        self._check_peer(source)
+        self._check_tag(tag)
         t0 = time.perf_counter()
-        obj, src, tg, nbytes = self._recv_raw(source, tag)
+        obj, nbytes = self._recv_raw(source, tag)
         self.stats.seconds_in_comm += time.perf_counter() - t0
         self.stats.n_recvs += 1
         self.stats.bytes_received += nbytes
-        return obj, src, tg
+        return obj
 
-    def recv_into(
-        self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> np.ndarray:
-        """Receive the next matching message into ``buf`` (in place).
+    def recv_into(self, buf: np.ndarray, source: int, tag: int) -> np.ndarray:
+        """Receive the next message from (source, tag) into ``buf`` (in place).
 
         Semantically ``recv`` + copy — same matching, ordering and
         statistics — but backends with a zero-copy path (the processes
         world's shared-memory rings) override it to land the payload
         bytes directly in ``buf``.  The payload's element count must
-        equal ``buf``'s; dtype mismatches cast as ``np.copyto`` would.
-        Returns ``buf``.
+        equal ``buf``'s (else :class:`MessageError`); dtype mismatches
+        cast as ``np.copyto`` would.  Returns ``buf``.
         """
-        obj = self.recv(source, tag)
-        np.copyto(buf.reshape(-1), np.asarray(obj).reshape(-1))
+        copy_payload(buf, self.recv(source, tag), source, tag)
         return buf
-
-    def isend(self, obj: object, dest: int, tag: int = 0) -> "Request":
-        """Nonblocking send.  Sends are buffered, so the returned
-        request is already complete; provided for MPI-style symmetry."""
-        self.send(obj, dest, tag)
-        return CompletedRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Nonblocking receive: matching is deferred to wait()/test()."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        self._check_tag(tag, allow_wildcard=True)
-        return PendingRecv(self, source, tag)
-
-    def _try_recv(self, source: int, tag: int):
-        """Non-blocking matching attempt; returns the payload or None.
-
-        Backends with pollable inboxes override this (all four shipped
-        worlds do); the default makes Request.test() unavailable
-        (wait() always works).  Raises
-        :class:`~repro.mpc.errors.NotSupportedError` — a capability
-        gap, never a messaging fault.
-        """
-        raise NotSupportedError(
-            f"{type(self).__name__} does not support nonblocking test(); "
-            "use wait()"
-        )
 
     # -- collectives (defaults over p2p; see repro.mpc.collectives) -------
 
@@ -281,18 +246,6 @@ class Communicator(ABC):
         self._check_peer(root)
         tag = self._next_coll_tag()
         return collectives.bcast_binomial(self, obj, root, tag)
-
-    def reduce(
-        self, payload, op: ReduceOp = ReduceOp.SUM, root: int = 0
-    ):
-        """Reduce to ``root``; returns the result there, ``None`` elsewhere."""
-        from repro.mpc import collectives
-
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        result = collectives.reduce_binomial(self, payload, op, root, tag)
-        self._charge_reduction(payload)
-        return result
 
     def allreduce(self, payload, op: ReduceOp = ReduceOp.SUM):
         """Reduce across all ranks; every rank returns the full result.
@@ -353,14 +306,6 @@ class Communicator(ABC):
         tag = self._next_coll_tag()
         return collectives.allgather_bruck(self, obj, tag)
 
-    def scatter(self, objs: list | None, root: int = 0) -> object:
-        """Scatter one value per rank from ``root``."""
-        from repro.mpc import collectives
-
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        return collectives.scatter_linear(self, objs, root, tag)
-
     # -- sub-communicators -------------------------------------------------
 
     def split(self, color: int | None, key: int | None = None):
@@ -387,80 +332,17 @@ class Communicator(ABC):
             raise MessageError(f"peer rank {rank} out of range [0, {self._size})")
 
     @staticmethod
-    def _check_tag(tag: int, *, allow_wildcard: bool) -> None:
-        if tag == ANY_TAG:
-            if not allow_wildcard:
-                raise MessageError("ANY_TAG is only valid on recv")
-            return
+    def _check_tag(tag: int) -> None:
         if tag < 0:
             raise MessageError(f"tags must be >= 0, got {tag}")
 
 
-# ---------------------------------------------------------------------------
-# Nonblocking point-to-point (MPI isend/irecv style)
-
-class Request:
-    """Handle to a nonblocking operation.
-
-    ``wait()`` blocks until completion and returns the received payload
-    (``None`` for sends); ``test()`` polls without blocking and returns
-    ``(done, payload_or_None)``.  Mirrors mpi4py's lowercase
-    ``isend``/``irecv`` semantics: sends here are buffered, so a send
-    request is complete on creation; a receive request defers the
-    matching until waited or successfully tested.
-    """
-
-    def wait(self):
-        raise NotImplementedError
-
-    def test(self) -> tuple[bool, object]:
-        raise NotImplementedError
-
-
-class CompletedRequest(Request):
-    """An operation that finished eagerly (buffered sends)."""
-
-    def __init__(self, payload=None) -> None:
-        self._payload = payload
-
-    def wait(self):
-        return self._payload
-
-    def test(self) -> tuple[bool, object]:
-        return True, self._payload
-
-
-class PendingRecv(Request):
-    """A deferred receive: matching happens at wait/test time.
-
-    Once completed, further waits return the same payload (MPI requests
-    are single-completion; we keep the payload for convenience).
-    """
-
-    def __init__(self, comm: "Communicator", source: int, tag: int) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._payload: object = None
-
-    def wait(self):
-        if not self._done:
-            self._payload = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._payload
-
-    def test(self) -> tuple[bool, object]:
-        if self._done:
-            return True, self._payload
-        hit = self._comm._try_recv(self._source, self._tag)
-        if hit is None:
-            return False, None
-        self._payload = hit
-        self._done = True
-        return True, self._payload
-
-
-def waitall(requests: list[Request]) -> list:
-    """Wait on every request; returns their payloads in order."""
-    return [r.wait() for r in requests]
+def copy_payload(buf: np.ndarray, obj: object, source: int, tag: int) -> None:
+    """Copy a received payload into ``buf``; element counts must agree."""
+    arr = np.asarray(obj)
+    if arr.size != buf.size:
+        raise MessageError(
+            f"recv_into from rank {source} (tag {tag}): payload has "
+            f"{arr.size} elements, buffer has {buf.size}"
+        )
+    np.copyto(buf.reshape(-1), arr.reshape(-1))

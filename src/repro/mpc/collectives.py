@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.mpc.errors import MessageError
 from repro.mpc.reduceops import ReduceOp, combine
 
 #: Textbook name of the one Allreduce algorithm — what conformance
@@ -91,34 +90,7 @@ def bcast_binomial(comm, obj, root: int, tag: int):
 
 
 # ---------------------------------------------------------------------------
-# reduce / allreduce
-
-def reduce_binomial(comm, payload, op: ReduceOp, root: int, tag: int):
-    """Binomial-tree reduction to ``root``; ceil(log2 P) rounds.
-
-    Mirror image of the binomial broadcast: in round k every virtual
-    rank whose k-th bit is set sends its partial to virtual rank - 2^k
-    and retires.
-    """
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return payload if rank == root else None
-    me = _vrank(rank, root, size)
-    acc = payload
-    k = 0
-    alive = True
-    while (1 << k) < size:
-        dist = 1 << k
-        if alive:
-            if me & dist:
-                comm.send(acc, _prank(me - dist, root, size), tag + k)
-                alive = False
-            elif me + dist < size:
-                other = comm.recv(_prank(me + dist, root, size), tag + k)
-                acc = combine(acc, other, op)
-        k += 1
-    return acc if rank == root else None
-
+# allreduce
 
 class Step(NamedTuple):
     """One step of a rank's recursive-doubling schedule.
@@ -209,14 +181,13 @@ def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
 
 
 # ---------------------------------------------------------------------------
-# gather / allgather / scatter
+# gather / allgather
 
 def gather_linear(comm, obj, root: int, tag: int) -> list | None:
     """Everyone sends to root; root returns the rank-ordered list.
 
-    The root receives in rank order, never from ``ANY_SOURCE``: matching
-    in arrival order would make a virtual-time root's clock depend on
-    host thread scheduling.
+    The root receives from each rank in rank order, so its clock on a
+    virtual-time world never depends on host thread scheduling.
     """
     size, rank = comm.size, comm.rank
     if rank == root:
@@ -249,18 +220,3 @@ def allgather_bruck(comm, obj, tag: int) -> list:
     for i, val in enumerate(blocks):
         out[(rank + i) % size] = val
     return out
-
-
-def scatter_linear(comm, objs: list | None, root: int, tag: int):
-    """Root sends objs[r] to each rank r; returns the local element."""
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        if objs is None or len(objs) != size:
-            raise MessageError(
-                f"scatter root needs a list of exactly {size} payloads"
-            )
-        for peer in range(size):
-            if peer != root:
-                comm.send(objs[peer], peer, tag)
-        return objs[root]
-    return comm.recv(root, tag)

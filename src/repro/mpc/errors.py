@@ -7,15 +7,6 @@ class MessageError(RuntimeError):
     """Invalid point-to-point usage (bad rank, bad tag, self-send, ...)."""
 
 
-class NotSupportedError(RuntimeError):
-    """A backend lacks an optional capability (e.g. pollable ``test()``).
-
-    Deliberately *not* a :class:`MessageError` subclass: a capability
-    gap is a property of the backend, not a fault of any message, so
-    callers handling lost/invalid-message errors never swallow it.
-    """
-
-
 class CommTimeout(MessageError):
     """A blocking communication exceeded its configured timeout.
 

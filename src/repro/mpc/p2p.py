@@ -1,16 +1,15 @@
-"""The shared-memory point-to-point engine: mailboxes with tag matching.
+"""The shared-memory point-to-point engine: mailboxes of FIFO channels.
 
 Used by the thread world and the virtual-time simulator.  Each rank owns
 a :class:`Mailbox`; a send deposits an :class:`Envelope` into the
-destination's mailbox, a recv blocks until an envelope matching
-``(source, tag)`` is present.
+destination's mailbox, a recv blocks until the ``(source, tag)``
+channel it names holds an envelope.
 
-Matching follows MPI's non-overtaking rule: among envelopes that match,
-the one that was *sent earliest by its sender* wins (per-sender FIFO),
-with ties between different senders broken by deposit order.  Because
-the collectives always name exact sources, matching is deterministic
-regardless of thread scheduling — the property the simulator's
-reproducibility rests on.
+Every receive names an exact source and tag, so matching is a dict
+lookup of one channel, and each channel is a FIFO: messages from one
+sender with one tag are received in send order (MPI's non-overtaking
+rule).  Which message a receive gets therefore never depends on thread
+scheduling — the property the simulator's reproducibility rests on.
 
 Abort safety: every blocking wait watches the world's abort flag, so one
 crashed rank wakes all its peers with :class:`WorldAborted` instead of a
@@ -19,12 +18,11 @@ deadlock.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG
 from repro.mpc.errors import CommTimeout, WorldAborted
 
 #: How often blocked receivers re-check the abort flag (seconds).
@@ -39,7 +37,6 @@ class Envelope:
     tag: int
     payload: object
     nbytes: int
-    send_seq: int  # per-sender sequence number (non-overtaking order)
     #: Virtual availability time; only the simulator sets this.
     available_at: float = 0.0
 
@@ -74,49 +71,36 @@ class Mailbox:
         self.owner = owner
         self._abort = abort
         self._cond = threading.Condition()
-        self._messages: list[Envelope] = []
-        self._arrival = itertools.count()
-        self._order: list[int] = []  # deposit order, parallel to _messages
+        self._channels: dict[tuple[int, int], deque[Envelope]] = {}
 
     def deposit(self, env: Envelope) -> None:
         with self._cond:
-            self._messages.append(env)
-            self._order.append(next(self._arrival))
+            self._channels.setdefault((env.source, env.tag), deque()).append(env)
             self._cond.notify_all()
-
-    def _match_index(self, source: int, tag: int) -> int | None:
-        best: tuple[int, int] | None = None  # (send_seq-ish key, index)
-        for i, env in enumerate(self._messages):
-            if source not in (ANY_SOURCE, env.source):
-                continue
-            if tag not in (ANY_TAG, env.tag):
-                continue
-            key = (env.send_seq, self._order[i]) if source != ANY_SOURCE else (
-                self._order[i],
-                env.send_seq,
-            )
-            if best is None or key < best[0]:
-                best = (key, i)
-        return None if best is None else best[1]
 
     def collect(
         self, source: int, tag: int, timeout: float | None = None
     ) -> Envelope:
-        """Block until a matching envelope arrives; remove and return it.
+        """Block until channel (source, tag) is non-empty; pop its head.
 
         With ``timeout`` set, raises
         :class:`~repro.mpc.errors.CommTimeout` after that many seconds
-        without a match — the hook the configurable collective timeout
+        without a message — the hook the configurable collective timeout
         (``CollectiveConfig.timeout_seconds``) rides on.
         """
+        key = (source, tag)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
                 self._abort.check()
-                idx = self._match_index(source, tag)
-                if idx is not None:
-                    self._order.pop(idx)
-                    return self._messages.pop(idx)
+                channel = self._channels.get(key)
+                if channel:
+                    env = channel.popleft()
+                    if not channel:
+                        # Collective tags are used once; drop the
+                        # channel so the dict does not grow per call.
+                        del self._channels[key]
+                    return env
                 if deadline is not None and time.monotonic() >= deadline:
                     raise CommTimeout(
                         f"rank {self.owner} timed out after {timeout:.3g}s "
@@ -124,33 +108,7 @@ class Mailbox:
                     )
                 self._cond.wait(timeout=_WAKE_INTERVAL)
 
-    def try_collect(
-        self, source: int, tag: int, ready_by: float | None = None
-    ) -> Envelope | None:
-        """Non-blocking variant of :meth:`collect`.
-
-        ``ready_by`` (virtual-time worlds) withholds envelopes whose
-        ``available_at`` lies in the caller's future.  The check applies
-        to the envelope that *matching* selects: if the non-overtaking
-        winner is still in flight, the result is None even when a later
-        envelope would qualify — skipping past it would reorder a
-        sender's messages.
-        """
-        with self._cond:
-            self._abort.check()
-            idx = self._match_index(source, tag)
-            if idx is None:
-                return None
-            if ready_by is not None and self._messages[idx].available_at > ready_by:
-                return None
-            self._order.pop(idx)
-            return self._messages.pop(idx)
-
     def wake(self) -> None:
         """Nudge a blocked owner (used when the abort flag trips)."""
         with self._cond:
             self._cond.notify_all()
-
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._messages)

@@ -39,7 +39,7 @@ performance experiments use :mod:`repro.simnet` instead.
 
 from __future__ import annotations
 
-import itertools
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -53,10 +53,9 @@ from multiprocessing.connection import Connection, wait as conn_wait
 import numpy as np
 
 from repro.mpc.api import (
-    ANY_SOURCE,
-    ANY_TAG,
     CollectiveConfig,
     Communicator,
+    copy_payload,
     payload_nbytes,
 )
 from repro.mpc.errors import CommTimeout, MessageError, WorldAborted
@@ -199,10 +198,9 @@ class ProcessComm(Communicator):
         self._links = links
         self._abort_rx = abort_rx
         self._shm_links = shm_links or {}
-        self._send_seq = itertools.count()
         self._writer: _SendWorker | None = None
         # Messages read off a pipe but not yet matched, per source.
-        # Entries are mutable [tag, payload, seq] lists: a payload may
+        # Entries are mutable [tag, payload] lists: a payload may
         # be an unread ShmToken that a later match materializes in
         # place (ring order: earlier tokens are always read first).
         self._stash: dict[int, deque[list]] = {
@@ -228,7 +226,7 @@ class ProcessComm(Communicator):
         else:
             self.stats.n_shm_msgs += 1
             self.stats.shm_bytes += nbytes
-        item = (tag, payload, next(self._send_seq))
+        item = (tag, payload)
         conn = self._links[dest]
         writer = self._writer
         small = payload is not obj or nbytes < _DIRECT_SEND_MAX
@@ -252,21 +250,18 @@ class ProcessComm(Communicator):
             failed_rank, reason = self._abort_rx.recv()
             raise WorldAborted(failed_rank, reason)
 
-    def _try_match(self, source: int, tag: int):
-        sources = self._stash.keys() if source == ANY_SOURCE else (source,)
-        for src in sources:
-            queue = self._stash.get(src)
-            if not queue:
-                continue
-            for i, (msg_tag, obj, _seq) in enumerate(queue):
-                if tag in (ANY_TAG, msg_tag):
-                    del queue[i]
-                    return obj, src, msg_tag
+    def _try_match(self, source: int, tag: int) -> list | None:
+        """Pop the oldest stashed ``[tag, payload]`` entry of the channel."""
+        queue = self._stash[source]
+        for i, entry in enumerate(queue):
+            if entry[0] == tag:
+                del queue[i]
+                return entry
         return None
 
     def _drain_conn(self, conn: Connection, peer: int) -> None:
         try:
-            msg_tag, obj, seq = conn.recv()
+            msg_tag, obj = conn.recv()
         except (EOFError, OSError):
             # Peer's end closed: it died without an abort notice
             # (hard kill).  Surface it as a world abort so the
@@ -275,7 +270,7 @@ class ProcessComm(Communicator):
             raise WorldAborted(
                 peer, "peer pipe closed (process died)"
             ) from None
-        self._stash[peer].append([msg_tag, obj, seq])
+        self._stash[peer].append([msg_tag, obj])
 
     def _materialize(self, src: int, token: ShmToken,
                      out: np.ndarray | None = None):
@@ -314,21 +309,15 @@ class ProcessComm(Communicator):
         if source == self.rank:
             raise MessageError("process world does not support self-receives")
         stall_limit = self.collective_config.timeout_seconds or _STALL_LIMIT
-        conn_to_rank = {conn: peer for peer, conn in self._links.items()}
+        link = self._links[source]
         backoff = _RecvBackoff()
         last_progress = time.monotonic()
         while True:
             hit = self._try_match(source, tag)
             if hit is not None:
-                return hit
+                return hit[1]
             self._check_abort()
-            watch = (
-                list(self._links.values())
-                if source == ANY_SOURCE
-                else [self._links[source]]
-            )
-            ready = conn_wait(watch, timeout=backoff.next_timeout())
-            if not ready:
+            if not conn_wait([link], timeout=backoff.next_timeout()):
                 now = time.monotonic()
                 if now - last_progress >= stall_limit:
                     raise CommTimeout(
@@ -339,71 +328,38 @@ class ProcessComm(Communicator):
                 continue
             backoff.reset()
             last_progress = time.monotonic()
-            for conn in ready:
-                self._drain_conn(conn, conn_to_rank[conn])
+            self._drain_conn(link, source)
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
-        obj, src, msg_tag = self._recv_matched(source, tag)
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
+        obj = self._recv_matched(source, tag)
         if isinstance(obj, ShmToken):
-            nbytes = obj.nbytes
-            obj = self._materialize(src, obj)
-        else:
-            nbytes = payload_nbytes(obj)
-        return obj, src, msg_tag, nbytes
+            return self._materialize(source, obj), obj.nbytes
+        return obj, payload_nbytes(obj)
 
-    def recv_into(
-        self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> np.ndarray:
+    def recv_into(self, buf: np.ndarray, source: int, tag: int) -> np.ndarray:
         """In-place receive: shm payloads copy straight into ``buf``.
 
-        Same matching, ordering and statistics as :meth:`recv` followed
-        by a copy — minus the intermediate array when the payload came
-        through the ring.
+        Same matching, ordering, size check and statistics as
+        :meth:`recv` followed by a copy — minus the intermediate array
+        when the payload came through the ring.
         """
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        self._check_tag(tag, allow_wildcard=True)
+        self._check_peer(source)
+        self._check_tag(tag)
         t0 = time.perf_counter()
-        obj, src, _msg_tag = self._recv_matched(source, tag)
-        flat = buf.reshape(-1)
-        if isinstance(obj, ShmToken):
-            nbytes = obj.nbytes
-            self._materialize(src, obj, out=flat)
-        else:
+        obj = self._recv_matched(source, tag)
+        if not isinstance(obj, ShmToken):
             nbytes = payload_nbytes(obj)
-            np.copyto(flat, np.asarray(obj).reshape(-1))
+            copy_payload(buf, obj, source, tag)
+        elif math.prod(obj.shape) == buf.size:
+            nbytes = obj.nbytes
+            self._materialize(source, obj, out=buf.reshape(-1))
+        else:
+            # Read the ring anyway so it stays in step, then refuse.
+            copy_payload(buf, self._materialize(source, obj), source, tag)
         self.stats.seconds_in_comm += time.perf_counter() - t0
         self.stats.n_recvs += 1
         self.stats.bytes_received += nbytes
         return buf
-
-    def _try_recv(self, source: int, tag: int):
-        """Pollable inbox: drain ready pipes, then match without blocking."""
-        if source == self.rank:
-            raise MessageError("process world does not support self-receives")
-        hit = self._try_match(source, tag)
-        if hit is None:
-            self._check_abort()
-            watch = (
-                list(self._links.values())
-                if source == ANY_SOURCE
-                else [self._links[source]]
-            )
-            conn_to_rank = {conn: peer for peer, conn in self._links.items()}
-            for conn in conn_wait(watch, timeout=0):
-                self._drain_conn(conn, conn_to_rank[conn])
-            hit = self._try_match(source, tag)
-        if hit is None:
-            return None
-        obj, src, _msg_tag = hit
-        if isinstance(obj, ShmToken):
-            nbytes = obj.nbytes
-            obj = self._materialize(src, obj)
-        else:
-            nbytes = payload_nbytes(obj)
-        self.stats.n_recvs += 1
-        self.stats.bytes_received += nbytes
-        return obj
 
 
 def _worker_main(

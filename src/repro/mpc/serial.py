@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG, CollectiveConfig, Communicator
+from repro.mpc.api import CollectiveConfig, Communicator
 from repro.mpc.errors import MessageError
 
 
@@ -26,25 +26,13 @@ class SerialComm(Communicator):
         # dest is validated to be 0 by the base class.
         self._queue.append((obj, tag, nbytes))
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
-        if source not in (ANY_SOURCE, 0):
-            raise MessageError(f"no rank {source} in a serial world")
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
+        # source is validated to be 0 by the base class.
         for i, (obj, msg_tag, nbytes) in enumerate(self._queue):
-            if tag in (ANY_TAG, msg_tag):
+            if msg_tag == tag:
                 del self._queue[i]
-                return obj, 0, msg_tag, nbytes
+                return obj, nbytes
         raise MessageError(
             "serial recv would deadlock: no buffered message matches "
             f"(source={source}, tag={tag})"
         )
-
-    def _try_recv(self, source: int, tag: int):
-        if source not in (ANY_SOURCE, 0):
-            raise MessageError(f"no rank {source} in a serial world")
-        for i, (obj, msg_tag, nbytes) in enumerate(self._queue):
-            if tag in (ANY_TAG, msg_tag):
-                del self._queue[i]
-                self.stats.n_recvs += 1
-                self.stats.bytes_received += nbytes
-                return obj
-        return None

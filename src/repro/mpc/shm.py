@@ -25,9 +25,8 @@ with a single copy).
 Routing every *control* message — and every token — through the pipe
 keeps MPI's non-overtaking rule for free: the pipe is FIFO per pair,
 tokens arrive in ring-write order, and the ring is consumed in token
-order.  Matching, ``ANY_SOURCE``/``ANY_TAG`` wildcards, abort
-propagation and the pollable ``_try_recv`` inbox are completely
-unchanged; only the bulk bytes take the shortcut.
+order.  Matching by exact (source, tag) and abort propagation are
+completely unchanged; only the bulk bytes take the shortcut.
 
 Fallback rules (automatic, per message):
 

@@ -47,7 +47,7 @@ on the subcomm doing the call.
 
 from __future__ import annotations
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG, Communicator
+from repro.mpc.api import Communicator
 from repro.mpc.errors import MessageError
 
 #: Mapped tags are ``sub_tag * _TAG_STRIDE + ctx``.
@@ -88,9 +88,7 @@ class SubComm(Communicator):
 
     Constructed by :func:`comm_split`; not meant to be instantiated
     directly.  Supports the full Communicator API including further
-    splits.  ``ANY_TAG`` receives are rejected (a wildcard cannot be
-    mapped into the group's tag context); ``ANY_SOURCE`` is safe because
-    only group members ever send with this context's tags.
+    splits.
     """
 
     def __init__(
@@ -105,7 +103,6 @@ class SubComm(Communicator):
         self._parent = parent
         self._color = color
         self._world_ranks = world_ranks
-        self._group_rank_of = {r: g for g, r in enumerate(world_ranks)}
         self._ctx = ctx
         self.clock_kind = parent.clock_kind
 
@@ -153,28 +150,10 @@ class SubComm(Communicator):
         self._parent.stats.n_sends += 1
         self._parent.stats.bytes_sent += nbytes
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
-        if tag == ANY_TAG:
-            raise MessageError(
-                "ANY_TAG recv is not supported on a sub-communicator "
-                "(a wildcard cannot be mapped into the group tag context)"
-            )
-        world_src = (
-            ANY_SOURCE if source == ANY_SOURCE else self._world_ranks[source]
-        )
-        obj, src, _tg, nbytes = self._parent._recv_raw(
-            world_src, self._map_tag(tag)
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
+        obj, nbytes = self._parent._recv_raw(
+            self._world_ranks[source], self._map_tag(tag)
         )
         self._parent.stats.n_recvs += 1
         self._parent.stats.bytes_received += nbytes
-        return obj, self._group_rank_of[src], tag, nbytes
-
-    def _try_recv(self, source: int, tag: int):
-        if tag == ANY_TAG:
-            raise MessageError(
-                "ANY_TAG test() is not supported on a sub-communicator"
-            )
-        world_src = (
-            ANY_SOURCE if source == ANY_SOURCE else self._world_ranks[source]
-        )
-        return self._parent._try_recv(world_src, self._map_tag(tag))
+        return obj, nbytes

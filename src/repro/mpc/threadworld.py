@@ -15,7 +15,6 @@ virtual-time world in :mod:`repro.simnet`.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import traceback
 from collections.abc import Callable, Sequence
@@ -37,33 +36,16 @@ class ThreadComm(Communicator):
         super().__init__(rank=rank, size=len(mailboxes), collectives=collectives)
         self._mailboxes = mailboxes
         self._abort = abort
-        self._send_seq = itertools.count()
 
     def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
         self._abort.check()
-        self._mailboxes[dest].deposit(
-            Envelope(
-                source=self.rank,
-                tag=tag,
-                payload=obj,
-                nbytes=nbytes,
-                send_seq=next(self._send_seq),
-            )
-        )
+        self._mailboxes[dest].deposit(Envelope(self.rank, tag, obj, nbytes))
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         env = self._mailboxes[self.rank].collect(
             source, tag, timeout=self.collective_config.timeout_seconds
         )
-        return env.payload, env.source, env.tag, env.nbytes
-
-    def _try_recv(self, source: int, tag: int):
-        env = self._mailboxes[self.rank].try_collect(source, tag)
-        if env is None:
-            return None
-        self.stats.n_recvs += 1
-        self.stats.bytes_received += env.nbytes
-        return env.payload
+        return env.payload, env.nbytes
 
 
 def run_spmd_threads(

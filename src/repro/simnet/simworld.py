@@ -108,37 +108,6 @@ class SimComm(ThreadComm):
         self.clock += seconds
         self.compute_seconds += seconds
 
-    def _try_recv(self, source: int, tag: int):
-        """Poll *at the current virtual time*: match only arrived messages.
-
-        "Has the message arrived?" is answered at this rank's own clock:
-        an envelope matches only if its ``available_at`` is not in the
-        future (``ready_by``), so an ``irecv(...).test()`` right after
-        the matching send reports "not yet" until compute has advanced
-        the clock past the wire time.  A hit charges only the receive
-        overhead: the wire time has already elapsed.
-        """
-        env = self._mailboxes[self.rank].try_collect(
-            source, tag, ready_by=self.clock
-        )
-        if env is None:
-            return None
-        arrived = self.clock + self.machine.recv_overhead
-        if self.tracer is not None:
-            from repro.simnet.trace import TraceEvent
-
-            self.tracer.record(
-                TraceEvent(
-                    self.rank, "wait", self.clock, arrived,
-                    peer=env.source, tag=env.tag, nbytes=env.nbytes,
-                )
-            )
-        self.comm_seconds += arrived - self.clock
-        self.clock = arrived
-        self.stats.n_recvs += 1
-        self.stats.bytes_received += env.nbytes
-        return env.payload
-
     # -- priced point-to-point ----------------------------------------------
 
     def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
@@ -166,12 +135,11 @@ class SimComm(ThreadComm):
                 tag=tag,
                 payload=obj,
                 nbytes=nbytes,
-                send_seq=next(self._send_seq),
                 available_at=available,
             )
         )
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int, int, int]:
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         env = self._mailboxes[self.rank].collect(
             source, tag, timeout=self.collective_config.timeout_seconds
         )
@@ -187,7 +155,7 @@ class SimComm(ThreadComm):
             )
         self.comm_seconds += arrived - self.clock
         self.clock = arrived
-        return env.payload, env.source, env.tag, env.nbytes
+        return env.payload, env.nbytes
 
     # -- collectives: price the reduction arithmetic -----------------------
     #

@@ -284,12 +284,6 @@ class TestSpecAndPolicy:
         with pytest.raises(ValueError, match="policy"):
             Checkpointer(tmp_path, policy="sometimes")
 
-    def test_cycle_interval_gates_saves(self, tmp_path):
-        ck = Checkpointer(tmp_path, policy="per_cycle", cycle_interval=3)
-        assert [c for c in range(1, 10) if ck.want_cycle_save(c)] == [3, 6, 9]
-        ck2 = Checkpointer(tmp_path, policy="per_try")
-        assert not any(ck2.want_cycle_save(c) for c in range(1, 10))
-
     def test_spec_builds_rank_checkpointer(self, tmp_path):
         spec = CheckpointSpec(directory=str(tmp_path), policy="per_cycle")
         w = spec.build(0)

@@ -150,3 +150,15 @@ def test_each_save_is_one_ckpt_phase_on_the_writer_rank(db, tmp_path):
     assert writer.phase_calls["ckpt"] == saves
     assert writer.seconds("ckpt") > 0
     assert "ckpt" not in other.phase_seconds
+
+
+def test_per_cycle_saves_after_every_non_final_cycle(db, tmp_path, writes):
+    """Try-grouped ``per_cycle``: each group leader rewrites its try's
+    file after every non-final cycle, then once more when it completes."""
+    run = PAutoClass(
+        n_processors=2, backend="threads", try_groups=2, **CONFIG
+    ).fit(db, checkpoint="per_cycle", checkpoint_dir=tmp_path)
+    try_writes = Counter(name for name, _ in writes if name.startswith("try_"))
+    assert try_writes == {
+        f"try_{t.try_index:04d}.json": t.n_cycles for t in run.result.tries
+    }

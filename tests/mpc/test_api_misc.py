@@ -87,29 +87,3 @@ class TestTagSpace:
         boxes = [Mailbox(0, abort)]
         with pytest.raises(MessageError, match="rank"):
             ThreadComm(1, boxes, abort)
-
-
-class TestSimNonblocking:
-    def test_sim_test_never_raises_wait_works(self):
-        from repro.simnet.machine import meiko_cs2
-        from repro.simnet.simworld import run_spmd_sim
-
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(1, 3)
-                # test() is supported in virtual time: it answers from
-                # the clock-gated inbox and never raises or blocks.  A
-                # not-yet-arrived message is simply (False, None).
-                done, payload = req.test()
-                if done:
-                    assert payload == "sim-msg"
-                out = req.wait()
-                # After completion test() keeps reporting the result.
-                done, payload = req.test()
-                assert done and payload is out
-                return out
-            comm.send("sim-msg", 0, tag=3)
-            return None
-
-        run = run_spmd_sim(prog, 2, meiko_cs2(2))
-        assert run.results[0] == "sim-msg"

@@ -105,26 +105,6 @@ class TestBcast:
         assert run_spmd_threads(prog, 3) == [root] * 3
 
 
-class TestReduce:
-    @pytest.mark.parametrize("size", SIZES)
-    def test_root_gets_sum_others_none(self, size):
-        def prog(comm):
-            return comm.reduce(np.array([1.0]), root=0)
-
-        results = run_spmd_threads(prog, size)
-        assert results[0][0] == size
-        assert all(r is None for r in results[1:])
-
-    def test_nonzero_root(self):
-        def prog(comm):
-            out = comm.reduce(np.array([float(comm.rank)]), root=2)
-            return None if out is None else float(out[0])
-
-        results = run_spmd_threads(prog, 4)
-        assert results[2] == 0 + 1 + 2 + 3
-        assert results[0] is None
-
-
 class TestGatherScatter:
     @pytest.mark.parametrize("size", SIZES)
     def test_gather_rank_ordered(self, size):
@@ -141,22 +121,6 @@ class TestGatherScatter:
 
         for r in run_spmd_threads(prog, size):
             assert r == [i * 10 for i in range(size)]
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_scatter(self, size):
-        def prog(comm):
-            objs = [f"part{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        assert run_spmd_threads(prog, size) == [f"part{i}" for i in range(size)]
-
-    def test_scatter_wrong_length_raises(self):
-        def prog(comm):
-            objs = [1] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        with pytest.raises(RuntimeError, match="exactly"):
-            run_spmd_threads(prog, 3)
 
 
 class TestBarrier:

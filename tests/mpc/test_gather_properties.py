@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG
 from repro.mpc.collectives import gather_linear
 from repro.mpc.serial import SerialComm
 from repro.mpc.threadworld import run_spmd_threads
@@ -130,28 +129,22 @@ class TestGather:
 
     @pytest.mark.parametrize("root", [0, 2])
     def test_root_receives_in_rank_order(self, root):
-        """The root names every source, in rank order: a wildcard receive
-        matches in host arrival order, which would make a virtual-time
-        root's clock depend on thread scheduling."""
+        """The root names every source, in rank order: matching in host
+        arrival order would make a virtual-time root's clock depend on
+        thread scheduling."""
 
         class RecordingRoot:
-            """A gather root whose peers arrive in reverse rank order."""
+            """A gather root that records which source each receive names."""
 
             size = 4
 
             def __init__(self):
                 self.rank = root
                 self.sources = []
-                self._arrivals = [r for r in (3, 2, 1, 0) if r != root]
 
-            def recv_status(self, source=ANY_SOURCE, tag=ANY_TAG):
+            def recv(self, source, tag):
                 self.sources.append(source)
-                if source == ANY_SOURCE:
-                    source = self._arrivals.pop(0)
-                return ("from", source), source, tag
-
-            def recv(self, source=ANY_SOURCE, tag=ANY_TAG):
-                return self.recv_status(source, tag)[0]
+                return ("from", source)
 
         comm = RecordingRoot()
         out = gather_linear(comm, ("from", root), root, tag=7)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG
 from repro.mpc.errors import MessageError
 from repro.mpc.serial import SerialComm
 from repro.mpc.threadworld import run_spmd_threads
@@ -25,12 +24,12 @@ class TestSerialComm:
         comm = SerialComm()
         comm.send("x", 0, tag=1)
         comm.send("y", 0, tag=2)
-        assert comm.recv(tag=2) == "y"
-        assert comm.recv(tag=1) == "x"
+        assert comm.recv(0, 2) == "y"
+        assert comm.recv(0, 1) == "x"
 
     def test_empty_recv_raises_instead_of_deadlock(self):
         with pytest.raises(MessageError, match="deadlock"):
-            SerialComm().recv()
+            SerialComm().recv(0, 0)
 
     def test_collectives_are_identity(self):
         comm = SerialComm()
@@ -38,17 +37,16 @@ class TestSerialComm:
         assert comm.bcast("v") == "v"
         assert comm.gather("g") == ["g"]
         assert comm.allgather("a") == ["a"]
-        assert comm.scatter(["s"]) == "s"
         comm.barrier()
 
     def test_bad_peer_raises(self):
         with pytest.raises(MessageError, match="peer"):
-            SerialComm().send("x", 1)
+            SerialComm().send("x", 1, tag=0)
 
     def test_stats_counted(self):
         comm = SerialComm()
         comm.send(b"12345", 0, tag=0)
-        comm.recv()
+        comm.recv(0, 0)
         assert comm.stats.n_sends == 1
         assert comm.stats.n_recvs == 1
         assert comm.stats.bytes_sent == 5
@@ -60,8 +58,16 @@ class TestTagRules:
             SerialComm().send("x", 0, tag=-5)
 
     def test_any_tag_on_send_rejected(self):
-        with pytest.raises(MessageError, match="ANY_TAG"):
-            SerialComm().send("x", 0, tag=ANY_TAG)
+        with pytest.raises(MessageError, match="tags"):
+            SerialComm().send("x", 0, tag=-1)
+
+    def test_negative_recv_tag_rejected(self):
+        with pytest.raises(MessageError, match="tags"):
+            SerialComm().recv(0, -1)
+
+    def test_recv_source_out_of_world_rejected(self):
+        with pytest.raises(MessageError, match="peer"):
+            SerialComm().recv(-1, 0)
 
 
 class TestThreadWorldP2P:
@@ -88,28 +94,20 @@ class TestThreadWorldP2P:
         results = run_spmd_threads(prog, 2)
         assert results[1] == list(range(20))
 
-    def test_any_source_receives_from_all(self):
+    def test_channels_matched_by_source_and_tag(self):
+        """Each receive takes its (source, tag) channel's oldest message,
+        whatever else is queued from other senders or on other tags."""
         def prog(comm):
             if comm.rank == 0:
-                seen = sorted(
-                    comm.recv_status(ANY_SOURCE, 5)[1] for _ in range(comm.size - 1)
-                )
-                return seen
-            comm.send(None, 0, tag=5)
+                order = ((2, 1), (1, 1), (2, 0), (1, 0), (2, 0), (1, 0))
+                return [comm.recv(src, tag) for src, tag in order]
+            for i in range(3):
+                comm.send((comm.rank, i), 0, tag=i % 2)
             return None
 
-        results = run_spmd_threads(prog, 4)
-        assert results[0] == [1, 2, 3]
-
-    def test_recv_status_reports_source_and_tag(self):
-        def prog(comm):
-            if comm.rank == 1:
-                comm.send("hello", 0, tag=9)
-                return None
-            return comm.recv_status(ANY_SOURCE, ANY_TAG)
-
-        payload, src, tag = run_spmd_threads(prog, 2)[0]
-        assert (payload, src, tag) == ("hello", 1, 9)
+        assert run_spmd_threads(prog, 3)[0] == [
+            (2, 1), (1, 1), (2, 0), (1, 0), (2, 2), (1, 2)
+        ]
 
     def test_results_rank_ordered(self):
         assert run_spmd_threads(lambda comm: comm.rank, 6) == list(range(6))
@@ -168,3 +166,61 @@ def _failing_prog(comm):
 
 def _self_send_prog(comm):
     comm.send("x", comm.rank, tag=0)
+
+
+def _short_payload_prog(comm):
+    """Rank 1 receives a 1-element payload into a 4-element buffer, then
+    a well-sized one on the same channel."""
+    if comm.rank == 0:
+        comm.send(np.array([7.0]), 1, tag=5)
+        comm.send(np.arange(4.0), 1, tag=5)
+        return None
+    try:
+        comm.recv_into(np.zeros(4), 0, 5)
+        error = None
+    except MessageError as exc:
+        error = str(exc)
+    return error, comm.recv_into(np.zeros(4), 0, 5).tolist()
+
+
+def _serial_short_payload():
+    comm = SerialComm()
+    comm.send(np.array([7.0]), 0, tag=5)
+    comm.send(np.arange(4.0), 0, tag=5)
+    try:
+        comm.recv_into(np.zeros(4), 0, 5)
+        error = None
+    except MessageError as exc:
+        error = str(exc)
+    return error, comm.recv_into(np.zeros(4), 0, 5).tolist()
+
+
+def _run_short_payload(world):
+    if world == "serial":
+        return _serial_short_payload()
+    if world == "threads":
+        return run_spmd_threads(_short_payload_prog, 2)[1]
+    if world == "sim":
+        from repro.simnet.machine import meiko_cs2
+        from repro.simnet.simworld import run_spmd_sim
+
+        return run_spmd_sim(_short_payload_prog, 2, meiko_cs2(2)).results[1]
+    from repro.mpc.procworld import run_spmd_processes
+
+    transport = world.split("+")[1]
+    return run_spmd_processes(
+        _short_payload_prog, 2, transport=transport, timeout=120
+    )[1]
+
+
+@pytest.mark.parametrize(
+    "world", ["serial", "threads", "sim", "processes+shm", "processes+pipe"]
+)
+def test_recv_into_refuses_wrong_element_count(world):
+    """A payload whose element count differs from the buffer's raises one
+    MessageError naming both sizes on every world, and the channel stays
+    usable afterwards."""
+    error, after = _run_short_payload(world)
+    assert error is not None
+    assert "payload has 1 elements, buffer has 4" in error
+    assert after == [0.0, 1.0, 2.0, 3.0]

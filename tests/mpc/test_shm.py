@@ -189,17 +189,17 @@ class TestTransportEdgeCases:
         assert got["shm"] == got["pipe"] == [_canon(p) for p in payloads]
 
     def test_wildcard_interleaving_both_wires(self):
+        """Receives that skip ahead on one source's channels force the
+        earlier ring tokens out of the stash first, in ring order."""
         for transport in ("shm", "pipe"):
             res = run_spmd_processes(
-                _wildcard_prog, 3, transport=transport, timeout=120
+                _out_of_order_prog, 3, transport=transport, timeout=120
             )
-            by_src, tags = res[0]
-            # every message arrived, per-source order preserved
+            # per (source, tag) channel, send order preserved
             for src in (1, 2):
                 np.testing.assert_array_equal(
-                    [a[0] for a in by_src[src]], [0.0, 1.0, 2.0, 3.0]
+                    [a[0] for a in res[0][src]], [1.0, 3.0, 0.0, 2.0]
                 )
-            assert sorted(tags) == [0, 0, 0, 0, 1, 1, 1, 1]
         assert not _leaked_segments()
 
     def test_transport_counters(self):
@@ -242,17 +242,16 @@ class TestTransportEdgeCases:
         assert got["shm"] == got["pipe"] == [_canon(p) for p in payloads]
 
 
-def _wildcard_prog(comm):
-    from repro.mpc.api import ANY_SOURCE, ANY_TAG
-
+def _out_of_order_prog(comm):
+    """Ranks 1 and 2 each send arrays 0..3 on tags 0, 1, 0, 1; rank 0
+    takes both tag-1 messages of a source before its tag-0 ones, so the
+    tag-0 tokens sit in the stash while later ring bytes are read."""
     if comm.rank == 0:
+        order = [(2, 1), (1, 1), (1, 1), (2, 1), (1, 0), (2, 0), (2, 0), (1, 0)]
         by_src: dict[int, list] = {1: [], 2: []}
-        tags = []
-        for _ in range(8):
-            obj, src, tag = comm.recv_status(ANY_SOURCE, ANY_TAG)
-            by_src[src].append(obj)
-            tags.append(tag)
-        return by_src, tags
+        for src, tag in order:
+            by_src[src].append(comm.recv(src, tag))
+        return by_src
     for i in range(4):
         comm.send(np.full(3, float(i)), 0, tag=i % 2)
     return None

@@ -9,7 +9,6 @@ through the relay.
 import numpy as np
 import pytest
 
-from repro.mpc.api import ANY_SOURCE, ANY_TAG
 from repro.mpc.serial import SerialComm
 from repro.mpc.split import SubComm
 from repro.mpc.threadworld import run_spmd_threads
@@ -166,43 +165,6 @@ class TestIsolation:
 
         results = run_spmd_threads(prog, 2)
         assert results[1] == ("mapped", "raw")
-
-
-class TestWildcards:
-    def test_any_tag_recv_rejected(self):
-        def prog(comm):
-            sub = comm.split(color=0)
-            if comm.rank == 0:
-                sub.send("x", dest=1, tag=1)
-                return None
-            return sub.recv(source=0, tag=ANY_TAG)
-
-        with pytest.raises(RuntimeError, match="ANY_TAG"):
-            run_spmd_threads(prog, 2)
-
-    def test_any_tag_test_rejected(self):
-        def prog(comm):
-            sub = comm.split(color=0)
-            if comm.rank == 1:
-                req = sub.irecv(source=0, tag=ANY_TAG)
-                req.test()
-            else:
-                comm.split(color=None)  # keep rank 0 out of the way
-
-        with pytest.raises(RuntimeError, match="ANY_TAG"):
-            run_spmd_threads(prog, 2)
-
-    def test_any_source_allowed(self):
-        def prog(comm):
-            sub = comm.split(color=0)
-            if sub.rank == 0:
-                got = sub.recv(source=ANY_SOURCE, tag=9)
-                return got
-            sub.send(f"from-{sub.rank}", dest=0, tag=9)
-            return None
-
-        results = run_spmd_threads(prog, 3)
-        assert results[0] in ("from-1", "from-2")
 
 
 class TestAccounting:

@@ -27,7 +27,7 @@ CONFIG_FIELDS = {
         "max_cycles", "init_method", "seed", "duplicate_eps", "max_seconds",
     ),
     CollectiveConfig: ("timeout_seconds",),
-    CheckpointSpec: ("directory", "policy", "resume", "cycle_interval"),
+    CheckpointSpec: ("directory", "policy", "resume"),
     ScorerConfig: (
         "max_batch", "max_wait_ms", "queue_items", "n_workers",
         "submit_timeout_s", "default_timeout_s",
@@ -47,7 +47,7 @@ def test_config_fields_are_exactly_the_pinned_ones():
     for cls, expected in CONFIG_FIELDS.items():
         names = tuple(f.name for f in dataclasses.fields(cls))
         assert names == expected, cls.__name__
-    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 31
+    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 30
 
 
 def test_run_flags_are_exactly_the_pinned_ones():
