@@ -42,10 +42,8 @@ Package map (details in DESIGN.md):
 from repro.api import (
     BACKENDS,
     AutoClass,
-    FitConfig,
     NotFittedError,
     PAutoClass,
-    PAutoClassRun,
     Run,
     register_backend,
 )
@@ -91,12 +89,10 @@ __all__ = [
     "FaultInjected",
     "FaultInjector",
     "FaultSpec",
-    "FitConfig",
     "FittedModel",
     "ModelSpec",
     "NotFittedError",
     "PAutoClass",
-    "PAutoClassRun",
     "RealAttribute",
     "Run",
     "Scorer",

@@ -33,11 +33,11 @@ returned :class:`Run`, and on the servable
 — all over the same allocation-free batch kernels in
 :mod:`repro.serve.scoring`.
 
-Fit-time options (``kernels=``, ``instrument=``, ``verify=``,
-``checkpoint*=``, ``try_groups=``, ``faults=``, ``collectives=``) are
-one validated :class:`FitConfig`; the bare keyword arguments the
-constructors and ``fit`` accept are a thin shim that builds the same
-object.
+Fit-time options (``instrument=``, ``verify=``, ``checkpoint*=``,
+``try_groups=``, ``faults=``, ``collectives=``, ``transport=``) are
+bare keyword arguments of the constructors and ``fit``; they build one
+validated :class:`FitConfig`, which travels to the backend inside the
+per-attempt :class:`FitJob`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.engine.search import (
     run_search,
     search_config_for,
 )
-from repro.kernels import config as kernel_config
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import CollectiveConfig
@@ -197,23 +196,14 @@ def check_verify(verify: str, config: SearchConfig, db) -> None:
         )
 
 
-#: Sentinel distinguishing "keyword not passed" from an explicit value
-#: (so bare fit keywords can shim onto :class:`FitConfig` defaults).
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Every fit-time option of :class:`AutoClass` / :class:`PAutoClass`,
     validated once.
 
-    One frozen object replaces the historical kwarg sprawl across the
-    constructors and ``fit`` (``instrument=``, ``kernels=``,
-    ``verify=``, ``checkpoint*=``, ``try_groups=``, ``faults=``,
-    ``collectives=``).  Both classes still accept the same bare
-    keywords — they are a thin shim that builds (or
-    :meth:`merged`-overrides) this object; passing ``options=``
-    *and* a bare keyword is an error, never a silent merge.
+    The constructors and ``fit`` take these as bare keywords and build
+    this frozen object from them; a backend reads it from
+    :attr:`FitJob.options`.
 
     ``try_groups`` / ``collectives`` / ``faults`` / ``transport`` are
     parallel-only: the ``"sequential"`` backend (hence
@@ -222,8 +212,6 @@ class FitConfig:
 
     #: Observability level: ``"off"`` | ``"phases"`` | ``"full"``.
     instrument: str = "off"
-    #: Kernel path: None (= ``"fused"``) | ``"fused"`` | ``"reference"``.
-    kernels: str | None = None
     #: Conformance shadow run: ``"off"`` | ``"trace"`` | ``"strict"``.
     verify: str = "off"
     #: Checkpoint policy: ``"off"`` | ``"per_try"`` | ``"per_cycle"``.
@@ -242,8 +230,6 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         check_instrument(self.instrument)
-        if self.kernels is not None:
-            kernel_config.resolve(self.kernels)  # validate eagerly
         if self.verify not in VERIFY_LEVELS:
             raise ValueError(
                 f"verify {self.verify!r} not in {VERIFY_LEVELS}"
@@ -260,34 +246,6 @@ class FitConfig:
                 f"transport {self.transport!r} not in {TRANSPORTS}"
             )
 
-    def merged(self, **overrides) -> "FitConfig":
-        """A copy with the non-:data:`_UNSET` overrides applied."""
-        given = {k: v for k, v in overrides.items() if v is not _UNSET}
-        return dc_replace(self, **given) if given else self
-
-
-def _fit_options(base: FitConfig, options: FitConfig | None, **bare) -> FitConfig:
-    """Resolve an ``options=`` object vs. bare keywords against ``base``.
-
-    ``options=`` replaces the base wholesale; bare keywords override
-    just the fields they name; both together is an error.  The
-    constructors resolve against the defaults (``FitConfig()``), ``fit``
-    against the constructor-time options.
-    """
-    if options is None:
-        return base.merged(**bare)
-    if not isinstance(options, FitConfig):
-        raise TypeError(
-            f"options must be a FitConfig, got {type(options).__name__}"
-        )
-    given = sorted(k for k, v in bare.items() if v is not _UNSET)
-    if given:
-        raise ValueError(
-            "pass either options= or bare fit keywords, not both "
-            f"(got options= and {given})"
-        )
-    return options
-
 
 def _verified(
     run: Run,
@@ -295,38 +253,31 @@ def _verified(
     *,
     config: SearchConfig,
     spec: ModelSpec | None,
-    kernels: str | None,
     verify: str,
 ) -> Run:
     """Run the conformance shadow fit and attach/enforce its report.
 
     The shadow is always a *sequential* run over the same seeded
-    config.  For a parallel primary it uses the same kernel path —
-    isolating the parallelism axis (the paper's claim).  For a
-    sequential primary it uses the *opposite* kernel path — the only
-    remaining differential axis.  Strict mode raises
+    config.  A parallel primary is shadowed on the fused kernel path it
+    ran on — isolating the parallelism axis (the paper's claim).  A
+    sequential primary is shadowed on the reference kernel path — the
+    only remaining differential axis.  Strict mode raises
     :class:`repro.verify.ConformanceError` with a first-divergence
     report; trace mode only attaches ``run.conformance``.
     """
     from repro.verify.conformance import ConformanceError, compare_traces
     from repro.verify.trace import RunTrace, TraceMeta, capture_trace
 
-    resolved = kernel_config.resolve(kernels)
     primary_meta = TraceMeta(
-        case="", world=run.backend, size=run.n_processors,
-        kernels=resolved,
+        case="", world=run.backend, size=run.n_processors, kernels="fused",
     )
     primary = RunTrace.from_run(run, db, primary_meta)
-    if run.backend == "sequential":
-        shadow_kernels = "reference" if resolved == "fused" else "fused"
-    else:
-        shadow_kernels = resolved
     shadow = capture_trace(
         db,
         asdict(config),
         world="sequential",
         size=1,
-        kernels=shadow_kernels,
+        kernels="reference" if run.backend == "sequential" else "fused",
         instrument="full" if run.instrument == "full" else "off",
         spec=spec,
     )
@@ -376,10 +327,6 @@ class Run(Inference):
     #: unless fitted with ``verify="trace"`` or ``"strict"``); a
     #: :class:`repro.verify.ConformanceReport`.
     conformance: object | None = None
-    #: Kernel path the fit ran under (None = ``"fused"``) —
-    #: inference below scores with the same path, so ``predict`` on the
-    #: training database reproduces the run's final class map.
-    kernels: str | None = None
 
     @property
     def best(self):
@@ -404,9 +351,8 @@ class Run(Inference):
 
         return render_run(self.record)
 
-    def _scored(self):
-        # Inference scores with the kernel path the fit ran under.
-        return self.best.classification, self.kernels
+    def _classification(self):
+        return self.best.classification
 
     def fitted(self, db: Database | None = None, *, summary=None):
         """Export the servable :class:`repro.serve.FittedModel`.
@@ -418,11 +364,6 @@ class Run(Inference):
         from repro.serve.artifact import FittedModel
 
         return FittedModel.from_run(self, db, summary=summary)
-
-
-#: Backwards-compatible alias — PR 1's parallel-fit result type is now
-#: the unified :class:`Run`.
-PAutoClassRun = Run
 
 
 @dataclass(frozen=True)
@@ -437,12 +378,16 @@ class FitJob:
     n_processors: int
     #: The effective search config (streamed init default applied).
     config: SearchConfig
-    #: The resolved fit options (constructor + ``fit`` overrides).
+    #: The resolved fit options (constructor + ``fit`` keywords).
     options: FitConfig
     #: This attempt's checkpoint setup (retries always resume).
     ckpt: CheckpointSpec | None = None
     #: This attempt's fault plan (disarmed on retries).
     faults: FaultInjector | None = None
+    #: E/M kernel path (:mod:`repro.kernels.config`).  Estimator fits
+    #: always run ``"fused"``; :func:`repro.verify.trace.capture_trace`
+    #: builds jobs on ``"reference"`` to fit the conformance oracle.
+    kernels: str = "fused"
 
 
 #: A backend runner executes one fit attempt:
@@ -494,7 +439,6 @@ def _assemble_run(
         ),
         sim_elapsed=sim_elapsed,
         timeline=timeline,
-        kernels=job.options.kernels,
     )
 
 
@@ -507,7 +451,7 @@ def _sequential_backend(job: FitJob, db: Database, spec: ModelSpec) -> Run:
     search = functools.partial(
         run_search, db, job.config, spec,
         checkpointer=None if job.ckpt is None else job.ckpt.build(0),
-        kernels=opts.kernels,
+        kernels=job.kernels,
     )
     if opts.instrument == "off":
         pair = search(), None
@@ -538,7 +482,7 @@ def _spmd_backend(
         tracer = Tracer()
     pairs, sim_elapsed = run_world(
         world, job.n_processors, recorded_pautoclass,
-        db, job.config, spec, opts.instrument, opts.kernels,
+        db, job.config, spec, opts.instrument, job.kernels,
         job.ckpt, job.faults, opts.try_groups,
         collectives=opts.collectives, transport=opts.transport,
         tracer=tracer,
@@ -613,13 +557,12 @@ class _Estimator(Inference):
         self,
         db: Database,
         *,
-        options: FitConfig | None = None,
-        checkpoint: str = _UNSET,
-        checkpoint_dir: str | Path | None = _UNSET,
-        resume: bool = _UNSET,
-        max_restarts: int = _UNSET,
-        faults=_UNSET,
-        verify: str = _UNSET,
+        checkpoint: str = "off",
+        checkpoint_dir: str | Path | None = None,
+        resume: bool = True,
+        max_restarts: int = 0,
+        faults: FaultInjector | None = None,
+        verify: str = "off",
     ) -> Run:
         """Run the BIG_LOOP search on the configured backend; returns
         (and stores) the :class:`Run`.
@@ -645,18 +588,18 @@ class _Estimator(Inference):
         ``verify`` runs a *sequential* shadow fit over the same seeded
         config and compares the two searches under the tolerance the
         run pair resolves to (:mod:`repro.verify`): a parallel fit is
-        shadowed on the same kernel path (bitwise for a 1-rank world,
-        the reduction-order bound otherwise), a sequential fit on the
-        *opposite* kernel path.  ``"trace"`` attaches the report as
+        shadowed on the same fused kernel path (bitwise for a 1-rank
+        world, the reduction-order bound otherwise), a sequential fit on
+        the reference kernel path.  ``"trace"`` attaches the report as
         ``run.conformance``; ``"strict"`` additionally raises
         :class:`repro.verify.ConformanceError` on any divergence, with
         a first-divergence report (cycle, term, max abs/rel error).
 
-        Any constructor-time option may be overridden per fit — by the
-        bare keywords above, or wholesale with ``options=``.
+        These keywords apply to this fit only; the constructor-time
+        options (``self.options``) are left as they were.
         """
-        opts = _fit_options(
-            self.options, options,
+        opts = dc_replace(
+            self.options,
             checkpoint=checkpoint, checkpoint_dir=checkpoint_dir,
             resume=resume, max_restarts=max_restarts, faults=faults,
             verify=verify,
@@ -696,8 +639,7 @@ class _Estimator(Inference):
             # After the retry loop on purpose: a ConformanceError is a
             # *finding*, not a transient failure to restart through.
             run = _verified(
-                run, db, config=config, spec=self.spec,
-                kernels=opts.kernels, verify=opts.verify,
+                run, db, config=config, spec=self.spec, verify=opts.verify,
             )
         self.run_ = run
         self._db = db
@@ -720,8 +662,8 @@ class _Estimator(Inference):
         """The best classification found by :meth:`fit`."""
         return self._fitted_run().best.classification
 
-    def _scored(self):
-        return self._fitted_run()._scored()
+    def _classification(self):
+        return self._fitted_run()._classification()
 
     def fitted(self, db: Database | None = None, *, summary=None):
         """Servable :class:`repro.serve.FittedModel` of the last fit.
@@ -763,11 +705,8 @@ class AutoClass(_Estimator):
     per-cycle telemetry) to collect an observability record; it is
     available as ``run.record`` and rendered by ``run.report()``.
 
-    All fit-time options may also be passed as one validated
-    :class:`FitConfig` via ``options=`` (to the constructor or to
-    ``fit``); the bare keywords build the same object.  This is
-    :class:`PAutoClass` on the ``"sequential"`` backend — the parallel-
-    only options (``try_groups``, ``collectives``, ``faults``,
+    This is :class:`PAutoClass` on the ``"sequential"`` backend — the
+    parallel-only options (``try_groups``, ``collectives``, ``faults``,
     ``transport``) are rejected.
     """
 
@@ -775,17 +714,11 @@ class AutoClass(_Estimator):
         self,
         spec: ModelSpec | None = None,
         *,
-        options: FitConfig | None = None,
-        instrument: str = _UNSET,
-        kernels: str | None = _UNSET,
+        instrument: str = "off",
         **config,
     ) -> None:
         super().__init__(
-            1, "sequential", spec,
-            _fit_options(
-                FitConfig(), options, instrument=instrument, kernels=kernels
-            ),
-            config,
+            1, "sequential", spec, FitConfig(instrument=instrument), config
         )
 
 
@@ -815,13 +748,10 @@ class PAutoClass(_Estimator):
         backend: str = "threads",
         spec: ModelSpec | None = None,
         collectives: CollectiveConfig | None = None,
-        instrument: str = _UNSET,
-        kernels: str | None = _UNSET,
+        instrument: str = "off",
         trace: bool | None = None,
-        try_groups: int | str | None = _UNSET,
-        transport: str | None = _UNSET,
-        *,
-        options: FitConfig | None = None,
+        try_groups: int | str | None = None,
+        transport: str | None = None,
         **config,
     ) -> None:
         if trace is not None:
@@ -830,18 +760,11 @@ class PAutoClass(_Estimator):
                 "instrument='full' (works on every backend and also "
                 "produces the sim timeline)"
             )
-        # collectives keeps its historical positional slot; None means
-        # unset so it composes with options= like the other keywords.
         super().__init__(
             n_processors, backend, spec,
-            _fit_options(
-                FitConfig(),
-                options,
-                instrument=instrument,
-                kernels=kernels,
-                try_groups=try_groups,
-                transport=transport,
-                collectives=collectives if collectives is not None else _UNSET,
+            FitConfig(
+                instrument=instrument, try_groups=try_groups,
+                transport=transport, collectives=collectives,
             ),
             config,
         )

@@ -334,14 +334,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.serve.scoring import score_batch
 
     db = load_database(args.data)
-    kernels = None
     if args.model:
         try:
             model = FittedModel.load(args.model)
         except ArtifactError as exc:
             raise SystemExit(f"bad model artifact: {exc}") from None
         clf = model.classification
-        kernels = model.kernels
     else:
         from repro.engine.results_io import (
             ResultsFormatError,
@@ -358,7 +356,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             "schema mismatch: the model was fitted on different "
             "attributes than the given database"
         )
-    scores = score_batch(db, clf, kernels=kernels)
+    scores = score_batch(db, clf)
     hard = scores.labels
     buf = io.StringIO()
     if args.proba:

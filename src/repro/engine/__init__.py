@@ -20,11 +20,7 @@ algorithm".
 """
 
 from repro.engine.classification import Classification, Scores
-from repro.engine.convergence import (
-    ConvergenceChecker,
-    RelativeDeltaChecker,
-    SlidingWindowChecker,
-)
+from repro.engine.convergence import RelativeDeltaChecker
 from repro.engine.cycle import CycleStats, LocalReducer, base_cycle
 from repro.engine.init import initial_classification, random_weights
 from repro.engine.modelsearch import (
@@ -45,7 +41,6 @@ from repro.engine.search import SearchConfig, SearchResult, TryResult, run_searc
 __all__ = [
     "ClassReport",
     "Classification",
-    "ConvergenceChecker",
     "CycleStats",
     "LocalReducer",
     "ModelSearchResult",
@@ -53,7 +48,6 @@ __all__ = [
     "Scores",
     "SearchConfig",
     "SearchResult",
-    "SlidingWindowChecker",
     "TryResult",
     "base_cycle",
     "candidate_specs",

@@ -1,34 +1,39 @@
-"""Stopping conditions for the inner EM loop.
+"""Stopping condition for the inner EM loop.
 
-AutoClass C offers several "try convergence" criteria; the two that
-matter for reproducing the paper's runtime profile are implemented:
+AutoClass C offers several "try convergence" criteria; the search uses
+its ``converge_print`` style one, :class:`RelativeDeltaChecker`: stop
+when the relative improvement of the score falls below ``rel_delta``
+for ``n_consecutive`` cycles, or after ``max_cycles``.
 
-* :class:`RelativeDeltaChecker` — stop when the relative improvement of
-  the score falls below ``rel_delta`` for ``n_consecutive`` cycles
-  (AutoClass's ``converge_print`` style criterion);
-* :class:`SlidingWindowChecker` — stop when the score range over the
-  last ``window`` cycles is below ``range_factor`` times the average
-  per-cycle movement earlier in the run (AutoClass's ``converge_3``
-  style criterion, more robust to slow oscillating tails).
-
-Both are deterministic functions of the score sequence, so replicated
+It is a deterministic function of the score sequence, so replicated
 ranks of a parallel run — which all see identical (allreduced) scores —
 decide to stop on exactly the same cycle with no extra communication.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 
-class ConvergenceChecker(ABC):
-    """Feed per-cycle scores to :meth:`update`; it returns True to stop."""
+class RelativeDeltaChecker:
+    """Feed per-cycle scores to :meth:`update`; it returns True to stop —
+    after ``n_consecutive`` cycles of relative change < ``rel_delta``,
+    or at ``max_cycles``."""
 
-    def __init__(self, max_cycles: int = 200) -> None:
+    def __init__(
+        self,
+        rel_delta: float = 1e-4,
+        n_consecutive: int = 2,
+        max_cycles: int = 200,
+    ) -> None:
         if max_cycles < 1:
             raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
+        if rel_delta <= 0:
+            raise ValueError(f"rel_delta must be > 0, got {rel_delta}")
+        if n_consecutive < 1:
+            raise ValueError(f"n_consecutive must be >= 1, got {n_consecutive}")
+        self.rel_delta = rel_delta
+        self.n_consecutive = n_consecutive
         self.max_cycles = max_cycles
         self.history: list[float] = []
 
@@ -49,32 +54,6 @@ class ConvergenceChecker(ABC):
     def hit_cycle_limit(self) -> bool:
         return len(self.history) >= self.max_cycles
 
-    @abstractmethod
-    def _decide(self) -> bool:
-        """Criterion-specific decision over ``self.history``."""
-
-    @abstractmethod
-    def fresh(self) -> "ConvergenceChecker":
-        """A new checker with the same settings and empty history."""
-
-
-class RelativeDeltaChecker(ConvergenceChecker):
-    """Stop after ``n_consecutive`` cycles of relative change < ``rel_delta``."""
-
-    def __init__(
-        self,
-        rel_delta: float = 1e-4,
-        n_consecutive: int = 2,
-        max_cycles: int = 200,
-    ) -> None:
-        super().__init__(max_cycles=max_cycles)
-        if rel_delta <= 0:
-            raise ValueError(f"rel_delta must be > 0, got {rel_delta}")
-        if n_consecutive < 1:
-            raise ValueError(f"n_consecutive must be >= 1, got {n_consecutive}")
-        self.rel_delta = rel_delta
-        self.n_consecutive = n_consecutive
-
     def _decide(self) -> bool:
         h = self.history
         if len(h) < self.n_consecutive + 1:
@@ -86,52 +65,9 @@ class RelativeDeltaChecker(ConvergenceChecker):
         return True
 
     def fresh(self) -> "RelativeDeltaChecker":
+        """A new checker with the same settings and empty history."""
         return RelativeDeltaChecker(
             rel_delta=self.rel_delta,
             n_consecutive=self.n_consecutive,
-            max_cycles=self.max_cycles,
-        )
-
-
-class SlidingWindowChecker(ConvergenceChecker):
-    """Stop when the recent score range collapses relative to early movement.
-
-    Converged when ``max - min`` over the last ``window`` scores is less
-    than ``range_factor`` times the mean absolute per-cycle delta over
-    the run so far (with an absolute floor of ``abs_delta`` to terminate
-    runs that start already converged).
-    """
-
-    def __init__(
-        self,
-        window: int = 4,
-        range_factor: float = 0.01,
-        abs_delta: float = 1e-6,
-        max_cycles: int = 200,
-    ) -> None:
-        super().__init__(max_cycles=max_cycles)
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        if range_factor <= 0:
-            raise ValueError(f"range_factor must be > 0, got {range_factor}")
-        self.window = window
-        self.range_factor = range_factor
-        self.abs_delta = abs_delta
-
-    def _decide(self) -> bool:
-        h = self.history
-        if len(h) < self.window + 1:
-            return False
-        recent = h[-self.window :]
-        recent_range = max(recent) - min(recent)
-        deltas = np.abs(np.diff(h))
-        mean_move = float(deltas.mean())
-        return recent_range <= max(self.range_factor * mean_move, self.abs_delta)
-
-    def fresh(self) -> "SlidingWindowChecker":
-        return SlidingWindowChecker(
-            window=self.window,
-            range_factor=self.range_factor,
-            abs_delta=self.abs_delta,
             max_cycles=self.max_cycles,
         )

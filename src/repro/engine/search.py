@@ -32,7 +32,7 @@ import numpy as np
 from repro.data.database import Database
 from repro.data.shards import is_streamable
 from repro.engine.classification import Classification
-from repro.engine.convergence import ConvergenceChecker, RelativeDeltaChecker
+from repro.engine.convergence import RelativeDeltaChecker
 from repro.engine.cycle import LocalReducer, base_cycle
 from repro.engine.init import (
     INIT_METHODS,
@@ -88,7 +88,7 @@ class SearchConfig:
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive (or None)")
 
-    def checker(self) -> ConvergenceChecker:
+    def checker(self) -> RelativeDeltaChecker:
         return RelativeDeltaChecker(
             rel_delta=self.rel_delta,
             n_consecutive=self.n_consecutive,

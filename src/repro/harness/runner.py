@@ -677,9 +677,7 @@ def serve_throughput_demo(scale: ExperimentScale) -> Table:
         model.predict(r)
     single = time.perf_counter() - t0
 
-    config = ScorerConfig(
-        max_batch=max_batch, n_workers=1, queue_items=n_requests
-    )
+    config = ScorerConfig(max_batch=max_batch, queue_items=n_requests)
     scorer = Scorer(model, config, start=False)
     pending = [scorer.submit(r) for r in requests]
     t0 = time.perf_counter()

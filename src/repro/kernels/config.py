@@ -8,7 +8,10 @@ The engine's E/M hot path exists in two interchangeable implementations:
   was seeded with, retained verbatim as the :mod:`repro.verify` oracle.
 
 The one selector is the explicit ``kernels=`` argument threaded through
-every call site; ``None`` means ``"fused"``.  There is deliberately no
+every engine call site; ``None`` means ``"fused"``.  Above the engine it
+is not a user option: estimator fits and serving run ``"fused"``, and
+only :mod:`repro.verify` fits ``"reference"`` (through
+:attr:`repro.api.FitJob.kernels`), as its oracle.  There is deliberately no
 process-wide switch: all ranks of one run must execute the same kernel
 implementation to keep the replicated control flow bit-identical, and an
 argument carried by the fit is the only thing every rank of every world

@@ -67,16 +67,6 @@ class CommStats:
     n_pipe_msgs: int = 0
     pipe_bytes: int = 0
 
-    def snapshot(self) -> "CommStats":
-        return CommStats(**vars(self))
-
-    def delta(self, earlier: "CommStats") -> "CommStats":
-        """Stats accumulated since ``earlier`` (a prior snapshot)."""
-        return CommStats(**{
-            name: value - vars(earlier)[name]
-            for name, value in vars(self).items()
-        })
-
 
 @dataclass(frozen=True)
 class CollectiveConfig:

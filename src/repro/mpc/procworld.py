@@ -417,7 +417,7 @@ def run_spmd_processes(
     ``transport`` selects how ndarray payloads travel: ``"shm"``
     (default) routes contiguous float64/int64 arrays through per-pair
     shared-memory rings of ``ring_capacity`` bytes (default:
-    :func:`repro.mpc.shm.default_ring_capacity`); ``"pipe"`` pickles
+    :data:`repro.mpc.shm.DEFAULT_RING_CAPACITY`); ``"pipe"`` pickles
     everything over the pipe mesh.  Results are bitwise identical
     either way — only the wire changes.
 

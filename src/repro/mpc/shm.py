@@ -76,9 +76,6 @@ SEGMENT_PREFIX = "repro_shm_"
 #: lazily, so unused capacity costs address space, not memory.
 DEFAULT_RING_CAPACITY = 1 << 23  # 8 MiB
 
-#: Environment override for the default ring capacity.
-RING_CAPACITY_ENV = "REPRO_SHM_RING_BYTES"
-
 #: Byte offsets of the control cursors and the data area.
 _TAIL_OFF = 0
 _HEAD_OFF = 64
@@ -87,22 +84,6 @@ DATA_OFFSET = 128
 #: dtypes eligible for the ring fast path (the reduction hot path is
 #: float64; int64 covers the class-count payloads).
 RING_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
-
-
-def default_ring_capacity() -> int:
-    """The configured per-direction ring capacity in bytes."""
-    raw = os.environ.get(RING_CAPACITY_ENV)
-    if raw is None:
-        return DEFAULT_RING_CAPACITY
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MessageError(
-            f"{RING_CAPACITY_ENV} must be an int, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise MessageError(f"{RING_CAPACITY_ENV} must be >= 1, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -235,7 +216,7 @@ class ShmTransport:
         from multiprocessing import shared_memory
 
         self.capacity = (
-            default_ring_capacity() if capacity is None else int(capacity)
+            DEFAULT_RING_CAPACITY if capacity is None else int(capacity)
         )
         if self.capacity < 1:
             raise MessageError(

@@ -169,7 +169,7 @@ class Recorder:
     __slots__ = (
         "level", "rank", "size", "clock", "clock_kind",
         "phase_seconds", "phase_calls", "counters",
-        "cycles_", "comm_events_", "comm_totals",
+        "cycles_", "comm_events_",
         "_t_start", "_cycle_index", "_prev_log_marginal", "_full",
     )
 
@@ -198,7 +198,6 @@ class Recorder:
         self.counters: dict[str, int] = {}
         self.cycles_: list = []
         self.comm_events_: list = []
-        self.comm_totals: dict[str, float] = {}
         self._t_start = clock()
         self._cycle_index = 0
         self._prev_log_marginal: float | None = None
@@ -216,8 +215,6 @@ class Recorder:
     def comm_event(
         self, phase: str, nbytes: int, seconds: float, n_calls: int = 1
     ) -> None:
-        self.comm_totals["nbytes"] = self.comm_totals.get("nbytes", 0) + nbytes
-        self.comm_totals["n_calls"] = self.comm_totals.get("n_calls", 0) + n_calls
         if self._full:
             from repro.obs.record import CommEventRecord
 

@@ -5,14 +5,14 @@ the serving path (:mod:`repro.serve`) has a different shape — a request
 queue, dynamic batches, per-request deadlines — so it gets its own
 small, thread-safe aggregate.  A :class:`ServeMetrics` lives on each
 :class:`repro.serve.scorer.Scorer` and is updated by the submitting
-threads and the worker pool; :meth:`snapshot` returns a plain dict
+threads and the worker thread; :meth:`snapshot` returns a plain dict
 (JSON-ready) and :meth:`render` a human table, mirroring the
 ``snapshot/render`` idiom of :mod:`repro.obs.report`.
 
 Batch sizes are kept as an exact histogram (size -> count): batches are
 bounded by ``max_batch``, so the histogram is small by construction,
 and the batch-size distribution *is* the tuning signal the
-``max_batch`` / ``max_wait_ms`` knobs are turned against.
+``max_batch`` knob is turned against.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ServeMetrics:
             self.n_timeouts += 1
 
     def on_cancel(self) -> None:
-        """A timed-out request removed from the queue before a worker
+        """A timed-out request removed from the queue before the worker
         took it — its kernel pass was saved."""
         with self._lock:
             self.n_cancelled += 1

@@ -5,13 +5,13 @@ the paper's training machinery:
 
 * :mod:`repro.serve.artifact` — the versioned, frozen, sha256-digested
   :class:`FittedModel` (JSON + npz save/load; carries spec, class
-  params, mixture weights and the training kernel mode);
+  params, mixture weights and the prior anchors);
 * :mod:`repro.serve.scoring`  — allocation-free batch ``predict`` /
   ``predict_logproba`` / ``score`` kernels over the
   :mod:`repro.kernels` plan/workspace machinery;
 * :mod:`repro.serve.scorer`   — the micro-batching in-process
-  :class:`Scorer` (bounded queue, dynamic batching, worker pool,
-  backpressure, per-request deadlines);
+  :class:`Scorer` (bounded queue, dynamic batching on one worker
+  thread, backpressure, per-request deadlines);
 * :mod:`repro.serve.sharded`  — data-parallel bulk scoring on all four
   SPMD worlds.
 

@@ -6,9 +6,8 @@ production systems actually ship is the winning mixture.  The artifact
 is:
 
 * **frozen** — an immutable snapshot of the model spec, per-class
-  parameters, mixture weights, the prior anchors (summary moments) the
-  spec was built against, and the kernel mode the model was trained
-  with (so scoring replays the training-time E-step arithmetic);
+  parameters, mixture weights and the prior anchors (summary moments)
+  the spec was built against;
 * **versioned** — ``FORMAT`` / ``ARTIFACT_VERSION`` are checked on
   load, with a clear :class:`ArtifactError` on mismatch;
 * **digested** — ``save`` writes a ``<base>.npz`` array payload, then
@@ -72,16 +71,11 @@ class FittedModel(Inference):
     Construct with :meth:`from_run` (or load one with :meth:`load`);
     score new items with :meth:`predict` / :meth:`predict_logproba` /
     :meth:`score` — all of which reuse the allocation-free kernel path
-    of :mod:`repro.serve.scoring` under the model's training-time
-    ``kernels`` mode.
+    of :mod:`repro.serve.scoring`.
     """
 
     classification: Classification
     summary: DataSummary
-    #: Kernel mode the model was trained with (``None`` = library
-    #: default); scoring uses the same mode so predictions are the
-    #: training-time final E-step's arithmetic.
-    kernels: str | None = None
     backend: str = "sequential"
     n_processors: int = 1
 
@@ -112,7 +106,6 @@ class FittedModel(Inference):
         return cls(
             classification=run.best.classification,
             summary=summary,
-            kernels=run.kernels,
             backend=run.backend,
             n_processors=run.n_processors,
         )
@@ -136,12 +129,11 @@ class FittedModel(Inference):
         return (
             f"FittedModel(J={self.n_classes}, "
             f"{len(self.schema)} attributes, "
-            f"kernels={self.kernels or 'default'}, "
             f"trained on {self.backend}/{self.n_processors})"
         )
 
-    def _scored(self):
-        return self.classification, self.kernels
+    def _classification(self):
+        return self.classification
 
     # -- serialization ----------------------------------------------------
 
@@ -151,7 +143,6 @@ class FittedModel(Inference):
         meta = {
             "format": FORMAT,
             "artifact_version": ARTIFACT_VERSION,
-            "kernels": self.kernels,
             "backend": self.backend,
             "n_processors": self.n_processors,
             **docfile.hoist_arrays(
@@ -194,8 +185,9 @@ class FittedModel(Inference):
 
         Raises :class:`ArtifactError` for anything that does not
         verify: missing files, malformed JSON, unknown format or
-        version, tampered metadata (digest mismatch), or corrupted /
-        swapped array payloads (arrays_sha256 mismatch).
+        version, tampered metadata (digest mismatch), corrupted /
+        swapped array payloads (arrays_sha256 mismatch), or a
+        ``kernels`` entry other than the one scoring path.
         """
         base = _base_path(path)
         npz_path = base.with_suffix(".npz")
@@ -204,6 +196,15 @@ class FittedModel(Inference):
             error=ArtifactError, kind=("format", FORMAT),
             version=("artifact_version", ARTIFACT_VERSION), digested=True,
         )
+        # Artifacts of the same version written by older builds record
+        # the kernel mode they scored with; scoring has one path, so
+        # only its name (or no mode at all) can be honoured.
+        if meta.get("kernels") not in (None, "fused"):
+            raise ArtifactError(
+                f"unsupported kernels {meta['kernels']!r} in "
+                f"{base.with_suffix('.json')}: artifacts score on the "
+                "fused path only"
+            )
         npz_bytes = docfile.read_bytes(npz_path, error=ArtifactError)
         if docfile.sha256_hex(npz_bytes) != meta.get("arrays_sha256"):
             raise ArtifactError(
@@ -223,7 +224,6 @@ class FittedModel(Inference):
             return cls(
                 classification=clf,
                 summary=summary,
-                kernels=meta["kernels"],
                 backend=meta["backend"],
                 n_processors=meta["n_processors"],
             )

@@ -6,12 +6,12 @@ cannot.  The :class:`Scorer` coalesces concurrent requests the way
 batched inference servers do:
 
 * requests (each a small :class:`~repro.data.Database`) enter a
-  **bounded queue** — when it is full, ``submit`` waits up to
-  ``submit_timeout_s`` and then raises :class:`QueueSaturated`
-  (backpressure, not unbounded memory);
-* a **worker pool** drains it with **dynamic batching**: a worker takes
+  **bounded queue** of ``queue_items`` items — when it is full,
+  ``submit`` waits up to :data:`SUBMIT_TIMEOUT_S` and then raises
+  :class:`QueueSaturated` (backpressure, not unbounded memory);
+* one **worker thread** drains it with **dynamic batching**: it takes
   the oldest request, then keeps gathering until the batch holds
-  ``max_batch`` items or ``max_wait_ms`` has passed — the classic
+  ``max_batch`` items or :data:`MAX_WAIT_MS` has passed — the classic
   latency/throughput dial;
 * each batch is row-concatenated, scored in **one** fused kernel pass
   (:func:`repro.serve.scoring.score_batch`), and split back per
@@ -24,8 +24,8 @@ batched inference servers do:
 
 Fault injection reuses :mod:`repro.mpc.faults` directly: pass a
 :class:`~repro.mpc.faults.FaultInjector` with specs at the ``"batch"``
-site and workers offer to fire it at every batch boundary (``cycle`` =
-the batch sequence number, ``rank`` = the worker index) — how CI proves
+site and the worker offers to fire it at every batch boundary
+(``cycle`` = the batch sequence number, ``rank`` = 0) — how CI proves
 the service stays correct under injected delays.
 
 Everything is instrumented through :class:`repro.obs.serve.
@@ -64,39 +64,30 @@ class RequestTimeout(ServeError):
     """A per-request deadline expired before the batch was scored."""
 
 
+#: How long the worker holding a non-full batch waits for more
+#: requests before scoring what it has.
+MAX_WAIT_MS = 2.0
+#: How long ``submit`` blocks on a full queue before raising
+#: :class:`QueueSaturated`.
+SUBMIT_TIMEOUT_S = 5.0
+#: Default deadline of ``PendingResult.result``.
+DEFAULT_TIMEOUT_S = 30.0
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     """Tuning knobs of one :class:`Scorer` (see docs/serving.md)."""
 
     #: Upper bound on *items* per scored batch.
     max_batch: int = 64
-    #: How long a worker holding a non-full batch waits for more
-    #: requests before scoring what it has.
-    max_wait_ms: float = 2.0
     #: Bound on queued items (backpressure threshold).
     queue_items: int = 4096
-    #: Worker threads draining the queue.
-    n_workers: int = 1
-    #: How long ``submit`` blocks on a full queue before raising
-    #: :class:`QueueSaturated` (``None`` = wait forever).
-    submit_timeout_s: float | None = 5.0
-    #: Default deadline for ``PendingResult.result`` (``None`` = wait
-    #: forever).
-    default_timeout_s: float | None = 30.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_items < 1:
             raise ValueError(f"queue_items must be >= 1, got {self.queue_items}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        for name in ("submit_timeout_s", "default_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None, got {value}")
 
 
 class _Request:
@@ -127,16 +118,16 @@ class PendingResult:
     def result(self, timeout: float | None = None) -> BatchScores:
         """The request's :class:`~repro.serve.scoring.BatchScores`.
 
-        Blocks up to ``timeout`` seconds (default: the scorer's
-        ``default_timeout_s``), then raises :class:`RequestTimeout`.
+        Blocks up to ``timeout`` seconds (default:
+        :data:`DEFAULT_TIMEOUT_S`), then raises :class:`RequestTimeout`.
         Re-raises the scoring error if the batch failed.
         """
         if timeout is None:
-            timeout = self._scorer.config.default_timeout_s
+            timeout = DEFAULT_TIMEOUT_S
         if not self._req.event.wait(timeout):
             self._scorer.metrics.on_timeout()
-            # Pull the request back out of the queue so no worker burns
-            # a kernel pass on a result nobody will read.  If a worker
+            # Pull the request back out of the queue so the worker does
+            # not burn a kernel pass on a result nobody will read.  If it
             # already took it into a batch, it finishes normally (a
             # later result() call on this handle can still collect it).
             cancelled = self._scorer._cancel(self._req)
@@ -155,13 +146,11 @@ class PendingResult:
 
 
 class _WorkerEndpoint:
-    """The comm-shaped shim fault specs address workers through."""
+    """The comm-shaped shim fault specs address the worker through."""
 
     clock_kind = "wall"
     hard_exit_supported = False
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
+    rank = 0
 
 
 class Scorer:
@@ -176,8 +165,8 @@ class Scorer:
     or the blocking one-shot wrappers ``predict`` /
     ``predict_logproba`` / ``score_samples`` (which add the
     deadline-then-retry idiom via ``retries=``).  ``start=False``
-    defers the worker pool, letting tests (and warm-up code) enqueue a
-    backlog first.
+    defers the worker thread, letting tests (and warm-up code) enqueue
+    a backlog first.
     """
 
     def __init__(
@@ -197,36 +186,30 @@ class Scorer:
         self._not_full = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
         self._queued_items = 0
-        self._batch_seq = 0
         self._closed = False
-        self._workers: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
         if start:
             self.start()
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
+        """Spawn the worker thread (idempotent)."""
         with self._lock:
             if self._closed:
                 raise ScorerClosed("cannot start a closed Scorer")
-            if self._workers:
+            if self._worker is not None:
                 return
-            self._workers = [
-                threading.Thread(
-                    target=self._worker, args=(rank,),
-                    name=f"scorer-worker-{rank}", daemon=True,
-                )
-                for rank in range(self.config.n_workers)
-            ]
-        for t in self._workers:
-            t.start()
+            self._worker = threading.Thread(
+                target=self._work, name="scorer-worker", daemon=True
+            )
+        self._worker.start()
 
     def close(self, *, drain: bool = True) -> None:
         """Stop the service.
 
-        ``drain=True`` (default) lets workers finish the queued backlog
-        first; ``drain=False`` fails queued requests with
+        ``drain=True`` (default) lets the worker finish the queued
+        backlog first; ``drain=False`` fails queued requests with
         :class:`ScorerClosed` immediately.
         """
         with self._lock:
@@ -234,7 +217,7 @@ class Scorer:
                 return
             self._closed = True
             orphans: list[_Request] = []
-            if not drain or not self._workers:
+            if not drain or self._worker is None:
                 orphans = list(self._queue)
                 self._queue.clear()
                 self._queued_items = 0
@@ -248,8 +231,8 @@ class Scorer:
             self.metrics.on_done(
                 self.metrics.now() - req.submitted_at, error=True
             )
-        for t in self._workers:
-            t.join(timeout=30.0)
+        if self._worker is not None:
+            self._worker.join(timeout=30.0)
 
     def __enter__(self) -> "Scorer":
         return self
@@ -264,7 +247,8 @@ class Scorer:
 
         Validates the schema eagerly (a bad request must not poison the
         batch it would have joined).  Blocks while the queue is full,
-        up to ``submit_timeout_s``, then raises :class:`QueueSaturated`.
+        up to :data:`SUBMIT_TIMEOUT_S`, then raises
+        :class:`QueueSaturated`.
         """
         check_schema(db, self.model.classification)
         if db.n_items == 0:
@@ -276,11 +260,11 @@ class Scorer:
                 and self._queued_items + db.n_items > self.config.queue_items
                 and self._queued_items > 0
             ):
-                if not self._not_full.wait(self.config.submit_timeout_s):
+                if not self._not_full.wait(SUBMIT_TIMEOUT_S):
                     self.metrics.on_reject()
                     raise QueueSaturated(
                         f"request queue stayed full for "
-                        f"{self.config.submit_timeout_s:g}s "
+                        f"{SUBMIT_TIMEOUT_S:g}s "
                         f"({self._queued_items} items queued)"
                     )
             if self._closed:
@@ -294,7 +278,7 @@ class Scorer:
     def _cancel(self, req: _Request) -> bool:
         """Drop a timed-out request that is still queued.
 
-        Returns True when it was removed before a worker took it; False
+        Returns True when it was removed before the worker took it; False
         when it is already in flight (or just completed), in which case
         the batch proceeds untouched.
         """
@@ -352,7 +336,7 @@ class Scorer:
 
     def _take_batch(self) -> list[_Request] | None:
         """Block for the next dynamic batch; ``None`` means shut down."""
-        cfg = self.config
+        max_batch = self.config.max_batch
         with self._not_empty:
             while not self._queue:
                 if self._closed:
@@ -362,11 +346,11 @@ class Scorer:
             self._queued_items -= first.db.n_items
             batch = [first]
             n_items = first.db.n_items
-            deadline = self.metrics.now() + cfg.max_wait_ms / 1000.0
-            while n_items < cfg.max_batch:
+            deadline = self.metrics.now() + MAX_WAIT_MS / 1000.0
+            while n_items < max_batch:
                 if self._queue:
                     nxt = self._queue[0]
-                    if n_items + nxt.db.n_items > cfg.max_batch:
+                    if n_items + nxt.db.n_items > max_batch:
                         break
                     self._queue.popleft()
                     self._queued_items -= nxt.db.n_items
@@ -382,17 +366,13 @@ class Scorer:
             self._not_full.notify_all()
         return batch
 
-    def _worker(self, rank: int) -> None:
-        endpoint = _WorkerEndpoint(rank)
+    def _work(self) -> None:
+        endpoint = _WorkerEndpoint()
         with mpc_faults.injecting(self._faults):
-            while True:
-                batch = self._take_batch()
-                if batch is None:
-                    return
-                with self._lock:
-                    seq = self._batch_seq
-                    self._batch_seq += 1
+            seq = 0
+            while (batch := self._take_batch()) is not None:
                 self._run_batch(endpoint, seq, batch)
+                seq += 1
 
     def _run_batch(
         self, endpoint: _WorkerEndpoint, seq: int, batch: list[_Request]
@@ -409,9 +389,7 @@ class Scorer:
                 endpoint, site="batch", try_index=0, cycle=seq
             )
             merged = concat_databases([r.db for r in batch])
-            scores = score_batch(
-                merged, self.model.classification, kernels=self.model.kernels
-            )
+            scores = score_batch(merged, self.model.classification)
         except BaseException as exc:  # noqa: BLE001 — forwarded per request
             error = exc
         offset = 0

@@ -4,11 +4,9 @@ The inference-side twin of the training E-step: one fused GEMM fills
 the pooled log-joint buffer (:mod:`repro.kernels`), one in-place pass
 normalizes it in log space (:func:`repro.kernels.estep.
 fused_log_posterior`), and only the requested outputs are copied out.
-``kernels="reference"`` swaps the GEMM for the per-term reference
-:func:`repro.engine.wts.compute_log_joint` — writing into the same
-pooled buffer — which is the differential axis the tests exercise:
-scoring the training database under the training run's kernel mode
-reproduces the run's final class map.
+Scoring the training database reproduces the run's final class map;
+the tests check that against the reference E-step in
+:func:`repro.engine.report.membership`.
 
 All entry points are stateless functions over ``(db, clf)``; the
 object-shaped API is the :class:`Inference` mixin, shared by
@@ -25,7 +23,6 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.data.shards import is_streamable
-from repro.kernels import config as kernel_config
 from repro.kernels.estep import (
     fused_compute_log_joint,
     fused_labels,
@@ -74,14 +71,13 @@ def check_schema(db: Database, clf: "Classification") -> None:
         )
 
 
-def _log_posterior(db: Database, clf: "Classification", kernels: str | None):
+def _log_posterior(db: Database, clf: "Classification"):
     """Score one in-memory batch into this thread's pooled workspace.
 
     Returns ``(ws, log_evidence)`` with the workspace's log-joint buffer
     holding the log posterior (see :func:`fused_log_posterior`).
     """
     check_schema(db, clf)
-    mode = kernel_config.resolve(kernels)
     n, j = db.n_items, clf.n_classes
     # Price scoring like an E-step on the counted-work model (so the
     # virtual CS-2 charges sharded bulk scoring realistically).
@@ -90,25 +86,14 @@ def _log_posterior(db: Database, clf: "Classification", kernels: str | None):
     rec.count("serve.batches")
     rec.count("serve.items", n)
     ws = get_workspace(n, j)
-    if mode == "fused":
-        plan = get_plan(db, clf.spec)
-        fused_compute_log_joint(
-            db, clf, ws.log_joint, plan=plan, scratch=ws.scratch
-        )
-    else:
-        from repro.engine.wts import compute_log_joint
-
-        compute_log_joint(db, clf, out=ws.log_joint)
+    fused_compute_log_joint(
+        db, clf, ws.log_joint, plan=get_plan(db, clf.spec), scratch=ws.scratch
+    )
     _log_post, log_evidence = fused_log_posterior(ws, j)
     return ws, log_evidence
 
 
-def score_batch(
-    db: Database,
-    clf: "Classification",
-    *,
-    kernels: str | None = None,
-) -> BatchScores:
+def score_batch(db: Database, clf: "Classification") -> BatchScores:
     """Score a batch of items in one allocation-free kernel pass.
 
     The scratch space is this thread's pooled
@@ -123,12 +108,9 @@ def score_batch(
     """
     if is_streamable(db):
         check_schema(db, clf)
-        parts = [
-            score_batch(chunk, clf, kernels=kernels)
-            for chunk in db.iter_chunks()
-        ]
+        parts = [score_batch(chunk, clf) for chunk in db.iter_chunks()]
         return _concat_scores(parts, clf.n_classes)
-    ws, log_evidence = _log_posterior(db, clf, kernels)
+    ws, log_evidence = _log_posterior(db, clf)
     return BatchScores(
         labels=fused_labels(ws),
         log_proba=ws.log_joint.copy(),
@@ -154,57 +136,42 @@ def _concat_scores(
     )
 
 
-def predict(
-    db: Database, clf: "Classification", *, kernels: str | None = None
-) -> np.ndarray:
+def predict(db: Database, clf: "Classification") -> np.ndarray:
     """Hard class assignment per item, ``(n_items,)`` int64.
 
     Streams a :class:`~repro.data.shards.ShardedDatabase` without ever
     holding more than one chunk's ``(chunk, n_classes)`` posterior.
     """
     if is_streamable(db):
-        out = [
-            predict(chunk, clf, kernels=kernels) for chunk in db.iter_chunks()
-        ]
+        out = [predict(chunk, clf) for chunk in db.iter_chunks()]
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-    return fused_labels(_log_posterior(db, clf, kernels)[0])
+    return fused_labels(_log_posterior(db, clf)[0])
 
 
-def predict_logproba(
-    db: Database, clf: "Classification", *, kernels: str | None = None
-) -> np.ndarray:
+def predict_logproba(db: Database, clf: "Classification") -> np.ndarray:
     """``(n_items, n_classes)`` log posterior membership."""
-    return score_batch(db, clf, kernels=kernels).log_proba
+    return score_batch(db, clf).log_proba
 
 
-def predict_proba(
-    db: Database, clf: "Classification", *, kernels: str | None = None
-) -> np.ndarray:
+def predict_proba(db: Database, clf: "Classification") -> np.ndarray:
     """``(n_items, n_classes)`` posterior membership probabilities."""
-    out = score_batch(db, clf, kernels=kernels).log_proba
+    out = score_batch(db, clf).log_proba
     np.exp(out, out=out)
     return out
 
 
-def score_samples(
-    db: Database, clf: "Classification", *, kernels: str | None = None
-) -> np.ndarray:
+def score_samples(db: Database, clf: "Classification") -> np.ndarray:
     """Per-item log evidence ``log p(x_i)``, ``(n_items,)``.
 
     Streams a :class:`~repro.data.shards.ShardedDatabase` chunk-by-chunk.
     """
     if is_streamable(db):
-        out = [
-            score_batch(chunk, clf, kernels=kernels).log_evidence
-            for chunk in db.iter_chunks()
-        ]
+        out = [score_batch(chunk, clf).log_evidence for chunk in db.iter_chunks()]
         return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
-    return score_batch(db, clf, kernels=kernels).log_evidence
+    return score_batch(db, clf).log_evidence
 
 
-def score(
-    db: Database, clf: "Classification", *, kernels: str | None = None
-) -> float:
+def score(db: Database, clf: "Classification") -> float:
     """Mean per-item log evidence (sklearn's mixture ``score``).
 
     Streamed views accumulate the sum chunk-by-chunk with O(chunk)
@@ -216,10 +183,10 @@ def score(
     if is_streamable(db):
         total = 0.0
         for chunk in db.iter_chunks():
-            le = score_batch(chunk, clf, kernels=kernels).log_evidence
+            le = score_batch(chunk, clf).log_evidence
             total += float(le.sum())
         return total / db.n_items
-    return float(score_batch(db, clf, kernels=kernels).log_evidence.mean())
+    return float(score_batch(db, clf).log_evidence.mean())
 
 
 class Inference:
@@ -227,17 +194,16 @@ class Inference:
 
     :class:`repro.api.Run`, :class:`repro.serve.artifact.FittedModel`
     and the estimators all score through the functions above; they
-    differ only in where the ``(classification, kernels)`` pair comes
-    from, which is the one hook they implement.
+    differ only in where the classification comes from, which is the
+    one hook they implement.
     """
 
-    def _scored(self) -> tuple["Classification", str | None]:
-        """The classification to score with and its kernel mode."""
+    def _classification(self) -> "Classification":
+        """The classification to score with."""
         raise NotImplementedError
 
     def _score_with(self, fn, db: Database):
-        clf, kernels = self._scored()
-        return fn(db, clf, kernels=kernels)
+        return fn(db, self._classification())
 
     def predict(self, db: Database) -> np.ndarray:
         """Hard class assignment per item, ``(n_items,)`` int64."""

@@ -53,7 +53,7 @@ def sharded_score_rank(
         local = db.block(comm.size, comm.rank)
     else:
         local = block_partition(db, comm.size, comm.rank)
-    mine = score_batch(local, model.classification, kernels=model.kernels)
+    mine = score_batch(local, model.classification)
     parts: list[BatchScores] = comm.allgather(mine)
     return BatchScores(
         labels=np.concatenate([p.labels for p in parts]),

@@ -29,6 +29,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.kernels import config as kernel_config
 from repro.mpc.collectives import ALLREDUCE
 from repro.util import docfile
 
@@ -220,20 +221,35 @@ def capture_trace(
     of the seeded search; every cell of a conformance matrix must use
     the identical ``config`` or the comparison is meaningless.
 
+    The fit is one :class:`~repro.api.FitJob` handed straight to the
+    world's backend runner — the one place a job runs on the
+    ``"reference"`` kernels, which the estimators never select.
+
     ``fit_on`` — a :class:`~repro.data.shards.ShardedDatabase` of the
     same rows — makes the fit stream while the class map (trace layer
     4, which scores every item's membership) is still taken against
     the in-memory ``db``.
     """
-    from repro.api import PAutoClass
+    from repro.api import BACKENDS, FitConfig, FitJob
+    from repro.data.shards import is_streamable
+    from repro.engine.search import SearchConfig, search_config_for
+    from repro.models.registry import ModelSpec
+    from repro.models.summary import DataSummary
 
-    meta = TraceMeta(case=case, world=world, size=size, kernels=kernels)
-    run = PAutoClass(
+    if world not in BACKENDS:
+        raise ValueError(f"world {world!r} not in {tuple(BACKENDS)}")
+    data = db if fit_on is None else fit_on
+    job = FitJob(
         n_processors=size,
-        backend=world,
-        spec=spec,
-        instrument=instrument,
-        kernels=kernels,
-        **config,
-    ).fit(db if fit_on is None else fit_on)
+        config=search_config_for(
+            SearchConfig(**config), seedable=not is_streamable(data),
+            init_defaulted="init_method" not in config,
+        ),
+        options=FitConfig(instrument=instrument),
+        kernels=kernel_config.resolve(kernels),
+    )
+    if spec is None:
+        spec = ModelSpec.default_for(data.schema, DataSummary.from_database(data))
+    run = BACKENDS[world](job, data, spec)
+    meta = TraceMeta(case=case, world=world, size=size, kernels=kernels)
     return RunTrace.from_run(run, db, meta)

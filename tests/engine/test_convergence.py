@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.convergence import RelativeDeltaChecker, SlidingWindowChecker
+from repro.engine.convergence import RelativeDeltaChecker
 
 
 class TestRelativeDeltaChecker:
@@ -61,35 +61,3 @@ class TestRelativeDeltaChecker:
         f = c.fresh()
         assert f.n_cycles == 0
         assert f.rel_delta == 0.5
-
-
-class TestSlidingWindowChecker:
-    def test_stops_when_recent_range_collapses(self):
-        c = SlidingWindowChecker(window=3, range_factor=0.1)
-        scores = [-100, -50, -25, -24.99, -24.985, -24.984]
-        results = [c.update(s) for s in scores]
-        # Needs window+1 points before it can fire; converges once the
-        # recent range collapses relative to the early movement.
-        assert not any(results[:4])
-        assert any(results[4:])
-
-    def test_keeps_going_while_moving(self):
-        c = SlidingWindowChecker(window=3, range_factor=0.01)
-        for s in [-100, -90, -80, -70, -60, -50]:
-            assert not c.update(s)
-
-    def test_flat_from_start_stops_via_abs_floor(self):
-        c = SlidingWindowChecker(window=2, abs_delta=1e-6)
-        results = [c.update(-5.0) for _ in range(4)]
-        assert results[-1] is True
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowChecker(window=1)
-        with pytest.raises(ValueError):
-            SlidingWindowChecker(range_factor=0)
-
-    def test_fresh_preserves_settings(self):
-        c = SlidingWindowChecker(window=5, range_factor=0.2, max_cycles=77)
-        f = c.fresh()
-        assert (f.window, f.range_factor, f.max_cycles) == (5, 0.2, 77)

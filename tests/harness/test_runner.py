@@ -300,3 +300,21 @@ class TestObsPhaseBreakdown:
         assert "OBS" in text
         assert "Phase breakdown" in text
         assert "ar-wts" in text and "ar-params" in text
+
+
+class TestServeDemo:
+    def test_scorer_coalesces_the_backlog_into_full_batches(self):
+        from repro.harness.runner import serve_throughput_demo
+
+        res = serve_throughput_demo(
+            ExperimentScale(factor=0.02, cycles_per_try=2)
+        )
+        assert isinstance(res, Table)
+        assert res.col("mode") == [
+            "single-item loop", "Scorer (max_batch=64)",
+        ]
+        # 1 024 single-item requests queued before the worker starts
+        # drain as 16 full batches of 64.
+        assert "mean items per executed batch: 64.0" in res.note
+        assert all(v > 0 for v in res.col("items/s"))
+        assert "SERVE" in res.render()

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from repro.mpc.procworld import _RecvBackoff, _POLL_INTERVAL, run_spmd_processes
 from repro.mpc.shm import (
     DATA_OFFSET,
+    DEFAULT_RING_CAPACITY,
     SEGMENT_PREFIX,
     ShmRing,
     ShmToken,
     ShmTransport,
-    default_ring_capacity,
     ring_eligible,
 )
 from repro.mpc.errors import MessageError
@@ -108,11 +108,14 @@ class TestEligibility:
         assert not ring_eligible(np.float64(3.0), cap)  # scalar, not ndarray
 
     def test_default_capacity_env(self, monkeypatch):
+        # The default capacity is a constant: no environment variable
+        # reaches it (ring_capacity= is the one override).
         monkeypatch.setenv("REPRO_SHM_RING_BYTES", "4096")
-        assert default_ring_capacity() == 4096
-        monkeypatch.setenv("REPRO_SHM_RING_BYTES", "zero")
-        with pytest.raises(MessageError):
-            default_ring_capacity()
+        transport = ShmTransport(2)
+        try:
+            assert transport.capacity == DEFAULT_RING_CAPACITY == 1 << 23
+        finally:
+            transport.destroy()
 
 
 class TestBackoff:

@@ -148,8 +148,8 @@ class TestCycleTelemetry:
             rec.comm_event("allreduce_wts", 100, 0.1)
             rec.comm_event("allreduce_params", 200, 0.2, n_calls=16)
             assert len(rec.comm_events_) == n_events
-            assert rec.comm_totals["nbytes"] == 300
-            assert rec.comm_totals["n_calls"] == 17
+        assert sum(e.nbytes for e in rec.comm_events_) == 300
+        assert sum(e.n_calls for e in rec.comm_events_) == 17
 
 
 class TestRankRecord:

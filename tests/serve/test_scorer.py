@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from repro.mpc.faults import FaultInjector, FaultSpec
+from repro.serve import scorer as scorer_module
 from repro.serve import (
     QueueSaturated,
     RequestTimeout,
@@ -31,14 +33,24 @@ class TestScorerConfig:
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # max_batch / queue_items are the two knobs: a bad value is a
+        # ValueError.  The timings and the worker count are not fields,
+        # so naming one is a TypeError, never a silently ignored setting.
+        [name] = kwargs
+        fields = {f.name for f in dataclasses.fields(ScorerConfig)}
+        with pytest.raises(ValueError if name in fields else TypeError):
             ScorerConfig(**kwargs)
+
+    def test_fixed_timings_keep_their_values(self):
+        assert scorer_module.MAX_WAIT_MS == 2.0
+        assert scorer_module.SUBMIT_TIMEOUT_S == 5.0
+        assert scorer_module.DEFAULT_TIMEOUT_S == 30.0
 
 
 class TestScoring:
     def test_results_match_direct_scoring(self, model, train_db):
         expect = model.predict(train_db)
-        with Scorer(model, ScorerConfig(max_batch=32, n_workers=2)) as scorer:
+        with Scorer(model, ScorerConfig(max_batch=32)) as scorer:
             pending = [
                 scorer.submit(train_db.take(slice(i, i + 25)))
                 for i in range(0, 400, 25)
@@ -91,9 +103,15 @@ class TestScoring:
                 scorer.submit(mixed_db.take(slice(0, 5)))
 
 
+@pytest.fixture
+def short_submit_wait(monkeypatch):
+    monkeypatch.setattr(scorer_module, "SUBMIT_TIMEOUT_S", 0.05)
+
+
+@pytest.mark.usefixtures("short_submit_wait")
 class TestBackpressure:
     def test_full_queue_saturates_after_wait(self, model, train_db):
-        config = ScorerConfig(queue_items=4, submit_timeout_s=0.05)
+        config = ScorerConfig(queue_items=4)
         scorer = Scorer(model, config, start=False)
         scorer.submit(train_db.take(slice(0, 4)))  # fills the queue
         t0 = time.perf_counter()
@@ -106,7 +124,7 @@ class TestBackpressure:
     def test_oversized_request_admitted_when_queue_empty(self, model, train_db):
         # A single request bigger than the whole queue bound must not
         # deadlock — it is admitted alone.
-        config = ScorerConfig(queue_items=4, submit_timeout_s=0.05)
+        config = ScorerConfig(queue_items=4)
         with Scorer(model, config) as scorer:
             labels = scorer.predict(train_db.take(slice(0, 32)))
         assert labels.shape == (32,)
@@ -187,7 +205,7 @@ class TestLifecycle:
         assert scorer.metrics.queue_depth == 0
 
     def test_context_manager_drains_backlog(self, model, train_db):
-        with Scorer(model, ScorerConfig(n_workers=2)) as scorer:
+        with Scorer(model) as scorer:
             pending = [
                 scorer.submit(train_db.take(slice(i, i + 10)))
                 for i in range(0, 100, 10)

@@ -29,11 +29,12 @@ def clf(fitted_run):
 
 class TestScoreBatch:
     def test_labels_match_training_membership(self, train_db, clf):
+        # membership() is the engine's reference E-step: the one
+        # scoring path reproduces its class map.
         _, hard = membership(train_db, clf)
-        for kernels in ("fused", "reference"):
-            labels = predict(train_db, clf, kernels=kernels)
-            assert labels.dtype == np.int64
-            assert np.array_equal(labels, hard)
+        labels = predict(train_db, clf)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, hard)
 
     def test_logproba_rows_normalize(self, train_db, clf):
         lp = predict_logproba(train_db, clf)
@@ -113,15 +114,12 @@ class TestLabelPass:
 
     @staticmethod
     def check(db, clf):
-        for kernels in ("fused", "reference"):
-            log_post = predict_logproba(db, clf, kernels=kernels)
-            expected = np.argmax(log_post, axis=1)
-            labels = predict(db, clf, kernels=kernels)
-            assert labels.dtype == np.int64
-            np.testing.assert_array_equal(labels, expected)
-            np.testing.assert_array_equal(
-                score_batch(db, clf, kernels=kernels).labels, expected
-            )
+        log_post = predict_logproba(db, clf)
+        expected = np.argmax(log_post, axis=1)
+        labels = predict(db, clf)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, expected)
+        np.testing.assert_array_equal(score_batch(db, clf).labels, expected)
 
     def test_fitted_model(self, train_db, clf):
         self.check(train_db, clf)
@@ -202,10 +200,7 @@ class TestFourWorldsDifferential:
         assert np.array_equal(labels, run.predict(train_db))
 
     def test_unified_run_methods_match_batch_scores(self, train_db, fitted_run):
-        scores = score_batch(
-            train_db, fitted_run.best.classification,
-            kernels=fitted_run.kernels,
-        )
+        scores = score_batch(train_db, fitted_run.best.classification)
         assert np.array_equal(fitted_run.predict(train_db), scores.labels)
         assert np.array_equal(
             fitted_run.predict_logproba(train_db), scores.log_proba

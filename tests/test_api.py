@@ -1,6 +1,7 @@
 """Tests for the public facade (repro.api) and the package surface."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ import repro
 from repro import (
     BACKENDS,
     AutoClass,
-    FitConfig,
     NotFittedError,
     PAutoClass,
     Run,
     make_paper_database,
     register_backend,
 )
+from repro.api import FitConfig
 from repro.data.shards import ShardedDatabase
+from repro.mpc.faults import FaultInjector
 from repro.engine.search import SearchConfig
 
 ALL_BACKENDS = ("sequential", "serial", "threads", "processes", "sim")
@@ -287,14 +289,14 @@ class TestFitConfig:
     def test_defaults_validate(self):
         opts = FitConfig()
         assert opts.instrument == "off"
-        assert opts.kernels is None
+        assert opts.verify == "off"
         assert opts.max_restarts == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"instrument": "loud"},
-            {"kernels": "simd"},
+            {"transport": "carrier-pigeon"},
             {"verify": "paranoid"},
             {"checkpoint": "hourly"},
             {"max_restarts": -1},
@@ -308,57 +310,110 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
-    def test_merged_overrides_only_named_fields(self):
-        base = FitConfig(instrument="phases", kernels="fused")
-        out = base.merged(kernels="reference")
-        assert out.instrument == "phases"
-        assert out.kernels == "reference"
-        assert base.kernels == "fused"  # frozen: base untouched
+    def test_merged_overrides_only_named_fields(self, db):
+        # fit's keywords are merged over the constructor's options: the
+        # fields they name change for that fit, the others are kept.
+        ac = AutoClass(
+            instrument="phases", start_j_list=(2,), max_n_tries=1, seed=5,
+            max_cycles=8,
+        )
+        run = ac.fit(db, verify="trace")
+        assert run.conformance is not None
+        assert run.instrument == "phases" and run.record is not None
 
-    def test_options_object_equals_bare_kwargs(self, db):
-        config = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
-        via_bare = AutoClass(kernels="reference", **config).fit(db)
-        via_opts = AutoClass(
-            options=FitConfig(kernels="reference"), **config
-        ).fit(db)
-        assert via_bare.kernels == via_opts.kernels == "reference"
-        assert via_bare.best.score == via_opts.best.score
+    def test_options_object_equals_bare_kwargs(self):
+        # The bare keywords are the only input path; they build the
+        # FitConfig every backend receives in its FitJob.
+        pac = PAutoClass(
+            n_processors=2, instrument="phases", try_groups=2,
+            transport="shm", backend="processes",
+        )
+        assert pac.options == FitConfig(
+            instrument="phases", try_groups=2, transport="shm"
+        )
 
     def test_options_and_bare_kwargs_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
+        # Bare keywords are the only input path: an options= object
+        # (with or without bare keywords) is an error, never ignored.
+        with pytest.raises(TypeError, match="options"):
             AutoClass(options=FitConfig(), instrument="phases")
-        with pytest.raises(ValueError, match="not both"):
-            PAutoClass(options=FitConfig(), kernels="fused")
+        with pytest.raises(TypeError, match="options"):
+            PAutoClass(options=FitConfig())
 
-    def test_options_must_be_fitconfig(self):
-        with pytest.raises(TypeError, match="FitConfig"):
-            AutoClass(options={"instrument": "phases"})
-
-    def test_autoclass_rejects_parallel_only_options(self):
+    def test_autoclass_rejects_parallel_only_options(self, db):
         with pytest.raises(ValueError, match="parallel-only"):
-            AutoClass(options=FitConfig(try_groups=2))
+            PAutoClass(n_processors=1, backend="sequential", try_groups=1)
         with pytest.raises(ValueError, match="parallel-only"):
-            AutoClass(options=FitConfig(collectives=__import__(
-                "repro.mpc.api", fromlist=["CollectiveConfig"]
-            ).CollectiveConfig()))
+            AutoClass(start_j_list=(2,), max_n_tries=1).fit(
+                db, faults=FaultInjector([])
+            )
 
     def test_fit_time_override_is_scoped_to_the_fit(self, db):
         ac = AutoClass(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
-        assert ac.options.instrument == "off"
-        run = ac.fit(db, options=FitConfig(instrument="phases"))
-        assert run.record is not None
-        assert ac.options.instrument == "off"  # override did not stick
+        assert ac.options.verify == "off"
+        run = ac.fit(db, verify="trace")
+        assert run.conformance is not None
+        assert ac.options.verify == "off"  # override did not stick
+        assert ac.fit(db).conformance is None
 
     def test_try_groups_range_checked_against_world(self):
         with pytest.raises(ValueError, match="n_processors"):
             PAutoClass(n_processors=2, try_groups=4)
 
-    def test_run_carries_kernels(self, db):
-        run = AutoClass(
-            kernels="reference", start_j_list=(2,), max_n_tries=1,
-            seed=5, max_cycles=8,
-        ).fit(db)
-        assert run.kernels == "reference"
+
+class TestOneKernelPathOneInputPath:
+    """Kernel mode and ``options=`` are not part of the fit/serve surface."""
+
+    @staticmethod
+    def _params(fn) -> set[str]:
+        return set(inspect.signature(fn).parameters)
+
+    def test_estimators_take_neither(self):
+        from repro.api import _Estimator
+
+        for fn in (AutoClass, PAutoClass, _Estimator.fit):
+            assert not {"kernels", "options"} & self._params(fn), fn
+
+    def test_run_and_fitted_model_carry_no_kernel_mode(self):
+        from repro.serve import FittedModel
+
+        for cls in (Run, FittedModel):
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert "kernels" not in names, cls
+            assert "kernels" not in self._params(cls), cls
+
+    def test_scoring_functions_take_no_kernel_mode(self):
+        from repro.serve import scoring
+
+        for name in ("score_batch", "predict", "predict_logproba",
+                     "predict_proba", "score_samples", "score"):
+            assert "kernels" not in self._params(getattr(scoring, name)), name
+
+    def test_package_exports_no_alias_or_options_object(self):
+        assert "PAutoClassRun" not in repro.__all__
+        assert "FitConfig" not in repro.__all__
+
+    def test_reference_kernels_reach_only_the_verify_oracle(
+        self, db, monkeypatch
+    ):
+        from repro.verify.trace import capture_trace
+
+        seen = []
+        runner = BACKENDS["sequential"]
+
+        def spy(job, database, spec):
+            seen.append(job.kernels)
+            return runner(job, database, spec)
+
+        monkeypatch.setitem(BACKENDS, "sequential", spy)
+        config = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
+        AutoClass(**config).fit(db, verify="trace")
+        # the fit itself, then its sequential shadow on the oracle path
+        assert seen == ["fused", "reference"]
+        capture_trace(db, config, kernels="fused", instrument="off")
+        assert seen[-1] == "fused"
+        with pytest.raises(ValueError, match="kernels"):
+            capture_trace(db, config, kernels="simd")
 
 
 class TestUnifiedInference:
@@ -390,7 +445,8 @@ class TestShellContract:
     CONFIG = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
 
     def test_fit_options_and_bare_kwargs_conflict(self, db, backend):
-        with pytest.raises(ValueError, match="not both"):
+        # fit takes bare keywords only; an options= object is refused.
+        with pytest.raises(TypeError, match="options"):
             estimator(backend, **self.CONFIG).fit(
                 db, options=FitConfig(), verify="trace"
             )

@@ -18,7 +18,7 @@ from repro.serve import ScorerConfig
 
 CONFIG_FIELDS = {
     FitConfig: (
-        "instrument", "kernels", "verify", "checkpoint", "checkpoint_dir",
+        "instrument", "verify", "checkpoint", "checkpoint_dir",
         "resume", "max_restarts", "faults", "try_groups", "collectives",
         "transport",
     ),
@@ -28,10 +28,7 @@ CONFIG_FIELDS = {
     ),
     CollectiveConfig: ("timeout_seconds",),
     CheckpointSpec: ("directory", "policy", "resume"),
-    ScorerConfig: (
-        "max_batch", "max_wait_ms", "queue_items", "n_workers",
-        "submit_timeout_s", "default_timeout_s",
-    ),
+    ScorerConfig: ("max_batch", "queue_items"),
 }
 
 RUN_FLAGS = (
@@ -47,7 +44,7 @@ def test_config_fields_are_exactly_the_pinned_ones():
     for cls, expected in CONFIG_FIELDS.items():
         names = tuple(f.name for f in dataclasses.fields(cls))
         assert names == expected, cls.__name__
-    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 30
+    assert sum(len(v) for v in CONFIG_FIELDS.values()) == 25
 
 
 def test_run_flags_are_exactly_the_pinned_ones():
@@ -62,3 +59,4 @@ def test_run_flags_are_exactly_the_pinned_ones():
     )
     assert tuple(flags) == RUN_FLAGS
     assert len(RUN_FLAGS) == 21
+    assert sum(len(v) for v in CONFIG_FIELDS.values()) + len(RUN_FLAGS) == 46
