@@ -2,19 +2,21 @@
 
 The paper's scaling argument (and this repo's T1 profile) puts ~99.5 %
 of runtime in ``base_cycle``, dominated by the local halves of
-``update_wts`` and ``update_parameters``.  This package makes those two
-local kernels fast without touching the algorithm's semantics or the
-paper's two Allreduce cut points:
+``update_wts`` and ``update_parameters``.  Both reduce statistics that
+are additive over items, and every term's log density and statistics
+are linear in one per-item feature matrix, so each half is one GEMM —
+without touching the algorithm's semantics or the paper's two
+Allreduce cut points:
 
 * :mod:`~repro.kernels.plan` — per-``(Database, ModelSpec)`` cached
-  :class:`KernelPlan` (augmented design matrix + per-term encodings);
+  :class:`KernelPlan` (the augmented design matrix);
 * :mod:`~repro.kernels.workspace` — per-thread :class:`Workspace`
   buffer pool keyed by ``(n_items, n_classes)``;
-* :mod:`~repro.kernels.estep` — fused log-joint + normalize-and-payload
-  E-step;
-* :mod:`~repro.kernels.mstep` — single-GEMM packed-statistics M-step;
+* :mod:`~repro.kernels.estep` — the log-joint GEMM plus the fused
+  normalize-and-payload pass;
+* :mod:`~repro.kernels.mstep` — the packed-statistics GEMM;
 * :mod:`~repro.kernels.config` — the ``"fused"``/``"reference"`` switch
-  (reference path retained for differential testing).
+  (the reference path is ``repro.verify``'s differential oracle).
 
 See ``docs/kernels.md`` for the lifecycle and layout details.
 """

@@ -4,10 +4,8 @@ Replaces the reference chain (``np.tile`` + one temporary per term +
 ``log_normalize_rows`` + two ``np.where`` temporaries) with:
 
 1. **one GEMM** ``coefficients.T @ design.T`` writing the log joint
-   straight into the pooled workspace buffer (all built-in terms have
-   log densities linear in the plan's design features), falling back to
-   the per-term in-place :meth:`~repro.models.base.TermModel.
-   log_likelihood_into` kernels for custom terms;
+   straight into the pooled workspace buffer (every term's log density
+   is linear in the plan's design features);
 2. a **fused normalize-and-payload** pass computing the weights, the
    per-class totals ``w_j``, ``sum log Z`` and ``sum w·log w`` using
    only the pooled buffers — the weights are written in place into the
@@ -42,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.database import Database
-from repro.kernels.plan import KernelPlan, get_plan
+from repro.kernels.plan import get_plan
 from repro.kernels.workspace import Workspace, get_workspace
 from repro.obs import recorder as obs
 from repro.util import workhooks
@@ -60,32 +58,17 @@ N_EXTRA_SLOTS = 2
 
 
 def fused_compute_log_joint(
-    db: Database,
-    clf: Classification,
-    out: np.ndarray,
-    *,
-    plan: KernelPlan | None = None,
-    scratch: np.ndarray | None = None,
+    db: Database, clf: Classification, out: np.ndarray
 ) -> np.ndarray:
     """Write ``log pi_j + log p(x_i | theta_j)`` into ``out`` in place.
 
     ``out`` is ``(n_items, n_classes)``; the GEMM writes its transpose,
     which for a workspace buffer is the class-major C-order array.
     """
-    if plan is None:
-        plan = get_plan(db, clf.spec)
-    coef = None
-    if plan.design is not None:
-        coef = plan.coefficients(clf.term_params)
-    if coef is not None:
-        class_major = np.matmul(coef.T, plan.design.T, out=out.T)
-        class_major += clf.log_pi[:, None]
-        return out
-    out[:] = clf.log_pi
-    for term, params, enc in zip(
-        clf.spec.terms, clf.term_params, plan.encodings
-    ):
-        term.log_likelihood_into(db, params, out, scratch=scratch, encoding=enc)
+    plan = get_plan(db, clf.spec)
+    coef = plan.coefficients(clf.term_params, clf.n_classes)
+    class_major = np.matmul(coef.T, plan.design.T, out=out.T)
+    class_major += clf.log_pi[:, None]
     return out
 
 
@@ -218,11 +201,7 @@ def fused_labels(ws: Workspace) -> np.ndarray:
 
 
 def fused_local_update_wts(
-    db: Database,
-    clf: Classification,
-    *,
-    plan: KernelPlan | None = None,
-    workspace: Workspace | None = None,
+    db: Database, clf: Classification
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free E-step over a database block.
 
@@ -233,8 +212,6 @@ def fused_local_update_wts(
     """
     workhooks.report("wts", db.n_items, clf.n_classes, clf.spec.n_stats)
     obs.current().count("estep.fused")
-    if plan is None:
-        plan = get_plan(db, clf.spec)
-    ws = workspace or get_workspace(db.n_items, clf.n_classes)
-    fused_compute_log_joint(db, clf, ws.log_joint, plan=plan, scratch=ws.scratch)
+    ws = get_workspace(db.n_items, clf.n_classes)
+    fused_compute_log_joint(db, clf, ws.log_joint)
     return fused_normalize_and_payload(ws, clf.n_classes)

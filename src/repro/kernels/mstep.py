@@ -1,7 +1,7 @@
 """Fused M-step: the packed sufficient statistics as one GEMM.
 
-Every built-in term's weighted sufficient statistics are linear in the
-plan's design features — ``stats[j, s] = Σ_i design[i, s] · wts[i, j]``
+Every term's weighted sufficient statistics are linear in the plan's
+design features — ``stats[j, s] = Σ_i design[i, s] · wts[i, j]``
 — so the whole local M-step collapses to ``wts.T @ design``, whose
 ``(n_classes, n_stats)`` result *is* the packed Allreduce payload of
 :func:`repro.models.registry.pack_stats` (the plan stacks design
@@ -21,30 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.database import Database
-from repro.kernels.plan import KernelPlan, get_plan
-from repro.models.registry import ModelSpec, pack_stats
+from repro.kernels.plan import get_plan
+from repro.models.registry import ModelSpec
 from repro.obs import recorder as obs
 from repro.util import workhooks
 
 
 def fused_local_update_parameters(
-    db: Database,
-    spec: ModelSpec,
-    wts: np.ndarray,
-    *,
-    plan: KernelPlan | None = None,
+    db: Database, spec: ModelSpec, wts: np.ndarray
 ) -> np.ndarray:
     """Local packed statistics via one GEMM against the cached design.
 
-    Same contract as :func:`repro.engine.params.local_update_parameters`;
-    falls back to per-term accumulation when a custom term provides no
-    design columns.
+    Same contract as :func:`repro.engine.params.local_update_parameters`.
     """
     workhooks.report("params", db.n_items, wts.shape[1], spec.n_stats)
     obs.current().count("mstep.fused")
-    if plan is None:
-        plan = get_plan(db, spec)
-    if plan.design is not None:
-        return np.matmul(wts.T, plan.design)
-    per_term = [term.accumulate_stats(db, wts) for term in spec.terms]
-    return pack_stats(spec, per_term)
+    return np.matmul(wts.T, get_plan(db, spec).design)

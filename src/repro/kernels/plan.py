@@ -1,25 +1,19 @@
-"""The KernelPlan: per-``(Database, ModelSpec)`` precomputed encodings.
+"""The KernelPlan: the per-``(Database, ModelSpec)`` design matrix.
 
 Everything about the E/M hot path that depends only on the *data* and
 the *model form* — never on the current parameter values — is computed
-once here and reused for every cycle of every BIG_LOOP try:
-
-* the **augmented design matrix** ``design`` of shape
-  ``(n_items, n_stats)``: every term's feature rows stacked column-wise
-  in registry order (``1``/``x``/``x²`` for normals, presence and
-  missing indicators plus zero-filled values for ``*_cm`` terms,
-  one-hot symbol indicators for multinomials, pairwise products for
-  ``multi_normal_cn``).  Its columns are laid out exactly like
-  :func:`repro.models.registry.pack_stats`, which makes the M-step a
-  single GEMM: ``wts.T @ design`` *is* the packed statistics array.
-  Because log densities of every built-in term are linear in the same
-  features, the E-step log joint is the mirror-image GEMM
-  ``design @ coefficients(params)``.
-* per-term **encodings** (gather-ready effective symbol codes for
-  multinomials, zero-filled value vectors and missing masks for
-  ``*_cm`` terms, the dense block matrix for ``multi_normal_cn``) used
-  by the per-term fused fallback path
-  (:meth:`repro.models.base.TermModel.log_likelihood_into`).
+once here and reused for every cycle of every BIG_LOOP try: the
+**augmented design matrix** ``design`` of shape ``(n_items, n_stats)``,
+every term's :meth:`~repro.models.base.TermModel.design_columns`
+stacked column-wise in registry order (``1``/``x``/``x²`` for normals,
+presence and missing indicators plus zero-filled values for ``*_cm``
+terms, one-hot symbol indicators for multinomials, pairwise products
+for ``multi_normal_cn``).  Its columns are laid out exactly like
+:func:`repro.models.registry.pack_stats`, which makes the M-step a
+single GEMM: ``wts.T @ design`` *is* the packed statistics array.
+Because every term's log density is linear in the same features, the
+E-step log joint is the mirror-image GEMM ``design @
+coefficients(params)``.
 
 Plans are cached by *object identity* of the (immutable) database and
 spec, with weak references so dropping a database frees its plan.  Each
@@ -45,56 +39,33 @@ class KernelPlan:
 
     def __init__(self, db: Database, spec: ModelSpec) -> None:
         self.spec = spec
-        self.n_items = db.n_items
-        self.n_stats = spec.n_stats
-        self.stat_slices = spec.stat_slices()
-        self.encodings: tuple[object | None, ...] = tuple(
-            term.encode(db) for term in spec.terms
-        )
         blocks = [term.design_columns(db) for term in spec.terms]
-        if all(b is not None for b in blocks):
-            if blocks:
-                design = np.concatenate(blocks, axis=1)  # type: ignore[arg-type]
-            else:
-                design = np.zeros((db.n_items, 0), dtype=np.float64)
-            self.design: np.ndarray | None = np.ascontiguousarray(
-                design, dtype=np.float64
-            )
-            self.design.setflags(write=False)
-        else:
-            # A custom term without design columns: the fused path falls
-            # back to per-term kernels (still correct, just not one GEMM).
-            self.design = None
+        design = np.concatenate([np.empty((db.n_items, 0)), *blocks], axis=1)
+        self.design = np.ascontiguousarray(design, dtype=np.float64)
+        self.design.setflags(write=False)
 
     def coefficients(
-        self, term_params: tuple[TermParams, ...]
-    ) -> np.ndarray | None:
+        self, term_params: tuple[TermParams, ...], n_classes: int
+    ) -> np.ndarray:
         """``(n_stats, n_classes)`` log-density coefficients at ``params``.
 
-        Satisfies ``design @ coefficients == sum_t log_likelihood_t`` for
-        every built-in term.  Returns ``None`` when any term lacks a
-        linear-in-features form (then the per-term path is used).
+        Satisfies ``design @ coefficients == sum_t log_likelihood_t``; a
+        spec whose terms carry no statistics yields a ``(0, J)`` block.
         """
-        blocks: list[np.ndarray] = []
-        n_classes: int | None = None
+        blocks = []
         for term, params in zip(self.spec.terms, term_params):
             c = term.loglik_coefficients(params)
-            if c is None:
-                return None
-            if c.shape[0] != term.n_stats:
+            if c.shape != (term.n_stats, n_classes):
                 raise ValueError(
-                    f"{term.spec_name}: coefficient rows {c.shape[0]} != "
-                    f"n_stats {term.n_stats}"
+                    f"{term.spec_name}: coefficients {c.shape} != "
+                    f"({term.n_stats}, {n_classes})"
                 )
             blocks.append(c)
-            n_classes = c.shape[1]
-        if not blocks or n_classes is None:
-            return None
-        return np.concatenate(blocks, axis=0)
+        return np.concatenate([np.empty((0, n_classes)), *blocks], axis=0)
 
     @property
     def nbytes(self) -> int:
-        return 0 if self.design is None else self.design.nbytes
+        return self.design.nbytes
 
 
 @dataclass

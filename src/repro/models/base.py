@@ -14,6 +14,10 @@ contract is designed around the paper's parallelization:
    rank yields bit-identical parameters with zero extra communication.
 3. **Log-space likelihoods.** ``log_likelihood(db, params)`` returns the
    per-item, per-class log density consumed by ``update_wts``.
+4. **Linear features.** ``design_columns(db)`` and
+   ``loglik_coefficients(params)`` express both of the above as GEMMs
+   against one per-item feature matrix; the engine's hot path uses only
+   this pair, and the reference pair of items 1 and 3 is its oracle.
 
 Terms also expose the two Bayesian quantities the search needs:
 ``log_prior_density`` (the MAP objective's prior part) and
@@ -132,70 +136,28 @@ class TermModel(ABC):
         """
 
     # ------------------------------------------------------------------
-    # Fused-kernel protocol (optional; defaults preserve correctness)
+    # GEMM protocol (required)
     #
-    # The :mod:`repro.kernels` layer exploits the fact that every
-    # built-in term's log density *and* sufficient statistics are linear
-    # in a shared set of per-item features ("design columns").  A term
-    # may opt into the fused path by implementing ``design_columns`` /
-    # ``loglik_coefficients`` (single-GEMM E- and M-steps) and/or
-    # ``log_likelihood_into`` (in-place accumulation with a caller-
-    # provided scratch buffer).  The defaults below keep any custom term
-    # correct — the kernels simply fall back to the reference math.
+    # The :mod:`repro.kernels` layer exploits the fact that every term's
+    # log density *and* sufficient statistics are linear in a shared set
+    # of per-item features ("design columns"), so both local halves of
+    # the EM cycle are one GEMM each against the cached design matrix.
+    # ``log_likelihood`` / ``accumulate_stats`` above are the reference
+    # pair these two must reproduce (the differential tests and
+    # ``repro.verify`` check that they do).
 
-    def encode(self, db: Database) -> object | None:
-        """Reusable per-database encoding cached in the KernelPlan.
-
-        Whatever this returns is handed back verbatim as the
-        ``encoding`` argument of :meth:`log_likelihood_into` on every
-        cycle (e.g. gather-ready symbol codes, zero-filled value
-        vectors).  ``None`` (the default) means "re-derive from ``db``".
-        """
-        del db
-        return None
-
-    def design_columns(self, db: Database) -> np.ndarray | None:
+    @abstractmethod
+    def design_columns(self, db: Database) -> np.ndarray:
         """``(n_items, n_stats)`` feature rows for the fused GEMMs.
 
         Must satisfy ``wts.T @ design_columns(db) ==
-        accumulate_stats(db, wts)`` exactly (same column order).  Return
-        ``None`` (the default) to opt out of the single-GEMM path.
+        accumulate_stats(db, wts)`` (same column order).
         """
-        del db
-        return None
 
-    def loglik_coefficients(self, params: TermParams) -> np.ndarray | None:
+    @abstractmethod
+    def loglik_coefficients(self, params: TermParams) -> np.ndarray:
         """``(n_stats, n_classes)`` coefficients with
-        ``design_columns(db) @ coef == log_likelihood(db, params)``.
-
-        Return ``None`` (the default) if the term's log density is not
-        linear in its design features; the fused E-step then uses
-        :meth:`log_likelihood_into` for this term instead.
-        """
-        del params
-        return None
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: TermParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        """Accumulate ``log_likelihood(db, params)`` into ``out`` in place.
-
-        ``scratch``, when given, is a caller-owned ``(n_items,
-        n_classes)`` float64 buffer the term may freely overwrite (the
-        workspace pool provides it so fused implementations allocate
-        nothing per cycle).  ``encoding`` is whatever :meth:`encode`
-        returned for this database.  The default implementation falls
-        back to ``out += log_likelihood(...)``.
-        """
-        del scratch, encoding
-        out += self.log_likelihood(db, params)
-        return out
+        ``design_columns(db) @ coef == log_likelihood(db, params)``."""
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -52,25 +52,13 @@ class IgnoreTerm(TermModel):
     def log_likelihood(self, db: Database, params: IgnoreParams) -> np.ndarray:
         return np.zeros((db.n_items, params.n_classes), dtype=np.float64)
 
-    # -- fused-kernel protocol: inert (0 design columns, no-op add) ------
+    # -- GEMM protocol: inert (0 design columns) ------------------------
 
     def design_columns(self, db: Database) -> np.ndarray:
         return np.zeros((db.n_items, 0), dtype=np.float64)
 
     def loglik_coefficients(self, params: IgnoreParams) -> np.ndarray:
         return np.zeros((0, params.n_classes), dtype=np.float64)
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: IgnoreParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        del db, params, scratch, encoding
-        return out
 
     def log_prior_density(self, params: IgnoreParams) -> float:
         return 0.0

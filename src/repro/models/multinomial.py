@@ -148,23 +148,7 @@ class MultinomialTerm(TermModel):
             out[miss] = 0.0  # absent cell contributes evidence 1
         return out
 
-    # -- fused-kernel protocol -------------------------------------------
-
-    def encode(self, db: Database) -> dict:
-        """Gather-ready effective codes (missing folded in per the model)."""
-        codes = db.columns[self._index]
-        miss = db.missing[self._index]
-        if self._model_missing:
-            eff = np.where(miss, self._attr.arity, codes)
-            any_unmodelled = False
-        else:
-            eff = np.where(miss, 0, codes)
-            any_unmodelled = bool(miss.any())
-        return {
-            "codes": np.ascontiguousarray(eff, dtype=np.intp),
-            "miss": miss,
-            "any_unmodelled_missing": any_unmodelled,
-        }
+    # -- GEMM protocol ---------------------------------------------------
 
     def design_columns(self, db: Database) -> np.ndarray:
         """One-hot symbol indicators, ``(n_items, n_cells)``.
@@ -172,41 +156,20 @@ class MultinomialTerm(TermModel):
         Rows with unmodelled missing values are all-zero (they
         contribute neither statistics nor likelihood).
         """
-        enc = self.encode(db)
-        n = db.n_items
-        cols = np.zeros((n, self._n_cells), dtype=np.float64)
-        if enc["any_unmodelled_missing"]:
-            rows = np.flatnonzero(~enc["miss"])
-            cols[rows, enc["codes"][rows]] = 1.0
+        codes = db.columns[self._index]
+        miss = db.missing[self._index]
+        cols = np.zeros((db.n_items, self._n_cells), dtype=np.float64)
+        if self._model_missing:
+            codes = np.where(miss, self._attr.arity, codes)
+            cols[np.arange(db.n_items), codes] = 1.0
         else:
-            cols[np.arange(n), enc["codes"]] = 1.0
+            rows = np.flatnonzero(~miss)
+            cols[rows, codes[rows]] = 1.0
         return cols
 
     def loglik_coefficients(self, params: MultinomialParams) -> np.ndarray:
         # One-hot design @ log_p.T is exactly the per-item gather.
         return np.ascontiguousarray(params.log_p.T)
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: MultinomialParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        enc = encoding if isinstance(encoding, dict) else self.encode(db)
-        table = np.ascontiguousarray(params.log_p.T)  # (n_cells, J)
-        t = scratch if (
-            scratch is not None and scratch.shape == out.shape
-        ) else np.empty_like(out)
-        # mode="clip" skips the bounds-check buffering (codes are
-        # validated against the arity at Database construction).
-        np.take(table, enc["codes"], axis=0, out=t, mode="clip")
-        if enc["any_unmodelled_missing"]:
-            t[enc["miss"]] = 0.0  # absent cell contributes evidence 1
-        np.add(out, t, out=out)
-        return out
 
     def log_prior_density(self, params: MultinomialParams) -> float:
         return self._prior.log_pdf(params.p)

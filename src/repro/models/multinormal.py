@@ -9,7 +9,9 @@ data covariance.
 
 Complete data only (the ``_cn`` suffix), enforced by :meth:`validate` —
 matching AutoClass C, whose multi-normal model likewise excludes
-missing values.
+missing values.  Scoring never calls ``validate``: an item missing any
+of the block's cells contributes log-likelihood 0 (evidence 1), the rule
+``single_multinomial`` applies to an unmodelled missing cell.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ class MultiNormalTerm(TermModel):
     def _matrix(self, db: Database) -> np.ndarray:
         return np.column_stack([db.columns[i] for i in self._indices])
 
+    def _missing_rows(self, db: Database) -> np.ndarray:
+        """Items missing any of the block's cells (only ever at scoring
+        time: :meth:`validate` refuses them for a fit)."""
+        return np.logical_or.reduce([db.missing[i] for i in self._indices])
+
     def accumulate_stats(self, db: Database, wts: np.ndarray) -> np.ndarray:
         """Per class: [sum w, sum w x (d), triu(sum w x x^T) (d(d+1)/2)]."""
         x = self._matrix(db)  # (n, d)
@@ -148,6 +155,9 @@ class MultiNormalTerm(TermModel):
         from scipy.linalg import solve_triangular
 
         x = self._matrix(db)  # (n, d)
+        miss = self._missing_rows(db)
+        if miss.any():
+            x[miss] = 0.0  # solve_triangular refuses NaN
         n = x.shape[0]
         out = np.empty((n, params.n_classes))
         const = -0.5 * self._d * LOG_2PI
@@ -157,12 +167,11 @@ class MultiNormalTerm(TermModel):
             z = solve_triangular(params.chol[j], dev.T, lower=True)  # (d, n)
             maha = np.einsum("dn,dn->n", z, z)
             out[:, j] = const - 0.5 * params.log_det[j] - 0.5 * maha
+        if miss.any():
+            out[miss] = 0.0  # an incomplete item contributes evidence 1
         return out
 
-    # -- fused-kernel protocol -------------------------------------------
-
-    def encode(self, db: Database) -> np.ndarray:
-        return np.ascontiguousarray(self._matrix(db))
+    # -- GEMM protocol ---------------------------------------------------
 
     def design_columns(self, db: Database) -> np.ndarray:
         x = self._matrix(db)
@@ -172,6 +181,9 @@ class MultiNormalTerm(TermModel):
         cols[:, 0] = 1.0
         cols[:, 1 : 1 + d] = x
         np.multiply(x[:, iu[0]], x[:, iu[1]], out=cols[:, 1 + d :])
+        miss = self._missing_rows(db)
+        if miss.any():
+            cols[miss] = 0.0
         return cols
 
     def loglik_coefficients(self, params: MultiNormalParams) -> np.ndarray:
@@ -198,34 +210,6 @@ class MultiNormalTerm(TermModel):
             coef[1 : 1 + d, j] = eta
             coef[1 + d :, j] = np.where(diag, -0.5 * prec[iu], -prec[iu])
         return coef
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: MultiNormalParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        """Per-class Mahalanobis accumulated column-wise into ``out``.
-
-        Uses the cached Cholesky factors (no expanded quadratic); the
-        transient arrays are ``(d, n)``-shaped, never ``(n, J)``.
-        """
-        from scipy.linalg import solve_triangular
-
-        del scratch
-        x = encoding if isinstance(encoding, np.ndarray) else self._matrix(db)
-        const = -0.5 * self._d * LOG_2PI
-        for j in range(params.n_classes):
-            dev = x - params.mu[j]
-            z = solve_triangular(params.chol[j], dev.T, lower=True)
-            maha = np.einsum("dn,dn->n", z, z)
-            maha *= -0.5
-            maha += const - 0.5 * params.log_det[j]
-            out[:, j] += maha
-        return out
 
     def log_prior_density(self, params: MultiNormalParams) -> float:
         """Log NIW density at the MAP (mu, Sigma), summed over classes."""

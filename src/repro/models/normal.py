@@ -7,6 +7,11 @@ so a class can be characterized by *whether* the attribute tends to be
 recorded as well as by its value — AutoClass's treatment of missing
 reals.
 
+``single_normal_cn`` refuses missing values in a fit (:meth:`NormalTerm.
+validate`); when a fitted model scores an item whose cell is missing,
+the term contributes log-likelihood 0 (evidence 1), the rule
+``single_multinomial`` applies to an unmodelled missing cell.
+
 Both use the Normal-Inverse-Gamma prior of
 :class:`repro.models.priors.NormalGammaPrior`, anchored at the global
 data statistics, with the class sigma floored at the attribute's
@@ -47,26 +52,6 @@ def _gauss_log_pdf(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarr
     """``(n_items, n_classes)`` Gaussian log density, broadcast over classes."""
     z = (x[:, None] - mu[None, :]) / sigma[None, :]
     return -0.5 * (z * z) - np.log(sigma)[None, :] - 0.5 * LOG_2PI
-
-
-def _gauss_log_pdf_into(
-    x: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray | None,
-) -> np.ndarray:
-    """``out += gauss_log_pdf`` using only ``scratch`` and J-sized temps."""
-    t = scratch if scratch is not None and scratch.shape == out.shape else (
-        np.empty_like(out)
-    )
-    np.subtract(x[:, None], mu[None, :], out=t)
-    np.divide(t, sigma[None, :], out=t)
-    np.multiply(t, t, out=t)
-    np.multiply(t, -0.5, out=t)
-    np.subtract(t, (np.log(sigma) + 0.5 * LOG_2PI)[None, :], out=t)
-    np.add(out, t, out=out)
-    return out
 
 
 def _log_presence(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +167,13 @@ class NormalTerm(TermModel):
         )
 
     def log_likelihood(self, db: Database, params: NormalParams) -> np.ndarray:
-        return _gauss_log_pdf(db.columns[self._index], params.mu, params.sigma)
+        out = _gauss_log_pdf(db.columns[self._index], params.mu, params.sigma)
+        miss = db.missing[self._index]
+        if miss.any():
+            out[miss] = 0.0  # absent cell contributes evidence 1
+        return out
 
-    # -- fused-kernel protocol -------------------------------------------
-
-    def encode(self, db: Database) -> np.ndarray:
-        return np.ascontiguousarray(db.columns[self._index], dtype=np.float64)
+    # -- GEMM protocol ---------------------------------------------------
 
     def design_columns(self, db: Database) -> np.ndarray:
         x = db.columns[self._index]
@@ -195,26 +181,13 @@ class NormalTerm(TermModel):
         cols[:, 0] = 1.0
         cols[:, 1] = x
         np.multiply(x, x, out=cols[:, 2])
+        miss = db.missing[self._index]
+        if miss.any():
+            cols[miss] = 0.0
         return cols
 
     def loglik_coefficients(self, params: NormalParams) -> np.ndarray:
         return _gauss_coefficients(params.mu, params.sigma)
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: NormalParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        x = (
-            encoding
-            if isinstance(encoding, np.ndarray)
-            else db.columns[self._index]
-        )
-        return _gauss_log_pdf_into(x, params.mu, params.sigma, out, scratch)
 
     def log_prior_density(self, params: NormalParams) -> float:
         return self._prior.log_pdf(params.mu, params.sigma)
@@ -329,22 +302,11 @@ class NormalMissingTerm(TermModel):
             out[miss] = log_q
         return out
 
-    # -- fused-kernel protocol -------------------------------------------
-
-    def encode(self, db: Database) -> dict:
-        x = db.columns[self._index]
-        miss = db.missing[self._index]
-        xp = np.where(miss, 0.0, x)
-        return {
-            "xp": np.ascontiguousarray(xp, dtype=np.float64),
-            "miss": miss,
-            "any_missing": bool(miss.any()),
-        }
+    # -- GEMM protocol ---------------------------------------------------
 
     def design_columns(self, db: Database) -> np.ndarray:
-        enc = self.encode(db)
-        miss = enc["miss"]
-        xp = enc["xp"]
+        miss = db.missing[self._index]
+        xp = np.where(miss, 0.0, db.columns[self._index])
         cols = np.empty((xp.shape[0], self._N_STATS), dtype=np.float64)
         np.subtract(1.0, miss, out=cols[:, 0])  # present indicator
         cols[:, 1] = xp
@@ -364,34 +326,6 @@ class NormalMissingTerm(TermModel):
         coef[2] = gauss[2]
         coef[3] = log_q
         return coef
-
-    def log_likelihood_into(
-        self,
-        db: Database,
-        params: NormalMissingParams,
-        out: np.ndarray,
-        *,
-        scratch: np.ndarray | None = None,
-        encoding: object | None = None,
-    ) -> np.ndarray:
-        enc = encoding if isinstance(encoding, dict) else self.encode(db)
-        t = scratch if (
-            scratch is not None and scratch.shape == out.shape
-        ) else np.empty_like(out)
-        np.subtract(enc["xp"][:, None], params.mu[None, :], out=t)
-        np.divide(t, params.sigma[None, :], out=t)
-        np.multiply(t, t, out=t)
-        np.multiply(t, -0.5, out=t)
-        log_p, log_q = _log_presence(params.p_present)
-        np.subtract(
-            t,
-            (np.log(params.sigma) + 0.5 * LOG_2PI - log_p)[None, :],
-            out=t,
-        )
-        if enc["any_missing"]:
-            t[enc["miss"]] = log_q
-        np.add(out, t, out=out)
-        return out
 
     def log_prior_density(self, params: NormalMissingParams) -> float:
         return self._prior.log_pdf(params.mu, params.sigma) + self._presence_prior.log_pdf(

@@ -28,7 +28,6 @@ from repro.kernels.estep import (
     fused_labels,
     fused_log_posterior,
 )
-from repro.kernels.plan import get_plan
 from repro.kernels.workspace import get_workspace
 from repro.obs import recorder as obs
 from repro.util import workhooks
@@ -86,9 +85,7 @@ def _log_posterior(db: Database, clf: "Classification"):
     rec.count("serve.batches")
     rec.count("serve.items", n)
     ws = get_workspace(n, j)
-    fused_compute_log_joint(
-        db, clf, ws.log_joint, plan=get_plan(db, clf.spec), scratch=ws.scratch
-    )
+    fused_compute_log_joint(db, clf, ws.log_joint)
     _log_post, log_evidence = fused_log_posterior(ws, j)
     return ws, log_evidence
 

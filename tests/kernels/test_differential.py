@@ -16,10 +16,8 @@ from repro.data.synth import make_mixed_database, make_paper_database
 from repro.engine.classification import Classification
 from repro.engine.params import finalize_parameters, local_update_parameters
 from repro.engine.wts import N_EXTRA_SLOTS, local_update_wts
-from repro.kernels import get_plan
 from repro.models.multinomial import MultinomialTerm
 from repro.models.multinormal import MultiNormalTerm
-from repro.models.normal import NormalMissingTerm
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 
@@ -136,7 +134,7 @@ class TestPropertyRandomWeights:
 
 @pytest.mark.parametrize("name,db,spec", CASES, ids=CASE_IDS)
 class TestPerTermProtocol:
-    """The three per-term kernel hooks satisfy their algebraic contracts."""
+    """The GEMM pair reproduces the reference pair on every term."""
 
     def test_design_columns_reproduce_stats(self, name, db, spec):
         rng = np.random.default_rng(3)
@@ -159,22 +157,6 @@ class TestPerTermProtocol:
             np.testing.assert_allclose(
                 cols @ coef,
                 term.log_likelihood(db, params),
-                rtol=RTOL, atol=ATOL,
-            )
-
-    def test_log_likelihood_into_accumulates(self, name, db, spec):
-        _wts, clf = _random_clf(db, spec, 3, seed=5)
-        base = np.random.default_rng(6).normal(size=(db.n_items, 3))
-        for term, params in zip(spec.terms, clf.term_params):
-            out = base.copy()
-            scratch = np.empty_like(out)
-            result = term.log_likelihood_into(
-                db, params, out, scratch=scratch, encoding=term.encode(db)
-            )
-            assert result is out
-            np.testing.assert_allclose(
-                out,
-                base + term.log_likelihood(db, params),
                 rtol=RTOL, atol=ATOL,
             )
 
@@ -235,28 +217,3 @@ def test_class_count_edges(name, db, spec, n_classes):
     """J = 1 (a single class row) and J = 64 (the paper's largest)."""
     _wts, clf = _random_clf(db, spec, n_classes, seed=11)
     _assert_cycle_halves_agree(db, spec, clf)
-
-
-class _NoDesignNormal(NormalMissingTerm):
-    """A custom term without design columns."""
-
-    def design_columns(self, db):
-        return None
-
-
-@pytest.mark.parametrize("n_classes", [1, 4, 64])
-def test_custom_term_fallback_through_class_major_view(n_classes):
-    """``plan.design is None``: every term accumulates in place into the
-    workspace's ``(n, J)`` views — strided writes, incl. the
-    multinomials' gather into the scratch view."""
-    name, db, spec = CASES[1]
-    summary = DataSummary.from_database(db)
-    terms = list(spec.terms)
-    i = next(k for k, t in enumerate(terms) if isinstance(t, NormalMissingTerm))
-    attr_index = terms[i].attribute_indices[0]
-    terms[i] = _NoDesignNormal(attr_index, db.schema[attr_index], summary)
-    assert any(isinstance(t, MultinomialTerm) for t in terms)
-    custom = ModelSpec(schema=db.schema, terms=tuple(terms))
-    assert get_plan(db, custom).design is None
-    _wts, clf = _random_clf(db, custom, n_classes, seed=12)
-    _assert_cycle_halves_agree(db, custom, clf)
