@@ -27,6 +27,7 @@ layouts (see :mod:`repro.kernels.stream`).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator
@@ -53,6 +54,10 @@ DEFAULT_SHARD_ITEMS = 8192
 #: Hard cap on simultaneously resident shards per view.
 MAX_RESIDENT_SHARDS = 2
 
+#: Rows per tile of an in-memory block's chunk pass (a constant, not an
+#: option): a tile's ``(TILE_ITEMS, J)`` E-step buffers stay in cache.
+TILE_ITEMS = 4096
+
 
 class ShardCorruptionError(RuntimeError):
     """A shard file's bytes do not match its manifest sha256."""
@@ -67,11 +72,30 @@ def is_streamable(obj) -> bool:
     return isinstance(obj, ShardedDatabase)
 
 
+# id(db) -> (weakref to db, its tiles), beside the Database so its pickle
+# stays data-sized; locked as threads and sim worlds tile blocks at once.
+_tiles: dict[int, tuple[weakref.ref, tuple[Database, ...]]] = {}
+_tiles_lock = threading.Lock()
+
+
 def as_chunk_iterable(data):
-    """Uniform chunk iteration: a plain Database is one chunk."""
+    """Streamed chunks, or an in-memory block as zero-copy ``TILE_ITEMS``-row
+    tiles (itself if it fits), the same objects each call for the plan cache."""
     if is_streamable(data):
         return data.iter_chunks()
-    return iter((data,))
+    if data.n_items <= TILE_ITEMS:
+        return iter((data,))
+    key = id(data)
+    with _tiles_lock:
+        ref, cut = _tiles.get(key, (None, ()))
+        if ref is None or ref() is not data:
+            cut = tuple(
+                data.take(slice(lo, lo + TILE_ITEMS))
+                for lo in range(0, data.n_items, TILE_ITEMS)
+            )
+            ref = weakref.ref(data, lambda _ref: _tiles.pop(key, None))
+            _tiles[key] = (ref, cut)
+    return iter(cut)
 
 
 class _DigestLedger:

@@ -6,11 +6,11 @@ measures it at ~99.5 % of total runtime.  P-AutoClass parallelizes
 exactly this function (Figures 4/5: local halves plus two Allreduce cut
 points), so it is written **once**, as ``chunks x reducer``:
 
-* *chunks* — an in-memory :class:`~repro.data.database.Database` is its
-  own single chunk; a :class:`~repro.data.shards.ShardedDatabase` view
-  streams ``iter_chunks()`` with O(chunk) peak heap.  Both cut-point
-  payloads are additive over items, and a chunk's M half needs only
-  that chunk's *local* weights, so E and M halves fuse per chunk;
+* *chunks* — :func:`~repro.data.shards.as_chunk_iterable`: an in-memory
+  block's cached 4 096-row tiles, a sharded view's ``iter_chunks()``.
+  Both cut-point payloads are additive over items, and a chunk's M half
+  needs only that chunk's *local* weights, so E and M halves fuse per
+  chunk: no ``(N, J)`` weights are ever formed;
 * *reducer* — how the two payloads become global.  The sequential
   program is the identity :class:`LocalReducer` defined here; the
   communicating reducers live in :mod:`repro.parallel.reducers`.  The
@@ -71,14 +71,15 @@ class LocalReducer:
     the two global arrays; ``allreduce`` is the one-shot
     sum the initializer needs.  ``rank``/``size`` place this block in
     the global item range, ``fault_site`` offers an injection point
-    (:mod:`repro.mpc.faults`) and ``local_stats`` is the M half — a
-    method so the Miller & Guo ablation can centralize it.
+    (:mod:`repro.mpc.faults`); ``chunks`` and ``local_stats`` (the M
+    half) are methods so the Miller & Guo ablation can centralize it.
     """
 
     rank = 0
     size = 1
     bytes_sent = 0
     clock = staticmethod(time.perf_counter)
+    chunks = staticmethod(as_chunk_iterable)
     local_stats = staticmethod(local_update_parameters)
 
     def fault_site(self, site: str, *, try_index: int, cycle: int = 0) -> None:
@@ -99,7 +100,7 @@ class LocalReducer:
 
 def local_pass(
     data, clf: Classification, reducer: LocalReducer, *, kernels: str | None = None
-) -> tuple[np.ndarray | None, float, float]:
+) -> tuple[float, float]:
     """The local halves of one cycle: chunk pass + both reduction launches.
 
     For each chunk: E half (accumulate the ``J + 2`` payload), then M
@@ -107,20 +108,19 @@ def local_pass(
     is called right after the *final* chunk's E half — the earliest its
     payload is complete, which is where the paper's first cut point
     sits — and ``launch_stats`` after the last M half.  The accumulation
-    order, and therefore every payload bit, does not depend on the
-    reducer.
+    order, and therefore every payload bit, depends on the reducer only
+    through ``chunks``, which only the Miller & Guo ablation overrides.
 
-    Returns ``(wts, seconds_wts, seconds_params)``: the last chunk's
-    weights (a plain Database's whole block) and the two halves' time on
+    Returns ``(seconds_wts, seconds_params)``: the two halves' time on
     the reducer's clock (the statistics launch counts as M half).
     """
     rec = obs.current()
     clock = reducer.clock
-    payload = stats = wts = None
+    payload = stats = None
     seconds_wts = seconds_params = 0.0
     n_chunks = n_items = 0
     t0 = clock()
-    chunks = as_chunk_iterable(data)
+    chunks = reducer.chunks(data)
     chunk = next(chunks, None)
     while chunk is not None:
         # One chunk of lookahead finds the final chunk.
@@ -156,7 +156,7 @@ def local_pass(
     if is_streamable(data) and rec.enabled and n_chunks:
         rec.count("stream.chunks", n_chunks)
         rec.count("stream.items", n_items)
-    return wts, seconds_wts, seconds_params
+    return seconds_wts, seconds_params
 
 
 def base_cycle(
@@ -174,12 +174,12 @@ def base_cycle(
     passes its block, the global item count and a communicating
     ``reducer``; the cycle then is the paper's Figures 4/5.
 
-    Returns ``(new_clf, wts, stats)``: the re-parameterized
+    Returns ``(new_clf, None, stats)``: the re-parameterized
     classification (scores evaluate the incoming parameters — see module
     docstring; identical on every rank, being a pure function of the
-    reduced payloads), the block's membership weights of the E-step
-    (``None`` for streamed data — the full ``(N, J)`` matrix is never
-    formed), and the phase timings.  ``kernels`` selects the E/M
+    reduced payloads), ``None`` where the block's ``(N, J)`` weights
+    would sit (they are never formed; the slot keeps the triple's
+    shape), and the phase timings.  ``kernels`` selects the E/M
     implementation (``None`` → ``"fused"``; see
     :mod:`repro.kernels.config`).
 
@@ -196,9 +196,7 @@ def base_cycle(
     rec = obs.current()
     clock = reducer.clock
     bytes0 = reducer.bytes_sent
-    wts, seconds_wts, seconds_params = local_pass(
-        data, clf, reducer, kernels=kernels
-    )
+    seconds_wts, seconds_params = local_pass(data, clf, reducer, kernels=kernels)
     t0 = clock()
     payload, stats = reducer.finish()
     reduction = finalize_wts(payload, clf.n_classes)
@@ -225,7 +223,7 @@ def base_cycle(
         w_j=reduction.w_j,
     )
     new_clf = new_clf.with_scores(scores, n_cycles=clf.n_cycles + 1)
-    return new_clf, None if is_streamable(data) else wts, CycleStats(
+    return new_clf, None, CycleStats(
         seconds_wts=seconds_wts,
         seconds_params=seconds_params + (t1 - t0),
         seconds_approx=t2 - t1,

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.data.partition import partition_bounds
-from repro.data.shards import as_chunk_iterable, is_streamable
+from repro.data.shards import TILE_ITEMS, as_chunk_iterable, is_streamable
 from repro.engine.classification import Classification
 from repro.engine.cycle import LocalReducer
 from repro.engine.params import finalize_parameters, local_update_parameters
@@ -168,9 +168,8 @@ def initial_classification(
             f"partition bounds give {(lo, hi)}"
         )
     if method in STREAMABLE_INIT_METHODS:
-        step = max(int(db.chunk_items) if streamed else db.n_items, 1)
-        for skip in range(0, lo, step):
-            random_weights(min(step, lo - skip), n_classes, rng, method=method)
+        for skip in range(0, lo, TILE_ITEMS):
+            random_weights(min(TILE_ITEMS, lo - skip), n_classes, rng, method=method)
         draws = (
             (chunk, random_weights(chunk.n_items, n_classes, rng, method=method))
             for chunk in as_chunk_iterable(db)
@@ -188,7 +187,9 @@ def initial_classification(
         wts = random_weights(
             n_total_items, n_classes, rng, method=method, db=full_db
         )
-        draws = ((db, wts[lo:hi]),)
+        chunks = tuple(as_chunk_iterable(db))
+        cuts = np.cumsum([chunk.n_items for chunk in chunks])[:-1]
+        draws = zip(chunks, np.split(wts[lo:hi], cuts))
     w_j = stats = None
     for chunk, wts in draws:
         part = local_update_parameters(chunk, spec, wts, kernels=kernels)

@@ -97,13 +97,15 @@ class CentralMStepReducer(TwoCutPointReducer):
     design eliminates; results are numerically equivalent.
 
     Needs the full database on rank 0 (other ranks may pass the same
-    replicated object — only rank 0 reads it) and in-memory blocks (the
-    single-chunk cycle hands ``local_stats`` the rank's whole weights).
+    replicated object — only rank 0 reads it) and in-memory blocks, which
+    ``chunks`` keeps whole so ``local_stats`` sees all the rank's weights.
     """
 
     def __init__(self, comm, plan, full_db) -> None:
         super().__init__(comm, plan)
         self.full_db = full_db
+
+    chunks = staticmethod(lambda data: iter((data,)))
 
     def local_stats(self, chunk, spec, wts, *, kernels=None):
         gathered = self.comm.gather(wts, root=0)

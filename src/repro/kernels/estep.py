@@ -35,6 +35,7 @@ exactly why the reference path is retained for differential testing.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,6 +57,8 @@ if TYPE_CHECKING:  # the kernel layer sits *below* the engine; no runtime
 #: layer stays importable below the engine.
 N_EXTRA_SLOTS = 2
 
+_coef = threading.local()  # last (clf, coefficients): built once per cycle
+
 
 def fused_compute_log_joint(
     db: Database, clf: Classification, out: np.ndarray
@@ -66,8 +69,10 @@ def fused_compute_log_joint(
     which for a workspace buffer is the class-major C-order array.
     """
     plan = get_plan(db, clf.spec)
-    coef = plan.coefficients(clf.term_params, clf.n_classes)
-    class_major = np.matmul(coef.T, plan.design.T, out=out.T)
+    last = getattr(_coef, "last", (None, None))
+    if last[0] is not clf:
+        last = _coef.last = (clf, plan.coefficients(clf.term_params, clf.n_classes))
+    class_major = np.matmul(last[1].T, plan.design.T, out=out.T)
     class_major += clf.log_pi[:, None]
     return out
 

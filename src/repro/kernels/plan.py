@@ -17,8 +17,8 @@ coefficients(params)``.
 
 Plans are cached by *object identity* of the (immutable) database and
 spec, with weak references so dropping a database frees its plan.  Each
-SPMD rank holds one stable ``local_db`` for a whole search, so every
-rank builds its plan exactly once.
+SPMD rank holds one stable ``local_db`` for a whole search, cut into
+cached tiles, so every rank builds each tile's plan exactly once.
 """
 
 from __future__ import annotations

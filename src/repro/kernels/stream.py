@@ -6,20 +6,21 @@ parameter statistics — and both are additive over items.  That makes
 the E/M hot path streamable without touching either cut point: the one
 EM cycle (:mod:`repro.engine.cycle`) runs its per-chunk local kernels
 over a :class:`repro.data.shards.ShardedDatabase` view and accumulates
-the very same payload vectors an in-memory block — simply a single
-chunk — would reduce.
+the very same payload vectors an in-memory block — itself passed as
+cached :data:`~repro.data.shards.TILE_ITEMS`-row tiles — would reduce.
 
 Workspace reuse: the per-chunk kernels draw their scratch from the
 thread-local pool (:mod:`repro.kernels.workspace`) keyed by chunk
 shape, so a pass over equally-sized chunks reuses one chunk-sized
 Workspace; peak heap stays O(chunk), not O(N).
 
-Equivalence note: chunked partial sums (and the per-chunk GEMMs behind
-them) associate floating-point additions differently than one whole-
-block kernel call, so streamed payloads agree with in-memory payloads
-to the *reduction-order* tolerance (1e-9 — the same regime
-:mod:`repro.verify` assigns to any change of summation order), and
-exactly bitwise when the view fits a single chunk.  The acceptance
+Equivalence note: sums over chunks or tiles (and their GEMMs) associate
+floating-point additions differently than one whole-block kernel call,
+so any two cuts of a block (streamed chunks, in-memory tiles, the whole
+block) agree to the *reduction-order* tolerance (1e-9, as
+:mod:`repro.verify` allows for any change of summation order), and
+bitwise when both are one piece: a view within one chunk, a block within
+one tile.  The acceptance
 invariant — asserted across all four worlds — is that a streamed fit
 reproduces the in-memory fit's final classification exactly.
 """

@@ -2,11 +2,10 @@
 
 The fused E-step needs one ``(n_items, n_classes)`` log-joint buffer,
 one equally sized scratch buffer and three ``(n_items,)`` row vectors.
-Allocating them fresh every cycle is what the seed implementation
-effectively did (``np.tile`` plus one full temporary per term plus the
-``np.where`` pair in the normalizer); here they are allocated once per
+Instead of fresh per-cycle temporaries they are allocated once per
 ``(n_items, n_classes)`` shape and reused across every cycle of every
-BIG_LOOP try.
+BIG_LOOP try.  A fit's shapes are tile- or chunk-sized (the cycle cuts
+every block; :mod:`repro.data.shards`); scoring still passes whole ones.
 
 The pool is **thread-local** because P-AutoClass runs SPMD ranks as
 threads (:mod:`repro.mpc.threadworld`, :mod:`repro.simnet.simworld`):

@@ -18,7 +18,7 @@ class TestBaseCycle:
         clf, wts, stats = base_cycle(paper_db, clf0)
         assert clf.scores is not None
         assert clf.n_cycles == 1
-        assert wts.shape == (paper_db.n_items, 4)
+        assert wts is None  # the (N, J) weights are never formed
 
     def test_cycle_counter_increments(self, paper_db, clf0):
         clf = clf0

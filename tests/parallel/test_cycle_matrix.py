@@ -89,7 +89,7 @@ def cell(comm, source, spec, kind):
         clf, wts, _stats = base_cycle(
             local, clf, n_total_items=N_ITEMS, reducer=reducer
         )
-    assert (wts is None) == isinstance(source, ShardedDatabase)
+    assert wts is None
     return clf
 
 
