@@ -170,13 +170,12 @@ def _surface_restarts(run: Run) -> None:
 VERIFY_LEVELS = ("off", "trace", "strict")
 
 
-def check_verify(verify: str, config: SearchConfig, db) -> None:
+def check_verify(verify: str, config: SearchConfig) -> None:
     """Refuse a ``verify=`` shadow run that could not be expected to conform.
 
-    ``max_seconds`` makes the try count wall-clock-dependent; and the
-    trace harness replays per-cycle weight matrices in memory, which a
-    streamed fit never materializes (streamed-vs-in-memory agreement
-    has its own differential tests, ``tests/stream``).
+    ``max_seconds`` makes the try count wall-clock-dependent.  Data is
+    never a reason: the shadow fits the same database or shard view
+    the primary did.
     """
     if verify == "off":
         return
@@ -185,14 +184,6 @@ def check_verify(verify: str, config: SearchConfig, db) -> None:
             "verify='trace'/'strict' needs a deterministic search; "
             "max_seconds makes the try count wall-clock-dependent and "
             "no shadow run could be expected to conform"
-        )
-    if is_streamable(db):
-        raise ValueError(
-            "verify='trace'/'strict' replays the search through the "
-            "in-memory trace harness and cannot stream a "
-            "ShardedDatabase; fit with verify='off' (streamed fits are "
-            "covered by the streamed==in-memory differential tests) or "
-            "materialize() the data"
         )
 
 
@@ -258,10 +249,12 @@ def _verified(
     """Run the conformance shadow fit and attach/enforce its report.
 
     The shadow is always a *sequential* run over the same seeded
-    config.  A parallel primary is shadowed on the fused kernel path it
-    ran on — isolating the parallelism axis (the paper's claim).  A
-    sequential primary is shadowed on the reference kernel path — the
-    only remaining differential axis.  Strict mode raises
+    config and the same ``db`` — a shard view streams again, because an
+    in-memory shadow of a streamed fit would differ in summation order
+    and fail the compare.  A parallel primary is shadowed on the fused
+    kernel path it ran on — isolating the parallelism axis (the paper's
+    claim).  A sequential primary is shadowed on the reference kernel
+    path — the only remaining differential axis.  Strict mode raises
     :class:`repro.verify.ConformanceError` with a first-divergence
     report; trace mode only attaches ``run.conformance``.
     """
@@ -609,7 +602,7 @@ class _Estimator(Inference):
             self.config, seedable=not is_streamable(db),
             init_defaulted=self._init_method_defaulted,
         )
-        check_verify(opts.verify, config, db)
+        check_verify(opts.verify, config)
         ckpt_spec = _resolve_checkpoint(
             opts.checkpoint, opts.checkpoint_dir, opts.resume
         )
@@ -677,15 +670,7 @@ class _Estimator(Inference):
 
     def report(self) -> str:
         """AutoClass-style report of the best classification."""
-        best = self.best_
-        if is_streamable(self._db):
-            raise ValueError(
-                "the classification report recomputes full-database "
-                "memberships in memory and cannot stream a "
-                "ShardedDatabase; pass materialize()d data to fit() if "
-                "the report is needed"
-            )
-        return classification_report(self._db, best)
+        return classification_report(self._db, self.best_)
 
 
 class AutoClass(_Estimator):

@@ -11,6 +11,7 @@ alongside both so kernels never have to re-derive missingness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.data.attributes import (
     DiscreteAttribute,
     RealAttribute,
 )
+from repro.data.partition import partition_bounds
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,9 @@ class Database:
     Build one with :meth:`from_columns` (validates and normalizes) or the
     generators in :mod:`repro.data.synth`.  Slicing with :meth:`take`
     returns a view-backed sub-database (no copies), which is how
-    P-AutoClass hands each rank its block partition.
+    P-AutoClass hands each rank its block partition.  Like a
+    :class:`~repro.data.shards.ShardedDatabase` view it answers
+    :meth:`iter_chunks`, :meth:`block` and :meth:`probe`.
     """
 
     schema: AttributeSet
@@ -167,6 +171,21 @@ class Database:
         for arr in (*cols, *miss):
             arr.setflags(write=False)
         return Database(self.schema, cols, miss)
+
+    def iter_chunks(self) -> Iterator["Database"]:
+        """The database itself, as one chunk: scoring pays its per-class
+        passes once per chunk, so tiles made ``predict`` slower (docs/data.md)."""
+        return iter((self,))
+
+    def block(self, n_ranks: int, rank: int) -> "Database":
+        """The rows ``rank`` owns under
+        :func:`~repro.data.partition.partition_bounds` (a zero-copy slice)."""
+        lo, hi = partition_bounds(self.n_items, n_ranks, rank)
+        return self.take(slice(lo, hi))
+
+    def probe(self) -> "Database":
+        """What :meth:`~repro.models.registry.ModelSpec.validate` reads: itself."""
+        return self
 
     def real_matrix(self) -> np.ndarray:
         """Dense ``(n_items, n_real)`` float matrix of the real columns.

@@ -9,9 +9,12 @@ balanced-block rule, so partition sizes differ by at most one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.data.database import Database
+if TYPE_CHECKING:
+    from repro.data.database import Database
 
 
 def partition_bounds(n_items: int, n_ranks: int, rank: int) -> tuple[int, int]:
@@ -34,9 +37,8 @@ def partition_bounds(n_items: int, n_ranks: int, rank: int) -> tuple[int, int]:
 
 
 def block_partition(db: Database, n_ranks: int, rank: int) -> Database:
-    """The sub-database owned by ``rank`` (zero-copy slice)."""
-    lo, hi = partition_bounds(db.n_items, n_ranks, rank)
-    return db.take(slice(lo, hi))
+    """The sub-database owned by ``rank``: ``db.block(n_ranks, rank)``."""
+    return db.block(n_ranks, rank)
 
 
 def partition_sizes(n_items: int, n_ranks: int) -> np.ndarray:

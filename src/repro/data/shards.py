@@ -68,8 +68,20 @@ class ShardFormatError(ValueError):
 
 
 def is_streamable(obj) -> bool:
-    """True for data that must be consumed through ``iter_chunks``."""
+    """True for a shard-backed view (the rows live on disk)."""
     return isinstance(obj, ShardedDatabase)
+
+
+def data_digest(obj) -> str | None:
+    """A view's manifest digest (a checkpoint's data key), else ``None``."""
+    return obj.manifest_digest if is_streamable(obj) else None
+
+
+def _check_chunk_items(chunk_items: int) -> int:
+    step = int(chunk_items)
+    if step < 1:
+        raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
+    return step
 
 
 # id(db) -> (weakref to db, its tiles), beside the Database so its pickle
@@ -161,11 +173,7 @@ class ShardedDatabase:
         self.schema = schema
         self._lo = int(lo)
         self._hi = int(hi)
-        self.chunk_items = int(chunk_items)
-        if self.chunk_items < 1:
-            raise ValueError(
-                f"chunk_items must be >= 1, got {self.chunk_items}"
-            )
+        self.chunk_items = _check_chunk_items(chunk_items)
         sizes = [int(s["n_items"]) for s in manifest["shards"]]
         self._offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self._real_idx = schema.real_indices
@@ -196,6 +204,9 @@ class ShardedDatabase:
         """
         if shard_items < 1:
             raise ValueError(f"shard_items must be >= 1, got {shard_items}")
+        chunk_items = _check_chunk_items(
+            shard_items if chunk_items is None else chunk_items
+        )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest_path = directory / MANIFEST_NAME
@@ -233,7 +244,7 @@ class ShardedDatabase:
             "format": SHARD_FORMAT,
             "n_items": db.n_items,
             "shard_items": int(shard_items),
-            "chunk_items": int(chunk_items or shard_items),
+            "chunk_items": chunk_items,
             "schema": db.schema.to_dicts(),
             "missing_any": [bool(m.any()) for m in db.missing],
             "shards": shards,
@@ -265,7 +276,8 @@ class ShardedDatabase:
             AttributeSet.from_dicts(manifest["schema"]),
             lo=0,
             hi=int(manifest["n_items"]),
-            chunk_items=chunk_items or int(manifest["chunk_items"]),
+            chunk_items=int(manifest["chunk_items"])
+            if chunk_items is None else chunk_items,
         )
 
     # -- Database-alike surface -------------------------------------------
@@ -330,17 +342,15 @@ class ShardedDatabase:
     def block(self, n_ranks: int, rank: int) -> "ShardedDatabase":
         """This rank's block view — the balanced
         :func:`~repro.data.partition.partition_bounds` rule, so streamed
-        per-rank ownership lines up row-for-row with the in-memory
-        ``block_partition``."""
+        per-rank ownership lines up row-for-row with
+        :meth:`Database.block <repro.data.database.Database.block>`."""
         lo, hi = partition_bounds(self.n_items, n_ranks, rank)
         return self._view(self._lo + lo, self._lo + hi)
 
     def with_chunk_items(self, chunk_items: int) -> "ShardedDatabase":
         """Same view, different default chunk size."""
         view = self._view(self._lo, self._hi)
-        view.chunk_items = int(chunk_items)
-        if view.chunk_items < 1:
-            raise ValueError(f"chunk_items must be >= 1, got {chunk_items}")
+        view.chunk_items = _check_chunk_items(chunk_items)
         return view
 
     # -- shard residency ---------------------------------------------------
@@ -475,9 +485,9 @@ class ShardedDatabase:
         the digest verification, a verified shard re-maps in
         microseconds.
         """
-        step = int(chunk_items or self.chunk_items)
-        if step < 1:
-            raise ValueError(f"chunk_items must be >= 1, got {step}")
+        step = self.chunk_items
+        if chunk_items is not None:
+            step = _check_chunk_items(chunk_items)
         offsets = self._offsets
         pos = self._lo
         while pos < self._hi:

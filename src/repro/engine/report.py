@@ -33,33 +33,54 @@ class ClassReport:
 
 
 def membership(db: Database, clf: Classification) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior membership of every item.
+    """Posterior membership of every item of one in-memory block.
 
     Returns ``(wts, hard)``: the ``(n_items, n_classes)`` weight matrix
-    and the argmax hard assignment.
+    and the argmax hard assignment.  Whole-database consumers call it
+    per ``db.iter_chunks()`` chunk, so a shard view streams.
     """
     wts, _ = log_normalize_rows(compute_log_joint(db, clf))
     return wts, np.argmax(wts, axis=1)
 
 
-def influence_values(db: Database, clf: Classification) -> np.ndarray:
+def class_sizes(db, clf: Classification) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_j, counts)``: soft and hard class sizes, ``(n_classes,)`` each.
+
+    Reduced per chunk — summed ``w_j``, bincounted hard labels — so a
+    :class:`~repro.data.shards.ShardedDatabase` view streams with
+    O(chunk x n_classes) heap.
+    """
+    w_j = np.zeros(clf.n_classes)
+    counts = np.zeros(clf.n_classes, dtype=np.int64)
+    for chunk in db.iter_chunks():
+        wts, hard = membership(chunk, clf)
+        w_j += wts.sum(axis=0)
+        counts += np.bincount(hard, minlength=clf.n_classes)
+    return w_j, counts
+
+
+def influence_values(db, clf: Classification) -> np.ndarray:
     """``(n_classes, n_terms)`` influence of each term on each class.
 
     Influence of term t on class j = KL(class-j term distribution ||
     global single-class term distribution), AutoClass's "influence
-    value" diagnostic.
+    value" diagnostic.  The global statistics are summed per chunk.
     """
+    stats = None
+    for chunk in db.iter_chunks():
+        part = [term.global_stats(chunk) for term in clf.spec.terms]
+        stats = part if stats is None else [
+            a + b for a, b in zip(stats, part)
+        ]
     out = np.empty((clf.n_classes, clf.spec.n_terms))
     for t, (term, params) in enumerate(zip(clf.spec.terms, clf.term_params)):
-        global_params = term.map_params(term.global_stats(db))
-        out[:, t] = term.influence(params, global_params)
+        out[:, t] = term.influence(params, term.map_params(stats[t]))
     return out
 
 
-def class_reports(db: Database, clf: Classification) -> list[ClassReport]:
+def class_reports(db, clf: Classification) -> list[ClassReport]:
     """Per-class reports sorted by descending class weight."""
-    wts, _hard = membership(db, clf)
-    w_j = wts.sum(axis=0)
+    w_j, _counts = class_sizes(db, clf)
     pi = clf.pi
     infl = influence_values(db, clf)
     term_names = [
@@ -82,7 +103,7 @@ def class_reports(db: Database, clf: Classification) -> list[ClassReport]:
     return reports
 
 
-def classification_report(db: Database, clf: Classification) -> str:
+def classification_report(db, clf: Classification) -> str:
     """Human-readable report of a classification (AutoClass ``.rlog`` style)."""
     reports = class_reports(db, clf)
     header = [clf.describe(), ""]

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.engine.classification import Classification
-from repro.engine.report import class_reports, influence_values, membership
+from repro.engine.report import class_reports, class_sizes, influence_values
 from repro.models.ignore import IgnoreTerm
 from repro.models.multinomial import MultinomialParams, MultinomialTerm
 from repro.models.multinormal import MultiNormalParams, MultiNormalTerm
@@ -115,8 +115,7 @@ def detailed_report(db: Database, clf: Classification) -> str:
     lines.append(f"EM cycles: {clf.n_cycles}")
     lines.append("")
 
-    wts, hard = membership(db, clf)
-    counts = np.bincount(hard, minlength=clf.n_classes)
+    _w_j, counts = class_sizes(db, clf)
     infl = influence_values(db, clf)
     for report in class_reports(db, clf):
         j = report.class_index

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.shards import is_streamable
+from repro.data.shards import data_digest, is_streamable
 from repro.engine.classification import Classification
 from repro.engine.convergence import RelativeDeltaChecker
 from repro.engine.cycle import LocalReducer, base_cycle
@@ -360,14 +360,13 @@ def run_search(
     a cut point is global, so on a parallel world rank 0 persists one
     copy and every rank restores from the same file.
 
-    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase` (view):
-    every EM cycle then streams chunk-accumulated statistics with
-    O(chunk) peak heap (see :mod:`repro.engine.cycle`).  Streamed
-    searches need a streamable ``init_method``
-    (``"dirichlet"``/``"sharp"``; with no explicit config the
-    partitioned-data default ``"sharp"`` is used), and a bound
-    checkpointer keys the checkpoint on the shard manifest digest so a
-    resume against different data is refused.
+    ``db`` is a database or a :class:`~repro.data.shards.ShardedDatabase`
+    view; every EM cycle accumulates its statistics chunk by chunk (see
+    :mod:`repro.engine.cycle`), so a view streams with O(chunk) peak
+    heap.  A view needs a streamable ``init_method``
+    (``"dirichlet"``/``"sharp"``; with no explicit config ``"sharp"``
+    is used), and a bound checkpointer keys the checkpoint on its
+    manifest digest so a resume against different data is refused.
     """
     streamed = is_streamable(db)
     config = search_config_for(config, seedable=not streamed)
@@ -386,7 +385,7 @@ def run_search(
                 "stream.manifest_digest_u48", int(db.manifest_digest[:12], 16)
             )
             rec.count("stream.chunk_items", db.chunk_items)
-    spec.validate(db.probe() if streamed else db)
+    spec.validate(db.probe())
     stream = SeedSequenceStream(config.seed)
     result = SearchResult(config=config)
     resume = None
@@ -394,7 +393,7 @@ def run_search(
     if checkpointer is not None:
         checkpointer.bind(
             config, spec, n_total_items,
-            data_digest=db.manifest_digest if streamed else None,
+            data_digest=data_digest(db),
         )
         state = checkpointer.load(spec)
         if state is not None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.partition import block_partition
 from repro.engine.cycle import base_cycle
 from repro.engine.init import initial_classification
 from repro.engine.params import local_update_parameters
@@ -138,7 +137,7 @@ def fixed_cycles_program(
     score.
     """
     spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    local = block_partition(db, comm.size, comm.rank)
+    local = db.block(comm.size, comm.rank)
     stream = SeedSequenceStream(seed)
     score = 0.0
     for k, j in enumerate(j_list):
@@ -198,7 +197,7 @@ def kmeans_program(comm, db, k, n_measure, seed):
     """
     from repro.baselines.kmeans import parallel_kmeans
 
-    local = block_partition(db, comm.size, comm.rank)
+    local = db.block(comm.size, comm.rank)
     # Warm-up + measurement in one run: max_iter fixed, tol=0 means it
     # never converges early, so every rank executes exactly n_measure+1
     # identical-shape iterations.

@@ -51,20 +51,17 @@ class DataSummary:
         """Additive moment vector of a (partial) database.
 
         Layout: ``[n_items, then per attribute (n_present, n_missing,
-        sum, sum_sq)]``.  Sums are zero for discrete attributes.
-        Accepts a plain :class:`~repro.data.database.Database` or a
-        :class:`~repro.data.shards.ShardedDatabase` view — the vector
-        is additive over chunks, so a streamed view is summarized with
+        sum, sum_sq)]``.  Sums are zero for discrete attributes.  The
+        vector is summed over ``db.iter_chunks()``: an in-memory
+        database is its own one chunk (summing per tile would move the
+        priors in the last bit), a
+        :class:`~repro.data.shards.ShardedDatabase` view streams with
         O(chunk) peak heap.
         """
-        from repro.data.shards import is_streamable
-
-        if is_streamable(db):
-            out = np.zeros(1 + _SLOTS * len(db.schema), dtype=np.float64)
-            for chunk in db.iter_chunks():
-                out += DataSummary._moments_of(chunk)
-            return out
-        return DataSummary._moments_of(db)
+        out = np.zeros(1 + _SLOTS * len(db.schema), dtype=np.float64)
+        for chunk in db.iter_chunks():
+            out += DataSummary._moments_of(chunk)
+        return out
 
     @staticmethod
     def _moments_of(db: Database) -> np.ndarray:
@@ -114,13 +111,8 @@ class DataSummary:
 
     @staticmethod
     def from_database(db) -> "DataSummary":
-        """Sequential path: summarize a full database directly.
-
-        Accepts a plain :class:`~repro.data.database.Database` or a
-        :class:`~repro.data.shards.ShardedDatabase` view — the moment
-        vector is additive over chunks, so the streamed summary is the
-        same O(chunk)-heap pass the E/M cycle uses.
-        """
+        """Sequential path: summarize a full database (or a shard view)
+        directly, through :meth:`local_moments`."""
         return DataSummary.from_moments(db.schema, DataSummary.local_moments(db))
 
     def attribute(self, key: int | str) -> AttributeSummary:

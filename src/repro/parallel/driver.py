@@ -22,8 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.data.database import Database
-from repro.data.partition import block_partition
-from repro.data.shards import is_streamable
 from repro.engine.search import SearchConfig, SearchResult, search_config_for
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
@@ -55,27 +53,21 @@ def run_pautoclass(
     search: tries run concurrently across that many sub-communicator
     groups — see :func:`repro.parallel.psearch.run_grouped_search`.
 
-    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase`: each
-    rank then takes a shard-backed block *view* (no rank materializes
-    the dataset) and the search streams with O(chunk) peak heap.
-    Streamed runs need a streamable ``init_method`` and
-    ``try_groups=1`` — see :func:`repro.parallel.psearch.
-    run_parallel_search`.
+    Each rank fits ``db.block(comm.size, comm.rank)``: a zero-copy
+    slice of an in-memory database, or a shard-backed view of a
+    :class:`~repro.data.shards.ShardedDatabase` (no rank materializes
+    the dataset and the search streams with O(chunk) peak heap; it
+    needs a streamable ``init_method``).
     """
     if spec is None:
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    streamed = is_streamable(db)
-    if streamed:
-        local_db = db.block(comm.size, comm.rank)
-    else:
-        local_db = block_partition(db, comm.size, comm.rank)
     return run_parallel_search(
         comm,
-        local_db,
+        db.block(comm.size, comm.rank),
         spec,
         n_total_items=db.n_items,
         config=config,
-        full_db=None if streamed else db,
+        full_db=db,
         kernels=kernels,
         checkpointer=None if ckpt is None else ckpt.build(comm.rank),
         try_groups=try_groups,

@@ -21,8 +21,8 @@ split / ownership / merge logic.
 from __future__ import annotations
 
 from repro.data.database import Database
-from repro.data.partition import block_partition, partition_bounds
-from repro.data.shards import is_streamable
+from repro.data.partition import partition_bounds
+from repro.data.shards import data_digest, is_streamable
 from repro.engine.search import (
     SearchConfig,
     SearchResult,
@@ -106,10 +106,11 @@ def run_parallel_search(
     ``try_groups`` — resolved by :func:`resolve_try_groups` — switches
     on the **two-level** search: the world splits into that many
     sub-communicator groups, each group runs its round-robin share of
-    the tries data-parallel over its own block partition, and the
+    the tries data-parallel over its own block of ``full_db``, and the
     leaders exchange results for a canonical merge (see
     :func:`run_grouped_search`).  Requires ``full_db`` (each group
-    re-partitions the input over its own size).
+    re-partitions the input over its own size), in memory or a shard
+    view.
     """
     streamed = is_streamable(local_db)
     config = search_config_for(config, seedable=not streamed)
@@ -121,13 +122,6 @@ def run_parallel_search(
         )
     n_groups = resolve_try_groups(try_groups, comm.size, config.max_n_tries)
     if n_groups > 1:
-        if streamed or is_streamable(full_db):
-            raise ValueError(
-                "try-parallel search (try_groups > 1) re-partitions a "
-                "replicated in-memory database per group and does not "
-                "stream a ShardedDatabase; use try_groups=1 (or "
-                "materialize() the data)"
-            )
         if full_db is None:
             raise ValueError(
                 "try-parallel search (try_groups > 1) needs the full "
@@ -184,12 +178,12 @@ def run_grouped_search(
 
     The world splits into ``n_groups`` contiguous sub-communicators;
     try ``k`` is owned by group ``k % n_groups``.  Each group runs its
-    tries exactly as a dedicated world of its size would — same block
-    partition of the full database, same per-try RNG children (the
-    streams are index-keyed, so out-of-order execution draws identical
-    numbers), same reduction schedule over the group's ranks — which is
-    why a grouped run's try is *bitwise identical* to the same try on a
-    same-size world (tests assert this).
+    tries exactly as a dedicated world of its size would — same
+    ``full_db.block`` (a slice, or a shard view), same per-try RNG
+    children (the streams are index-keyed, so out-of-order execution
+    draws identical numbers), same reduction schedule over the group's
+    ranks — which is why a grouped run's try is *bitwise identical* to
+    the same try on a same-size world (tests assert this).
 
     The merge is deterministic whatever the groups' relative speeds:
     group leaders exchange their completed tries over an ``allgather``
@@ -206,8 +200,8 @@ def run_grouped_search(
     color = group_color(comm.size, n_groups, comm.rank)
     sub = comm.split(color, key=comm.rank)
     leader_comm = comm.split(0 if sub.rank == 0 else None, key=comm.rank)
-    local_db = block_partition(full_db, sub.size, sub.rank)
-    spec.validate(local_db)
+    local_db = full_db.block(sub.size, sub.rank)
+    spec.validate(local_db.probe())
     stream = SeedSequenceStream(config.seed)
     rec = obs.current()
     if rec.enabled:
@@ -217,7 +211,9 @@ def run_grouped_search(
     completed: dict[int, TryResult] = {}
     partial: dict = {}
     if checkpointer is not None:
-        checkpointer.bind(config, spec, n_total_items)
+        checkpointer.bind(
+            config, spec, n_total_items, data_digest=data_digest(full_db)
+        )
         completed, partial = checkpointer.load_tries(spec)
     save_cycle = None
     if (

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.shards import is_streamable
 from repro.kernels.estep import (
     fused_compute_log_joint,
     fused_labels,
@@ -70,79 +69,67 @@ def check_schema(db: Database, clf: "Classification") -> None:
         )
 
 
-def _log_posterior(db: Database, clf: "Classification"):
-    """Score one in-memory batch into this thread's pooled workspace.
+def _posteriors(db: Database, clf: "Classification"):
+    """Score ``db`` chunk by chunk into this thread's pooled workspace.
 
-    Returns ``(ws, log_evidence)`` with the workspace's log-joint buffer
-    holding the log posterior (see :func:`fused_log_posterior`).
+    Yields ``(ws, log_evidence)`` per chunk, in row order, with the
+    workspace's log-joint buffer holding the log posterior (see
+    :func:`fused_log_posterior`); each pair is valid only until the next
+    is drawn.  An in-memory database is one chunk, a shard view streams.
     """
     check_schema(db, clf)
-    n, j = db.n_items, clf.n_classes
-    # Price scoring like an E-step on the counted-work model (so the
-    # virtual CS-2 charges sharded bulk scoring realistically).
-    workhooks.report("wts", n, j, clf.spec.n_stats)
+    j = clf.n_classes
     rec = obs.current()
-    rec.count("serve.batches")
-    rec.count("serve.items", n)
-    ws = get_workspace(n, j)
-    fused_compute_log_joint(db, clf, ws.log_joint)
-    _log_post, log_evidence = fused_log_posterior(ws, j)
-    return ws, log_evidence
+    for chunk in db.iter_chunks():
+        n = chunk.n_items
+        # Price scoring like an E-step on the counted-work model (so the
+        # virtual CS-2 charges sharded bulk scoring realistically).
+        workhooks.report("wts", n, j, clf.spec.n_stats)
+        rec.count("serve.batches")
+        rec.count("serve.items", n)
+        ws = get_workspace(n, j)
+        fused_compute_log_joint(chunk, clf, ws.log_joint)
+        _log_post, log_evidence = fused_log_posterior(ws, j)
+        yield ws, log_evidence
 
 
 def score_batch(db: Database, clf: "Classification") -> BatchScores:
-    """Score a batch of items in one allocation-free kernel pass.
+    """Score a batch of items in one allocation-free kernel pass per chunk.
 
     The scratch space is this thread's pooled
-    :class:`~repro.kernels.workspace.Workspace` for the batch shape;
-    the returned arrays are copies, safe to hold indefinitely.
-
-    A :class:`~repro.data.shards.ShardedDatabase` view is scored
-    chunk-by-chunk — O(chunk) scratch, outputs concatenated (they are
-    O(n_items) by contract; use :func:`predict` / :func:`score_samples`
-    / :func:`score` to avoid holding the ``(n_items, n_classes)`` log
-    posterior).
+    :class:`~repro.kernels.workspace.Workspace` for the chunk shape;
+    the returned arrays are copies, safe to hold indefinitely.  A
+    :class:`~repro.data.shards.ShardedDatabase` view therefore needs
+    O(chunk) scratch, but the outputs are O(n_items) by contract; use
+    :func:`predict` / :func:`score_samples` / :func:`score` to avoid
+    holding the ``(n_items, n_classes)`` log posterior.
     """
-    if is_streamable(db):
-        check_schema(db, clf)
-        parts = [score_batch(chunk, clf) for chunk in db.iter_chunks()]
-        return _concat_scores(parts, clf.n_classes)
-    ws, log_evidence = _log_posterior(db, clf)
+    labels, log_proba, log_evidence = [], [], []
+    for ws, le in _posteriors(db, clf):
+        labels.append(fused_labels(ws))
+        log_proba.append(ws.log_joint.copy())
+        log_evidence.append(le.copy())
     return BatchScores(
-        labels=fused_labels(ws),
-        log_proba=ws.log_joint.copy(),
-        log_evidence=log_evidence.copy(),
+        labels=_concat(labels, (0,), np.int64),
+        log_proba=_concat(log_proba, (0, clf.n_classes), np.float64),
+        log_evidence=_concat(log_evidence, (0,), np.float64),
     )
 
 
-def _concat_scores(
-    parts: list[BatchScores], n_classes: int
-) -> BatchScores:
-    if not parts:
-        return BatchScores(
-            labels=np.empty(0, dtype=np.int64),
-            log_proba=np.empty((0, n_classes), dtype=np.float64),
-            log_evidence=np.empty(0, dtype=np.float64),
-        )
+def _concat(parts: list[np.ndarray], empty_shape, dtype) -> np.ndarray:
+    """Row-concatenate per-chunk outputs (one chunk: as is, no copy)."""
     if len(parts) == 1:
         return parts[0]
-    return BatchScores(
-        labels=np.concatenate([p.labels for p in parts]),
-        log_proba=np.concatenate([p.log_proba for p in parts]),
-        log_evidence=np.concatenate([p.log_evidence for p in parts]),
-    )
+    return np.concatenate(parts) if parts else np.empty(empty_shape, dtype)
 
 
 def predict(db: Database, clf: "Classification") -> np.ndarray:
     """Hard class assignment per item, ``(n_items,)`` int64.
 
-    Streams a :class:`~repro.data.shards.ShardedDatabase` without ever
-    holding more than one chunk's ``(chunk, n_classes)`` posterior.
+    Holds one chunk's ``(chunk, n_classes)`` posterior at a time.
     """
-    if is_streamable(db):
-        out = [predict(chunk, clf) for chunk in db.iter_chunks()]
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-    return fused_labels(_log_posterior(db, clf)[0])
+    out = [fused_labels(ws) for ws, _ in _posteriors(db, clf)]
+    return _concat(out, (0,), np.int64)
 
 
 def predict_logproba(db: Database, clf: "Classification") -> np.ndarray:
@@ -158,32 +145,24 @@ def predict_proba(db: Database, clf: "Classification") -> np.ndarray:
 
 
 def score_samples(db: Database, clf: "Classification") -> np.ndarray:
-    """Per-item log evidence ``log p(x_i)``, ``(n_items,)``.
-
-    Streams a :class:`~repro.data.shards.ShardedDatabase` chunk-by-chunk.
-    """
-    if is_streamable(db):
-        out = [score_batch(chunk, clf).log_evidence for chunk in db.iter_chunks()]
-        return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
-    return score_batch(db, clf).log_evidence
+    """Per-item log evidence ``log p(x_i)``, ``(n_items,)``."""
+    out = [le.copy() for _, le in _posteriors(db, clf)]
+    return _concat(out, (0,), np.float64)
 
 
 def score(db: Database, clf: "Classification") -> float:
     """Mean per-item log evidence (sklearn's mixture ``score``).
 
-    Streamed views accumulate the sum chunk-by-chunk with O(chunk)
-    peak heap (mean agrees with the in-memory one at summation-order
-    tolerance).
+    The sum accumulates chunk by chunk with O(chunk) peak heap; a
+    streamed mean agrees with the in-memory one at summation-order
+    tolerance.
     """
     if db.n_items == 0:
         raise ValueError("cannot score an empty database")
-    if is_streamable(db):
-        total = 0.0
-        for chunk in db.iter_chunks():
-            le = score_batch(chunk, clf).log_evidence
-            total += float(le.sum())
-        return total / db.n_items
-    return float(score_batch(db, clf).log_evidence.mean())
+    total = 0.0
+    for _, le in _posteriors(db, clf):
+        total += float(le.sum())
+    return total / db.n_items
 
 
 class Inference:

@@ -2,7 +2,7 @@
 
 Huge offline batches get the same treatment the paper gives training
 data: block-partition the items over the ranks
-(:func:`repro.data.partition.block_partition` — identical bounds to the
+(:meth:`repro.data.database.Database.block` — identical bounds to the
 training-time partition), score each block with the allocation-free
 kernel path, and allgather the per-block outputs so every rank holds
 the full result.  There is no reduction — scoring is embarrassingly
@@ -23,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.partition import block_partition
-from repro.data.shards import is_streamable
 from repro.mpc.api import CollectiveConfig
 from repro.serve.artifact import FittedModel
 from repro.serve.scoring import BatchScores, score_batch
@@ -42,17 +40,13 @@ def sharded_score_rank(
     Every rank returns the complete :class:`BatchScores` for ``db`` —
     the allgather-of-labels protocol, extended to all three outputs.
     Blocks may be empty (more ranks than items); concatenation handles
-    the zero-row arrays.
-
-    ``db`` may be a :class:`~repro.data.shards.ShardedDatabase`: each
-    rank takes a shard-backed block view (opened by path in forked
-    workers — nothing materializes the dataset) and scores it
-    chunk-by-chunk with O(chunk) scratch.
+    the zero-row arrays.  ``db.block`` is a zero-copy slice of an
+    in-memory database, or a shard-backed view of a
+    :class:`~repro.data.shards.ShardedDatabase` (opened by path in
+    forked workers and scored chunk by chunk, so nothing materializes
+    the dataset).
     """
-    if is_streamable(db):
-        local = db.block(comm.size, comm.rank)
-    else:
-        local = block_partition(db, comm.size, comm.rank)
+    local = db.block(comm.size, comm.rank)
     mine = score_batch(local, model.classification)
     parts: list[BatchScores] = comm.allgather(mine)
     return BatchScores(

@@ -92,7 +92,10 @@ class RunTrace:
 
     @classmethod
     def from_run(cls, run, db, meta: TraceMeta) -> "RunTrace":
-        """Extract a trace from a fitted :class:`repro.api.Run`.
+        """Extract a trace from a fitted :class:`repro.api.Run` on ``db``.
+
+        The class map and margins are taken per ``db.iter_chunks()``
+        chunk, so a shard view streams.
 
         A try-parallel run (``try_groups > 1``) contributes no per-cycle
         stream: rank 0's cycle telemetry covers only its own group's
@@ -134,18 +137,23 @@ class RunTrace:
                 }
             )
         best = run.result.best.classification
-        wts, hard = membership(db, best)
-        if wts.shape[1] >= 2:
-            part = np.partition(wts, wts.shape[1] - 2, axis=1)
-            margins = part[:, -1] - part[:, -2]
-        else:
-            margins = np.ones(wts.shape[0])
+        class_map: list[int] = []
+        margins: list[float] = []
+        for chunk in db.iter_chunks():
+            wts, hard = membership(chunk, best)
+            if wts.shape[1] >= 2:
+                part = np.partition(wts, wts.shape[1] - 2, axis=1)
+                margin = part[:, -1] - part[:, -2]
+            else:
+                margin = np.ones(wts.shape[0])
+            class_map.extend(int(v) for v in hard)
+            margins.extend(float(v) for v in margin)
         return cls(
             meta=meta,
             cycles=cycles,
             tries=tries,
-            class_map=[int(v) for v in hard],
-            margins=[float(v) for v in margins],
+            class_map=class_map,
+            margins=margins,
         )
 
     # -- serialization -----------------------------------------------------
@@ -213,7 +221,6 @@ def capture_trace(
     case: str = "",
     instrument: str = "full",
     spec=None,
-    fit_on=None,
 ) -> RunTrace:
     """Fit once on the requested (world, size, kernels) cell.
 
@@ -225,10 +232,8 @@ def capture_trace(
     world's backend runner — the one place a job runs on the
     ``"reference"`` kernels, which the estimators never select.
 
-    ``fit_on`` — a :class:`~repro.data.shards.ShardedDatabase` of the
-    same rows — makes the fit stream while the class map (trace layer
-    4, which scores every item's membership) is still taken against
-    the in-memory ``db``.
+    ``db`` is a database or a shard view; the fit and the class map
+    both read it the same way (a view streams).
     """
     from repro.api import BACKENDS, FitConfig, FitJob
     from repro.data.shards import is_streamable
@@ -238,18 +243,17 @@ def capture_trace(
 
     if world not in BACKENDS:
         raise ValueError(f"world {world!r} not in {tuple(BACKENDS)}")
-    data = db if fit_on is None else fit_on
     job = FitJob(
         n_processors=size,
         config=search_config_for(
-            SearchConfig(**config), seedable=not is_streamable(data),
+            SearchConfig(**config), seedable=not is_streamable(db),
             init_defaulted="init_method" not in config,
         ),
         options=FitConfig(instrument=instrument),
         kernels=kernel_config.resolve(kernels),
     )
     if spec is None:
-        spec = ModelSpec.default_for(data.schema, DataSummary.from_database(data))
-    run = BACKENDS[world](job, data, spec)
+        spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
+    run = BACKENDS[world](job, db, spec)
     meta = TraceMeta(case=case, world=world, size=size, kernels=kernels)
     return RunTrace.from_run(run, db, meta)

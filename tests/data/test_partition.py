@@ -72,3 +72,26 @@ class TestBlockPartition:
             block = block_partition(db, 7, r)
             piece = block_partition_array(arr, 7, r)
             assert len(piece) == block.n_items
+
+
+class TestShardViewSurface:
+    """A Database answers ``iter_chunks`` / ``block`` / ``probe`` the way
+    a ShardedDatabase view does, so consumers need no in-memory branch."""
+
+    def test_one_whole_chunk(self):
+        db = make_paper_database(9000, seed=3)
+        assert [c is db for c in db.iter_chunks()] == [True]
+
+    def test_block_is_a_zero_copy_bounds_slice(self):
+        db = make_paper_database(107, seed=1)
+        for r in range(4):
+            lo, hi = partition_bounds(db.n_items, 4, r)
+            block = db.block(4, r)
+            np.testing.assert_array_equal(
+                block.column("x0"), db.column("x0")[lo:hi]
+            )
+            assert np.shares_memory(block.columns[0], db.columns[0])
+
+    def test_probe_is_itself(self):
+        db = make_paper_database(5, seed=1)
+        assert db.probe() is db

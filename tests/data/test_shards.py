@@ -124,6 +124,25 @@ class TestChunkIteration:
         assert [c.n_items for c in sdb.iter_chunks(7)] == [7, 7, 7, 7, 7, 5]
         assert sdb.with_chunk_items(9).chunk_items == 9
 
+    @pytest.mark.parametrize("chunk_items", [0, -3])
+    def test_chunk_items_below_one_refused_everywhere(
+        self, tmp_path, chunk_items
+    ):
+        db = make_paper_database(40, seed=4)
+        match = f"chunk_items must be >= 1, got {chunk_items}"
+        with pytest.raises(ValueError, match=match):
+            ShardedDatabase.from_database(
+                db, tmp_path / "bad", shard_items=20, chunk_items=chunk_items
+            )
+        assert not (tmp_path / "bad" / MANIFEST_NAME).exists()
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        with pytest.raises(ValueError, match=match):
+            ShardedDatabase.open(tmp_path / "s", chunk_items=chunk_items)
+        with pytest.raises(ValueError, match=match):
+            list(sdb.iter_chunks(chunk_items))
+        with pytest.raises(ValueError, match=match):
+            sdb.with_chunk_items(chunk_items)
+
     def test_resident_cap_holds(self, tmp_path):
         db = make_paper_database(120, seed=6)
         sdb = ShardedDatabase.from_database(

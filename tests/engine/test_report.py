@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.data.shards import ShardedDatabase
 from repro.engine.report import (
     class_reports,
+    class_sizes,
     classification_report,
     influence_values,
     membership,
 )
+from repro.engine.rlog import detailed_report
 from repro.engine.search import SearchConfig, run_search
 
 
@@ -62,3 +65,33 @@ class TestClassReports:
         text = classification_report(paper_db, fitted)
         assert "Classes by weight" in text
         assert "x0" in text
+
+
+class TestShardView:
+    """A view is reduced chunk by chunk: the hard counts are exact, the
+    summed ``w_j`` and global statistics agree to summation order."""
+
+    @pytest.fixture(scope="class")
+    def sdb(self, paper_db, tmp_path_factory):
+        return ShardedDatabase.from_database(
+            paper_db, tmp_path_factory.mktemp("report") / "s",
+            shard_items=700, chunk_items=300,
+        )
+
+    def test_class_sizes(self, paper_db, sdb, fitted):
+        w_mem, counts_mem = class_sizes(paper_db, fitted)
+        w_st, counts_st = class_sizes(sdb, fitted)
+        _, hard = membership(paper_db, fitted)
+        np.testing.assert_array_equal(counts_mem, np.bincount(hard, minlength=3))
+        np.testing.assert_array_equal(counts_st, counts_mem)
+        np.testing.assert_allclose(w_st, w_mem, rtol=1e-12)
+
+    def test_influence_values(self, paper_db, sdb, fitted):
+        np.testing.assert_allclose(
+            influence_values(sdb, fitted), influence_values(paper_db, fitted),
+            rtol=1e-9, atol=1e-12,
+        )
+
+    def test_detailed_report_text(self, paper_db, sdb, fitted):
+        assert detailed_report(sdb, fitted) == detailed_report(paper_db, fitted)
+

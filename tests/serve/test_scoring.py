@@ -9,8 +9,11 @@ import pytest
 
 from repro.api import AutoClass, PAutoClass
 from repro.data.database import Database
+from repro.data.shards import TILE_ITEMS, ShardedDatabase
+from repro.data.synth import make_paper_database
 from repro.engine.classification import Classification
 from repro.engine.report import membership
+from repro.serve import scoring
 from repro.serve.scoring import (
     concat_databases,
     predict,
@@ -208,3 +211,40 @@ class TestFourWorldsDifferential:
         assert np.array_equal(
             fitted_run.score_samples(train_db), scores.log_evidence
         )
+
+
+class TestScoringPasses:
+    """In-memory scoring is one kernel pass over the whole block; a shard
+    view is one pass per chunk.  Tiling an in-memory block measured
+    1.04-1.27x slower (docs/data.md), so a re-tiled scorer fails here."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        db = make_paper_database(3 * TILE_ITEMS, seed=3)
+        sdb = ShardedDatabase.from_database(
+            db, tmp_path_factory.mktemp("passes") / "s",
+            shard_items=TILE_ITEMS, chunk_items=1000,
+        )
+        return db, sdb
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = scoring.fused_log_posterior
+
+        def counting(ws, n_classes):
+            calls.append(n_classes)
+            return real(ws, n_classes)
+
+        monkeypatch.setattr(scoring, "fused_log_posterior", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [predict, score_batch, score])
+    def test_one_pass_per_chunk(self, pair, clf, passes, fn):
+        db, sdb = pair
+        fn(db, clf)
+        assert len(passes) == 1
+        passes.clear()
+        fn(sdb, clf)
+        assert len(passes) == len(list(sdb.iter_chunks())) == 15
+

@@ -115,24 +115,29 @@ class TestStreamedGuards:
         with pytest.raises(ValueError, match="materialize"):
             ac.fit(sdb)
 
-    def test_verify_refused(self, paper_pair):
+    def test_verify_conforms(self, paper_pair):
+        """The shadow of a streamed fit streams the same view."""
         _db, sdb = paper_pair
-        with pytest.raises(ValueError, match="verify"):
-            AutoClass(**PINNED).fit(sdb, verify="strict")
-        with pytest.raises(ValueError, match="verify"):
-            PAutoClass(n_processors=2, backend="threads", **PINNED).fit(
-                sdb, verify="trace"
-            )
-
-    def test_try_groups_refused(self, paper_pair):
-        _db, sdb = paper_pair
-        pac = PAutoClass(
-            n_processors=2, backend="threads", try_groups=2, **PINNED
+        run = AutoClass(**PINNED).fit(sdb, verify="strict")
+        assert run.conformance.ok
+        run = PAutoClass(n_processors=2, backend="threads", **PINNED).fit(
+            sdb, verify="strict"
         )
-        # The worker raises ValueError; the threads world re-raises it
-        # as RuntimeError with the rank traceback attached.
-        with pytest.raises((ValueError, RuntimeError), match="try-parallel"):
-            pac.fit(sdb)
+        assert run.conformance.ok
+
+    def test_try_groups_match_inmemory(self, paper_pair):
+        """Groups re-partition a view with ``block`` like a database."""
+        db, sdb = paper_pair
+        for backend, n_processors in (
+            ("threads", 4), ("processes", 2), ("sim", 4),
+        ):
+            kw = dict(
+                n_processors=n_processors, backend=backend, try_groups=2,
+                **PINNED,
+            )
+            run_mem = PAutoClass(**kw).fit(db)
+            run_st = PAutoClass(**kw).fit(sdb)
+            assert_same_fit(run_mem, run_st, db, sdb)
 
     def test_default_config_uses_sharp(self, paper_pair):
         """A bare streamed fit must not fall into the seeded default."""

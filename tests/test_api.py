@@ -19,6 +19,7 @@ from repro import (
 from repro.api import FitConfig
 from repro.data.shards import ShardedDatabase
 from repro.mpc.faults import FaultInjector
+from repro.engine.report import classification_report
 from repro.engine.search import SearchConfig
 
 ALL_BACKENDS = ("sequential", "serial", "threads", "processes", "sim")
@@ -464,16 +465,16 @@ class TestShellContract:
         with pytest.raises(ValueError, match="verify.*max_seconds"):
             est.fit(db, verify="trace")
 
-    def test_verify_rejects_streamed_data(self, sdb, backend):
-        with pytest.raises(ValueError, match="verify.*materialize"):
-            estimator(backend, **self.CONFIG).fit(sdb, verify="strict")
+    def test_verify_shadows_streamed_data(self, sdb, backend):
+        run = estimator(backend, **self.CONFIG).fit(sdb, verify="strict")
+        assert run.conformance.ok
 
-    def test_report_refuses_streamed_fit(self, sdb, backend):
-        # was AttributeError on every backend but "sequential"
+    def test_report_of_streamed_fit(self, sdb, backend):
         est = estimator(backend, **self.CONFIG)
         est.fit(sdb)
-        with pytest.raises(ValueError, match="materialize"):
-            est.report()
+        assert est.report() == classification_report(
+            sdb.materialize(), est.best_
+        )
 
     def test_saved_model_predicts_like_the_run(self, db, backend, tmp_path):
         from repro.serve import FittedModel
