@@ -216,7 +216,7 @@ def run_try(
     (vs the cycle cap); its duplicate link is the driver's to assign.
     """
     rec = obs.current()
-    rec.try_boundary()
+    rec.try_boundary(try_index)
     checker = config.checker()
     if resume is not None:
         j = resume.n_classes_requested
@@ -330,6 +330,21 @@ def assign_duplicates(tries: list[TryResult], eps: float) -> list[TryResult]:
     return out
 
 
+def check_stream(db, config: SearchConfig) -> None:
+    """Refuse a shard view an unstreamable init, and record which
+    manifest and chunk size the fit streams (``stream.*`` counters).
+    A no-op on an in-memory database."""
+    if not is_streamable(db):
+        return
+    check_streamable_init(config.init_method)
+    rec = obs.current()
+    if rec.enabled:
+        rec.count(
+            "stream.manifest_digest_u48", int(db.manifest_digest[:12], 16)
+        )
+        rec.count("stream.chunk_items", db.chunk_items)
+
+
 def run_search(
     db,
     config: SearchConfig | None = None,
@@ -358,7 +373,9 @@ def run_search(
     an interrupted search resumed from its checkpoint produces the
     bit-identical result an uninterrupted run would have.  The state at
     a cut point is global, so on a parallel world rank 0 persists one
-    copy and every rank restores from the same file.
+    copy and every rank restores from the same file.  A directory
+    written by a try-grouped search (per-try files, no head) is adopted
+    too: its completed tries are kept and its in-progress ones resumed.
 
     ``db`` is a database or a :class:`~repro.data.shards.ShardedDatabase`
     view; every EM cycle accumulates its statistics chunk by chunk (see
@@ -368,8 +385,7 @@ def run_search(
     is used), and a bound checkpointer keys the checkpoint on its
     manifest digest so a resume against different data is refused.
     """
-    streamed = is_streamable(db)
-    config = search_config_for(config, seedable=not streamed)
+    config = search_config_for(config, seedable=not is_streamable(db))
     if spec is None:
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
     if make_reducer is None:
@@ -377,18 +393,13 @@ def run_search(
             return LocalReducer()
     if n_total_items is None:
         n_total_items = db.n_items
-    if streamed:
-        check_streamable_init(config.init_method)
-        rec = obs.current()
-        if rec.enabled:
-            rec.count(
-                "stream.manifest_digest_u48", int(db.manifest_digest[:12], 16)
-            )
-            rec.count("stream.chunk_items", db.chunk_items)
+    check_stream(db, config)
     spec.validate(db.probe())
     stream = SeedSequenceStream(config.seed)
     result = SearchResult(config=config)
     resume = None
+    adopted: dict[int, TryResult] = {}
+    partial: dict = {}
     save_cycle = None
     if checkpointer is not None:
         checkpointer.bind(
@@ -408,6 +419,11 @@ def run_search(
                 f", try {resume.try_index} at cycle "
                 f"{resume.classification.n_cycles}",
             )
+        else:
+            # No head: a try-grouped search's per-try files, if any.  Its
+            # tries are adopted wherever they fall — the RNG children are
+            # index-keyed, so the order they were run in is irrelevant.
+            adopted, partial = checkpointer.load_tries(spec)
         if checkpointer.policy == "per_cycle":
             save_cycle = functools.partial(
                 checkpointer.save_cycle, result, stream
@@ -421,14 +437,16 @@ def run_search(
             and time.perf_counter() - started >= config.max_seconds
         ):
             break  # budget spent; at least one try is always completed
-        in_progress = None
+        in_progress = partial.get(k)
         if resume is not None and resume.try_index == k:
             in_progress, resume = resume, None
-        t = run_try(
-            db, spec, config, stream, k, make_reducer,
-            n_total_items=n_total_items, full_db=full_db, kernels=kernels,
-            resume=in_progress, save_cycle=save_cycle,
-        )
+        t = adopted.get(k)
+        if t is None:
+            t = run_try(
+                db, spec, config, stream, k, make_reducer,
+                n_total_items=n_total_items, full_db=full_db,
+                kernels=kernels, resume=in_progress, save_cycle=save_cycle,
+            )
         duplicate_of = duplicate_of_index(
             t.classification, result.tries, config.duplicate_eps
         )

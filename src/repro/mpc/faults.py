@@ -127,9 +127,14 @@ class FaultInjector:
         """Fire any matching fault for this rank at this point.
 
         ``comm`` supplies the rank, the virtual-clock test for sim
-        delays, and the hard-exit capability test for ``"exit"``.
+        delays, and the hard-exit capability test for ``"exit"``.  A
+        spec names a *world* rank: on a sub-communicator (a try group)
+        the rank is read from the root of its split chain.
         """
-        rank = comm.rank
+        root = comm
+        while getattr(root, "parent", None) is not None:
+            root = root.parent
+        rank = root.rank
         for index, spec in enumerate(self.specs):
             if not spec.matches(rank, site, try_index, cycle):
                 continue

@@ -81,8 +81,8 @@ class RunRecorder(Protocol):
         """Bump a named counter (kernel-path attribution etc.)."""
         ...
 
-    def try_boundary(self) -> None:
-        """Mark the start of a new classification try."""
+    def try_boundary(self, try_index: int) -> None:
+        """Mark the start of classification try ``try_index``."""
         ...
 
 
@@ -124,7 +124,7 @@ class NullRecorder:
     def count(self, name: str, n: int = 1) -> None:
         return None
 
-    def try_boundary(self) -> None:
+    def try_boundary(self, try_index: int) -> None:
         return None
 
 
@@ -170,7 +170,8 @@ class Recorder:
         "level", "rank", "size", "clock", "clock_kind",
         "phase_seconds", "phase_calls", "counters",
         "cycles_", "comm_events_",
-        "_t_start", "_cycle_index", "_prev_log_marginal", "_full",
+        "_t_start", "_cycle_index", "_try_index", "_prev_log_marginal",
+        "_full",
     )
 
     enabled = True
@@ -200,6 +201,7 @@ class Recorder:
         self.comm_events_: list = []
         self._t_start = clock()
         self._cycle_index = 0
+        self._try_index = 0
         self._prev_log_marginal: float | None = None
         self._full = level == "full"
 
@@ -241,14 +243,17 @@ class Recorder:
                 log_marginal=log_marginal,
                 delta=delta,
                 w_j_entropy=_entropy(w_j),
+                try_index=self._try_index,
             )
         )
         self._prev_log_marginal = log_marginal
         self._cycle_index += 1
 
-    def try_boundary(self) -> None:
-        """Mark the start of a new classification try (resets deltas)."""
+    def try_boundary(self, try_index: int) -> None:
+        """Mark the start of try ``try_index`` (resets deltas; the
+        cycles that follow carry its index)."""
         self._prev_log_marginal = None
+        self._try_index = try_index
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n

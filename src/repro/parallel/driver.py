@@ -49,9 +49,13 @@ def run_pautoclass(
     ``ckpt`` — a picklable :class:`repro.ckpt.CheckpointSpec` — enables
     checkpoint/restart; each rank materializes its own
     :class:`~repro.ckpt.Checkpointer` (rank 0 writes, all restore).
-    ``try_groups`` (``None`` | int | ``"auto"``) enables the two-level
-    search: tries run concurrently across that many sub-communicator
-    groups — see :func:`repro.parallel.psearch.run_grouped_search`.
+    ``try_groups`` picks the decomposition: ``None`` or ``"auto"`` —
+    the default — lets the closed-form rule of
+    :func:`repro.parallel.psearch.resolve_try_groups` choose the group
+    count G per fit; ``1`` is the paper's structure (every cycle split
+    over all ranks); G > 1 runs the tries concurrently across G
+    sub-communicator groups — see
+    :func:`repro.parallel.psearch.run_grouped_search`.
 
     Each rank fits ``db.block(comm.size, comm.rank)``: a zero-copy
     slice of an in-memory database, or a shard-backed view of a
@@ -86,7 +90,9 @@ def run_pautoclass_partitioned(
 
     The global data summary is assembled with one Allreduce of additive
     moment vectors; if ``spec`` is not given, every rank derives the
-    identical default model from that shared summary.
+    identical default model from that shared summary.  The search is
+    always the paper's single-level one (``try_groups=1``): try groups
+    re-partition the full database, which no rank holds here.
     """
     config = search_config_for(config, seedable=False)
     moments = DataSummary.local_moments(local_db)
@@ -103,4 +109,5 @@ def run_pautoclass_partitioned(
         full_db=None,
         kernels=kernels,
         checkpointer=None if ckpt is None else ckpt.build(comm.rank),
+        try_groups=1,
     )

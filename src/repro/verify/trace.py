@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -97,22 +98,25 @@ class RunTrace:
         The class map and margins are taken per ``db.iter_chunks()``
         chunk, so a shard view streams.
 
-        A try-parallel run (``try_groups > 1``) contributes no per-cycle
-        stream: rank 0's cycle telemetry covers only its own group's
-        tries, so it is not a whole-search trace.  Everything global —
-        per-try cycle counts, scores, packed params, class map — is
-        still captured and compared.
+        The per-cycle stream is stitched in try order: each try's
+        cycles come from the lowest rank that ran it.  On a single-level
+        run that is rank 0 for every try; on a try-parallel run
+        (``try_groups > 1``) each try's group leader — so a grouped
+        trace carries the whole search's cycles, as a serial one does.
         """
         from repro.engine.report import membership
-        from repro.obs.report import record_try_groups
 
-        grouped = run.record is not None and record_try_groups(run.record) > 1
         cycles: list[dict[str, Any]] = []
-        if run.record is not None and run.instrument == "full" and not grouped:
-            for c in run.record.ranks[0].cycles:
+        if run.record is not None and run.instrument == "full":
+            by_try: dict[int, list] = {}
+            for r in reversed(run.record.ranks):  # the lowest rank wins
+                for k, records in groupby(r.cycles, lambda c: c.try_index):
+                    by_try[k] = list(records)
+            stitched = [c for k in sorted(by_try) for c in by_try[k]]
+            for index, c in enumerate(stitched):
                 cycles.append(
                     {
-                        "index": int(c.index),
+                        "index": index,
                         "n_classes": int(c.n_classes),
                         "log_marginal": float(c.log_marginal),
                         "w_j_entropy": float(c.w_j_entropy),
@@ -234,6 +238,11 @@ def capture_trace(
 
     ``db`` is a database or a shard view; the fit and the class map
     both read it the same way (a view streams).
+
+    A parallel cell runs the paper's structure (``try_groups=1``): the
+    axis the matrix checks is every cycle split over all ranks, which
+    the decomposition rule would trade for one-rank try groups on these
+    small few-try cases.
     """
     from repro.api import BACKENDS, FitConfig, FitJob
     from repro.data.shards import is_streamable
@@ -249,7 +258,10 @@ def capture_trace(
             SearchConfig(**config), seedable=not is_streamable(db),
             init_defaulted="init_method" not in config,
         ),
-        options=FitConfig(instrument=instrument),
+        options=FitConfig(
+            instrument=instrument,
+            try_groups=None if world == "sequential" else 1,
+        ),
         kernels=kernel_config.resolve(kernels),
     )
     if spec is None:

@@ -142,7 +142,8 @@ def test_head_write_failing_after_try_file_landed_resumes_identically(
 
 def test_each_save_is_one_ckpt_phase_on_the_writer_rank(db, tmp_path):
     run = PAutoClass(
-        n_processors=2, backend="threads", instrument="phases", **CONFIG
+        n_processors=2, backend="threads", instrument="phases",
+        try_groups=1, **CONFIG,
     ).fit(db, checkpoint="per_cycle", checkpoint_dir=tmp_path)
     writer, other = run.record.ranks
     saves = sum(t.n_cycles for t in run.result.tries)

@@ -28,8 +28,11 @@ def db():
 
 @pytest.fixture(scope="module")
 def clean_parallel(db):
-    """Reference 2-rank result with no interruption."""
-    return PAutoClass(n_processors=2, backend="threads", **CONFIG).fit(db)
+    """Reference 2-rank result with no interruption (the paper's
+    single-level search, which the faulted runs below also pin)."""
+    return PAutoClass(
+        n_processors=2, backend="threads", try_groups=1, **CONFIG
+    ).fit(db)
 
 
 def _assert_same_search(a, b):
@@ -118,13 +121,15 @@ class TestParallelResume:
             clean_parallel
             if (backend == "threads")
             else PAutoClass(n_processors=procs, backend=backend,
-                            **CONFIG).fit(db)
+                            try_groups=1, **CONFIG).fit(db)
         )
         inj = FaultInjector(
             FaultSpec(rank=procs - 1, action="kill", site="cycle",
                       at_try=1, at_cycle=2)
         )
-        pac = PAutoClass(n_processors=procs, backend=backend, **CONFIG)
+        pac = PAutoClass(
+            n_processors=procs, backend=backend, try_groups=1, **CONFIG
+        )
         run = pac.fit(
             db, checkpoint="per_cycle", checkpoint_dir=tmp_path,
             max_restarts=2, faults=inj,
@@ -137,7 +142,9 @@ class TestParallelResume:
         inj = FaultInjector(
             FaultSpec(rank=0, action="kill", site="init", at_try=0)
         )
-        pac = PAutoClass(n_processors=procs, backend=backend, **CONFIG)
+        pac = PAutoClass(
+            n_processors=procs, backend=backend, try_groups=1, **CONFIG
+        )
         with pytest.raises((RuntimeError, FaultInjected)):
             pac.fit(db, checkpoint="per_try", checkpoint_dir=tmp_path,
                     faults=inj)
@@ -153,11 +160,15 @@ class TestWorldSizeChange:
             FaultSpec(rank=1, action="kill", site="cycle",
                       at_try=1, at_cycle=3)
         )
-        two = PAutoClass(n_processors=2, backend="threads", **CONFIG)
+        two = PAutoClass(
+            n_processors=2, backend="threads", try_groups=1, **CONFIG
+        )
         with pytest.raises(RuntimeError):
             two.fit(db, checkpoint="per_cycle", checkpoint_dir=tmp_path,
                     faults=inj)
-        four = PAutoClass(n_processors=4, backend="threads", **CONFIG)
+        four = PAutoClass(
+            n_processors=4, backend="threads", try_groups=1, **CONFIG
+        )
         resumed = four.fit(
             db, checkpoint="per_cycle", checkpoint_dir=tmp_path
         )

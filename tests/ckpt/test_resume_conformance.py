@@ -41,7 +41,9 @@ def _kill_at(rank):
 @pytest.mark.parametrize("backend", ["serial", "threads", "sim"])
 def test_resumed_run_passes_strict_verification(db, tmp_path, backend):
     procs = 1 if backend == "serial" else 2
-    run = PAutoClass(n_processors=procs, backend=backend, **CONFIG).fit(
+    run = PAutoClass(
+        n_processors=procs, backend=backend, try_groups=1, **CONFIG
+    ).fit(
         db,
         checkpoint="per_cycle",
         checkpoint_dir=tmp_path,
@@ -64,11 +66,15 @@ def test_processes_world_resume_is_conformant(db, tmp_path):
     # interrupt on threads, resume on the processes world: the
     # checkpoint is global state, so this exercises BOTH the fourth
     # world's strict verification and cross-world restore at once
-    two = PAutoClass(n_processors=2, backend="threads", **CONFIG)
+    two = PAutoClass(
+        n_processors=2, backend="threads", try_groups=1, **CONFIG
+    )
     with pytest.raises(RuntimeError):
         two.fit(db, checkpoint="per_cycle", checkpoint_dir=tmp_path,
                 faults=_kill_at(1))
-    resumed = PAutoClass(n_processors=2, backend="processes", **CONFIG).fit(
+    resumed = PAutoClass(
+        n_processors=2, backend="processes", try_groups=1, **CONFIG
+    ).fit(
         db, checkpoint="per_cycle", checkpoint_dir=tmp_path,
         verify="strict",
     )

@@ -56,7 +56,7 @@ class TestAmbientInstall:
         rec.comm_event("allreduce_wts", 10, 0.1)
         rec.cycle(n_classes=2, log_marginal=-1.0, w_j=[1.0, 1.0])
         rec.count("estep.fused")
-        rec.try_boundary()  # still a no-op
+        rec.try_boundary(0)  # still a no-op
 
     def test_recording_installs_and_restores(self):
         rec = Recorder("phases")
@@ -120,7 +120,7 @@ class TestPhaseTimers:
 class TestCycleTelemetry:
     def test_full_records_cycles_with_delta(self):
         rec = Recorder("full")
-        rec.try_boundary()
+        rec.try_boundary(0)
         rec.cycle(n_classes=2, log_marginal=-100.0, w_j=[5.0, 5.0])
         rec.cycle(n_classes=2, log_marginal=-90.0, w_j=[9.0, 1.0])
         assert len(rec.cycles_) == 2
@@ -133,9 +133,11 @@ class TestCycleTelemetry:
     def test_try_boundary_resets_delta(self):
         rec = Recorder("full")
         rec.cycle(n_classes=2, log_marginal=-10.0, w_j=[1.0])
-        rec.try_boundary()
+        rec.try_boundary(3)
         rec.cycle(n_classes=4, log_marginal=-50.0, w_j=[1.0])
         assert math.isnan(rec.cycles_[1].delta)
+        # each cycle carries the try it belongs to (0 before any boundary)
+        assert [c.try_index for c in rec.cycles_] == [0, 3]
 
     def test_phases_level_skips_cycle_storage(self):
         rec = Recorder("phases")
@@ -294,7 +296,8 @@ class TestRunRecordJsonl:
 
     def test_cycle_and_event_round_trip(self):
         c = CycleRecord(
-            index=3, n_classes=8, log_marginal=-1.5, delta=0.25, w_j_entropy=1.1
+            index=3, n_classes=8, log_marginal=-1.5, delta=0.25,
+            w_j_entropy=1.1, try_index=5,
         )
         assert CycleRecord.from_dict(c.to_dict()) == c
         e = CommEventRecord(phase="allreduce_params", nbytes=256, seconds=0.1,

@@ -166,3 +166,26 @@ class TestStreamedObservability:
         # One packed reduction per cycle, accounted at the second cut point.
         assert "allreduce_params" in phases
         assert phases.get("allreduce_wts", 0.0) == 0.0
+
+    def test_grouped_fit_records_the_same_stream_counters(self, paper_pair):
+        """Both decompositions say which manifest and chunk size the fit
+        streamed (``stream.chunks`` differs: the blocks do)."""
+        _db, sdb = paper_pair
+        names = ("stream.manifest_digest_u48", "stream.chunk_items")
+
+        def stream_counters(try_groups):
+            run = PAutoClass(
+                n_processors=2, backend="threads", instrument="phases",
+                try_groups=try_groups, **PINNED,
+            ).fit(sdb)
+            return [
+                {k: r.counters.get(k) for k in names}
+                for r in run.record.ranks
+            ]
+
+        grouped = stream_counters(2)
+        assert grouped == stream_counters(1)
+        assert grouped[0] == {
+            "stream.manifest_digest_u48": int(sdb.manifest_digest[:12], 16),
+            "stream.chunk_items": sdb.chunk_items,
+        }

@@ -76,7 +76,9 @@ class TestParallelVerify:
         monkeypatch.setattr(
             conf_mod, "resolve_tolerance", lambda *_a, **_k: BITWISE
         )
-        pac = PAutoClass(n_processors=2, backend="threads", **CONFIG)
+        pac = PAutoClass(
+            n_processors=2, backend="threads", try_groups=1, **CONFIG
+        )
         with pytest.raises(ConformanceError) as exc_info:
             pac.fit(db, verify="strict")
         report = exc_info.value.report
@@ -93,7 +95,7 @@ class TestParallelVerify:
             conf_mod, "resolve_tolerance", lambda *_a, **_k: BITWISE
         )
         run = PAutoClass(
-            n_processors=2, backend="threads", **CONFIG
+            n_processors=2, backend="threads", try_groups=1, **CONFIG
         ).fit(db, verify="trace")
         assert run.conformance is not None
         assert not run.conformance.ok  # recorded, not raised
