@@ -216,8 +216,9 @@ class FitConfig:
     #: per fit) | int (``1`` = the paper's single-level search).
     try_groups: int | str | None = None
     collectives: CollectiveConfig | None = None
-    #: Processes-world wire: None (backend default, shm) | ``"shm"`` |
-    #: ``"pipe"``.  Only the ``"processes"`` backend has a wire to pick.
+    #: Processes-world transport name: None | ``"shm"`` | ``"pipe"``.
+    #: All three mean the one wire, the pipe mesh; ``"shm"`` is an alias
+    #: kept for ``benchmarks/e2e``.  Only ``"processes"`` accepts it.
     transport: str | None = None
 
     def __post_init__(self) -> None:

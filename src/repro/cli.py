@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--transport", choices=("shm", "pipe"), default=None,
-        help="processes-backend wire: shared-memory rings (shm, the "
-             "default) or pickled pipes (pipe); see "
-             "docs/message_passing.md#transports",
+        help="processes-backend transport name; both mean the one wire, "
+             "the pickled pipe mesh (shm is an alias kept for "
+             "benchmarks/e2e); see docs/message_passing.md#wire",
     )
     p_run.add_argument(
         "--model-search", action="store_true",

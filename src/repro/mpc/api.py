@@ -59,13 +59,6 @@ class CommStats:
     bytes_received: int = 0
     n_collectives: int = 0
     seconds_in_comm: float = 0.0
-    # Per-transport send accounting (the processes world splits its
-    # traffic between shared-memory rings and pickled pipes; every
-    # other world leaves these at zero).
-    n_shm_msgs: int = 0
-    shm_bytes: int = 0
-    n_pipe_msgs: int = 0
-    pipe_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,14 +174,18 @@ class Communicator(ABC):
     def recv_into(self, buf: np.ndarray, source: int, tag: int) -> np.ndarray:
         """Receive the next message from (source, tag) into ``buf`` (in place).
 
-        Semantically ``recv`` + copy — same matching, ordering and
-        statistics — but backends with a zero-copy path (the processes
-        world's shared-memory rings) override it to land the payload
-        bytes directly in ``buf``.  The payload's element count must
-        equal ``buf``'s (else :class:`MessageError`); dtype mismatches
-        cast as ``np.copyto`` would.  Returns ``buf``.
+        ``recv`` + copy — same matching, ordering and statistics.  The
+        payload's element count must equal ``buf``'s (else
+        :class:`MessageError`); dtype mismatches cast as ``np.copyto``
+        would.  Returns ``buf``.
         """
-        copy_payload(buf, self.recv(source, tag), source, tag)
+        arr = np.asarray(self.recv(source, tag))
+        if arr.size != buf.size:
+            raise MessageError(
+                f"recv_into from rank {source} (tag {tag}): payload has "
+                f"{arr.size} elements, buffer has {buf.size}"
+            )
+        np.copyto(buf.reshape(-1), arr.reshape(-1))
         return buf
 
     # -- collectives (defaults over p2p; see repro.mpc.collectives) -------
@@ -326,13 +323,3 @@ class Communicator(ABC):
         if tag < 0:
             raise MessageError(f"tags must be >= 0, got {tag}")
 
-
-def copy_payload(buf: np.ndarray, obj: object, source: int, tag: int) -> None:
-    """Copy a received payload into ``buf``; element counts must agree."""
-    arr = np.asarray(obj)
-    if arr.size != buf.size:
-        raise MessageError(
-            f"recv_into from rank {source} (tag {tag}): payload has "
-            f"{arr.size} elements, buffer has {buf.size}"
-        )
-    np.copyto(buf.reshape(-1), arr.reshape(-1))

@@ -1,4 +1,4 @@
-"""Process-backed SPMD world: real OS processes over shm rings + pipes.
+"""Process-backed SPMD world: real OS processes over a pipe mesh.
 
 ``run_spmd_processes(fn, size)`` forks ``size`` worker processes wired
 into a full mesh of duplex pipes and runs ``fn(comm, *args)`` on each.
@@ -8,23 +8,15 @@ serialization costs.  It validates that the SPMD code carries no hidden
 shared-memory assumptions (with threads, an aliasing bug could pass
 silently; with processes it cannot).
 
-Transports
-----------
-Two transports carry payloads (``transport="shm"`` is the default):
+Wire
+----
+There is one wire: every payload is pickled over the pipe to its peer.
+``transport="pipe"`` (the default) and ``"shm"`` are both accepted and
+both mean this pipe; ``"shm"`` is an alias kept only because the
+``benchmarks/e2e`` workloads pass it.
 
-* ``"shm"`` — contiguous float64/int64 ndarrays travel as raw bytes
-  through per-pair single-producer/single-consumer rings in
-  ``multiprocessing.shared_memory`` (:mod:`repro.mpc.shm`); the pipe
-  carries a tiny token in their place, which preserves MPI's
-  non-overtaking order across both channels for free.  Everything
-  else — and any payload the ring cannot take right now — falls back
-  to the pipe, pickled, exactly as before.
-* ``"pipe"`` — every payload pickled over the pipe mesh (the
-  historical path, kept for A/B benchmarking and as the reference
-  semantics the shm path must match bitwise).
-
-Sends are *buffered and non-rendezvous* on both transports: a payload
-that will not fit in the kernel's pipe buffer is handed to a per-rank
+Sends are *buffered and non-rendezvous*: a payload of
+:data:`_DIRECT_SEND_MAX` bytes or more is handed to a per-rank
 background writer thread, so a symmetric exchange of large arrays can
 never deadlock the way naive blocking ``Connection.send`` calls do.
 The send-buffer reuse contract of :mod:`repro.mpc.buffers` (two-call
@@ -39,7 +31,6 @@ performance experiments use :mod:`repro.simnet` instead.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import pickle
@@ -50,18 +41,10 @@ from collections import deque
 from collections.abc import Callable
 from multiprocessing.connection import Connection, wait as conn_wait
 
-import numpy as np
-
-from repro.mpc.api import (
-    CollectiveConfig,
-    Communicator,
-    copy_payload,
-    payload_nbytes,
-)
+from repro.mpc.api import CollectiveConfig, Communicator, payload_nbytes
 from repro.mpc.errors import CommTimeout, MessageError, WorldAborted
-from repro.mpc.shm import ShmRing, ShmToken, ShmTransport, ring_eligible
 
-#: Transports ``run_spmd_processes`` accepts.
+#: Transport names ``run_spmd_processes`` accepts; both mean the pipe.
 TRANSPORTS = ("shm", "pipe")
 
 #: Cap of the blocked-recv poll backoff, and the parent's result-poll
@@ -116,6 +99,8 @@ class _SendWorker:
     ``Connection.send`` calls in enqueue order.  A peer whose pipe
     breaks (it died) is marked dead and its remaining traffic dropped —
     the world's abort machinery, not the sender, owns that failure.
+    The daemon thread is never stopped: it ends with the rank's
+    process (``os._exit`` in :func:`_worker_main`).
     """
 
     def __init__(self, rank: int) -> None:
@@ -123,7 +108,6 @@ class _SendWorker:
         self._pending: deque = deque()
         self._inflight = 0
         self._dead: set[Connection] = set()
-        self._closed = False
         self._thread = threading.Thread(
             target=self._run, daemon=True, name=f"spmd-send-{rank}"
         )
@@ -143,10 +127,8 @@ class _SendWorker:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._pending and not self._closed:
+                while not self._pending:
                     self._cond.wait()
-                if not self._pending:
-                    return
                 conn, item = self._pending.popleft()
                 self._inflight += 1
             try:
@@ -172,14 +154,9 @@ class _SendWorker:
                 self._cond.wait(timeout=min(left, _POLL_INTERVAL))
         return True
 
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
 
 class ProcessComm(Communicator):
-    """One rank's endpoint over shm rings + a mesh of pipes."""
+    """One rank's endpoint over a mesh of pipes."""
 
     #: Ranks are real OS processes, so an injected "exit" fault can
     #: hard-kill one without taking the world down (see repro.mpc.faults).
@@ -192,18 +169,14 @@ class ProcessComm(Communicator):
         links: dict[int, Connection],
         abort_rx: Connection,
         collectives: CollectiveConfig | None = None,
-        shm_links: dict[int, tuple[ShmRing, ShmRing]] | None = None,
     ) -> None:
         super().__init__(rank=rank, size=size, collectives=collectives)
         self._links = links
         self._abort_rx = abort_rx
-        self._shm_links = shm_links or {}
         self._writer: _SendWorker | None = None
-        # Messages read off a pipe but not yet matched, per source.
-        # Entries are mutable [tag, payload] lists: a payload may
-        # be an unread ShmToken that a later match materializes in
-        # place (ring order: earlier tokens are always read first).
-        self._stash: dict[int, deque[list]] = {
+        # (tag, payload) messages read off a pipe but not yet matched,
+        # per source.
+        self._stash: dict[int, deque[tuple]] = {
             peer: deque() for peer in links
         }
 
@@ -212,25 +185,10 @@ class ProcessComm(Communicator):
     def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
         if dest == self.rank:
             raise MessageError("process world does not support self-sends")
-        payload: object = obj
-        rings = self._shm_links.get(dest)
-        if rings is not None and ring_eligible(obj, rings[0].capacity):
-            offset = rings[0].try_write(obj)
-            if offset is not None:
-                payload = ShmToken(
-                    str(obj.dtype), obj.shape, obj.nbytes, offset
-                )
-        if payload is obj:
-            self.stats.n_pipe_msgs += 1
-            self.stats.pipe_bytes += nbytes
-        else:
-            self.stats.n_shm_msgs += 1
-            self.stats.shm_bytes += nbytes
-        item = (tag, payload)
+        item = (tag, obj)
         conn = self._links[dest]
         writer = self._writer
-        small = payload is not obj or nbytes < _DIRECT_SEND_MAX
-        if small and (writer is None or writer.idle()):
+        if nbytes < _DIRECT_SEND_MAX and (writer is None or writer.idle()):
             conn.send(item)
             return
         if writer is None:
@@ -250,8 +208,8 @@ class ProcessComm(Communicator):
             failed_rank, reason = self._abort_rx.recv()
             raise WorldAborted(failed_rank, reason)
 
-    def _try_match(self, source: int, tag: int) -> list | None:
-        """Pop the oldest stashed ``[tag, payload]`` entry of the channel."""
+    def _try_match(self, source: int, tag: int) -> tuple | None:
+        """Pop the oldest stashed ``(tag, payload)`` entry of the channel."""
         queue = self._stash[source]
         for i, entry in enumerate(queue):
             if entry[0] == tag:
@@ -261,7 +219,7 @@ class ProcessComm(Communicator):
 
     def _drain_conn(self, conn: Connection, peer: int) -> None:
         try:
-            msg_tag, obj = conn.recv()
+            entry = conn.recv()
         except (EOFError, OSError):
             # Peer's end closed: it died without an abort notice
             # (hard kill).  Surface it as a world abort so the
@@ -270,42 +228,9 @@ class ProcessComm(Communicator):
             raise WorldAborted(
                 peer, "peer pipe closed (process died)"
             ) from None
-        self._stash[peer].append([msg_tag, obj])
+        self._stash[peer].append(entry)
 
-    def _materialize(self, src: int, token: ShmToken,
-                     out: np.ndarray | None = None):
-        """Read ``token``'s bytes out of ``src``'s ring.
-
-        The ring is strictly FIFO, so any *earlier* tokens from ``src``
-        still sitting unmatched in the stash are materialized first (in
-        arrival order — their offsets are increasing).  With ``out``
-        given and exactly type/size-compatible, the bytes land directly
-        in the caller's buffer — the in-place path ``allreduce_into``
-        rides on.
-        """
-        ring = self._shm_links[src][1]
-        queue = self._stash.get(src)
-        if queue:
-            for entry in queue:
-                tok = entry[1]
-                if isinstance(tok, ShmToken) and tok.offset < token.offset:
-                    entry[1] = ring.read_array(tok)
-        if (
-            out is not None
-            and out.flags.c_contiguous
-            and out.dtype == np.dtype(token.dtype)
-            and out.nbytes == token.nbytes
-        ):
-            ring.read_into(out, token)
-            return out
-        arr = ring.read_array(token)
-        if out is not None:
-            np.copyto(out, arr.reshape(out.shape))
-            return out
-        return arr
-
-    def _recv_matched(self, source: int, tag: int):
-        """Blocking match loop; the payload may be an unread ShmToken."""
+    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         if source == self.rank:
             raise MessageError("process world does not support self-receives")
         stall_limit = self.collective_config.timeout_seconds or _STALL_LIMIT
@@ -315,7 +240,7 @@ class ProcessComm(Communicator):
         while True:
             hit = self._try_match(source, tag)
             if hit is not None:
-                return hit[1]
+                return hit[1], payload_nbytes(hit[1])
             self._check_abort()
             if not conn_wait([link], timeout=backoff.next_timeout()):
                 now = time.monotonic()
@@ -330,37 +255,6 @@ class ProcessComm(Communicator):
             last_progress = time.monotonic()
             self._drain_conn(link, source)
 
-    def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
-        obj = self._recv_matched(source, tag)
-        if isinstance(obj, ShmToken):
-            return self._materialize(source, obj), obj.nbytes
-        return obj, payload_nbytes(obj)
-
-    def recv_into(self, buf: np.ndarray, source: int, tag: int) -> np.ndarray:
-        """In-place receive: shm payloads copy straight into ``buf``.
-
-        Same matching, ordering, size check and statistics as
-        :meth:`recv` followed by a copy — minus the intermediate array
-        when the payload came through the ring.
-        """
-        self._check_peer(source)
-        self._check_tag(tag)
-        t0 = time.perf_counter()
-        obj = self._recv_matched(source, tag)
-        if not isinstance(obj, ShmToken):
-            nbytes = payload_nbytes(obj)
-            copy_payload(buf, obj, source, tag)
-        elif math.prod(obj.shape) == buf.size:
-            nbytes = obj.nbytes
-            self._materialize(source, obj, out=buf.reshape(-1))
-        else:
-            # Read the ring anyway so it stays in step, then refuse.
-            copy_payload(buf, self._materialize(source, obj), source, tag)
-        self.stats.seconds_in_comm += time.perf_counter() - t0
-        self.stats.n_recvs += 1
-        self.stats.bytes_received += nbytes
-        return buf
-
 
 def _worker_main(
     rank: int,
@@ -372,17 +266,11 @@ def _worker_main(
     fn_blob: bytes,
     args_blob: bytes,
     collectives: CollectiveConfig | None,
-    shm_transport: ShmTransport | None,
 ) -> None:
     try:
         fn = pickle.loads(fn_blob)
         args, kwargs = pickle.loads(args_blob)
-        shm_links = (
-            shm_transport.endpoint(rank) if shm_transport is not None else None
-        )
-        comm = ProcessComm(
-            rank, size, links, abort_rx, collectives, shm_links=shm_links
-        )
+        comm = ProcessComm(rank, size, links, abort_rx, collectives)
         result = fn(comm, *args, **kwargs)
         # Buffered sends must actually leave before the parent may see
         # this rank as finished — a peer could still be waiting on them.
@@ -408,24 +296,18 @@ def run_spmd_processes(
     *args,
     collectives: CollectiveConfig | None = None,
     timeout: float = 600.0,
-    transport: str = "shm",
-    ring_capacity: int | None = None,
+    transport: str = "pipe",
     **kwargs,
 ) -> list:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` forked processes.
 
-    ``transport`` selects how ndarray payloads travel: ``"shm"``
-    (default) routes contiguous float64/int64 arrays through per-pair
-    shared-memory rings of ``ring_capacity`` bytes (default:
-    :data:`repro.mpc.shm.DEFAULT_RING_CAPACITY`); ``"pipe"`` pickles
-    everything over the pipe mesh.  Results are bitwise identical
-    either way — only the wire changes.
+    ``transport`` must name one of :data:`TRANSPORTS`; both mean the
+    pipe mesh (``"shm"`` is an alias kept for ``benchmarks/e2e``).
 
     Returns rank-ordered results; raises if any rank failed, with the
-    failing rank's traceback.  Shared-memory segments are owned by the
-    parent and unlinked on *every* exit path — normal completion,
-    worker crash, hard kill, timeout — before this function returns or
-    raises.
+    failing rank's traceback.  Every child is reaped on every exit
+    path — normal completion, worker crash, hard kill, timeout —
+    before this function returns or raises.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -434,12 +316,6 @@ def run_spmd_processes(
             f"transport {transport!r} not in {TRANSPORTS}"
         )
     ctx = mp.get_context("fork")
-
-    shm_transport = (
-        ShmTransport(size, ring_capacity)
-        if transport == "shm" and size > 1
-        else None
-    )
 
     # Full mesh of duplex pipes.
     pipes: dict[tuple[int, int], tuple[Connection, Connection]] = {}
@@ -480,7 +356,6 @@ def run_spmd_processes(
                     fn_blob,
                     args_blob,
                     collectives,
-                    shm_transport,
                 ),
                 name=f"spmd-proc-{rank}",
             )
@@ -533,9 +408,7 @@ def run_spmd_processes(
             # result nor an abort notice.  Notice it here, fail it
             # cleanly, and relay an abort so the surviving ranks
             # unblock with WorldAborted instead of stalling until
-            # their receive timeout.  The dead rank's shared-memory
-            # segments are unlinked (with everyone else's) in the
-            # finally below, before any error leaves this function.
+            # their receive timeout.
             for rank in sorted(pending):
                 p = procs[rank]
                 if p.is_alive() or result_pipes[rank][0].poll(0):
@@ -564,13 +437,10 @@ def run_spmd_processes(
             raise RuntimeError(f"SPMD world aborted: {errors[rank]}")
         return results
     finally:
-        # Reap the children, then tear the transport down.  This runs
-        # before any abort/timeout/dead-worker error propagates, so no
-        # exit path can leak a /dev/shm segment.
+        # Reap the children before any abort/timeout/dead-worker error
+        # propagates.
         for p in procs:
             p.join(timeout=10)
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=10)
-        if shm_transport is not None:
-            shm_transport.destroy()

@@ -277,15 +277,6 @@ class Recorder:
                 "n_collectives": float(comm_stats.n_collectives),
                 "seconds_in_comm": float(comm_stats.seconds_in_comm),
             }
-            # Transport split (processes world only; zero elsewhere and
-            # then omitted so older records stay shape-identical).
-            shm = getattr(comm_stats, "n_shm_msgs", 0)
-            pipe = getattr(comm_stats, "n_pipe_msgs", 0)
-            if shm or pipe:
-                comm["n_shm_msgs"] = float(shm)
-                comm["shm_bytes"] = float(comm_stats.shm_bytes)
-                comm["n_pipe_msgs"] = float(pipe)
-                comm["pipe_bytes"] = float(comm_stats.pipe_bytes)
         unknown = set(self.phase_seconds) - set(PHASES)
         if unknown:
             raise ValueError(f"unknown phases recorded: {sorted(unknown)}")

@@ -63,14 +63,15 @@ def sharded_score_batch(
     backend: str = "threads",
     n_processors: int = 4,
     collectives: CollectiveConfig | None = None,
-    transport: str = "shm",
+    transport: str = "pipe",
 ) -> BatchScores:
     """Score ``db`` data-parallel over ``n_processors`` ranks.
 
-    ``transport`` picks the processes world's wire ("shm" | "pipe");
-    the other backends ignore it.  Returns rank 0's (complete)
-    :class:`BatchScores`; all ranks hold the same arrays by
-    construction.
+    ``transport`` is the processes world's transport name ("pipe" |
+    "shm", both its one wire; "shm" is an alias kept for
+    ``benchmarks/e2e``); the other backends ignore it.  Returns rank
+    0's (complete) :class:`BatchScores`; all ranks hold the same arrays
+    by construction.
     """
     results, _sim_elapsed = run_world(
         backend, n_processors, sharded_score_rank, model, db,
@@ -86,7 +87,7 @@ def sharded_predict(
     backend: str = "threads",
     n_processors: int = 4,
     collectives: CollectiveConfig | None = None,
-    transport: str = "shm",
+    transport: str = "pipe",
 ) -> np.ndarray:
     """Hard labels for ``db``, computed data-parallel (see module doc)."""
     return sharded_score_batch(

@@ -63,8 +63,9 @@ class CorpusCase:
         ("sim", (2, 3)),
     )
     #: Subset used by ``--quick`` (CI smoke / pre-commit).  The
-    #: processes cell rides along so the default shm transport gets a
-    #: bitwise conformance check on every smoke run.
+    #: processes cell rides along so the one world without a shared
+    #: address space gets a bitwise conformance check on every smoke
+    #: run.
     quick_worlds: tuple[tuple[str, tuple[int, ...]], ...] = (
         ("serial", (1,)),
         ("threads", (2, 3)),

@@ -1,7 +1,7 @@
 """The one world launcher: run an SPMD program on a named world.
 
 The repo has four worlds — ``"serial"`` (one in-process rank),
-``"threads"``, ``"processes"`` (forked, shm or pipe wire) and ``"sim"``
+``"threads"``, ``"processes"`` (forked, over a pipe mesh) and ``"sim"``
 (the virtual-time CS-2).  Each has its own ``run_spmd_*`` entry point
 with its own extras; :func:`run_world` is the single name → entry
 mapping every caller above the message-passing layer uses (fitting in
@@ -35,8 +35,10 @@ def run_world(
 
     Returns ``(results, sim_elapsed)``: the rank-ordered return values,
     and the virtual elapsed seconds on ``"sim"`` (``None`` on the
-    wall-clocked worlds).  ``transport`` picks the processes world's
-    wire (``None`` = ``"shm"``; the other worlds have no wire);
+    wall-clocked worlds).  ``transport`` is the processes world's
+    transport name (``None``, ``"shm"`` and ``"pipe"`` all mean its one
+    wire, the pipe mesh; ``"shm"`` is an alias kept for
+    ``benchmarks/e2e``; the other worlds ignore it);
     ``tracer`` — a :class:`repro.simnet.trace.Tracer` — records the sim
     world's virtual-time schedule.  The sim world is the paper's CS-2
     with counted compute, the setting every library-level caller wants;
@@ -55,7 +57,7 @@ def run_world(
     if world == "processes":
         return run_spmd_processes(
             fn, n, *args, collectives=collectives,
-            transport=transport or "shm",
+            transport=transport or "pipe",
         ), None
     # Only a sim launch needs the simulator; the wall-clock worlds (and
     # their forked children) never load it.

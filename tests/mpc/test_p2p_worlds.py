@@ -207,15 +207,10 @@ def _run_short_payload(world):
         return run_spmd_sim(_short_payload_prog, 2, meiko_cs2(2)).results[1]
     from repro.mpc.procworld import run_spmd_processes
 
-    transport = world.split("+")[1]
-    return run_spmd_processes(
-        _short_payload_prog, 2, transport=transport, timeout=120
-    )[1]
+    return run_spmd_processes(_short_payload_prog, 2, timeout=120)[1]
 
 
-@pytest.mark.parametrize(
-    "world", ["serial", "threads", "sim", "processes+shm", "processes+pipe"]
-)
+@pytest.mark.parametrize("world", ["serial", "threads", "sim", "processes"])
 def test_recv_into_refuses_wrong_element_count(world):
     """A payload whose element count differs from the buffer's raises one
     MessageError naming both sizes on every world, and the channel stays
