@@ -26,6 +26,7 @@ layouts (see :mod:`repro.kernels.stream`).
 
 from __future__ import annotations
 
+import mmap
 import threading
 import weakref
 from collections import OrderedDict
@@ -91,10 +92,17 @@ _tiles_lock = threading.Lock()
 
 
 def as_chunk_iterable(data):
-    """Streamed chunks, or an in-memory block as zero-copy ``TILE_ITEMS``-row
-    tiles (itself if it fits), the same objects each call for the plan cache."""
+    """A fit pass's chunks: at most ``TILE_ITEMS`` rows each.
+
+    A streamed view yields chunks of ``min(chunk_items, TILE_ITEMS)``
+    rows, clipped at shard boundaries; an in-memory block its zero-copy
+    ``TILE_ITEMS``-row tiles (itself if it fits), the same objects each
+    call for the plan cache.  Where shard boundaries fall on multiples
+    of ``TILE_ITEMS`` from the view's start, both cut the rows alike,
+    so a streamed fit sums in the in-memory order, bit for bit.
+    """
     if is_streamable(data):
-        return data.iter_chunks()
+        return data.iter_chunks(min(data.chunk_items, TILE_ITEMS))
     if data.n_items <= TILE_ITEMS:
         return iter((data,))
     key = id(data)
@@ -358,16 +366,18 @@ class ShardedDatabase:
     def _mmap_npy(self, path: Path) -> np.ndarray:
         """Memory-map a ``.npy`` shard file, caching its parsed header.
 
-        ``np.load(mmap_mode="r")`` re-reads and re-parses the npy
-        header on every call; a long streamed fit re-maps the same
-        few shard files once per EM pass, so the header round-trip
-        becomes the dominant cost of a (page-cache-warm) load.  Shard
-        files are immutable, so the header is parsed once per file
-        and the array re-mapped directly from the cached geometry.
+        A long streamed fit re-maps every shard once per EM pass (the
+        LRU holds two), so the per-map cost is paid per chunk-pass:
+        ``np.load(mmap_mode="r")`` re-parses the header each call and
+        ``np.memmap`` adds a Python subclass layer on top of the map.
+        Shard files are immutable, so the header is parsed once per
+        file and each re-map is one read-only ``mmap`` wrapped in a
+        plain ndarray at the cached geometry (read-only because the
+        buffer is).
         """
         meta = self._npy_meta.get(path.name)
-        if meta is None:
-            with path.open("rb") as f:
+        with path.open("rb") as f:
+            if meta is None:
                 version = np.lib.format.read_magic(f)
                 if version == (1, 0):
                     shape, fortran, dtype = (
@@ -379,12 +389,12 @@ class ShardedDatabase:
                     )
                 else:  # an exotic header version: let numpy handle it
                     return np.load(path, mmap_mode="r")
-                offset = f.tell()
-            meta = (shape, fortran, dtype, offset)
-            self._npy_meta[path.name] = meta
+                meta = (shape, fortran, dtype, f.tell())
+                self._npy_meta[path.name] = meta
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
         shape, fortran, dtype, offset = meta
-        return np.memmap(
-            path, dtype=dtype, mode="r", shape=shape, offset=offset,
+        return np.ndarray(
+            shape, dtype, buffer=buf, offset=offset,
             order="F" if fortran else "C",
         )
 

@@ -7,7 +7,8 @@ exactly this function (Figures 4/5: local halves plus two Allreduce cut
 points), so it is written **once**, as ``chunks x reducer``:
 
 * *chunks* — :func:`~repro.data.shards.as_chunk_iterable`: an in-memory
-  block's cached 4 096-row tiles, a sharded view's ``iter_chunks()``.
+  block's cached 4 096-row tiles, a sharded view's chunks of at most
+  one tile.
   Both cut-point payloads are additive over items, and a chunk's M half
   needs only that chunk's *local* weights, so E and M halves fuse per
   chunk: no ``(N, J)`` weights are ever formed;

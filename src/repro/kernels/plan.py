@@ -4,8 +4,9 @@ Everything about the E/M hot path that depends only on the *data* and
 the *model form* — never on the current parameter values — is computed
 once here and reused for every cycle of every BIG_LOOP try: the
 **augmented design matrix** ``design`` of shape ``(n_items, n_stats)``,
-every term's :meth:`~repro.models.base.TermModel.design_columns`
-stacked column-wise in registry order (``1``/``x``/``x²`` for normals,
+one C-order array into whose column slices every term's
+:meth:`~repro.models.base.TermModel.design_columns` writes in registry
+order (``1``/``x``/``x²`` for normals,
 presence and missing indicators plus zero-filled values for ``*_cm``
 terms, one-hot symbol indicators for multinomials, pairwise products
 for ``multi_normal_cn``).  Its columns are laid out exactly like
@@ -39,9 +40,9 @@ class KernelPlan:
 
     def __init__(self, db: Database, spec: ModelSpec) -> None:
         self.spec = spec
-        blocks = [term.design_columns(db) for term in spec.terms]
-        design = np.concatenate([np.empty((db.n_items, 0)), *blocks], axis=1)
-        self.design = np.ascontiguousarray(design, dtype=np.float64)
+        self.design = np.empty((db.n_items, spec.n_stats), dtype=np.float64)
+        for term, cols in zip(spec.terms, spec.stat_slices()):
+            term.design_columns(db, self.design[:, cols])
         self.design.setflags(write=False)
 
     def coefficients(

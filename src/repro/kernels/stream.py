@@ -19,8 +19,9 @@ floating-point additions differently than one whole-block kernel call,
 so any two cuts of a block (streamed chunks, in-memory tiles, the whole
 block) agree to the *reduction-order* tolerance (1e-9, as
 :mod:`repro.verify` allows for any change of summation order), and
-bitwise when both are one piece: a view within one chunk, a block within
-one tile.  The acceptance
+bitwise when both cut alike: a view within one chunk and a block within
+one tile, or a fit pass over tile-aligned shards, whose chunks are the
+block's tiles.  The acceptance
 invariant — asserted across all four worlds — is that a streamed fit
 reproduces the in-memory fit's final classification exactly.
 """

@@ -14,7 +14,7 @@ contract is designed around the paper's parallelization:
    rank yields bit-identical parameters with zero extra communication.
 3. **Log-space likelihoods.** ``log_likelihood(db, params)`` returns the
    per-item, per-class log density consumed by ``update_wts``.
-4. **Linear features.** ``design_columns(db)`` and
+4. **Linear features.** ``design_columns(db, out)`` and
    ``loglik_coefficients(params)`` express both of the above as GEMMs
    against one per-item feature matrix; the engine's hot path uses only
    this pair, and the reference pair of items 1 and 3 is its oracle.
@@ -147,17 +147,22 @@ class TermModel(ABC):
     # ``repro.verify`` check that they do).
 
     @abstractmethod
-    def design_columns(self, db: Database) -> np.ndarray:
-        """``(n_items, n_stats)`` feature rows for the fused GEMMs.
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
+        """Write the ``(n_items, n_stats)`` feature rows for the fused
+        GEMMs into ``out``.
 
-        Must satisfy ``wts.T @ design_columns(db) ==
-        accumulate_stats(db, wts)`` (same column order).
+        ``out`` is this term's column slice of the plan's one C-order
+        design (a strided view, uninitialized): the term must write
+        every cell of it.  With ``cols`` the filled ``out``, it must
+        satisfy ``wts.T @ cols == accumulate_stats(db, wts)`` (same
+        column order).
         """
 
     @abstractmethod
     def loglik_coefficients(self, params: TermParams) -> np.ndarray:
         """``(n_stats, n_classes)`` coefficients with
-        ``design_columns(db) @ coef == log_likelihood(db, params)``."""
+        ``cols @ coef == log_likelihood(db, params)`` for the
+        :meth:`design_columns` rows ``cols``."""
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -54,8 +54,8 @@ class IgnoreTerm(TermModel):
 
     # -- GEMM protocol: inert (0 design columns) ------------------------
 
-    def design_columns(self, db: Database) -> np.ndarray:
-        return np.zeros((db.n_items, 0), dtype=np.float64)
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
+        """Nothing to write: ``out`` has no columns."""
 
     def loglik_coefficients(self, params: IgnoreParams) -> np.ndarray:
         return np.zeros((0, params.n_classes), dtype=np.float64)

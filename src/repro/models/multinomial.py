@@ -150,7 +150,7 @@ class MultinomialTerm(TermModel):
 
     # -- GEMM protocol ---------------------------------------------------
 
-    def design_columns(self, db: Database) -> np.ndarray:
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
         """One-hot symbol indicators, ``(n_items, n_cells)``.
 
         Rows with unmodelled missing values are all-zero (they
@@ -158,14 +158,13 @@ class MultinomialTerm(TermModel):
         """
         codes = db.columns[self._index]
         miss = db.missing[self._index]
-        cols = np.zeros((db.n_items, self._n_cells), dtype=np.float64)
+        out[...] = 0.0
         if self._model_missing:
             codes = np.where(miss, self._attr.arity, codes)
-            cols[np.arange(db.n_items), codes] = 1.0
+            out[np.arange(db.n_items), codes] = 1.0
         else:
             rows = np.flatnonzero(~miss)
-            cols[rows, codes[rows]] = 1.0
-        return cols
+            out[rows, codes[rows]] = 1.0
 
     def loglik_coefficients(self, params: MultinomialParams) -> np.ndarray:
         # One-hot design @ log_p.T is exactly the per-item gather.

@@ -173,18 +173,16 @@ class MultiNormalTerm(TermModel):
 
     # -- GEMM protocol ---------------------------------------------------
 
-    def design_columns(self, db: Database) -> np.ndarray:
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
         x = self._matrix(db)
         d = self._d
         iu = np.triu_indices(d)
-        cols = np.empty((x.shape[0], self.n_stats), dtype=np.float64)
-        cols[:, 0] = 1.0
-        cols[:, 1 : 1 + d] = x
-        np.multiply(x[:, iu[0]], x[:, iu[1]], out=cols[:, 1 + d :])
+        out[:, 0] = 1.0
+        out[:, 1 : 1 + d] = x
+        np.multiply(x[:, iu[0]], x[:, iu[1]], out=out[:, 1 + d :])
         miss = self._missing_rows(db)
         if miss.any():
-            cols[miss] = 0.0
-        return cols
+            out[miss] = 0.0
 
     def loglik_coefficients(self, params: MultiNormalParams) -> np.ndarray:
         """Expanded Gaussian quadratic against ``[1, x, triu(x xᵀ)]``.

@@ -175,16 +175,14 @@ class NormalTerm(TermModel):
 
     # -- GEMM protocol ---------------------------------------------------
 
-    def design_columns(self, db: Database) -> np.ndarray:
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
         x = db.columns[self._index]
-        cols = np.empty((x.shape[0], self._N_STATS), dtype=np.float64)
-        cols[:, 0] = 1.0
-        cols[:, 1] = x
-        np.multiply(x, x, out=cols[:, 2])
+        out[:, 0] = 1.0
+        out[:, 1] = x
+        np.multiply(x, x, out=out[:, 2])
         miss = db.missing[self._index]
         if miss.any():
-            cols[miss] = 0.0
-        return cols
+            out[miss] = 0.0
 
     def loglik_coefficients(self, params: NormalParams) -> np.ndarray:
         return _gauss_coefficients(params.mu, params.sigma)
@@ -304,15 +302,13 @@ class NormalMissingTerm(TermModel):
 
     # -- GEMM protocol ---------------------------------------------------
 
-    def design_columns(self, db: Database) -> np.ndarray:
+    def design_columns(self, db: Database, out: np.ndarray) -> None:
         miss = db.missing[self._index]
         xp = np.where(miss, 0.0, db.columns[self._index])
-        cols = np.empty((xp.shape[0], self._N_STATS), dtype=np.float64)
-        np.subtract(1.0, miss, out=cols[:, 0])  # present indicator
-        cols[:, 1] = xp
-        np.multiply(xp, xp, out=cols[:, 2])
-        cols[:, 3] = miss  # missing indicator
-        return cols
+        np.subtract(1.0, miss, out=out[:, 0])  # present indicator
+        out[:, 1] = xp
+        np.multiply(xp, xp, out=out[:, 2])
+        out[:, 3] = miss  # missing indicator
 
     def loglik_coefficients(self, params: NormalMissingParams) -> np.ndarray:
         # Design columns: [present, x·present, x²·present, missing].

@@ -41,7 +41,7 @@ from collections import deque
 from collections.abc import Callable
 from multiprocessing.connection import Connection, wait as conn_wait
 
-from repro.mpc.api import CollectiveConfig, Communicator, payload_nbytes
+from repro.mpc.api import CollectiveConfig, Communicator
 from repro.mpc.errors import CommTimeout, MessageError, WorldAborted
 
 #: Transport names ``run_spmd_processes`` accepts; both mean the pipe.
@@ -174,8 +174,9 @@ class ProcessComm(Communicator):
         self._links = links
         self._abort_rx = abort_rx
         self._writer: _SendWorker | None = None
-        # (tag, payload) messages read off a pipe but not yet matched,
-        # per source.
+        # (tag, nbytes, payload) messages read off a pipe but not yet
+        # matched, per source; nbytes is the sender's wire size, so a
+        # receive never re-prices (re-pickles) what it got.
         self._stash: dict[int, deque[tuple]] = {
             peer: deque() for peer in links
         }
@@ -185,7 +186,7 @@ class ProcessComm(Communicator):
     def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
         if dest == self.rank:
             raise MessageError("process world does not support self-sends")
-        item = (tag, obj)
+        item = (tag, nbytes, obj)
         conn = self._links[dest]
         writer = self._writer
         if nbytes < _DIRECT_SEND_MAX and (writer is None or writer.idle()):
@@ -209,7 +210,8 @@ class ProcessComm(Communicator):
             raise WorldAborted(failed_rank, reason)
 
     def _try_match(self, source: int, tag: int) -> tuple | None:
-        """Pop the oldest stashed ``(tag, payload)`` entry of the channel."""
+        """Pop the oldest stashed ``(tag, nbytes, payload)`` entry of the
+        channel."""
         queue = self._stash[source]
         for i, entry in enumerate(queue):
             if entry[0] == tag:
@@ -240,7 +242,7 @@ class ProcessComm(Communicator):
         while True:
             hit = self._try_match(source, tag)
             if hit is not None:
-                return hit[1], payload_nbytes(hit[1])
+                return hit[2], hit[1]
             self._check_abort()
             if not conn_wait([link], timeout=backoff.next_timeout()):
                 now = time.monotonic()

@@ -167,6 +167,74 @@ class TestChunkIteration:
         assert not is_streamable(db)
 
 
+class TestMapping:
+    """Shards map as plain read-only ndarrays over a read-only mmap."""
+
+    def test_mapped_shard_is_readonly(self, tmp_path):
+        db, _ = make_mixed_database(40, seed=3)
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        entry = sdb._get_shard(1)
+        for arr in (entry.real, entry.disc):
+            assert type(arr) is np.ndarray
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+            with pytest.raises(ValueError):
+                arr[0, 0] = arr[0, 0]
+        assert_same_rows(db, sdb)
+
+    def test_all_real_schema_maps_zero_row_disc(self, tmp_path):
+        db = make_paper_database(30, seed=3)
+        assert not db.schema.discrete_indices
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        assert sdb._get_shard(1).disc.shape == (0, 10)
+        assert_same_rows(db, sdb)
+
+    def test_remap_after_eviction_does_not_rehash(self, tmp_path, monkeypatch):
+        db = make_paper_database(100, seed=4)
+        sdb = ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        hashed = []
+        real = docfile.sha256_file
+        monkeypatch.setattr(
+            docfile, "sha256_file", lambda p: hashed.append(p) or real(p)
+        )
+        list(sdb.iter_chunks())
+        assert len(hashed) == 2 * sdb.n_shards  # a real and a disc file each
+        assert sdb.resident_shards() == (3, 4)  # shards 0-2 were evicted
+        hashed.clear()
+        assert_same_rows(db, sdb)
+        assert hashed == []
+
+    def test_bit_flip_raises_on_first_load(self, tmp_path):
+        db = make_paper_database(40, seed=5)
+        ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        victim = tmp_path / "s" / "shard_00000.real.npy"
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        victim.write_bytes(bytes(raw))
+        sdb = ShardedDatabase.open(tmp_path / "s")
+        with pytest.raises(ShardCorruptionError, match="shard_00000.real.npy"):
+            next(sdb.iter_chunks())
+        assert sdb.resident_shards() == ()
+
+    def test_shape_against_manifest_checked(self, tmp_path):
+        """A digest-valid file of the wrong shape is still refused."""
+        db = make_paper_database(40, seed=5)
+        ShardedDatabase.from_database(db, tmp_path / "s", shard_items=20)
+        victim = tmp_path / "s" / "shard_00001.real.npy"
+        np.save(victim, np.zeros((2, 19)))
+        path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        files = manifest["shards"][1]["files"]["real"]
+        files["sha256"] = docfile.sha256_file(victim)
+        del manifest["digest"]
+        manifest["digest"] = docfile.digest(manifest)
+        path.write_text(json.dumps(manifest))
+        sdb = ShardedDatabase.open(tmp_path / "s")
+        with pytest.raises(ShardCorruptionError, match="shapes"):
+            list(sdb.iter_chunks())
+
+
 class TestBlockViews:
     def test_blocks_match_partition_bounds(self, tmp_path):
         db = make_paper_database(103, seed=8)

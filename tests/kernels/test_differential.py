@@ -29,6 +29,13 @@ def _default_spec(db):
     return ModelSpec.default_for(db.schema, DataSummary.from_database(db))
 
 
+def _design_columns(term, db):
+    """The term's design rows, written into a fresh array."""
+    cols = np.full((db.n_items, term.n_stats), np.nan)
+    term.design_columns(db, cols)
+    return cols
+
+
 def _random_clf(db, spec, n_classes, seed):
     """A valid random classification: one M-step over Dirichlet weights."""
     rng = np.random.default_rng(seed)
@@ -140,8 +147,7 @@ class TestPerTermProtocol:
         rng = np.random.default_rng(3)
         wts = rng.dirichlet(np.ones(3), size=db.n_items)
         for term in spec.terms:
-            cols = term.design_columns(db)
-            assert cols is not None and cols.shape == (db.n_items, term.n_stats)
+            cols = _design_columns(term, db)
             np.testing.assert_allclose(
                 wts.T @ cols,
                 term.accumulate_stats(db, wts),
@@ -151,7 +157,7 @@ class TestPerTermProtocol:
     def test_coefficients_reproduce_log_likelihood(self, name, db, spec):
         _wts, clf = _random_clf(db, spec, 3, seed=4)
         for term, params in zip(spec.terms, clf.term_params):
-            cols = term.design_columns(db)
+            cols = _design_columns(term, db)
             coef = term.loglik_coefficients(params)
             assert coef is not None and coef.shape == (term.n_stats, 3)
             np.testing.assert_allclose(

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpc import procworld
 from repro.mpc.errors import MessageError
 from repro.mpc.procworld import _POLL_INTERVAL, _RecvBackoff, run_spmd_processes
 from repro.mpc.shm import SEGMENT_PREFIX
@@ -72,6 +73,25 @@ def _out_of_order_prog(comm):
     return None
 
 
+def _priced_once_prog(comm):
+    """Rank 0 sends a dict; rank 1 receives it with re-pricing refused.
+
+    A non-array payload is priced at its pickle length, so a receive
+    that re-priced it would pickle it once more just to count bytes;
+    the pipe entry carries the sender's count instead.
+    """
+    payload = {"k": list(range(50)), "s": "x" * 100}
+    if comm.rank == 0:
+        comm.send(payload, 1, tag=2)
+        return comm.stats.bytes_sent
+
+    def refuse(obj):
+        raise AssertionError("the receive re-priced its payload")
+
+    procworld.payload_nbytes = refuse  # this forked rank's module only
+    return comm.recv(0, tag=2) == payload, comm.stats.bytes_received
+
+
 #: 1 MiB of float64: well above the direct-send cutoff, so both ranks'
 #: sends go through their background writers.
 _BIG = 1 << 17
@@ -105,6 +125,13 @@ class TestWire:
             np.testing.assert_array_equal(
                 [a[0] for a in res[0][src]], [1.0, 3.0, 0.0, 2.0]
             )
+
+    def test_receive_counts_the_senders_bytes(self):
+        sent, (intact, received) = run_spmd_processes(
+            _priced_once_prog, 2, timeout=120
+        )
+        assert intact
+        assert received == sent > 0
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(MessageError, match="transport"):

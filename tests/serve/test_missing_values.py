@@ -96,7 +96,8 @@ def test_multi_normal_block_skips_incomplete_items(complete_db):
     db = _blank(complete_db, {2: 1})
 
     ll = term.log_likelihood(db, params)
-    cols = term.design_columns(db)
+    cols = np.full((db.n_items, term.n_stats), np.nan)
+    term.design_columns(db, cols)
     assert np.all(ll[2] == 0.0) and np.all(cols[2] == 0.0)
     complete = np.arange(db.n_items) != 2
     np.testing.assert_array_equal(
