@@ -12,19 +12,37 @@ Policies (:data:`CHECKPOINT_POLICIES`):
 
 * ``"off"``       — never write (the null object; loops stay branchless);
 * ``"per_try"``   — write at try boundaries only (cheapest, the
-  recommended default: a restart repeats at most one try);
+  recommended default: a restart repeats at most one try, two if the
+  previous try's save was still in flight);
 * ``"per_cycle"`` — additionally write after every non-final EM cycle
-  (a restart repeats at most one cycle).
+  (a restart repeats at most two cycles).
 
 Each save — one cut point, however many files it writes — is timed as
 the ``ckpt`` phase and counted in the ``ckpt_saves`` counter of the
 ambient :mod:`repro.obs` recorder, so instrumented runs attribute their
 checkpoint traffic.
+
+A search writes *behind* its cycles (:meth:`Checkpointer.background`):
+at a cut point the cycle thread encodes the state and hands the bytes
+to one writer thread, whose writes, fsyncs and renames overlap the
+next EM cycle.  (The encode stays on the cycle thread: it holds the
+GIL, and done on the writer it slowed the cycle more than it saved.)
+At most one save is in flight — a hand-off first waits for the previous
+save to land — and the writer lands each save through the
+checkpointer's own :meth:`~Checkpointer.save`, in hand-off order, so
+the try file / directory fsync / head order holds.  The search drains
+the writer on every exit path: a fit returns only once its last save
+has landed.  The ``ckpt`` phase then times what the cycle spends
+(encode, hand-off, wait), and the writer's own time is counted in
+``ckpt_write_us``.  Calls outside a search are synchronous.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +64,8 @@ from repro.models.registry import ModelSpec
 from repro.obs import recorder as obs
 from repro.util.docfile import fsync_dir, write_bytes
 from repro.util.rng import SeedSequenceStream
+
+logger = logging.getLogger(__name__)
 
 #: Valid ``checkpoint=`` policies of the fit APIs.
 CHECKPOINT_POLICIES = ("off", "per_try", "per_cycle")
@@ -88,6 +108,64 @@ class CheckpointSpec:
         )
 
 
+@dataclass(frozen=True)
+class _RngSnapshot:
+    """A stream's RNG states as they stood at a cut point (what
+    :meth:`Checkpointer.save` reads of a stream)."""
+
+    states: dict
+
+    def state_dict(self) -> dict:
+        return self.states
+
+
+class _Writer:
+    """One search's background writer: a thread that runs the search's
+    saves in hand-off order, at most one in flight.
+
+    A failed save stays pending: every later :meth:`submit` and the
+    closing :meth:`wait` re-raise its error, so nothing handed over
+    behind it — above all a head naming an unwritten try file — runs.
+    """
+
+    def __init__(self) -> None:
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="ckpt-writer")
+        self._pending: Future | None = None
+        self.busy_seconds = 0.0
+
+    def _run(self, save, args: tuple) -> None:
+        t0 = time.perf_counter()
+        try:
+            save(*args)
+        finally:
+            self.busy_seconds += time.perf_counter() - t0
+
+    def submit(self, save, *args) -> None:
+        """Run ``save(*args)`` on the thread once the previous save has
+        landed; its arguments are bound now, by value."""
+        self.wait()
+        self._pending = self._pool.submit(self._run, save, args)
+
+    def wait(self) -> None:
+        """Block until the save in flight has landed; raise its error."""
+        if self._pending is not None:
+            self._pending.result()
+            self._pending = None
+
+    def close(self, *, check: bool) -> None:
+        """Let the save in flight land and stop the thread.  A failed
+        save is raised under ``check`` (the search itself did not fail)
+        and logged otherwise."""
+        try:
+            self.wait()
+        except Exception:
+            if check:
+                raise
+            logger.warning("checkpoint save failed", exc_info=True)
+        finally:
+            self._pool.shutdown(wait=True)
+
+
 class Checkpointer:
     """One search's checkpoint directory, with rank-0-writes semantics."""
 
@@ -114,6 +192,9 @@ class Checkpointer:
         #: Completed tries already in their own files: the sequential
         #: writer writes each try file once (``load`` sets the count).
         self.n_tries_written = 0
+        self._writer: _Writer | None = None
+        #: What :meth:`save` lands instead of encoding (writer thread).
+        self._encoded: tuple | None = None
 
     # -- binding -----------------------------------------------------------
 
@@ -162,6 +243,50 @@ class Checkpointer:
     # -- save (rank 0 only) ------------------------------------------------
 
     @contextlib.contextmanager
+    def background(self, enabled: bool = True):
+        """Within: cut points are written behind the search by one thread.
+
+        ``enabled`` is false off the rank that writes (rank 0 of a
+        replicated search, a group leader of a grouped one): no thread.
+        On exit the save in flight lands, whatever the exit path; a
+        failed save is raised unless the search is already failing.
+        """
+        if not enabled:
+            yield
+            return
+        writer = self._writer = _Writer()
+        ok = False
+        try:
+            yield
+            ok = True
+        finally:
+            self._writer = None
+            writer.close(check=ok)
+        obs.current().count(
+            "ckpt_write_us", round(writer.busy_seconds * 1e6)
+        )
+
+    def _cut(self, land, encode, *args) -> None:
+        """One cut point of a search: ``land(*encode(*args))``.
+
+        ``encode`` runs on this thread; its result holds every byte the
+        save writes, so the state may move on at once.  Behind a writer
+        it runs once the previous save has landed (reading what that
+        save counted) and ``land`` runs on the writer thread.  That
+        thread has no recorder, so the cut point is timed (encode,
+        hand-off, the wait) and counted here.
+        """
+        writer = self._writer
+        if writer is None:
+            land(*encode(*args))
+            return
+        rec = obs.current()
+        with rec.phase("ckpt"):
+            writer.wait()
+            writer.submit(land, *encode(*args))
+        rec.count("ckpt_saves")
+
+    @contextlib.contextmanager
     def _cut_point(self):
         """One save: timed as the ``ckpt`` phase, counted once."""
         rec = obs.current()
@@ -170,8 +295,23 @@ class Checkpointer:
         self.n_saves += 1
         rec.count("ckpt_saves")
 
-    def _write(self, path: Path, payload: dict) -> None:
-        write_bytes(path, checkpoint_bytes(payload))
+    def _encode(
+        self, tries: list, rng_states: dict, in_progress: InProgressTry | None
+    ) -> tuple[list[tuple[Path, bytes]], bytes]:
+        """The bytes of one save: a file for each try completed since the
+        last save, and the head."""
+        key = self._require_key()
+        files = [
+            (
+                self.try_path(t.try_index),
+                checkpoint_bytes(encode_try_checkpoint(key, try_result=t)),
+            )
+            for t in tries[self.n_tries_written:]
+        ]
+        head = checkpoint_bytes(
+            encode_checkpoint(key, len(tries), in_progress, rng_states)
+        )
+        return files, head
 
     def save(
         self,
@@ -183,28 +323,55 @@ class Checkpointer:
 
         Tries completed since the last save get their own files first;
         once those entries are durable the head is replaced.  A
-        per-cycle save therefore writes the head alone.
+        per-cycle save therefore writes the head alone.  On a search's
+        writer thread it lands the bytes its cut point already encoded
+        (:meth:`_save_encoded`).
         """
         if not self.is_writer:
             return
-        key = self._require_key()
         with self._cut_point():
-            new = result.tries[self.n_tries_written:]
-            for t in new:
-                self._write(
-                    self.try_path(t.try_index),
-                    encode_try_checkpoint(key, try_result=t),
+            encoded, self._encoded = self._encoded, None
+            if encoded is None:
+                encoded = self._encode(
+                    result.tries, stream.state_dict(), in_progress
                 )
-            if new:
+            files, head = encoded
+            for path, data in files:
+                write_bytes(path, data)
+            if files:
                 fsync_dir(self.directory)
                 self.n_tries_written = len(result.tries)
-            self._write(self.path, encode_checkpoint(
-                key, len(result.tries), in_progress, stream.state_dict()
-            ))
+            write_bytes(self.path, head)
+
+    def _snapshot(
+        self,
+        result: SearchResult,
+        stream: SeedSequenceStream,
+        in_progress: InProgressTry | None,
+    ) -> tuple:
+        """The state at a cut point, encoded and copied: the arguments of
+        :meth:`_save_encoded`, bound by value."""
+        states = stream.state_dict()
+        return (
+            self._encode(result.tries, states, in_progress),
+            SearchResult(config=result.config, tries=list(result.tries)),
+            _RngSnapshot(states),
+            in_progress,
+        )
+
+    def _save_encoded(self, encoded, result, stream, in_progress) -> None:
+        """:meth:`save`, landing ``encoded`` rather than encoding again:
+        the encode holds the GIL, so it stays on the search's thread."""
+        self._encoded = encoded
+        try:
+            self.save(result, stream, in_progress)
+        finally:
+            self._encoded = None
 
     def save_boundary(self, result: SearchResult, stream: SeedSequenceStream) -> None:
         """Per-try cut point: all recorded tries are complete."""
-        self.save(result, stream, in_progress=None)
+        if self.is_writer:
+            self._cut(self._save_encoded, self._snapshot, result, stream, None)
 
     def save_cycle(
         self,
@@ -224,16 +391,16 @@ class Checkpointer:
         within the try) and ``checker`` the live convergence checker
         whose history *includes* this cycle's score.
         """
-        self.save(
-            result,
-            stream,
-            in_progress=InProgressTry(
-                try_index=try_index,
-                n_classes_requested=n_classes_requested,
-                classification=clf,
-                checker_history=list(checker.history),
-            ),
-        )
+        if self.is_writer:
+            self._cut(
+                self._save_encoded, self._snapshot, result, stream,
+                InProgressTry(
+                    try_index=try_index,
+                    n_classes_requested=n_classes_requested,
+                    classification=clf,
+                    checker_history=list(checker.history),
+                ),
+            )
 
     # -- per-try files (group-parallel search) -----------------------------
     #
@@ -250,11 +417,10 @@ class Checkpointer:
 
     def save_try(self, try_result) -> None:
         """Persist one completed try (called by its group's leader)."""
-        payload = encode_try_checkpoint(
-            self._require_key(), try_result=try_result
+        self._cut(
+            self._write_try_file, self._encode_try, try_result.try_index,
+            try_result, None,
         )
-        with self._cut_point():
-            self._write(self.try_path(try_result.try_index), payload)
 
     def save_try_cycle(
         self, *, try_index: int, n_classes_requested: int, clf, checker
@@ -265,17 +431,29 @@ class Checkpointer:
         overwrites the try's file and is replaced by the completed
         result when the try converges.
         """
-        payload = encode_try_checkpoint(
-            self._require_key(),
-            in_progress=InProgressTry(
+        self._cut(
+            self._write_try_file, self._encode_try, try_index, None,
+            InProgressTry(
                 try_index=try_index,
                 n_classes_requested=n_classes_requested,
                 classification=clf,
                 checker_history=list(checker.history),
             ),
         )
+
+    def _encode_try(
+        self, try_index: int, try_result, in_progress: InProgressTry | None
+    ) -> tuple[Path, bytes]:
+        return self.try_path(try_index), checkpoint_bytes(
+            encode_try_checkpoint(
+                self._require_key(), try_result=try_result,
+                in_progress=in_progress,
+            )
+        )
+
+    def _write_try_file(self, path: Path, data: bytes) -> None:
         with self._cut_point():
-            self._write(self.try_path(try_index), payload)
+            write_bytes(path, data)
 
     def load_tries(
         self, spec: ModelSpec

@@ -21,6 +21,7 @@ the control flow on all ranks without communicating decisions.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -373,7 +374,8 @@ def run_search(
     an interrupted search resumed from its checkpoint produces the
     bit-identical result an uninterrupted run would have.  The state at
     a cut point is global, so on a parallel world rank 0 persists one
-    copy and every rank restores from the same file.  A directory
+    copy, on a writer thread behind the cycles, and every rank restores
+    from the same file.  A directory
     written by a try-grouped search (per-try files, no head) is adopted
     too: its completed tries are kept and its in-progress ones resumed.
 
@@ -401,6 +403,7 @@ def run_search(
     adopted: dict[int, TryResult] = {}
     partial: dict = {}
     save_cycle = None
+    writing = contextlib.nullcontext()
     if checkpointer is not None:
         checkpointer.bind(
             config, spec, n_total_items,
@@ -428,35 +431,38 @@ def run_search(
             save_cycle = functools.partial(
                 checkpointer.save_cycle, result, stream
             )
+        writing = checkpointer.background(checkpointer.is_writer)
     started = time.perf_counter()
-    for k in range(len(result.tries), config.max_n_tries):
-        if (
-            result.tries
-            and resume is None
-            and config.max_seconds is not None
-            and time.perf_counter() - started >= config.max_seconds
-        ):
-            break  # budget spent; at least one try is always completed
-        in_progress = partial.get(k)
-        if resume is not None and resume.try_index == k:
-            in_progress, resume = resume, None
-        t = adopted.get(k)
-        if t is None:
-            t = run_try(
-                db, spec, config, stream, k, make_reducer,
-                n_total_items=n_total_items, full_db=full_db,
-                kernels=kernels, resume=in_progress, save_cycle=save_cycle,
+    with writing:
+        for k in range(len(result.tries), config.max_n_tries):
+            if (
+                result.tries
+                and resume is None
+                and config.max_seconds is not None
+                and time.perf_counter() - started >= config.max_seconds
+            ):
+                break  # budget spent; at least one try is always completed
+            in_progress = partial.get(k)
+            if resume is not None and resume.try_index == k:
+                in_progress, resume = resume, None
+            t = adopted.get(k)
+            if t is None:
+                t = run_try(
+                    db, spec, config, stream, k, make_reducer,
+                    n_total_items=n_total_items, full_db=full_db,
+                    kernels=kernels, resume=in_progress,
+                    save_cycle=save_cycle,
+                )
+            duplicate_of = duplicate_of_index(
+                t.classification, result.tries, config.duplicate_eps
             )
-        duplicate_of = duplicate_of_index(
-            t.classification, result.tries, config.duplicate_eps
-        )
-        if duplicate_of is not None:
-            logger.info("try %d duplicates try %d", k, duplicate_of)
-            t = dataclasses.replace(t, duplicate_of=duplicate_of)
-        result.tries.append(t)
-        # try k's children are spent: keep them out of every later head
-        stream.forget("select_j", k)
-        stream.forget("try", k)
-        if checkpointer is not None:
-            checkpointer.save_boundary(result, stream)
+            if duplicate_of is not None:
+                logger.info("try %d duplicates try %d", k, duplicate_of)
+                t = dataclasses.replace(t, duplicate_of=duplicate_of)
+            result.tries.append(t)
+            # try k's children are spent: keep them out of every later head
+            stream.forget("select_j", k)
+            stream.forget("try", k)
+            if checkpointer is not None:
+                checkpointer.save_boundary(result, stream)
     return result

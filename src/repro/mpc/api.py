@@ -137,8 +137,9 @@ class Communicator(ABC):
     # -- point-to-point (backends implement these) ------------------------
 
     @abstractmethod
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
-        """Deliver ``obj`` to ``dest``'s mailbox (may buffer)."""
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
+        """Deliver ``obj`` to ``dest``'s mailbox (may buffer); return its
+        wire size (:func:`payload_nbytes`)."""
 
     @abstractmethod
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
@@ -149,9 +150,8 @@ class Communicator(ABC):
         """Send ``obj`` to rank ``dest`` with ``tag`` (buffered, non-rendezvous)."""
         self._check_peer(dest)
         self._check_tag(tag)
-        nbytes = payload_nbytes(obj)
         t0 = time.perf_counter()
-        self._send_raw(obj, dest, tag, nbytes)
+        nbytes = self._send_raw(obj, dest, tag)
         self.stats.seconds_in_comm += time.perf_counter() - t0
         self.stats.n_sends += 1
         self.stats.bytes_sent += nbytes

@@ -11,6 +11,8 @@ silently; with processes it cannot).
 Wire
 ----
 There is one wire: every payload is pickled over the pipe to its peer.
+An object payload (anything but an array or bytes) is pickled once, on
+the sending rank, and that pickle's length is its ``bytes_sent``.
 ``transport="pipe"`` (the default) and ``"shm"`` are both accepted and
 both mean this pipe; ``"shm"`` is an alias kept only because the
 ``benchmarks/e2e`` workloads pass it.
@@ -40,6 +42,8 @@ import traceback
 from collections import deque
 from collections.abc import Callable
 from multiprocessing.connection import Connection, wait as conn_wait
+
+import numpy as np
 
 from repro.mpc.api import CollectiveConfig, Communicator
 from repro.mpc.errors import CommTimeout, MessageError, WorldAborted
@@ -155,6 +159,35 @@ class _SendWorker:
         return True
 
 
+class _Pickled:
+    """An object payload its sender has already pickled; the receiving
+    end's unpickle of the pipe entry restores the object itself."""
+
+    __slots__ = ("blob",)
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+
+    def __reduce__(self):
+        return pickle.loads, (self.blob,)
+
+
+def _wire_form(obj: object) -> tuple[object, int]:
+    """``obj`` as it goes down the pipe, and its wire size.
+
+    Arrays and bytes are priced at their buffer length and go as they
+    are.  Any other payload is pickled here, once: the pickle is what
+    crosses the pipe and its length is the price (the same one
+    :func:`~repro.mpc.api.payload_nbytes` computes).
+    """
+    if isinstance(obj, np.ndarray):
+        return obj, int(obj.nbytes)
+    if isinstance(obj, (bytes, bytearray)):
+        return obj, len(obj)
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return _Pickled(blob), len(blob)
+
+
 class ProcessComm(Communicator):
     """One rank's endpoint over a mesh of pipes."""
 
@@ -183,18 +216,20 @@ class ProcessComm(Communicator):
 
     # -- sending -----------------------------------------------------------
 
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
         if dest == self.rank:
             raise MessageError("process world does not support self-sends")
+        obj, nbytes = _wire_form(obj)
         item = (tag, nbytes, obj)
         conn = self._links[dest]
         writer = self._writer
         if nbytes < _DIRECT_SEND_MAX and (writer is None or writer.idle()):
             conn.send(item)
-            return
-        if writer is None:
-            writer = self._writer = _SendWorker(self.rank)
-        writer.put(conn, item)
+        else:
+            if writer is None:
+                writer = self._writer = _SendWorker(self.rank)
+            writer.put(conn, item)
+        return nbytes
 
     def _flush_sends(self, timeout: float = _FLUSH_TIMEOUT) -> bool:
         """Drain the background writer (no-op when it never started)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.mpc.api import CollectiveConfig, Communicator
+from repro.mpc.api import CollectiveConfig, Communicator, payload_nbytes
 from repro.mpc.errors import MessageError
 
 
@@ -22,9 +22,11 @@ class SerialComm(Communicator):
         super().__init__(rank=0, size=1, collectives=collectives)
         self._queue: deque[tuple[object, int, int]] = deque()
 
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
         # dest is validated to be 0 by the base class.
+        nbytes = payload_nbytes(obj)
         self._queue.append((obj, tag, nbytes))
+        return nbytes
 
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         # source is validated to be 0 by the base class.

@@ -143,12 +143,13 @@ class SubComm(Communicator):
     def _map_tag(self, tag: int) -> int:
         return tag * _TAG_STRIDE + self._ctx
 
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
-        self._parent._send_raw(
-            obj, self._world_ranks[dest], self._map_tag(tag), nbytes
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
+        nbytes = self._parent._send_raw(
+            obj, self._world_ranks[dest], self._map_tag(tag)
         )
         self._parent.stats.n_sends += 1
         self._parent.stats.bytes_sent += nbytes
+        return nbytes
 
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         obj, nbytes = self._parent._recv_raw(

@@ -19,7 +19,7 @@ import threading
 import traceback
 from collections.abc import Callable, Sequence
 
-from repro.mpc.api import CollectiveConfig, Communicator
+from repro.mpc.api import CollectiveConfig, Communicator, payload_nbytes
 from repro.mpc.p2p import AbortFlag, Envelope, Mailbox
 
 
@@ -37,9 +37,11 @@ class ThreadComm(Communicator):
         self._mailboxes = mailboxes
         self._abort = abort
 
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
         self._abort.check()
+        nbytes = payload_nbytes(obj)
         self._mailboxes[dest].deposit(Envelope(self.rank, tag, obj, nbytes))
+        return nbytes
 
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         env = self._mailboxes[self.rank].collect(

@@ -38,9 +38,11 @@ SCHEMA_VERSION = 1
 #: ``params`` / ``approx`` are local compute (the paper's Table 2
 #: columns); ``allreduce_wts`` / ``allreduce_params`` are the two
 #: Allreduce cut points of Figures 4 and 5; ``init`` is the per-try
-#: initialization (weights draw + starting M-step); ``ckpt`` is the
-#: checkpoint saves made at those cut points — neither compute nor
-#: communication, and only the writer rank spends it.
+#: initialization (weights draw + starting M-step); ``ckpt`` is what
+#: the checkpoint cut points cost the cycle (a search's saves run on a
+#: writer thread, whose time is the ``ckpt_write_us`` counter) —
+#: neither compute nor communication, and only the writer rank spends
+#: it.
 PHASES = (
     "init", "wts", "allreduce_wts", "params", "allreduce_params", "approx",
     "ckpt", "merge",

@@ -20,6 +20,8 @@ split / ownership / merge logic.
 
 from __future__ import annotations
 
+import contextlib
+
 from repro.data.database import Database
 from repro.data.partition import partition_bounds
 from repro.data.shards import data_digest, is_streamable
@@ -267,7 +269,8 @@ def run_grouped_search(
     recomputed in canonical try order, independent of completion order.
 
     Checkpointing uses per-try files written by each group's leader
-    (:meth:`repro.ckpt.Checkpointer.save_try`); because the search key
+    (:meth:`repro.ckpt.Checkpointer.save_try`) on its writer thread,
+    drained before the merge; because the search key
     covers neither world size nor group count, a checkpointed search
     resumes under any ``try_groups``.
     """
@@ -287,35 +290,35 @@ def run_grouped_search(
         rec.count("try_group_size", sub.size)
     completed: dict[int, TryResult] = {}
     partial: dict = {}
+    leader = checkpointer is not None and sub.rank == 0
+    save_cycle = None
+    writing = contextlib.nullcontext()
     if checkpointer is not None:
         checkpointer.bind(
             config, spec, n_total_items, data_digest=data_digest(full_db)
         )
         completed, partial = checkpointer.load_tries(spec)
-    save_cycle = None
-    if (
-        checkpointer is not None
-        and checkpointer.policy == "per_cycle"
-        and sub.rank == 0
-    ):
-        save_cycle = checkpointer.save_try_cycle
+        if leader and checkpointer.policy == "per_cycle":
+            save_cycle = checkpointer.save_try_cycle
+        writing = checkpointer.background(leader)
     mine: list[TryResult] = []
-    for k in range(config.max_n_tries):
-        if owner[k] != color:
-            continue
-        prior = completed.get(k)
-        if prior is not None:
-            mine.append(prior)
-            continue
-        try_result = run_try(
-            local_db, spec, config, stream, k,
-            lambda n_classes: reducer_for(sub, n_classes, spec),
-            n_total_items=n_total_items, full_db=full_db, kernels=kernels,
-            resume=partial.get(k), save_cycle=save_cycle,
-        )  # its duplicate link is assigned canonically at the merge
-        mine.append(try_result)
-        if checkpointer is not None and sub.rank == 0:
-            checkpointer.save_try(try_result)
+    with writing:  # drained here: every try file lands before the merge
+        for k in range(config.max_n_tries):
+            if owner[k] != color:
+                continue
+            prior = completed.get(k)
+            if prior is not None:
+                mine.append(prior)
+                continue
+            try_result = run_try(
+                local_db, spec, config, stream, k,
+                lambda n_classes: reducer_for(sub, n_classes, spec),
+                n_total_items=n_total_items, full_db=full_db,
+                kernels=kernels, resume=partial.get(k), save_cycle=save_cycle,
+            )  # its duplicate link is assigned canonically at the merge
+            mine.append(try_result)
+            if leader:
+                checkpointer.save_try(try_result)
     # Merge: leaders exchange group results, groups fan them out, and
     # every rank applies the canonical (order-independent) duplicate
     # assignment — so all ranks hold the identical SearchResult.  The

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
-from repro.mpc.api import CollectiveConfig, CommStats
+from repro.mpc.api import CollectiveConfig, CommStats, payload_nbytes
 from repro.mpc.p2p import AbortFlag, Envelope, Mailbox
 from repro.mpc.threadworld import ThreadComm, run_spmd_threads
 from repro.simnet.costmodel import CostModel
@@ -110,8 +110,9 @@ class SimComm(ThreadComm):
 
     # -- priced point-to-point ----------------------------------------------
 
-    def _send_raw(self, obj: object, dest: int, tag: int, nbytes: int) -> None:
+    def _send_raw(self, obj: object, dest: int, tag: int) -> int:
         self._abort.check()
+        nbytes = payload_nbytes(obj)
         available = (
             self.clock
             + self.machine.send_overhead
@@ -138,6 +139,7 @@ class SimComm(ThreadComm):
                 available_at=available,
             )
         )
+        return nbytes
 
     def _recv_raw(self, source: int, tag: int) -> tuple[object, int]:
         env = self._mailboxes[self.rank].collect(
@@ -166,8 +168,6 @@ class SimComm(ThreadComm):
     def _charge_reduction_rounds(self, rounds: int, payload) -> None:
         # Price the arithmetic of the reduction this rank performed:
         # one full-payload combine per recursive-doubling round.
-        from repro.mpc.api import payload_nbytes
-
         self.charge(rounds * self.cost.reduce_time(payload_nbytes(payload)))
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import glob
 import multiprocessing.shared_memory
 import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import procworld
+from repro.mpc import api, procworld
 from repro.mpc.errors import MessageError
 from repro.mpc.procworld import _POLL_INTERVAL, _RecvBackoff, run_spmd_processes
 from repro.mpc.shm import SEGMENT_PREFIX
@@ -92,6 +93,25 @@ def _priced_once_prog(comm):
     return comm.recv(0, tag=2) == payload, comm.stats.bytes_received
 
 
+def _pickled_once_prog(comm):
+    """Rank 0 sends a dict with pricing by a second pickle refused.
+
+    The wire pickles an object payload once and counts that pickle, so
+    the sender never calls :func:`~repro.mpc.api.payload_nbytes`.
+    """
+    payload = {"k": list(range(50)), "a": np.arange(8.0)}
+    if comm.rank == 0:
+        def refuse(obj):
+            raise AssertionError("the send pickled its payload twice")
+
+        api.payload_nbytes = refuse  # this forked rank's module only
+        comm.send(payload, 1, tag=2)
+        return comm.stats.bytes_sent
+    got = comm.recv(0, tag=2)
+    intact = got["k"] == payload["k"] and np.array_equal(got["a"], payload["a"])
+    return intact, comm.stats.bytes_received
+
+
 #: 1 MiB of float64: well above the direct-send cutoff, so both ranks'
 #: sends go through their background writers.
 _BIG = 1 << 17
@@ -132,6 +152,16 @@ class TestWire:
         )
         assert intact
         assert received == sent > 0
+
+    def test_object_payload_is_pickled_once_and_counted(self):
+        sent, (intact, received) = run_spmd_processes(
+            _pickled_once_prog, 2, timeout=120
+        )
+        assert intact
+        payload = {"k": list(range(50)), "a": np.arange(8.0)}
+        assert sent == received == len(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(MessageError, match="transport"):
