@@ -565,7 +565,8 @@ class _Estimator(Inference):
         ``checkpoint``/``checkpoint_dir`` make the search durable (see
         :mod:`repro.ckpt`): state is persisted at try boundaries
         (``"per_try"``) or after every EM cycle (``"per_cycle"``) —
-        rank 0 writes, all ranks restore — and a rerun with
+        rank 0 of the search's communicator writes, all ranks restore,
+        under any ``try_groups`` — and a rerun with
         ``resume=True`` picks up where the file left off,
         bit-identically.  ``max_restarts`` retries a failed attempt (a
         lost rank, a timeout, an injected fault) from its checkpoint

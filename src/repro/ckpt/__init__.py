@@ -9,8 +9,8 @@ try — and restores it such that a resumed run is **bit-identical** to
 an uninterrupted one.
 
 See :mod:`repro.ckpt.format` for the file format and guarantees,
-:mod:`repro.ckpt.manager` for policies and the rank-0-writes /
-all-ranks-restore protocol, and ``docs/fault_tolerance.md`` for the
+:mod:`repro.ckpt.manager` for policies and the rank-0-of-the-group
+writes / all-ranks-restore protocol, and ``docs/fault_tolerance.md`` for the
 cookbook.
 """
 

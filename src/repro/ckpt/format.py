@@ -21,12 +21,13 @@ SPMD worlds.
 Layout (version 2) — one directory, two kinds of document:
 
 * ``try_NNNN.json`` (:data:`TRY_CKPT_KIND`) — one try: its completed
-  result, or (try-grouped search only) its mid-try state.  A completed
-  try never changes, so its file is written exactly once;
-* ``ckpt.json`` (:data:`CKPT_KIND`, sequential and replicated search)
-  — a small head: the resume key, how many completed tries the
+  result, or (one group of a try-grouped search) its mid-try state.  A
+  completed try never changes, so its file is written exactly once;
+* ``ckpt.json`` (:data:`CKPT_KIND`, a search that owns every try) — a
+  small head: the resume key, how many completed tries the
   ``try_NNNN.json`` files hold, the in-progress try and the RNG
-  streams.  It is the only file a per-cycle save rewrites.
+  streams.  It is the only file such a search's per-cycle save
+  rewrites.
 
 At a try boundary the try file lands first, then the directory entry
 is fsynced, then the head is replaced, so a head on disk never names a
@@ -254,12 +255,14 @@ def encode_try_checkpoint(
 ) -> dict:
     """One try's payload — completed result or mid-try state.
 
-    Both searches keep each completed try in its own file: the
-    sequential one so that a per-cycle save rewrites only the head, the
-    group-parallel one because groups complete tries in independent
-    orders, so a single monotone list has no well-defined writer (its
-    group leaders also write their mid-try state here).  The key is the
-    same search digest as the head's — it covers neither world size nor
+    Every search keeps each completed try in its own file: so that a
+    per-cycle save rewrites only the head, and because the groups of a
+    try-grouped search complete tries in independent orders, so a
+    single monotone list has no well-defined writer (a group also
+    writes its mid-try state here).  The try is stored as it converged:
+    duplicate links are assigned at the end of the search, so a link an
+    older writer stored is recomputed on resume.  The key is the same
+    search digest as the head's — it covers neither world size nor
     group count, which is precisely what lets a search resumed with a
     different ``try_groups`` pick these files up (tries are reassigned
     to groups, completed ones are skipped wherever they land).

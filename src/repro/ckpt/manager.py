@@ -1,12 +1,23 @@
 """Checkpoint policy + IO orchestration for the search loops.
 
 A :class:`Checkpointer` owns one checkpoint directory and a write
-policy.  The SPMD contract is **rank 0 writes, all ranks restore**:
-every rank holds a Checkpointer for the same directory, but only the
-writer rank serializes state (the state is identical on every rank at
-a cut point, so one copy is enough); at resume time every rank reads
-the same files and therefore starts from byte-identical state — no
-broadcast needed.
+policy.  The SPMD contract is **rank 0 of the group writes, all ranks
+restore**: every rank holds a Checkpointer for the same directory, but
+only rank 0 of the search's communicator — the world, or one try group
+of a try-grouped search — serializes state (the state is identical on
+every rank of that communicator at a cut point, so one copy is
+enough); at resume time every rank reads the same files through one
+:meth:`Checkpointer.restore` and therefore starts from byte-identical
+state — no broadcast needed.
+
+Which files a cut point writes is the checkpointer's decision alone:
+
+* a search that owns every try (sequential, or the paper's row split)
+  writes each newly completed try's file, then the head;
+* one group of a try-grouped search (:meth:`Checkpointer.for_group`)
+  owns only some tries, so it keeps no head: it writes a completed
+  try's file, and at a per-cycle cut point puts the in-progress state
+  in that try's file.
 
 Policies (:data:`CHECKPOINT_POLICIES`):
 
@@ -167,7 +178,7 @@ class _Writer:
 
 
 class Checkpointer:
-    """One search's checkpoint directory, with rank-0-writes semantics."""
+    """One search's checkpoint directory, written by rank 0 of the search."""
 
     def __init__(
         self,
@@ -176,6 +187,7 @@ class Checkpointer:
         policy: str = "per_try",
         resume: bool = True,
         rank: int = 0,
+        whole: bool = True,
     ) -> None:
         check_policy(policy)
         if policy == "off":
@@ -186,15 +198,26 @@ class Checkpointer:
         self.policy = policy
         self.resume = resume
         self.rank = rank
+        #: The search owns every try, so its cut points keep the head
+        #: (false for one try group: :meth:`for_group`).
+        self.whole = whole
         self.path = self.directory / HEAD_NAME
         self._key: str | None = None
         self.n_saves = 0
-        #: Completed tries already in their own files: the sequential
-        #: writer writes each try file once (``load`` sets the count).
-        self.n_tries_written = 0
+        #: Completed tries whose files are on disk: each is written once
+        #: (:meth:`restore` fills it from the directory).
+        self._on_disk: set[int] = set()
         self._writer: _Writer | None = None
         #: What :meth:`save` lands instead of encoding (writer thread).
         self._encoded: tuple | None = None
+
+    def for_group(self, rank: int) -> "Checkpointer":
+        """This directory's checkpointer for one group of a try-grouped
+        search, held by the group's rank ``rank``."""
+        return Checkpointer(
+            self.directory, policy=self.policy, resume=self.resume,
+            rank=rank, whole=False,
+        )
 
     # -- binding -----------------------------------------------------------
 
@@ -215,7 +238,7 @@ class Checkpointer:
         self._key = checkpoint_key(
             config, spec, n_total_items, data_digest=data_digest
         )
-        self.n_tries_written = 0
+        self._on_disk = set()
 
     def _require_key(self) -> str:
         if self._key is None:
@@ -225,7 +248,7 @@ class Checkpointer:
     # -- restore (all ranks) ----------------------------------------------
 
     def load(self, spec: ModelSpec) -> CheckpointState | None:
-        """Read + validate the checkpoint; None when absent or resume=False.
+        """Read + validate the head; None when absent or resume=False.
 
         A present-but-corrupt head or try file raises
         :class:`~repro.ckpt.format.CheckpointError` — a half-written
@@ -234,24 +257,80 @@ class Checkpointer:
         key = self._require_key()
         if not self.resume or not self.path.exists():
             return None
-        state = decode_checkpoint(
+        return decode_checkpoint(
             read_checkpoint_file(self.path), key, spec, self.directory
         )
-        self.n_tries_written = state.next_try_index
-        return state
 
-    # -- save (rank 0 only) ------------------------------------------------
+    def load_tries(
+        self, spec: ModelSpec, skip: int = 0
+    ) -> tuple[dict, dict]:
+        """Read the per-try checkpoint files in the directory, all but
+        those of tries ``0 .. skip-1`` (which a head has read).
+
+        Returns ``(completed, in_progress)`` — both keyed by try index.
+        The search key is validated per file; a file from a different
+        search raises.
+        """
+        completed: dict[int, object] = {}
+        partial: dict[int, InProgressTry] = {}
+        if not self.resume or not self.directory.exists():
+            return completed, partial
+        key = self._require_key()
+        read = {try_file_name(k) for k in range(skip)}
+        for path in sorted(self.directory.glob("try_*.json")):
+            if path.name in read:
+                continue
+            try_result, in_progress = decode_try_checkpoint(
+                read_checkpoint_file(path), key, spec
+            )
+            if try_result is not None:
+                completed[try_result.try_index] = try_result
+            elif in_progress is not None:
+                partial[in_progress.try_index] = in_progress
+        return completed, partial
+
+    def restore(self, spec: ModelSpec) -> tuple[dict, dict, dict]:
+        """The one restore of every search, on every rank and any G.
+
+        Returns ``(completed, in_progress, rng_streams)``: the completed
+        tries of the try files and the in-progress tries of the try
+        files and the head, keyed by try index, and the head's RNG
+        states (``{}`` without a head).  A try completed in its file is
+        never resumed; one held in progress by both the head and its
+        file resumes from whichever has run more cycles — both are
+        points of one deterministic trajectory.  The key excludes world
+        size and group count, so whichever group owns a try on the
+        resuming world picks it up.
+        """
+        state = self.load(spec)
+        counted = [] if state is None else state.completed_tries
+        completed, partial = self.load_tries(spec, skip=len(counted))
+        completed.update((t.try_index, t) for t in counted)
+        rng_streams: dict = {}
+        if state is not None:
+            rng_streams = state.rng_streams
+            head = state.in_progress
+            if head is not None and head.try_index not in completed:
+                other = partial.get(head.try_index)
+                if other is None or (
+                    head.classification.n_cycles
+                    >= other.classification.n_cycles
+                ):
+                    partial[head.try_index] = head
+        self._on_disk = set(completed)
+        return completed, partial, rng_streams
+
+    # -- save (the writer rank) -------------------------------------------
 
     @contextlib.contextmanager
-    def background(self, enabled: bool = True):
+    def background(self):
         """Within: cut points are written behind the search by one thread.
 
-        ``enabled`` is false off the rank that writes (rank 0 of a
-        replicated search, a group leader of a grouped one): no thread.
-        On exit the save in flight lands, whatever the exit path; a
-        failed save is raised unless the search is already failing.
+        Only the writer rank starts one.  On exit the save in flight
+        lands, whatever the exit path; a failed save is raised unless
+        the search is already failing.
         """
-        if not enabled:
+        if not self.is_writer:
             yield
             return
         writer = self._writer = _Writer()
@@ -266,24 +345,31 @@ class Checkpointer:
             "ckpt_write_us", round(writer.busy_seconds * 1e6)
         )
 
-    def _cut(self, land, encode, *args) -> None:
-        """One cut point of a search: ``land(*encode(*args))``.
+    def _cut(
+        self,
+        result: SearchResult,
+        stream: SeedSequenceStream,
+        in_progress: InProgressTry | None,
+    ) -> None:
+        """One cut point of a search, on the writer rank.
 
-        ``encode`` runs on this thread; its result holds every byte the
-        save writes, so the state may move on at once.  Behind a writer
-        it runs once the previous save has landed (reading what that
-        save counted) and ``land`` runs on the writer thread.  That
-        thread has no recorder, so the cut point is timed (encode,
-        hand-off, the wait) and counted here.
+        Behind a writer the state is encoded here, once the previous
+        save has landed (reading which tries it put on disk), and landed
+        on the writer thread; the encoded bytes are all the save writes,
+        so the search may move on at once.  That thread has no recorder,
+        so the cut point is timed (encode, hand-off, the wait) and
+        counted here.  Without a writer it is a plain :meth:`save`.
         """
         writer = self._writer
         if writer is None:
-            land(*encode(*args))
+            self.save(result, stream, in_progress)
             return
         rec = obs.current()
         with rec.phase("ckpt"):
             writer.wait()
-            writer.submit(land, *encode(*args))
+            writer.submit(
+                self._save_encoded, *self._snapshot(result, stream, in_progress)
+            )
         rec.count("ckpt_saves")
 
     @contextlib.contextmanager
@@ -295,23 +381,37 @@ class Checkpointer:
         self.n_saves += 1
         rec.count("ckpt_saves")
 
+    def try_path(self, try_index: int) -> Path:
+        """Path of try ``try_index``'s own checkpoint file."""
+        return self.directory / try_file_name(try_index)
+
     def _encode(
         self, tries: list, rng_states: dict, in_progress: InProgressTry | None
-    ) -> tuple[list[tuple[Path, bytes]], bytes]:
-        """The bytes of one save: a file for each try completed since the
-        last save, and the head."""
+    ) -> tuple[list[tuple[Path, bytes]], bytes | None]:
+        """The bytes of one save: a file for each completed try not yet
+        on disk, then the head — or, for a try group, no head and the
+        in-progress try's own file."""
         key = self._require_key()
         files = [
             (
                 self.try_path(t.try_index),
                 checkpoint_bytes(encode_try_checkpoint(key, try_result=t)),
             )
-            for t in tries[self.n_tries_written:]
+            for t in tries
+            if t.try_index not in self._on_disk
         ]
-        head = checkpoint_bytes(
-            encode_checkpoint(key, len(tries), in_progress, rng_states)
-        )
-        return files, head
+        if self.whole:
+            return files, checkpoint_bytes(
+                encode_checkpoint(key, len(tries), in_progress, rng_states)
+            )
+        if in_progress is not None:
+            files.append((
+                self.try_path(in_progress.try_index),
+                checkpoint_bytes(
+                    encode_try_checkpoint(key, in_progress=in_progress)
+                ),
+            ))
+        return files, None
 
     def save(
         self,
@@ -321,11 +421,13 @@ class Checkpointer:
     ) -> None:
         """Atomically persist the search state (no-op off the writer rank).
 
-        Tries completed since the last save get their own files first;
-        once those entries are durable the head is replaced.  A
-        per-cycle save therefore writes the head alone.  On a search's
-        writer thread it lands the bytes its cut point already encoded
-        (:meth:`_save_encoded`).
+        Completed tries not yet on disk get their own files first; once
+        those entries are durable the head is replaced.  A per-cycle
+        save of a whole search therefore writes the head alone, and one
+        of a try group its live try's file alone.  On a search's writer
+        thread it lands the bytes its cut point already encoded
+        (:meth:`_save_encoded`).  ``result.tries`` of a whole search are
+        tries ``0 .. n-1``: the head counts them.
         """
         if not self.is_writer:
             return
@@ -338,10 +440,11 @@ class Checkpointer:
             files, head = encoded
             for path, data in files:
                 write_bytes(path, data)
-            if files:
-                fsync_dir(self.directory)
-                self.n_tries_written = len(result.tries)
-            write_bytes(self.path, head)
+            if head is not None:
+                if files:
+                    fsync_dir(self.directory)
+                write_bytes(self.path, head)
+            self._on_disk.update(t.try_index for t in result.tries)
 
     def _snapshot(
         self,
@@ -371,7 +474,7 @@ class Checkpointer:
     def save_boundary(self, result: SearchResult, stream: SeedSequenceStream) -> None:
         """Per-try cut point: all recorded tries are complete."""
         if self.is_writer:
-            self._cut(self._save_encoded, self._snapshot, result, stream, None)
+            self._cut(result, stream, None)
 
     def save_cycle(
         self,
@@ -393,7 +496,7 @@ class Checkpointer:
         """
         if self.is_writer:
             self._cut(
-                self._save_encoded, self._snapshot, result, stream,
+                result, stream,
                 InProgressTry(
                     try_index=try_index,
                     n_classes_requested=n_classes_requested,
@@ -401,82 +504,3 @@ class Checkpointer:
                     checker_history=list(checker.history),
                 ),
             )
-
-    # -- per-try files (group-parallel search) -----------------------------
-    #
-    # A try-parallel search (``try_groups > 1``) has no single writer for
-    # a monotone completed-tries list — groups finish tries in
-    # independent orders.  Instead, *each group's leader* persists its
-    # own tries, one file per try.  These methods are deliberately not
-    # gated on ``is_writer`` (a world-rank-0 notion): the caller gates on
-    # the group-leader rank of its sub-communicator.
-
-    def try_path(self, try_index: int) -> Path:
-        """Path of try ``try_index``'s own checkpoint file."""
-        return self.directory / try_file_name(try_index)
-
-    def save_try(self, try_result) -> None:
-        """Persist one completed try (called by its group's leader)."""
-        self._cut(
-            self._write_try_file, self._encode_try, try_result.try_index,
-            try_result, None,
-        )
-
-    def save_try_cycle(
-        self, *, try_index: int, n_classes_requested: int, clf, checker
-    ) -> None:
-        """Per-cycle cut point of a group-owned try (leader only).
-
-        Wired in like :meth:`save_cycle`; the in-progress state
-        overwrites the try's file and is replaced by the completed
-        result when the try converges.
-        """
-        self._cut(
-            self._write_try_file, self._encode_try, try_index, None,
-            InProgressTry(
-                try_index=try_index,
-                n_classes_requested=n_classes_requested,
-                classification=clf,
-                checker_history=list(checker.history),
-            ),
-        )
-
-    def _encode_try(
-        self, try_index: int, try_result, in_progress: InProgressTry | None
-    ) -> tuple[Path, bytes]:
-        return self.try_path(try_index), checkpoint_bytes(
-            encode_try_checkpoint(
-                self._require_key(), try_result=try_result,
-                in_progress=in_progress,
-            )
-        )
-
-    def _write_try_file(self, path: Path, data: bytes) -> None:
-        with self._cut_point():
-            write_bytes(path, data)
-
-    def load_tries(
-        self, spec: ModelSpec
-    ) -> tuple[dict, dict]:
-        """Read every per-try checkpoint file in the directory.
-
-        Returns ``(completed, in_progress)`` — both keyed by try index.
-        The search key is validated per file; a file from a different
-        search raises.  Because the key excludes world size *and* group
-        count, a resume may use any ``try_groups``: completed tries are
-        skipped by whichever group they are reassigned to.
-        """
-        completed: dict[int, object] = {}
-        partial: dict[int, InProgressTry] = {}
-        if not self.resume or not self.directory.exists():
-            return completed, partial
-        key = self._require_key()
-        for path in sorted(self.directory.glob("try_*.json")):
-            try_result, in_progress = decode_try_checkpoint(
-                read_checkpoint_file(path), key, spec
-            )
-            if try_result is not None:
-                completed[try_result.try_index] = try_result
-            elif in_progress is not None:
-                partial[in_progress.try_index] = in_progress
-        return completed, partial

@@ -194,9 +194,10 @@ def run_try(
 ) -> TryResult:
     """Steps 1-2 of the BIG_LOOP: select J, initialize, converge one try.
 
-    The one try body of every search — sequential, replicated and
-    try-grouped differ only in ``make_reducer(n_classes)`` (which world
-    the reductions cross) and in who drives the loop.  ``resume`` — an
+    The one try body of the one loop, :func:`run_search` — sequential,
+    replicated and try-grouped searches differ only in
+    ``make_reducer(n_classes)`` (which world the reductions cross) and
+    in which tries the loop owns.  ``resume`` — an
     in-progress try restored from a checkpoint — replaces selection and
     init with their recorded outputs: both were consumed before the
     checkpoint was cut, and the restored classification is the
@@ -214,7 +215,8 @@ def run_try(
     resumed from it is bit-identical.
 
     The returned try says whether the stop was a genuine convergence
-    (vs the cycle cap); its duplicate link is the driver's to assign.
+    (vs the cycle cap); it has no duplicate link: the loop assigns every
+    link once, at the end (:func:`assign_duplicates`).
     """
     rec = obs.current()
     rec.try_boundary(try_index)
@@ -306,14 +308,14 @@ def duplicate_of_index(
 def assign_duplicates(tries: list[TryResult], eps: float) -> list[TryResult]:
     """Recompute duplicate links for a full set of tries, order-independently.
 
-    The incremental rule of the BIG_LOOP (each try compared against the
+    AutoClass's incremental rule (each try compared against the
     previously *kept* ones) is only well-defined for a fixed visit
     order.  This assigns the links by the canonical order — ascending
     ``try_index``, exactly what a sequential search visits — so the
     result is a pure function of the set, whatever order the tries were
-    completed or supplied in.  Used wherever tries arrive out of order:
-    merging the groups of a try-parallel search, or resuming from
-    per-try checkpoint files.
+    completed, merged or restored in.  The BIG_LOOP applies it once, at
+    the end of every search; a link a restored try carries is
+    recomputed.
 
     Returns new :class:`TryResult` objects sorted by ``try_index``, with
     ``duplicate_of`` rewritten.
@@ -356,8 +358,10 @@ def run_search(
     make_reducer=None,
     n_total_items: int | None = None,
     full_db: Database | None = None,
+    tries=None,
+    merge=None,
 ) -> SearchResult:
-    """The BIG_LOOP over one block of the data.
+    """The BIG_LOOP over one block of the data — the only one.
 
     With the defaults this is sequential AutoClass: ``db`` is the whole
     database and every reduction the identity.  P-AutoClass runs the
@@ -368,16 +372,25 @@ def run_search(
     a deterministic function of the seed and of globally reduced scores,
     so all ranks take identical branches with no extra communication.
 
+    ``tries`` — the try indices this caller owns, ascending (default:
+    all ``max_n_tries``) — and ``merge`` — which turns the owned tries
+    into every group's (default: none) — make it one group of a
+    try-grouped search: independent local work, combined once at the
+    end.  Every search then assigns its duplicate links once, by
+    :func:`assign_duplicates`: the canonical order is the order the
+    sequential loop visits, so the links are those of the incremental
+    rule.
+
     ``checkpointer`` — a bound :class:`repro.ckpt.Checkpointer` — makes
     the search durable: state is persisted at try boundaries (and, at
     ``policy="per_cycle"``, after EM cycles) and restored on entry, so
     an interrupted search resumed from its checkpoint produces the
     bit-identical result an uninterrupted run would have.  The state at
-    a cut point is global, so on a parallel world rank 0 persists one
-    copy, on a writer thread behind the cycles, and every rank restores
-    from the same file.  A directory
-    written by a try-grouped search (per-try files, no head) is adopted
-    too: its completed tries are kept and its in-progress ones resumed.
+    a cut point is global, so rank 0 of the search's communicator
+    persists one copy, on a writer thread behind the cycles, and every
+    rank restores from the same files (:meth:`~repro.ckpt.Checkpointer.
+    restore`): completed tries are kept and in-progress ones resumed
+    wherever they fall, whoever wrote them.
 
     ``db`` is a database or a :class:`~repro.data.shards.ShardedDatabase`
     view; every EM cycle accumulates its statistics chunk by chunk (see
@@ -395,12 +408,13 @@ def run_search(
             return LocalReducer()
     if n_total_items is None:
         n_total_items = db.n_items
+    if tries is None:
+        tries = range(config.max_n_tries)
     check_stream(db, config)
     spec.validate(db.probe())
     stream = SeedSequenceStream(config.seed)
     result = SearchResult(config=config)
-    resume = None
-    adopted: dict[int, TryResult] = {}
+    completed: dict[int, TryResult] = {}
     partial: dict = {}
     save_cycle = None
     writing = contextlib.nullcontext()
@@ -409,60 +423,43 @@ def run_search(
             config, spec, n_total_items,
             data_digest=data_digest(db),
         )
-        state = checkpointer.load(spec)
-        if state is not None:
-            result.tries.extend(state.completed_tries)
-            stream.restore_state(state.rng_streams)
-            resume = state.in_progress
+        completed, partial, rng_streams = checkpointer.restore(spec)
+        stream.restore_state(rng_streams)
+        if completed or partial:
             logger.info(
-                "resumed from %s: %d completed tries%s",
-                checkpointer.path,
-                len(state.completed_tries),
-                "" if resume is None else
-                f", try {resume.try_index} at cycle "
-                f"{resume.classification.n_cycles}",
+                "resumed from %s: %d completed tries, %d in progress",
+                checkpointer.directory, len(completed), len(partial),
             )
-        else:
-            # No head: a try-grouped search's per-try files, if any.  Its
-            # tries are adopted wherever they fall — the RNG children are
-            # index-keyed, so the order they were run in is irrelevant.
-            adopted, partial = checkpointer.load_tries(spec)
         if checkpointer.policy == "per_cycle":
             save_cycle = functools.partial(
                 checkpointer.save_cycle, result, stream
             )
-        writing = checkpointer.background(checkpointer.is_writer)
+        writing = checkpointer.background()
     started = time.perf_counter()
-    with writing:
-        for k in range(len(result.tries), config.max_n_tries):
-            if (
-                result.tries
-                and resume is None
-                and config.max_seconds is not None
-                and time.perf_counter() - started >= config.max_seconds
-            ):
-                break  # budget spent; at least one try is always completed
-            in_progress = partial.get(k)
-            if resume is not None and resume.try_index == k:
-                in_progress, resume = resume, None
-            t = adopted.get(k)
+    with writing:  # drained here: every save lands before the merge
+        for k in tries:
+            t = completed.get(k)
             if t is None:
+                if (
+                    result.tries
+                    and k not in partial
+                    and config.max_seconds is not None
+                    and time.perf_counter() - started >= config.max_seconds
+                ):
+                    break  # budget spent; at least one try is always completed
                 t = run_try(
                     db, spec, config, stream, k, make_reducer,
                     n_total_items=n_total_items, full_db=full_db,
-                    kernels=kernels, resume=in_progress,
+                    kernels=kernels, resume=partial.get(k),
                     save_cycle=save_cycle,
                 )
-            duplicate_of = duplicate_of_index(
-                t.classification, result.tries, config.duplicate_eps
-            )
-            if duplicate_of is not None:
-                logger.info("try %d duplicates try %d", k, duplicate_of)
-                t = dataclasses.replace(t, duplicate_of=duplicate_of)
             result.tries.append(t)
             # try k's children are spent: keep them out of every later head
             stream.forget("select_j", k)
             stream.forget("try", k)
-            if checkpointer is not None:
+            if checkpointer is not None and k not in completed:
                 checkpointer.save_boundary(result, stream)
+    if merge is not None:
+        result.tries = merge(result.tries)
+    result.tries = assign_duplicates(result.tries, config.duplicate_eps)
     return result

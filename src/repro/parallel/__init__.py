@@ -33,7 +33,6 @@ from repro.parallel.pcycle import parallel_base_cycle
 from repro.parallel.psearch import (
     check_try_groups,
     resolve_try_groups,
-    run_grouped_search,
     run_parallel_search,
 )
 from repro.parallel.reducers import (
@@ -50,7 +49,6 @@ __all__ = [
     "parallel_base_cycle",
     "reducer_for",
     "resolve_try_groups",
-    "run_grouped_search",
     "run_parallel_search",
     "run_pautoclass",
     "run_pautoclass_partitioned",

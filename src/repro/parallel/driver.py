@@ -14,7 +14,9 @@ Two entry points for two data-placement situations:
   entire dataset" property.
 
 Both return the same :class:`~repro.engine.search.SearchResult` on every
-rank.
+rank, and both run the one BIG_LOOP,
+:func:`repro.engine.search.run_search`, as decomposed by
+:func:`repro.parallel.psearch.run_parallel_search`.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ def run_pautoclass(
     (``None`` → the fused kernels).
     ``ckpt`` — a picklable :class:`repro.ckpt.CheckpointSpec` — enables
     checkpoint/restart; each rank materializes its own
-    :class:`~repro.ckpt.Checkpointer` (rank 0 writes, all restore).
+    :class:`~repro.ckpt.Checkpointer` (rank 0 of the search's
+    communicator writes, all restore).
     ``try_groups`` picks the decomposition: ``None`` or ``"auto"`` —
     the default — lets the closed-form rule of
     :func:`repro.parallel.psearch.resolve_try_groups` choose the group
     count G per fit; ``1`` is the paper's structure (every cycle split
     over all ranks); G > 1 runs the tries concurrently across G
-    sub-communicator groups — see
-    :func:`repro.parallel.psearch.run_grouped_search`.
+    sub-communicator groups, each the one search loop over its own
+    tries — see :func:`repro.parallel.psearch.run_parallel_search`.
 
     Each rank fits ``db.block(comm.size, comm.rank)``: a zero-copy
     slice of an in-memory database, or a shard-backed view of a

@@ -12,34 +12,29 @@ decision the loop takes is a deterministic function of
 so all ranks take identical branches with zero extra communication.
 Replicated means *the same code*: the loop and the try body are
 :func:`repro.engine.search.run_search` / :func:`~repro.engine.search.
-run_try` — sequential AutoClass is their P = 1 case — and this module
-only supplies the communicating reducer
-(:mod:`repro.parallel.reducers`) and the try-grouped variant's
-split / ownership / merge logic.
+run_try` — sequential AutoClass is their P = 1 case, one group on one
+rank — and this module only supplies the decomposition: the
+communicating reducer (:mod:`repro.parallel.reducers`), the rule that
+picks the number of try groups, and for G > 1 the group split, each
+group's tries and block of the data, and the merge.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.data.database import Database
 from repro.data.partition import partition_bounds
-from repro.data.shards import data_digest, is_streamable
+from repro.data.shards import is_streamable
 from repro.engine.search import (
     SearchConfig,
     SearchResult,
     TryResult,
-    assign_duplicates,
-    check_stream,
     run_search,
-    run_try,
     search_config_for,
 )
 from repro.models.registry import ModelSpec
 from repro.mpc.api import Communicator
 from repro.obs import recorder as obs
 from repro.parallel.reducers import reducer_for
-from repro.util.rng import SeedSequenceStream
 
 
 def check_try_groups(
@@ -139,6 +134,21 @@ def resolve_try_groups(
     return max(g for g, span in enumerate(spans, 1) if span == best)
 
 
+def group_color(world_size: int, n_groups: int, rank: int) -> int:
+    """Group of ``rank`` under a contiguous block partition of the world.
+
+    Contiguous blocks (the same :func:`partition_bounds` rule the data
+    partition uses) keep each group's ranks adjacent, so on machines
+    where neighbouring ranks are cheap to reach (the simulated mesh) a
+    group's collectives stay local.
+    """
+    for g in range(n_groups):
+        lo, hi = partition_bounds(world_size, n_groups, g)
+        if lo <= rank < hi:
+            return g
+    raise ValueError(f"rank {rank} not covered by {n_groups} groups")
+
+
 def run_parallel_search(
     comm: Communicator,
     local_db: Database,
@@ -156,25 +166,35 @@ def run_parallel_search(
     every rank.
 
     ``checkpointer`` (a :class:`repro.ckpt.Checkpointer`) follows the
-    **rank-0-writes / all-ranks-restore** protocol: the search state at
-    a cut point is identical on every rank (that is what the two
-    Allreduces guarantee), so rank 0 persists one copy and every rank
-    restores from the same file — after which the replicated control
-    flow proceeds in lockstep exactly as if the run had never stopped.
-    The checkpoint state is *global*, so a search checkpointed on P
-    ranks may resume on a different world size.
+    **rank-0-of-the-group writes / all-ranks-restore** protocol: the
+    search state at a cut point is identical on every rank of the
+    communicator the search runs on (that is what the two Allreduces
+    guarantee), so its rank 0 persists one copy and every rank restores
+    from the same files — after which the replicated control flow
+    proceeds in lockstep exactly as if the run had never stopped.  The
+    checkpoint state is *global*, so a search checkpointed on P ranks
+    may resume on a different world size and under any ``try_groups``.
 
     ``try_groups`` — resolved by :func:`resolve_try_groups`, the
     decomposition rule when ``None`` or ``"auto"`` — above 1 switches
-    on the **two-level** search: the world splits into that many
-    sub-communicator groups, each group runs its longest-first share
-    of the tries data-parallel over its own block of ``full_db``, and
-    the leaders exchange results for a canonical merge (see
-    :func:`run_grouped_search`).  Requires ``full_db`` (each group
-    re-partitions the input over its own size), in memory or a shard
-    view.  An instrumented run records the chosen G and the rule's
-    makespans of G = 1 and of the chosen G (cells per cycle) as
-    counters.
+    on the **two-level** search.  The world splits into that many
+    contiguous sub-communicator groups (:func:`group_color`); each runs
+    the one BIG_LOOP over its longest-first share of the tries
+    (:func:`pack_tries` — a pure function of the config, so every rank
+    computes the same owners), data-parallel over its own
+    ``full_db.block`` (a slice, or a shard view).  Per-try RNG children
+    are index-keyed and the reduction schedule is the group's, so a
+    grouped try is *bitwise identical* to the same try on a same-size
+    world.  The merge is deterministic whatever the groups' relative
+    speeds: group leaders exchange their tries over an ``allgather`` on
+    a leader sub-communicator and broadcast them within their groups;
+    the loop then assigns duplicate links canonically.  Requires
+    ``full_db`` (each group re-partitions the input over its own size),
+    in memory or a shard view.  G = 1 is the paper's row split over the
+    whole world: no split, no merge.  An instrumented run records the
+    chosen G and the rule's makespans of G = 1 and of the chosen G
+    (cells per cycle) as counters, and a grouped one each rank's group
+    and group size.
     """
     streamed = is_streamable(local_db)
     config = search_config_for(config, seedable=not streamed)
@@ -195,142 +215,49 @@ def run_parallel_search(
                 f"try_groups.makespan_{name}_cells",
                 predicted_makespan(config, n_total_items, comm.size, g),
             )
-    if n_groups > 1:
-        if full_db is None:
+    group, tries, merge = comm, None, None
+    if n_groups == 1:
+        if config.init_method == "seeded" and full_db is None and not streamed:
             raise ValueError(
-                "try-parallel search (try_groups > 1) needs the full "
-                "database on every rank; use run_pautoclass "
-                "(replicated input)"
+                "seeded initialization needs the full database on every "
+                "rank; use run_pautoclass (replicated input) or another "
+                "init_method"
             )
-        return run_grouped_search(
-            comm, spec, n_total_items, config, full_db, n_groups,
-            kernels=kernels, checkpointer=checkpointer,
-        )
-    if config.init_method == "seeded" and full_db is None and not streamed:
+    elif full_db is None:
         raise ValueError(
-            "seeded initialization needs the full database on every rank; "
-            "use run_pautoclass (replicated input) or another init_method"
+            "try-parallel search (try_groups > 1) needs the full "
+            "database on every rank; use run_pautoclass "
+            "(replicated input)"
         )
+    else:
+        color = group_color(comm.size, n_groups, comm.rank)
+        group = comm.split(color, key=comm.rank)
+        leaders = comm.split(0 if group.rank == 0 else None, key=comm.rank)
+        local_db = full_db.block(group.size, group.rank)
+        owner, _span = pack_tries(
+            config, n_total_items, group_sizes(comm.size, n_groups)
+        )
+        tries = [k for k, g in enumerate(owner) if g == color]
+        if checkpointer is not None:
+            checkpointer = checkpointer.for_group(group.rank)
+        if rec.enabled:
+            rec.count("try_group", color)
+            rec.count("try_group_size", group.size)
+
+        def merge(mine: list[TryResult]) -> list[TryResult]:
+            # the exchange, and the wait in it for the slowest group, is
+            # the "merge" communication phase
+            with rec.phase("merge"):
+                merged = None
+                if leaders is not None:
+                    merged = [
+                        t for got in leaders.allgather(mine) for t in got
+                    ]
+                return group.bcast(merged, root=0)
+
     return run_search(
         local_db, config, spec, checkpointer, kernels=kernels,
-        make_reducer=lambda n_classes: reducer_for(comm, n_classes, spec),
-        n_total_items=n_total_items, full_db=full_db,
+        make_reducer=lambda n_classes: reducer_for(group, n_classes, spec),
+        n_total_items=n_total_items, full_db=full_db, tries=tries,
+        merge=merge,
     )
-
-
-# ---------------------------------------------------------------------------
-# two-level search: try-parallel groups over sub-communicators
-
-
-def group_color(world_size: int, n_groups: int, rank: int) -> int:
-    """Group of ``rank`` under a contiguous block partition of the world.
-
-    Contiguous blocks (the same :func:`partition_bounds` rule the data
-    partition uses) keep each group's ranks adjacent, so on machines
-    where neighbouring ranks are cheap to reach (the simulated mesh) a
-    group's collectives stay local.
-    """
-    for g in range(n_groups):
-        lo, hi = partition_bounds(world_size, n_groups, g)
-        if lo <= rank < hi:
-            return g
-    raise ValueError(f"rank {rank} not covered by {n_groups} groups")
-
-
-def run_grouped_search(
-    comm: Communicator,
-    spec: ModelSpec,
-    n_total_items: int,
-    config: SearchConfig,
-    full_db: Database,
-    n_groups: int,
-    *,
-    kernels: str | None = None,
-    checkpointer=None,
-) -> SearchResult:
-    """Two-level BIG_LOOP: tries concurrent across groups, data-parallel within.
-
-    The world splits into ``n_groups`` contiguous sub-communicators;
-    the tries are packed onto them longest-first (:func:`pack_tries`,
-    the rule's own packing — a pure function of the config, so every
-    rank computes the same owners).  Each group runs its
-    tries exactly as a dedicated world of its size would — same
-    ``full_db.block`` (a slice, or a shard view), same per-try RNG
-    children (the streams are index-keyed, so out-of-order execution
-    draws identical numbers), same reduction schedule over the group's
-    ranks — which is why a grouped run's try is *bitwise identical* to
-    the same try on a same-size world (tests assert this).
-
-    The merge is deterministic whatever the groups' relative speeds:
-    group leaders exchange their completed tries over an ``allgather``
-    on a leader sub-communicator, broadcast within their groups, and
-    every rank applies
-    :func:`repro.engine.search.assign_duplicates` — duplicate links
-    recomputed in canonical try order, independent of completion order.
-
-    Checkpointing uses per-try files written by each group's leader
-    (:meth:`repro.ckpt.Checkpointer.save_try`) on its writer thread,
-    drained before the merge; because the search key
-    covers neither world size nor group count, a checkpointed search
-    resumes under any ``try_groups``.
-    """
-    color = group_color(comm.size, n_groups, comm.rank)
-    sub = comm.split(color, key=comm.rank)
-    leader_comm = comm.split(0 if sub.rank == 0 else None, key=comm.rank)
-    local_db = full_db.block(sub.size, sub.rank)
-    check_stream(local_db, config)
-    spec.validate(local_db.probe())
-    stream = SeedSequenceStream(config.seed)
-    owner, _span = pack_tries(
-        config, n_total_items, group_sizes(comm.size, n_groups)
-    )
-    rec = obs.current()
-    if rec.enabled:
-        rec.count("try_group", color)
-        rec.count("try_group_size", sub.size)
-    completed: dict[int, TryResult] = {}
-    partial: dict = {}
-    leader = checkpointer is not None and sub.rank == 0
-    save_cycle = None
-    writing = contextlib.nullcontext()
-    if checkpointer is not None:
-        checkpointer.bind(
-            config, spec, n_total_items, data_digest=data_digest(full_db)
-        )
-        completed, partial = checkpointer.load_tries(spec)
-        if leader and checkpointer.policy == "per_cycle":
-            save_cycle = checkpointer.save_try_cycle
-        writing = checkpointer.background(leader)
-    mine: list[TryResult] = []
-    with writing:  # drained here: every try file lands before the merge
-        for k in range(config.max_n_tries):
-            if owner[k] != color:
-                continue
-            prior = completed.get(k)
-            if prior is not None:
-                mine.append(prior)
-                continue
-            try_result = run_try(
-                local_db, spec, config, stream, k,
-                lambda n_classes: reducer_for(sub, n_classes, spec),
-                n_total_items=n_total_items, full_db=full_db,
-                kernels=kernels, resume=partial.get(k), save_cycle=save_cycle,
-            )  # its duplicate link is assigned canonically at the merge
-            mine.append(try_result)
-            if leader:
-                checkpointer.save_try(try_result)
-    # Merge: leaders exchange group results, groups fan them out, and
-    # every rank applies the canonical (order-independent) duplicate
-    # assignment — so all ranks hold the identical SearchResult.  The
-    # exchange, and the wait in it for the slowest group, is the
-    # "merge" communication phase.
-    merged: list[TryResult] | None = None
-    with rec.phase("merge"):
-        if leader_comm is not None:
-            merged = [
-                t for group in leader_comm.allgather(mine) for t in group
-            ]
-        merged = sub.bcast(merged, root=0)
-    result = SearchResult(config=config)
-    result.tries.extend(assign_duplicates(merged, config.duplicate_eps))
-    return result

@@ -9,6 +9,9 @@ worlds and assert exactly that.
 
 from __future__ import annotations
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from repro.api import BACKENDS, AutoClass, PAutoClass
 from repro.ckpt import CheckpointError
 from repro.data.synth import make_paper_database
 from repro.mpc.faults import FaultInjected, FaultInjector, FaultSpec
+from tests.ckpt.test_byte_compat import CONFIG as FIXTURE_CONFIG
+from tests.ckpt.test_byte_compat import FIXTURES
+from tests.ckpt.test_byte_compat import _db as fixture_db
 
 CONFIG = dict(start_j_list=(2, 3), max_n_tries=2, seed=7, max_cycles=15,
               init_method="sharp")
@@ -183,6 +189,71 @@ class TestWorldSizeChange:
             assert ta.n_cycles == tb.n_cycles
             assert ta.duplicate_of == tb.duplicate_of
             assert ta.score == pytest.approx(tb.score, rel=1e-9)
+
+
+class TestCrossGroupResume:
+    def test_head_resumes_its_in_progress_try_under_try_groups_2(
+        self, tmp_path
+    ):
+        """The committed mid-search directory — a head with try 1 frozen
+        after cycle 3, try 0 in its file — resumed on two one-rank try
+        groups: the group owning try 1 continues it from the head
+        instead of initialising it again."""
+        pac = PAutoClass(
+            n_processors=2, backend="threads", try_groups=2,
+            instrument="phases", **FIXTURE_CONFIG,
+        )
+        clean = pac.fit(fixture_db())
+        for name in ("ckpt.json", "try_0000.json"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        resumed = pac.fit(
+            fixture_db(), checkpoint="per_cycle", checkpoint_dir=tmp_path
+        )
+        for rank in resumed.record.ranks:
+            assert "init" not in rank.phase_calls
+        assert sum(r.n_cycles for r in resumed.record.ranks) == (
+            clean.result.tries[1].n_cycles - 3
+        )
+        _assert_same_search(clean.result, resumed.result)
+
+    def test_later_of_head_and_try_file_is_resumed(
+        self, tmp_path, monkeypatch
+    ):
+        """The head holds try 1 after cycle 3 and a group leader's file
+        holds it after cycle 4: a single-level resume continues from
+        cycle 4."""
+        import repro.ckpt.manager as manager
+
+        real_write = manager.write_bytes
+        frozen: list[bytes] = []  # try 1's file after each of its cycles
+
+        def write_bytes(path, data):
+            if path.name == "try_0001.json":
+                frozen.append(data)
+            return real_write(path, data)
+
+        monkeypatch.setattr(manager, "write_bytes", write_bytes)
+        grouped = PAutoClass(
+            n_processors=2, backend="threads", try_groups=2,
+            **FIXTURE_CONFIG,
+        ).fit(
+            fixture_db(), checkpoint="per_cycle",
+            checkpoint_dir=tmp_path / "grouped",
+        )
+        monkeypatch.setattr(manager, "write_bytes", real_write)
+        for name in ("ckpt.json", "try_0000.json"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        in_progress = json.loads(frozen[3])["in_progress"]
+        assert in_progress["classification"]["n_cycles"] == 4
+        (tmp_path / "try_0001.json").write_bytes(frozen[3])
+        resumed = PAutoClass(
+            n_processors=1, backend="sequential", instrument="phases",
+            **FIXTURE_CONFIG,
+        ).fit(fixture_db(), checkpoint="per_cycle", checkpoint_dir=tmp_path)
+        assert resumed.record.ranks[0].n_cycles == (
+            grouped.result.tries[1].n_cycles - 4
+        )
+        _assert_same_search(grouped.result, resumed.result)
 
 
 class TestRefusedCheckpoint:

@@ -118,6 +118,43 @@ class TestDuplicates:
             dup.classification, original.classification, cfg.duplicate_eps
         )
 
+    def test_resume_reassigns_links_written_in_try_files(self, tmp_path):
+        """A directory whose duplicate try's file carries its link, as
+        an older sequential writer wrote it, resumes to the clean fit's
+        links; the loop's own writer leaves every link to the end."""
+        import json
+
+        from repro.ckpt import Checkpointer
+        from repro.engine.search import SearchResult
+
+        db, _ = make_separable_blobs(500, 2, 2, seed=5, separation=10.0)
+        cfg = SearchConfig(
+            start_j_list=(2, 2, 2), max_n_tries=3, seed=6,
+            max_cycles=120, rel_delta=1e-6,
+        )
+        clean = run_search(db, cfg)
+        assert [t.duplicate_of for t in clean.tries] == [None, 0, 0]
+        ck = Checkpointer(tmp_path / "old", policy="per_try")
+        ck.bind(cfg, clean.best.classification.spec, db.n_items)
+        ck.save_boundary(
+            SearchResult(config=cfg, tries=clean.tries[:2]),
+            SeedSequenceStream(cfg.seed),
+        )
+        linked = json.loads((tmp_path / "old" / "try_0001.json").read_bytes())
+        assert linked["try"]["duplicate_of"] == 0
+        resumed = run_search(
+            db, cfg, checkpointer=Checkpointer(tmp_path / "old")
+        )
+        assert [t.duplicate_of for t in resumed.tries] == [None, 0, 0]
+        assert [t.score for t in resumed.tries] == [
+            t.score for t in clean.tries
+        ]
+
+        fresh = run_search(db, cfg, checkpointer=Checkpointer(tmp_path / "new"))
+        assert [t.duplicate_of for t in fresh.tries] == [None, 0, 0]
+        written = json.loads((tmp_path / "new" / "try_0001.json").read_bytes())
+        assert written["try"]["duplicate_of"] is None
+
     def test_different_j_not_duplicates(self):
         db, _ = make_separable_blobs(400, 3, 2, seed=7)
         cfg = SearchConfig(start_j_list=(2, 3), max_n_tries=2, seed=8, max_cycles=60)

@@ -279,6 +279,39 @@ class TestFitIntegration:
         assert len(run.result.tries) == 4
 
 
+class TestOneLoop:
+    @pytest.mark.parametrize(
+        "backend, n_processors, try_groups",
+        [("sequential", 1, None), ("threads", 2, 1), ("threads", 2, 2)],
+    )
+    def test_every_fit_enters_the_big_loop_once_per_rank(
+        self, monkeypatch, backend, n_processors, try_groups
+    ):
+        """Sequential, row-split and try-grouped fits all run the one
+        BIG_LOOP, :func:`repro.engine.search.run_search`."""
+        import sys
+        import threading
+        from collections import Counter
+
+        import repro.engine.search as search_mod
+
+        real = search_mod.run_search
+        entries: Counter = Counter()
+
+        def counting(*args, **kwargs):
+            entries[threading.get_ident()] += 1
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "run_search", None) is real:
+                monkeypatch.setattr(module, "run_search", counting)
+        PAutoClass(
+            n_processors=n_processors, backend=backend,
+            try_groups=try_groups, **CFG,
+        ).fit(_db())
+        assert sorted(entries.values()) == [1] * n_processors
+
+
 class TestTryParallelElapsed:
     def test_four_groups_beat_one_on_the_8_rank_sim(self):
         """A comm-bound 4-try search on the virtual CS-2.  Per-rank

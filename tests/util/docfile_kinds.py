@@ -113,10 +113,12 @@ def build_kinds(root: Path) -> dict[str, Kind]:
             checker_history=[-812.25, -811.0625],
         ),
     )
-    # a try-grouped leader's completed try
-    grouped = Checkpointer(root / "ck_try", policy="per_try")
+    # a try-grouped leader's completed try: a group keeps no head
+    grouped = Checkpointer(root / "ck_try", policy="per_try").for_group(0)
     grouped.bind(est.config, spec, db.n_items)
-    grouped.save_try(second)
+    grouped.save_boundary(
+        SearchResult(config=est.config, tries=[second]), stream
+    )
     try_path = grouped.try_path(1)
 
     search_path, clf_path = root / "search.json", root / "best.results.json"
