@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
 from repro.util import workhooks
 from repro.util.rng import spawn_rng
 from repro.util.validation import check_positive
@@ -149,7 +148,7 @@ def parallel_kmeans(
         labels, d2 = _assign(x, centroids)
         workhooks.report("params", x.shape[0], k, d)
         flat = _local_stats(x, labels, d2, k)
-        flat = np.asarray(comm.allreduce(flat, ReduceOp.SUM))
+        flat = np.asarray(comm.allreduce(flat))
         new_centroids, inertia = _finalize(flat, k, d, centroids)
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids

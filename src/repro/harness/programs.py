@@ -22,7 +22,6 @@ from repro.engine.init import initial_classification
 from repro.engine.params import local_update_parameters
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.reduceops import ReduceOp
 from repro.parallel.packed import ReductionPlan
 from repro.parallel.reducers import BlockingReducer
 from repro.util.rng import SeedSequenceStream
@@ -74,9 +73,7 @@ class PerTermClassReducer(TwoCutPointReducer):
         out = np.empty_like(stats)
         for sl in self._stat_slices:
             for j in range(stats.shape[0]):
-                out[j, sl] = self.comm.allreduce(
-                    np.ascontiguousarray(stats[j, sl]), ReduceOp.SUM
-                )
+                out[j, sl] = self.comm.allreduce(stats[j, sl])
         return out
 
 

@@ -5,8 +5,8 @@ MPI-shaped substrate the reproduction runs on (mpi4py is unavailable in
 this environment, and the algorithms are interesting to own anyway):
 
 * :mod:`repro.mpc.api` — the :class:`Communicator` contract: blocking
-  ``send``, blocking ``recv``/``recv_into`` from an exact (source, tag)
-  channel, and the collectives the paper uses;
+  ``send``, blocking ``recv`` from an exact (source, tag) channel, and
+  the collectives the paper uses;
 * :mod:`repro.mpc.collectives` — the collectives (binomial-tree
   broadcast, recursive-doubling Allreduce, dissemination barrier,
   linear gather, Bruck allgather) built purely on point-to-point
@@ -21,8 +21,7 @@ The virtual-time multicomputer world lives in :mod:`repro.simnet` and
 implements the same contract.
 """
 
-from repro.mpc.api import CollectiveConfig, Communicator, ReduceOp
-from repro.mpc.buffers import BufferPool
+from repro.mpc.api import CollectiveConfig, Communicator
 from repro.mpc.errors import MessageError, WorldAborted
 from repro.mpc.procworld import run_spmd_processes
 from repro.mpc.serial import SerialComm
@@ -30,11 +29,9 @@ from repro.mpc.split import SubComm
 from repro.mpc.threadworld import run_spmd_threads
 
 __all__ = [
-    "BufferPool",
     "CollectiveConfig",
     "Communicator",
     "MessageError",
-    "ReduceOp",
     "SerialComm",
     "SubComm",
     "WorldAborted",

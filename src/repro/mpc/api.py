@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mpc.errors import MessageError
-from repro.mpc.reduceops import ReduceOp
 
 #: Collectives claim tags at and above this value; user point-to-point
 #: code must stay below it.
@@ -104,7 +103,6 @@ class Communicator(ABC):
         self._collectives = collectives or CollectiveConfig()
         self._coll_seq = 0
         self._split_seq = 0
-        self._buffer_pool = None
         self.stats = CommStats()
 
     # -- identity ---------------------------------------------------------
@@ -147,7 +145,12 @@ class Communicator(ABC):
         (obj, nbytes)."""
 
     def send(self, obj: object, dest: int, tag: int) -> None:
-        """Send ``obj`` to rank ``dest`` with ``tag`` (buffered, non-rendezvous)."""
+        """Send ``obj`` to rank ``dest`` with ``tag`` (buffered, non-rendezvous).
+
+        An array is not copied: the thread and sim worlds deliver the
+        reference, and the process world may pickle it after ``send``
+        returns.  So a sender must not write an array it has sent.
+        """
         self._check_peer(dest)
         self._check_tag(tag)
         t0 = time.perf_counter()
@@ -170,23 +173,6 @@ class Communicator(ABC):
         self.stats.n_recvs += 1
         self.stats.bytes_received += nbytes
         return obj
-
-    def recv_into(self, buf: np.ndarray, source: int, tag: int) -> np.ndarray:
-        """Receive the next message from (source, tag) into ``buf`` (in place).
-
-        ``recv`` + copy — same matching, ordering and statistics.  The
-        payload's element count must equal ``buf``'s (else
-        :class:`MessageError`); dtype mismatches cast as ``np.copyto``
-        would.  Returns ``buf``.
-        """
-        arr = np.asarray(self.recv(source, tag))
-        if arr.size != buf.size:
-            raise MessageError(
-                f"recv_into from rank {source} (tag {tag}): payload has "
-                f"{arr.size} elements, buffer has {buf.size}"
-            )
-        np.copyto(buf.reshape(-1), arr.reshape(-1))
-        return buf
 
     # -- collectives (defaults over p2p; see repro.mpc.collectives) -------
 
@@ -234,49 +220,24 @@ class Communicator(ABC):
         tag = self._next_coll_tag()
         return collectives.bcast_binomial(self, obj, root, tag)
 
-    def allreduce(self, payload, op: ReduceOp = ReduceOp.SUM):
-        """Reduce across all ranks; every rank returns the full result.
+    def allreduce(self, payload):
+        """Sum ``payload`` across all ranks; every rank returns the total.
 
-        This is the operation the paper's Figures 4 and 5 hinge on.
+        This is the operation the paper's Figures 4 and 5 hinge on
+        (MPI_Allreduce with MPI_SUM).  The result is a new value: the
+        caller may overwrite ``payload`` as soon as the call returns.
         """
         from repro.mpc import collectives
 
         tag = self._next_coll_tag()
-        result = collectives.allreduce_recursive_doubling(self, payload, op, tag)
+        result = collectives.allreduce_recursive_doubling(self, payload, tag)
         self._charge_reduction(payload)
         return result
 
-    def allreduce_into(self, buf: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
-        """In-place Allreduce over a preallocated float64 array.
-
-        ``buf`` holds this rank's contribution on entry and the global
-        reduction on return (same value as :meth:`allreduce`, bitwise,
-        because the message schedule and combine orientation are
-        identical).  The exchange runs entirely out of this
-        communicator's :class:`~repro.mpc.buffers.BufferPool` — zero
-        array allocations in steady state, which is what makes the
-        per-cycle reduction path of :mod:`repro.parallel`
-        allocation-free.
-        """
-        from repro.mpc import buffers
-
-        tag = self._next_coll_tag()
-        buffers.allreduce_into_impl(self, buf, op, tag)
-        self._charge_reduction(buf)
+    def allreduce_into(self, buf: np.ndarray) -> np.ndarray:
+        """:meth:`allreduce` whose total is written back into ``buf``."""
+        np.copyto(buf, self.allreduce(buf))
         return buf
-
-    def buffer_pool(self):
-        """This communicator's lazily created reduction buffer pool.
-
-        Pools are strictly per-communicator — concurrent groups created
-        by :meth:`split` each own their buffers, so in-place collectives
-        on sibling sub-communicators can never alias.
-        """
-        if self._buffer_pool is None:
-            from repro.mpc.buffers import BufferPool
-
-            self._buffer_pool = BufferPool()
-        return self._buffer_pool
 
     def gather(self, obj: object, root: int = 0) -> list | None:
         """Gather one value per rank to ``root`` (rank-ordered list)."""

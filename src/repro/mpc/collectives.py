@@ -22,15 +22,22 @@ one run compute the bitwise-identical result, whatever the message
 arrival order (fixed lo/hi combine orientation) — and its association
 depends on the world size alone, which is the one reduction-order axis
 of :mod:`repro.verify.tolerance`.
+
+Buffer ownership: ``send`` never copies an array (the thread and sim
+worlds deliver references; the process world's background writer
+pickles a large payload after ``send`` returns), so a sender must not
+write an array it has sent.  The Allreduce meets that rule by
+construction: it sends only arrays no caller can reach — a private copy
+of the payload, then fresh sums — so a caller may overwrite its buffer,
+or the returned array, as soon as the call returns.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
-
-from repro.mpc.reduceops import ReduceOp, combine
 
 #: Textbook name of the one Allreduce algorithm — what conformance
 #: traces serialise and EXP-A2 prints next to the alternatives' costs.
@@ -122,12 +129,8 @@ def recursive_doubling_schedule(rank: int, size: int) -> tuple[Step, ...]:
     ``1 + log2(core)`` the surplus return, so a call needs at most
     ``2 + log2 P`` tags.
 
-    This is the *only* place the schedule is derived: the allocating
-    (:func:`allreduce_recursive_doubling`) and pooled in-place
-    (:func:`repro.mpc.buffers.allreduce_into_impl`) paths both execute
-    the returned steps, which is what makes them bitwise-equal.  The
-    combine orientation is fixed by core rank (lower on the left), so
-    every rank computes the identical association tree whatever the
+    The combine orientation is fixed by core rank (lower on the left),
+    so every rank computes the identical association tree whatever the
     message arrival order.
     """
     pow2 = 1 << (size.bit_length() - 1)
@@ -158,22 +161,45 @@ def recursive_doubling_schedule(rank: int, size: int) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def allreduce_recursive_doubling(comm, payload, op: ReduceOp, tag: int):
-    """Recursive-doubling Allreduce (allocating executor of
-    :func:`recursive_doubling_schedule`)."""
-    acc = payload
-    for step in recursive_doubling_schedule(comm.rank, comm.size):
+def _sum(a, b):
+    """``a + b`` as a new value: arrays must agree in shape, and two
+    scalars sum to a Python scalar."""
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    if a_arr.shape != b_arr.shape:
+        raise ValueError(
+            f"cannot reduce payloads of shapes {a_arr.shape} and {b_arr.shape}"
+        )
+    out = np.add(a_arr, b_arr)
+    return out.item() if np.isscalar(a) else out
+
+
+def allreduce_recursive_doubling(comm, payload, tag: int):
+    """Recursive-doubling sum: executes :func:`recursive_doubling_schedule`.
+
+    The partial starts as a private copy of ``payload`` and every later
+    partial is a fresh :func:`_sum`, so this rank never sends an array
+    its caller can reach.
+    """
+    private = isinstance(payload, np.ndarray)
+    acc = payload.copy() if private else payload
+    steps = recursive_doubling_schedule(comm.rank, comm.size)
+    for step in steps:
         if step.send:
-            comm.send(acc, step.peer, tag + step.slot)
+            sent = acc
+            if step.recv is None and step is steps[-1]:
+                # A core rank hands its result to a surplus rank, which
+                # returns that array to its own caller: send a copy.
+                sent = copy.copy(acc)
+            comm.send(sent, step.peer, tag + step.slot)
         if step.recv is not None:
             other = comm.recv(step.peer, tag + step.slot)
             if step.recv == LO:
-                acc = combine(acc, other, op)
+                acc = _sum(acc, other)
             elif step.recv == HI:
-                acc = combine(other, acc, op)
+                acc = _sum(other, acc)
             else:
                 acc = other
-    if isinstance(payload, np.ndarray) and not isinstance(acc, np.ndarray):
+    if private and not isinstance(acc, np.ndarray):
         # ufuncs collapse 0-d arrays to numpy scalars; hand back the
         # caller's container.
         acc = np.asarray(acc).reshape(payload.shape)

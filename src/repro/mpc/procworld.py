@@ -21,10 +21,10 @@ Sends are *buffered and non-rendezvous*: a payload of
 :data:`_DIRECT_SEND_MAX` bytes or more is handed to a per-rank
 background writer thread, so a symmetric exchange of large arrays can
 never deadlock the way naive blocking ``Connection.send`` calls do.
-The send-buffer reuse contract of :mod:`repro.mpc.buffers` (two-call
-parity) survives the writer thread: the queue is FIFO across all
-destinations, so receiving *any* reply from collective call ``c + 1``
-proves every enqueued message of call ``c`` has left the building.
+So ``send`` does not copy an array: as on the thread and sim worlds,
+which deliver references, a sender must not write an array it has sent,
+because the writer may pickle it later.  The Allreduce meets that rule
+by copying its input (:mod:`repro.mpc.collectives`).
 
 Limits, by design: the worker function and its arguments must be
 picklable, and on a 1-core host there is no wall-clock speedup — the

@@ -4,7 +4,8 @@
 threads, each holding a :class:`ThreadComm` over the shared mailbox
 engine of :mod:`repro.mpc.p2p`.  Payloads are passed by reference —
 cheap, but it means ranks must not mutate arrays they have sent
-(the library's own collectives never do; ``combine`` always allocates).
+(the library's own collectives never do; the Allreduce sends only its
+own copies and fresh sums).
 
 This backend exists for *semantics*: it runs real concurrent SPMD code
 with real blocking communication, which is what the correctness tests

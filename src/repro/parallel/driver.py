@@ -28,7 +28,6 @@ from repro.engine.search import SearchConfig, SearchResult, search_config_for
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
 from repro.parallel.psearch import run_parallel_search
 
 if TYPE_CHECKING:
@@ -99,7 +98,7 @@ def run_pautoclass_partitioned(
     """
     config = search_config_for(config, seedable=False)
     moments = DataSummary.local_moments(local_db)
-    moments = comm.allreduce(moments, ReduceOp.SUM)
+    moments = comm.allreduce(moments)
     summary = DataSummary.from_moments(local_db.schema, moments)
     if spec is None:
         spec = ModelSpec.default_for(local_db.schema, summary)

@@ -9,23 +9,20 @@ makes one Allreduce per cycle after the M half.  Both shapes are fixed
 for the whole lifetime of a try (they depend only on the requested
 class count), so the search plans the buffer **once per try** and
 reuses it every cycle: the local payloads are copied into the plan's
-contiguous float64 buffer and reduced in place with
-:meth:`~repro.mpc.api.Communicator.allreduce_into`, which runs out of
-the communicator's :class:`~repro.mpc.buffers.BufferPool`.  Net effect:
-zero array allocations on the reduction path after the first cycle.
+contiguous float64 buffer and summed in place with
+:meth:`~repro.mpc.api.Communicator.allreduce_into`.
 
 Results are bitwise identical to the unplanned path — ``allreduce_into``
-reproduces the configured algorithm's message schedule and combine
-orientation exactly — so conformance and verify guarantees carry over
+is ``allreduce`` written back into the buffer, and recursive doubling
+sums elementwise — so conformance and verify guarantees carry over
 unchanged.
 
 Buffer lifetime: the reduced values are only *read* downstream
 (``finalize_wts`` copies ``w_j``; ``finalize_parameters`` and
 ``update_approximations`` are pure functions that retain nothing), so
-overwriting the buffers next cycle is safe.  The pool's two-call parity
-that makes in-place reuse race-free relies on every reduction being
-blocking: the next collective's receives fence every peer's reads of
-the previous one's envelopes.
+overwriting the buffers next cycle is safe.  The Allreduce never sends
+the caller's array, so no peer still reads the buffer when it is
+refilled.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import numpy as np
 
 from repro.engine.wts import N_EXTRA_SLOTS
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
 
 
 class ReductionPlan:
@@ -72,20 +68,20 @@ class ReductionPlan:
         in one reduction; returns the plan's two views."""
         np.copyto(self.wts_buf, payload)
         np.copyto(self.stats_buf, local_stats)
-        self.comm.allreduce_into(self.buf, ReduceOp.SUM)
+        self.comm.allreduce_into(self.buf)
         self.n_packed_reductions += 1
         return self.wts_buf, self.stats_buf
 
     def allreduce_wts(self, payload: np.ndarray) -> np.ndarray:
         """Globally sum an E-step payload alone; returns the plan's view."""
         np.copyto(self.wts_buf, payload)
-        self.comm.allreduce_into(self.wts_buf, ReduceOp.SUM)
+        self.comm.allreduce_into(self.wts_buf)
         self.n_wts_reductions += 1
         return self.wts_buf
 
     def allreduce_stats(self, local_stats: np.ndarray) -> np.ndarray:
         """Globally sum packed M-step statistics alone; returns the view."""
         np.copyto(self.stats_buf, local_stats)
-        self.comm.allreduce_into(self.stats_buf, ReduceOp.SUM)
+        self.comm.allreduce_into(self.stats_buf)
         self.n_stats_reductions += 1
         return self.stats_buf

@@ -32,7 +32,6 @@ from repro.engine.cycle import LocalReducer
 from repro.models.registry import ModelSpec
 from repro.mpc import faults
 from repro.mpc.api import Communicator
-from repro.mpc.reduceops import ReduceOp
 from repro.obs import recorder as obs
 from repro.parallel.packed import ReductionPlan
 
@@ -61,7 +60,7 @@ class WorldReducer(LocalReducer):
     def allreduce(self, payload: np.ndarray) -> np.ndarray:
         if self.size == 1:
             return payload
-        return np.asarray(self.comm.allreduce(payload, ReduceOp.SUM))
+        return np.asarray(self.comm.allreduce(payload))
 
 
 class BlockingReducer(WorldReducer):

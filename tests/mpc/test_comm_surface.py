@@ -12,14 +12,13 @@ from repro.mpc import Communicator
 
 COMMUNICATOR_NAMES = (
     "allgather", "allreduce", "allreduce_into", "barrier", "bcast",
-    "buffer_pool", "charge", "clock_kind", "collective_config", "gather",
-    "rank", "recv", "recv_into", "send", "size", "split", "wtime",
+    "charge", "clock_kind", "collective_config", "gather", "rank", "recv",
+    "send", "size", "split", "wtime",
 )
 
 PACKAGE_NAMES = (
-    "BufferPool", "CollectiveConfig", "Communicator", "MessageError",
-    "ReduceOp", "SerialComm", "SubComm", "WorldAborted",
-    "run_spmd_processes", "run_spmd_threads",
+    "CollectiveConfig", "Communicator", "MessageError", "SerialComm",
+    "SubComm", "WorldAborted", "run_spmd_processes", "run_spmd_threads",
 )
 
 
@@ -33,9 +32,9 @@ def test_package_exports_are_exactly_the_pinned_ones():
 
 
 def test_point_to_point_names_every_channel():
-    """``send``/``recv``/``recv_into`` take an exact peer and tag: no
-    parameter has a default to fall back on."""
-    for method in (Communicator.send, Communicator.recv, Communicator.recv_into):
+    """``send``/``recv`` take an exact peer and tag: no parameter has a
+    default to fall back on."""
+    for method in (Communicator.send, Communicator.recv):
         params = inspect.signature(method).parameters.values()
         assert all(p.default is inspect.Parameter.empty for p in params), (
             method.__name__

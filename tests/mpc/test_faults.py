@@ -17,7 +17,6 @@ from repro.mpc.faults import (
     injecting,
     maybe_fire,
 )
-from repro.mpc.reduceops import ReduceOp
 from repro.mpc.threadworld import run_spmd_threads
 
 
@@ -118,7 +117,7 @@ class TestCollectiveTimeout:
                 return None
             t0 = time.perf_counter()
             try:
-                return comm.allreduce(1.0, ReduceOp.SUM)
+                return comm.allreduce(1.0)
             finally:
                 waited["seconds"] = time.perf_counter() - t0
 
@@ -137,7 +136,7 @@ class TestCollectiveTimeout:
             if comm.rank == 1:
                 raise RuntimeError("rank 1 dies")
             with pytest.raises(WorldAborted):
-                comm.allreduce(1.0, ReduceOp.SUM)
+                comm.allreduce(1.0)
             raise RuntimeError("observed the abort")  # expected path
 
         with pytest.raises(RuntimeError):

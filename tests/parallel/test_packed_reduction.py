@@ -1,10 +1,8 @@
-"""Packed, buffer-pooled reductions: bitwise parity + allocation freedom.
+"""Packed reductions: bitwise parity with the unpacked Allreduce.
 
 ``allreduce_into`` must be a drop-in for ``allreduce`` — bitwise, on
-every world, because it replays the recursive-doubling message schedule
-and combine orientation exactly — while running out of the per-
-communicator :class:`~repro.mpc.buffers.BufferPool` with zero steady-
-state allocations and no aliasing between concurrent groups.
+every world — and the plan's one packed reduction per cycle must give
+bitwise the sums of the paper's two cut points.
 """
 
 import numpy as np
@@ -17,9 +15,6 @@ from repro.engine.init import initial_classification
 from repro.harness.programs import TwoCutPointReducer
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
-from repro.mpc.buffers import BufferPool
-from repro.mpc.errors import MessageError
-from repro.mpc.reduceops import ReduceOp
 from repro.mpc.serial import SerialComm
 from repro.mpc.threadworld import run_spmd_threads
 from repro.obs.recorder import Recorder, recording
@@ -34,9 +29,9 @@ SIZES = [1, 2, 3, 4, 5, 7, 8]
 def _both_paths(comm):
     rng = np.random.default_rng(77 + comm.rank)
     x = rng.standard_normal(33)
-    via_allreduce = comm.allreduce(x, ReduceOp.SUM)
+    via_allreduce = comm.allreduce(x)
     buf = x.copy()
-    comm.allreduce_into(buf, ReduceOp.SUM)
+    comm.allreduce_into(buf)
     return via_allreduce, buf
 
 
@@ -65,24 +60,6 @@ class TestBitwiseParity:
         for via, into in sim.results:
             np.testing.assert_array_equal(via, into)
 
-    @pytest.mark.parametrize("op", [ReduceOp.MIN, ReduceOp.MAX, ReduceOp.PROD])
-    def test_non_sum_ops(self, op):
-        def prog(comm):
-            rng = np.random.default_rng(3 + comm.rank)
-            x = rng.uniform(0.5, 2.0, size=9)
-            buf = x.copy()
-            comm.allreduce_into(buf, op)
-            return comm.allreduce(x, op), buf
-
-        for via, into in run_spmd_threads(prog, 5):
-            np.testing.assert_array_equal(via, into)
-
-    def test_rejects_wrong_dtype_and_noncontiguous(self):
-        comm = SerialComm()
-        with pytest.raises(MessageError, match="float64"):
-            comm.allreduce_into(np.ones(4, dtype=np.float32))
-        with pytest.raises(MessageError, match="contiguous"):
-            comm.allreduce_into(np.ones((4, 4))[:, 1])
 
 
 class TestReductionPlan:
@@ -95,8 +72,8 @@ class TestReductionPlan:
             return (
                 plan.allreduce_wts(wts).copy(),
                 plan.allreduce_stats(stats).copy(),
-                comm.allreduce(wts, ReduceOp.SUM),
-                comm.allreduce(stats, ReduceOp.SUM),
+                comm.allreduce(wts),
+                comm.allreduce(stats),
             )
 
         for pw, ps, uw, us in run_spmd_threads(prog, 6):
@@ -111,20 +88,6 @@ class TestReductionPlan:
         plan.allreduce_stats(np.zeros((3, 5)))
         assert plan.n_wts_reductions == 1
         assert plan.n_stats_reductions == 2
-
-    def test_stats_reduction_allocation_free_after_warmup(self):
-        def prog(comm):
-            stats = np.random.default_rng(comm.rank).standard_normal((8, 16))
-            plan = ReductionPlan(comm, 8, 16)
-            for _ in range(2):  # warm both send-chain parities
-                plan.allreduce_stats(stats)
-            pool = comm.buffer_pool()
-            before = pool.n_allocations
-            for _ in range(25):
-                plan.allreduce_stats(stats)
-            return pool.n_allocations - before
-
-        assert run_spmd_threads(prog, 4) == [0, 0, 0, 0]
 
 
 N_CYCLES = 4
@@ -143,9 +106,9 @@ def _cycles(comm, db, reducer_cls):
     calls = []
     into = comm.allreduce_into
 
-    def counted(buf, op=ReduceOp.SUM):
+    def counted(buf):
         calls.append(buf)
-        return into(buf, op)
+        return into(buf)
 
     comm.allreduce_into = counted
     for _ in range(N_CYCLES):
@@ -227,76 +190,3 @@ class TestOnePackedReductionPerCycle:
         assert wts is plan.wts_buf and stats is plan.stats_buf
         np.testing.assert_array_equal(plan.buf[:5], np.arange(5.0))
         assert plan.n_packed_reductions == 1
-
-
-class TestBufferPool:
-    def test_allocation_free_after_warmup(self):
-        def prog(comm):
-            x = np.arange(16, dtype=np.float64) + comm.rank
-            buf = np.empty_like(x)
-            for _ in range(2):  # warm both send-chain parities
-                np.copyto(buf, x)
-                comm.allreduce_into(buf)
-            pool = comm.buffer_pool()
-            before = pool.n_allocations
-            for _ in range(25):
-                np.copyto(buf, x)
-                comm.allreduce_into(buf)
-            return pool.n_allocations - before, pool.n_acquires
-
-        for grew, acquires in run_spmd_threads(prog, 4):
-            assert grew == 0
-            assert acquires > 0
-
-    def test_distinct_sizes_get_distinct_sets(self):
-        pool = BufferPool()
-        a = pool.acquire(8, 2, 1)
-        b = pool.acquire(16, 2, 1)
-        assert all(buf.shape == (8,) for buf in a[0] + a[1])
-        assert all(buf.shape == (16,) for buf in b[0] + b[1])
-
-    def test_concurrent_groups_never_alias(self):
-        """Sibling sub-communicators own disjoint pools and buffers.
-
-        Each group hammers in-place reductions concurrently; any shared
-        buffer between the groups would corrupt one group's sums.
-        """
-
-        def prog(comm):
-            sub = comm.split(color=comm.rank // 2)
-            x = np.full(10, float(comm.rank + 1))
-            buf = np.empty_like(x)
-            totals = []
-            for _ in range(30):
-                np.copyto(buf, x)
-                sub.allreduce_into(buf)
-                totals.append(buf.copy())
-            # The pools are per-communicator objects, never the parent's.
-            assert sub.buffer_pool() is not comm.buffer_pool()
-            return totals
-
-        results = run_spmd_threads(prog, 4)
-        for world_rank, totals in enumerate(results):
-            expected = 3.0 if world_rank < 2 else 7.0
-            for t in totals:
-                np.testing.assert_array_equal(t, np.full(10, expected))
-
-    def test_pool_buffer_identity_disjoint_across_groups(self):
-        """No buffer object is shared between two groups' pools."""
-
-        def prog(comm):
-            sub = comm.split(color=comm.rank // 2)
-            buf = np.arange(12, dtype=np.float64)
-            sub.allreduce_into(buf)
-            sub.allreduce_into(buf)
-            pool = sub.buffer_pool()
-            buffers = []
-            for send0, send1, recv, _uses in pool._sets.values():
-                buffers.extend(send0 + send1 + recv)
-            return buffers  # keep them alive for the identity check below
-
-        results = run_spmd_threads(prog, 4)
-        group0 = {id(b) for b in results[0] + results[1]}
-        group1 = {id(b) for b in results[2] + results[3]}
-        assert group0 and group1
-        assert not group0 & group1
