@@ -64,12 +64,12 @@ from repro.engine.search import (
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import CollectiveConfig
-from repro.mpc.faults import FaultInjector
+from repro.mpc.faults import FaultInjector, injecting
 from repro.mpc.procworld import TRANSPORTS
 from repro.obs.record import CommEventRecord, RunRecord
 from repro.obs.recorder import Recorder, check_instrument, recording
-from repro.obs.runtime import build_run_record, recorded_pautoclass
-from repro.parallel.psearch import check_try_groups
+from repro.obs.runtime import build_run_record, run_recorded
+from repro.parallel.psearch import check_try_groups, run_pautoclass
 from repro.serve.scoring import Inference
 from repro.worlds import WORLDS, run_world
 
@@ -381,7 +381,8 @@ class FitJob:
     faults: FaultInjector | None = None
     #: E/M kernel path (:mod:`repro.kernels.config`).  Estimator fits
     #: always run ``"fused"``; :func:`repro.verify.trace.capture_trace`
-    #: builds jobs on ``"reference"`` to fit the conformance oracle.
+    #: builds ``"sequential"`` jobs on ``"reference"`` to fit the
+    #: conformance oracle, and the SPMD backends refuse it.
     kernels: str = "fused"
 
 
@@ -458,17 +459,41 @@ def _sequential_backend(job: FitJob, db: Database, spec: ModelSpec) -> Run:
     return _assemble_run(job, "sequential", [pair])
 
 
+def _fit_rank(comm, job: FitJob, db: Database, spec: ModelSpec):
+    """One rank of an SPMD fit: :func:`~repro.parallel.run_pautoclass`
+    over the whole input, under this rank's recorder and fault plan.
+
+    Module-level so the ``processes`` world can pickle it by reference.
+    The fault plan is ``job.faults`` — this attempt's, disarmed on
+    retries — never ``job.options.faults``.  Returns the rank's
+    ``(result, RankRecord | None)`` pair.
+    """
+    with injecting(job.faults):
+        return run_recorded(
+            comm, run_pautoclass, db, job.config, spec, job.ckpt,
+            job.options.try_groups, instrument=job.options.instrument,
+        )
+
+
 def _spmd_backend(
     world: str, job: FitJob, db: Database, spec: ModelSpec
 ) -> Run:
     """P-AutoClass on one SPMD world, launched by :func:`run_world`.
 
-    On ``"processes"`` each forked rank sends its ``(result,
+    Every rank runs :func:`_fit_rank` on the fused kernels; a job on
+    the reference kernels — the sequential oracle — is refused.  On
+    ``"processes"`` each forked rank sends its ``(result,
     RankRecord)`` pair back over its result pipe and the parent merges
     the records — cross-process record collection with no shared
     memory.  On ``"sim"`` an ``instrument="full"`` fit also traces the
     virtual-time schedule.
     """
+    if job.kernels != "fused":
+        raise ValueError(
+            f"kernels={job.kernels!r}: the {world!r} backend runs the "
+            "fused kernels only; the reference kernels are the "
+            "sequential oracle (backend 'sequential')"
+        )
     opts = job.options
     tracer = None
     if world == "sim" and opts.instrument == "full":
@@ -476,9 +501,7 @@ def _spmd_backend(
 
         tracer = Tracer()
     pairs, sim_elapsed = run_world(
-        world, job.n_processors, recorded_pautoclass,
-        db, job.config, spec, opts.instrument, job.kernels,
-        job.ckpt, job.faults, opts.try_groups,
+        world, job.n_processors, _fit_rank, job, db, spec,
         collectives=opts.collectives, transport=opts.transport,
         tracer=tracer,
     )

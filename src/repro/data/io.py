@@ -222,65 +222,3 @@ def _keyword_float(
         raise HeaderFormatError(f"line {lineno}: missing required {keyword!r}")
     return default
 
-
-def count_data_items(path: str | Path) -> int:
-    """Number of items in a ``.db2`` file (cheap line scan, no parsing)."""
-    count = 0
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith(";"):
-                count += 1
-    return count
-
-
-def load_database_partition(
-    basepath: str | Path, n_ranks: int, rank: int
-) -> tuple[Database, int]:
-    """Load only one rank's block of a ``.hd2``/``.db2`` pair.
-
-    The end-to-end distributed-input story: each rank of a P-AutoClass
-    run streams just its contiguous block of the data file (two passes:
-    a line count to fix the partition bounds, then a parse of the owned
-    range), so no process ever materializes the full dataset — the
-    paper's "does not require to replicate the entire dataset", from
-    the file system up.  Feed the result to
-    :func:`repro.parallel.driver.run_pautoclass_partitioned`.
-
-    Returns ``(local_db, n_total_items)``.
-    """
-    from repro.data.partition import partition_bounds
-
-    base = Path(basepath)
-    schema = read_header(base.with_suffix(".hd2"))
-    db2 = base.with_suffix(".db2")
-    n_total = count_data_items(db2)
-    lo, hi = partition_bounds(n_total, n_ranks, rank)
-    # Stream pass: keep only the owned lines, then reuse the normal
-    # parser on that slice.
-    owned: list[str] = []
-    index = 0
-    with open(db2, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith(";"):
-                continue
-            if lo <= index < hi:
-                owned.append(line)
-            index += 1
-            if index >= hi:
-                break
-    import tempfile
-
-    # Reuse read_data's full validation by parsing the owned block as a
-    # standalone document.
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".db2", delete=False, encoding="utf-8"
-    ) as tmp:
-        tmp.write("\n".join(owned))
-        tmp_path = Path(tmp.name)
-    try:
-        local = read_data(schema, tmp_path)
-    finally:
-        tmp_path.unlink(missing_ok=True)
-    return local, n_total

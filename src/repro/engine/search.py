@@ -63,7 +63,7 @@ class SearchConfig:
     #: ``"seeded"`` (k-means-style start) reaches good optima far more
     #: reliably than AutoClass's symmetric random weights; the
     #: ``"dirichlet"``/``"sharp"`` options reproduce the classic
-    #: behaviour (and are required for partitioned-data parallel runs).
+    #: behaviour (and are required for streamed, shard-view fits).
     init_method: str = "seeded"
     seed: int = 0
     duplicate_eps: float = 0.5
@@ -113,8 +113,8 @@ def search_config_for(
     """``config`` with the initializer default resolved against the data.
 
     ``"seeded"`` — the default — needs the whole database in memory on
-    every rank.  Where it is not (``seedable=False``: streamed shards,
-    rank-partitioned input) and the caller never chose an initializer
+    every rank.  Where it is not (``seedable=False``: a streamed shard
+    view) and the caller never chose an initializer
     (no config at all, or ``init_defaulted``), fall back to AutoClass's
     random-assignment start, ``"sharp"``.  An *explicit*
     ``init_method="seeded"`` is kept and fails loudly downstream.
@@ -367,8 +367,8 @@ def run_search(
     database and every reduction the identity.  P-AutoClass runs the
     same loop *replicated* on every rank over that rank's block
     (``make_reducer(n_classes)`` supplies each try's communicating
-    reducer, ``n_total_items`` the global count, ``full_db`` the
-    replicated input ``"seeded"`` init needs) — every decision below is
+    reducer, ``n_total_items`` the global count, ``full_db`` the whole
+    input ``"seeded"`` init draws from) — every decision below is
     a deterministic function of the seed and of globally reduced scores,
     so all ranks take identical branches with no extra communication.
 

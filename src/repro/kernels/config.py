@@ -9,13 +9,12 @@ The engine's E/M hot path exists in two interchangeable implementations:
 
 The one selector is the explicit ``kernels=`` argument threaded through
 every engine call site; ``None`` means ``"fused"``.  Above the engine it
-is not a user option: estimator fits and serving run ``"fused"``, and
-only :mod:`repro.verify` fits ``"reference"`` (through
-:attr:`repro.api.FitJob.kernels`), as its oracle.  There is deliberately no
-process-wide switch: all ranks of one run must execute the same kernel
-implementation to keep the replicated control flow bit-identical, and an
-argument carried by the fit is the only thing every rank of every world
-(threads, forked or spawned processes) is guaranteed to see alike.
+is not a user option: estimator fits, every rank of a parallel fit and
+serving run ``"fused"``, and only :mod:`repro.verify` fits
+``"reference"`` — sequentially, through :attr:`repro.api.FitJob.kernels`
+— as its oracle; the parallel backends refuse it.  There is
+deliberately no process-wide switch: the one sequential oracle fit
+carries its choice as an argument, so no other fit can pick it up.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 AutoClass anchors its parameter priors at the statistics of the *whole*
 dataset (global mean/variance per real attribute, presence counts, ...).
-In the parallel setting each rank holds only a partition, so these
-summaries are defined by **additive moment vectors**: each rank computes
-:meth:`DataSummary.local_moments` on its block, one Allreduce sums them,
-and :meth:`DataSummary.from_moments` reconstructs the identical global
-summary on every rank.  The sequential path is the degenerate case
-(``from_database`` = local moments of everything).
+These summaries are defined by **additive moment vectors**:
+:meth:`DataSummary.local_moments` of disjoint blocks sum to the moments
+of their union, and :meth:`DataSummary.from_moments` reconstructs the
+summary from them.  :meth:`DataSummary.from_database` summarizes a
+whole database or shard view this way, chunk by chunk; a saved result
+stores the moment vector itself.
 """
 
 from __future__ import annotations

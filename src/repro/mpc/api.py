@@ -50,7 +50,16 @@ def payload_nbytes(obj: object) -> int:
 
 @dataclass
 class CommStats:
-    """Per-rank communication accounting."""
+    """Per-rank communication accounting.
+
+    ``bytes_sent`` / ``bytes_received`` price a payload as
+    :func:`payload_nbytes` does.  On the ``threads`` world an object
+    payload (anything but an array or bytes) is priced only while the
+    sending rank records (:mod:`repro.obs`), because its price is a
+    pickle made only to be counted; uninstrumented it counts 0 bytes.
+    The process world pickles it anyway and the sim world's bytes set
+    its virtual time, so both always count it.
+    """
 
     n_sends: int = 0
     n_recvs: int = 0

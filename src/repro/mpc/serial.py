@@ -1,7 +1,7 @@
 """SerialComm — the one-rank world.
 
 Sequential AutoClass *is* P-AutoClass on a world of size 1; giving the
-degenerate world a real implementation lets the parallel driver express
+degenerate world a real implementation lets the parallel program express
 that identity directly (and lets tests run SPMD code without threads).
 Self-sends are supported with a FIFO queue so collective algorithms that
 happen to message rank 0 from rank 0 still work.

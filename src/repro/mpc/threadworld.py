@@ -20,8 +20,11 @@ import threading
 import traceback
 from collections.abc import Callable, Sequence
 
+import numpy as np
+
 from repro.mpc.api import CollectiveConfig, Communicator, payload_nbytes
 from repro.mpc.p2p import AbortFlag, Envelope, Mailbox
+from repro.obs import recorder as obs
 
 
 class ThreadComm(Communicator):
@@ -40,7 +43,11 @@ class ThreadComm(Communicator):
 
     def _send_raw(self, obj: object, dest: int, tag: int) -> int:
         self._abort.check()
-        nbytes = payload_nbytes(obj)
+        # An object goes by reference, so its price is a pickle made
+        # only to be counted: pay for it only when a recorder reads it.
+        nbytes = 0
+        if isinstance(obj, (np.ndarray, bytes, bytearray)) or obs.current().enabled:
+            nbytes = payload_nbytes(obj)
         self._mailboxes[dest].deposit(Envelope(self.rank, tag, obj, nbytes))
         return nbytes
 

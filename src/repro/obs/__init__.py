@@ -38,7 +38,6 @@ from repro.obs.record import (
     RunRecord,
     SchemaError,
     read_jsonl,
-    validate_jsonl,
     write_jsonl,
 )
 from repro.obs.recorder import (
@@ -51,7 +50,7 @@ from repro.obs.recorder import (
     current,
     recording,
 )
-from repro.obs.runtime import build_run_record, recorded_pautoclass, run_recorded
+from repro.obs.runtime import build_run_record, run_recorded
 from repro.obs.serve import ServeMetrics
 
 __all__ = [
@@ -74,9 +73,7 @@ __all__ = [
     "check_instrument",
     "current",
     "read_jsonl",
-    "recorded_pautoclass",
     "recording",
     "run_recorded",
-    "validate_jsonl",
     "write_jsonl",
 ]

@@ -336,8 +336,3 @@ def read_jsonl(path: str | Path) -> RunRecord:
         ranks=ranks,
         schema_version=int(header["schema_version"]),
     )
-
-
-def validate_jsonl(path: str | Path) -> RunRecord:
-    """Alias of :func:`read_jsonl` — reading *is* schema validation."""
-    return read_jsonl(path)

@@ -11,22 +11,14 @@ worlds, virtual machine seconds from the simulated CS-2, one schema:
 * :func:`cycle_table` — per-EM-cycle telemetry (``"full"`` records);
 * :func:`speedup_table` / :func:`speedup_efficiency` — T1/Tp and
   T1/(p·Tp) across runs at different processor counts (Table 4-shaped);
-* :func:`render_run` — the composite report behind ``Run.report()``;
-* JSONL export/validation re-exported from :mod:`repro.obs.record`
-  for the benchmark harness.
+* :func:`render_run` — the composite report behind ``Run.report()``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.obs.record import (  # noqa: F401  (re-exported for harness use)
-    RunRecord,
-    SchemaError,
-    read_jsonl,
-    validate_jsonl,
-    write_jsonl,
-)
+from repro.obs.record import RunRecord
 from repro.util.tables import format_table
 
 

@@ -1,17 +1,15 @@
 """Running SPMD programs under a recorder, on any world.
 
-One entry point serves all four backends:
+Two functions serve all four backends, and neither knows which program
+it records:
 
 * :func:`run_recorded` wraps a ``fn(comm, *args)`` SPMD program with a
   per-rank :class:`~repro.obs.recorder.Recorder` bound to the world's
   clock (``comm.wtime`` — wall seconds on real worlds, *virtual machine
-  seconds* on the simulated CS-2, so the same schema covers both);
-* :func:`recorded_pautoclass` is the module-level (hence picklable)
-  SPMD entry :mod:`repro.api`'s one world runner hands to
-  :func:`repro.worlds.run_world`.  On the ``processes`` backend each
-  worker returns its ``(result, RankRecord)`` pair over the result pipe
-  and the parent merges the records — cross-process record merging
-  with no shared memory;
+  seconds* on the simulated CS-2, so the same schema covers both) and
+  returns the rank's ``(result, RankRecord)`` pair.  On the
+  ``processes`` backend each worker returns that pair over the result
+  pipe — cross-process record merging with no shared memory;
 * :func:`build_run_record` assembles per-rank records into the unified
   :class:`~repro.obs.record.RunRecord`.
 """
@@ -50,37 +48,6 @@ def run_recorded(
     with recording(rec):
         result = fn(comm, *args, **kwargs)
     return result, rec.to_rank_record(comm_stats=comm.stats)
-
-
-def recorded_pautoclass(
-    comm,
-    db,
-    config,
-    spec,
-    instrument: str = "off",
-    kernels: str | None = None,
-    ckpt=None,
-    faults=None,
-    try_groups=None,
-):
-    """P-AutoClass under a recorder — the SPMD entry for every backend.
-
-    Module-level so the ``processes`` world can pickle it by reference.
-    ``ckpt`` is a picklable :class:`repro.ckpt.CheckpointSpec` (or
-    None); ``faults`` a :class:`repro.mpc.faults.FaultInjector` (or
-    None) installed ambiently for this rank — both cross the pickle
-    boundary to forked workers unchanged.  ``try_groups`` (None | int |
-    ``"auto"``) selects the two-level try-parallel search.
-    """
-    from repro.mpc.faults import injecting
-    from repro.parallel.driver import run_pautoclass
-
-    with injecting(faults):
-        return run_recorded(
-            comm, run_pautoclass, db, config, spec, kernels, ckpt,
-            try_groups,
-            instrument=instrument,
-        )
 
 
 def build_run_record(

@@ -14,26 +14,26 @@ AutoClass is the same program at P = 1.
 
 Entry points:
 
-* :func:`run_pautoclass` — replicated-input convenience: every rank
-  holds the full database and slices its own block;
-* :func:`run_pautoclass_partitioned` — true distributed form: each rank
-  holds only its block; global summaries are Allreduced at startup;
+* :func:`run_pautoclass` — the one SPMD fit program: every rank is
+  handed the whole input — an in-memory database or a
+  :class:`~repro.data.shards.ShardedDatabase` view — and fits its own
+  block of it, so distributed input is a shard view whose ranks each
+  map only the shards their block overlaps;
 * :mod:`repro.parallel.reducers` — the communicating reducers the one
   EM cycle (:func:`repro.engine.cycle.base_cycle`) crosses its cut
   points with: identity on a size-1 world, one blocking packed
   Allreduce otherwise.
+
+Every rank runs the fused E/M path; the reference one is only the
+sequential oracle :mod:`repro.verify` compares against.
 """
 
-from repro.parallel.driver import (
-    run_pautoclass,
-    run_pautoclass_partitioned,
-)
 from repro.parallel.packed import ReductionPlan
 from repro.parallel.pcycle import parallel_base_cycle
 from repro.parallel.psearch import (
     check_try_groups,
     resolve_try_groups,
-    run_parallel_search,
+    run_pautoclass,
 )
 from repro.parallel.reducers import (
     BlockingReducer,
@@ -49,7 +49,5 @@ __all__ = [
     "parallel_base_cycle",
     "reducer_for",
     "resolve_try_groups",
-    "run_parallel_search",
     "run_pautoclass",
-    "run_pautoclass_partitioned",
 ]

@@ -25,16 +25,13 @@ def parallel_base_cycle(
     n_total_items: int,
     comm: Communicator,
     *,
-    kernels: str | None = None,
     plan=None,
 ) -> tuple[Classification, np.ndarray | None, CycleStats]:
     """One P-AutoClass EM cycle over this rank's block.
 
     Returns ``(new_clf, local_wts, stats)``.  The returned
     classification — parameters *and* scores — is identical on every
-    rank (same reduced inputs, same pure finalization).  ``kernels``
-    selects the local E/M implementation; the two Allreduce cut points
-    are unaffected.  ``plan`` — a
+    rank (same reduced inputs, same pure finalization).  ``plan`` — a
     :class:`repro.parallel.packed.ReductionPlan` for this try — supplies
     the buffer the cycle's packed reduction runs in place through (one
     is made per call otherwise).
@@ -45,6 +42,6 @@ def parallel_base_cycle(
     identical, and the returned local weights are ``None``.
     """
     return base_cycle(
-        local_db, clf, kernels=kernels, n_total_items=n_total_items,
+        local_db, clf, n_total_items=n_total_items,
         reducer=reducer_for(comm, clf.n_classes, clf.spec, plan=plan),
     )

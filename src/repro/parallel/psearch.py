@@ -1,4 +1,4 @@
-"""The replicated BIG_LOOP of P-AutoClass.
+"""P-AutoClass's one SPMD fit program: the replicated BIG_LOOP.
 
 The paper parallelizes only ``base_cycle``; the surrounding search
 control flow (select J, converge a try, eliminate duplicates, pick the
@@ -13,13 +13,16 @@ so all ranks take identical branches with zero extra communication.
 Replicated means *the same code*: the loop and the try body are
 :func:`repro.engine.search.run_search` / :func:`~repro.engine.search.
 run_try` — sequential AutoClass is their P = 1 case, one group on one
-rank — and this module only supplies the decomposition: the
-communicating reducer (:mod:`repro.parallel.reducers`), the rule that
-picks the number of try groups, and for G > 1 the group split, each
-group's tries and block of the data, and the merge.
+rank — and this module's :func:`run_pautoclass`, the program every
+rank runs, only supplies the decomposition: this rank's block of the
+input, the communicating reducer (:mod:`repro.parallel.reducers`), the
+rule that picks the number of try groups, and for G > 1 the group
+split, each group's tries and block of the data, and the merge.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.data.database import Database
 from repro.data.partition import partition_bounds
@@ -32,9 +35,13 @@ from repro.engine.search import (
     search_config_for,
 )
 from repro.models.registry import ModelSpec
+from repro.models.summary import DataSummary
 from repro.mpc.api import Communicator
 from repro.obs import recorder as obs
 from repro.parallel.reducers import reducer_for
+
+if TYPE_CHECKING:
+    from repro.ckpt import CheckpointSpec
 
 
 def check_try_groups(
@@ -149,31 +156,36 @@ def group_color(world_size: int, n_groups: int, rank: int) -> int:
     raise ValueError(f"rank {rank} not covered by {n_groups} groups")
 
 
-def run_parallel_search(
+def run_pautoclass(
     comm: Communicator,
-    local_db: Database,
-    spec: ModelSpec,
-    n_total_items: int,
+    db: Database,
     config: SearchConfig | None = None,
-    full_db: Database | None = None,
-    kernels: str | None = None,
-    checkpointer=None,
+    spec: ModelSpec | None = None,
+    ckpt: "CheckpointSpec | None" = None,
     try_groups: int | str | None = None,
 ) -> SearchResult:
-    """P-AutoClass's BIG_LOOP: replicated control, partitioned data.
+    """P-AutoClass — the one SPMD fit program, run by every rank.
 
-    Returns the identical :class:`~repro.engine.search.SearchResult` on
-    every rank.
+    Every rank is handed the whole input, ``db``: an in-memory
+    :class:`~repro.data.database.Database` or a
+    :class:`~repro.data.shards.ShardedDatabase` view, and fits its own
+    block of it, ``db.block(size, rank)`` — a zero-copy slice, or a
+    shard view that maps only the shards overlapping the block, so no
+    rank reads another rank's rows and a streamed search keeps O(chunk)
+    peak heap (it needs a streamable ``init_method``).  Returns the
+    identical :class:`~repro.engine.search.SearchResult` on every rank.
+    ``spec`` defaults to the model derived from ``db``'s summary.
 
-    ``checkpointer`` (a :class:`repro.ckpt.Checkpointer`) follows the
-    **rank-0-of-the-group writes / all-ranks-restore** protocol: the
-    search state at a cut point is identical on every rank of the
-    communicator the search runs on (that is what the two Allreduces
-    guarantee), so its rank 0 persists one copy and every rank restores
-    from the same files — after which the replicated control flow
-    proceeds in lockstep exactly as if the run had never stopped.  The
-    checkpoint state is *global*, so a search checkpointed on P ranks
-    may resume on a different world size and under any ``try_groups``.
+    ``ckpt`` — a picklable :class:`repro.ckpt.CheckpointSpec` — makes
+    the search durable under the **rank-0-of-the-group writes /
+    all-ranks-restore** protocol: the search state at a cut point is
+    identical on every rank of the communicator the search runs on
+    (that is what the two Allreduces guarantee), so its rank 0 persists
+    one copy and every rank restores from the same files — after which
+    the replicated control flow proceeds in lockstep exactly as if the
+    run had never stopped.  The checkpoint state is *global*, so a
+    search checkpointed on P ranks may resume on a different world size
+    and under any ``try_groups``.
 
     ``try_groups`` — resolved by :func:`resolve_try_groups`, the
     decomposition rule when ``None`` or ``"auto"`` — above 1 switches
@@ -181,61 +193,45 @@ def run_parallel_search(
     contiguous sub-communicator groups (:func:`group_color`); each runs
     the one BIG_LOOP over its longest-first share of the tries
     (:func:`pack_tries` — a pure function of the config, so every rank
-    computes the same owners), data-parallel over its own
-    ``full_db.block`` (a slice, or a shard view).  Per-try RNG children
-    are index-keyed and the reduction schedule is the group's, so a
-    grouped try is *bitwise identical* to the same try on a same-size
-    world.  The merge is deterministic whatever the groups' relative
-    speeds: group leaders exchange their tries over an ``allgather`` on
-    a leader sub-communicator and broadcast them within their groups;
-    the loop then assigns duplicate links canonically.  Requires
-    ``full_db`` (each group re-partitions the input over its own size),
-    in memory or a shard view.  G = 1 is the paper's row split over the
-    whole world: no split, no merge.  An instrumented run records the
-    chosen G and the rule's makespans of G = 1 and of the chosen G
-    (cells per cycle) as counters, and a grouped one each rank's group
-    and group size.
+    computes the same owners), data-parallel over its own block of
+    ``db``.  Per-try RNG children are index-keyed and the reduction
+    schedule is the group's, so a grouped try is *bitwise identical* to
+    the same try on a same-size world.  The merge is deterministic
+    whatever the groups' relative speeds: group leaders exchange their
+    tries over an ``allgather`` on a leader sub-communicator and
+    broadcast them within their groups; the loop then assigns duplicate
+    links canonically.  G = 1 is the paper's row split over the whole
+    world: no split, no merge.  An instrumented run records the chosen
+    G and the rule's makespans of G = 1 and of the chosen G (cells per
+    cycle) as counters, and a grouped one each rank's group and group
+    size.
     """
-    streamed = is_streamable(local_db)
-    config = search_config_for(config, seedable=not streamed)
+    config = search_config_for(config, seedable=not is_streamable(db))
     if config.max_seconds is not None:
         raise ValueError(
             "max_seconds is a wall-clock budget and would desynchronize "
             "the replicated control flow; parallel searches use "
             "max_n_tries instead"
         )
-    n_groups = resolve_try_groups(
-        try_groups, comm.size, config, n_total_items
-    )
+    if spec is None:
+        spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
+    n_groups = resolve_try_groups(try_groups, comm.size, config, db.n_items)
     rec = obs.current()
     if rec.enabled:
         rec.count("try_groups", n_groups)
         for name, g in (("g1", 1), ("chosen", n_groups)):
             rec.count(
                 f"try_groups.makespan_{name}_cells",
-                predicted_makespan(config, n_total_items, comm.size, g),
+                predicted_makespan(config, db.n_items, comm.size, g),
             )
+    checkpointer = None if ckpt is None else ckpt.build(comm.rank)
     group, tries, merge = comm, None, None
-    if n_groups == 1:
-        if config.init_method == "seeded" and full_db is None and not streamed:
-            raise ValueError(
-                "seeded initialization needs the full database on every "
-                "rank; use run_pautoclass (replicated input) or another "
-                "init_method"
-            )
-    elif full_db is None:
-        raise ValueError(
-            "try-parallel search (try_groups > 1) needs the full "
-            "database on every rank; use run_pautoclass "
-            "(replicated input)"
-        )
-    else:
+    if n_groups > 1:
         color = group_color(comm.size, n_groups, comm.rank)
         group = comm.split(color, key=comm.rank)
         leaders = comm.split(0 if group.rank == 0 else None, key=comm.rank)
-        local_db = full_db.block(group.size, group.rank)
         owner, _span = pack_tries(
-            config, n_total_items, group_sizes(comm.size, n_groups)
+            config, db.n_items, group_sizes(comm.size, n_groups)
         )
         tries = [k for k, g in enumerate(owner) if g == color]
         if checkpointer is not None:
@@ -256,8 +252,7 @@ def run_parallel_search(
                 return group.bcast(merged, root=0)
 
     return run_search(
-        local_db, config, spec, checkpointer, kernels=kernels,
+        db.block(group.size, group.rank), config, spec, checkpointer,
         make_reducer=lambda n_classes: reducer_for(group, n_classes, spec),
-        n_total_items=n_total_items, full_db=full_db, tries=tries,
-        merge=merge,
+        n_total_items=db.n_items, full_db=db, tries=tries, merge=merge,
     )

@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         print(result.render())
     n_cells = sum(r.n_cells for r in results)
     print(
-        f"conformance: {n_cells} cells (world x size x kernels, plus the "
+        f"conformance: {n_cells} cells (world x size, plus the "
         f"kernel axis) over {len(results)} case(s) in "
         f"{time.perf_counter() - started:.1f}s -> "
         f"{'OK' if ok else 'FAILED'}"

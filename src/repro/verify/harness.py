@@ -1,12 +1,13 @@
 """The differential conformance harness and the golden corpus.
 
 ``run_case_matrix`` fits one corpus case across the full
-{worlds} x {world sizes} x {kernels} matrix and
-compares every cell against the sequential reference under the
-tolerance the metadata resolves — bitwise wherever the operation
-sequence is fixed, reduction-order / kernel bounds where it provably
-is not.  This is the machine-checkable form of the paper's claim that
-P-AutoClass computes *the same classification* as AutoClass.
+{worlds} x {world sizes} matrix on the fused kernels — the only path
+a world runs — and compares every cell against the sequential fused
+reference, and that reference against the sequential reference-kernel
+oracle, under the tolerance the metadata resolves — bitwise wherever
+the operation sequence is fixed, reduction-order / kernel bounds where
+it provably is not.  This is the machine-checkable form of the paper's
+claim that P-AutoClass computes *the same classification* as AutoClass.
 
 The **golden corpus** pins the sequential references themselves: for
 each (case, kernels) pair a committed JSON trace + sha256 digest under
@@ -31,7 +32,7 @@ from repro.verify.trace import RunTrace, capture_trace
 #: Directory holding the committed golden traces.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: Kernel paths exercised by the matrix.
+#: Kernel paths of the sequential references (and golden traces).
 KERNEL_MODES = ("fused", "reference")
 
 
@@ -157,10 +158,10 @@ def run_case_matrix(
 ) -> MatrixResult:
     """Fit the whole matrix for one case and compare every cell.
 
-    Every cell is compared against the sequential reference *of its own
-    kernel mode* (isolating the parallelism axis) and, additionally,
-    the fused reference is compared against the reference-kernel
-    reference (isolating the kernel axis).  With ``check_golden`` the
+    Every world cell runs the fused kernels and is compared against
+    the sequential fused reference (isolating the parallelism axis);
+    that reference is compared against the sequential reference-kernel
+    oracle (isolating the kernel axis).  With ``check_golden`` both
     sequential references are also checked against the committed
     digests.
     """
@@ -183,13 +184,11 @@ def run_case_matrix(
     worlds = case.quick_worlds if quick else case.worlds
     for world, sizes in worlds:
         for size in sizes:
-            for kernels in KERNEL_MODES:
-                say(f"[{case.name}] {world} P={size} kernels={kernels}")
-                trace = capture_trace(
-                    db, case.config, world=world, size=size,
-                    kernels=kernels, case=case.name,
-                )
-                out.reports.append(compare_traces(refs[kernels], trace))
+            say(f"[{case.name}] {world} P={size}")
+            trace = capture_trace(
+                db, case.config, world=world, size=size, case=case.name,
+            )
+            out.reports.append(compare_traces(refs["fused"], trace))
     return out
 
 

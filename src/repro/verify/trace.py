@@ -234,7 +234,9 @@ def capture_trace(
 
     The fit is one :class:`~repro.api.FitJob` handed straight to the
     world's backend runner — the one place a job runs on the
-    ``"reference"`` kernels, which the estimators never select.
+    ``"reference"`` kernels, which the estimators never select; only
+    the ``"sequential"`` world accepts them (the oracle), a parallel
+    world refuses them.
 
     ``db`` is a database or a shard view; the fit and the class map
     both read it the same way (a view streams).

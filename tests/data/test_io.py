@@ -228,55 +228,3 @@ class TestSaveLoad:
         sdb = ShardedDatabase.open(tmp_path / "sh")
         with pytest.raises(ShardCorruptionError, match="shard_00000.real.npy"):
             sdb.materialize()
-
-
-class TestPartitionedLoading:
-    def test_count_data_items_skips_comments(self, tmp_path):
-        from repro.data.io import count_data_items
-
-        path = tmp_path / "t.db2"
-        path.write_text(";; header\n1.0 red 0\n\n2.0 blue 1\n")
-        assert count_data_items(path) == 2
-
-    def test_blocks_reassemble_full_database(self, tmp_path):
-        from repro.data.io import load_database_partition
-        from repro.data.partition import block_partition
-
-        db = make_paper_database(103, seed=8)
-        save_database(db, tmp_path / "part")
-        full = load_database(tmp_path / "part")
-        for n_ranks in (1, 3, 5):
-            for rank in range(n_ranks):
-                local, n_total = load_database_partition(
-                    tmp_path / "part", n_ranks, rank
-                )
-                assert n_total == 103
-                expected = block_partition(full, n_ranks, rank)
-                assert local.n_items == expected.n_items
-                np.testing.assert_array_equal(
-                    local.column("x0"), expected.column("x0")
-                )
-
-    def test_streamed_blocks_feed_partitioned_pautoclass(self, tmp_path):
-        """File -> per-rank block -> distributed P-AutoClass == sequential."""
-        from repro.data.io import load_database_partition
-        from repro.engine.search import SearchConfig, run_search
-        from repro.mpc.threadworld import run_spmd_threads
-        from repro.parallel.driver import run_pautoclass_partitioned
-
-        db = make_paper_database(120, seed=9)
-        save_database(db, tmp_path / "dist")
-        cfg = SearchConfig(start_j_list=(2,), max_n_tries=1, seed=3,
-                           max_cycles=10, init_method="sharp")
-        seq = run_search(load_database(tmp_path / "dist"), cfg)
-
-        def prog(comm):
-            local, _n = load_database_partition(
-                tmp_path / "dist", comm.size, comm.rank
-            )
-            return run_pautoclass_partitioned(comm, local, cfg)
-
-        results = run_spmd_threads(prog, 4)
-        assert results[0].best.score == pytest.approx(
-            seq.best.score, rel=1e-9
-        )

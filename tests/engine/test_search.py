@@ -201,7 +201,7 @@ class TestTimeBudget:
     def test_parallel_search_rejects_budget(self):
         from repro.data.synth import make_paper_database
         from repro.mpc.threadworld import run_spmd_threads
-        from repro.parallel.driver import run_pautoclass
+        from repro.parallel import run_pautoclass
 
         db = make_paper_database(100, seed=1)
         cfg = SearchConfig(start_j_list=(2,), max_n_tries=1, max_seconds=5.0)

@@ -8,11 +8,10 @@ parallel result must match a sequential run using the same kernels.
 
 import numpy as np
 
-from repro.data.partition import block_partition
-from repro.data.synth import make_mixed_database, make_paper_database
+from repro.data.synth import make_paper_database
 from repro.engine.search import SearchConfig, run_search
 from repro.mpc.threadworld import run_spmd_threads
-from repro.parallel.driver import run_pautoclass, run_pautoclass_partitioned
+from repro.parallel import run_pautoclass
 
 CFG = SearchConfig(start_j_list=(2, 3), max_n_tries=2, seed=5, max_cycles=30)
 
@@ -24,9 +23,7 @@ def _scores(result):
 class TestFusedParallelDriver:
     def test_all_ranks_identical_classifications(self):
         db = make_paper_database(400, seed=21)
-        results = run_spmd_threads(
-            run_pautoclass, 4, db, CFG, kernels="fused"
-        )
+        results = run_spmd_threads(run_pautoclass, 4, db, CFG)
         base = results[0]
         for other in results[1:]:
             assert _scores(other) == _scores(base)
@@ -43,9 +40,7 @@ class TestFusedParallelDriver:
     def test_parallel_fused_matches_sequential_fused(self):
         db = make_paper_database(400, seed=21)
         seq = run_search(db, CFG, kernels="fused")
-        results = run_spmd_threads(
-            run_pautoclass, 3, db, CFG, kernels="fused"
-        )
+        results = run_spmd_threads(run_pautoclass, 3, db, CFG)
         np.testing.assert_allclose(
             _scores(results[0]), _scores(seq), rtol=1e-9
         )
@@ -63,21 +58,3 @@ class TestFusedParallelDriver:
         assert [t.n_cycles for t in fused.tries] == [
             t.n_cycles for t in ref.tries
         ]
-
-    def test_partitioned_driver_fused(self):
-        """Distributed-input mode with missing cells under fused kernels."""
-        db, _ = make_mixed_database(240, missing_rate=0.12, seed=31)
-        cfg = SearchConfig(
-            start_j_list=(3,), max_n_tries=1, seed=2, max_cycles=25,
-            init_method="sharp",
-        )
-        seq = run_search(db, cfg, kernels="fused")
-
-        def prog(comm):
-            local = block_partition(db, comm.size, comm.rank)
-            return run_pautoclass_partitioned(comm, local, cfg, kernels="fused")
-
-        results = run_spmd_threads(prog, 4)
-        np.testing.assert_allclose(
-            _scores(results[0]), _scores(seq), rtol=1e-9
-        )

@@ -10,7 +10,7 @@ covers cross-process record merging.
 import pytest
 
 from repro import PAutoClass, make_paper_database
-from repro.obs.record import COMM_PHASES, validate_jsonl, write_jsonl
+from repro.obs.record import COMM_PHASES, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ class TestProcessesJsonl:
 
     def test_jsonl_round_trip_validates(self, run, tmp_path):
         path = write_jsonl(run.record, tmp_path / "obs.jsonl")
-        back = validate_jsonl(path)
+        back = read_jsonl(path)
         assert back.n_processors == 2
         assert back.clock == "wall"
         assert back.instrument == "full"

@@ -16,7 +16,6 @@ from repro.obs.record import (
     RunRecord,
     SchemaError,
     read_jsonl,
-    validate_jsonl,
     write_jsonl,
 )
 from repro.obs.recorder import (
@@ -271,7 +270,7 @@ class TestRunRecordJsonl:
         assert back.backend == run.backend
         assert back.n_processors == 2
         assert back.ranks == run.ranks
-        assert validate_jsonl(path).instrument == "full"
+        assert read_jsonl(path).instrument == "full"
 
     def test_jsonl_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.jsonl"

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.data.partition import block_partition
-from repro.data.synth import make_mixed_database, make_paper_database
+from repro.data.synth import make_paper_database
 from repro.engine.search import SearchConfig, run_search
 from repro.mpc.threadworld import run_spmd_threads
-from repro.parallel.driver import run_pautoclass, run_pautoclass_partitioned
+from repro.parallel import run_pautoclass
 
 CFG = SearchConfig(start_j_list=(2, 4), max_n_tries=2, seed=5, max_cycles=40)
 
@@ -64,50 +64,6 @@ class TestThreadsEquivalence:
         for pa, pb in zip(best_par.term_params, best_seq.term_params):
             np.testing.assert_allclose(pa.mu, pb.mu, rtol=1e-8)  # type: ignore[attr-defined]
             np.testing.assert_allclose(pa.sigma, pb.sigma, rtol=1e-8)  # type: ignore[attr-defined]
-
-
-class TestPartitionedEquivalence:
-    def test_partitioned_matches_sequential(self, db, sequential):
-        """Distributed-input mode (sharp init required) matches a
-        sequential run with the same init."""
-        cfg = SearchConfig(
-            start_j_list=(2, 4), max_n_tries=2, seed=5, max_cycles=40,
-            init_method="sharp",
-        )
-        seq = run_search(db, cfg)
-
-        def prog(comm):
-            local = block_partition(db, comm.size, comm.rank)
-            return run_pautoclass_partitioned(comm, local, cfg)
-
-        results = run_spmd_threads(prog, 4)
-        np.testing.assert_allclose(_scores(results[0]), _scores(seq), rtol=1e-9)
-
-    def test_partitioned_mixed_data_with_missing(self):
-        """Missing values split across partitions still reduce exactly."""
-        db, _ = make_mixed_database(300, missing_rate=0.15, seed=9)
-        cfg = SearchConfig(
-            start_j_list=(3,), max_n_tries=1, seed=2, max_cycles=30,
-            init_method="sharp",
-        )
-        seq = run_search(db, cfg)
-
-        def prog(comm):
-            local = block_partition(db, comm.size, comm.rank)
-            return run_pautoclass_partitioned(comm, local, cfg)
-
-        results = run_spmd_threads(prog, 5)
-        np.testing.assert_allclose(_scores(results[0]), _scores(seq), rtol=1e-9)
-
-    def test_seeded_init_rejected_without_full_db(self, db):
-        cfg = SearchConfig(start_j_list=(2,), max_n_tries=1, init_method="seeded")
-
-        def prog(comm):
-            local = block_partition(db, comm.size, comm.rank)
-            return run_pautoclass_partitioned(comm, local, cfg)
-
-        with pytest.raises(RuntimeError, match="seeded"):
-            run_spmd_threads(prog, 2)
 
 
 class TestDegenerateWorlds:

@@ -21,7 +21,7 @@ import repro
 from repro.api import PAutoClass
 from repro.engine.search import SearchConfig, assign_duplicates, run_search
 from repro.mpc.threadworld import run_spmd_threads
-from repro.parallel.driver import run_pautoclass
+from repro.parallel import run_pautoclass
 from repro.parallel.psearch import (
     group_color,
     predicted_makespan,

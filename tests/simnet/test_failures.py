@@ -86,7 +86,7 @@ class TestSimWorldFailures:
         """A genuine engine validation error inside an SPMD program
         surfaces with its message intact."""
         from repro.data.synth import make_mixed_database
-        from repro.parallel.driver import run_pautoclass
+        from repro.parallel import run_pautoclass
         from repro.engine.search import SearchConfig
         from repro.models.registry import ModelSpec
         from repro.models.summary import DataSummary

@@ -416,6 +416,22 @@ class TestOneKernelPathOneInputPath:
         with pytest.raises(ValueError, match="kernels"):
             capture_trace(db, config, kernels="simd")
 
+    @pytest.mark.parametrize("world", ALL_BACKENDS[1:])
+    def test_spmd_backends_refuse_reference_kernels(self, db, world):
+        """The reference kernels are the sequential oracle only: a
+        parallel world refuses a job on them before launching a rank."""
+        from repro.api import FitJob
+        from repro.models.registry import ModelSpec
+        from repro.models.summary import DataSummary
+
+        job = FitJob(
+            n_processors=1, config=SearchConfig(start_j_list=(2,)),
+            options=FitConfig(), kernels="reference",
+        )
+        spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
+        with pytest.raises(ValueError, match="kernels"):
+            BACKENDS[world](job, db, spec)
+
 
 class TestUnifiedInference:
     def test_same_api_on_model_run_and_artifact(self, db, fitted):

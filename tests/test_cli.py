@@ -311,9 +311,9 @@ class TestInstrumentFlag:
              "--instrument", "full", "--obs-out", str(path)]
         )
         assert code == 0
-        from repro.obs.record import validate_jsonl
+        from repro.obs.record import read_jsonl
 
-        record = validate_jsonl(path)
+        record = read_jsonl(path)
         assert record.n_processors == 2
         assert record.clock == "virtual"
 

@@ -53,6 +53,13 @@ def test_the_engine_knows_no_world():
     assert importers("repro.mpc", among="repro/engine/") == []
 
 
+def test_observability_knows_no_world():
+    """``repro.obs`` records any program on any world: it names neither
+    the parallel program nor the message-passing layer."""
+    assert importers("repro.parallel", among="repro/obs/") == []
+    assert importers("repro.mpc", among="repro/obs/") == []
+
+
 def test_spmd_worlds_are_launched_from_one_place():
     """Above the message-passing layer, only ``run_world`` names a
     world's entry point."""
