@@ -173,8 +173,9 @@ class Database:
         return Database(self.schema, cols, miss)
 
     def iter_chunks(self) -> Iterator["Database"]:
-        """The database itself, as one chunk: scoring pays its per-class
-        passes once per chunk, so tiles made ``predict`` slower (docs/data.md)."""
+        """The database itself, as one chunk: the log-posterior pass pays
+        its per-class passes once per chunk, so tiles made it slower
+        (docs/data.md); ``predict`` cuts its own row blocks."""
         return iter((self,))
 
     def block(self, n_ranks: int, rank: int) -> "Database":

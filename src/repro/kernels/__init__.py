@@ -13,7 +13,8 @@ Allreduce cut points:
 * :mod:`~repro.kernels.workspace` — per-thread :class:`Workspace`
   buffer pool keyed by ``(n_items, n_classes)``;
 * :mod:`~repro.kernels.estep` — the log-joint GEMM plus the fused
-  normalize-and-payload pass;
+  normalize-and-payload pass, and the scoring kernels (log posterior,
+  blocked hard labels);
 * :mod:`~repro.kernels.mstep` — the packed-statistics GEMM;
 * :mod:`~repro.kernels.config` — the ``"fused"``/``"reference"`` switch
   (the reference path is ``repro.verify``'s differential oracle).

@@ -17,6 +17,11 @@ Every pass works on the workspace's **class-major** storage (a C-order
 is J elementwise passes over contiguous item rows, never numpy's
 per-row inner loop over J elements.
 
+Scoring adds :func:`fused_log_posterior`, the same normalization kept in
+log space, and :func:`log_joint_labels`, hard labels from a blocked,
+row-major GEMM and row argmax over the log joint; it never normalizes
+and draws no workspace.
+
 The ``w log w`` sum uses the identity (per item, with ``s = l - max``
 and ``u = exp(s)``, ``z = Σu``)::
 
@@ -58,6 +63,12 @@ if TYPE_CHECKING:  # the kernel layer sits *below* the engine; no runtime
 N_EXTRA_SLOTS = 2
 
 _coef = threading.local()  # last (clf, coefficients): built once per cycle
+
+#: Rows per block of :func:`log_joint_labels`.  A divisor of
+#: ``repro.data.shards.TILE_ITEMS``, so blocks of an in-memory database
+#: and of tile-aligned shards coincide; 1 024 measured fastest
+#: (docs/data.md).
+LABEL_BLOCK = 1024
 
 
 def fused_compute_log_joint(
@@ -180,28 +191,38 @@ def fused_log_posterior(
     return lj, evidence
 
 
-def fused_labels(ws: Workspace) -> np.ndarray:
-    """Hard labels from a :func:`fused_log_posterior` buffer, ``(n,)`` int64.
+def log_joint_labels(db: Database, clf: Classification) -> np.ndarray:
+    """Hard labels for ``db``: each item's first maximal log-joint class.
 
-    The first class attaining each item's maximum — what
-    ``np.argmax(log_post, axis=1)`` returns — found with one running
-    max over the class rows instead of numpy's per-item argmax, which
-    on the class-major buffer would first transpose it.  The posterior
-    is finite everywhere (non-finite rows were pinned to uniform), so a
-    strict ``>`` is the whole tie rule.
+    ``log p(j | x) = log p(j, x) - log Z(x)`` and ``log Z(x)`` is the
+    same for every class of an item, so the argmax needs no
+    normalization.  The chunk's cached design is cut into
+    ``LABEL_BLOCK``-row blocks; each is one row-major GEMM into a reused
+    ``(LABEL_BLOCK, J)`` buffer, plus ``log pi`` and a row argmax.  An
+    item whose largest log joint is not finite (every class ``-inf``,
+    any NaN, or ``+inf``) gets class 0, the argmax of the uniform
+    posterior :func:`fused_log_posterior` pins such rows to.
     """
-    lp = ws.log_joint.T
-    n_classes, n = lp.shape
-    labels = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return labels
-    best = ws.row_a
-    np.copyto(best, lp[0])
-    higher = np.empty(n, dtype=bool)
-    for j in range(1, n_classes):
-        np.greater(lp[j], best, out=higher)
-        np.copyto(labels, j, where=higher)
-        np.maximum(best, lp[j], out=best)
+    plan = get_plan(db, clf.spec)
+    last = getattr(_coef, "last", (None, None))
+    if last[0] is not clf:
+        last = _coef.last = (clf, plan.coefficients(clf.term_params, clf.n_classes))
+    design, coef = plan.design, last[1]
+    n = design.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    buf = np.empty((min(n, LABEL_BLOCK), clf.n_classes), dtype=np.float64)
+    # log pi repeated per row: one flat add per block instead of a
+    # broadcast with a J-element inner loop.
+    log_pi = np.broadcast_to(clf.log_pi, buf.shape).copy()
+    rows = np.arange(buf.shape[0])
+    for lo in range(0, n, LABEL_BLOCK):
+        hi = min(lo + LABEL_BLOCK, n)
+        block = np.matmul(design[lo:hi], coef, out=buf[: hi - lo])
+        block += log_pi[: hi - lo]
+        best = np.argmax(block, axis=1, out=labels[lo:hi])
+        finite = np.isfinite(block[rows[: hi - lo], best])
+        if not finite.all():
+            best[~finite] = 0
     return labels
 
 

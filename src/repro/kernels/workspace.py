@@ -5,7 +5,8 @@ one equally sized scratch buffer and three ``(n_items,)`` row vectors.
 Instead of fresh per-cycle temporaries they are allocated once per
 ``(n_items, n_classes)`` shape and reused across every cycle of every
 BIG_LOOP try.  A fit's shapes are tile- or chunk-sized (the cycle cuts
-every block; :mod:`repro.data.shards`); scoring still passes whole ones.
+every block; :mod:`repro.data.shards`); the log-posterior scorers pass
+whole in-memory blocks, and ``predict`` draws no workspace at all.
 
 The pool is **thread-local** because P-AutoClass runs SPMD ranks as
 threads (:mod:`repro.mpc.threadworld`, :mod:`repro.simnet.simworld`):

@@ -6,9 +6,10 @@ the paper's training machinery:
 * :mod:`repro.serve.artifact` — the versioned, frozen, sha256-digested
   :class:`FittedModel` (JSON + npz save/load; carries spec, class
   params, mixture weights and the prior anchors);
-* :mod:`repro.serve.scoring`  — allocation-free batch ``predict`` /
-  ``predict_logproba`` / ``score`` kernels over the
-  :mod:`repro.kernels` plan/workspace machinery;
+* :mod:`repro.serve.scoring`  — batch ``predict`` (a blocked GEMM and
+  argmax over the log joint) and ``predict_logproba`` / ``score``
+  (allocation-free, over the :mod:`repro.kernels` plan/workspace
+  machinery);
 * :mod:`repro.serve.scorer`   — the micro-batching in-process
   :class:`Scorer` (bounded queue, dynamic batching on one worker
   thread, backpressure, per-request deadlines);

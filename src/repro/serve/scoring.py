@@ -1,9 +1,19 @@
-"""Allocation-free batch scoring of new items against a fitted mixture.
+"""Batch scoring of new items against a fitted mixture.
 
-The inference-side twin of the training E-step: one fused GEMM fills
-the pooled log-joint buffer (:mod:`repro.kernels`), one in-place pass
-normalizes it in log space (:func:`repro.kernels.estep.
-fused_log_posterior`), and only the requested outputs are copied out.
+Two kernels serve every entry point (:mod:`repro.kernels.estep`), one
+chunk of ``db.iter_chunks()`` at a time:
+
+* hard labels come from :func:`~repro.kernels.estep.log_joint_labels`,
+  a blocked GEMM plus a row argmax over the log joint that needs no
+  normalization and no pooled ``(n, J)`` buffer — :func:`predict` is
+  this kernel alone;
+* the log posterior and log evidence are the inference-side twin of
+  the training E-step: one GEMM fills the pooled log-joint buffer and
+  one in-place pass normalizes it in log space
+  (:func:`~repro.kernels.estep.fused_log_posterior`), and only the
+  requested outputs are copied out.
+
+The label rule is the first maximal class of the log joint, everywhere.
 Scoring the training database reproduces the run's final class map;
 the tests check that against the reference E-step in
 :func:`repro.engine.report.membership`.
@@ -24,8 +34,8 @@ import numpy as np
 from repro.data.database import Database
 from repro.kernels.estep import (
     fused_compute_log_joint,
-    fused_labels,
     fused_log_posterior,
+    log_joint_labels,
 )
 from repro.kernels.workspace import get_workspace
 from repro.obs import recorder as obs
@@ -69,28 +79,37 @@ def check_schema(db: Database, clf: "Classification") -> None:
         )
 
 
-def _posteriors(db: Database, clf: "Classification"):
-    """Score ``db`` chunk by chunk into this thread's pooled workspace.
+def _chunks(db: Database, clf: "Classification"):
+    """Yield ``db``'s chunks in row order, each counted and priced.
 
-    Yields ``(ws, log_evidence)`` per chunk, in row order, with the
-    workspace's log-joint buffer holding the log posterior (see
-    :func:`fused_log_posterior`); each pair is valid only until the next
-    is drawn.  An in-memory database is one chunk, a shard view streams.
+    An in-memory database is one chunk, a shard view streams.
     """
     check_schema(db, clf)
-    j = clf.n_classes
     rec = obs.current()
     for chunk in db.iter_chunks():
         n = chunk.n_items
         # Price scoring like an E-step on the counted-work model (so the
         # virtual CS-2 charges sharded bulk scoring realistically).
-        workhooks.report("wts", n, j, clf.spec.n_stats)
+        workhooks.report("wts", n, clf.n_classes, clf.spec.n_stats)
         rec.count("serve.batches")
         rec.count("serve.items", n)
-        ws = get_workspace(n, j)
+        yield chunk
+
+
+def _posteriors(db: Database, clf: "Classification"):
+    """Score ``db`` chunk by chunk into this thread's pooled workspace.
+
+    Yields ``(chunk, ws, log_evidence)`` per chunk, in row order, with
+    the workspace's log-joint buffer holding the log posterior (see
+    :func:`fused_log_posterior`); each triple is valid only until the
+    next is drawn.
+    """
+    j = clf.n_classes
+    for chunk in _chunks(db, clf):
+        ws = get_workspace(chunk.n_items, j)
         fused_compute_log_joint(chunk, clf, ws.log_joint)
         _log_post, log_evidence = fused_log_posterior(ws, j)
-        yield ws, log_evidence
+        yield chunk, ws, log_evidence
 
 
 def score_batch(db: Database, clf: "Classification") -> BatchScores:
@@ -102,11 +121,12 @@ def score_batch(db: Database, clf: "Classification") -> BatchScores:
     :class:`~repro.data.shards.ShardedDatabase` view therefore needs
     O(chunk) scratch, but the outputs are O(n_items) by contract; use
     :func:`predict` / :func:`score_samples` / :func:`score` to avoid
-    holding the ``(n_items, n_classes)`` log posterior.
+    holding the ``(n_items, n_classes)`` log posterior.  The labels are
+    :func:`predict`'s, from the same label kernel.
     """
     labels, log_proba, log_evidence = [], [], []
-    for ws, le in _posteriors(db, clf):
-        labels.append(fused_labels(ws))
+    for chunk, ws, le in _posteriors(db, clf):
+        labels.append(log_joint_labels(chunk, clf))
         log_proba.append(ws.log_joint.copy())
         log_evidence.append(le.copy())
     return BatchScores(
@@ -126,9 +146,11 @@ def _concat(parts: list[np.ndarray], empty_shape, dtype) -> np.ndarray:
 def predict(db: Database, clf: "Classification") -> np.ndarray:
     """Hard class assignment per item, ``(n_items,)`` int64.
 
-    Holds one chunk's ``(chunk, n_classes)`` posterior at a time.
+    Each item's first maximal class of the log joint
+    (:func:`~repro.kernels.estep.log_joint_labels`): no posterior, no
+    pooled workspace, only ``(LABEL_BLOCK, n_classes)`` scratch per chunk.
     """
-    out = [fused_labels(ws) for ws, _ in _posteriors(db, clf)]
+    out = [log_joint_labels(chunk, clf) for chunk in _chunks(db, clf)]
     return _concat(out, (0,), np.int64)
 
 
@@ -146,7 +168,7 @@ def predict_proba(db: Database, clf: "Classification") -> np.ndarray:
 
 def score_samples(db: Database, clf: "Classification") -> np.ndarray:
     """Per-item log evidence ``log p(x_i)``, ``(n_items,)``."""
-    out = [le.copy() for _, le in _posteriors(db, clf)]
+    out = [le.copy() for _, _, le in _posteriors(db, clf)]
     return _concat(out, (0,), np.float64)
 
 
@@ -160,7 +182,7 @@ def score(db: Database, clf: "Classification") -> float:
     if db.n_items == 0:
         raise ValueError("cannot score an empty database")
     total = 0.0
-    for _, le in _posteriors(db, clf):
+    for _, _, le in _posteriors(db, clf):
         total += float(le.sum())
     return total / db.n_items
 

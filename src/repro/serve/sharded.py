@@ -3,19 +3,21 @@
 Huge offline batches get the same treatment the paper gives training
 data: block-partition the items over the ranks
 (:meth:`repro.data.database.Database.block` — identical bounds to the
-training-time partition), score each block with the allocation-free
-kernel path, and allgather the per-block outputs so every rank holds
-the full result.  There is no reduction — scoring is embarrassingly
-parallel — so the only collective is the final label allgather, and
-the sharded result is *identical* to the unsharded one (a tested
-invariant on all four worlds).
+training-time partition), score each block with the scoring kernels,
+and allgather the per-block outputs so every rank holds the full
+result.  There is no reduction — scoring is embarrassingly parallel —
+so the only collective is the final allgather, and the sharded result
+is *identical* to the unsharded one (a tested invariant on all four
+worlds).  :func:`sharded_predict` runs :func:`~repro.serve.scoring.
+predict` on each block and allgathers the int64 labels alone;
+:func:`sharded_score_batch` allgathers all three outputs.
 
-The SPMD body :func:`sharded_score_rank` is a plain module-level
-function (the processes world pickles it into forked workers); the
-:func:`sharded_predict` / :func:`sharded_score_batch` drivers run it on
-``"serial"``, ``"threads"``, ``"processes"`` or ``"sim"`` (the virtual
-CS-2, which also prices what a scoring fleet would cost on the paper's
-hardware).
+The SPMD bodies :func:`sharded_predict_rank` and
+:func:`sharded_score_rank` are plain module-level functions (the
+processes world pickles them into forked workers); the drivers run them
+on ``"serial"``, ``"threads"``, ``"processes"`` or ``"sim"`` (the
+virtual CS-2, which also prices what a scoring fleet would cost on the
+paper's hardware).
 """
 
 from __future__ import annotations
@@ -25,11 +27,17 @@ import numpy as np
 from repro.data.database import Database
 from repro.mpc.api import CollectiveConfig
 from repro.serve.artifact import FittedModel
-from repro.serve.scoring import BatchScores, score_batch
+from repro.serve.scoring import BatchScores, predict, score_batch
 from repro.worlds import WORLDS, run_world
 
 #: Worlds :func:`sharded_predict` accepts.
 SHARD_BACKENDS = WORLDS
+
+
+def sharded_predict_rank(comm, model: FittedModel, db: Database) -> np.ndarray:
+    """SPMD body: label my block, allgather, return the *full* labels."""
+    local = db.block(comm.size, comm.rank)
+    return np.concatenate(comm.allgather(predict(local, model.classification)))
 
 
 def sharded_score_rank(
@@ -38,7 +46,8 @@ def sharded_score_rank(
     """SPMD body: score my block, allgather, return the *full* scores.
 
     Every rank returns the complete :class:`BatchScores` for ``db`` —
-    the allgather-of-labels protocol, extended to all three outputs.
+    :func:`sharded_predict_rank`'s protocol, extended to all three
+    outputs.
     Blocks may be empty (more ranks than items); concatenation handles
     the zero-row arrays.  ``db.block`` is a zero-copy slice of an
     in-memory database, or a shard-backed view of a
@@ -90,7 +99,8 @@ def sharded_predict(
     transport: str = "pipe",
 ) -> np.ndarray:
     """Hard labels for ``db``, computed data-parallel (see module doc)."""
-    return sharded_score_batch(
-        model, db, backend=backend, n_processors=n_processors,
+    results, _sim_elapsed = run_world(
+        backend, n_processors, sharded_predict_rank, model, db,
         collectives=collectives, transport=transport,
-    ).labels
+    )
+    return results[0]

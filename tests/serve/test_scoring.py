@@ -13,6 +13,9 @@ from repro.data.shards import TILE_ITEMS, ShardedDatabase
 from repro.data.synth import make_paper_database
 from repro.engine.classification import Classification
 from repro.engine.report import membership
+from repro.kernels.estep import LABEL_BLOCK
+from repro.kernels.plan import get_plan
+from repro.kernels.workspace import workspace_stats
 from repro.serve import scoring
 from repro.serve.scoring import (
     concat_databases,
@@ -113,7 +116,13 @@ def _select_classes(clf, idx):
 
 
 class TestLabelPass:
-    """``predict``'s label pass is ``np.argmax`` of the log posterior."""
+    """``predict``'s label pass is ``np.argmax`` of the log posterior.
+
+    ``predict`` takes the argmax of the log joint, which the posterior
+    shifts by ``log Z`` per item.  The two can differ only where the
+    normalization's rounding ties two classes, at a log-joint gap below
+    one ulp of ``log Z``; no case here comes near that.
+    """
 
     @staticmethod
     def check(db, clf):
@@ -152,6 +161,53 @@ class TestLabelPass:
         labels = predict(db, clf)
         assert labels[3] == labels[7] == 0
         self.check(db, clf)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_rows_take_class_zero(self, train_db, clf):
+        cols = [c.copy() for c in train_db.columns]
+        cols[0][[4, 9]] = np.inf  # a*x^2 + b*x is -inf + inf
+        db = Database.from_columns(train_db.schema, cols)
+        plan = get_plan(db, clf.spec)
+        log_joint = plan.design @ plan.coefficients(
+            clf.term_params, clf.n_classes
+        )
+        assert np.isnan(log_joint[[4, 9]]).any(axis=1).all()
+        labels = predict(db, clf)
+        assert labels[4] == labels[9] == 0
+        self.check(db, clf)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_plus_inf_rows_take_class_zero(self, train_db, clf):
+        inf = dataclasses.replace(clf, log_pi=clf.log_pi.copy())
+        inf.log_pi[-1] = np.inf  # every row's largest log joint is +inf
+        labels = predict(train_db, inf)
+        assert not labels.any()
+        self.check(train_db, inf)
+
+    def test_minus_inf_class_never_wins(self, train_db, clf):
+        gone = dataclasses.replace(clf, log_pi=clf.log_pi.copy())
+        gone.log_pi[0] = -np.inf
+        labels = predict(train_db, gone)
+        assert (labels != 0).all()
+        self.check(train_db, gone)
+
+    @pytest.mark.parametrize(
+        "n", [0, LABEL_BLOCK - 1, LABEL_BLOCK, LABEL_BLOCK + 1,
+              2 * LABEL_BLOCK + 1],
+    )
+    def test_block_edges(self, clf, n):
+        db = make_paper_database(2 * LABEL_BLOCK + 1, seed=5)
+        self.check(db.take(slice(0, n)), clf)
+
+    def test_sharded_chunks_off_the_block_grid(self, clf, tmp_path):
+        db = make_paper_database(3 * LABEL_BLOCK + 17, seed=5)
+        sdb = ShardedDatabase.from_database(
+            db, tmp_path / "s", shard_items=2 * LABEL_BLOCK,
+            chunk_items=LABEL_BLOCK + 300,
+        )
+        assert sdb.chunk_items % LABEL_BLOCK
+        self.check(sdb, clf)
+        np.testing.assert_array_equal(predict(sdb, clf), predict(db, clf))
 
 
 class TestConcatDatabases:
@@ -216,7 +272,9 @@ class TestFourWorldsDifferential:
 class TestScoringPasses:
     """In-memory scoring is one kernel pass over the whole block; a shard
     view is one pass per chunk.  Tiling an in-memory block measured
-    1.04-1.27x slower (docs/data.md), so a re-tiled scorer fails here."""
+    1.04-1.27x slower (docs/data.md), so a re-tiled scorer fails here.
+    ``predict`` makes no posterior pass at all: its labels come from the
+    log joint, a row block at a time."""
 
     @pytest.fixture(scope="class")
     def pair(self, tmp_path_factory):
@@ -239,7 +297,7 @@ class TestScoringPasses:
         monkeypatch.setattr(scoring, "fused_log_posterior", counting)
         return calls
 
-    @pytest.mark.parametrize("fn", [predict, score_batch, score])
+    @pytest.mark.parametrize("fn", [score_batch, score])
     def test_one_pass_per_chunk(self, pair, clf, passes, fn):
         db, sdb = pair
         fn(db, clf)
@@ -248,3 +306,10 @@ class TestScoringPasses:
         fn(sdb, clf)
         assert len(passes) == len(list(sdb.iter_chunks())) == 15
 
+    def test_predict_draws_no_posterior_or_workspace(self, pair, clf, passes):
+        stats = workspace_stats()
+        for db in pair:
+            before = (stats.hits, stats.misses, len(stats.pool))
+            predict(db, clf)
+            assert (stats.hits, stats.misses, len(stats.pool)) == before
+        assert passes == []

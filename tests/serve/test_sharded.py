@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import sharded_predict, sharded_score_batch
+from repro.serve import sharded, sharded_predict, sharded_score_batch
 
 
 class TestShardedEquality:
@@ -25,6 +25,23 @@ class TestShardedEquality:
         assert np.array_equal(
             scores.log_evidence, model.score_samples(train_db)
         )
+
+    @pytest.mark.parametrize(
+        "backend,n_procs",
+        [("serial", 1), ("threads", 3), ("processes", 2), ("sim", 4)],
+    )
+    def test_predict_allgathers_labels_only(
+        self, model, train_db, monkeypatch, backend, n_procs
+    ):
+        def no_posteriors(*_args):
+            raise AssertionError("sharded_predict scored the posterior")
+
+        monkeypatch.setattr(sharded, "score_batch", no_posteriors)
+        labels = sharded_predict(
+            model, train_db, backend=backend, n_processors=n_procs
+        )
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, model.predict(train_db))
 
     def test_more_ranks_than_items(self, model, train_db):
         # 3 items over 8 ranks: most blocks are empty; the allgather

@@ -1,4 +1,5 @@
-"""Bounded memory: a fit's allocation peak is O(chunk x J), not O(N x J).
+"""Bounded memory: a fit's and a predict's allocation peak is O(chunk x J),
+not O(N x J).
 
 Peaks are traced with ``tracemalloc`` (NumPy reports its allocations to
 it).  An in-memory fit runs its chunk loop over ``TILE_ITEMS``-row
@@ -12,6 +13,11 @@ vectors (2.19 units at J = 16); the in-memory pool also holds the
 ragged last tile's shape, and a streamed pass the resident chunks'
 design matrices.  Measured: 3.54 (in memory) and 3.40 (streamed).
 Before tiling, the in-memory excess was 2 x N x J x 8 bytes, 39 units.
+
+``predict`` holds, above the design and the labels it returns, two
+``(LABEL_BLOCK, J)`` buffers (the block and ``log pi`` repeated per
+row); the same 4 units, now of ``LABEL_BLOCK`` rows, bound it.
+Measured: 2.22 units.  Through a pooled ``(N, J)`` posterior it was 172.
 """
 
 import tracemalloc
@@ -19,6 +25,7 @@ import tracemalloc
 from repro import AutoClass
 from repro.data.shards import TILE_ITEMS, ShardedDatabase
 from repro.data.synth import make_paper_database
+from repro.kernels.estep import LABEL_BLOCK
 from repro.kernels.plan import clear_plan_cache, plan_cache_stats
 from repro.kernels.workspace import clear_workspaces
 
@@ -53,6 +60,19 @@ def test_in_memory_peak_above_data_and_design_is_o_tile():
     )
     assert design > 0
     assert peak - design <= UNITS * TILE_ITEMS * N_CLASSES * 8
+
+
+def test_in_memory_predict_peak_above_design_and_labels_is_o_block():
+    db = make_paper_database(N_ITEMS, seed=7)
+    run = AutoClass(**CONFIG).fit(db)  # fitted untraced
+    labels = []
+    peak = _traced_peak(lambda: labels.append(run.predict(db)))
+    design = sum(
+        plan.nbytes for _db, _spec, plan in plan_cache_stats().entries.values()
+    )
+    assert design > 0
+    excess = peak - design - labels[0].nbytes
+    assert excess <= UNITS * LABEL_BLOCK * N_CLASSES * 8
 
 
 def test_streamed_peak_is_o_chunk(tmp_path):
