@@ -3,19 +3,23 @@
 One estimator shell (fit / predict / report) over a registry of
 backends, with two constructors:
 
-* :class:`PAutoClass` — the classification executed on a registered
-  backend: ``"sequential"`` (no world at all), or SPMD on ``"serial"``,
+* :class:`PAutoClass` — the classification executed SPMD on a
+  registered backend: one of the four worlds ``"serial"``,
   ``"threads"``, ``"processes"`` or ``"sim"`` (the virtual-time CS-2 —
   also returns the simulated timing).  Backends live in the
   :data:`BACKENDS` registry and new ones can be added with
   :func:`register_backend`;
 * :class:`AutoClass` — sequential Bayesian classification of a
-  :class:`~repro.data.Database`: the same shell pinned to the
-  ``"sequential"`` backend.
+  :class:`~repro.data.Database`: the same shell on one rank of the
+  ``"serial"`` world, so sequential AutoClass *is* P-AutoClass at
+  P = 1, the run every speedup is a ratio to.
 
 Every backend produces the identical classification (a tested
-invariant) through the one ``fit`` pipeline; the choice is about *how*
-the work runs, which is the paper's whole point.
+invariant) through the one ``fit`` pipeline and the one rank program,
+:func:`~repro.parallel.run_pautoclass`; the choice is about *how* the
+work runs, which is the paper's whole point.  The reference kernels
+are not a backend: :mod:`repro.verify` fits them directly as its
+oracle.
 
 ``fit`` returns a unified :class:`Run` carrying the
 search ``result``, the observability ``record`` (when fitted with
@@ -55,19 +59,14 @@ from repro.data.database import Database
 from repro.data.shards import is_streamable
 from repro.engine.classification import Classification
 from repro.engine.report import classification_report
-from repro.engine.search import (
-    SearchConfig,
-    SearchResult,
-    run_search,
-    search_config_for,
-)
+from repro.engine.search import SearchConfig, SearchResult, search_config_for
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.api import CollectiveConfig
 from repro.mpc.faults import FaultInjector, injecting
 from repro.mpc.procworld import TRANSPORTS
 from repro.obs.record import CommEventRecord, RunRecord
-from repro.obs.recorder import Recorder, check_instrument, recording
+from repro.obs.recorder import check_instrument
 from repro.obs.runtime import build_run_record, run_recorded
 from repro.parallel.psearch import check_try_groups, run_pautoclass
 from repro.serve.scoring import Inference
@@ -194,11 +193,9 @@ class FitConfig:
 
     The constructors and ``fit`` take these as bare keywords and build
     this frozen object from them; a backend reads it from
-    :attr:`FitJob.options`.
-
-    ``try_groups`` / ``collectives`` / ``faults`` / ``transport`` are
-    parallel-only: the ``"sequential"`` backend (hence
-    :class:`AutoClass`) rejects configs that set them.
+    :attr:`FitJob.options`.  Every option applies on every backend,
+    the one-rank ``"serial"`` world of :class:`AutoClass` included;
+    ``transport`` alone names the ``"processes"`` world's wire.
     """
 
     #: Observability level: ``"off"`` | ``"phases"`` | ``"full"``.
@@ -253,10 +250,11 @@ def _verified(
     The shadow is always a *sequential* run over the same seeded
     config and the same ``db`` — a shard view streams again, because an
     in-memory shadow of a streamed fit would differ in summation order
-    and fail the compare.  A parallel primary is shadowed on the fused
-    kernel path it ran on — isolating the parallelism axis (the paper's
-    claim).  A sequential primary is shadowed on the reference kernel
-    path — the only remaining differential axis.  Strict mode raises
+    and fail the compare.  The rank count picks its kernels: a primary
+    on more than one rank is shadowed on the fused kernel path it ran
+    on — isolating the parallelism axis (the paper's claim); a one-rank
+    primary is shadowed on the reference kernel path — the only
+    remaining differential axis.  Strict mode raises
     :class:`repro.verify.ConformanceError` with a first-divergence
     report; trace mode only attaches ``run.conformance``.
     """
@@ -267,12 +265,10 @@ def _verified(
         case="", world=run.backend, size=run.n_processors, kernels="fused",
     )
     primary = RunTrace.from_run(run, db, primary_meta)
-    shadow = capture_trace(
+    shadow = capture_trace(  # the default world: the sequential oracle
         db,
         asdict(config),
-        world="sequential",
-        size=1,
-        kernels="reference" if run.backend == "sequential" else "fused",
+        kernels="reference" if run.n_processors == 1 else "fused",
         instrument="full" if run.instrument == "full" else "off",
         spec=spec,
     )
@@ -293,7 +289,7 @@ class NotFittedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Run(Inference):
-    """Outcome of one ``fit`` on any backend (including sequential).
+    """Outcome of one ``fit`` on any backend.
 
     Carries the classification search :attr:`result`, the run's
     observability :attr:`record` (``None`` unless fitted with
@@ -379,11 +375,6 @@ class FitJob:
     ckpt: CheckpointSpec | None = None
     #: This attempt's fault plan (disarmed on retries).
     faults: FaultInjector | None = None
-    #: E/M kernel path (:mod:`repro.kernels.config`).  Estimator fits
-    #: always run ``"fused"``; :func:`repro.verify.trace.capture_trace`
-    #: builds ``"sequential"`` jobs on ``"reference"`` to fit the
-    #: conformance oracle, and the SPMD backends refuse it.
-    kernels: str = "fused"
 
 
 #: A backend runner executes one fit attempt:
@@ -414,51 +405,6 @@ def register_backend(name: str) -> Callable[[BackendRunner], BackendRunner]:
     return decorate
 
 
-def _assemble_run(
-    job: FitJob,
-    backend: str,
-    pairs: list,
-    *,
-    sim_elapsed: float | None = None,
-    timeline: str | None = None,
-) -> Run:
-    """Merge per-rank ``(result, rank_record)`` pairs into one Run."""
-    instrument = job.options.instrument
-    return Run(
-        result=pairs[0][0],
-        backend=backend,
-        n_processors=job.n_processors,
-        instrument=instrument,
-        record=build_run_record(
-            backend, job.n_processors, instrument,
-            [rec for _result, rec in pairs],
-        ),
-        sim_elapsed=sim_elapsed,
-        timeline=timeline,
-    )
-
-
-@register_backend("sequential")
-def _sequential_backend(job: FitJob, db: Database, spec: ModelSpec) -> Run:
-    """Sequential AutoClass: the BIG_LOOP with no world at all."""
-    if job.n_processors != 1:
-        raise ValueError("sequential backend supports exactly 1 processor")
-    opts = job.options
-    search = functools.partial(
-        run_search, db, job.config, spec,
-        checkpointer=None if job.ckpt is None else job.ckpt.build(0),
-        kernels=job.kernels,
-    )
-    if opts.instrument == "off":
-        pair = search(), None
-    else:
-        rec = Recorder(level=opts.instrument)
-        with recording(rec):
-            result = search()
-        pair = result, rec.to_rank_record()
-    return _assemble_run(job, "sequential", [pair])
-
-
 def _fit_rank(comm, job: FitJob, db: Database, spec: ModelSpec):
     """One rank of an SPMD fit: :func:`~repro.parallel.run_pautoclass`
     over the whole input, under this rank's recorder and fault plan.
@@ -480,20 +426,13 @@ def _spmd_backend(
 ) -> Run:
     """P-AutoClass on one SPMD world, launched by :func:`run_world`.
 
-    Every rank runs :func:`_fit_rank` on the fused kernels; a job on
-    the reference kernels — the sequential oracle — is refused.  On
+    Every rank runs :func:`_fit_rank` on the fused kernels.  On
     ``"processes"`` each forked rank sends its ``(result,
     RankRecord)`` pair back over its result pipe and the parent merges
     the records — cross-process record collection with no shared
     memory.  On ``"sim"`` an ``instrument="full"`` fit also traces the
     virtual-time schedule.
     """
-    if job.kernels != "fused":
-        raise ValueError(
-            f"kernels={job.kernels!r}: the {world!r} backend runs the "
-            "fused kernels only; the reference kernels are the "
-            "sequential oracle (backend 'sequential')"
-        )
     opts = job.options
     tracer = None
     if world == "sim" and opts.instrument == "full":
@@ -510,18 +449,23 @@ def _spmd_backend(
         from repro.simnet.trace import render_timeline
 
         timeline = tracer.summary() + "\n" + render_timeline(tracer)
-    return _assemble_run(
-        job, world, pairs, sim_elapsed=sim_elapsed, timeline=timeline
+    return Run(
+        result=pairs[0][0],
+        backend=world,
+        n_processors=job.n_processors,
+        instrument=opts.instrument,
+        record=build_run_record(
+            world, job.n_processors, opts.instrument,
+            [rec for _result, rec in pairs],
+        ),
+        sim_elapsed=sim_elapsed,
+        timeline=timeline,
     )
 
 
 BACKENDS.update(
     (world, functools.partial(_spmd_backend, world)) for world in WORLDS
 )
-
-
-#: ``FitConfig`` fields that need a world to act on.
-_PARALLEL_ONLY = ("try_groups", "collectives", "faults", "transport")
 
 
 class _Estimator(Inference):
@@ -554,13 +498,6 @@ class _Estimator(Inference):
 
     def _check_options(self, opts: FitConfig) -> None:
         """Options the configured backend cannot honour are an error."""
-        if self.backend == "sequential":
-            bad = [k for k in _PARALLEL_ONLY if getattr(opts, k) is not None]
-            if bad:
-                raise ValueError(
-                    f"option(s) {', '.join(bad)} are parallel-only "
-                    "(use PAutoClass with a parallel backend)"
-                )
         check_try_groups(opts.try_groups, self.n_processors)
         if opts.transport is not None and self.backend != "processes":
             # Only the processes world has a wire to pick.
@@ -599,17 +536,18 @@ class _Estimator(Inference):
         / ``run.retry_log`` and, when instrumented, as a ``restarts``
         counter plus ``"restart"`` comm events on rank 0's record.
 
-        ``faults`` — a :class:`repro.mpc.faults.FaultInjector`,
-        parallel backends only — injects rank failures for testing;
-        injected faults are disarmed on restart (they model transient
-        node losses; a persistent fault would defeat any retry budget).
+        ``faults`` — a :class:`repro.mpc.faults.FaultInjector` —
+        injects rank failures for testing; injected faults are disarmed
+        on restart (they model transient node losses; a persistent
+        fault would defeat any retry budget).
 
         ``verify`` runs a *sequential* shadow fit over the same seeded
         config and compares the two searches under the tolerance the
-        run pair resolves to (:mod:`repro.verify`): a parallel fit is
-        shadowed on the same fused kernel path (bitwise for a 1-rank
-        world, the reduction-order bound otherwise), a sequential fit on
-        the reference kernel path.  ``"trace"`` attaches the report as
+        run pair resolves to (:mod:`repro.verify`).  The rank count
+        picks the shadow's kernels: a fit on more than one rank is
+        shadowed on the same fused kernel path (the reduction-order
+        bound), a one-rank fit — :class:`AutoClass` — on the reference
+        kernel path (the kernel bound).  ``"trace"`` attaches the report as
         ``run.conformance``; ``"strict"`` additionally raises
         :class:`repro.verify.ConformanceError` on any divergence, with
         a first-divergence report (cycle, term, max abs/rel error).
@@ -716,9 +654,10 @@ class AutoClass(_Estimator):
     per-cycle telemetry) to collect an observability record; it is
     available as ``run.record`` and rendered by ``run.report()``.
 
-    This is :class:`PAutoClass` on the ``"sequential"`` backend — the
-    parallel-only options (``try_groups``, ``collectives``, ``faults``,
-    ``transport``) are rejected.
+    This is :class:`PAutoClass` on one rank of the ``"serial"`` world:
+    the same rank program, whose reductions are the identity at P = 1.
+    ``max_seconds`` is honoured at try boundaries, as a one-rank world
+    has no replicated control flow to desynchronize.
     """
 
     def __init__(
@@ -729,7 +668,7 @@ class AutoClass(_Estimator):
         **config,
     ) -> None:
         super().__init__(
-            1, "sequential", spec, FitConfig(instrument=instrument), config
+            1, "serial", spec, FitConfig(instrument=instrument), config
         )
 
 

@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``run`` — classify a ``.hd2``/``.db2`` database (or a synthetic one)
-  on any registered backend (``sequential`` by default), and print the
-  report;
+  on any registered backend (``serial`` — one rank, sequential
+  AutoClass — by default), and print the report;
 * ``predict`` — classify a database with a previously stored fitted
   model artifact or results file (no refitting);
 * ``experiments`` — regenerate the paper's figures/claims;
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-cycles", type=int, default=200)
     p_run.add_argument(
-        "--backend", choices=tuple(BACKENDS), default="sequential"
+        "--backend", choices=tuple(BACKENDS), default="serial"
     )
     p_run.add_argument("--procs", type=int, default=4,
                        help="processors for parallel backends (default 4)")
@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="G|auto",
         help="run BIG_LOOP tries concurrently across G sub-communicator "
              "groups; 1 is the paper's single-level search; default "
-             "('auto'): a work-count rule picks G per fit (parallel backends "
-             "only; see docs/parallel_search.md)",
+             "('auto'): a work-count rule picks G per fit (not on the "
+             "one-rank serial backend; see docs/parallel_search.md)",
     )
     p_run.add_argument(
         "--transport", choices=("shm", "pipe"), default=None,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--model-search", action="store_true",
         help="also search over model forms (independent vs correlated "
-             "real attributes); sequential backend only",
+             "real attributes); serial backend only",
     )
     p_run.add_argument(
         "--save-results", metavar="PATH",
@@ -219,12 +219,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--max-restarts needs --checkpoint-dir")
     if args.transport is not None and args.backend != "processes":
         raise SystemExit("--transport needs --backend processes")
-    sequential = args.backend == "sequential"
-    if args.try_groups is not None and sequential:
-        raise SystemExit("--try-groups needs a parallel --backend")
+    serial = args.backend == "serial"
+    if args.try_groups is not None and serial:
+        raise SystemExit("--try-groups needs a backend other than serial")
     if args.model_search:
-        if not sequential:
-            raise SystemExit("--model-search needs --backend sequential")
+        if not serial:
+            raise SystemExit("--model-search needs --backend serial")
         if args.checkpoint_dir or args.checkpoint != "off":
             raise SystemExit(
                 "--model-search does not support checkpointing yet"
@@ -241,7 +241,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _save(result, db, args.save_results)
         return 0
     est = PAutoClass(
-        n_processors=1 if args.backend in ("sequential", "serial") else args.procs,
+        n_processors=1 if serial else args.procs,
         backend=args.backend, instrument=instrument,
         try_groups=args.try_groups, transport=args.transport,
         **config,

@@ -180,8 +180,12 @@ class Database:
 
     def block(self, n_ranks: int, rank: int) -> "Database":
         """The rows ``rank`` owns under
-        :func:`~repro.data.partition.partition_bounds` (a zero-copy slice)."""
+        :func:`~repro.data.partition.partition_bounds` (a zero-copy slice;
+        the database itself when one rank owns every row, so a one-rank
+        fit keeps the caller's tile and kernel-plan caches)."""
         lo, hi = partition_bounds(self.n_items, n_ranks, rank)
+        if hi - lo == self.n_items:
+            return self
         return self.take(slice(lo, hi))
 
     def probe(self) -> "Database":

@@ -364,7 +364,11 @@ def run_search(
     """The BIG_LOOP over one block of the data — the only one.
 
     With the defaults this is sequential AutoClass: ``db`` is the whole
-    database and every reduction the identity.  P-AutoClass runs the
+    database and every reduction the identity.  Every fit reaches it
+    through :func:`~repro.parallel.run_pautoclass`, the rank program,
+    :class:`~repro.api.AutoClass` on one ``"serial"`` rank included;
+    only the :mod:`repro.verify` oracle calls it directly, to pick
+    ``kernels="reference"``.  P-AutoClass runs the
     same loop *replicated* on every rank over that rank's block
     (``make_reducer(n_classes)`` supplies each try's communicating
     reducer, ``n_total_items`` the global count, ``full_db`` the whole

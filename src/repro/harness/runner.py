@@ -1,7 +1,7 @@
 """Experiment runners: one :data:`EXPERIMENTS` row per figure or claim.
 
 Each row names its title, the ``benchmarks/out/`` file it regenerates
-(``None`` for the wall-clock demos) and its runner.  Every runner is
+and its runner.  Every runner is
 ``run(scale)`` and returns one of two result types: a :class:`Table`,
 or a :class:`Series` for the series plots of Figs. 7 and 8.  Both keep
 the raw numbers (read by tests and ``benchmarks/bench_figures.py``
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.api import AutoClass, PAutoClass
 from repro.data.synth import make_paper_database
 from repro.engine.cycle import base_cycle
 from repro.engine.init import initial_classification
@@ -42,9 +40,6 @@ from repro.harness.programs import (
 from repro.models.registry import ModelSpec
 from repro.models.summary import DataSummary
 from repro.mpc.collectives import ALLREDUCE
-from repro.mpc.faults import FaultInjector, FaultSpec
-from repro.obs.report import render_run
-from repro.serve import Scorer, ScorerConfig
 from repro.simnet.costmodel import CostModel
 from repro.simnet.machine import meiko_cs2
 from repro.simnet.simworld import SimRunResult, run_spmd_sim
@@ -529,188 +524,6 @@ def baseline_kmeans_comparison(scale: ExperimentScale) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# Demos of the subsystems beyond the paper, on real worlds (wall clock)
-# or, for EXP-SPLIT, the simulator.
-
-def obs_phase_breakdown(scale: ExperimentScale) -> Table:
-    """EXP-OBS: per-rank compute vs Allreduce split on a real backend.
-
-    Runs one P-AutoClass fit with ``instrument="phases"`` on a 4-rank
-    ``threads`` world and renders the paper-style Tables 2/3-shaped
-    breakdown from the merged :class:`~repro.obs.record.RunRecord` —
-    the same report the ``sim`` backend produces in virtual seconds.
-    """
-    n_items = max(400, scale.sizes[0])
-    db = make_paper_database(n_items, seed=scale.seed)
-    run = PAutoClass(
-        n_processors=4, backend="threads", instrument="phases",
-        start_j_list=(J,), max_n_tries=1, seed=scale.seed,
-        max_cycles=max(scale.cycles_per_try, 3),
-    ).fit(db)
-    assert run.record is not None
-    return Table(
-        title=(
-            "OBS — instrumented phase breakdown "
-            f"({n_items} tuples, J={J}; "
-            "repro.obs record, same schema on every backend)"
-        ),
-        note=render_run(run.record),
-    )
-
-
-def fault_recovery_demo(scale: ExperimentScale) -> Table:
-    """EXP-FAULT: lose a rank mid-search, restart from checkpoint.
-
-    Runs the same fit twice on a 2-rank ``processes`` world: once
-    cleanly, once with a :class:`~repro.mpc.faults.FaultSpec`
-    hard-killing a rank mid-try.  The faulted fit restarts from its
-    ``per_cycle`` checkpoint (``max_restarts``) and must land on the
-    *bit-identical* classification — the paper's deterministic
-    replicated control flow is what makes that possible.
-    """
-    n_procs, backend = 2, "processes"
-    n_items = max(300, scale.sizes[0] // 2)
-    db = make_paper_database(n_items, seed=scale.seed)
-    config = dict(
-        n_processors=n_procs, backend=backend, start_j_list=(4,),
-        max_n_tries=1, seed=scale.seed,
-        max_cycles=max(scale.cycles_per_try, 4), init_method="sharp",
-    )
-    clean = PAutoClass(**config).fit(db)
-    f = FaultSpec(
-        rank=n_procs - 1, action="exit", site="cycle", at_try=0, at_cycle=2,
-    )
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        run = PAutoClass(instrument="phases", **config).fit(
-            db,
-            checkpoint="per_cycle",
-            checkpoint_dir=ckpt_dir,
-            max_restarts=2,
-            faults=FaultInjector(f),
-        )
-    assert run.record is not None
-    saves = run.record.ranks[0].counters.get("ckpt_saves", 0)
-    identical = run.best.score == clean.best.score
-    return Table(
-        title=(
-            "FAULT — checkpointed recovery from an injected rank failure "
-            f"({n_items} tuples, {n_procs} ranks, {backend} world)"
-        ),
-        note="\n".join([
-            f"  injected: rank {f.rank} {f.action} at try {f.at_try}, "
-            f"cycle {f.at_cycle}",
-            f"  restarts needed:     {run.restarts}",
-            f"  checkpoint saves:    {saves}",
-            f"  clean logP(X|T)~:    {clean.best.score:.6f}",
-            f"  recovered logP(X|T)~:{run.best.score:.6f}",
-            f"  bit-identical:       {'yes' if identical else 'NO'}",
-        ]),
-    )
-
-
-def split_group_scaling(scale: ExperimentScale) -> Table:
-    """EXP-SPLIT: group-parallel tries shrink the search's critical path.
-
-    Runs one seeded multi-J search on the 8-rank virtual CS-2 at 1, 2
-    and 4 ``try_groups``.  With G groups, G tries run concurrently
-    (each on P/G ranks), so per-cycle Allreduces span fewer ranks and
-    the tries' cycle times overlap instead of serializing — the
-    elapsed-time win the two-level scheme exists for.
-    """
-    n_procs, n_tries = 8, 4
-    n_items = max(240, scale.sizes[0] // 4)
-    db = make_paper_database(n_items, seed=scale.seed)
-    runs = []
-    for g in (1, 2, 4):
-        run = PAutoClass(
-            n_processors=n_procs, backend="sim", try_groups=g,
-            start_j_list=(2, 3, 4, 5), max_n_tries=n_tries, seed=scale.seed,
-            max_cycles=max(scale.cycles_per_try, 3),
-        ).fit(db)
-        assert run.sim_elapsed is not None
-        runs.append((g, run.sim_elapsed, run.best.score))
-    t_ref = runs[0][1]
-    return Table(
-        title=(
-            "SPLIT — try-parallel BIG_LOOP over sub-communicators "
-            f"({n_items} tuples, {n_tries} tries, "
-            f"{n_procs}-rank virtual CS-2)\n"
-        ),
-        columns=("groups", "virtual elapsed (s)", "speedup vs G=1",
-                 "best logP(X|T)~"),
-        formats=("{}", "{:.4f}", "{:.2f}", "{:.4f}"),
-        rows=tuple((g, t, t_ref / t, s) for g, t, s in runs),
-        note=(
-            "each try runs data-parallel inside its group and is "
-            "bitwise identical to a dedicated world of the group's "
-            "size; groups differ only in reduction order."
-        ),
-    )
-
-
-def serve_throughput_demo(scale: ExperimentScale) -> Table:
-    """EXP-SERVE: dynamic batching amortizes per-request scoring cost.
-
-    Fits a small J=4 model, exports it as a
-    :class:`repro.serve.FittedModel`, then scores the same 1 024
-    single-item requests two ways: a plain ``predict`` loop (one kernel
-    pass per item) and a one-worker :class:`repro.serve.Scorer` draining
-    a pre-filled queue (one kernel pass per coalesced batch of up to
-    64).  The queue is filled before the worker starts so the
-    measurement is the steady-state backlog case — the regime
-    micro-batching exists for.
-    """
-    n_requests, max_batch, n_classes = 1024, 64, 4
-    n_train = max(400, scale.sizes[0])
-    db = make_paper_database(n_train, seed=scale.seed)
-    model = AutoClass(
-        start_j_list=(n_classes,), max_n_tries=1, seed=scale.seed,
-        max_cycles=max(scale.cycles_per_try, 3),
-    ).fit(db).fitted(db)
-    requests = [
-        db.take(slice(i % n_train, i % n_train + 1))
-        for i in range(n_requests)
-    ]
-
-    t0 = time.perf_counter()
-    for r in requests:
-        model.predict(r)
-    single = time.perf_counter() - t0
-
-    config = ScorerConfig(max_batch=max_batch, queue_items=n_requests)
-    scorer = Scorer(model, config, start=False)
-    pending = [scorer.submit(r) for r in requests]
-    t0 = time.perf_counter()
-    scorer.start()
-    for p in pending:
-        p.result()
-    batched = time.perf_counter() - t0
-    mean_batch = scorer.metrics.mean_batch_items
-    scorer.close()
-
-    return Table(
-        title=(
-            "SERVE — micro-batched scoring throughput "
-            f"({n_requests} single-item requests against a "
-            f"J={n_classes} model fitted on {n_train} tuples)\n"
-        ),
-        columns=("mode", "elapsed (s)", "items/s", "speedup"),
-        formats=("{}", "{:.4f}", "{:,.0f}", "{:.1f}"),
-        rows=(
-            ("single-item loop", single, n_requests / single, 1.0),
-            (f"Scorer (max_batch={max_batch})", batched,
-             n_requests / batched, single / batched),
-        ),
-        note=(
-            f"mean items per executed batch: {mean_batch:.1f}; "
-            "the win is per-call overhead amortization — one fused "
-            "E-step pass over the coalesced batch instead of one per "
-            "request."
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The experiment table: what ``pautoclass experiments --which KEY`` runs
 # and ``benchmarks/bench_figures.py`` regenerates, and the names
 # :mod:`repro.harness` exports.
@@ -719,9 +532,8 @@ class Experiment(NamedTuple):
     """One registered experiment."""
 
     title: str
-    #: File name of its rendered output under ``benchmarks/out/``, or
-    #: ``None`` for a wall-clock demo with no committed output.
-    out: str | None
+    #: File name of its rendered output under ``benchmarks/out/``.
+    out: str
     #: The public runner, ``run(scale)``.
     run: Callable[[ExperimentScale], Table | Series]
 
@@ -754,10 +566,6 @@ EXPERIMENTS: dict[str, Experiment] = {
     "b1": Experiment(
         "parallel k-means baseline", "baseline_kmeans.txt",
         baseline_kmeans_comparison),
-    "obs": Experiment("phase breakdown", None, obs_phase_breakdown),
-    "fault": Experiment("recovery of a lost rank", None, fault_recovery_demo),
-    "split": Experiment("try-parallel search", None, split_group_scaling),
-    "serve": Experiment("micro-batched scoring", None, serve_throughput_demo),
 }
 
 

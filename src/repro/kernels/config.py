@@ -11,10 +11,10 @@ The one selector is the explicit ``kernels=`` argument threaded through
 every engine call site; ``None`` means ``"fused"``.  Above the engine it
 is not a user option: estimator fits, every rank of a parallel fit and
 serving run ``"fused"``, and only :mod:`repro.verify` fits
-``"reference"`` — sequentially, through :attr:`repro.api.FitJob.kernels`
-— as its oracle; the parallel backends refuse it.  There is
-deliberately no process-wide switch: the one sequential oracle fit
-carries its choice as an argument, so no other fit can pick it up.
+``"reference"`` — sequentially, calling
+:func:`~repro.engine.search.run_search` with no world — as its oracle.
+There is deliberately no process-wide switch: the one sequential oracle
+fit carries its choice as an argument, so no other fit can pick it up.
 """
 
 from __future__ import annotations

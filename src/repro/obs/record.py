@@ -136,7 +136,7 @@ class RankRecord:
     cycles: list[CycleRecord] = field(default_factory=list)
     comm_events: list[CommEventRecord] = field(default_factory=list)
     #: Final :class:`~repro.mpc.api.CommStats` of the rank's communicator
-    #: (empty for the sequential backend, which has no communicator).
+    #: (empty for repro.verify's sequential oracle, which has none).
     comm: dict[str, float] = field(default_factory=dict)
 
     # -- derived -----------------------------------------------------------

@@ -205,9 +205,14 @@ def run_pautoclass(
     G and the rule's makespans of G = 1 and of the chosen G (cells per
     cycle) as counters, and a grouped one each rank's group and group
     size.
+
+    ``config.max_seconds`` — a wall-clock budget checked at try
+    boundaries — is honoured on a one-rank world only: on more ranks
+    each would read its own clock and the replicated control flow could
+    desynchronize, so it is refused.
     """
     config = search_config_for(config, seedable=not is_streamable(db))
-    if config.max_seconds is not None:
+    if config.max_seconds is not None and comm.size > 1:
         raise ValueError(
             "max_seconds is a wall-clock budget and would desynchronize "
             "the replicated control flow; parallel searches use "

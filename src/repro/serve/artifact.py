@@ -76,7 +76,7 @@ class FittedModel(Inference):
 
     classification: Classification
     summary: DataSummary
-    backend: str = "sequential"
+    backend: str = "serial"
     n_processors: int = 1
 
     # -- construction -----------------------------------------------------

@@ -232,11 +232,12 @@ def capture_trace(
     of the seeded search; every cell of a conformance matrix must use
     the identical ``config`` or the comparison is meaningless.
 
-    The fit is one :class:`~repro.api.FitJob` handed straight to the
-    world's backend runner — the one place a job runs on the
-    ``"reference"`` kernels, which the estimators never select; only
-    the ``"sequential"`` world accepts them (the oracle), a parallel
-    world refuses them.
+    The ``"sequential"`` world is the oracle: the one loop,
+    :func:`~repro.engine.search.run_search`, called directly with no
+    world at all under a recorder — the one place a fit runs on the
+    ``"reference"`` kernels, which no backend selects.  Any other world
+    is a registered backend of :mod:`repro.api`, handed one
+    :class:`~repro.api.FitJob` on the fused kernels.
 
     ``db`` is a database or a shard view; the fit and the class map
     both read it the same way (a view streams).
@@ -246,28 +247,51 @@ def capture_trace(
     the decomposition rule would trade for one-rank try groups on these
     small few-try cases.
     """
-    from repro.api import BACKENDS, FitConfig, FitJob
+    from repro.api import BACKENDS, FitConfig, FitJob, Run
     from repro.data.shards import is_streamable
-    from repro.engine.search import SearchConfig, search_config_for
+    from repro.engine.search import SearchConfig, run_search, search_config_for
     from repro.models.registry import ModelSpec
     from repro.models.summary import DataSummary
+    from repro.obs.recorder import Recorder, recording
+    from repro.obs.runtime import build_run_record
 
-    if world not in BACKENDS:
-        raise ValueError(f"world {world!r} not in {tuple(BACKENDS)}")
-    job = FitJob(
-        n_processors=size,
-        config=search_config_for(
-            SearchConfig(**config), seedable=not is_streamable(db),
-            init_defaulted="init_method" not in config,
-        ),
-        options=FitConfig(
-            instrument=instrument,
-            try_groups=None if world == "sequential" else 1,
-        ),
-        kernels=kernel_config.resolve(kernels),
+    if world != "sequential" and world not in BACKENDS:
+        raise ValueError(
+            f"world {world!r} not in {('sequential', *BACKENDS)}"
+        )
+    kernels = kernel_config.resolve(kernels)
+    if world != "sequential" and kernels != "fused":
+        raise ValueError(
+            f"kernels={kernels!r}: the {world!r} backend runs the fused "
+            "kernels only; the reference kernels are the sequential oracle"
+        )
+    search = search_config_for(
+        SearchConfig(**config), seedable=not is_streamable(db),
+        init_defaulted="init_method" not in config,
     )
     if spec is None:
         spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
-    run = BACKENDS[world](job, db, spec)
+    if world == "sequential":
+        if size != 1:
+            raise ValueError("the sequential oracle runs exactly 1 processor")
+        records = []
+        if instrument == "off":
+            result = run_search(db, search, spec, kernels=kernels)
+        else:
+            rec = Recorder(level=instrument)
+            with recording(rec):
+                result = run_search(db, search, spec, kernels=kernels)
+            records.append(rec.to_rank_record())
+        run = Run(
+            result=result, backend=world, n_processors=1,
+            instrument=instrument,
+            record=build_run_record(world, 1, instrument, records),
+        )
+    else:
+        job = FitJob(
+            n_processors=size, config=search,
+            options=FitConfig(instrument=instrument, try_groups=1),
+        )
+        run = BACKENDS[world](job, db, spec)
     meta = TraceMeta(case=case, world=world, size=size, kernels=kernels)
     return RunTrace.from_run(run, db, meta)

@@ -247,7 +247,7 @@ class TestCrossGroupResume:
         assert in_progress["classification"]["n_cycles"] == 4
         (tmp_path / "try_0001.json").write_bytes(frozen[3])
         resumed = PAutoClass(
-            n_processors=1, backend="sequential", instrument="phases",
+            n_processors=1, backend="serial", instrument="phases",
             **FIXTURE_CONFIG,
         ).fit(fixture_db(), checkpoint="per_cycle", checkpoint_dir=tmp_path)
         assert resumed.record.ranks[0].n_cycles == (
@@ -258,7 +258,7 @@ class TestCrossGroupResume:
 
 class TestRefusedCheckpoint:
     @pytest.mark.parametrize(
-        "backend, procs", [("sequential", 1), ("threads", 2)]
+        "backend, procs", [("serial", 1), ("threads", 2)]
     )
     def test_foreign_checkpoint_is_not_retried(
         self, db, tmp_path, monkeypatch, caplog, backend, procs

@@ -99,11 +99,10 @@ def test_direct_calls_are_synchronous(db, tmp_path):
 
 @pytest.mark.parametrize(
     "backend,try_groups",
-    [("sequential", None), ("serial", None), ("threads", 1), ("threads", 2),
-     ("sim", 1)],
+    [("serial", None), ("threads", 1), ("threads", 2), ("sim", 1)],
 )
 def test_no_writer_thread_outlives_a_fit(db, tmp_path, backend, try_groups):
-    n_processors = 1 if backend in ("sequential", "serial") else 2
+    n_processors = 1 if backend == "serial" else 2
     run = PAutoClass(
         n_processors=n_processors, backend=backend, try_groups=try_groups,
         instrument="phases", **CONFIG,

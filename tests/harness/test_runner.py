@@ -116,8 +116,7 @@ class TestRegistry:
 
     def test_every_out_file_is_committed(self):
         for key, exp in EXPERIMENTS.items():
-            if exp.out is not None:
-                assert (OUT_DIR / exp.out).is_file(), key
+            assert (OUT_DIR / exp.out).is_file(), key
 
     def test_every_committed_output_has_a_row(self):
         outs = {exp.out for exp in EXPERIMENTS.values()}
@@ -285,36 +284,3 @@ class TestTopologyAndBaseline:
         assert b1.at("k-means speedup", 4) > 1.5
         assert b1.at("P-AutoClass speedup", 4) > 1.5
         assert "k-means" in b1.render()
-
-
-class TestObsPhaseBreakdown:
-    def test_obs_experiment_renders_paper_shaped_table(self):
-        from repro.harness.runner import obs_phase_breakdown
-
-        res = obs_phase_breakdown(
-            ExperimentScale(factor=0.04, cycles_per_try=3)
-        )
-        text = res.render()
-        # the record's phase table names its world size and clock
-        assert "P=4 (wall clock)" in text
-        assert "OBS" in text
-        assert "Phase breakdown" in text
-        assert "ar-wts" in text and "ar-params" in text
-
-
-class TestServeDemo:
-    def test_scorer_coalesces_the_backlog_into_full_batches(self):
-        from repro.harness.runner import serve_throughput_demo
-
-        res = serve_throughput_demo(
-            ExperimentScale(factor=0.02, cycles_per_try=2)
-        )
-        assert isinstance(res, Table)
-        assert res.col("mode") == [
-            "single-item loop", "Scorer (max_batch=64)",
-        ]
-        # 1 024 single-item requests queued before the worker starts
-        # drain as 16 full batches of 64.
-        assert "mean items per executed batch: 64.0" in res.note
-        assert all(v > 0 for v in res.col("items/s"))
-        assert "SERVE" in res.render()

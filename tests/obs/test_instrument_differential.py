@@ -59,7 +59,7 @@ class TestInstrumentationIsPure:
             reference, rel=1e-12
         )
         assert run.record is not None
-        assert run.record.backend == "sequential"
+        assert run.record.backend == "serial"  # AutoClass is one serial rank
 
     def test_cycle_telemetry_matches_em_monotonicity(self, db):
         run = AutoClass(instrument="full", **CONFIG).fit(db)
@@ -139,6 +139,11 @@ class TestSchemaParityAcrossWorlds:
         # Every rank timed every cycle (replicated control flow).
         n_cycles = {r.n_cycles for r in run.record.ranks}
         assert len(n_cycles) == 1 and n_cycles.pop() > 0
+        # ...and the paper-shaped phase table names its world size and
+        # clock, with both Allreduce cut points.
+        text = run.report()
+        assert "Phase breakdown" in text and "P=4 (wall clock)" in text
+        assert "ar-wts" in text and "ar-params" in text
 
     def test_kernel_counters_attributed(self, db):
         run = PAutoClass(

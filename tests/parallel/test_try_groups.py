@@ -282,7 +282,7 @@ class TestFitIntegration:
 class TestOneLoop:
     @pytest.mark.parametrize(
         "backend, n_processors, try_groups",
-        [("sequential", 1, None), ("threads", 2, 1), ("threads", 2, 2)],
+        [("serial", 1, None), ("threads", 2, 1), ("threads", 2, 2)],
     )
     def test_every_fit_enters_the_big_loop_once_per_rank(
         self, monkeypatch, backend, n_processors, try_groups

@@ -57,7 +57,7 @@ class TestRoundTrip:
     def test_describe_mentions_shape(self, model):
         text = model.describe()
         assert f"J={model.n_classes}" in text
-        assert "sequential" in text
+        assert "serial/1" in text  # AutoClass: one serial rank
 
 
 class TestTamperDetection:

@@ -18,11 +18,10 @@ from repro import (
 )
 from repro.api import FitConfig
 from repro.data.shards import ShardedDatabase
-from repro.mpc.faults import FaultInjector
 from repro.engine.report import classification_report
 from repro.engine.search import SearchConfig
 
-ALL_BACKENDS = ("sequential", "serial", "threads", "processes", "sim")
+ALL_BACKENDS = ("serial", "threads", "processes", "sim")
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +38,8 @@ def sdb(db, tmp_path_factory):
 
 
 def estimator(backend, **kwargs):
-    """The shell on ``backend`` (2 ranks where the backend has a world)."""
-    n = 1 if backend in ("sequential", "serial") else 2
+    """The shell on ``backend``: 1 rank on serial, 2 on the other worlds."""
+    n = 1 if backend == "serial" else 2
     return PAutoClass(n_processors=n, backend=backend, **kwargs)
 
 
@@ -78,7 +77,7 @@ class TestAutoClass:
     def test_fit_returns_unified_run(self, db, fitted):
         run = fitted.run_
         assert isinstance(run, Run)
-        assert run.backend == "sequential"
+        assert run.backend == "serial"
         assert run.n_processors == 1
         assert run.record is None  # default instrument="off"
         assert run.result is fitted.result_
@@ -132,6 +131,9 @@ class TestPAutoClass:
     def test_backend_validation(self):
         with pytest.raises(ValueError, match="backend"):
             PAutoClass(backend="quantum")
+        # the backends are the four worlds; AutoClass is one serial rank
+        with pytest.raises(ValueError, match="serial.*threads.*processes.*sim"):
+            PAutoClass(backend="sequential")
         with pytest.raises(ValueError, match="n_processors"):
             PAutoClass(n_processors=0)
 
@@ -145,9 +147,10 @@ class TestPAutoClass:
             start_j_list=(2, 3), max_n_tries=2, seed=1, max_cycles=30,
         )
         run = pac.fit(db)
-        assert run.result.best.score == pytest.approx(
-            fitted.result_.best.score, rel=1e-12
-        )
+        # AutoClass is this very fit: one rank of the serial world
+        assert [t.score for t in run.result.tries] == [
+            t.score for t in fitted.result_.tries
+        ]
 
     def test_threads_backend(self, db, fitted):
         pac = PAutoClass(
@@ -341,14 +344,6 @@ class TestFitConfig:
         with pytest.raises(TypeError, match="options"):
             PAutoClass(options=FitConfig())
 
-    def test_autoclass_rejects_parallel_only_options(self, db):
-        with pytest.raises(ValueError, match="parallel-only"):
-            PAutoClass(n_processors=1, backend="sequential", try_groups=1)
-        with pytest.raises(ValueError, match="parallel-only"):
-            AutoClass(start_j_list=(2,), max_n_tries=1).fit(
-                db, faults=FaultInjector([])
-            )
-
     def test_fit_time_override_is_scoped_to_the_fit(self, db):
         ac = AutoClass(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
         assert ac.options.verify == "off"
@@ -376,9 +371,10 @@ class TestOneKernelPathOneInputPath:
             assert not {"kernels", "options"} & self._params(fn), fn
 
     def test_run_and_fitted_model_carry_no_kernel_mode(self):
+        from repro.api import FitJob
         from repro.serve import FittedModel
 
-        for cls in (Run, FittedModel):
+        for cls in (Run, FittedModel, FitJob):
             names = {f.name for f in dataclasses.fields(cls)}
             assert "kernels" not in names, cls
             assert "kernels" not in self._params(cls), cls
@@ -397,16 +393,18 @@ class TestOneKernelPathOneInputPath:
     def test_reference_kernels_reach_only_the_verify_oracle(
         self, db, monkeypatch
     ):
+        import repro.engine.search as search_mod
+        from repro.kernels.config import resolve
         from repro.verify.trace import capture_trace
 
         seen = []
-        runner = BACKENDS["sequential"]
+        real = search_mod.run_try
 
-        def spy(job, database, spec):
-            seen.append(job.kernels)
-            return runner(job, database, spec)
+        def spy(*args, kernels=None, **kwargs):
+            seen.append(resolve(kernels))
+            return real(*args, kernels=kernels, **kwargs)
 
-        monkeypatch.setitem(BACKENDS, "sequential", spy)
+        monkeypatch.setattr(search_mod, "run_try", spy)
         config = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
         AutoClass(**config).fit(db, verify="trace")
         # the fit itself, then its sequential shadow on the oracle path
@@ -416,21 +414,16 @@ class TestOneKernelPathOneInputPath:
         with pytest.raises(ValueError, match="kernels"):
             capture_trace(db, config, kernels="simd")
 
-    @pytest.mark.parametrize("world", ALL_BACKENDS[1:])
+    @pytest.mark.parametrize("world", ALL_BACKENDS)
     def test_spmd_backends_refuse_reference_kernels(self, db, world):
-        """The reference kernels are the sequential oracle only: a
-        parallel world refuses a job on them before launching a rank."""
-        from repro.api import FitJob
-        from repro.models.registry import ModelSpec
-        from repro.models.summary import DataSummary
+        """The reference kernels are the sequential oracle only: asked
+        for them on a world — the one-rank serial world included — the
+        oracle refuses before launching a rank."""
+        from repro.verify.trace import capture_trace
 
-        job = FitJob(
-            n_processors=1, config=SearchConfig(start_j_list=(2,)),
-            options=FitConfig(), kernels="reference",
-        )
-        spec = ModelSpec.default_for(db.schema, DataSummary.from_database(db))
+        config = dict(start_j_list=(2,), max_n_tries=1, seed=5, max_cycles=8)
         with pytest.raises(ValueError, match="kernels"):
-            BACKENDS[world](job, db, spec)
+            capture_trace(db, config, world=world, kernels="reference")
 
 
 class TestUnifiedInference:

@@ -42,7 +42,7 @@ class TestParser:
         # the keys the hand-written ladder had, in the order it printed
         assert tuple(EXPERIMENTS) == (
             "fig6", "fig7", "fig8", "t1", "t2", "a1", "a2", "a3", "a4",
-            "a5", "b1", "obs", "fault", "split", "serve",
+            "a5", "b1",
         )
         for key in (*EXPERIMENTS, "all"):
             assert build_parser().parse_args(
@@ -125,7 +125,8 @@ class TestRestartLine:
     def test_same_line_on_sequential(self, tmp_path, capsys, monkeypatch):
         from repro.api import BACKENDS
 
-        real = BACKENDS["sequential"]
+        # sequential AutoClass: the default backend, one serial rank
+        real = BACKENDS["serial"]
         calls = []
 
         def fails_once(job, db, spec):
@@ -134,7 +135,7 @@ class TestRestartLine:
                 raise RuntimeError("transient failure")
             return real(job, db, spec)
 
-        monkeypatch.setitem(BACKENDS, "sequential", fails_once)
+        monkeypatch.setitem(BACKENDS, "serial", fails_once)
         code = main([*self.ARGS, "--checkpoint-dir", str(tmp_path)])
         assert code == 0
         assert self.LINE in capsys.readouterr().out
@@ -151,13 +152,20 @@ class TestNewFlags:
         assert "Model-level search" in out
         assert "independent" in out and "correlated" in out
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes", "sim"])
+    @pytest.mark.parametrize("backend", ["threads", "processes", "sim"])
     def test_model_search_rejected_off_the_sequential_backend(self, backend):
-        with pytest.raises(SystemExit, match="--backend sequential"):
+        # sequential AutoClass runs on the default backend, serial
+        with pytest.raises(SystemExit, match="--backend serial"):
             main(
                 ["run", "--synthetic", "120", "--j-list", "2",
                  "--backend", backend, "--model-search"]
             )
+
+    def test_try_groups_rejected_on_the_serial_backend(self):
+        # one rank has no groups to split into; serial is the default
+        with pytest.raises(SystemExit, match="other than serial"):
+            main(["run", "--synthetic", "120", "--j-list", "2",
+                  "--try-groups", "1"])
 
     def test_max_restarts_needs_a_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="--max-restarts needs"):
@@ -323,10 +331,6 @@ class TestInstrumentFlag:
                 ["run", "--synthetic", "60", "--j-list", "2",
                  "--obs-out", str(tmp_path / "x.jsonl")]
             )
-
-    def test_experiments_obs_choice_accepted(self):
-        args = build_parser().parse_args(["experiments", "--which", "obs"])
-        assert args.which == "obs"
 
 
 class TestPredictCommand:

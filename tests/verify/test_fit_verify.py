@@ -7,7 +7,7 @@ import pytest
 from repro.api import AutoClass, PAutoClass
 from repro.data.synth import make_paper_database
 from repro.verify.conformance import ConformanceError
-from repro.verify.tolerance import BITWISE
+from repro.verify.tolerance import BITWISE, KERNEL
 
 CONFIG = dict(start_j_list=(2, 3), max_n_tries=2, seed=7, max_cycles=10,
               init_method="sharp")
@@ -24,12 +24,17 @@ class TestSequentialVerify:
         assert run.conformance is None
 
     def test_trace_attaches_kernel_differential(self, db):
-        run = AutoClass(**CONFIG).fit(db, verify="trace")
-        rep = run.conformance
-        assert rep is not None and rep.ok
-        assert rep.tolerance.label == "kernel"
-        # the shadow ran the opposite kernel path
-        assert rep.ref.meta.kernels != rep.test.meta.kernels
+        # a one-rank primary is shadowed on the reference kernels, the
+        # same for AutoClass as for PAutoClass on one serial rank
+        for est in (
+            AutoClass(**CONFIG),
+            PAutoClass(n_processors=1, backend="serial", **CONFIG),
+        ):
+            rep = est.fit(db, verify="trace").conformance
+            assert rep is not None and rep.ok
+            assert rep.tolerance.label == "kernel"
+            # the shadow ran the opposite kernel path
+            assert rep.ref.meta.kernels != rep.test.meta.kernels
 
     def test_strict_passes_on_healthy_code(self, db):
         run = AutoClass(**CONFIG).fit(db, verify="strict")
@@ -60,12 +65,16 @@ class TestParallelVerify:
         assert rep.test.meta.world == "threads"
         assert rep.ref.meta.world == "sequential"
 
-    def test_one_rank_world_is_held_to_bitwise(self, db):
+    def test_one_rank_world_is_held_to_the_kernel_bound(self, db):
+        # the shadow is chosen by rank count: one rank on any world is
+        # shadowed on the reference kernels.  P = 1 bitwise on the
+        # fused kernels is held by `python -m repro.verify`'s serial cells.
         run = PAutoClass(
-            n_processors=1, backend="serial", **CONFIG
+            n_processors=1, backend="threads", **CONFIG
         ).fit(db, verify="strict")
         assert run.conformance.ok
-        assert run.conformance.tolerance is BITWISE
+        assert run.conformance.tolerance == KERNEL
+        assert run.conformance.ref.meta.kernels == "reference"
 
     def test_strict_raises_on_forced_divergence(self, db, monkeypatch):
         # Force the 2-rank comparison to bitwise: real reduction-order
